@@ -8,6 +8,7 @@ A-letters times the product of the state values of the B-runs.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Iterable, Mapping
 
@@ -34,6 +35,71 @@ from .ncalg import (
 )
 
 DEFAULT_TRUNCATION = 64
+
+
+# ---------------------------------------------------------------------------
+# shared evaluation machinery of the models
+# ---------------------------------------------------------------------------
+
+
+def _memoized_per_word(evaluate):
+    """Memoize a model's ``omega``/``tau`` on the exact word.
+
+    The lookup runs before the domain checks of ``evaluate``; only successful
+    values are stored, so a word outside the domain raises on every call.  A
+    memoized value depends on the model's data, which must therefore not be
+    mutated once the model is built.
+    """
+
+    @functools.wraps(evaluate)
+    def lookup(self, w: Word) -> complex:
+        value = self._values.get(w)
+        if value is None:
+            value = self._values[w] = evaluate(self, w)
+        return value
+
+    return lookup
+
+
+class WordProducts:
+    """Left-to-right products of words over a set of square matrices.
+
+    The products of the proper prefixes of the last evaluated word are kept
+    on a stack (fewer matrices than the word has letters), so a word that
+    shares its first ``k`` letters with the previous one costs only its
+    remaining products; words in sorted order share long prefixes.  Every
+    product is the same floating-point computation as the naive loop
+    ``I @ M1 @ M2 @ ...``, so results are bitwise equal to it.  Nothing else
+    is kept: adjoints are formed per product and the identity only when no
+    prefix is shared, as many small models may be alive at once.  The
+    returned array may be one kept on the stack; callers must not modify it.
+    """
+
+    def __init__(self, matrices: Mapping[int, np.ndarray], dim: int):
+        self._matrices = matrices
+        self._dim = dim
+        self._word: list[Letter] = []
+        self._stack: list[np.ndarray] = []
+
+    def product(self, w: Word) -> np.ndarray:
+        """Product of the letters of ``w``; unknown generators raise ``NotInDomainError``."""
+        shared = 0
+        limit = min(len(w), len(self._word))
+        while shared < limit and w[shared] == self._word[shared]:
+            shared += 1
+        del self._word[shared:]
+        del self._stack[shared:]
+        prod = self._stack[-1] if shared else np.eye(self._dim, dtype=complex)
+        for pos in range(shared, len(w)):
+            letter = w[pos]
+            mat = self._matrices.get(letter.index)
+            if mat is None:
+                raise NotInDomainError(f"no matrix for generator {letter.label()}")
+            prod = prod @ (mat.conj().T if letter.star else mat)
+            if pos < len(w) - 1:
+                self._stack.append(prod)
+                self._word.append(letter)
+        return prod
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +199,8 @@ class MomentTable(TracialState):
 
     Keys are canonicalized to their minimal cyclic rotation (traciality), and
     the adjoint of a stored word is looked up as the conjugate value.  Entries
-    that collide after canonicalization must agree within ``1e-12``.
+    that collide after canonicalization must agree within ``1e-12``.  Values
+    are memoized per word.
     """
 
     def __init__(self, moments: Mapping[Word, complex], degree_cap: int | None = None):
@@ -163,6 +230,7 @@ class MomentTable(TracialState):
                 )
         self._table = table
         self.degree_cap = degree_cap if degree_cap is not None else max_degree
+        self._values: dict[Word, complex] = {}
 
     @classmethod
     def from_b_powers(cls, powers: Mapping[int, complex], index: int = 1) -> "MomentTable":
@@ -202,6 +270,7 @@ class MomentTable(TracialState):
             },
         }
 
+    @_memoized_per_word
     def tau(self, w: Word) -> complex:
         _check_pure_b(w)
         if not w:
@@ -220,7 +289,11 @@ class MomentTable(TracialState):
 
 
 class TraceMatrixState(TracialState):
-    """Concrete matrix model: the state is the normalized trace."""
+    """Concrete matrix model: the state is the normalized trace.
+
+    Values are memoized per word, so the matrices must not be mutated after
+    the model is built.
+    """
 
     def __init__(self, matrices: Mapping[int, np.ndarray]):
         if not matrices:
@@ -238,24 +311,15 @@ class TraceMatrixState(TracialState):
             mats[int(index)] = arr
         self.matrices = mats
         self.dim = dim
-        self._cache: dict[Word, complex] = {}
+        self._products = WordProducts(mats, dim)
+        self._values: dict[Word, complex] = {}
 
+    @_memoized_per_word
     def tau(self, w: Word) -> complex:
         _check_pure_b(w)
         if not w:
             return 1 + 0j
-        cached = self._cache.get(w)
-        if cached is not None:
-            return cached
-        prod = np.eye(self.dim, dtype=complex)
-        for letter in w:
-            if letter.index not in self.matrices:
-                raise NotInDomainError(f"no matrix for generator {letter.label()}")
-            mat = self.matrices[letter.index]
-            prod = prod @ (mat.conj().T if letter.star else mat)
-        value = complex(np.trace(prod)) / self.dim
-        self._cache[w] = value
-        return value
+        return complex(np.trace(self._products.product(w))) / self.dim
 
 
 def tau_eval(state: TracialState, w: Word) -> complex:
@@ -295,7 +359,9 @@ class SpectrumFamily(TraceClassModel):
 
     Each generator carries its own eigenvalue sequence; words evaluate as
     entrywise products of the sequences.  All spectra must agree on the
-    truncation count, or all be analytic geometric sequences.
+    truncation count, or all be analytic geometric sequences.  Values are
+    memoized per word, so the spectra must not be mutated after the family
+    is built.
     """
 
     def __init__(self, spectra: Mapping[int, Spectrum]):
@@ -308,6 +374,7 @@ class SpectrumFamily(TraceClassModel):
                 "all spectra in a family must share one truncation count"
             )
         self.truncation = counts.pop()
+        self._values: dict[Word, complex] = {}
 
     def indices(self) -> set:
         return set(self.spectra)
@@ -318,6 +385,7 @@ class SpectrumFamily(TraceClassModel):
             raise NotInDomainError(f"no spectrum for generator index {index}")
         return spec
 
+    @_memoized_per_word
     def omega(self, w: Word) -> complex:
         _check_pure_a_nonempty(w)
         for letter in w:
@@ -347,7 +415,9 @@ class MatrixTraceFamily(TraceClassModel):
     """Concrete matrix family; the weight is the unnormalized trace.
 
     Hermitian matrices give the selfadjoint semantics the recipes expect,
-    but general square matrices are accepted for oracle cross-checks.
+    but general square matrices are accepted for oracle cross-checks.  Values
+    are memoized per word, so the matrices must not be mutated after the
+    family is built.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray]):
@@ -366,19 +436,16 @@ class MatrixTraceFamily(TraceClassModel):
             mats[int(index)] = arr
         self.matrices = mats
         self.truncation = dim
+        self._products = WordProducts(mats, dim)
+        self._values: dict[Word, complex] = {}
 
     def indices(self) -> set:
         return set(self.matrices)
 
+    @_memoized_per_word
     def omega(self, w: Word) -> complex:
         _check_pure_a_nonempty(w)
-        prod = np.eye(self.truncation, dtype=complex)
-        for letter in w:
-            if letter.index not in self.matrices:
-                raise NotInDomainError(f"no matrix for generator {letter.label()}")
-            mat = self.matrices[letter.index]
-            prod = prod @ (mat.conj().T if letter.star else mat)
-        return complex(np.trace(prod))
+        return complex(np.trace(self._products.product(w)))
 
     def realization(self, index: int, size: int | None = None) -> np.ndarray:
         if index not in self.matrices:

@@ -366,18 +366,21 @@ def eigenvalue_multiset(a, truncation: int | None = None, source: str = "predict
 def sqrtm_psd(gram: np.ndarray, tol: float = GRAM_PSD_TOL) -> np.ndarray:
     """Spectral square root of a Hermitian PSD matrix.
 
-    Eigenvalues in ``[-tol, 0]`` are clamped to zero (rounding from sampled
-    Gram matrices); anything below ``-tol`` raises ``NotPositiveError``.
+    Both checks use the tolerance ``max(tol, 64*eps*max|G|)``, so rounding
+    scales with the entries.  Eigenvalues in ``[-tol, 0]`` are clamped to zero
+    (rounding from sampled Gram matrices); anything below ``-tol`` raises
+    ``NotPositiveError``.
     """
     g = np.asarray(gram, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatchError("Gram matrix must be square")
+    tol = max(tol, 64 * np.finfo(float).eps * float(np.max(np.abs(g), initial=0.0)))
     if float(np.max(np.abs(g - g.conj().T), initial=0.0)) > tol:
         raise NotSelfadjointError("Gram matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
     if float(np.min(vals)) < -tol:
         raise NotPositiveError(
-            f"Gram matrix has eigenvalue {float(np.min(vals)):.3e} below -{tol}"
+            f"Gram matrix has eigenvalue {float(np.min(vals)):.3e} below -{tol:.3e}"
         )
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T

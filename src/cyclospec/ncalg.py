@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 FAMILY_A = "a"
@@ -65,17 +66,15 @@ def word_adjoint(w: Word) -> Word:
     return tuple(letter.adjoint() for letter in reversed(w))
 
 
-def word_key(w: Word):
-    """Sort key implementing the canonical letter-lexicographic term order."""
-    return tuple((letter.family, letter.index, letter.star) for letter in w)
-
-
 def min_cyclic_rotation(w: Word) -> Word:
-    """Lexicographically smallest rotation of ``w`` (used for tracial lookup)."""
+    """Lexicographically smallest rotation of ``w`` (used for tracial lookup).
+
+    Words compare directly: a letter is the tuple ``(family, index, star)``,
+    so tuple order is the canonical letter-lexicographic order.
+    """
     if len(w) < 2:
         return w
-    rotations = (w[j:] + w[:j] for j in range(len(w)))
-    return min(rotations, key=word_key)
+    return min(w[j:] + w[:j] for j in range(len(w)))
 
 
 def word_families(w: Word) -> set:
@@ -158,8 +157,8 @@ class NCPolynomial:
         return cls({(letter,): 1})
 
     def sorted_terms(self) -> list[tuple[Word, complex]]:
-        """Terms in the canonical order (deterministic iteration)."""
-        return sorted(self.terms.items(), key=lambda item: word_key(item[0]))
+        """Terms in the canonical letter-lexicographic word order (deterministic iteration)."""
+        return sorted(self.terms.items(), key=itemgetter(0))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -1,7 +1,11 @@
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclospec import (
     CompositeFamily,
@@ -29,6 +33,7 @@ from cyclospec import (
     sample_haar_unitary,
     tau_eval,
 )
+from cyclospec.cmcalc import WordProducts
 
 from _oracles import random_general, random_hermitian
 
@@ -370,3 +375,163 @@ def test_matrix_family_real_on_selfadjoint_words():
     for m in (1, 2, 3, 4):
         value = omega_a_eval(fam, (a_gen(1),) * m)
         assert abs(value.imag) <= 1e-12 * max(1.0, abs(value))
+
+
+# ---------------------------------------------------------------------------
+# rotation invariance over every model
+# ---------------------------------------------------------------------------
+
+B_POOL = (b_gen(1), b_gen(2), b_gen(2, star=True))
+MAX_WORD = 6
+
+
+def _state(name):
+    rng = np.random.default_rng(40)
+    matrices = {i: random_general(3, rng) / 2 for i in (1, 2)}
+    state = TraceMatrixState(matrices)
+    if name == "trace_matrix":
+        return state
+    # every pure-B word a rotation of a word of MAX_WORD letters can produce
+    words = [w for k in range(1, MAX_WORD) for w in itertools.product(B_POOL, repeat=k)]
+    return MomentTable({w: TraceMatrixState(matrices).tau(w) for w in words})
+
+
+def _a_model(name, b_state):
+    """The model and the A-letters it defines."""
+    rng = np.random.default_rng(41)
+    letters = [a_gen(1), a_gen(1, star=True), a_gen(2)]
+    if name == "spectrum_finite":
+        return SpectrumFamily({
+            1: ExplicitSpectrum(rng.uniform(-1, 1, size=8)),
+            2: ExplicitSpectrum(rng.uniform(-1, 1, size=8)),
+        }), letters
+    if name == "spectrum_analytic":
+        return SpectrumFamily({
+            1: GeometricSpectrum(1.0, 0.5, count=None),
+            2: GeometricSpectrum(0.8, -0.3, count=None),
+        }), letters
+    if name == "haar":
+        return HaarConjugatedFamily({
+            1: GeometricSpectrum(1.0, 0.5, 16), 2: GeometricSpectrum(0.8, -0.3, 16),
+        }), letters
+    base = MatrixTraceFamily({i: random_general(4, rng) / 2 for i in (1, 2)})
+    if name == "matrix":
+        return base, letters
+    fam = CompositeFamily(base, b_state)
+    g = fam.register((a_gen(1),), (b_gen(1),))
+    h = fam.register((a_gen(2), a_gen(1)), (b_gen(2), b_gen(2, star=True)))
+    return fam, letters + [g, h, h.adjoint()]
+
+
+@functools.cache
+def _rotation_case(a_name, b_name):
+    b_state = _state(b_name)
+    a_model, a_letters = _a_model(a_name, b_state)
+    return a_model, b_state, tuple(a_letters) + B_POOL
+
+
+@pytest.mark.parametrize("b_name", ["moment_table", "trace_matrix"])
+@pytest.mark.parametrize(
+    "a_name", ["spectrum_finite", "spectrum_analytic", "matrix", "haar", "composite"]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cm_moment_invariant_under_rotation(a_name, b_name, data):
+    a_model, b_state, pool = _rotation_case(a_name, b_name)
+    w = data.draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=MAX_WORD)
+        .map(tuple)
+        .filter(lambda w: any(letter.family == "a" for letter in w))
+    )
+    base = cm_moment(w, a_model, b_state)
+    for j in range(1, len(w)):
+        got = cm_moment(w[j:] + w[:j], a_model, b_state)
+        assert abs(got - base) <= 1e-12 * max(1.0, abs(base))
+
+
+# ---------------------------------------------------------------------------
+# word products and per-word memoization
+# ---------------------------------------------------------------------------
+
+
+def _naive_product(matrices, w, dim):
+    prod = np.eye(dim, dtype=complex)
+    for letter in w:
+        mat = matrices[letter.index]
+        prod = prod @ (mat.conj().T if letter.star else mat)
+    return prod
+
+
+def _product_words(rng, count=150):
+    pool = [a_gen(i, star) for i in (1, 2, 3) for star in (False, True)]
+    words = [
+        tuple(pool[j] for j in rng.integers(0, len(pool), size=int(rng.integers(1, 7))))
+        for _ in range(count)
+    ]
+    return words + words[: count // 5]
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "random"])
+def test_word_products_bitwise_equal_naive_loop(order):
+    rng = np.random.default_rng(30)
+    matrices = {i: random_general(4, rng) for i in (1, 2, 3)}
+    words = _product_words(rng)
+    if order == "sorted":
+        words.sort()
+    elif order == "reversed":
+        words.sort(reverse=True)
+    products = WordProducts(matrices, 4)
+    for w in words:
+        assert np.array_equal(products.product(w), _naive_product(matrices, w, 4))
+
+
+def test_word_products_recover_after_unknown_generator():
+    rng = np.random.default_rng(31)
+    matrices = {i: random_general(3, rng) for i in (1, 2)}
+    products = WordProducts(matrices, 3)
+    products.product((a_gen(1), a_gen(2)))
+    with pytest.raises(NotInDomainError):
+        products.product((a_gen(1), a_gen(2), a_gen(9), a_gen(1)))
+    w = (a_gen(1), a_gen(2), a_gen(1))
+    assert np.array_equal(products.product(w), _naive_product(matrices, w, 3))
+
+    fam = MatrixTraceFamily(matrices)
+    with pytest.raises(NotInDomainError):
+        fam.omega((a_gen(2), a_gen(9)))
+    w = (a_gen(2), a_gen(1, star=True))
+    assert fam.omega(w) == complex(np.trace(_naive_product(matrices, w, 3)))
+
+
+def test_memoized_models_match_fresh_models():
+    rng = np.random.default_rng(32)
+    a_mats = {i: random_general(3, rng) for i in (1, 2, 3)}
+    b_mats = {i: random_general(3, rng) for i in (1, 2, 3)}
+    spectra = {i: ExplicitSpectrum(rng.uniform(-1, 1, size=5)) for i in (1, 2, 3)}
+    words = _product_words(rng)
+    rng.shuffle(words)
+    fam, spec_fam = MatrixTraceFamily(a_mats), SpectrumFamily(spectra)
+    state = TraceMatrixState(b_mats)
+    b_words = [tuple(b_gen(l.index, l.star) for l in w) for w in words]
+    moments = {w: TraceMatrixState(b_mats).tau(w) for w in b_words}
+    table = MomentTable(moments)
+    for w, bw in zip(words, b_words):
+        assert fam.omega(w) == MatrixTraceFamily(a_mats).omega(w)
+        assert spec_fam.omega(w) == SpectrumFamily(spectra).omega(w)
+        assert state.tau(bw) == TraceMatrixState(b_mats).tau(bw)
+        assert table.tau(bw) == MomentTable(moments).tau(bw)
+
+
+def test_failed_evaluations_are_not_memoized():
+    rng = np.random.default_rng(33)
+    fam = MatrixTraceFamily({1: random_general(3, rng)})
+    state = TraceMatrixState({1: random_general(3, rng)})
+    table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
+    for _ in range(2):
+        with pytest.raises(NotInDomainError):
+            fam.omega(())
+        with pytest.raises(NotInDomainError):
+            fam.omega((a_gen(1), a_gen(2)))
+        with pytest.raises(NotInDomainError):
+            state.tau((b_gen(1), a_gen(1)))
+        with pytest.raises(DegreeExceededError):
+            table.tau((b_gen(1),) * 3)

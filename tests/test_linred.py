@@ -298,6 +298,26 @@ def test_sqrtm_psd_clamps_rounding():
     assert root[0, 0] == 0.0
 
 
+def test_sqrtm_psd_accepts_rescaled_gram():
+    # Rounding in a PSD matrix grows with its entries; an absolute 1e-10
+    # rejected both inputs, the first as not Hermitian, the second as not PSD.
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    hermitian = 1e6 * (z.conj().T @ z)
+    assert np.max(np.abs(hermitian - hermitian.conj().T)) > 1e-10
+    v = np.random.default_rng(16).standard_normal((2, 3))
+    rank_two = 1e6 * (v.T @ v)
+    assert np.linalg.eigh(rank_two.astype(complex))[0][0] < -1e-10
+    for gram in (hermitian, rank_two):
+        root = sqrtm_psd(gram)
+        np.testing.assert_allclose(root @ root, gram, rtol=0, atol=1e-9 * np.max(np.abs(gram)))
+
+
+def test_sqrtm_psd_rejects_non_hermitian_at_unit_scale():
+    with pytest.raises(NotSelfadjointError):
+        sqrtm_psd(np.array([[1.0, 1e-9], [0.0, 1.0]]))
+
+
 def test_sum_aba_cases():
     pred = ev_sum_aba([np.diag([1.0, 0.5])], [1.0])
     np.testing.assert_allclose(pred.multiset.values, [1.0, 0.25], rtol=1e-12)
