@@ -144,7 +144,7 @@ def _cmd_predict(args) -> int:
             diag = []
             for piece in args.diag.split(","):
                 power, _, coeff = piece.partition(":")
-                diag.append(float(coeff or 1.0) * np.diag(base ** int(power)))
+                diag.append(float(coeff or 1.0) * base ** int(power))
             pred = ev_sum_bab(diag, _load_json_matrix(args.gram), truncation)
         else:
             raise ValueError(f"unknown recipe {args.recipe!r}")

@@ -33,6 +33,7 @@ from .ncalg import (
     word_adjoint,
     word_str,
 )
+from .spectra import rounding_tolerance
 
 DEFAULT_TRUNCATION = 64
 
@@ -100,6 +101,28 @@ class WordProducts:
                 self._stack.append(prod)
                 self._word.append(letter)
         return prod
+
+
+def dense_word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
+    """Product of the letters of ``w`` over dense matrices, left to right.
+
+    ``matrix_of(letter)`` returns the matrix of the letter's generator; an
+    adjoint letter uses its conjugate transpose.  The product starts from the
+    first letter's matrix, and the empty word gives the ``dim x dim``
+    identity.  ``I @ M`` is exact, so the result is bitwise equal to the loop
+    ``I @ M1 @ M2 @ ...``, one product cheaper.  A one-letter word returns
+    the given matrix itself (or its conjugate transpose); callers must not
+    modify the result.
+    """
+    if not w:
+        return np.eye(dim, dtype=complex)
+    prod = None
+    for letter in w:
+        mat = matrix_of(letter)
+        if letter.star:
+            mat = mat.conj().T
+        prod = mat if prod is None else prod @ mat
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +217,19 @@ def _check_pure_b(w: Word) -> None:
         raise NotInDomainError(f"state is defined on pure-B words only: {word_str(w)}")
 
 
+def _agree(x: complex, y: complex) -> bool:
+    """Whether two state values agree up to rounding at their magnitude."""
+    return abs(x - y) <= rounding_tolerance(1e-12, max(abs(x), abs(y)))
+
+
 class MomentTable(TracialState):
     """Finite table of state values on pure-B words up to a degree cap.
 
     Keys are canonicalized to their minimal cyclic rotation (traciality), and
     the adjoint of a stored word is looked up as the conjugate value.  Entries
-    that collide after canonicalization must agree within ``1e-12``.  Values
-    are memoized per word.
+    that collide after canonicalization, and stored adjoint pairs, must agree
+    within ``rounding_tolerance(1e-12, max(|x|, |y|))``.  Values are memoized
+    per word.
     """
 
     def __init__(self, moments: Mapping[Word, complex], degree_cap: int | None = None):
@@ -211,19 +240,19 @@ class MomentTable(TracialState):
             _check_pure_b(word)
             value = complex(value)
             if not word:
-                if abs(value - 1) > 1e-12:
+                if not _agree(value, 1):
                     raise ValueError("the state of the unit word must be 1")
                 continue
             max_degree = max(max_degree, len(word))
             canon = min_cyclic_rotation(word)
-            if canon in table and abs(table[canon] - value) > 1e-12:
+            if canon in table and not _agree(table[canon], value):
                 raise ValueError(
                     f"inconsistent values for the rotation class of {word_str(word)}"
                 )
             table[canon] = value
         for canon, value in table.items():
             conj_key = min_cyclic_rotation(word_adjoint(canon))
-            if conj_key in table and abs(table[conj_key] - value.conjugate()) > 1e-12:
+            if conj_key in table and not _agree(table[conj_key], value.conjugate()):
                 raise ValueError(
                     f"adjoint inconsistency for {word_str(canon)}: "
                     "stored values violate tau(w*) = conj(tau(w))"

@@ -24,6 +24,7 @@ from .cmcalc import (
     TraceClassModel,
     TracialState,
     cm_moment,
+    dense_word_product,
     omega_a_eval,
     tau_eval,
 )
@@ -35,7 +36,13 @@ from .errors import (
     NotSelfadjointError,
 )
 from .ncalg import FAMILY_A, FAMILY_B, NCPolynomial
-from .spectra import EVMultiset, disjoint_union, hermitian_spectrum, scale
+from .spectra import (
+    EVMultiset,
+    disjoint_union,
+    hermitian_spectrum,
+    rounding_tolerance,
+    scale,
+)
 
 GRAM_PSD_TOL = 1e-10
 EIGENVALUE_IMAG_TOL = 1e-9
@@ -331,18 +338,25 @@ def chain_moment_unreduced(
 # ---------------------------------------------------------------------------
 
 
+def _given_diagonal(a, truncation: int | None) -> np.ndarray | None:
+    """The diagonal of an A-generator given as a :class:`Spectrum` or 1-D array."""
+    if isinstance(a, Spectrum):
+        n = truncation if truncation is not None else a.count
+        return a.eigenvalues(n).astype(complex)
+    arr = np.asarray(a, dtype=complex)
+    return arr if arr.ndim == 1 else None
+
+
 def realize_a(a, truncation: int | None = None) -> np.ndarray:
     """Numeric matrix for one A-generator description.
 
     Accepts a :class:`Spectrum` (diagonal truncation), a square matrix, or a
     one-dimensional array of eigenvalues.
     """
-    if isinstance(a, Spectrum):
-        n = truncation if truncation is not None else a.count
-        return np.diag(a.eigenvalues(n)).astype(complex)
+    diagonal = _given_diagonal(a, truncation)
+    if diagonal is not None:
+        return np.diag(diagonal)
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim == 1:
-        return np.diag(arr)
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
         if truncation is not None and truncation != arr.shape[0]:
             raise DimensionMismatchError(
@@ -374,7 +388,7 @@ def sqrtm_psd(gram: np.ndarray, tol: float = GRAM_PSD_TOL) -> np.ndarray:
     g = np.asarray(gram, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatchError("Gram matrix must be square")
-    tol = max(tol, 64 * np.finfo(float).eps * float(np.max(np.abs(g), initial=0.0)))
+    tol = rounding_tolerance(tol, float(np.max(np.abs(g), initial=0.0)))
     if float(np.max(np.abs(g - g.conj().T), initial=0.0)) > tol:
         raise NotSelfadjointError("Gram matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
@@ -398,10 +412,33 @@ def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
 
 def _realized_blocks(a_list, truncation):
     blocks = [realize_a(a, truncation) for a in a_list]
-    dims = {b.shape[0] for b in blocks}
+    return blocks, _shared_dimension(b.shape[0] for b in blocks)
+
+
+def _realized_diagonals(a_list, truncation) -> np.ndarray | None:
+    """The diagonals of the realized generators as a (k, n) array.
+
+    ``None`` when some realization is not diagonal; spectra and 1-D arrays
+    always are, square matrices when every off-diagonal entry is zero.
+    """
+    diagonals = []
+    for a in a_list:
+        diagonal = _given_diagonal(a, truncation)
+        if diagonal is None:
+            block = realize_a(a, truncation)
+            diagonal = np.diagonal(block)
+            if np.count_nonzero(block) != np.count_nonzero(diagonal):
+                return None
+        diagonals.append(diagonal)
+    _shared_dimension(d.shape[0] for d in diagonals)
+    return np.stack(diagonals)
+
+
+def _shared_dimension(dims) -> int:
+    dims = set(dims)
     if len(dims) != 1:
         raise DimensionMismatchError("A-generator realizations must share one dimension")
-    return blocks, dims.pop()
+    return dims.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +450,32 @@ def ev_sum_bab(a_list, gram, truncation: int | None = None) -> Prediction:
     """Multiset of the Gram-sandwiched block diagonal of the generators.
 
     ``gram[i, j]`` holds the state value of ``b_i* b_j``; the prediction is
-    the spectrum of ``sqrt(gram) . blockdiag(a_1..a_k) . sqrt(gram)``.
+    the spectrum of ``(sqrt(gram) x I) . blockdiag(a_1..a_k) . (sqrt(gram) x I)``.
+    When every realized ``a_i`` is diagonal, that matrix is the direct sum
+    over ``j`` of the k x k matrices ``sqrt(gram) . diag(a_1[j]..a_k[j]) .
+    sqrt(gram)``, which are solved as one batch instead.
     """
     gram = np.asarray(gram, dtype=complex)
     root = sqrtm_psd(gram)
-    blocks, n = _realized_blocks(a_list, truncation)
-    if gram.shape[0] != len(blocks):
+    diagonals = _realized_diagonals(a_list, truncation)
+    if diagonals is None:
+        blocks, n = _realized_blocks(a_list, truncation)
+        k = len(blocks)
+    else:
+        k, n = diagonals.shape
+    if gram.shape[0] != k:
         raise DimensionMismatchError("Gram size must match the number of generators")
-    lift = np.kron(root, np.eye(n))
-    matrix = lift @ _block_diag(blocks) @ lift
+    if diagonals is None:
+        lift = np.kron(root, np.eye(n))
+        matrix = lift @ _block_diag(blocks) @ lift
+    else:
+        # matrix[j, p, q] = sum_r root[p, r] * diagonals[r, j] * root[r, q]
+        matrix = (root * diagonals.T[:, None, :]) @ root
     multiset = hermitian_spectrum(matrix, source="predicted")
     return Prediction(
         multiset=multiset,
         recipe="sum_bab",
-        parameters={"k": len(blocks), "truncation": n},
+        parameters={"k": k, "truncation": n},
         provenance={"gram": gram},
     )
 
@@ -525,17 +574,65 @@ def ev_conjugated_sum(a_list, c_taus, gram, truncation: int | None = None) -> Pr
     if np.max(np.abs(c_taus.imag), initial=0.0) > 1e-12:
         raise NotSelfadjointError("state values tau(c_i) must be real (selfadjoint c_i)")
     c_taus = c_taus.real
-    blocks, n = _realized_blocks(a_list, truncation)
-    if c_taus.shape[0] != len(blocks):
+    diagonals = _realized_diagonals(a_list, truncation)
+    if diagonals is None:
+        blocks, n = _realized_blocks(a_list, truncation)
+        squares = [block @ block.conj().T for block in blocks]
+    else:
+        n = diagonals.shape[1]
+        squares = list(diagonals * diagonals.conj())  # stays diagonal
+    if c_taus.shape[0] != len(squares):
         raise DimensionMismatchError("need one state value per generator")
-    modified = [t * (block @ block.conj().T) for t, block in zip(c_taus, blocks)]
+    modified = [t * square for t, square in zip(c_taus, squares)]
     inner = ev_sum_bab(modified, gram, truncation=n)
     return Prediction(
         multiset=inner.multiset,
         recipe="conjugated_sum",
-        parameters={"k": len(blocks), "truncation": n},
+        parameters={"k": len(squares), "truncation": n},
         provenance={"gram": np.asarray(gram, dtype=complex), "c_taus": c_taus},
     )
+
+
+def _numerically_hermitian(m: np.ndarray) -> bool:
+    residual = float(np.max(np.abs(m - m.conj().T)))
+    return residual <= rounding_tolerance(NUMERIC_HERMITICITY_TOL, float(np.max(np.abs(m))))
+
+
+def _sandwich_spectrum(a_matrix: np.ndarray, bprime: np.ndarray, n_inner: int):
+    """Spectrum of ``A (B' x I)`` as that of ``(sqrt(B') x I) A (sqrt(B') x I)``.
+
+    XY and YX share their eigenvalues, and the sandwich is Hermitian when A
+    is Hermitian and B' is Hermitian PSD.  Returns ``None`` when either
+    condition fails.
+    """
+    if not _numerically_hermitian(a_matrix):
+        return None
+    try:
+        root = sqrtm_psd(bprime)
+    except (NotSelfadjointError, NotPositiveError):
+        return None
+    dim = root.shape[0]
+    blocks = ((a_matrix + a_matrix.conj().T) / 2.0).reshape(dim, n_inner, dim, n_inner)
+    # the (i, j) block of the sandwich is sum_pq root[i, p] A_pq root[q, j]
+    sandwich = np.einsum("ip,paqb,qj->iajb", root, blocks, root)
+    return hermitian_spectrum(sandwich.reshape(dim * n_inner, dim * n_inner), source="predicted")
+
+
+def _product_spectrum(a_matrices, reduced_blocks, n_inner: int) -> EVMultiset:
+    """Spectrum of ``A1 (B1' x I) ... Ak (Bk' x I)``, which must be real."""
+    numeric = None
+    for a_matrix, bprime in zip(a_matrices, reduced_blocks):
+        block = a_matrix @ np.kron(bprime, np.eye(n_inner))
+        numeric = block if numeric is None else numeric @ block
+    if _numerically_hermitian(numeric):
+        return hermitian_spectrum(numeric, source="predicted")
+    lams = np.linalg.eigvals(numeric)
+    radius = float(np.max(np.abs(lams), initial=0.0))
+    if float(np.max(np.abs(lams.imag), initial=0.0)) > CHAIN_IMAG_REL_TOL * max(radius, 1e-300):
+        raise NotSelfadjointError(
+            "chain realization has eigenvalues with large imaginary parts"
+        )
+    return EVMultiset(lams.real, source="predicted")
 
 
 def ev_chain(
@@ -551,7 +648,10 @@ def ev_chain(
 
     The trailing B-matrix absorbs ``B0`` (traciality rotation); the interior
     B-matrices reduce to scalars; each A-generator is realized at the given
-    truncation and the spectrum of the assembled numeric matrix is returned.
+    truncation and the spectrum of the assembled numeric matrix
+    ``A1 (B1' x I) ... Ak (Bk' x I)`` is returned.  For one pair (k = 1) with
+    a Hermitian realization of A1 and a Hermitian PSD reduced B1', the same
+    spectrum is taken from the Hermitian ``(sqrt(B1') x I) A1 (sqrt(B1') x I)``.
 
     The product must be selfadjoint for the spectrum to be real; by default
     this is verified symbolically treating the given generators (or all
@@ -584,8 +684,7 @@ def ev_chain(
             realizations[letter.index] = np.asarray(
                 a_model.realization(letter.index, truncation), dtype=complex
             )
-        mat = realizations[letter.index]
-        return mat.conj().T if letter.star else mat
+        return realizations[letter.index]
 
     def realize_a_matrix(alg: AlgMatrix, n_inner: int) -> np.ndarray:
         out = np.zeros((dim * n_inner, dim * n_inner), dtype=complex)
@@ -593,10 +692,7 @@ def ev_chain(
             for j in range(dim):
                 acc = np.zeros((n_inner, n_inner), dtype=complex)
                 for word, coeff in alg.entries[i][j].sorted_terms():
-                    prod = np.eye(n_inner, dtype=complex)
-                    for letter in word:
-                        prod = prod @ realize_letter(letter)
-                    acc += coeff * prod
+                    acc += coeff * dense_word_product(word, realize_letter, n_inner)
                 out[i * n_inner : (i + 1) * n_inner, j * n_inner : (j + 1) * n_inner] = acc
         return out
 
@@ -612,23 +708,13 @@ def ev_chain(
         raise NotInDomainError("chain contains no A-generators to realize")
     n_inner = realize_letter(letters[0]).shape[0]
 
-    numeric = None
-    for pos in range(k):
-        block = realize_a_matrix(chain[2 * pos], n_inner)
-        block = block @ np.kron(reduced_blocks[pos], np.eye(n_inner))
-        numeric = block if numeric is None else numeric @ block
-
-    residual = float(np.max(np.abs(numeric - numeric.conj().T)))
-    if residual <= NUMERIC_HERMITICITY_TOL:
-        multiset = hermitian_spectrum(numeric, source="predicted")
-    else:
-        lams = np.linalg.eigvals(numeric)
-        radius = float(np.max(np.abs(lams), initial=0.0))
-        if float(np.max(np.abs(lams.imag), initial=0.0)) > CHAIN_IMAG_REL_TOL * max(radius, 1e-300):
-            raise NotSelfadjointError(
-                "chain realization has eigenvalues with large imaginary parts"
-            )
-        multiset = EVMultiset(lams.real, source="predicted")
+    first = realize_a_matrix(chain[0], n_inner)
+    multiset = _sandwich_spectrum(first, reduced_blocks[0], n_inner) if k == 1 else None
+    if multiset is None:
+        a_matrices = (
+            first if pos == 0 else realize_a_matrix(chain[2 * pos], n_inner) for pos in range(k)
+        )
+        multiset = _product_spectrum(a_matrices, reduced_blocks, n_inner)
     return Prediction(
         multiset=multiset,
         recipe="chain",

@@ -26,6 +26,7 @@ from .cmcalc import (
     GeometricSpectrum,
     HaarConjugatedFamily,
     MomentTable,
+    dense_word_product,
 )
 from .ensembles import geometric_diag, sample_gue, sample_haar_unitary
 from .errors import (
@@ -42,7 +43,7 @@ from .linred import (
     ev_sum_bac,
 )
 from .ncalg import FAMILY_A, FAMILY_B, Letter, parse_expression
-from .spectra import hermitian_spectrum, match_distance
+from .spectra import hermitian_spectrum, match_distance, rounding_tolerance
 
 __all__ = [
     "DEMO_SEED",
@@ -345,15 +346,16 @@ def _evaluate_expression(poly, a_mats: dict, b_mats: dict, dim: int) -> np.ndarr
         lookup[(FAMILY_A, index)] = mat
     for index, mat in b_mats.items():
         lookup[(FAMILY_B, index)] = mat
+
+    def matrix_of(letter):
+        mat = lookup.get((letter.family, letter.index))
+        if mat is None:
+            raise DimensionMismatchError(f"no matrix bound to {letter.label()}")
+        return mat
+
     out = np.zeros((dim, dim), dtype=complex)
     for word, coeff in poly.sorted_terms():
-        prod = np.eye(dim, dtype=complex)
-        for letter in word:
-            mat = lookup.get((letter.family, letter.index))
-            if mat is None:
-                raise DimensionMismatchError(f"no matrix bound to {letter.label()}")
-            prod = prod @ (mat.conj().T if letter.star else mat)
-        out += coeff * prod
+        out += coeff * dense_word_product(word, matrix_of, dim)
     return out
 
 
@@ -429,7 +431,7 @@ def build_prediction(scenario: Scenario, trial_b_mats: list | None = None):
     elif recipe == "sum_bab":
         base = _a_spectrum(scenario).eigenvalues(scenario.truncation)
         diag = [
-            float(entry.get("coeff", 1.0)) * np.diag(base ** int(entry["power"]))
+            float(entry.get("coeff", 1.0)) * base ** int(entry["power"])
             for entry in spec["diag"]
         ]
         pred = ev_sum_bab(diag, np.asarray(spec["gram"], dtype=complex), scenario.truncation)
@@ -498,7 +500,7 @@ def run_scenario(scenario: Scenario) -> Report:
             dim,
         )
         residual = float(np.max(np.abs(x - x.conj().T)))
-        if residual > HERMITICITY_GATE:
+        if residual > rounding_tolerance(HERMITICITY_GATE, float(np.max(np.abs(x)))):
             raise NotSelfadjointError(
                 f"trial {t}: expression evaluated to a non-Hermitian matrix "
                 f"(residual {residual:.3e})"

@@ -15,6 +15,17 @@ from .errors import InsufficientEntriesError, NotSelfadjointError
 
 HERMITICITY_TOL = 1e-9
 REL_FLOOR = 1e-12
+ROUNDING_REL_TOL = 64 * np.finfo(float).eps
+
+
+def rounding_tolerance(floor: float, magnitude: float) -> float:
+    """Tolerance ``max(floor, 64*eps*magnitude)`` of a check on data of that magnitude.
+
+    Rounding grows with the entries a check judges, so a fixed absolute
+    tolerance rejects rescaled inputs; the floor keeps unit-scale checks as
+    strict as an absolute tolerance would.
+    """
+    return max(floor, ROUNDING_REL_TOL * magnitude)
 
 
 def _canonical(values: Iterable[float]) -> np.ndarray:
@@ -70,19 +81,23 @@ class EVMultiset:
 def hermitian_spectrum(matrix: np.ndarray, source: str = "empirical") -> EVMultiset:
     """All eigenvalues (with multiplicity) of a Hermitian matrix.
 
-    The matrix must be Hermitian within ``1e-9`` in the entrywise maximum;
-    rounding-level asymmetry is removed before the solver runs.
+    A stack of square matrices, shape ``(..., k, k)``, stands for their direct
+    sum.  The entrywise maximum of ``m - m*`` must be within
+    ``rounding_tolerance(1e-9, max|m|)``; rounding-level asymmetry is removed
+    before the solver runs.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSelfadjointError("spectrum needs a square matrix")
-    residual = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if residual > HERMITICITY_TOL:
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    residual = float(np.max(np.abs(m - adjoint), initial=0.0))
+    tol = rounding_tolerance(HERMITICITY_TOL, float(np.max(np.abs(m), initial=0.0)))
+    if residual > tol:
         raise NotSelfadjointError(
-            f"matrix is not Hermitian: max entry deviation {residual:.3e}"
+            f"matrix is not Hermitian: max entry deviation {residual:.3e} above {tol:.3e}"
         )
-    sym = (m + m.conj().T) / 2.0
-    return EVMultiset(np.linalg.eigvalsh(sym), source=source)
+    sym = (m + adjoint) / 2.0
+    return EVMultiset(np.linalg.eigvalsh(sym).ravel(), source=source)
 
 
 def scale(c: float, s: EVMultiset) -> EVMultiset:

@@ -33,7 +33,7 @@ from cyclospec import (
     sample_haar_unitary,
     tau_eval,
 )
-from cyclospec.cmcalc import WordProducts
+from cyclospec.cmcalc import WordProducts, dense_word_product
 
 from _oracles import random_general, random_hermitian
 
@@ -369,6 +369,42 @@ def test_moment_table_rejects_adjoint_inconsistency():
         })
 
 
+def _tabulated_matrix_state(scale):
+    """Every word over b1, b2, b2* up to degree 4 of a random 3x3 matrix model."""
+    rng = np.random.default_rng(0)
+    state = TraceMatrixState({i: scale * random_general(3, rng) for i in (1, 2)})
+    letters = (b_gen(1), b_gen(2), b_gen(2, star=True))
+    words = [w for d in range(1, 5) for w in itertools.product(letters, repeat=d)]
+    return {w: state.tau(w) for w in words}
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+def test_moment_table_loads_rescaled_matrix_tabulation(scale):
+    # The rotations of a word are different float products, so their values
+    # differ by rounding that grows with the entries; at scale 10 that
+    # exceeded the former absolute 1e-12 and the table was rejected.
+    moments = _tabulated_matrix_state(scale)
+    spread = max(
+        abs(moments[w] - moments[w[j:] + w[:j]]) for w in moments for j in range(len(w))
+    )
+    assert spread > 1e-12 if scale == 10.0 else spread <= 1e-12
+    table = MomentTable(moments)
+    for w, value in moments.items():
+        assert abs(table.tau(w) - value) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_moment_table_rejects_small_inconsistencies_at_unit_scale():
+    w, rotated = (b_gen(1), b_gen(2), b_gen(1)), (b_gen(2), b_gen(1), b_gen(1))
+    square, square_adjoint = (b_gen(2), b_gen(2)), (b_gen(2, star=True),) * 2
+    moments = _tabulated_matrix_state(1.0)
+    with pytest.raises(ValueError, match="rotation class"):
+        MomentTable({**moments, rotated: moments[w] + 1e-11})
+    with pytest.raises(ValueError, match="adjoint inconsistency"):
+        MomentTable({**moments, square_adjoint: moments[square].conjugate() + 1e-11})
+    with pytest.raises(ValueError, match="unit word"):
+        MomentTable({(): 1 + 1e-11, **moments})
+
+
 def test_matrix_family_real_on_selfadjoint_words():
     rng = np.random.default_rng(6)
     fam = MatrixTraceFamily({1: random_hermitian(5, rng)})
@@ -483,6 +519,22 @@ def test_word_products_bitwise_equal_naive_loop(order):
     products = WordProducts(matrices, 4)
     for w in words:
         assert np.array_equal(products.product(w), _naive_product(matrices, w, 4))
+
+
+def test_dense_word_product_bitwise_equal_naive_loop():
+    rng = np.random.default_rng(34)
+    # C order, Fortran order, and a conjugate-transpose view as inputs
+    matrices = {
+        1: random_general(4, rng),
+        2: np.asfortranarray(random_general(4, rng)),
+        3: random_general(4, rng).conj().T,
+    }
+    words = [(), (a_gen(2, star=True),), (a_gen(3, star=True), a_gen(1))] + _product_words(rng)
+    assert any(w and w[0].star for w in words[3:])
+    for w in words:
+        got = dense_word_product(w, lambda letter: matrices[letter.index], 4)
+        assert np.array_equal(got, _naive_product(matrices, w, 4))
+    assert np.array_equal(dense_word_product((), None, 3), np.eye(3))
 
 
 def test_word_products_recover_after_unknown_generator():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclospec import (
     AlgMatrix,
     ComplexEigenvaluesError,
     ExplicitSpectrum,
     GeometricSpectrum,
+    HaarConjugatedFamily,
     MomentTable,
     NotInDomainError,
     NotPositiveError,
@@ -22,18 +25,21 @@ from cyclospec import (
     ev_sum_aba,
     ev_sum_bab,
     ev_sum_bac,
+    hermitian_spectrum,
     make_symbols,
     multiset_moment,
     poly_moment,
     reduce_b_matrix,
     sqrtm_psd,
 )
+from cyclospec import linred
 
 from _oracles import (
     anticommutator_instance,
     chain_instance,
     commutator_instance,
     conjugated_sum_instance,
+    random_hermitian,
     random_psd,
     sum_aba_instance,
     sum_bab_instance,
@@ -255,6 +261,86 @@ def test_ev_chain_rejects_nonselfadjoint_product():
         ev_chain(b0, [a1, b1], fam, table, truncation=8)
 
 
+def _example1_chain(seed=7):
+    """The block chain of example1: B A B with rotated copies and squared semicirculars."""
+    syms = make_symbols(a=("a1", "a2", "a3"), b=("b1", "b2", "b3"))
+    a_alg = AlgMatrix([["a1", "a2"], ["a2", "a3"]], syms)
+    b_alg = AlgMatrix([["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]], syms)
+    fam = HaarConjugatedFamily(
+        {i: GeometricSpectrum(1.0, 0.5, count=None) for i in (1, 2, 3)}, realization_seed=seed
+    )
+    return b_alg, [a_alg, b_alg], fam, semicircle_square_table()
+
+
+def _chain_paths(monkeypatch, b0, chain, a_model, b_state, **kwargs):
+    """ev_chain's multiset, what its sandwich step returned, and the product path's multiset."""
+    seen = []
+    sandwich = linred._sandwich_spectrum
+
+    def spy(*args):
+        seen.append(sandwich(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linred, "_sandwich_spectrum", spy)
+        got = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
+        patch.setattr(linred, "_sandwich_spectrum", lambda *args: None)
+        product = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
+    return got, seen, product
+
+
+@pytest.mark.parametrize("truncation", [16, 24, 32])
+def test_ev_chain_sandwich_matches_eigvals_path(monkeypatch, truncation):
+    b0, chain, fam, table = _example1_chain()
+    got, seen, product = _chain_paths(monkeypatch, b0, chain, fam, table, truncation=truncation)
+    assert len(seen) == 1 and seen[0] is not None
+    assert len(got) == len(product) == 2 * truncation
+    diff = np.max(np.abs(np.sort(got.values) - np.sort(product.values)))
+    assert diff <= 1e-10 * np.max(np.abs(product.values))
+
+
+def test_ev_chain_other_chains_keep_product_path(monkeypatch):
+    fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=8)})
+    table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
+    negative = MomentTable.from_b_powers({1: 1.0, 2: -1.0})
+    diag_a = AlgMatrix([["a1", "0"], ["0", "a1"]], SYMS)
+    scalar_a, scalar_b = AlgMatrix([["a1"]], SYMS), AlgMatrix([["b1"]], SYMS)
+    unchecked = {"check_selfadjoint": False}
+    cases = [
+        # B' = [[1, 2], [1, 1]] is not Hermitian (the anticommutator chain)
+        (AlgMatrix([["1", "b1"], ["0", "0"]], SYMS),
+         [diag_a, AlgMatrix([["b1", "0"], ["1", "0"]], SYMS)], table, {}, 1),
+        # B' = [[0, 1], [1, 0]] is Hermitian but indefinite
+        (AlgMatrix.identity(2), [diag_a, AlgMatrix([["0", "b1"], ["b1", "0"]], SYMS)],
+         table, unchecked, 1),
+        # B' = tau(b1 b1) = -1 is negative
+        (scalar_b, [scalar_a, scalar_b], negative, {}, 1),
+        # B' = I is PSD, but the realization of A is not Hermitian
+        (AlgMatrix.identity(2), [AlgMatrix([["a1", "a1"], ["0", "a1"]], SYMS),
+                                 AlgMatrix.identity(2)], table, unchecked, 1),
+        # k = 2 pairs
+        (scalar_b, [scalar_a, scalar_b, scalar_a, scalar_b], table, {}, 0),
+    ]
+    for b0, chain, b_state, kwargs, sandwich_calls in cases:
+        got, seen, product = _chain_paths(monkeypatch, b0, chain, fam, b_state, truncation=8, **kwargs)
+        assert seen == [None] * sandwich_calls
+        assert got == product
+
+
+def test_ev_chain_sandwich_takes_rescaled_inputs(monkeypatch):
+    # At scale 1e9 the realization of A is Hermitian only up to rounding at
+    # that scale, far beyond the absolute 1e-9 floor of the check
+    b0, chain, fam, table = _example1_chain()
+    big = HaarConjugatedFamily(
+        {i: GeometricSpectrum(1e9, 0.5, count=None) for i in (1, 2, 3)}, realization_seed=7
+    )
+    unit = ev_chain(b0, chain, fam, table, truncation=24).multiset
+    scaled, seen, _ = _chain_paths(monkeypatch, b0, chain, big, table, truncation=24)
+    assert len(seen) == 1 and seen[0] is not None
+    diff = np.max(np.abs(scaled.values - 1e9 * unit.values))
+    assert diff <= 1e-12 * 1e9 * np.max(np.abs(unit.values))
+
+
 # ---------------------------------------------------------------------------
 # closed-form recipes against the oracle
 # ---------------------------------------------------------------------------
@@ -316,6 +402,86 @@ def test_sqrtm_psd_accepts_rescaled_gram():
 def test_sqrtm_psd_rejects_non_hermitian_at_unit_scale():
     with pytest.raises(NotSelfadjointError):
         sqrtm_psd(np.array([[1.0, 1e-9], [0.0, 1.0]]))
+
+
+def _dense_sum_bab(blocks, gram):
+    """The dense path: the spectrum of the (kn) x (kn) lift of the blocks."""
+    root = sqrtm_psd(gram)
+    n = blocks[0].shape[0]
+    stacked = np.zeros((len(blocks) * n,) * 2, dtype=complex)
+    for i, block in enumerate(blocks):
+        stacked[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
+    lift = np.kron(root, np.eye(n))
+    return hermitian_spectrum(lift @ stacked @ lift, source="predicted")
+
+
+def _assert_same_spectrum(got, reference, rel=1e-10):
+    # sorted by signed value: canonical order may swap near-ties of |x|
+    diff = np.max(np.abs(np.sort(got.values) - np.sort(reference.values)), initial=0.0)
+    assert diff <= rel * np.max(np.abs(reference.values), initial=0.0)
+
+
+@st.composite
+def diagonal_recipe_inputs(draw):
+    """Diagonal generators in every accepted form and a PSD Gram of any rank."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    rank = draw(st.integers(0, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((rank, k)) + 1j * rng.standard_normal((rank, k))
+    gram = z.conj().T @ z
+    diagonals = rng.uniform(-2, 2, size=(k, n))
+    forms = draw(st.lists(st.sampled_from(["vector", "matrix", "spectrum"]), min_size=k, max_size=k))
+    a_list = [
+        d if form == "vector" else np.diag(d) if form == "matrix" else ExplicitSpectrum(d)
+        for d, form in zip(diagonals, forms)
+    ]
+    # the conjugated sum also takes generators that are not selfadjoint
+    complex_diagonals = diagonals + 1j * rng.uniform(-2, 2, size=(k, n))
+    complex_list = [
+        d if form == "vector" else np.diag(d) for d, form in zip(complex_diagonals, forms)
+    ]
+    c_taus = rng.uniform(-2, 2, size=k)
+    return a_list, diagonals, complex_list, complex_diagonals, gram, c_taus
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_recipe_inputs())
+def test_batched_sum_bab_matches_dense_lift(inputs):
+    a_list, diagonals, complex_list, complex_diagonals, gram, c_taus = inputs
+    _assert_same_spectrum(
+        ev_sum_bab(a_list, gram).multiset, _dense_sum_bab([np.diag(d) for d in diagonals], gram)
+    )
+    for generators, diags in ((a_list, diagonals), (complex_list, complex_diagonals)):
+        squares = [t * (np.diag(d) @ np.diag(d).conj().T) for t, d in zip(c_taus, diags)]
+        _assert_same_spectrum(
+            ev_conjugated_sum(generators, c_taus, gram).multiset, _dense_sum_bab(squares, gram)
+        )
+
+
+def test_batched_sum_bab_builds_no_lift(monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("dense lift built")
+
+    monkeypatch.setattr(np, "kron", no_lift)
+    a_list = [ExplicitSpectrum([1.0, 0.5]), np.array([0.25, 2.0]), np.diag([1.0, -1.0])]
+    gram = np.eye(3) + 0.5
+    ev_sum_bab(a_list, gram)
+    ev_conjugated_sum(a_list, [1.0, 2.0, 0.5], gram)
+    with pytest.raises(AssertionError, match="dense lift"):
+        ev_sum_bab([np.diag([1.0, 2.0]), np.array([[1.0, 1e-300], [1e-300, 1.0]])], np.eye(2))
+
+
+def test_sum_bab_non_diagonal_blocks_keep_dense_path():
+    rng = np.random.default_rng(50)
+    for k, n in ((1, 5), (3, 4)):
+        gram = random_psd(k, rng)
+        blocks = [random_hermitian(n, rng) for _ in range(k)]
+        blocks[0] = np.diag(rng.uniform(-1, 1, size=n))  # one diagonal block is not enough
+        c_taus = rng.uniform(0.5, 2.0, size=k)
+        assert ev_sum_bab(blocks, gram).multiset == _dense_sum_bab(blocks, gram)
+        squares = [t * (b @ b.conj().T) for t, b in zip(c_taus, blocks)]
+        assert ev_conjugated_sum(blocks, c_taus, gram).multiset == _dense_sum_bab(squares, gram)
 
 
 def test_sum_aba_cases():

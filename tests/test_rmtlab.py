@@ -5,13 +5,18 @@ import pytest
 
 from cyclospec import (
     EVMultiset,
+    GeometricSpectrum,
+    MomentTable,
     NotSelfadjointError,
     Scenario,
+    SpectrumFamily,
     builtin_scenario,
     estimate_beta,
     geometric_diag,
     match_distance,
     multiset_moment,
+    parse_expression,
+    poly_moment,
     run_scenario,
     sample_gue,
     sample_haar_unitary,
@@ -156,6 +161,39 @@ def test_run_scenario_rejects_nonhermitian_expression():
     doc["expression"] = "a1*b1"  # not selfadjoint
     with pytest.raises(NotSelfadjointError):
         run_scenario(Scenario.from_dict(doc))
+
+
+def _rescaled(doc, scale):
+    return Scenario.from_dict({**doc, "a_spec": {**doc["a_spec"], "scale": scale}})
+
+
+def test_example3_runs_at_scale_1e5():
+    # Rounding in the evaluated expression grows with its entries: at scale
+    # 1e5 the Hermiticity residual is ~1e-6, beyond the absolute 1e-8 floor.
+    scenario = _rescaled(builtin_scenario("example3", n=40, trials=2).to_dict(), 1e5)
+    report = run_scenario(scenario)
+    assert max(rec["diagnostics"]["hermiticity_residual"] for rec in report.trials) > 1e-8
+    # a + b a b a b is not homogeneous in a, so the prediction is checked
+    # against the oracle at the same scale
+    spectrum = GeometricSpectrum(1e5 * 0.5, 0.5, count=scenario.truncation)
+    poly = parse_expression(scenario.expression, scenario._symbols())
+    state = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
+    for m, predicted in zip((1, 2, 3), report.prediction["moments"]):
+        oracle = poly_moment(poly, m, SpectrumFamily({1: spectrum}), state).real
+        assert abs(predicted - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_homogeneous_scenario_scales_with_a():
+    doc = builtin_scenario("example3", n=40, trials=2).to_dict()
+    doc.update(expression="b1*a1*b1",
+               prediction={"recipe": "sum_bab", "gram": [[2.0]], "diag": [{"power": 1}]})
+    unit = run_scenario(_rescaled(doc, 1.0))
+    scaled = run_scenario(_rescaled(doc, 1e5))
+    pred_unit = np.asarray(unit.prediction["eigenvalues"])
+    pred_scaled = np.asarray(scaled.prediction["eigenvalues"])
+    assert np.max(np.abs(pred_scaled - 1e5 * pred_unit)) <= 1e-12 * 1e5 * np.max(np.abs(pred_unit))
+    for key in ("match_mean_max_rel", "match_max_max_rel"):
+        assert scaled.summary[key] == pytest.approx(unit.summary[key], rel=1e-6)
 
 
 def test_per_trial_beta_recorded():

@@ -38,6 +38,33 @@ def test_hermitian_spectrum_rejects_nonhermitian():
         hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_spectrum_of_a_stack_is_the_direct_sum():
+    rng = np.random.default_rng(57)
+    stack = np.stack([random_hermitian(3, rng) for _ in range(4)])
+    direct_sum = np.zeros((12, 12), dtype=complex)
+    for j, block in enumerate(stack):
+        direct_sum[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = block
+    np.testing.assert_allclose(
+        hermitian_spectrum(stack).values, hermitian_spectrum(direct_sum).values, atol=1e-12
+    )
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(NotSelfadjointError):
+        hermitian_spectrum(stack)
+
+
+def test_hermitian_spectrum_tolerance_scales_with_entries():
+    rng = np.random.default_rng(58)
+    m = random_hermitian(5, rng)
+    big = 1e8 * m
+    big[0, 1] += 1e-7  # rounding at scale 1e8, beyond the absolute 1e-9 floor
+    np.testing.assert_allclose(
+        hermitian_spectrum(big).values, 1e8 * hermitian_spectrum(m).values, rtol=0, atol=1e-6
+    )
+    m[0, 1] += 1e-8
+    with pytest.raises(NotSelfadjointError):
+        hermitian_spectrum(m)
+
+
 def test_scale_union_truncate():
     s = EVMultiset([1.0, 0.5])
     np.testing.assert_array_equal(scale(-1.0, s).values, [-1.0, -0.5])
