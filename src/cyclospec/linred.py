@@ -612,6 +612,8 @@ def _sandwich_spectrum(a_matrix: np.ndarray, bprime: np.ndarray, n_inner: int):
     except (NotSelfadjointError, NotPositiveError):
         return None
     dim = root.shape[0]
+    # symmetrized first: the sandwich would scale A's accepted asymmetry past
+    # the spectrum's own check
     blocks = ((a_matrix + a_matrix.conj().T) / 2.0).reshape(dim, n_inner, dim, n_inner)
     # the (i, j) block of the sandwich is sum_pq root[i, p] A_pq root[q, j]
     sandwich = np.einsum("ip,paqb,qj->iajb", root, blocks, root)
