@@ -25,14 +25,12 @@ from .ncalg import (
     NCPolynomial,
     UnknownSymbolError,
     a_gen,
-    adjoint,
     alternating_form,
     auto_symbols,
     b_gen,
     format_expression,
     is_selfadjoint,
     make_symbols,
-    multiply,
     parse_expression,
     power,
 )
@@ -47,10 +45,7 @@ from .cmcalc import (
     TraceMatrixState,
     cm_moment,
     collapse_internal_b_runs,
-    conjugate_composite,
-    omega_a_eval,
     poly_moment,
-    tau_eval,
 )
 from .linred import (
     AlgMatrix,

@@ -31,12 +31,6 @@ from .errors import (
     NotPositiveError,
     NotSelfadjointError,
 )
-from .linred import (
-    ev_anticommutator,
-    ev_commutator,
-    ev_sum_bab,
-    ev_sum_bac,
-)
 from .ncalg import (
     EmptyInputError,
     ExpressionSyntaxError,
@@ -44,7 +38,15 @@ from .ncalg import (
     auto_symbols,
     parse_expression,
 )
-from .rmtlab import DEMO_SEED, Report, Scenario, build_prediction, builtin_scenario, run_scenario
+from .rmtlab import (
+    DEMO_SEED,
+    Report,
+    Scenario,
+    build_prediction,
+    builtin_scenario,
+    recipe_prediction,
+    run_scenario,
+)
 from .spectra import EVMultiset, match_distance, multiset_moment
 
 EXIT_OK = 0
@@ -104,10 +106,6 @@ def _parse_spectrum(text: str):
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
-def _load_json_matrix(text: str) -> np.ndarray:
-    return np.asarray(json.loads(text), dtype=complex)
-
-
 def _write_prediction(pred, out: str) -> list[str]:
     out_path = Path(out)
     json_path = out_path if out_path.suffix == ".json" else out_path.with_suffix(".json")
@@ -120,6 +118,23 @@ def _write_prediction(pred, out: str) -> list[str]:
     return [str(json_path), str(csv_path)]
 
 
+def _recipe_spec(args) -> dict:
+    """The scenario ``prediction`` entry that the ``predict --recipe`` flags describe."""
+    if args.recipe == "sum_bac":
+        if not args.bprime:
+            raise ValueError("sum_bac needs --bprime")
+        return {"recipe": "sum_bac", "bprime": json.loads(args.bprime)}
+    if args.recipe == "sum_bab":
+        if not args.gram:
+            raise ValueError("sum_bab needs --gram")
+        diag = []
+        for piece in args.diag.split(","):
+            power, _, coeff = piece.partition(":")
+            diag.append({"power": int(power), "coeff": float(coeff or 1.0)})
+        return {"recipe": "sum_bab", "gram": json.loads(args.gram), "diag": diag}
+    return {"recipe": args.recipe, "tau_b": args.tau_b, "tau_b2": args.tau_b2}
+
+
 def _cmd_predict(args) -> int:
     if args.scenario:
         scenario = Scenario.from_json(args.scenario)
@@ -127,27 +142,10 @@ def _cmd_predict(args) -> int:
     else:
         if not args.recipe:
             raise ValueError("predict needs --scenario or --recipe")
-        truncation = args.truncation
-        spectrum = _parse_spectrum(args.spectrum) if args.spectrum else None
-        if args.recipe == "anticommutator":
-            pred = ev_anticommutator(spectrum, args.tau_b, args.tau_b2, truncation)
-        elif args.recipe == "commutator":
-            pred = ev_commutator(spectrum, args.tau_b, args.tau_b2, truncation)
-        elif args.recipe == "sum_bac":
-            if not args.bprime:
-                raise ValueError("sum_bac needs --bprime")
-            pred = ev_sum_bac(spectrum, _load_json_matrix(args.bprime), truncation)
-        elif args.recipe == "sum_bab":
-            if not args.gram:
-                raise ValueError("sum_bab needs --gram")
-            base = spectrum.eigenvalues(truncation)
-            diag = []
-            for piece in args.diag.split(","):
-                power, _, coeff = piece.partition(":")
-                diag.append(float(coeff or 1.0) * base ** int(power))
-            pred = ev_sum_bab(diag, _load_json_matrix(args.gram), truncation)
-        else:
-            raise ValueError(f"unknown recipe {args.recipe!r}")
+        if not args.spectrum:
+            raise ValueError("predict --recipe needs --spectrum")
+        spectrum = _parse_spectrum(args.spectrum)
+        pred = recipe_prediction(_recipe_spec(args), spectrum, args.truncation)
     paths = _write_prediction(pred, args.out)
     print(json.dumps({"written": paths, "recipe": pred.recipe,
                       "provenance": pred.to_json_dict()["provenance"]}, sort_keys=True))
@@ -214,7 +212,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _compare_report(report: Report, top: int, tol_rel: float) -> tuple[float, list[dict]]:
+def _compare_report(report: Report, top: int) -> tuple[float, list[dict]]:
     predicted = EVMultiset(report.prediction["eigenvalues"], source="predicted")
     rows = []
     for rec in report.trials:
@@ -231,7 +229,7 @@ def _compare_report(report: Report, top: int, tol_rel: float) -> tuple[float, li
 
 def _cmd_compare(args) -> int:
     report = Report.from_json(args.report)
-    mean_rel, rows = _compare_report(report, args.top, args.tol_rel)
+    mean_rel, rows = _compare_report(report, args.top)
     print(f"{'trial':>5}  {'max_abs':>12}  {'max_rel':>12}")
     for row in rows:
         print(f"{row['trial']:>5}  {row['max_abs']:>12.6g}  {row['max_rel']:>12.6g}")
@@ -251,10 +249,9 @@ def _formula_demo(name: str) -> int:
     symbols = auto_symbols("a1 b1")
     if name == "anticommutator":
         poly = parse_expression("a1*b1 + b1*a1", symbols)
-        pred = ev_anticommutator(spectrum, tau_b, tau_b2, 64)
     else:
         poly = parse_expression("i*(a1*b1 - b1*a1)", symbols)
-        pred = ev_commutator(spectrum, tau_b, tau_b2, 64)
+    pred = recipe_prediction({"recipe": name, "tau_b": tau_b, "tau_b2": tau_b2}, spectrum, 64)
     print(f"demo {name}: tau(b) = {tau_b}, tau(b^2) = {tau_b2}, "
           f"provenance {pred.to_json_dict()['provenance']}")
     print(f"{'m':>2}  {'oracle':>20}  {'formula':>20}  {'rel diff':>10}")
@@ -296,7 +293,7 @@ def _cmd_demo(args) -> int:
             raise _ToleranceExceeded()
         return EXIT_OK
     tol = DEMO_MATCH_GATES[name]
-    mean_rel, rows = _compare_report(report, int(scenario.compare_top), tol)
+    mean_rel, rows = _compare_report(report, int(scenario.compare_top))
     for row in rows:
         print(f"trial {row['trial']}: top-{scenario.compare_top} max_rel = {row['max_rel']:.4g}")
     verdict = "PASS" if mean_rel <= tol else "FAIL"

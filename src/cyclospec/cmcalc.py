@@ -351,11 +351,6 @@ class TraceMatrixState(TracialState):
         return complex(np.trace(self._products.product(w))) / self.dim
 
 
-def tau_eval(state: TracialState, w: Word) -> complex:
-    """State value of a pure-B word (the unit word evaluates to 1)."""
-    return state.tau(tuple(w))
-
-
 # ---------------------------------------------------------------------------
 # trace-class models for the A-family
 # ---------------------------------------------------------------------------
@@ -546,11 +541,6 @@ class HaarConjugatedFamily(TraceClassModel):
         return self._cache[key]
 
 
-def omega_a_eval(model: TraceClassModel, w: Word) -> complex:
-    """Weight of a nonempty pure-A word."""
-    return model.omega(tuple(w))
-
-
 # ---------------------------------------------------------------------------
 # the cyclic-monotone moment oracle
 # ---------------------------------------------------------------------------
@@ -666,8 +656,3 @@ class CompositeFamily(TraceClassModel):
                 "composite generators carry no direct numeric realization"
             )
         return self.base.realization(index, size)
-
-
-def conjugate_composite(family: CompositeFamily, a_word: Word, c_word: Word) -> Letter:
-    """Register a conjugated composite generator on ``family`` and return its letter."""
-    return family.register(a_word, c_word)

@@ -25,8 +25,6 @@ from .cmcalc import (
     TracialState,
     cm_moment,
     dense_word_product,
-    omega_a_eval,
-    tau_eval,
 )
 from .errors import (
     ComplexEigenvaluesError,
@@ -35,7 +33,7 @@ from .errors import (
     NotPositiveError,
     NotSelfadjointError,
 )
-from .ncalg import FAMILY_A, FAMILY_B, NCPolynomial
+from .ncalg import FAMILY_A, FAMILY_B, NCPolynomial, drop_stars
 from .spectra import (
     EVMultiset,
     disjoint_union,
@@ -117,7 +115,7 @@ class AlgMatrix:
         for i in range(n):
             for j in range(n):
                 diff = self.entries[i][j] - self.entries[j][i].adjoint()
-                if not _rewrite_is_zero(diff, selfadjoint_generators):
+                if not drop_stars(diff, selfadjoint_generators).is_zero():
                     return False
         return True
 
@@ -187,26 +185,6 @@ class AlgMatrix:
         return acc
 
 
-def _rewrite_is_zero(p: NCPolynomial, selfadjoint_generators) -> bool:
-    """True iff ``p`` is zero after rewriting ``x* -> x`` for the given generators."""
-    if selfadjoint_generators is None:
-        bases = None
-    else:
-        bases = {(l.family, l.index) for l in selfadjoint_generators}
-    out: dict = {}
-    for word, coeff in p.terms.items():
-        new = tuple(
-            l.base() if l.star and (bases is None or (l.family, l.index) in bases) else l
-            for l in word
-        )
-        acc = out.get(new, 0j) + coeff
-        if acc == 0:
-            out.pop(new, None)
-        else:
-            out[new] = acc
-    return not out
-
-
 @dataclass
 class Prediction:
     """An eigenvalue-multiset prediction with the scalars that produced it."""
@@ -256,7 +234,7 @@ def reduce_b_matrix(b_matrix: AlgMatrix, b_state: TracialState) -> np.ndarray:
         for j in range(m):
             acc = 0j
             for word, coeff in b_matrix.entries[i][j].sorted_terms():
-                acc += coeff * tau_eval(b_state, word)
+                acc += coeff * b_state.tau(word)
             out[i, j] = acc
     return out
 
@@ -305,7 +283,7 @@ def chain_moment(
     powered = reduced**m
     total = 0j
     for word, coeff in powered.trace().sorted_terms():
-        total += coeff * omega_a_eval(a_model, word)
+        total += coeff * a_model.omega(word)
     return total
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 FAMILY_A = "a"
 FAMILY_B = "b"
@@ -251,11 +251,6 @@ def _coerce(value) -> NCPolynomial:
     raise TypeError(f"cannot combine NCPolynomial with {type(value).__name__}")
 
 
-def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
-    """Bilinear word-concatenation product."""
-    return p * q
-
-
 def power(p: NCPolynomial, m: int) -> NCPolynomial:
     if m < 1:
         raise ValueError("power exponent must be >= 1")
@@ -265,12 +260,8 @@ def power(p: NCPolynomial, m: int) -> NCPolynomial:
     return out
 
 
-def adjoint(p: NCPolynomial) -> NCPolynomial:
-    return p.adjoint()
-
-
-def is_selfadjoint(p: NCPolynomial, selfadjoint_generators: Iterable[Letter] | None = None) -> bool:
-    """True iff ``p* == p`` after rewriting ``x* -> x`` for the given generators.
+def drop_stars(p: NCPolynomial, selfadjoint_generators: Iterable[Letter] | None = None) -> NCPolynomial:
+    """``p`` with ``x* -> x`` rewritten for the given generators.
 
     ``selfadjoint_generators`` is a collection of letters (adjoint flags are
     ignored); ``None`` declares every generator selfadjoint.
@@ -279,26 +270,27 @@ def is_selfadjoint(p: NCPolynomial, selfadjoint_generators: Iterable[Letter] | N
         bases = None
     else:
         bases = {(letter.family, letter.index) for letter in selfadjoint_generators}
+    out: dict[Word, complex] = {}
+    for word, coeff in p.terms.items():
+        new = tuple(
+            letter.base()
+            if letter.star and (bases is None or (letter.family, letter.index) in bases)
+            else letter
+            for letter in word
+        )
+        acc = out.get(new, 0j) + coeff
+        if acc == 0:
+            out.pop(new, None)
+        else:
+            out[new] = acc
+    result = NCPolynomial.zero()
+    result.terms = out
+    return result
 
-    def rewrite(poly: NCPolynomial) -> NCPolynomial:
-        out: dict[Word, complex] = {}
-        for word, coeff in poly.terms.items():
-            new = tuple(
-                letter.base()
-                if letter.star and (bases is None or (letter.family, letter.index) in bases)
-                else letter
-                for letter in word
-            )
-            acc = out.get(new, 0j) + coeff
-            if acc == 0:
-                out.pop(new, None)
-            else:
-                out[new] = acc
-        result = NCPolynomial.zero()
-        result.terms = out
-        return result
 
-    return rewrite(p) == rewrite(p.adjoint())
+def is_selfadjoint(p: NCPolynomial, selfadjoint_generators: Iterable[Letter] | None = None) -> bool:
+    """True iff ``p* == p`` after :func:`drop_stars` for the given generators."""
+    return drop_stars(p, selfadjoint_generators) == drop_stars(p.adjoint(), selfadjoint_generators)
 
 
 @dataclass(frozen=True)
@@ -530,8 +522,3 @@ def format_expression(p: NCPolynomial) -> str:
         else:
             pieces.append(f" {sign} {body}")
     return "".join(pieces)
-
-
-def words_of(p: NCPolynomial) -> Iterator[Word]:
-    for word, _ in p.sorted_terms():
-        yield word

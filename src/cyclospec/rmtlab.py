@@ -6,18 +6,18 @@ recipe.  Each trial derives its own non-overlapping random stream from the
 master seed, samples every matrix in a fixed documented order (A-side first,
 then the B-side list, then the shared Haar conjugator), evaluates the
 expression, and compares the empirical spectrum against the prediction.
+Trials run one after another, in order.
 
-The number of concurrently executed trials can be raised with the
-``CYCLOSPEC_THREADS`` environment variable; results are identical either way
-because every trial owns its stream.
+The closed-form recipes share one dispatcher, :func:`recipe_prediction`,
+with ``cyclospec predict --recipe``.  The demo scenarios are the JSON files
+shipped in the package's ``demos/`` directory.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
 
@@ -410,32 +410,25 @@ def _example1_algebra():
     return a_alg, b_alg
 
 
-def build_prediction(scenario: Scenario, trial_b_mats: list | None = None):
-    """Prediction for a scenario; ``trial_b_mats`` activates per-trial estimates.
+def recipe_prediction(spec: dict, spectrum, truncation, trial_b_mats: list | None = None):
+    """Prediction of a closed-form recipe with the A-side ``spectrum``.
 
-    Returns ``(prediction, moments)`` where ``moments`` are the first three
-    predicted trace moments (limit values where the recipe provides them,
-    multiset moments otherwise).
+    ``spec`` is a scenario ``prediction`` entry of any recipe but the chain;
+    ``trial_b_mats`` activates the per-trial estimate of a ``sum_bac`` beta.
     """
-    spec = scenario.prediction
     recipe = spec["recipe"]
-
     if recipe == "anticommutator":
-        pred = ev_anticommutator(
-            _a_spectrum(scenario), spec["tau_b"], spec["tau_b2"], scenario.truncation
-        )
-    elif recipe == "commutator":
-        pred = ev_commutator(
-            _a_spectrum(scenario), spec["tau_b"], spec["tau_b2"], scenario.truncation
-        )
-    elif recipe == "sum_bab":
-        base = _a_spectrum(scenario).eigenvalues(scenario.truncation)
+        return ev_anticommutator(spectrum, spec["tau_b"], spec["tau_b2"], truncation)
+    if recipe == "commutator":
+        return ev_commutator(spectrum, spec["tau_b"], spec["tau_b2"], truncation)
+    if recipe == "sum_bab":
+        base = spectrum.eigenvalues(truncation)
         diag = [
             float(entry.get("coeff", 1.0)) * base ** int(entry["power"])
             for entry in spec["diag"]
         ]
-        pred = ev_sum_bab(diag, np.asarray(spec["gram"], dtype=complex), scenario.truncation)
-    elif recipe == "sum_bac":
+        return ev_sum_bab(diag, np.asarray(spec["gram"], dtype=complex), truncation)
+    if recipe == "sum_bac":
         if spec.get("beta") == "per_trial":
             if trial_b_mats is not None:
                 pairs = spec["pairs"]
@@ -446,8 +439,18 @@ def build_prediction(scenario: Scenario, trial_b_mats: list | None = None):
                 bprime = np.asarray(spec["bprime_limit"], dtype=complex)
         else:
             bprime = np.asarray(spec["bprime"], dtype=complex)
-        pred = ev_sum_bac(_a_spectrum(scenario), bprime, scenario.truncation)
-    elif recipe == "chain_bab_block2":
+        return ev_sum_bac(spectrum, bprime, truncation)
+    raise ValueError(f"unknown recipe {recipe!r}")
+
+
+def build_prediction(scenario: Scenario, trial_b_mats: list | None = None):
+    """Prediction for a scenario; ``trial_b_mats`` activates per-trial estimates.
+
+    Returns ``(prediction, moments)`` where ``moments`` are the first three
+    predicted trace moments (limit values where the recipe provides them,
+    multiset moments otherwise).
+    """
+    if scenario.prediction["recipe"] == "chain_bab_block2":
         a_alg, b_alg = _example1_algebra()
         table = _semicircle_square_table()
         family = _analytic_block2_family(scenario, realization_seed=scenario.seed)
@@ -460,9 +463,9 @@ def build_prediction(scenario: Scenario, trial_b_mats: list | None = None):
             for m in (1, 2, 3)
         ]
         return pred, limits
-    else:  # pragma: no cover - guarded by Scenario.validate
-        raise ValueError(f"unknown recipe {recipe!r}")
-
+    pred = recipe_prediction(
+        scenario.prediction, _a_spectrum(scenario), scenario.truncation, trial_b_mats
+    )
     moments = [float(np.sum(pred.multiset.values**k)) for k in (1, 2, 3)]
     return pred, moments
 
@@ -529,12 +532,7 @@ def run_scenario(scenario: Scenario) -> Report:
         record["match"] = match_distance(empirical, reference, scenario.compare_top)
         return record
 
-    workers = int(os.environ.get("CYCLOSPEC_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trial_records = list(pool.map(one_trial, range(scenario.trials)))
-    else:
-        trial_records = [one_trial(t) for t in range(scenario.trials)]
+    trial_records = [one_trial(t) for t in range(scenario.trials)]
 
     rels = [rec["match"]["max_rel"] for rec in trial_records]
     abss = [rec["match"]["max_abs"] for rec in trial_records]
@@ -568,76 +566,15 @@ def run_scenario(scenario: Scenario) -> Report:
 
 
 def builtin_scenario(name: str, n: int = 300, trials: int = 5, seed: int | None = None) -> Scenario:
-    """The pinned demo scenarios; eigenvalue demos mirror the block experiments."""
-    seed = DEMO_SEED if seed is None else seed
-    if name == "example1":
-        return Scenario(
-            name="example1",
-            n=n,
-            seed=seed,
-            trials=trials,
-            a_spec={"kind": "geom_haar_block2", "scale": 1.0, "ratio": 0.5, "start_power": 0},
-            b_spec=[{"kind": "gue_squared_block2"}],
-            haar_conjugate_b=False,
-            expression="b1*a1*b1",
-            prediction={"recipe": "chain_bab_block2"},
-            compare_top=15,
-            truncation=n,
-        )
-    if name == "example2":
-        return Scenario(
-            name="example2",
-            n=n,
-            seed=seed,
-            trials=trials,
-            a_spec={"kind": "geometric", "scale": 1.0, "ratio": 0.5, "start_power": 0},
-            b_spec=[{"kind": "gue"}, {"kind": "gue"}],
-            haar_conjugate_b=True,
-            expression="b1*a1*b2 + b2*a1*b1",
-            prediction={
-                "recipe": "sum_bac",
-                "beta": "per_trial",
-                "pairs": [[1, 2], [2, 1]],
-                "bprime_limit": [[0.0, 1.0], [1.0, 0.0]],
-            },
-            compare_top=10,
-            truncation=n,
-        )
-    if name == "example2-correlated":
-        return Scenario(
-            name="example2-correlated",
-            n=n,
-            seed=seed,
-            trials=trials,
-            a_spec={"kind": "geometric", "scale": 1.0, "ratio": 0.5, "start_power": 0},
-            b_spec=[{"kind": "gue"}, {"kind": "copy_of", "index": 1}],
-            haar_conjugate_b=True,
-            expression="b1*a1*b2 + b2*a1*b1",
-            prediction={
-                "recipe": "sum_bac",
-                "beta": "per_trial",
-                "pairs": [[1, 2], [2, 1]],
-                "bprime_limit": [[1.0, 1.0], [1.0, 1.0]],
-            },
-            compare_top=10,
-            truncation=n,
-        )
-    if name == "example3":
-        return Scenario(
-            name="example3",
-            n=n,
-            seed=seed,
-            trials=trials,
-            a_spec={"kind": "geometric", "scale": 1.0, "ratio": 0.5, "start_power": 1},
-            b_spec=[{"kind": "gue_squared"}],
-            haar_conjugate_b=True,
-            expression="a1 + b1*a1*b1*a1*b1",
-            prediction={
-                "recipe": "sum_bab",
-                "gram": [[1.0, 1.0], [1.0, 2.0]],
-                "diag": [{"power": 1, "coeff": 1.0}, {"power": 2, "coeff": 1.0}],
-            },
-            compare_top=10,
-            truncation=n,
-        )
-    raise ValueError(f"unknown demo scenario {name!r}")
+    """The shipped demo scenario ``demos/<name>.json`` at dimension ``n``.
+
+    ``n``, ``trials``, ``seed`` (default :data:`DEMO_SEED`) and
+    ``truncation = n`` replace the file's values.  The file is read afresh on
+    every call, so the returned scenario shares nothing with earlier ones.
+    """
+    path = resources.files(__package__).joinpath(f"demos/{name}.json")
+    if not path.is_file():
+        raise ValueError(f"unknown demo scenario {name!r}")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.update(n=n, trials=trials, seed=DEMO_SEED if seed is None else seed, truncation=n)
+    return Scenario.from_dict(doc)

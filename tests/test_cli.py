@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from cyclospec import builtin_scenario
+from cyclospec import builtin_scenario, cli
 from cyclospec.cli import main
 
 
@@ -150,6 +150,8 @@ def test_scenario_schema_validation():
     )
     for name in ("example1", "example2", "example2-correlated", "example3"):
         jsonschema.validate(builtin_scenario(name, n=40, trials=2).to_dict(), schema)
+        shipped = resources.files("cyclospec").joinpath(f"demos/{name}.json").read_text()
+        jsonschema.validate(json.loads(shipped), schema)
 
 
 def test_formula_demos(capsys):
@@ -191,3 +193,43 @@ def test_predict_from_scenario_file(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["recipe"] == "sum_bab"
     assert len(doc["eigenvalues"]) == 80
+
+
+@pytest.mark.parametrize("recipe_flags", [
+    ["--recipe", "anticommutator", "--tau-b", "1", "--tau-b2", "2"],
+    ["--recipe", "commutator", "--tau-b", "1", "--tau-b2", "2"],
+    ["--recipe", "sum_bac", "--bprime", "[[1,2],[2,1]]"],
+    ["--recipe", "sum_bab", "--gram", "[[1]]"],
+], ids=lambda flags: flags[1])
+def test_predict_recipe_without_spectrum_exits_validation(tmp_path, capsys, recipe_flags):
+    assert run_cli("predict", *recipe_flags, "--out", str(tmp_path / "x")) == 1
+    assert "predict --recipe needs --spectrum" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_predict_recipe_flags_match_scenario_prediction(tmp_path):
+    # example3's a_spec is geometric with scale 1, ratio 1/2, start_power 1
+    scenario = builtin_scenario("example3", n=40, trials=1)
+    scen_path = tmp_path / "scenario.json"
+    scenario.save(scen_path)
+    assert run_cli("predict", "--scenario", str(scen_path),
+                   "--out", str(tmp_path / "from_scenario.json")) == 0
+    assert run_cli(
+        "predict", "--recipe", "sum_bab", "--spectrum", "geometric:0.5,0.5,40",
+        "--gram", "[[1,1],[1,2]]", "--diag", "1:1,2", "--truncation", "40",
+        "--out", str(tmp_path / "from_flags.json"),
+    ) == 0
+    assert (tmp_path / "from_flags.json").read_bytes() == (
+        tmp_path / "from_scenario.json"
+    ).read_bytes()
+    assert (tmp_path / "from_flags.csv").read_bytes() == (
+        tmp_path / "from_scenario.csv"
+    ).read_bytes()
+
+
+def test_demo_unknown_scenario_name_exits_validation(monkeypatch, capsys):
+    # argparse only offers DEMO_NAMES; past it, a name with no shipped file
+    # is a validation failure, not an I/O one
+    monkeypatch.setattr(cli, "DEMO_NAMES", (*cli.DEMO_NAMES, "example4"))
+    assert run_cli("demo", "example4", "--n", "20", "--trials", "1") == 1
+    assert "unknown demo scenario 'example4'" in capsys.readouterr().err

@@ -24,14 +24,11 @@ from cyclospec import (
     b_gen,
     cm_moment,
     collapse_internal_b_runs,
-    conjugate_composite,
     make_symbols,
-    omega_a_eval,
     parse_expression,
     poly_moment,
     sample_gue,
     sample_haar_unitary,
-    tau_eval,
 )
 from cyclospec.cmcalc import WordProducts, dense_word_product
 
@@ -55,25 +52,25 @@ def geometric_family(count=None):
 
 def test_tau_unit_is_one():
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
-    assert tau_eval(table, ()) == 1
+    assert table.tau(()) == 1
 
 
 def test_moment_table_lookup_and_cap():
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
-    assert tau_eval(table, (b_gen(1), b_gen(1))) == 2
+    assert table.tau((b_gen(1), b_gen(1))) == 2
     with pytest.raises(DegreeExceededError):
-        tau_eval(table, (b_gen(1),) * 3)
+        table.tau((b_gen(1),) * 3)
 
 
 def test_moment_table_cyclic_canonicalization():
     table = MomentTable({(b_gen(1), b_gen(2)): 3 + 1j}, degree_cap=2)
-    assert tau_eval(table, (b_gen(2), b_gen(1))) == 3 + 1j
+    assert table.tau((b_gen(2), b_gen(1))) == 3 + 1j
 
 
 def test_moment_table_adjoint_fallback():
     table = MomentTable({(b_gen(1), b_gen(2)): 3 + 1j}, degree_cap=2)
     # adjoint word b2* b1* looks up the conjugate
-    assert tau_eval(table, (b_gen(2, star=True), b_gen(1, star=True))) == 3 - 1j
+    assert table.tau((b_gen(2, star=True), b_gen(1, star=True))) == 3 - 1j
 
 
 def test_moment_table_rejects_inconsistent_rotations():
@@ -90,7 +87,7 @@ def test_moment_table_json_round_trip():
     table = MomentTable({(b_gen(1), b_gen(1)): 2.0, (b_gen(1),): 1.0})
     doc = table.to_json_doc()
     again = MomentTable.from_json_doc(doc)
-    assert tau_eval(again, (b_gen(1), b_gen(1))) == 2.0
+    assert again.tau((b_gen(1), b_gen(1))) == 2.0
     assert again.degree_cap == table.degree_cap
 
 
@@ -99,8 +96,8 @@ def test_matrix_state_gue_square_is_semicircle_squared():
     g = sample_gue(400, rng)
     state = TraceMatrixState({1: g @ g})
     # independent oracle: Catalan moments of the semicircle
-    assert abs(tau_eval(state, (b_gen(1),)) - catalan(1)) <= 0.05
-    assert abs(tau_eval(state, (b_gen(1), b_gen(1))) - catalan(2)) <= 0.2
+    assert abs(state.tau((b_gen(1),)) - catalan(1)) <= 0.05
+    assert abs(state.tau((b_gen(1), b_gen(1))) - catalan(2)) <= 0.2
 
 
 def test_matrix_state_dimension_validation():
@@ -115,26 +112,26 @@ def test_matrix_state_dimension_validation():
 
 def test_geometric_analytic_values():
     fam = geometric_family(count=None)
-    assert omega_a_eval(fam, (a_gen(1),)) == 2
-    assert abs(omega_a_eval(fam, (a_gen(1), a_gen(1))) - 4 / 3) < 1e-15
+    assert fam.omega((a_gen(1),)) == 2
+    assert abs(fam.omega((a_gen(1), a_gen(1))) - 4 / 3) < 1e-15
 
 
 def test_matrix_family_power():
     fam = MatrixTraceFamily({1: np.diag([1.0, 0.5])})
-    assert omega_a_eval(fam, (a_gen(1),) * 3) == pytest.approx(1.125)
+    assert fam.omega((a_gen(1),) * 3) == pytest.approx(1.125)
 
 
 def test_empty_word_not_in_domain():
     with pytest.raises(NotInDomainError):
-        omega_a_eval(geometric_family(), ())
+        geometric_family().omega(())
 
 
 def test_haar_conjugated_mixed_words_vanish():
     fam = HaarConjugatedFamily(
         {1: GeometricSpectrum(1, 0.5, 32), 2: GeometricSpectrum(1, 0.5, 32)}
     )
-    assert omega_a_eval(fam, (a_gen(1), a_gen(2))) == 0
-    assert omega_a_eval(fam, (a_gen(1), a_gen(1))) == pytest.approx(
+    assert fam.omega((a_gen(1), a_gen(2))) == 0
+    assert fam.omega((a_gen(1), a_gen(1))) == pytest.approx(
         np.sum(0.25 ** np.arange(32))
     )
 
@@ -239,9 +236,9 @@ def test_composite_single_moment():
     base = MatrixTraceFamily({1: random_general(4, rng)})
     table = MomentTable({(b_gen(1),): 1.5, (b_gen(2),): -0.5}, degree_cap=2)
     fam = CompositeFamily(base, table)
-    g = conjugate_composite(fam, (a_gen(1),), (b_gen(1),))
-    expected = omega_a_eval(base, (a_gen(1), a_gen(1, star=True))) * 1.5
-    assert omega_a_eval(fam, (g,)) == pytest.approx(expected)
+    g = fam.register((a_gen(1),), (b_gen(1),))
+    expected = base.omega((a_gen(1), a_gen(1, star=True))) * 1.5
+    assert fam.omega((g,)) == pytest.approx(expected)
 
 
 def test_composite_mixed_moment_factorizes():
@@ -249,11 +246,11 @@ def test_composite_mixed_moment_factorizes():
     base = MatrixTraceFamily({1: random_general(4, rng)})
     table = MomentTable({(b_gen(1),): 1.5, (b_gen(2),): -0.5, (b_gen(3),): 2.0})
     fam = CompositeFamily(base, table)
-    g = conjugate_composite(fam, (a_gen(1),), (b_gen(1),))
+    g = fam.register((a_gen(1),), (b_gen(1),))
     word = (g, b_gen(2), g, b_gen(3))
     got = cm_moment(word, fam, table)
     aa = (a_gen(1), a_gen(1, star=True)) * 2
-    expected = omega_a_eval(base, aa) * 1.5**2 * (-0.5) * 2.0
+    expected = base.omega(aa) * 1.5**2 * (-0.5) * 2.0
     assert got == pytest.approx(expected)
 
 
@@ -262,9 +259,9 @@ def test_composite_with_unit_core():
     base = MatrixTraceFamily({1: random_general(4, rng)})
     table = MomentTable.from_b_powers({1: 1.0})
     fam = CompositeFamily(base, table)
-    g = conjugate_composite(fam, (a_gen(1),), ())
-    assert omega_a_eval(fam, (g,)) == pytest.approx(
-        omega_a_eval(base, (a_gen(1), a_gen(1, star=True)))
+    g = fam.register((a_gen(1),), ())
+    assert fam.omega((g,)) == pytest.approx(
+        base.omega((a_gen(1), a_gen(1, star=True)))
     )
 
 
@@ -340,8 +337,8 @@ def test_conjugation_soundness():
         taus = {i: complex(rng.uniform(-2, 2)) for i in (1, 2, 3)}
         table = MomentTable({(b_gen(i),): taus[i] for i in (1, 2, 3)})
         fam = CompositeFamily(base, table)
-        g1 = conjugate_composite(fam, (a_gen(1),), (b_gen(1),))
-        g2 = conjugate_composite(fam, (a_gen(2),), (b_gen(2),))
+        g1 = fam.register((a_gen(1),), (b_gen(1),))
+        g2 = fam.register((a_gen(2),), (b_gen(2),))
         word = (g1, b_gen(3), g2)
         got = cm_moment(word, fam, table)
         aa = (a_gen(1), a_gen(1, star=True), a_gen(2), a_gen(2, star=True))
@@ -409,7 +406,7 @@ def test_matrix_family_real_on_selfadjoint_words():
     rng = np.random.default_rng(6)
     fam = MatrixTraceFamily({1: random_hermitian(5, rng)})
     for m in (1, 2, 3, 4):
-        value = omega_a_eval(fam, (a_gen(1),) * m)
+        value = fam.omega((a_gen(1),) * m)
         assert abs(value.imag) <= 1e-12 * max(1.0, abs(value))
 
 

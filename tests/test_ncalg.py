@@ -3,24 +3,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclospec import (
+    AlgMatrix,
     EmptyInputError,
     ExpressionSyntaxError,
     Letter,
     NCPolynomial,
     UnknownSymbolError,
     a_gen,
-    adjoint,
     alternating_form,
     auto_symbols,
     b_gen,
     format_expression,
     is_selfadjoint,
     make_symbols,
-    multiply,
     parse_expression,
     power,
 )
-from cyclospec.ncalg import min_cyclic_rotation
+from cyclospec.ncalg import drop_stars, min_cyclic_rotation
 
 SYMS = make_symbols(a=("a1", "a2", "a3"), b=("b1", "b2", "b3"))
 
@@ -89,7 +88,7 @@ def test_auto_symbols():
 
 def test_adjoint_reverses_and_stars():
     p = NCPolynomial.from_word((a_gen(1), b_gen(1)), coeff=2 + 1j)
-    q = adjoint(p)
+    q = p.adjoint()
     assert q.terms == {(b_gen(1, star=True), a_gen(1, star=True)): 2 - 1j}
 
 
@@ -105,6 +104,14 @@ def test_selfadjoint_respects_declared_set():
     assert not is_selfadjoint(p, selfadjoint_generators=[b_gen(1)])
 
 
+def test_drop_stars_rewrites_declared_generators_only():
+    p = parse_expression("a1'*b1' + 2*a1*b1'", SYMS)
+    # the declared letter's own star flag is ignored; equal words merge
+    assert drop_stars(p, [a_gen(1, star=True)]) == parse_expression("3*a1*b1'", SYMS)
+    assert drop_stars(p) == parse_expression("3*a1*b1", SYMS)
+    assert drop_stars(parse_expression("a1' - a1", SYMS)).is_zero()
+
+
 def test_power_expansion_counts():
     p = parse_expression("a1*b1 + b1*a1", SYMS)
     sq = power(p, 2)
@@ -116,8 +123,8 @@ def test_power_expansion_counts():
 
 def test_multiply_unit_identity():
     p = parse_expression("a1*b1 + b1*a1", SYMS)
-    assert multiply(NCPolynomial.one(), p) == p
-    assert multiply(p, NCPolynomial.one()) == p
+    assert NCPolynomial.one() * p == p
+    assert p * NCPolynomial.one() == p
 
 
 def test_power_requires_positive_exponent():
@@ -178,7 +185,7 @@ def test_print_parse_round_trip(p):
 @settings(max_examples=150, deadline=None)
 @given(polys)
 def test_adjoint_involution(p):
-    assert adjoint(adjoint(p)) == p
+    assert p.adjoint().adjoint() == p
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,13 +197,20 @@ def test_alternating_reconstruction(w):
 @settings(max_examples=40, deadline=None)
 @given(polys, st.integers(min_value=1, max_value=3))
 def test_power_recurrence(p, m):
-    assert power(p, m + 1) == multiply(power(p, m), p)
+    assert power(p, m + 1) == power(p, m) * p
 
 
 @settings(max_examples=100, deadline=None)
 @given(polys, polys)
 def test_product_adjoint_antihomomorphism(p, q):
-    assert adjoint(multiply(p, q)) == multiply(adjoint(q), adjoint(p))
+    assert (p * q).adjoint() == q.adjoint() * p.adjoint()
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, st.none() | st.lists(letters, max_size=3))
+def test_polynomial_and_algmatrix_selfadjointness_agree(p, generators):
+    # both rewrite through drop_stars; integer coefficients make the sums exact
+    assert AlgMatrix([[p]]).is_selfadjoint(generators) == is_selfadjoint(p, generators)
 
 
 # The canonical word order, as an explicit per-letter key.  Term order

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -101,6 +102,25 @@ def test_scenario_json_round_trip(tmp_path):
     s.save(path)
     again = Scenario.from_json(path)
     assert again.to_dict() == s.to_dict()
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
+def test_builtin_scenario_is_the_shipped_file(name):
+    shipped = json.loads(
+        resources.files("cyclospec").joinpath(f"demos/{name}.json").read_text()
+    )
+    scenario = builtin_scenario(name, n=40, trials=2, seed=7)
+    # compared as JSON text, so int/float types must match the file as well
+    assert json.dumps(scenario.to_dict(), sort_keys=True) == json.dumps(
+        dict(shipped, n=40, trials=2, seed=7, truncation=40), sort_keys=True
+    )
+
+
+def test_builtin_scenario_defaults_and_fresh_dicts():
+    first = builtin_scenario("example3")
+    assert (first.n, first.trials, first.seed, first.truncation) == (300, 5, 20260808, 300)
+    first.prediction["gram"][0][0] = 99.0
+    assert builtin_scenario("example3").prediction["gram"][0][0] == 1.0
 
 
 def test_scenario_validation():
@@ -231,14 +251,6 @@ def test_file_backed_b_spec(tmp_path):
     report = run_scenario(Scenario.from_dict(doc))
     # the fixed matrix produces identical spectra across trials up to the Haar conjugation
     assert len(report.trials) == 2
-
-
-def test_thread_override_is_equivalent(monkeypatch):
-    s = builtin_scenario("example2", n=30, trials=3)
-    serial = run_scenario(s).to_json_dict()
-    monkeypatch.setenv("CYCLOSPEC_THREADS", "3")
-    threaded = run_scenario(builtin_scenario("example2", n=30, trials=3)).to_json_dict()
-    assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
 
 def test_per_trial_beta_requires_limit_matrix():
