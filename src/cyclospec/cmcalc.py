@@ -552,22 +552,36 @@ def cm_moment(w: Word, a_model: TraceClassModel, b_state: TracialState) -> compl
     The word is decomposed into maximal runs; a leading B-run is rotated into
     the trailing one by traciality.  The value is the weight of the A-letters
     in order, times the product of the state values of the B-runs.
+
+    The runs are found in one scan of the word; the state values multiply
+    in run order, the rotated run last.
     """
     w = tuple(w)
-    if not any(letter.family == FAMILY_A for letter in w):
+    n = len(w)
+    start = 0
+    while start < n and w[start].family == FAMILY_B:
+        start += 1
+    if start == n:
         raise NotInDomainError(
             f"word {word_str(w)} contains no A-letter, so it lies outside the weight domain"
         )
-    form = alternating_form(w)
+    leading_b = w[:start]
     a_word: list[Letter] = []
     value = 1 + 0j
-    blocks = form.blocks
-    for pos, (a_block, b_block) in enumerate(blocks):
-        a_word.extend(a_block)
-        run = b_block + form.leading_b if pos == len(blocks) - 1 else b_block
-        if run:
-            value *= b_state.tau(run)
-    return value * a_model.omega(tuple(a_word))
+    while True:
+        a_end = start
+        while a_end < n and w[a_end].family == FAMILY_A:
+            a_end += 1
+        a_word += w[start:a_end]
+        start = a_end
+        while start < n and w[start].family == FAMILY_B:
+            start += 1
+        if start == n:
+            run = w[a_end:] + leading_b
+            if run:
+                value *= b_state.tau(run)
+            return value * a_model.omega(tuple(a_word))
+        value *= b_state.tau(w[a_end:start])
 
 
 def poly_moment(p, m: int, a_model: TraceClassModel, b_state: TracialState) -> complex:

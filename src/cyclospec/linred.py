@@ -184,6 +184,24 @@ class AlgMatrix:
             acc = acc + self.entries[i][i]
         return acc
 
+    def power_trace(self, m: int) -> NCPolynomial:
+        """``(self**m).trace()``, forming only the diagonal of the last product.
+
+        The diagonal entries and their sum are accumulated in the order of
+        ``__matmul__`` and :meth:`trace`, so the terms are bitwise equal.
+        """
+        if m == 1:
+            return self.trace()
+        left = self ** (m - 1)
+        n = self.shape[0]
+        acc = NCPolynomial.zero()
+        for i in range(n):
+            entry = NCPolynomial.zero()
+            for p in range(n):
+                entry = entry + left.entries[i][p] * self.entries[p][i]
+            acc = acc + entry
+        return acc
+
 
 @dataclass
 class Prediction:
@@ -280,9 +298,8 @@ def chain_moment(
         scalar = reduce_b_matrix(chain[pos + 1], b_state)
         step = chain[pos] @ scalar
         reduced = step if reduced is None else reduced @ step
-    powered = reduced**m
     total = 0j
-    for word, coeff in powered.trace().sorted_terms():
+    for word, coeff in reduced.power_trace(m).sorted_terms():
         total += coeff * a_model.omega(word)
     return total
 
@@ -304,9 +321,8 @@ def chain_moment_unreduced(
     product = None
     for mat in chain:
         product = mat if product is None else product @ mat
-    powered = product**m
     total = 0j
-    for word, coeff in powered.trace().sorted_terms():
+    for word, coeff in product.power_trace(m).sorted_terms():
         total += coeff * cm_moment(word, a_model, b_state)
     return total
 
@@ -499,7 +515,7 @@ def ev_anticommutator(a, tau_b: float, tau_b2: float, truncation: int | None = N
 def ev_commutator(a, tau_b: float, tau_b2: float, truncation: int | None = None) -> Prediction:
     """Multiset of ``i(a b - b a)``; the slope is the standard deviation of b."""
     variance = float(tau_b2) - float(tau_b) ** 2
-    if variance < -1e-12:
+    if variance < -rounding_tolerance(1e-12, abs(float(tau_b2))):
         raise NotPositiveError(
             "tau(b^2) - tau(b)^2 is negative beyond tolerance; inconsistent state table"
         )

@@ -66,7 +66,15 @@ HERMITICITY_GATE = 1e-8
 
 _A_SPEC_KINDS = {"geometric", "explicit", "geom_haar_block2"}
 _B_SPEC_KINDS = {"gue", "gue_squared", "gue_squared_block2", "file", "copy_of"}
-_RECIPES = {"anticommutator", "commutator", "sum_bab", "sum_bac", "chain_bab_block2"}
+# the prediction keys each recipe reads; a per-trial sum_bac beta reads
+# "pairs" and "bprime_limit" instead of "bprime"
+_RECIPE_KEYS = {
+    "anticommutator": ("tau_b", "tau_b2"),
+    "commutator": ("tau_b", "tau_b2"),
+    "sum_bab": ("diag", "gram"),
+    "sum_bac": ("bprime",),
+    "chain_bab_block2": (),
+}
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -166,13 +174,14 @@ class Scenario:
                 if not isinstance(ref, int) or not (1 <= ref <= pos):
                     raise ValueError("copy_of must reference an earlier b_spec entry")
         recipe = self.prediction.get("recipe")
-        if recipe not in _RECIPES:
+        if recipe not in _RECIPE_KEYS:
             raise ValueError(f"unknown prediction recipe {recipe!r}")
-        if recipe == "sum_bac" and self.prediction.get("beta") == "per_trial":
-            if "pairs" not in self.prediction or "bprime_limit" not in self.prediction:
-                raise ValueError(
-                    "per-trial beta prediction needs 'pairs' and 'bprime_limit'"
-                )
+        per_trial = recipe == "sum_bac" and self.prediction.get("beta") == "per_trial"
+        keys = ("pairs", "bprime_limit") if per_trial else _RECIPE_KEYS[recipe]
+        for key in keys:
+            if key not in self.prediction:
+                raise ValueError(f"prediction recipe {recipe!r} needs the key {key!r}")
+        if per_trial:
             for pair in self.prediction["pairs"]:
                 if not all(1 <= idx <= len(self.b_spec) for idx in pair):
                     raise ValueError("beta pairs must index into b_spec")

@@ -195,6 +195,15 @@ def test_predict_from_scenario_file(tmp_path):
     assert len(doc["eigenvalues"]) == 80
 
 
+def test_predict_scenario_missing_recipe_key_exits_validation(tmp_path, capsys):
+    doc = builtin_scenario("example3", n=40, trials=1).to_dict()
+    del doc["prediction"]["gram"]
+    scen_path = tmp_path / "scenario.json"
+    scen_path.write_text(json.dumps(doc))
+    assert run_cli("predict", "--scenario", str(scen_path), "--out", str(tmp_path / "x")) == 1
+    assert "'sum_bab' needs the key 'gram'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("recipe_flags", [
     ["--recipe", "anticommutator", "--tau-b", "1", "--tau-b2", "2"],
     ["--recipe", "commutator", "--tau-b", "1", "--tau-b2", "2"],

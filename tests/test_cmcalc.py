@@ -21,6 +21,7 @@ from cyclospec import (
     SpectrumFamily,
     TraceMatrixState,
     a_gen,
+    alternating_form,
     b_gen,
     cm_moment,
     collapse_internal_b_runs,
@@ -463,6 +464,19 @@ def _rotation_case(a_name, b_name):
     return a_model, b_state, tuple(a_letters) + B_POOL
 
 
+def _cm_moment_by_alternating_form(w, a_model, b_state):
+    """The factorization formula over :func:`alternating_form`'s blocks."""
+    form = alternating_form(w)
+    a_word = []
+    value = 1 + 0j
+    for pos, (a_block, b_block) in enumerate(form.blocks):
+        a_word.extend(a_block)
+        run = b_block + form.leading_b if pos == len(form.blocks) - 1 else b_block
+        if run:
+            value *= b_state.tau(run)
+    return value * a_model.omega(tuple(a_word))
+
+
 @pytest.mark.parametrize("b_name", ["moment_table", "trace_matrix"])
 @pytest.mark.parametrize(
     "a_name", ["spectrum_finite", "spectrum_analytic", "matrix", "haar", "composite"]
@@ -477,6 +491,7 @@ def test_cm_moment_invariant_under_rotation(a_name, b_name, data):
         .filter(lambda w: any(letter.family == "a" for letter in w))
     )
     base = cm_moment(w, a_model, b_state)
+    assert base == _cm_moment_by_alternating_form(w, a_model, b_state)
     for j in range(1, len(w)):
         got = cm_moment(w[j:] + w[:j], a_model, b_state)
         assert abs(got - base) <= 1e-12 * max(1.0, abs(base))

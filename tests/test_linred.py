@@ -10,6 +10,7 @@ from cyclospec import (
     GeometricSpectrum,
     HaarConjugatedFamily,
     MomentTable,
+    NCPolynomial,
     NotInDomainError,
     NotPositiveError,
     NotSelfadjointError,
@@ -164,6 +165,30 @@ def test_chain_moment_block_limits():
         assert chain_moment_unreduced([a_alg, squared], m, fam, table) == pytest.approx(
             chain_moment([a_alg, squared], m, fam, table)
         )
+
+
+# two letters, so that words collide and their sums round; real and imaginary
+# parts with many significant bits, so that the order of a sum shows
+_coefficient_parts = st.floats(min_value=0.1, max_value=10).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+_polys = st.dictionaries(
+    st.lists(st.sampled_from([a_gen(1), b_gen(1)]), max_size=2).map(tuple),
+    st.builds(complex, _coefficient_parts, _coefficient_parts),
+    max_size=3,
+).map(NCPolynomial)
+
+
+@st.composite
+def _square_alg_matrices(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    return AlgMatrix([[draw(_polys) for _ in range(dim)] for _ in range(dim)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_alg_matrices(), st.integers(min_value=1, max_value=4))
+def test_power_trace_is_bitwise_trace_of_power(mat, m):
+    assert mat.power_trace(m).terms == (mat**m).trace().terms
 
 
 def test_chain_reduction_soundness_randomized():
@@ -536,6 +561,17 @@ def test_commutator_cases():
     assert pred.provenance["r"] == pytest.approx(2.0)
     with pytest.raises(NotPositiveError):
         ev_commutator(spec, 2.0, 1.0, truncation=8)
+
+
+def test_commutator_variance_tolerance_scales_with_data():
+    spec = ExplicitSpectrum([1.0, 0.5])
+    # tau(b^2) - tau(b)^2 rounds to -1.16e-10 at magnitude 8.5e5
+    pred = ev_commutator(spec, -919.5635581907987, 845597.1375525224)
+    assert pred.provenance["r"] == 0.0
+    with pytest.raises(NotPositiveError):
+        ev_commutator(spec, 0.0, -1e-11)
+    with pytest.raises(NotPositiveError):
+        ev_commutator(spec, 1.0, 1.0 - 1e-11)
 
 
 def test_commutator_oracle_randomized():

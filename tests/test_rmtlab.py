@@ -139,6 +139,31 @@ def test_scenario_validation():
         Scenario.from_dict(bad)
 
 
+_RECIPE_PREDICTIONS = {
+    "anticommutator": {"recipe": "anticommutator", "tau_b": 1.0, "tau_b2": 2.0},
+    "commutator": {"recipe": "commutator", "tau_b": 1.0, "tau_b2": 2.0},
+    "sum_bab": {"recipe": "sum_bab", "diag": [{"power": 1}], "gram": [[1.0]]},
+    "sum_bac": {"recipe": "sum_bac", "bprime": [[1.0]]},
+    "sum_bac_per_trial": {
+        "recipe": "sum_bac", "beta": "per_trial", "pairs": [[1, 1]], "bprime_limit": [[1.0]],
+    },
+}
+
+
+@pytest.mark.parametrize("name,key", [
+    (name, key)
+    for name, prediction in _RECIPE_PREDICTIONS.items()
+    for key in prediction if key not in ("recipe", "beta")
+])
+def test_scenario_validation_names_missing_recipe_key(name, key):
+    doc = builtin_scenario("example3", n=40, trials=2).to_dict()
+    prediction = _RECIPE_PREDICTIONS[name]
+    Scenario.from_dict(dict(doc, prediction=prediction))
+    missing = {k: v for k, v in prediction.items() if k != key}
+    with pytest.raises(ValueError, match=f"'{prediction['recipe']}' needs the key '{key}'"):
+        Scenario.from_dict(dict(doc, prediction=missing))
+
+
 def test_trial_streams_are_independent():
     draws = set()
     for t in range(6):
