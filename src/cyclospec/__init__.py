@@ -18,7 +18,6 @@ from .errors import (
     NotSelfadjointError,
 )
 from .ncalg import (
-    AlternatingForm,
     EmptyInputError,
     ExpressionSyntaxError,
     Letter,

@@ -477,7 +477,8 @@ def ev_sum_bab(a_list, gram, truncation: int | None = None) -> Prediction:
 def ev_sum_aba(a_list, taus, truncation: int | None = None) -> Prediction:
     """Multiset of ``sum_i tau(b_i) a_i a_i*`` realized numerically."""
     taus = np.asarray(taus, dtype=complex)
-    if np.max(np.abs(taus.imag), initial=0.0) > 1e-12:
+    tol = rounding_tolerance(1e-12, float(np.max(np.abs(taus), initial=0.0)))
+    if np.max(np.abs(taus.imag), initial=0.0) > tol:
         raise NotSelfadjointError("state values tau(b_i) must be real (selfadjoint b_i)")
     taus = taus.real
     blocks, n = _realized_blocks(a_list, truncation)
@@ -540,11 +541,13 @@ def ev_sum_bac(a, bprime, truncation: int | None = None) -> Prediction:
     bprime = np.asarray(bprime, dtype=complex)
     if bprime.ndim != 2 or bprime.shape[0] != bprime.shape[1]:
         raise DimensionMismatchError("reduced matrix must be square")
-    if float(np.max(np.abs(bprime - bprime.conj().T))) <= 1e-14:
+    magnitude = float(np.max(np.abs(bprime), initial=0.0))
+    if float(np.max(np.abs(bprime - bprime.conj().T))) <= rounding_tolerance(1e-14, magnitude):
         lams = np.linalg.eigvalsh(bprime).astype(complex)
     else:
         lams = np.linalg.eigvals(bprime)
-    if float(np.max(np.abs(lams.imag), initial=0.0)) > EIGENVALUE_IMAG_TOL:
+    radius = float(np.max(np.abs(lams), initial=0.0))
+    if np.max(np.abs(lams.imag), initial=0.0) > rounding_tolerance(EIGENVALUE_IMAG_TOL, radius):
         raise ComplexEigenvaluesError(
             "reduced matrix has complex eigenvalues; prediction refused"
         )
@@ -565,7 +568,8 @@ def ev_sum_bac(a, bprime, truncation: int | None = None) -> Prediction:
 def ev_conjugated_sum(a_list, c_taus, gram, truncation: int | None = None) -> Prediction:
     """Multiset of ``sum_i b_i a_i c_i a_i* b_i*`` via the modified diagonal."""
     c_taus = np.asarray(c_taus, dtype=complex)
-    if np.max(np.abs(c_taus.imag), initial=0.0) > 1e-12:
+    tol = rounding_tolerance(1e-12, float(np.max(np.abs(c_taus), initial=0.0)))
+    if np.max(np.abs(c_taus.imag), initial=0.0) > tol:
         raise NotSelfadjointError("state values tau(c_i) must be real (selfadjoint c_i)")
     c_taus = c_taus.real
     diagonals = _realized_diagonals(a_list, truncation)

@@ -16,7 +16,7 @@ shipped in the package's ``demos/`` directory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -31,6 +31,7 @@ from .cmcalc import (
 from .ensembles import geometric_diag, sample_gue, sample_haar_unitary
 from .errors import (
     DimensionMismatchError,
+    NotInDomainError,
     NotSelfadjointError,
 )
 from .linred import (
@@ -42,7 +43,7 @@ from .linred import (
     ev_sum_bab,
     ev_sum_bac,
 )
-from .ncalg import FAMILY_A, FAMILY_B, Letter, parse_expression
+from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression
 from .spectra import hermitian_spectrum, match_distance, rounding_tolerance
 
 __all__ = [
@@ -64,17 +65,18 @@ DEMO_SEED = 20260808
 
 HERMITICITY_GATE = 1e-8
 
-_A_SPEC_KINDS = {"geometric", "explicit", "geom_haar_block2"}
-_B_SPEC_KINDS = {"gue", "gue_squared", "gue_squared_block2", "file", "copy_of"}
+_A_SPEC_KINDS = {"geometric", "explicit"}
+_B_SPEC_KINDS = {"gue", "gue_squared", "file", "copy_of"}
 # the prediction keys each recipe reads; a per-trial sum_bac beta reads
-# "pairs" and "bprime_limit" instead of "bprime"
+# _PER_TRIAL_KEYS instead of "bprime"
 _RECIPE_KEYS = {
     "anticommutator": ("tau_b", "tau_b2"),
     "commutator": ("tau_b", "tau_b2"),
     "sum_bab": ("diag", "gram"),
     "sum_bac": ("bprime",),
-    "chain_bab_block2": (),
+    "chain": ("b_state",),
 }
+_PER_TRIAL_KEYS = ("pairs", "bprime_limit")
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -173,11 +175,12 @@ class Scenario:
                 ref = spec.get("index")
                 if not isinstance(ref, int) or not (1 <= ref <= pos):
                     raise ValueError("copy_of must reference an earlier b_spec entry")
+        self._blocks()
         recipe = self.prediction.get("recipe")
         if recipe not in _RECIPE_KEYS:
             raise ValueError(f"unknown prediction recipe {recipe!r}")
         per_trial = recipe == "sum_bac" and self.prediction.get("beta") == "per_trial"
-        keys = ("pairs", "bprime_limit") if per_trial else _RECIPE_KEYS[recipe]
+        keys = _PER_TRIAL_KEYS if per_trial else _RECIPE_KEYS[recipe]
         for key in keys:
             if key not in self.prediction:
                 raise ValueError(f"prediction recipe {recipe!r} needs the key {key!r}")
@@ -186,6 +189,19 @@ class Scenario:
                 if not all(1 <= idx <= len(self.b_spec) for idx in pair):
                     raise ValueError("beta pairs must index into b_spec")
         parse_expression(self.expression, self._symbols())
+        if recipe == "chain":
+            _chain(self)
+
+    def _blocks(self) -> tuple[list | None, list]:
+        """The parsed ``blocks`` of a_spec and of each b_spec entry (``None`` if absent)."""
+        a_cells = _block_cells(self.a_spec, "geometric", FAMILY_A, "a_spec")
+        dim = self.n * (len(a_cells) if a_cells else 1)
+        b_cells = []
+        for pos, spec in enumerate(self.b_spec, start=1):
+            b_cells.append(_block_cells(spec, "gue", FAMILY_B, f"b_spec entry {pos}"))
+            if b_cells[-1] and dim % len(b_cells[-1]):
+                raise ValueError(f"b_spec entry {pos} 'blocks' do not divide the dimension {dim}")
+        return a_cells, b_cells
 
     def _symbols(self) -> dict:
         symbols = {"a1": Letter(FAMILY_A, 1)}
@@ -194,19 +210,7 @@ class Scenario:
         return symbols
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "seed": self.seed,
-            "trials": self.trials,
-            "a_spec": self.a_spec,
-            "b_spec": self.b_spec,
-            "haar_conjugate_b": self.haar_conjugate_b,
-            "expression": self.expression,
-            "prediction": self.prediction,
-            "compare_top": self.compare_top,
-            "truncation": self.truncation,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -274,69 +278,82 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _build_a_matrix(scenario: Scenario, rng: np.random.Generator, diagnostics: dict) -> np.ndarray:
+def _block_cells(spec: dict, kind: str, family: str, where: str) -> list | None:
+    """The parsed ``blocks`` of a spec (``None`` if absent): a square list of
+    lists of expressions in ``family``, allowed on spec kind ``kind`` only."""
+    if "blocks" not in spec:
+        return None
+    blocks = spec["blocks"]
+    if spec.get("kind") != kind:
+        raise ValueError(f"{where} 'blocks' is allowed on the {kind!r} kind only")
+    if not isinstance(blocks, list) or not blocks or not all(
+        isinstance(row, list) and len(row) == len(blocks) for row in blocks
+    ):
+        raise ValueError(f"{where} 'blocks' must be a square list of lists")
+    try:
+        cells = [[parse_expression(cell, auto_symbols(cell)) for cell in row] for row in blocks]
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{where} 'blocks': {exc}") from None
+    if any(poly.families() - {family} for row in cells for poly in row):
+        raise ValueError(f"{where} 'blocks' may hold {family}-letters only")
+    return cells
+
+
+def _generators(cells: list) -> list[Letter]:
+    return sorted({letter.base() for row in cells for poly in row for word in poly.terms
+                   for letter in word})
+
+
+def _build_a_matrix(
+    scenario: Scenario, a_cells: list | None, rng: np.random.Generator, diagnostics: dict
+) -> np.ndarray:
     spec = scenario.a_spec
-    kind = spec["kind"]
     n = scenario.n
-    if kind == "geometric":
-        return geometric_diag(
-            n, spec["ratio"], spec.get("scale", 1.0), spec.get("start_power", 0)
-        )
-    if kind == "explicit":
+    if spec["kind"] == "explicit":
         values = np.asarray(spec["values"], dtype=float)
         if values.size != n:
             raise DimensionMismatchError("explicit spectrum length must equal n")
         return np.diag(values).astype(complex)
-    # geom_haar_block2: the 2x2 block of one diagonal and two rotated copies
     d = geometric_diag(n, spec["ratio"], spec.get("scale", 1.0), spec.get("start_power", 0))
-    u1 = sample_haar_unitary(n, rng)
-    u2 = sample_haar_unitary(n, rng)
-    diagnostics.setdefault("haar_unitarity", []).extend(
-        [_unitarity_residual(u1), _unitarity_residual(u2)]
-    )
-    a2 = u1 @ d @ u1.conj().T
-    a3 = u2 @ d @ u2.conj().T
-    top = np.hstack([d, a2])
-    bottom = np.hstack([a2.conj().T, a3])
-    return np.vstack([top, bottom])
+    if a_cells is None:
+        return d
+    # a1 is the diagonal, every further generator a fresh Haar rotation of it
+    mats = {}
+    for letter in _generators(a_cells):
+        mats[letter] = d
+        if letter.index > 1:
+            u = sample_haar_unitary(n, rng)
+            diagnostics.setdefault("haar_unitarity", []).append(_unitarity_residual(u))
+            mats[letter] = u @ d @ u.conj().T
+    return np.block([[_evaluate_expression(p, mats, n) for p in row] for row in a_cells])
 
 
 def _unitarity_residual(u: np.ndarray) -> float:
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
+def _sampled_gue(size: int, rng: np.random.Generator, diagnostics: dict) -> np.ndarray:
+    g = sample_gue(size, rng)
+    diagnostics.setdefault("gue_tr_sq", []).append(float(np.real(np.trace(g @ g)) / size))
+    return g
+
+
 def _build_b_matrices(
-    scenario: Scenario, dim: int, rng: np.random.Generator, diagnostics: dict
+    scenario: Scenario, b_cells: list, dim: int, rng: np.random.Generator, diagnostics: dict
 ) -> list[np.ndarray]:
     mats: list[np.ndarray] = []
-    for spec in scenario.b_spec:
+    for spec, cells in zip(scenario.b_spec, b_cells):
         kind = spec["kind"]
-        if kind == "gue":
-            g = sample_gue(dim, rng)
-            diagnostics.setdefault("gue_tr_sq", []).append(
-                float(np.real(np.trace(g @ g)) / dim)
-            )
-            mats.append(g)
+        if cells is not None:  # gue blocks
+            size = dim // len(cells)
+            gens = {letter: _sampled_gue(size, rng, diagnostics) for letter in _generators(cells)}
+            block = [[_evaluate_expression(p, gens, size) for p in row] for row in cells]
+            mats.append(np.block(block))
+        elif kind == "gue":
+            mats.append(_sampled_gue(dim, rng, diagnostics))
         elif kind == "gue_squared":
-            g = sample_gue(dim, rng)
-            diagnostics.setdefault("gue_tr_sq", []).append(
-                float(np.real(np.trace(g @ g)) / dim)
-            )
+            g = _sampled_gue(dim, rng, diagnostics)
             mats.append(g @ g)
-        elif kind == "gue_squared_block2":
-            if dim % 2 != 0:
-                raise DimensionMismatchError("block builder needs an even dimension")
-            half = dim // 2
-            gs = []
-            for _ in range(3):
-                g = sample_gue(half, rng)
-                diagnostics.setdefault("gue_tr_sq", []).append(
-                    float(np.real(np.trace(g @ g)) / half)
-                )
-                gs.append(g @ g)
-            top = np.hstack([gs[0], gs[1]])
-            bottom = np.hstack([gs[1], gs[2]])
-            mats.append(np.vstack([top, bottom]))
         elif kind == "file":
             mat = load_matrix_csv(spec["path"])
             if mat.shape != (dim, dim):
@@ -349,15 +366,9 @@ def _build_b_matrices(
     return mats
 
 
-def _evaluate_expression(poly, a_mats: dict, b_mats: dict, dim: int) -> np.ndarray:
-    lookup = {}
-    for index, mat in a_mats.items():
-        lookup[(FAMILY_A, index)] = mat
-    for index, mat in b_mats.items():
-        lookup[(FAMILY_B, index)] = mat
-
+def _evaluate_expression(poly, mats: dict, dim: int) -> np.ndarray:
     def matrix_of(letter):
-        mat = lookup.get((letter.family, letter.index))
+        mat = mats.get(letter.base())
         if mat is None:
             raise DimensionMismatchError(f"no matrix bound to {letter.label()}")
         return mat
@@ -373,56 +384,49 @@ def _evaluate_expression(poly, a_mats: dict, b_mats: dict, dim: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _a_spectrum(scenario: Scenario):
-    spec = scenario.a_spec
-    if spec["kind"] == "geometric":
-        scale = spec.get("scale", 1.0) * spec["ratio"] ** spec.get("start_power", 0)
-        return GeometricSpectrum(scale, spec["ratio"], count=scenario.truncation)
+def _a_spectrum(spec: dict, count: int | None):
+    """The spectrum of a_spec's diagonal; a geometric one truncated to ``count``."""
     if spec["kind"] == "explicit":
         return ExplicitSpectrum(spec["values"])
-    raise ValueError("block a_spec kinds use their own prediction recipe")
-
-
-def _analytic_block2_family(scenario: Scenario, realization_seed: int) -> HaarConjugatedFamily:
-    spec = scenario.a_spec
     scale = spec.get("scale", 1.0) * spec["ratio"] ** spec.get("start_power", 0)
-    spectra = {
-        i: GeometricSpectrum(scale, spec["ratio"], count=None) for i in (1, 2, 3)
-    }
-    return HaarConjugatedFamily(spectra, realization_seed=realization_seed)
+    return GeometricSpectrum(scale, spec["ratio"], count=count)
 
 
-def _semicircle_square_table() -> MomentTable:
-    """State values of words in three free squared semicircular elements.
+def _chain(scenario: Scenario):
+    """``(B, [A, B, ..., A, B], a_model, b_state)`` of a ``chain`` scenario.
 
-    Only the words that arise from reducing the squared block matrix are
-    tabulated: tr(b_i^2) = 1, tr(b_i^4) = 2 (Catalan), and mixed squares
-    factorize, tr(b_i^2 b_j^2) = 1.
+    The expression is one word ``b a1 b ... a1 b`` in a single B letter: the
+    blocks of two b_spec entries would name independent generators alike.
+    A is ``a_spec.blocks`` with every generator selfadjoint.
     """
-    moments = {}
-    for i in (1, 2, 3):
-        bi = Letter(FAMILY_B, i)
-        moments[(bi, bi)] = 1.0
-        moments[(bi, bi, bi, bi)] = 2.0
-        for j in (1, 2, 3):
-            if i < j:
-                bj = Letter(FAMILY_B, j)
-                moments[(bi, bi, bj, bj)] = 1.0
-    return MomentTable(moments, degree_cap=4)
-
-
-def _example1_algebra():
-    symbols = {f"a{i}": Letter(FAMILY_A, i) for i in (1, 2, 3)}
-    symbols.update({f"b{i}": Letter(FAMILY_B, i) for i in (1, 2, 3)})
-    a_alg = AlgMatrix([["a1", "a2"], ["a2", "a3"]], symbols)
-    b_alg = AlgMatrix([["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]], symbols)
-    return a_alg, b_alg
+    a_cells, b_cells = scenario._blocks()
+    if a_cells is None:
+        raise ValueError("prediction recipe 'chain' needs a_spec 'blocks'")
+    terms = parse_expression(scenario.expression, scenario._symbols()).terms
+    word, coeff = next(iter(terms.items())) if len(terms) == 1 else ((), 0)
+    shape = "".join(letter.family + "'" * letter.star for letter in word)
+    alternating = len(word) >= 3 and shape == "ba" * (len(word) // 2) + "b"
+    if coeff != 1 or not alternating or len(set(word[::2])) != 1:
+        expr = scenario.expression
+        raise ValueError(f"recipe 'chain' needs an 'expression' b*a1*...*a1*b, not {expr!r}")
+    index = word[0].index
+    if b_cells[index - 1] is None or len(b_cells[index - 1]) != len(a_cells):
+        raise ValueError(f"prediction recipe 'chain' needs as many 'blocks' on b{index} as on a1")
+    try:
+        table = MomentTable.from_json_doc(scenario.prediction["b_state"])
+    except (ValueError, TypeError, AttributeError, NotInDomainError) as exc:
+        raise ValueError(f"prediction 'b_state': {exc}") from None
+    a_alg = AlgMatrix([[drop_stars(poly) for poly in row] for row in a_cells])
+    b_alg = AlgMatrix(b_cells[index - 1])
+    spectra = {g.index: _a_spectrum(scenario.a_spec, None) for g in _generators(a_cells)}
+    family = HaarConjugatedFamily(spectra, realization_seed=scenario.seed)
+    return b_alg, [a_alg, b_alg] * (len(word) // 2), family, table
 
 
 def recipe_prediction(spec: dict, spectrum, truncation, trial_b_mats: list | None = None):
     """Prediction of a closed-form recipe with the A-side ``spectrum``.
 
-    ``spec`` is a scenario ``prediction`` entry of any recipe but the chain;
+    ``spec`` is a scenario ``prediction`` entry of any recipe but ``chain``;
     ``trial_b_mats`` activates the per-trial estimate of a ``sum_bac`` beta.
     """
     recipe = spec["recipe"]
@@ -459,21 +463,14 @@ def build_prediction(scenario: Scenario, trial_b_mats: list | None = None):
     predicted trace moments (limit values where the recipe provides them,
     multiset moments otherwise).
     """
-    if scenario.prediction["recipe"] == "chain_bab_block2":
-        a_alg, b_alg = _example1_algebra()
-        table = _semicircle_square_table()
-        family = _analytic_block2_family(scenario, realization_seed=scenario.seed)
-        pred = ev_chain(
-            b_alg, [a_alg, b_alg], family, table, truncation=scenario.truncation
-        )
-        squared = b_alg @ b_alg
-        limits = [
-            float(np.real(chain_moment([a_alg, squared], m, family, table)))
-            for m in (1, 2, 3)
-        ]
-        return pred, limits
+    if scenario.prediction["recipe"] == "chain":
+        b0, chain, family, table = _chain(scenario)
+        pred = ev_chain(b0, chain, family, table, truncation=scenario.truncation)
+        closed = chain[:-1] + [chain[-1] @ b0]
+        return pred, [float(np.real(chain_moment(closed, m, family, table))) for m in (1, 2, 3)]
     pred = recipe_prediction(
-        scenario.prediction, _a_spectrum(scenario), scenario.truncation, trial_b_mats
+        scenario.prediction, _a_spectrum(scenario.a_spec, scenario.truncation),
+        scenario.truncation, trial_b_mats,
     )
     moments = [float(np.sum(pred.multiset.values**k)) for k in (1, 2, 3)]
     return pred, moments
@@ -493,24 +490,21 @@ def run_scenario(scenario: Scenario) -> Report:
         and scenario.prediction.get("beta") == "per_trial"
     )
     prediction, predicted_moments = build_prediction(scenario)
+    a_cells, b_cells = scenario._blocks()
 
     def one_trial(t: int) -> dict:
         rng = trial_rng(scenario.seed, t)
         diagnostics: dict = {}
-        a_matrix = _build_a_matrix(scenario, rng, diagnostics)
+        a_matrix = _build_a_matrix(scenario, a_cells, rng, diagnostics)
         dim = a_matrix.shape[0]
-        b_mats = _build_b_matrices(scenario, dim, rng, diagnostics)
+        b_mats = _build_b_matrices(scenario, b_cells, dim, rng, diagnostics)
         raw_b = list(b_mats)
         if scenario.haar_conjugate_b:
             u = sample_haar_unitary(dim, rng)
             diagnostics.setdefault("haar_unitarity", []).append(_unitarity_residual(u))
             b_mats = [u @ mat @ u.conj().T for mat in b_mats]
-        x = _evaluate_expression(
-            poly,
-            {1: a_matrix},
-            {j + 1: mat for j, mat in enumerate(b_mats)},
-            dim,
-        )
+        mats = {Letter(FAMILY_B, j): mat for j, mat in enumerate(b_mats, start=1)}
+        x = _evaluate_expression(poly, {Letter(FAMILY_A, 1): a_matrix, **mats}, dim)
         residual = float(np.max(np.abs(x - x.conj().T)))
         if residual > rounding_tolerance(HERMITICITY_GATE, float(np.max(np.abs(x)))):
             raise NotSelfadjointError(

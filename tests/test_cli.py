@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from cyclospec import builtin_scenario, cli
+from cyclospec import builtin_scenario, cli, rmtlab
 from cyclospec.cli import main
 
 
@@ -154,6 +154,45 @@ def test_scenario_schema_validation():
         jsonschema.validate(json.loads(shipped), schema)
 
 
+def _recipe_requirements(schema) -> dict:
+    """``{(recipe, per_trial): required keys}`` of the schema's prediction if/then rules."""
+    out = {}
+    for rule in schema["properties"]["prediction"]["allOf"]:
+        condition = rule["if"]["properties"]
+        per_trial = condition.get("beta", {}).get("const") == "per_trial"
+        out[(condition["recipe"]["const"], per_trial)] = tuple(rule["then"]["required"])
+    return out
+
+
+def test_scenario_schema_mirrors_validation():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(
+        resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
+    )
+    jsonschema.Draft202012Validator.check_schema(schema)
+    props = schema["properties"]
+    assert set(props["a_spec"]["properties"]["kind"]["enum"]) == rmtlab._A_SPEC_KINDS
+    assert set(props["b_spec"]["items"]["properties"]["kind"]["enum"]) == rmtlab._B_SPEC_KINDS
+    assert set(props["prediction"]["properties"]["recipe"]["enum"]) == set(rmtlab._RECIPE_KEYS)
+    expected = {(recipe, False): keys for recipe, keys in rmtlab._RECIPE_KEYS.items()}
+    expected[("sum_bac", True)] = rmtlab._PER_TRIAL_KEYS
+    assert _recipe_requirements(schema) == expected
+    # the rules fire as Scenario.validate does
+    validator = jsonschema.Draft202012Validator(schema)
+    doc = builtin_scenario("example1", n=40, trials=2).to_dict()
+    for change in [
+        {"a_spec": {"kind": "explicit", "values": [1.0] * 40, "blocks": [["a1"]]}},
+        {"b_spec": [{"kind": "file", "path": "b.csv", "blocks": [["b1"]]}]},
+        {"prediction": {"recipe": "chain"}},
+        {"prediction": {"recipe": "sum_bac", "bprime_limit": [[1.0]]}},
+        {"prediction": {"recipe": "sum_bac", "beta": "per_trial", "bprime": [[1.0]]}},
+    ]:
+        bad = dict(doc, **change)
+        assert not validator.is_valid(bad)
+        with pytest.raises(ValueError):
+            rmtlab.Scenario.from_dict(bad)
+
+
 def test_formula_demos(capsys):
     assert run_cli("demo", "anticommutator") == 0
     out = capsys.readouterr().out
@@ -193,6 +232,17 @@ def test_predict_from_scenario_file(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["recipe"] == "sum_bab"
     assert len(doc["eigenvalues"]) == 80
+
+
+def test_predict_from_chain_scenario_file(tmp_path):
+    scenario = builtin_scenario("example1", n=20, trials=1)
+    scen_path = tmp_path / "scenario.json"
+    scenario.save(scen_path)
+    out = tmp_path / "pred.json"
+    assert run_cli("predict", "--scenario", str(scen_path), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["recipe"] == "chain"
+    assert doc["parameters"] == {"k": 1, "dim": 2, "truncation": 20}
 
 
 def test_predict_scenario_missing_recipe_key_exits_validation(tmp_path, capsys):

@@ -604,6 +604,35 @@ def test_sum_bac_refuses_complex_spectrum():
         ev_sum_bac(ExplicitSpectrum([1.0]), [[0.0, 1.0], [-1.0, 0.0]], 1)
 
 
+def test_state_value_tolerances_scale_with_data():
+    # rounding at scale 1e8 leaves Z Z^H asymmetric by ~1e-8, past the old
+    # absolute 1e-14 switch to eigvalsh and the 1e-9 imaginary-part check
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    gram = z @ z.conj().T
+    big = ev_sum_bac(GeometricSpectrum(1.0, 0.5, 16), 1e8 * gram)
+    unit = ev_sum_bac(GeometricSpectrum(1.0, 0.5, 16), gram)
+    np.testing.assert_allclose(big.provenance["lambdas"], 1e8 * unit.provenance["lambdas"],
+                               rtol=1e-12)
+    # imaginary rounding 5e-11 at magnitude 1e4, past the old absolute 1e-12
+    d = np.array([1.0, 0.5])
+    tau = 1e4 * (1 + 5e-15j)
+    assert ev_sum_aba([d], [tau]).multiset == ev_sum_aba([d], [1e4]).multiset
+    assert ev_conjugated_sum([d], [tau], [[1]]).multiset == (
+        ev_conjugated_sum([d], [1e4], [[1]]).multiset
+    )
+
+
+def test_state_value_tolerances_keep_unit_scale_rejections():
+    d = np.array([1.0, 0.5])
+    with pytest.raises(NotSelfadjointError):
+        ev_sum_aba([d], [1 + 1e-11j])
+    with pytest.raises(NotSelfadjointError):
+        ev_conjugated_sum([d], [1 + 1e-11j], [[1]])
+    with pytest.raises(ComplexEigenvaluesError):
+        ev_sum_bac(ExplicitSpectrum([1.0]), [[1.0, 1e-8], [-1e-8, 1.0]], 1)
+
+
 def test_sum_bac_oracle_randomized():
     rng = np.random.default_rng(46)
     for _ in range(10):

@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 
 import numpy as np
@@ -22,7 +23,8 @@ from cyclospec import (
     sample_gue,
     sample_haar_unitary,
 )
-from cyclospec.rmtlab import load_matrix_csv, save_matrix_csv, trial_rng
+from cyclospec.cli import main
+from cyclospec.rmtlab import _build_a_matrix, load_matrix_csv, save_matrix_csv, trial_rng
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +141,101 @@ def test_scenario_validation():
         Scenario.from_dict(bad)
 
 
+def _example1_with(**changes):
+    doc = builtin_scenario("example1", n=40, trials=1).to_dict()
+    for path, value in changes.items():
+        *keys, last = path.split("__")
+        target = doc
+        for key in keys:
+            target = target[int(key)] if isinstance(target, list) else target[key]
+        target[last] = value
+    return doc
+
+
+_EXAMPLE1_A_BLOCKS = [["a1", "a2"], ["a2'", "a3"]]
+_EXAMPLE1_B_BLOCKS = [["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]]
+
+
+@pytest.mark.parametrize("changes,message", [
+    # blocks that are not square
+    ({"a_spec__blocks": [["a1", "a2"]]}, "a_spec 'blocks' must be a square"),
+    ({"b_spec__0__blocks": [["b1"], ["b2"]]}, "b_spec entry 1 'blocks' must be a square"),
+    ({"a_spec__blocks": "a1"}, "a_spec 'blocks' must be a square"),
+    ({"a_spec__blocks": []}, "a_spec 'blocks' must be a square"),
+    # letters of the wrong family, or no expression at all
+    ({"a_spec__blocks": [["a1", "b2"], ["b2", "a3"]]}, "a_spec 'blocks' may hold a-letters"),
+    ({"b_spec__0__blocks": [["b1", "a1"], ["a1", "b2"]]},
+     "b_spec entry 1 'blocks' may hold b-letters"),
+    ({"a_spec__blocks": [["a1", "c2"], ["c2", "a3"]]}, "a_spec 'blocks'"),
+    ({"a_spec__blocks": [["a1", 2], [2, "a3"]]}, "a_spec 'blocks'"),
+    # blocks on any other kind
+    ({"a_spec": {"kind": "explicit", "values": [1.0] * 40, "blocks": _EXAMPLE1_A_BLOCKS}},
+     "a_spec 'blocks' is allowed on the 'geometric' kind only"),
+    ({"b_spec": [{"kind": "gue_squared", "blocks": _EXAMPLE1_B_BLOCKS}]},
+     "b_spec entry 1 'blocks' is allowed on the 'gue' kind only"),
+    # a B-block count that does not divide the dimension 2n = 80
+    ({"b_spec__0__blocks": [["b1"] * 3] * 3}, "b_spec entry 1 'blocks' do not divide"),
+    # a chain recipe without A blocks
+    ({"a_spec": {"kind": "geometric", "ratio": 0.5}}, "'chain' needs a_spec 'blocks'"),
+    # a B letter without blocks, or with blocks of another size
+    ({"b_spec": [{"kind": "gue"}]}, "'chain' needs as many 'blocks' on b1"),
+    ({"b_spec": [{"kind": "gue", "blocks": [["b1"]]}]}, "'chain' needs as many 'blocks' on b1"),
+    ({"b_spec": [{"kind": "gue", "blocks": _EXAMPLE1_B_BLOCKS}, {"kind": "gue"}],
+      "expression": "b2*a1*b2"}, "'chain' needs as many 'blocks' on b2"),
+    # expressions that are not one alternating b...a...b word
+    ({"expression": "b1*a1*b1 + b1*a1*b1*a1*b1"}, "'chain' needs an 'expression'"),
+    ({"expression": "2*b1*a1*b1"}, "'chain' needs an 'expression'"),
+    ({"expression": "a1*b1*a1"}, "'chain' needs an 'expression'"),
+    ({"expression": "b1*a1*a1*b1"}, "'chain' needs an 'expression'"),
+    ({"expression": "b1*b1"}, "'chain' needs an 'expression'"),
+    ({"expression": "b1'*a1*b1"}, "'chain' needs an 'expression'"),
+    ({"b_spec": [{"kind": "gue", "blocks": _EXAMPLE1_B_BLOCKS}] * 2,
+      "expression": "b1*a1*b2"}, "'chain' needs an 'expression'"),
+    # a b_state that is no moment table
+    ({"prediction__b_state": {"moments": {"b1*a1": 1.0}}}, "prediction 'b_state'"),
+    ({"prediction__b_state": [1.0]}, "prediction 'b_state'"),
+    ({"prediction__b_state": {"moments": {"b1*b1": None}}}, "prediction 'b_state'"),
+])
+def test_scenario_validation_of_blocks_and_chain(changes, message, tmp_path):
+    doc = _example1_with(**changes)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Scenario.from_dict(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_blocks_are_drawn_in_index_order():
+    n = 40
+    scenario = Scenario.from_dict(_example1_with(a_spec__blocks=[["a1", "a3"], ["a3'", "a2"]]))
+    a_cells, _ = scenario._blocks()
+    x = _build_a_matrix(scenario, a_cells, trial_rng(scenario.seed, 0), {})
+    rng = trial_rng(scenario.seed, 0)
+    d = geometric_diag(n, 0.5)
+    u2, u3 = sample_haar_unitary(n, rng), sample_haar_unitary(n, rng)
+    assert np.array_equal(x[n:, n:], u2 @ d @ u2.conj().T)
+    assert np.array_equal(x[:n, n:], u3 @ d @ u3.conj().T)
+    run = run_scenario(scenario)
+    assert len(run.trials[0]["diagnostics"]["haar_unitarity"]) == 2
+    assert len(run.trials[0]["diagnostics"]["gue_tr_sq"]) == 3
+    longer = _example1_with(expression="b1*a1*b1*a1*b1")
+    report = run_scenario(Scenario.from_dict(longer))
+    assert report.prediction["parameters"]["k"] == 2
+
+
+def test_example1_trial_a_block_is_hermitian():
+    n = 30
+    scenario = builtin_scenario("example1", n=n, trials=1)
+    a_cells, _ = scenario._blocks()
+    x = _build_a_matrix(scenario, a_cells, trial_rng(scenario.seed, 0), {})
+    assert x.shape == (2 * n, 2 * n)
+    # the lower-left block a2' is the exact adjoint of a2, and a1 is real diagonal
+    assert np.array_equal(x[n:, :n], x[:n, n:].conj().T)
+    assert np.array_equal(x[:n, :n], x[:n, :n].conj().T)
+    # the rotated copy a3 = u d u^H is Hermitian up to rounding only
+    assert np.max(np.abs(x - x.conj().T)) <= 1e-15
+
+
 _RECIPE_PREDICTIONS = {
     "anticommutator": {"recipe": "anticommutator", "tau_b": 1.0, "tau_b2": 2.0},
     "commutator": {"recipe": "commutator", "tau_b": 1.0, "tau_b2": 2.0},
@@ -147,6 +244,7 @@ _RECIPE_PREDICTIONS = {
     "sum_bac_per_trial": {
         "recipe": "sum_bac", "beta": "per_trial", "pairs": [[1, 1]], "bprime_limit": [[1.0]],
     },
+    "chain": {"recipe": "chain", "b_state": {"moments": {"b1*b1": 1.0}}},
 }
 
 
@@ -156,7 +254,7 @@ _RECIPE_PREDICTIONS = {
     for key in prediction if key not in ("recipe", "beta")
 ])
 def test_scenario_validation_names_missing_recipe_key(name, key):
-    doc = builtin_scenario("example3", n=40, trials=2).to_dict()
+    doc = builtin_scenario("example1" if name == "chain" else "example3", n=40, trials=2).to_dict()
     prediction = _RECIPE_PREDICTIONS[name]
     Scenario.from_dict(dict(doc, prediction=prediction))
     missing = {k: v for k, v in prediction.items() if k != key}
