@@ -4,13 +4,19 @@ The oracle evaluates mixed moments through the defining factorization: a word
 is decomposed into maximal A-runs and B-runs, a leading B-run is rotated into
 the trailing one (traciality), and the value is the weight of the concatenated
 A-letters times the product of the state values of the B-runs.
+
+The oracle asks the weight for one word at a time (``omega``).  Every weight
+model also has ``omega_many``, the weights of a list of words; a matrix model
+evaluates the words its memo misses as one batch (``WordProducts.traces``),
+with values bitwise equal to ``omega``.  The reduced chain trace of
+:mod:`cyclospec.linred` uses the batch; the oracle does not.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +42,10 @@ from .ncalg import (
 from .spectra import rounding_tolerance
 
 DEFAULT_TRUNCATION = 64
+# Upper bound on the bytes of the product matrices of one batch of
+# WordProducts.traces: a node's bytes times the batch's letters, which bound
+# its prefix-tree nodes.  Longer word lists are split into batches.
+TRACE_BATCH_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +84,9 @@ class WordProducts:
     is kept: adjoints are formed per product and the identity only when no
     prefix is shared, as many small models may be alive at once.  The
     returned array may be one kept on the stack; callers must not modify it.
+
+    :meth:`traces` evaluates a whole list of words at once, as a prefix tree
+    multiplied out one depth at a time; it leaves the stack alone.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray], dim: int):
@@ -102,17 +115,111 @@ class WordProducts:
                 self._word.append(letter)
         return prod
 
+    def traces(self, words: Sequence[Word]) -> list[complex]:
+        """Traces of the products of the nonempty ``words``, in their order.
+
+        The words are split into batches of at most ``TRACE_BATCH_BYTES`` of
+        products (a longer word gets a batch of its own).  The words of a
+        batch form a prefix tree with one node per distinct prefix.  Each
+        depth of the tree is one stacked ``np.matmul`` of the parents'
+        products by the letters' matrices, starting from the identity as
+        :meth:`product` does, and the traces of a depth's nodes are taken
+        with ``np.trace(..., axis1=1, axis2=2)``.  So every value is bitwise
+        equal to ``complex(np.trace(self.product(w)))``.  Sorted words share
+        the most prefixes.  An unknown generator raises ``NotInDomainError``
+        before anything is multiplied.
+        """
+        if not all(words):
+            raise ValueError("the empty word has no product to trace")
+        letter_ids: dict[Letter, int] = {}
+        for letter in sorted(set().union(*words)):
+            if letter.index not in self._matrices:
+                raise NotInDomainError(f"no matrix for generator {letter.label()}")
+            letter_ids[letter] = len(letter_ids)
+        if not letter_ids:
+            return []
+        letter_stack = np.stack([
+            self._matrices[letter.index].conj().T if letter.star
+            else self._matrices[letter.index]
+            for letter in letter_ids
+        ])
+        identity = np.eye(self._dim, dtype=complex)[np.newaxis]
+        node_bytes = 16 * self._dim * self._dim
+        values: list[complex] = []
+        for batch in _batches(words, TRACE_BATCH_BYTES // node_bytes):
+            out = [0j] * len(batch)
+            products = identity
+            for letters, parents, ends in zip(*_prefix_tree(batch)):
+                ids = [letter_ids[letter] for letter in letters]
+                products = np.matmul(products[parents], letter_stack[ids])
+                if ends:
+                    level = np.trace(products, axis1=1, axis2=2).tolist()
+                    for pos, node in ends:
+                        out[pos] = level[node]
+            values += out
+        return values
+
+
+def _batches(words: Sequence[Word], letters: int):
+    """Consecutive runs of ``words`` with at most ``letters`` letters each
+    (a longer word is a run of its own)."""
+    batch: list[Word] = []
+    size = 0
+    for w in words:
+        if batch and size + len(w) > letters:
+            yield batch
+            batch, size = [], 0
+        batch.append(w)
+        size += len(w)
+    if batch:
+        yield batch
+
+
+def _prefix_tree(words: list[Word]):
+    """The prefix tree of ``words`` as three lists with one entry per depth.
+
+    At depth ``d`` a node has a letter, and its parent is a node at depth
+    ``d - 1`` (at depth 0, the root: the identity).  ``ends[d]`` pairs each
+    word of length ``d + 1`` (its position in ``words``) with its node.
+    Each word's nodes are the last ones made at their depths when it is
+    done, so a new node's parent is the last node one depth up.
+    """
+    depth = max(map(len, words))
+    letters: list[list[Letter]] = [[] for _ in range(depth)]
+    parents: list[list[int]] = [[] for _ in range(depth)]
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
+    prev: Word = ()
+    for pos, w in enumerate(words):
+        shared = 0
+        for x, y in zip(w, prev):
+            if x != y:
+                break
+            shared += 1
+        for d in range(shared, len(w)):
+            letters[d].append(w[d])
+            parents[d].append(len(letters[d - 1]) - 1 if d else 0)
+        last = len(w) - 1
+        ends[last].append((pos, len(letters[last]) - 1))
+        prev = w
+    return letters, parents, ends
+
 
 def dense_word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
     """Product of the letters of ``w`` over dense matrices, left to right.
 
-    ``matrix_of(letter)`` returns the matrix of the letter's generator; an
-    adjoint letter uses its conjugate transpose.  The product starts from the
-    first letter's matrix, and the empty word gives the ``dim x dim``
-    identity.  ``I @ M`` is exact, so the result is bitwise equal to the loop
-    ``I @ M1 @ M2 @ ...``, one product cheaper.  A one-letter word returns
-    the given matrix itself (or its conjugate transpose); callers must not
-    modify the result.
+    ``matrix_of(letter)`` returns the matrix of the letter's generator, or a
+    1-D array for a diagonal matrix; an adjoint letter uses its conjugate
+    transpose.  The product starts from the first letter's matrix, and the
+    empty word gives the ``dim x dim`` identity.  ``I @ M`` is exact, so the
+    result is bitwise equal to the loop ``I @ M1 @ M2 @ ...``, one product
+    cheaper.  A diagonal letter scales the columns (or, first, the rows) of
+    the product instead.  For a real diagonal (every one the package passes)
+    this equals the matmul by ``np.diag(d)`` up to the sign of zeros, and the
+    tests check the two paths with ``np.array_equal``; a complex diagonal
+    agrees up to rounding.  A word of diagonal letters only gives
+    ``np.diag`` of their product.  A one-letter word of a 2-D matrix returns
+    that matrix itself (or its conjugate transpose); callers must not modify
+    the result.
     """
     if not w:
         return np.eye(dim, dtype=complex)
@@ -121,8 +228,15 @@ def dense_word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
         mat = matrix_of(letter)
         if letter.star:
             mat = mat.conj().T
-        prod = mat if prod is None else prod @ mat
-    return prod
+        if prod is None:
+            prod = mat
+        elif mat.ndim == 1:
+            prod = prod * mat
+        elif prod.ndim == 1:
+            prod = prod[:, np.newaxis] * mat
+        else:
+            prod = prod @ mat
+    return np.diag(prod) if prod.ndim == 1 else prod
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +481,10 @@ class TraceClassModel:
     def omega(self, w: Word) -> complex:
         raise NotImplementedError
 
+    def omega_many(self, words: Sequence[Word]) -> list[complex]:
+        """``[self.omega(w) for w in words]``; a model may evaluate them as one batch."""
+        return [self.omega(w) for w in words]
+
     def realization(self, index: int, size: int | None = None) -> np.ndarray:
         raise NotImplementedError
 
@@ -471,6 +589,23 @@ class MatrixTraceFamily(TraceClassModel):
         _check_pure_a_nonempty(w)
         return complex(np.trace(self._products.product(w)))
 
+    def omega_many(self, words: Sequence[Word]) -> list[complex]:
+        """The weights of ``words``, bitwise equal to :meth:`omega`'s.
+
+        The words the memo misses are evaluated as one sorted batch by
+        ``WordProducts.traces`` (a repeated word shares all its prefixes).  A word outside the domain raises the
+        error of :meth:`omega`, and then nothing is memoized.
+        """
+        values = self._values
+        missing = sorted(w for w in words if w not in values)
+        if not all(missing) or any(
+            letter.family != FAMILY_A for letter in set().union(*missing)
+        ):
+            for w in missing:
+                _check_pure_a_nonempty(w)
+        values.update(zip(missing, self._products.traces(missing)))
+        return [values[w] for w in words]
+
     def realization(self, index: int, size: int | None = None) -> np.ndarray:
         if index not in self.matrices:
             raise NotInDomainError(f"no matrix for generator index {index}")
@@ -529,15 +664,16 @@ class HaarConjugatedFamily(TraceClassModel):
             raise ValueError("analytic spectra need an explicit truncation to realize")
         key = (index, n)
         if key not in self._cache:
-            diag = np.diag(self.spectra[index].eigenvalues(n)).astype(complex)
+            diag = self.spectra[index].eigenvalues(n).astype(complex)
             if index == min(self.spectra):
-                self._cache[key] = diag
+                self._cache[key] = np.diag(diag)
             else:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=self.realization_seed, spawn_key=(index,))
                 )
                 u = sample_haar_unitary(n, rng)
-                self._cache[key] = u @ diag @ u.conj().T
+                # u * diag scales the columns: u @ np.diag(diag) without a matmul
+                self._cache[key] = (u * diag) @ u.conj().T
         return self._cache[key]
 
 

@@ -33,9 +33,14 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def geometric_diag(n: int, ratio: float, scale: float = 1.0, start_power: int = 0) -> np.ndarray:
-    """Diagonal matrix with entries ``scale * ratio**(start_power + k)``, k < n."""
+def geometric_values(n: int, ratio: float, scale: float = 1.0, start_power: int = 0) -> np.ndarray:
+    """The complex entries ``scale * ratio**(start_power + k)``, k < n."""
     if abs(ratio) >= 1:
         raise ValueError("|ratio| must be < 1")
     powers = start_power + np.arange(n)
-    return np.diag(scale * np.power(float(ratio), powers)).astype(complex)
+    return (scale * np.power(float(ratio), powers)).astype(complex)
+
+
+def geometric_diag(n: int, ratio: float, scale: float = 1.0, start_power: int = 0) -> np.ndarray:
+    """Diagonal matrix of :func:`geometric_values`."""
+    return np.diag(geometric_values(n, ratio, scale, start_power))

@@ -33,7 +33,7 @@ from .errors import (
     NotPositiveError,
     NotSelfadjointError,
 )
-from .ncalg import FAMILY_A, FAMILY_B, NCPolynomial, drop_stars
+from .ncalg import FAMILY_A, FAMILY_B, NCPolynomial, drop_stars, poly_sum
 from .spectra import (
     EVMultiset,
     disjoint_union,
@@ -123,48 +123,30 @@ class AlgMatrix:
         if isinstance(other, AlgMatrix):
             if self.shape[1] != other.shape[0]:
                 raise DimensionMismatchError("matrix product dimension mismatch")
-            rows = []
-            for i in range(self.shape[0]):
-                row = []
-                for j in range(other.shape[1]):
-                    acc = NCPolynomial.zero()
-                    for p in range(self.shape[1]):
-                        acc = acc + self.entries[i][p] * other.entries[p][j]
-                    row.append(acc)
-                rows.append(row)
-            return AlgMatrix(rows)
+            inner = range(self.shape[1])
+            return AlgMatrix([
+                [poly_sum(row[p] * other.entries[p][j] for p in inner)
+                 for j in range(other.shape[1])]
+                for row in self.entries
+            ])
         scalar = np.asarray(other, dtype=complex)
         if scalar.ndim != 2 or self.shape[1] != scalar.shape[0]:
             raise DimensionMismatchError("matrix product dimension mismatch")
-        rows = []
-        for i in range(self.shape[0]):
-            row = []
-            for j in range(scalar.shape[1]):
-                acc = NCPolynomial.zero()
-                for p in range(self.shape[1]):
-                    c = scalar[p, j]
-                    if c != 0:
-                        acc = acc + self.entries[i][p] * c
-                row.append(acc)
-            rows.append(row)
-        return AlgMatrix(rows)
+        return AlgMatrix([
+            [poly_sum(row[p] * c for p, c in enumerate(scalar[:, j]) if c != 0)
+             for j in range(scalar.shape[1])]
+            for row in self.entries
+        ])
 
     def __rmatmul__(self, other) -> "AlgMatrix":
         scalar = np.asarray(other, dtype=complex)
         if scalar.ndim != 2 or scalar.shape[1] != self.shape[0]:
             raise DimensionMismatchError("matrix product dimension mismatch")
-        rows = []
-        for i in range(scalar.shape[0]):
-            row = []
-            for j in range(self.shape[1]):
-                acc = NCPolynomial.zero()
-                for p in range(self.shape[0]):
-                    c = scalar[i, p]
-                    if c != 0:
-                        acc = acc + c * self.entries[p][j]
-                row.append(acc)
-            rows.append(row)
-        return AlgMatrix(rows)
+        return AlgMatrix([
+            [poly_sum(c * self.entries[p][j] for p, c in enumerate(scalar[i]) if c != 0)
+             for j in range(self.shape[1])]
+            for i in range(scalar.shape[0])
+        ])
 
     def __pow__(self, m: int) -> "AlgMatrix":
         if m < 1:
@@ -179,10 +161,7 @@ class AlgMatrix:
     def trace(self) -> NCPolynomial:
         if self.shape[0] != self.shape[1]:
             raise DimensionMismatchError("trace needs a square matrix")
-        acc = NCPolynomial.zero()
-        for i in range(self.shape[0]):
-            acc = acc + self.entries[i][i]
-        return acc
+        return poly_sum(self.entries[i][i] for i in range(self.shape[0]))
 
     def power_trace(self, m: int) -> NCPolynomial:
         """``(self**m).trace()``, forming only the diagonal of the last product.
@@ -194,13 +173,10 @@ class AlgMatrix:
             return self.trace()
         left = self ** (m - 1)
         n = self.shape[0]
-        acc = NCPolynomial.zero()
-        for i in range(n):
-            entry = NCPolynomial.zero()
-            for p in range(n):
-                entry = entry + left.entries[i][p] * self.entries[p][i]
-            acc = acc + entry
-        return acc
+        return poly_sum(
+            poly_sum(left.entries[i][p] * self.entries[p][i] for p in range(n))
+            for i in range(n)
+        )
 
 
 @dataclass
@@ -287,8 +263,8 @@ def chain_moment(
     """Trace moment of an alternating chain after reducing every B-matrix.
 
     The scalar matrices fold into coefficients, the chain power stays a
-    matrix of pure-A polynomials, and each diagonal word is evaluated by the
-    weight.
+    matrix of pure-A polynomials, and the words of its trace are evaluated by
+    the weight as one batch (``omega_many``).
     """
     _validate_chain(chain)
     if m < 1:
@@ -298,9 +274,11 @@ def chain_moment(
         scalar = reduce_b_matrix(chain[pos + 1], b_state)
         step = chain[pos] @ scalar
         reduced = step if reduced is None else reduced @ step
+    terms = reduced.power_trace(m).sorted_terms()
+    values = a_model.omega_many([word for word, _ in terms])
     total = 0j
-    for word, coeff in reduced.power_trace(m).sorted_terms():
-        total += coeff * a_model.omega(word)
+    for (_, coeff), value in zip(terms, values):
+        total += coeff * value
     return total
 
 

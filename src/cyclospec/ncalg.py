@@ -181,14 +181,8 @@ class NCPolynomial:
         )
 
     def __add__(self, other) -> "NCPolynomial":
-        other = _coerce(other)
         out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word, 0j) + coeff
-            if acc == 0:
-                out.pop(word, None)
-            else:
-                out[word] = acc
+        _add_terms(out, _coerce(other).terms)
         result = NCPolynomial.zero()
         result.terms = out
         return result
@@ -241,6 +235,30 @@ class NCPolynomial:
 
     def __str__(self) -> str:
         return format_expression(self)
+
+
+def _add_terms(out: dict, terms: Mapping[Word, complex]) -> None:
+    """Add ``terms`` into ``out`` in place; a coefficient that sums to 0 is dropped."""
+    for word, coeff in terms.items():
+        acc = out.get(word, 0j) + coeff
+        if acc == 0:
+            out.pop(word, None)
+        else:
+            out[word] = acc
+
+
+def poly_sum(polys: Iterable[NCPolynomial]) -> NCPolynomial:
+    """``0 + p1 + p2 + ...`` accumulated in one dict.
+
+    The coefficients and the term order are those of the chain of ``+``, so
+    the result is bitwise equal to it, without a copy of the sum per addend.
+    """
+    out: dict[Word, complex] = {}
+    for poly in polys:
+        _add_terms(out, poly.terms)
+    result = NCPolynomial.zero()
+    result.terms = out
+    return result
 
 
 def _coerce(value) -> NCPolynomial:

@@ -16,6 +16,7 @@ shipped in the package's ``demos/`` directory.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -28,7 +29,7 @@ from .cmcalc import (
     MomentTable,
     dense_word_product,
 )
-from .ensembles import geometric_diag, sample_gue, sample_haar_unitary
+from .ensembles import geometric_diag, geometric_values, sample_gue, sample_haar_unitary
 from .errors import (
     DimensionMismatchError,
     NotInDomainError,
@@ -135,6 +136,16 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=complex)
 
 
+def _as_int(value):
+    """An integral ``value`` as an int: the schema's ``integer`` accepts an
+    integral float such as ``40.0``.  Anything else is returned unchanged,
+    for :meth:`Scenario.validate` to reject."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    return int(value) if integral and not isinstance(value, bool) else value
+
+
 @dataclass
 class Scenario:
     """Configuration of one experiment."""
@@ -157,6 +168,10 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
+        for key in ("n", "seed", "trials", "compare_top", "truncation"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"scenario {key!r} must be an integer, not {value!r}")
         if self.n < 2:
             raise ValueError("matrix dimension must be >= 2")
         if self.trials < 1:
@@ -179,6 +194,9 @@ class Scenario:
         recipe = self.prediction.get("recipe")
         if recipe not in _RECIPE_KEYS:
             raise ValueError(f"unknown prediction recipe {recipe!r}")
+        beta = self.prediction.get("beta", "per_trial")
+        if beta != "per_trial":
+            raise ValueError(f"prediction 'beta' must be 'per_trial', not {beta!r}")
         per_trial = recipe == "sum_bac" and self.prediction.get("beta") == "per_trial"
         keys = _PER_TRIAL_KEYS if per_trial else _RECIPE_KEYS[recipe]
         for key in keys:
@@ -216,16 +234,16 @@ class Scenario:
     def from_dict(cls, doc: dict) -> "Scenario":
         return cls(
             name=doc["name"],
-            n=int(doc["n"]),
-            seed=int(doc["seed"]),
-            trials=int(doc.get("trials", 5)),
+            n=_as_int(doc["n"]),
+            seed=_as_int(doc["seed"]),
+            trials=_as_int(doc.get("trials", 5)),
             a_spec=doc["a_spec"],
             b_spec=list(doc["b_spec"]),
             haar_conjugate_b=bool(doc.get("haar_conjugate_b", False)),
             expression=doc["expression"],
             prediction=doc["prediction"],
-            compare_top=int(doc.get("compare_top", 10)),
-            truncation=doc.get("truncation"),
+            compare_top=_as_int(doc.get("compare_top", 10)),
+            truncation=_as_int(doc.get("truncation")),
         )
 
     @classmethod
@@ -307,14 +325,15 @@ def _generators(cells: list) -> list[Letter]:
 def _build_a_matrix(
     scenario: Scenario, a_cells: list | None, rng: np.random.Generator, diagnostics: dict
 ) -> np.ndarray:
+    """The trial's A: a 1-D diagonal, or the dense matrix of a_spec's blocks."""
     spec = scenario.a_spec
     n = scenario.n
     if spec["kind"] == "explicit":
         values = np.asarray(spec["values"], dtype=float)
         if values.size != n:
             raise DimensionMismatchError("explicit spectrum length must equal n")
-        return np.diag(values).astype(complex)
-    d = geometric_diag(n, spec["ratio"], spec.get("scale", 1.0), spec.get("start_power", 0))
+        return values.astype(complex)
+    d = geometric_values(n, spec["ratio"], spec.get("scale", 1.0), spec.get("start_power", 0))
     if a_cells is None:
         return d
     # a1 is the diagonal, every further generator a fresh Haar rotation of it
@@ -324,7 +343,7 @@ def _build_a_matrix(
         if letter.index > 1:
             u = sample_haar_unitary(n, rng)
             diagnostics.setdefault("haar_unitarity", []).append(_unitarity_residual(u))
-            mats[letter] = u @ d @ u.conj().T
+            mats[letter] = (u * d) @ u.conj().T
     return np.block([[_evaluate_expression(p, mats, n) for p in row] for row in a_cells])
 
 

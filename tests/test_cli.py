@@ -186,6 +186,9 @@ def test_scenario_schema_mirrors_validation():
         {"prediction": {"recipe": "chain"}},
         {"prediction": {"recipe": "sum_bac", "bprime_limit": [[1.0]]}},
         {"prediction": {"recipe": "sum_bac", "beta": "per_trial", "bprime": [[1.0]]}},
+        {"prediction": dict(doc["prediction"], beta="x")},
+        {"n": 40.5},
+        {"trials": "2"},
     ]:
         bad = dict(doc, **change)
         assert not validator.is_valid(bad)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from cyclospec import (
     sample_gue,
     sample_haar_unitary,
 )
+from cyclospec import cmcalc
 from cyclospec.cmcalc import WordProducts, dense_word_product
 
 from _oracles import random_general, random_hermitian
@@ -599,3 +601,141 @@ def test_failed_evaluations_are_not_memoized():
             state.tau((b_gen(1), a_gen(1)))
         with pytest.raises(DegreeExceededError):
             table.tau((b_gen(1),) * 3)
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "random"])
+def test_word_product_traces_bitwise_equal_product(order):
+    rng = np.random.default_rng(35)
+    matrices = {i: random_general(4, rng) for i in (1, 2, 3)}
+    words = _product_words(rng)
+    if order == "sorted":
+        words.sort()
+    elif order == "reversed":
+        words.sort(reverse=True)
+    expected = [complex(np.trace(_naive_product(matrices, w, 4))) for w in words]
+    assert WordProducts(matrices, 4).traces(words) == expected
+    assert WordProducts(matrices, 4).traces([]) == []
+
+
+# a word list with adjoint letters, repeats, and words that are prefixes of
+# others, in no particular order
+_batch_words = st.lists(
+    st.lists(
+        st.sampled_from([a_gen(i, star) for i in (1, 2, 3) for star in (False, True)]),
+        min_size=1, max_size=7,
+    ).map(tuple),
+    min_size=1, max_size=40,
+).flatmap(lambda ws: st.lists(st.sampled_from(ws), max_size=10).map(lambda rep: ws + rep))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    _batch_words,
+    st.integers(min_value=0, max_value=10),
+    st.integers(min_value=1, max_value=12),
+)
+def test_omega_many_is_bitwise_omega(dim, seed, words, memoized, batch_nodes):
+    rng = np.random.default_rng(seed)
+    matrices = {i: random_general(dim, rng) for i in (1, 2, 3)}
+    fam = MatrixTraceFamily(matrices)
+    for w in words[:memoized]:  # some words hit the memo, the others miss it
+        fam.omega(w)
+    # a budget of a few nodes splits the words into many batches
+    with mock.patch.object(cmcalc, "TRACE_BATCH_BYTES", batch_nodes * 16 * dim * dim):
+        got = fam.omega_many(words)
+    fresh = MatrixTraceFamily(matrices)
+    assert got == [fresh.omega(w) for w in words]
+    assert fam.omega_many(words) == got
+
+
+@pytest.mark.parametrize("bad", [
+    (a_gen(1), a_gen(9)),
+    (),
+    (a_gen(1), b_gen(1)),
+    (b_gen(2),),
+])
+def test_omega_many_rejects_like_omega_and_memoizes_nothing(bad):
+    rng = np.random.default_rng(36)
+    matrices = {i: random_general(3, rng) for i in (1, 2)}
+    with pytest.raises(NotInDomainError) as single:
+        MatrixTraceFamily(matrices).omega(bad)
+    fam = MatrixTraceFamily(matrices)
+    good = [(a_gen(2), a_gen(1, star=True)), (a_gen(1),)]
+    with pytest.raises(NotInDomainError) as batch:
+        fam.omega_many(good + [bad])
+    assert type(batch.value) is type(single.value)
+    assert fam._values == {}
+    assert fam.omega_many(good) == [MatrixTraceFamily(matrices).omega(w) for w in good]
+
+
+def test_default_omega_many_matches_omega():
+    spectra = {i: GeometricSpectrum(1.0, 0.3 * i, count=16) for i in (1, 2)}
+    base = SpectrumFamily(spectra)
+    composite = CompositeFamily(base, MomentTable.from_b_powers({1: 1.0, 2: 2.0}))
+    g = composite.register((a_gen(1),), (b_gen(1),))
+    words = [(a_gen(2), a_gen(1)), (a_gen(1),), (a_gen(1), a_gen(1)), (a_gen(2), a_gen(1))]
+    models = [
+        base,
+        SpectrumFamily({i: GeometricSpectrum(1.0, 0.3 * i, count=None) for i in (1, 2)}),
+        HaarConjugatedFamily(spectra),
+        composite,
+    ]
+    for model in models:
+        assert model.omega_many(words) == [model.omega(w) for w in words]
+    assert composite.omega_many([(g,), (g, a_gen(1))]) == [
+        composite.omega((g,)), composite.omega((g, a_gen(1)))
+    ]
+
+
+def test_dense_word_product_broadcasts_diagonal_letters():
+    rng = np.random.default_rng(37)
+    # two signed real diagonals (one with a zero), a complex one, a general matrix
+    diagonals = {
+        1: rng.uniform(-1, 1, size=5).astype(complex),
+        2: np.array([0.5, -2.0, 0.0, 1e-3, -7.25], dtype=complex),
+        3: rng.uniform(-1, 1, size=5) + 1j * rng.uniform(-1, 1, size=5),
+    }
+    dense = {i: np.diag(d) for i, d in diagonals.items()}
+    dense[4] = random_general(5, rng)
+    given_ = {**diagonals, 4: dense[4]}
+    pool = [a_gen(i, star) for i in (1, 2, 3, 4) for star in (False, True)]
+    words = [
+        tuple(pool[j] for j in rng.integers(0, len(pool), size=int(rng.integers(1, 6))))
+        for _ in range(300)
+    ]
+    assert any(all(letter.index < 4 for letter in w) for w in words)
+    for w in words:
+        got = dense_word_product(w, lambda letter: given_[letter.index], 5)
+        expected = dense_word_product(w, lambda letter: dense[letter.index], 5)
+        assert got.shape == (5, 5)
+        if any(letter.index == 3 for letter in w):
+            # a complex diagonal rounds once per entry, the matmul may not
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-15)
+        else:
+            assert np.array_equal(got, expected)
+
+
+def test_haar_realization_equals_dense_conjugation():
+    spectra = {i: GeometricSpectrum(1.0, -0.6, count=30) for i in (1, 2)}
+    fam = HaarConjugatedFamily(spectra, realization_seed=4)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(2,)))
+    u = sample_haar_unitary(30, rng)
+    d = np.diag(spectra[2].eigenvalues(30)).astype(complex)
+    assert np.array_equal(fam.realization(2), u @ d @ u.conj().T)
+    assert np.array_equal(fam.realization(1), np.diag(spectra[1].eigenvalues(30)))
+
+
+class _UnbatchedFamily(MatrixTraceFamily):
+    def omega_many(self, words):
+        raise AssertionError("the oracle evaluates one word at a time")
+
+
+def test_oracle_never_batches_words():
+    rng = np.random.default_rng(38)
+    fam = _UnbatchedFamily({i: random_general(3, rng) for i in (1, 2)})
+    state = TraceMatrixState({i: random_general(3, rng) for i in (1, 2)})
+    poly = parse_expression("a1*b1*a2 + b2*a1' + a2", SYMS)
+    expected = poly_moment(poly, 3, MatrixTraceFamily(fam.matrices), state)
+    assert poly_moment(poly, 3, fam, state) == expected

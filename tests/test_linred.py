@@ -9,6 +9,7 @@ from cyclospec import (
     ExplicitSpectrum,
     GeometricSpectrum,
     HaarConjugatedFamily,
+    MatrixTraceFamily,
     MomentTable,
     NCPolynomial,
     NotInDomainError,
@@ -191,6 +192,55 @@ def test_power_trace_is_bitwise_trace_of_power(mat, m):
     assert mat.power_trace(m).terms == (mat**m).trace().terms
 
 
+def _sum_by_addition(polys):
+    """``0 + p1 + p2 + ...`` with one new polynomial per addend."""
+    acc = NCPolynomial.zero()
+    for poly in polys:
+        acc = acc + poly
+    return acc
+
+
+def _items(poly):
+    return list(poly.terms.items())
+
+
+_scalar_entries = st.sampled_from([0j, 1.0, -2.5, 0.3 + 1.7j, -1e-3j])
+
+
+@st.composite
+def _matrix_products(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    left = AlgMatrix([[draw(_polys) for _ in range(dim)] for _ in range(dim)])
+    right = AlgMatrix([[draw(_polys) for _ in range(dim)] for _ in range(dim)])
+    scalar = np.array([[draw(_scalar_entries) for _ in range(dim)] for _ in range(dim)])
+    return left, right, scalar
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_products())
+def test_products_accumulate_bitwise_as_repeated_addition(mats):
+    left, right, scalar = mats
+    n = left.shape[0]
+    product, scaled, rscaled = left @ right, left @ scalar, left.__rmatmul__(scalar)
+    for i in range(n):
+        for j in range(n):
+            assert _items(product.entry(i, j)) == _items(_sum_by_addition(
+                left.entry(i, p) * right.entry(p, j) for p in range(n)
+            ))
+            assert _items(scaled.entry(i, j)) == _items(_sum_by_addition(
+                left.entry(i, p) * scalar[p, j] for p in range(n) if scalar[p, j] != 0
+            ))
+            assert _items(rscaled.entry(i, j)) == _items(_sum_by_addition(
+                scalar[i, p] * left.entry(p, j) for p in range(n) if scalar[i, p] != 0
+            ))
+    assert _items(left.trace()) == _items(_sum_by_addition(left.entry(i, i) for i in range(n)))
+    assert _items(product.power_trace(2)) == _items(_sum_by_addition(
+        _sum_by_addition(
+            product.entry(i, p) * product.entry(p, i) for p in range(n)
+        ) for i in range(n)
+    ))
+
+
 def test_chain_reduction_soundness_randomized():
     rng = np.random.default_rng(41)
     for _ in range(25):
@@ -200,6 +250,30 @@ def test_chain_reduction_soundness_randomized():
             inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
         )
         assert abs(reduced - direct) <= 1e-9 * max(1.0, abs(reduced), abs(direct))
+
+
+class _CountingFamily(MatrixTraceFamily):
+    def __init__(self, matrices):
+        super().__init__(matrices)
+        self.batches = []
+
+    def omega_many(self, words):
+        self.batches.append(list(words))
+        return super().omega_many(words)
+
+
+def test_chain_moment_evaluates_its_words_as_one_batch():
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        inst = chain_instance(rng)
+        counting = _CountingFamily(inst["a_model"].matrices)
+        args = (inst["chain"], inst["m"])
+        value = chain_moment(*args, counting, inst["b_state"])
+        assert value == chain_moment(*args, inst["a_model"], inst["b_state"])
+        (batch,) = counting.batches
+        assert batch == sorted(batch) and len(set(batch)) == len(batch)
+        chain_moment_unreduced(*args, counting, inst["b_state"])
+        assert len(counting.batches) == 1
 
 
 def test_chain_validation_errors():

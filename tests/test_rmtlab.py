@@ -24,7 +24,14 @@ from cyclospec import (
     sample_haar_unitary,
 )
 from cyclospec.cli import main
-from cyclospec.rmtlab import _build_a_matrix, load_matrix_csv, save_matrix_csv, trial_rng
+from cyclospec.ncalg import FAMILY_A, FAMILY_B, Letter
+from cyclospec.rmtlab import (
+    _build_a_matrix,
+    _evaluate_expression,
+    load_matrix_csv,
+    save_matrix_csv,
+    trial_rng,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +148,49 @@ def test_scenario_validation():
         Scenario.from_dict(bad)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n", 40.5),
+    ("n", "40"),
+    ("seed", 1.5),
+    ("seed", True),
+    ("trials", 2.5),
+    ("compare_top", 3.25),
+    ("compare_top", None),
+    ("truncation", 12.5),
+])
+def test_scenario_rejects_non_integral_counts(key, value, tmp_path):
+    doc = dict(builtin_scenario("example3", n=40, trials=2).to_dict(), **{key: value})
+    with pytest.raises(ValueError, match=f"scenario '{key}' must be an integer"):
+        Scenario.from_dict(doc)
+    with pytest.raises(ValueError, match=f"scenario '{key}' must be an integer"):
+        Scenario(**doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_scenario_accepts_integral_floats():
+    doc = dict(builtin_scenario("example3", n=40, trials=2).to_dict(), n=40.0, trials=2.0)
+    scenario = Scenario.from_dict(doc)
+    assert (scenario.n, scenario.trials) == (40, 2)
+    assert type(scenario.n) is int and type(scenario.trials) is int
+
+
+@pytest.mark.parametrize("name,beta", [
+    ("example3", "x"),
+    ("example3", None),
+    ("example2-correlated", "per-trial"),
+])
+def test_scenario_rejects_unknown_beta(name, beta, tmp_path):
+    doc = builtin_scenario(name, n=40, trials=2).to_dict()
+    doc["prediction"] = dict(doc["prediction"], beta=beta, bprime=[[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="prediction 'beta' must be 'per_trial'"):
+        Scenario.from_dict(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
 def _example1_with(**changes):
     doc = builtin_scenario("example1", n=40, trials=1).to_dict()
     for path, value in changes.items():
@@ -221,6 +271,32 @@ def test_blocks_are_drawn_in_index_order():
     longer = _example1_with(expression="b1*a1*b1*a1*b1")
     report = run_scenario(Scenario.from_dict(longer))
     assert report.prediction["parameters"]["k"] == 2
+
+
+@pytest.mark.parametrize("a_spec", [
+    {"kind": "geometric", "ratio": -0.7, "scale": 2.0, "start_power": 1},
+    {"kind": "explicit", "values": [float(v) for v in np.linspace(-1.5, 2.0, 30)]},
+])
+def test_diagonal_trial_a_matches_dense_path(a_spec):
+    n = 30
+    doc = dict(builtin_scenario("example3", n=n, trials=1).to_dict(), a_spec=a_spec)
+    scenario = Scenario.from_dict(doc)
+    d = _build_a_matrix(scenario, None, trial_rng(scenario.seed, 0), {})
+    assert d.shape == (n,)
+    if a_spec["kind"] == "geometric":
+        dense = geometric_diag(n, a_spec["ratio"], a_spec["scale"], a_spec["start_power"])
+    else:
+        dense = np.diag(a_spec["values"]).astype(complex)
+    assert np.array_equal(np.diag(d), dense)
+    rng = np.random.default_rng(7)
+    a1, b1, b2 = Letter(FAMILY_A, 1), Letter(FAMILY_B, 1), Letter(FAMILY_B, 2)
+    b = {b1: sample_gue(n, rng), b2: sample_gue(n, rng)}
+    for text in ["a1 + b1*a1*b1*a1*b1", "b1*a1*b2 + b2*a1*b1", "a1*a1 - a1", "a1*b1*a1'"]:
+        poly = parse_expression(text, {"a1": a1, "b1": b1, "b2": b2})
+        assert np.array_equal(
+            _evaluate_expression(poly, {a1: d, **b}, n),
+            _evaluate_expression(poly, {a1: dense, **b}, n),
+        )
 
 
 def test_example1_trial_a_block_is_hermitian():
