@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -115,7 +117,7 @@ class WordProducts:
                 self._word.append(letter)
         return prod
 
-    def traces(self, words: Sequence[Word]) -> list[complex]:
+    def traces(self, words: Sequence[Word], letters: Iterable[Letter] | None = None) -> list[complex]:
         """Traces of the products of the nonempty ``words``, in their order.
 
         The words are split into batches of at most ``TRACE_BATCH_BYTES`` of
@@ -127,12 +129,15 @@ class WordProducts:
         with ``np.trace(..., axis1=1, axis2=2)``.  So every value is bitwise
         equal to ``complex(np.trace(self.product(w)))``.  Sorted words share
         the most prefixes.  An unknown generator raises ``NotInDomainError``
-        before anything is multiplied.
+        before anything is multiplied.  ``letters``, when given, is the set
+        of the letters of ``words``, which the caller has already taken.
         """
         if not all(words):
             raise ValueError("the empty word has no product to trace")
+        if letters is None:
+            letters = set().union(*words)
         letter_ids: dict[Letter, int] = {}
-        for letter in sorted(set().union(*words)):
+        for letter in sorted(letters):
             if letter.index not in self._matrices:
                 raise NotInDomainError(f"no matrix for generator {letter.label()}")
             letter_ids[letter] = len(letter_ids)
@@ -592,19 +597,31 @@ class MatrixTraceFamily(TraceClassModel):
     def omega_many(self, words: Sequence[Word]) -> list[complex]:
         """The weights of ``words``, bitwise equal to :meth:`omega`'s.
 
-        The words the memo misses are evaluated as one sorted batch by
-        ``WordProducts.traces`` (a repeated word shares all its prefixes).  A word outside the domain raises the
-        error of :meth:`omega`, and then nothing is memoized.
+        Each word is looked up in the memo once.  The words it misses are
+        evaluated as one sorted batch by ``WordProducts.traces`` (a repeated
+        word shares all its prefixes); misses that already come in sorted
+        order, as the words of ``linred.chain_moment`` do, are not sorted
+        again.  A word outside the domain raises the error of :meth:`omega`,
+        and then nothing is memoized.
         """
         values = self._values
-        missing = sorted(w for w in words if w not in values)
-        if not all(missing) or any(
-            letter.family != FAMILY_A for letter in set().union(*missing)
-        ):
+        out = list(map(values.get, words))
+        misses = [pos for pos, value in enumerate(out) if value is None]
+        if not misses:
+            return out
+        missing = [words[pos] for pos in misses]
+        if any(map(operator.gt, missing, islice(missing, 1, None))):
+            misses.sort(key=words.__getitem__)
+            missing = [words[pos] for pos in misses]
+        letters = set().union(*missing)
+        if not all(missing) or any(letter.family != FAMILY_A for letter in letters):
             for w in missing:
                 _check_pure_a_nonempty(w)
-        values.update(zip(missing, self._products.traces(missing)))
-        return [values[w] for w in words]
+        traced = self._products.traces(missing, letters)
+        values.update(zip(missing, traced))
+        for pos, value in zip(misses, traced):
+            out[pos] = value
+        return out
 
     def realization(self, index: int, size: int | None = None) -> np.ndarray:
         if index not in self.matrices:

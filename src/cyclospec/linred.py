@@ -7,6 +7,14 @@ pure-A polynomial with the weight) and an unreduced path (expand everything
 and hand each word to the moment oracle).  The two paths are deliberately
 independent so they can cross-check each other.
 
+Matrix products, traces and trace powers are module functions over grids of
+term maps (``grid_product``, ``grid_scaled``, ``grid_trace``,
+``grid_power_trace``); ``AlgMatrix`` wraps them.  Both chain paths run the
+same functions on the ``ncalg.WordCode`` codes of their words, one character
+per letter, and decode a word only to evaluate it.  A code's order is its
+word's order, so sorting the codes visits the words in ``sorted_terms``
+order, and every value is bitwise that of the same arithmetic on words.
+
 Each closed-form recipe returns a :class:`Prediction` carrying the eigenvalue
 multiset together with the derived scalar quantities it used.
 """
@@ -33,7 +41,18 @@ from .errors import (
     NotPositiveError,
     NotSelfadjointError,
 )
-from .ncalg import FAMILY_A, FAMILY_B, NCPolynomial, drop_stars, poly_sum
+from .ncalg import (
+    FAMILY_A,
+    FAMILY_B,
+    NCPolynomial,
+    WordCode,
+    _polynomial,
+    _product_terms,
+    _scaled_terms,
+    _sum_terms,
+    drop_stars,
+    poly_sum,
+)
 from .spectra import (
     EVMultiset,
     disjoint_union,
@@ -119,24 +138,28 @@ class AlgMatrix:
                     return False
         return True
 
+    def grid(self) -> list[list[dict]]:
+        """The entries' term maps, row by row (shared with the entries, not copied)."""
+        return [[poly.terms for poly in row] for row in self.entries]
+
+    @classmethod
+    def from_grid(cls, grid) -> "AlgMatrix":
+        """The matrix whose entries have the given canonical term maps."""
+        return cls([[_polynomial(terms) for terms in row] for row in grid])
+
     def __matmul__(self, other) -> "AlgMatrix":
         if isinstance(other, AlgMatrix):
             if self.shape[1] != other.shape[0]:
                 raise DimensionMismatchError("matrix product dimension mismatch")
-            inner = range(self.shape[1])
-            return AlgMatrix([
-                [poly_sum(row[p] * other.entries[p][j] for p in inner)
-                 for j in range(other.shape[1])]
-                for row in self.entries
-            ])
+            return AlgMatrix.from_grid(grid_product(self.grid(), other.grid()))
         scalar = np.asarray(other, dtype=complex)
         if scalar.ndim != 2 or self.shape[1] != scalar.shape[0]:
             raise DimensionMismatchError("matrix product dimension mismatch")
-        return AlgMatrix([
-            [poly_sum(row[p] * c for p, c in enumerate(scalar[:, j]) if c != 0)
-             for j in range(scalar.shape[1])]
-            for row in self.entries
-        ])
+        return AlgMatrix.from_grid(grid_scaled(self.grid(), scalar))
+
+    # numpy hands ``ndarray @ AlgMatrix`` over to __rmatmul__ instead of
+    # treating the matrix as a 0-d object array
+    __array_ufunc__ = None
 
     def __rmatmul__(self, other) -> "AlgMatrix":
         scalar = np.asarray(other, dtype=complex)
@@ -148,35 +171,83 @@ class AlgMatrix:
             for i in range(scalar.shape[0])
         ])
 
-    def __pow__(self, m: int) -> "AlgMatrix":
+    def _check_power(self, m: int) -> None:
         if m < 1:
             raise ValueError("matrix power must be >= 1")
         if self.shape[0] != self.shape[1]:
             raise DimensionMismatchError("matrix power needs a square matrix")
-        out = self
-        for _ in range(m - 1):
-            out = out @ self
-        return out
+
+    def __pow__(self, m: int) -> "AlgMatrix":
+        self._check_power(m)
+        return AlgMatrix.from_grid(grid_power(self.grid(), m))
 
     def trace(self) -> NCPolynomial:
         if self.shape[0] != self.shape[1]:
             raise DimensionMismatchError("trace needs a square matrix")
-        return poly_sum(self.entries[i][i] for i in range(self.shape[0]))
+        return _polynomial(grid_trace(self.grid()))
 
     def power_trace(self, m: int) -> NCPolynomial:
-        """``(self**m).trace()``, forming only the diagonal of the last product.
-
-        The diagonal entries and their sum are accumulated in the order of
-        ``__matmul__`` and :meth:`trace`, so the terms are bitwise equal.
-        """
+        """``(self**m).trace()``, forming only the diagonal of the last product."""
         if m == 1:
             return self.trace()
-        left = self ** (m - 1)
-        n = self.shape[0]
-        return poly_sum(
-            poly_sum(left.entries[i][p] * self.entries[p][i] for p in range(n))
-            for i in range(n)
-        )
+        self._check_power(m - 1)
+        return _polynomial(grid_power_trace(self.grid(), m))
+
+
+# ---------------------------------------------------------------------------
+# matrix kernels over grids of term maps
+# ---------------------------------------------------------------------------
+#
+# A grid is a list of rows of term maps (``NCPolynomial.terms``).  The kernels
+# only multiply and add term maps with the ncalg kernels, which never look
+# inside a key, so they run alike on words and on ``WordCode`` codes.  Every
+# entry is accumulated as the chain of ``+`` over its products in index
+# order, so the terms are bitwise those of the same sums of polynomials.
+
+
+def grid_product(left, right) -> list[list[dict]]:
+    """``left @ right`` for two grids of matching shapes."""
+    inner = range(len(right))
+    cols = range(len(right[0]))
+    return [
+        [_sum_terms(_product_terms(row[p], right[p][j]) for p in inner) for j in cols]
+        for row in left
+    ]
+
+
+def grid_scaled(left, scalar: np.ndarray) -> list[list[dict]]:
+    """``left @ scalar`` for a 2-D complex array; zero entries are skipped."""
+    return [
+        [_sum_terms(_scaled_terms(row[p], c) for p, c in enumerate(scalar[:, j]) if c != 0)
+         for j in range(scalar.shape[1])]
+        for row in left
+    ]
+
+
+def grid_power(grid, m: int) -> list[list[dict]]:
+    """``grid @ grid @ ...`` (``m`` factors), multiplied from the left."""
+    out = grid
+    for _ in range(m - 1):
+        out = grid_product(out, grid)
+    return out
+
+
+def grid_trace(grid) -> dict:
+    return _sum_terms(grid[i][i] for i in range(len(grid)))
+
+
+def grid_power_trace(grid, m: int) -> dict:
+    """``grid_trace(grid_power(grid, m))``, forming only the diagonal of the
+    last product; its entries and their sum are accumulated in the same
+    order, so the terms are bitwise equal."""
+    if m == 1:
+        return grid_trace(grid)
+    left = grid_power(grid, m - 1)
+    n = len(grid)
+    return _sum_terms(
+        _sum_terms(_product_terms(left[i][p], grid[p][i]) for p in range(n))
+        for i in range(n)
+    )
 
 
 @dataclass
@@ -254,6 +325,17 @@ def _validate_chain(chain: Sequence[AlgMatrix]) -> int:
     return dim
 
 
+def _coded_grids(mats: Sequence[AlgMatrix]) -> tuple[WordCode, list]:
+    """A :class:`WordCode` for the letters of ``mats`` and their coded grids."""
+    code = WordCode(
+        letter
+        for mat in mats for row in mat.entries for poly in row
+        for word in poly.terms for letter in word
+    )
+    return code, [[[code.encode_terms(terms) for terms in row] for row in mat.grid()]
+                  for mat in mats]
+
+
 def chain_moment(
     chain: Sequence[AlgMatrix],
     m: int,
@@ -264,20 +346,27 @@ def chain_moment(
 
     The scalar matrices fold into coefficients, the chain power stays a
     matrix of pure-A polynomials, and the words of its trace are evaluated by
-    the weight as one batch (``omega_many``).
+    the weight as one sorted batch (``omega_many``).  The polynomials are
+    multiplied out over the :class:`WordCode` codes of their words, with the
+    products and sums of the ``AlgMatrix`` arithmetic, and a word is decoded
+    only for the weight, in code order, which is word order.
     """
     _validate_chain(chain)
     if m < 1:
         raise ValueError("moment order must be >= 1")
+    code, a_grids = _coded_grids(chain[0::2])
     reduced = None
-    for pos in range(0, len(chain), 2):
-        scalar = reduce_b_matrix(chain[pos + 1], b_state)
-        step = chain[pos] @ scalar
-        reduced = step if reduced is None else reduced @ step
-    terms = reduced.power_trace(m).sorted_terms()
-    values = a_model.omega_many([word for word, _ in terms])
+    for a_grid, b_matrix in zip(a_grids, chain[1::2]):
+        step = grid_scaled(a_grid, reduce_b_matrix(b_matrix, b_state))
+        reduced = step if reduced is None else grid_product(reduced, step)
+    trace = grid_power_trace(reduced, m)
+    del a_grids, reduced, step
+    codes = sorted(trace)
+    coeffs = [trace[c] for c in codes]
+    words = [code.decode(c) for c in codes]
+    del trace, codes  # the codes are freed before the weight runs
     total = 0j
-    for (_, coeff), value in zip(terms, values):
+    for coeff, value in zip(coeffs, a_model.omega_many(words)):
         total += coeff * value
     return total
 
@@ -290,18 +379,23 @@ def chain_moment_unreduced(
 ) -> complex:
     """Cross-check path: expand the unreduced chain and use the moment oracle.
 
-    Exponential in the chain length; intended for small verification
-    instances, not production evaluation.
+    The expansion runs over :class:`WordCode` codes as :func:`chain_moment`
+    does; each word of the trace is decoded as its turn comes, in word
+    order, and handed to ``cm_moment``.  Exponential in the chain length;
+    intended for small verification instances, not production evaluation.
     """
     _validate_chain(chain)
     if m < 1:
         raise ValueError("moment order must be >= 1")
+    code, grids = _coded_grids(chain)
     product = None
-    for mat in chain:
-        product = mat if product is None else product @ mat
+    for grid in grids:
+        product = grid if product is None else grid_product(product, grid)
+    trace = grid_power_trace(product, m)
+    del grids, product, grid  # only the trace is needed from here on
     total = 0j
-    for word, coeff in product.power_trace(m).sorted_terms():
-        total += coeff * cm_moment(word, a_model, b_state)
+    for c in sorted(trace):
+        total += trace[c] * cm_moment(code.decode(c), a_model, b_state)
     return total
 
 

@@ -2,8 +2,12 @@
 
 Generators split into an A-family (trace-class side) and a B-family (state
 side).  Words are tuples of :class:`Letter`; polynomials are canonical
-word-to-coefficient maps.  A small expression grammar provides the text
-front end used by the CLI and by moment-table documents::
+word-to-coefficient maps.  The term-map kernels behind polynomial
+arithmetic (``_product_terms``, ``_sum_terms``, ...) work on any injective
+encoding of the words, and :class:`WordCode` gives one: a word as a ``str``
+of one character per letter, whose order is the word's order.  A small
+expression grammar provides the text front end used by the CLI and by
+moment-table documents::
 
     expr   := ('+'|'-')? term (('+'|'-') term)*
     term   := factor ('*' factor)*
@@ -60,6 +64,39 @@ def b_gen(index: int, star: bool = False) -> Letter:
 Word = tuple  # tuple[Letter, ...]
 
 UNIT: Word = ()
+
+
+class WordCode:
+    """One-character ``str`` codes for the words over a fixed set of letters.
+
+    The letters are ranked in their sorted order, and the letter of rank
+    ``k`` is coded as ``chr(k)``; a word's code is the string of its letters'
+    codes, and the empty word's code is ``""``.  Strings compare character by
+    character with a proper prefix first, as tuples of letters do, so **a
+    code's order is its word's order**: codes sort exactly as their words
+    do.  The coding is injective and turns concatenation of words into ``+``
+    of strings, so the term-map arithmetic of this module gives the same
+    coefficients in the same term order on coded keys as on words.  Unlike a
+    tuple of letters, a ``str`` caches its hash, which makes coded products
+    and sorts cheaper.
+    """
+
+    def __init__(self, letters: Iterable[Letter]):
+        self._codes = {letter: chr(rank) for rank, letter in enumerate(sorted(set(letters)))}
+        self._letter_of = {code: letter for letter, code in self._codes.items()}.__getitem__
+
+    def encode(self, w: Word) -> str:
+        return "".join(map(self._codes.__getitem__, w))
+
+    def encode_terms(self, terms: Mapping[Word, complex]) -> dict[str, complex]:
+        """``terms`` with each word replaced by its code, in the same order."""
+        return {self.encode(w): coeff for w, coeff in terms.items()}
+
+    def decode(self, code: str) -> Word:
+        # from a list, the tuple is allocated at its exact size; from the map
+        # itself it would grow in steps and keep the slack, and a memo that
+        # keeps the word keeps the slack with it
+        return tuple([*map(self._letter_of, code)])
 
 
 def word_adjoint(w: Word) -> Word:
@@ -124,17 +161,7 @@ class NCPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Word, complex] | None = None):
-        collected: dict[Word, complex] = {}
-        if terms:
-            for word, coeff in terms.items():
-                c = complex(coeff)
-                if c != 0:
-                    acc = collected.get(word, 0j) + c
-                    if acc == 0:
-                        collected.pop(word, None)
-                    else:
-                        collected[word] = acc
-        self.terms = collected
+        self.terms = _canonical_terms(terms) if terms else {}
 
     @classmethod
     def zero(cls) -> "NCPolynomial":
@@ -183,9 +210,7 @@ class NCPolynomial:
     def __add__(self, other) -> "NCPolynomial":
         out = dict(self.terms)
         _add_terms(out, _coerce(other).terms)
-        result = NCPolynomial.zero()
-        result.terms = out
-        return result
+        return _polynomial(out)
 
     __radd__ = __add__
 
@@ -200,20 +225,8 @@ class NCPolynomial:
 
     def __mul__(self, other) -> "NCPolynomial":
         if isinstance(other, (int, float, complex)):
-            return NCPolynomial({w: c * other for w, c in self.terms.items()})
-        other = _coerce(other)
-        out: dict[Word, complex] = {}
-        for wu, cu in self.terms.items():
-            for wv, cv in other.terms.items():
-                word = wu + wv
-                acc = out.get(word, 0j) + cu * cv
-                if acc == 0:
-                    out.pop(word, None)
-                else:
-                    out[word] = acc
-        result = NCPolynomial.zero()
-        result.terms = out
-        return result
+            return _polynomial(_scaled_terms(self.terms, other))
+        return _polynomial(_product_terms(self.terms, _coerce(other).terms))
 
     def __rmul__(self, other) -> "NCPolynomial":
         if isinstance(other, (int, float, complex)):
@@ -237,7 +250,54 @@ class NCPolynomial:
         return format_expression(self)
 
 
-def _add_terms(out: dict, terms: Mapping[Word, complex]) -> None:
+# The term-map kernels below never look inside a key: a key only needs ``+``
+# (concatenation), hashing and equality.  Words are tuples of letters, but a
+# caller may run the same arithmetic on another injective encoding of its
+# words (``linred`` uses one-character codes), and gets the same coefficients
+# in the same term order.
+
+
+def _polynomial(terms: dict) -> NCPolynomial:
+    """Wrap an already canonical term map without copying it."""
+    result = NCPolynomial.__new__(NCPolynomial)
+    result.terms = terms
+    return result
+
+
+def _canonical_terms(terms: Mapping) -> dict:
+    """``terms`` with complex coefficients; zeros, and sums to zero, are dropped."""
+    out: dict = {}
+    for word, coeff in terms.items():
+        c = complex(coeff)
+        if c != 0:
+            acc = out.get(word, 0j) + c
+            if acc == 0:
+                out.pop(word, None)
+            else:
+                out[word] = acc
+    return out
+
+
+def _scaled_terms(terms: Mapping, c) -> dict:
+    """The terms of ``p * c`` (and of ``c * p``) for a scalar ``c``."""
+    return _canonical_terms({word: coeff * c for word, coeff in terms.items()})
+
+
+def _product_terms(u: Mapping, v: Mapping) -> dict:
+    """The terms of ``p * q``, from the term maps of ``p`` and ``q``."""
+    out: dict = {}
+    for wu, cu in u.items():
+        for wv, cv in v.items():
+            word = wu + wv
+            acc = out.get(word, 0j) + cu * cv
+            if acc == 0:
+                out.pop(word, None)
+            else:
+                out[word] = acc
+    return out
+
+
+def _add_terms(out: dict, terms: Mapping) -> None:
     """Add ``terms`` into ``out`` in place; a coefficient that sums to 0 is dropped."""
     for word, coeff in terms.items():
         acc = out.get(word, 0j) + coeff
@@ -247,18 +307,21 @@ def _add_terms(out: dict, terms: Mapping[Word, complex]) -> None:
             out[word] = acc
 
 
+def _sum_terms(term_maps: Iterable[Mapping]) -> dict:
+    """The terms of ``0 + p1 + p2 + ...``, accumulated in one dict."""
+    out: dict = {}
+    for terms in term_maps:
+        _add_terms(out, terms)
+    return out
+
+
 def poly_sum(polys: Iterable[NCPolynomial]) -> NCPolynomial:
     """``0 + p1 + p2 + ...`` accumulated in one dict.
 
     The coefficients and the term order are those of the chain of ``+``, so
     the result is bitwise equal to it, without a copy of the sum per addend.
     """
-    out: dict[Word, complex] = {}
-    for poly in polys:
-        _add_terms(out, poly.terms)
-    result = NCPolynomial.zero()
-    result.terms = out
-    return result
+    return _polynomial(_sum_terms(poly.terms for poly in polys))
 
 
 def _coerce(value) -> NCPolynomial:
@@ -301,9 +364,7 @@ def drop_stars(p: NCPolynomial, selfadjoint_generators: Iterable[Letter] | None 
             out.pop(new, None)
         else:
             out[new] = acc
-    result = NCPolynomial.zero()
-    result.terms = out
-    return result
+    return _polynomial(out)
 
 
 def is_selfadjoint(p: NCPolynomial, selfadjoint_generators: Iterable[Letter] | None = None) -> bool:

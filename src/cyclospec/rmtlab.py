@@ -136,6 +136,14 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=complex)
 
 
+# the JSON types Scenario.validate checks, as jsonschema reads them: a bool
+# is not a number
+_JSON_TYPES = {
+    "string": lambda value: isinstance(value, str),
+    "number": lambda value: isinstance(value, numbers.Real) and not isinstance(value, bool),
+}
+
+
 def _as_int(value):
     """An integral ``value`` as an int: the schema's ``integer`` accepts an
     integral float such as ``40.0``.  Anything else is returned unchanged,
@@ -172,6 +180,9 @@ class Scenario:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"scenario {key!r} must be an integer, not {value!r}")
+        for key, value, kind in self._typed_fields():
+            if not _JSON_TYPES[kind](value):
+                raise ValueError(f"scenario {key!r} must be a {kind}, not {value!r}")
         if self.n < 2:
             raise ValueError("matrix dimension must be >= 2")
         if self.trials < 1:
@@ -209,6 +220,28 @@ class Scenario:
         parse_expression(self.expression, self._symbols())
         if recipe == "chain":
             _chain(self)
+
+    def _typed_fields(self):
+        """``(key, value, type)`` for each given field that the schema types
+        as a string or a number; an array of numbers gives one per item."""
+        yield "name", self.name, "string"
+        yield "expression", self.expression, "string"
+        for pos, spec in enumerate(self.b_spec):
+            if "path" in spec:
+                yield f"b_spec[{pos}].path", spec["path"], "string"
+        for key in ("scale", "ratio"):
+            if key in self.a_spec:
+                yield f"a_spec.{key}", self.a_spec[key], "number"
+        values = self.a_spec.get("values", [])
+        for pos, value in enumerate(values if isinstance(values, (list, tuple)) else []):
+            yield f"a_spec.values[{pos}]", value, "number"
+        for key in ("tau_b", "tau_b2"):
+            if key in self.prediction:
+                yield f"prediction.{key}", self.prediction[key], "number"
+        diag = self.prediction.get("diag", [])
+        for pos, piece in enumerate(diag if isinstance(diag, (list, tuple)) else []):
+            if isinstance(piece, dict) and "coeff" in piece:
+                yield f"prediction.diag[{pos}].coeff", piece["coeff"], "number"
 
     def _blocks(self) -> tuple[list | None, list]:
         """The parsed ``blocks`` of a_spec and of each b_spec entry (``None`` if absent)."""

@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 
 import numpy as np
@@ -194,6 +195,47 @@ def test_scenario_schema_mirrors_validation():
         assert not validator.is_valid(bad)
         with pytest.raises(ValueError):
             rmtlab.Scenario.from_dict(bad)
+
+
+_ANTICOMMUTATOR = {"prediction": {"recipe": "anticommutator", "tau_b": 1.0, "tau_b2": 2.0}}
+
+
+@pytest.mark.parametrize("base,path,value", [
+    pytest.param(base, path, value, id=path)
+    for base, path, value in [
+        ({}, "a_spec__scale", "1.0"),
+        ({}, "a_spec__ratio", True),
+        ({"a_spec": {"kind": "explicit", "values": [1.0] * 40}}, "a_spec__values__1", "2"),
+        (_ANTICOMMUTATOR, "prediction__tau_b", "1"),
+        (_ANTICOMMUTATOR, "prediction__tau_b2", False),
+        ({}, "prediction__diag__0__coeff", None),
+        ({}, "name", 7),
+        ({}, "expression", ["a1 + b1*a1*b1*a1*b1"]),
+        ({"b_spec": [{"kind": "file", "path": "b.csv"}]}, "b_spec__0__path", 3),
+    ]
+])
+def test_scenario_schema_rejects_mistyped_fields_as_validation_does(base, path, value, tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(json.loads(
+        resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
+    ))
+    doc = dict(builtin_scenario("example3", n=40, trials=2).to_dict(), **base)
+    assert validator.is_valid(doc)
+    rmtlab.Scenario.from_dict(doc)
+    # set the field named by path (keys and list positions joined by "__")
+    bad = json.loads(json.dumps(doc))
+    *keys, last = [int(k) if k.isdigit() else k for k in path.split("__")]
+    target = bad
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    assert not validator.is_valid(bad)
+    key = re.sub(r"__(\d+)", r"[\1]", path).replace("__", ".")
+    with pytest.raises(ValueError, match=re.escape(f"scenario {key!r} must be a")):
+        rmtlab.Scenario.from_dict(bad)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(bad))
+    assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")) == 1
 
 
 def test_formula_demos(capsys):

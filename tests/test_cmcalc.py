@@ -650,6 +650,26 @@ def test_omega_many_is_bitwise_omega(dim, seed, words, memoized, batch_nodes):
     assert fam.omega_many(words) == got
 
 
+@pytest.mark.parametrize("order", ["sorted", "reversed", "random"])
+def test_omega_many_memoizes_what_omega_does(order):
+    rng = np.random.default_rng(37)
+    matrices = {i: random_general(3, rng) for i in (1, 2, 3)}
+    words = _product_words(rng)
+    if order == "sorted":
+        words.sort()
+    elif order == "reversed":
+        words.sort(reverse=True)
+    fam = MatrixTraceFamily(matrices)
+    for w in words[::7]:  # hits among the misses
+        fam.omega(w)
+    batch = MatrixTraceFamily(matrices)
+    for w in words[::7]:
+        batch.omega(w)
+    values = batch.omega_many(words)
+    assert values == [fam.omega(w) for w in words]
+    assert batch._values == fam._values
+
+
 @pytest.mark.parametrize("bad", [
     (a_gen(1), a_gen(9)),
     (),

@@ -16,10 +16,12 @@ from cyclospec import (
     NotPositiveError,
     NotSelfadjointError,
     SpectrumFamily,
+    TraceMatrixState,
     a_gen,
     b_gen,
     chain_moment,
     chain_moment_unreduced,
+    cm_moment,
     ev_anticommutator,
     ev_chain,
     ev_commutator,
@@ -41,6 +43,7 @@ from _oracles import (
     chain_instance,
     commutator_instance,
     conjugated_sum_instance,
+    random_general,
     random_hermitian,
     random_psd,
     sum_aba_instance,
@@ -239,6 +242,143 @@ def test_products_accumulate_bitwise_as_repeated_addition(mats):
             product.entry(i, p) * product.entry(p, i) for p in range(n)
         ) for i in range(n)
     ))
+
+
+# Letters of both families, with adjoints and indices past 9: a code built
+# from the decimal digits of an index, or ranked in order of appearance,
+# would order these words unlike the words themselves.
+_mixed_a_letters = [a_gen(i, star) for i in (1, 2, 10, 11) for star in (False, True)]
+_mixed_b_letters = [b_gen(i, star) for i in (1, 3, 12) for star in (False, True)]
+
+
+def _mixed_polys(letters, min_len=0):
+    return st.dictionaries(
+        st.lists(st.sampled_from(letters), min_size=min_len, max_size=2).map(tuple),
+        st.builds(complex, _coefficient_parts, _coefficient_parts),
+        min_size=1 if min_len else 0,
+        max_size=3,
+    ).map(NCPolynomial)
+
+
+def _ref_product(left, right):
+    """Entries of ``left @ right`` from plain ``*`` and ``+`` of polynomials."""
+    n = len(right)
+    return [
+        [_sum_by_addition(row[p] * right[p][j] for p in range(n)) for j in range(len(right[0]))]
+        for row in left
+    ]
+
+
+def _ref_scaled(left, scalar):
+    return [
+        [_sum_by_addition(row[p] * scalar[p, j] for p in range(len(row)) if scalar[p, j] != 0)
+         for j in range(scalar.shape[1])]
+        for row in left
+    ]
+
+
+def _ref_power_trace(entries, m):
+    n = len(entries)
+    if m == 1:
+        return _sum_by_addition(entries[i][i] for i in range(n))
+    left = entries
+    for _ in range(m - 2):
+        left = _ref_product(left, entries)
+    return _sum_by_addition(
+        _sum_by_addition(left[i][p] * entries[p][i] for p in range(n)) for i in range(n)
+    )
+
+
+def _item_grid(rows):
+    return [[_items(poly) for poly in row] for row in rows]
+
+
+@st.composite
+def _mixed_matrices(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    polys = _mixed_polys(_mixed_a_letters + _mixed_b_letters)
+    left = [[draw(polys) for _ in range(dim)] for _ in range(dim)]
+    right = [[draw(polys) for _ in range(dim)] for _ in range(dim)]
+    scalar = np.array([[draw(_scalar_entries) for _ in range(dim)] for _ in range(dim)])
+    return left, right, scalar
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_matrices())
+def test_matrix_kernels_bitwise_equal_polynomial_arithmetic(mats):
+    left, right, scalar = mats
+    mat = AlgMatrix(left)
+    assert _item_grid((mat @ AlgMatrix(right)).entries) == _item_grid(_ref_product(left, right))
+    assert _item_grid((mat @ scalar).entries) == _item_grid(_ref_scaled(left, scalar))
+    for m in (1, 2, 3, 4):
+        assert _items(mat.power_trace(m)) == _items(_ref_power_trace(left, m))
+    assert _items(mat.trace()) == _items(_ref_power_trace(left, 1))
+
+
+def _chain_reference(chain, m, a_model, b_state):
+    """Both chain traces from polynomial arithmetic on words and ``sorted_terms``,
+    evaluated one word at a time on fresh copies of the matrix models."""
+    a_model = MatrixTraceFamily(a_model.matrices)
+    b_state = TraceMatrixState(b_state.matrices)
+    entries = [mat.entries for mat in chain]
+    reduced = None
+    for a_entries, b_mat in zip(entries[0::2], chain[1::2]):
+        step = _ref_scaled(a_entries, reduce_b_matrix(b_mat, b_state))
+        reduced = step if reduced is None else _ref_product(reduced, step)
+    by_weight = 0j
+    for word, coeff in _ref_power_trace(reduced, m).sorted_terms():
+        by_weight += coeff * a_model.omega(word)
+    product = entries[0]
+    for more in entries[1:]:
+        product = _ref_product(product, more)
+    by_oracle = 0j
+    for word, coeff in _ref_power_trace(product, m).sorted_terms():
+        by_oracle += coeff * cm_moment(word, a_model, b_state)
+    return by_weight, by_oracle
+
+
+def _assert_chain_paths_match_reference(chain, m, a_model, b_state):
+    reduced = chain_moment(chain, m, a_model, b_state)
+    direct = chain_moment_unreduced(chain, m, a_model, b_state)
+    assert (reduced, direct) == _chain_reference(chain, m, a_model, b_state)
+
+
+def test_chain_paths_bitwise_equal_reference_on_criterion_3_chains():
+    rng = np.random.default_rng(3030)
+    for _ in range(100):
+        inst = chain_instance(rng)
+        _assert_chain_paths_match_reference(
+            inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(1, 1, 3), (1, 2, 2), (2, 1, 2), (2, 1, 1)]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_chain_paths_bitwise_equal_reference_on_mixed_letters(shape, seed, data):
+    dim, k, m = shape
+    a_polys = _mixed_polys(_mixed_a_letters, min_len=1)
+    b_polys = _mixed_polys(_mixed_b_letters)
+    chain = []
+    for _ in range(k):
+        chain.append(AlgMatrix([[data.draw(a_polys) for _ in range(dim)] for _ in range(dim)]))
+        chain.append(AlgMatrix([[data.draw(b_polys) for _ in range(dim)] for _ in range(dim)]))
+    rng = np.random.default_rng(seed)
+    a_model = MatrixTraceFamily({i: random_general(3, rng) for i in (1, 2, 10, 11)})
+    b_state = TraceMatrixState({i: random_general(3, rng) for i in (1, 3, 12)})
+    _assert_chain_paths_match_reference(chain, m, a_model, b_state)
+
+
+def test_numpy_left_operand_reaches_rmatmul():
+    mat = AlgMatrix([["a1 + 2*b10'", "a11*b1"], ["0", "b2 - a1"]])
+    scalar = np.array([[1.0, 2 - 1j], [0.0, 0.5j]])
+    got = scalar @ mat
+    assert isinstance(got, AlgMatrix)
+    assert _item_grid(got.entries) == _item_grid(mat.__rmatmul__(scalar).entries)
+    assert _item_grid((np.eye(1) @ AlgMatrix([["a1"]])).entries) == [[[((a_gen(1),), 1 + 0j)]]]
 
 
 def test_chain_reduction_soundness_randomized():
