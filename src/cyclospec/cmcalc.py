@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import operator
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
@@ -127,7 +128,7 @@ class WordProducts:
         products by the letters' matrices, starting from the identity as
         :meth:`product` does, and the traces of a depth's nodes are taken
         with ``np.trace(..., axis1=1, axis2=2)``.  So every value is bitwise
-        equal to ``complex(np.trace(self.product(w)))``.  Sorted words share
+        equal to ``complex(self.product(w).trace())``.  Sorted words share
         the most prefixes.  An unknown generator raises ``NotInDomainError``
         before anything is multiplied.  ``letters``, when given, is the set
         of the letters of ``words``, which the caller has already taken.
@@ -341,6 +342,17 @@ def _agree(x: complex, y: complex) -> bool:
     return abs(x - y) <= rounding_tolerance(1e-12, max(abs(x), abs(y)))
 
 
+def _is_json_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_json_integer(value) -> bool:
+    """JSON Schema's ``integer``: an int or an integral float such as ``40.0``."""
+    return _is_json_number(value) and (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    )
+
+
 class MomentTable(TracialState):
     """Finite table of state values on pure-B words up to a degree cap.
 
@@ -388,9 +400,24 @@ class MomentTable(TracialState):
 
     @classmethod
     def from_json_doc(cls, doc: Mapping, symbols: Mapping[str, Letter] | None = None) -> "MomentTable":
-        """Load ``{"degree_cap": d, "moments": {"b1*b1": [re, im], ...}}``."""
+        """Load ``{"degree_cap": d, "moments": {"b1*b1": [re, im], ...}}``.
+
+        A value is a number, ``[re]`` or ``[re, im]``, and ``d`` an integer
+        >= 1 (an integral float such as ``4.0`` counts); anything else raises
+        ``ValueError``.
+        """
+        if not isinstance(doc, Mapping) or not isinstance(doc.get("moments", {}), Mapping):
+            raise ValueError("a moment table is an object with a 'moments' object")
+        cap = doc.get("degree_cap")
+        if cap is not None and not (_is_json_integer(cap) and cap >= 1):
+            raise ValueError(f"degree_cap must be an integer >= 1, not {cap!r}")
         moments = {}
         for key, value in doc.get("moments", {}).items():
+            pair = isinstance(value, (list, tuple)) and 1 <= len(value) <= 2
+            if not (_is_json_number(value) or pair and all(map(_is_json_number, value))):
+                raise ValueError(
+                    f"moment {key!r} must be a number, [re] or [re, im], not {value!r}"
+                )
             syms = symbols if symbols is not None else auto_symbols(key)
             poly = parse_expression(key, syms)
             if len(poly.terms) != 1:
@@ -398,10 +425,10 @@ class MomentTable(TracialState):
             (word, coeff), = poly.terms.items()
             if coeff != 1:
                 raise ValueError(f"moment key {key!r} must have coefficient 1")
-            if isinstance(value, (list, tuple)):
+            if pair:
                 value = complex(value[0], value[1] if len(value) > 1 else 0.0)
             moments[word] = complex(value)
-        return cls(moments, degree_cap=doc.get("degree_cap"))
+        return cls(moments, degree_cap=cap)
 
     @classmethod
     def from_json(cls, path) -> "MomentTable":
@@ -467,7 +494,7 @@ class TraceMatrixState(TracialState):
         _check_pure_b(w)
         if not w:
             return 1 + 0j
-        return complex(np.trace(self._products.product(w))) / self.dim
+        return complex(self._products.product(w).trace()) / self.dim
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +619,7 @@ class MatrixTraceFamily(TraceClassModel):
     @_memoized_per_word
     def omega(self, w: Word) -> complex:
         _check_pure_a_nonempty(w)
-        return complex(np.trace(self._products.product(w)))
+        return complex(self._products.product(w).trace())
 
     def omega_many(self, words: Sequence[Word]) -> list[complex]:
         """The weights of ``words``, bitwise equal to :meth:`omega`'s.

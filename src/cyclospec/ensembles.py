@@ -15,8 +15,11 @@ def sample_gue(n: int, rng: np.random.Generator) -> np.ndarray:
     """Hermitian GUE sample of dimension ``n`` with ``E tr(G^2) = 1``."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * np.sqrt(0.5)
-    return (z + z.conj().T) / np.sqrt(2.0 * n)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z *= np.sqrt(0.5)
+    z += z.conj().T  # the right side is a copy, so z is read before it is written
+    z /= np.sqrt(2.0 * n)
+    return z
 
 
 def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -27,10 +30,12 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * np.sqrt(0.5)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z *= np.sqrt(0.5)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    q *= d / np.abs(d)
+    return q
 
 
 def geometric_values(n: int, ratio: float, scale: float = 1.0, start_power: int = 0) -> np.ndarray:

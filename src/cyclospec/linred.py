@@ -668,12 +668,14 @@ def _numerically_hermitian(m: np.ndarray) -> bool:
     return residual <= rounding_tolerance(NUMERIC_HERMITICITY_TOL, float(np.max(np.abs(m))))
 
 
-def _sandwich_spectrum(a_matrix: np.ndarray, bprime: np.ndarray, n_inner: int):
-    """Spectrum of ``A (B' x I)`` as that of ``(sqrt(B') x I) A (sqrt(B') x I)``.
+def _hermitian_sandwich(a_matrix: np.ndarray, bprime: np.ndarray, n_inner: int):
+    """``(sqrt(B') x I) A (sqrt(B') x I)``, whose spectrum is that of ``A (B' x I)``.
 
     XY and YX share their eigenvalues, and the sandwich is Hermitian when A
     is Hermitian and B' is Hermitian PSD.  Returns ``None`` when either
-    condition fails.
+    condition fails; otherwise ``a_matrix`` is symmetrized in place first,
+    since the sandwich would scale A's accepted asymmetry past the
+    spectrum's own check.
     """
     if not _numerically_hermitian(a_matrix):
         return None
@@ -682,12 +684,12 @@ def _sandwich_spectrum(a_matrix: np.ndarray, bprime: np.ndarray, n_inner: int):
     except (NotSelfadjointError, NotPositiveError):
         return None
     dim = root.shape[0]
-    # symmetrized first: the sandwich would scale A's accepted asymmetry past
-    # the spectrum's own check
-    blocks = ((a_matrix + a_matrix.conj().T) / 2.0).reshape(dim, n_inner, dim, n_inner)
+    a_matrix += a_matrix.conj().T  # the right side is a copy
+    a_matrix /= 2.0
+    blocks = a_matrix.reshape(dim, n_inner, dim, n_inner)
     # the (i, j) block of the sandwich is sum_pq root[i, p] A_pq root[q, j]
     sandwich = np.einsum("ip,paqb,qj->iajb", root, blocks, root)
-    return hermitian_spectrum(sandwich.reshape(dim * n_inner, dim * n_inner), source="predicted")
+    return sandwich.reshape(dim * n_inner, dim * n_inner)
 
 
 def _product_spectrum(a_matrices, reduced_blocks, n_inner: int) -> EVMultiset:
@@ -780,12 +782,15 @@ def ev_chain(
         raise NotInDomainError("chain contains no A-generators to realize")
     n_inner = realize_letter(letters[0]).shape[0]
 
-    first = realize_a_matrix(chain[0], n_inner)
-    multiset = _sandwich_spectrum(first, reduced_blocks[0], n_inner) if k == 1 else None
+    multiset = None
+    if k == 1:
+        # no name holds the realized A, so it is freed before the eigensolve
+        sandwich = _hermitian_sandwich(realize_a_matrix(chain[0], n_inner), reduced_blocks[0],
+                                       n_inner)
+        if sandwich is not None:
+            multiset = hermitian_spectrum(sandwich, source="predicted")
     if multiset is None:
-        a_matrices = (
-            first if pos == 0 else realize_a_matrix(chain[2 * pos], n_inner) for pos in range(k)
-        )
+        a_matrices = (realize_a_matrix(chain[2 * pos], n_inner) for pos in range(k))
         multiset = _product_spectrum(a_matrices, reduced_blocks, n_inner)
     return Prediction(
         multiset=multiset,

@@ -27,6 +27,8 @@ from .cmcalc import (
     GeometricSpectrum,
     HaarConjugatedFamily,
     MomentTable,
+    _is_json_integer,
+    _is_json_number,
     dense_word_product,
 )
 from .ensembles import geometric_diag, geometric_values, sample_gue, sample_haar_unitary
@@ -136,22 +138,40 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=complex)
 
 
+def _is_array(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
 # the JSON types Scenario.validate checks, as jsonschema reads them: a bool
 # is not a number
 _JSON_TYPES = {
-    "string": lambda value: isinstance(value, str),
-    "number": lambda value: isinstance(value, numbers.Real) and not isinstance(value, bool),
+    "a string": lambda value: isinstance(value, str),
+    "a number": _is_json_number,
+    "an integer": _is_json_integer,
+    "an array": _is_array,
+    "an array of 2 items": lambda value: _is_array(value) and len(value) == 2,
+    "an object": lambda value: isinstance(value, dict),
 }
 
 
 def _as_int(value):
-    """An integral ``value`` as an int: the schema's ``integer`` accepts an
-    integral float such as ``40.0``.  Anything else is returned unchanged,
+    """An integral ``value`` as an int.  Anything else is returned unchanged,
     for :meth:`Scenario.validate` to reject."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer()
-    )
-    return int(value) if integral and not isinstance(value, bool) else value
+    return int(value) if _is_json_integer(value) else value
+
+
+def _array_fields(key: str, value, kind: str):
+    """The typed fields of an array of ``kind`` items: the array, then each item."""
+    yield key, value, "an array"
+    for pos, item in enumerate(value):
+        yield f"{key}[{pos}]", item, kind
+
+
+def _matrix_fields(key: str, value):
+    """The typed fields of a matrix: an array of arrays of numbers."""
+    yield key, value, "an array"
+    for pos, row in enumerate(value):
+        yield from _array_fields(f"{key}[{pos}]", row, "a number")
 
 
 @dataclass
@@ -182,7 +202,7 @@ class Scenario:
                 raise ValueError(f"scenario {key!r} must be an integer, not {value!r}")
         for key, value, kind in self._typed_fields():
             if not _JSON_TYPES[kind](value):
-                raise ValueError(f"scenario {key!r} must be a {kind}, not {value!r}")
+                raise ValueError(f"scenario {key!r} must be {kind}, not {value!r}")
         if self.n < 2:
             raise ValueError("matrix dimension must be >= 2")
         if self.trials < 1:
@@ -222,26 +242,46 @@ class Scenario:
             _chain(self)
 
     def _typed_fields(self):
-        """``(key, value, type)`` for each given field that the schema types
-        as a string or a number; an array of numbers gives one per item."""
-        yield "name", self.name, "string"
-        yield "expression", self.expression, "string"
+        """``(key, value, type)`` for each given field that the schema types.
+
+        A container comes before its items, and :meth:`validate` stops at the
+        first mistyped field, so the items of a mistyped container are never
+        reached.  ``b_state`` is typed by its loader,
+        :meth:`MomentTable.from_json_doc`.
+        """
+        yield "name", self.name, "a string"
+        yield "expression", self.expression, "a string"
+        yield "a_spec", self.a_spec, "an object"
+        yield "b_spec", self.b_spec, "an array"
+        yield "prediction", self.prediction, "an object"
         for pos, spec in enumerate(self.b_spec):
+            yield f"b_spec[{pos}]", spec, "an object"
             if "path" in spec:
-                yield f"b_spec[{pos}].path", spec["path"], "string"
-        for key in ("scale", "ratio"):
+                yield f"b_spec[{pos}].path", spec["path"], "a string"
+        for key, kind in (("scale", "a number"), ("ratio", "a number"),
+                          ("start_power", "an integer")):
             if key in self.a_spec:
-                yield f"a_spec.{key}", self.a_spec[key], "number"
-        values = self.a_spec.get("values", [])
-        for pos, value in enumerate(values if isinstance(values, (list, tuple)) else []):
-            yield f"a_spec.values[{pos}]", value, "number"
+                yield f"a_spec.{key}", self.a_spec[key], kind
+        if "values" in self.a_spec:
+            yield from _array_fields("a_spec.values", self.a_spec["values"], "a number")
+        prediction = self.prediction
         for key in ("tau_b", "tau_b2"):
-            if key in self.prediction:
-                yield f"prediction.{key}", self.prediction[key], "number"
-        diag = self.prediction.get("diag", [])
-        for pos, piece in enumerate(diag if isinstance(diag, (list, tuple)) else []):
-            if isinstance(piece, dict) and "coeff" in piece:
-                yield f"prediction.diag[{pos}].coeff", piece["coeff"], "number"
+            if key in prediction:
+                yield f"prediction.{key}", prediction[key], "a number"
+        if "diag" in prediction:
+            yield from _array_fields("prediction.diag", prediction["diag"], "an object")
+            for pos, piece in enumerate(prediction["diag"]):
+                for key, kind in (("power", "an integer"), ("coeff", "a number")):
+                    if key in piece:
+                        yield f"prediction.diag[{pos}].{key}", piece[key], kind
+        for key in ("gram", "bprime", "bprime_limit"):
+            if key in prediction:
+                yield from _matrix_fields(f"prediction.{key}", prediction[key])
+        if "pairs" in prediction:
+            yield "prediction.pairs", prediction["pairs"], "an array"
+            for pos, pair in enumerate(prediction["pairs"]):
+                yield from _array_fields(f"prediction.pairs[{pos}]", pair, "an integer")
+                yield f"prediction.pairs[{pos}]", pair, "an array of 2 items"
 
     def _blocks(self) -> tuple[list | None, list]:
         """The parsed ``blocks`` of a_spec and of each b_spec entry (``None`` if absent)."""
@@ -377,17 +417,23 @@ def _build_a_matrix(
             u = sample_haar_unitary(n, rng)
             diagnostics.setdefault("haar_unitarity", []).append(_unitarity_residual(u))
             mats[letter] = (u * d) @ u.conj().T
-    return np.block([[_evaluate_expression(p, mats, n) for p in row] for row in a_cells])
+    return _block_matrix(a_cells, mats, n)
 
 
 def _unitarity_residual(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+    gram = u @ u.conj().T
+    gram[np.diag_indices_from(gram)] -= 1.0  # gram - I, in place
+    return float(np.max(np.abs(gram)))
 
 
-def _sampled_gue(size: int, rng: np.random.Generator, diagnostics: dict) -> np.ndarray:
+def _sampled_gue(
+    size: int, rng: np.random.Generator, diagnostics: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """A GUE sample ``g`` and ``g @ g``, whose normalized trace goes to ``gue_tr_sq``."""
     g = sample_gue(size, rng)
-    diagnostics.setdefault("gue_tr_sq", []).append(float(np.real(np.trace(g @ g)) / size))
-    return g
+    square = g @ g
+    diagnostics.setdefault("gue_tr_sq", []).append(float(np.real(np.trace(square)) / size))
+    return g, square
 
 
 def _build_b_matrices(
@@ -398,14 +444,13 @@ def _build_b_matrices(
         kind = spec["kind"]
         if cells is not None:  # gue blocks
             size = dim // len(cells)
-            gens = {letter: _sampled_gue(size, rng, diagnostics) for letter in _generators(cells)}
-            block = [[_evaluate_expression(p, gens, size) for p in row] for row in cells]
-            mats.append(np.block(block))
+            gens = {letter: _sampled_gue(size, rng, diagnostics)[0]
+                    for letter in _generators(cells)}
+            mats.append(_block_matrix(cells, gens, size))
         elif kind == "gue":
-            mats.append(_sampled_gue(dim, rng, diagnostics))
+            mats.append(_sampled_gue(dim, rng, diagnostics)[0])
         elif kind == "gue_squared":
-            g = _sampled_gue(dim, rng, diagnostics)
-            mats.append(g @ g)
+            mats.append(_sampled_gue(dim, rng, diagnostics)[1])
         elif kind == "file":
             mat = load_matrix_csv(spec["path"])
             if mat.shape != (dim, dim):
@@ -418,6 +463,24 @@ def _build_b_matrices(
     return mats
 
 
+def _haar_conjugated(
+    mats: list, dim: int, rng: np.random.Generator, diagnostics: dict
+) -> list[np.ndarray]:
+    """``u @ mat @ u*`` of each of ``mats``, with one fresh Haar ``u``.
+
+    Each distinct array is conjugated once: a ``copy_of`` entry is its
+    source's array, so it gets its source's conjugate.
+    """
+    u = sample_haar_unitary(dim, rng)
+    diagnostics.setdefault("haar_unitarity", []).append(_unitarity_residual(u))
+    adjoint = u.conj().T
+    conjugates = {}
+    for mat in mats:
+        if id(mat) not in conjugates:
+            conjugates[id(mat)] = u @ mat @ adjoint
+    return [conjugates[id(mat)] for mat in mats]
+
+
 def _evaluate_expression(poly, mats: dict, dim: int) -> np.ndarray:
     def matrix_of(letter):
         mat = mats.get(letter.base())
@@ -425,10 +488,52 @@ def _evaluate_expression(poly, mats: dict, dim: int) -> np.ndarray:
             raise DimensionMismatchError(f"no matrix bound to {letter.label()}")
         return mat
 
-    out = np.zeros((dim, dim), dtype=complex)
+    # the accumulator is allocated after the first product, and a product is
+    # scaled in place unless it is a bound matrix itself
+    out = None
     for word, coeff in poly.sorted_terms():
-        out += coeff * dense_word_product(word, matrix_of, dim)
+        term = dense_word_product(word, matrix_of, dim)
+        if any(term is mat for mat in mats.values()):
+            term = coeff * term
+        else:
+            term *= coeff
+        if out is None:
+            out = np.zeros((dim, dim), dtype=complex)
+        out += term
+        del term  # freed before the next product is formed
+    return np.zeros((dim, dim), dtype=complex) if out is None else out
+
+
+def _block_matrix(cells: list, mats: dict, size: int) -> np.ndarray:
+    """The block matrix of ``cells``, each evaluated over ``mats`` at ``size``
+    and written into its block as soon as it is formed."""
+    out = np.empty((len(cells) * size, len(cells) * size), dtype=complex)
+    for i, row in enumerate(cells):
+        for j, poly in enumerate(row):
+            out[i * size:(i + 1) * size, j * size:(j + 1) * size] = (
+                _evaluate_expression(poly, mats, size)
+            )
     return out
+
+
+def _trial_matrix(
+    scenario: Scenario, poly, a_cells: list | None, b_cells: list,
+    rng: np.random.Generator, diagnostics: dict, keep_b: bool,
+) -> tuple[np.ndarray, list | None]:
+    """One trial's matrix of the expression, and its B matrices as drawn
+    (before the Haar conjugation) if ``keep_b``, else ``None``.
+
+    Every other matrix built here dies when it returns.
+    """
+    a_matrix = _build_a_matrix(scenario, a_cells, rng, diagnostics)
+    dim = a_matrix.shape[0]
+    b_mats = _build_b_matrices(scenario, b_cells, dim, rng, diagnostics)
+    raw_b = list(b_mats) if keep_b else None
+    if scenario.haar_conjugate_b:
+        b_mats = _haar_conjugated(b_mats, dim, rng, diagnostics)
+    mats = {Letter(FAMILY_A, 1): a_matrix}
+    mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
+    return _evaluate_expression(poly, mats, dim), raw_b
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +602,9 @@ def recipe_prediction(spec: dict, spectrum, truncation, trial_b_mats: list | Non
         if spec.get("beta") == "per_trial":
             if trial_b_mats is not None:
                 pairs = spec["pairs"]
-                c_list = [trial_b_mats[c - 1] for _, c in pairs]
-                b_list = [trial_b_mats[b - 1] for b, _ in pairs]
+                # an integral float index is an integer to the schema
+                c_list = [trial_b_mats[int(c) - 1] for _, c in pairs]
+                b_list = [trial_b_mats[int(b) - 1] for b, _ in pairs]
                 bprime = estimate_beta(c_list, b_list)
             else:
                 bprime = np.asarray(spec["bprime_limit"], dtype=complex)
@@ -547,23 +653,18 @@ def run_scenario(scenario: Scenario) -> Report:
     def one_trial(t: int) -> dict:
         rng = trial_rng(scenario.seed, t)
         diagnostics: dict = {}
-        a_matrix = _build_a_matrix(scenario, a_cells, rng, diagnostics)
-        dim = a_matrix.shape[0]
-        b_mats = _build_b_matrices(scenario, b_cells, dim, rng, diagnostics)
-        raw_b = list(b_mats)
-        if scenario.haar_conjugate_b:
-            u = sample_haar_unitary(dim, rng)
-            diagnostics.setdefault("haar_unitarity", []).append(_unitarity_residual(u))
-            b_mats = [u @ mat @ u.conj().T for mat in b_mats]
-        mats = {Letter(FAMILY_B, j): mat for j, mat in enumerate(b_mats, start=1)}
-        x = _evaluate_expression(poly, {Letter(FAMILY_A, 1): a_matrix, **mats}, dim)
-        residual = float(np.max(np.abs(x - x.conj().T)))
+        x, raw_b = _trial_matrix(scenario, poly, a_cells, b_cells, rng, diagnostics,
+                                 keep_b=per_trial_beta)
+        adjoint = x.conj().T
+        residual = float(np.max(np.abs(x - adjoint)))
         if residual > rounding_tolerance(HERMITICITY_GATE, float(np.max(np.abs(x)))):
             raise NotSelfadjointError(
                 f"trial {t}: expression evaluated to a non-Hermitian matrix "
                 f"(residual {residual:.3e})"
             )
-        x = (x + x.conj().T) / 2.0
+        x += adjoint  # (x + x*) / 2 in place: adjoint is a copy
+        x /= 2.0
+        del adjoint
         empirical = hermitian_spectrum(x, source="empirical")
         x2 = x @ x
         moments = [
@@ -571,6 +672,7 @@ def run_scenario(scenario: Scenario) -> Report:
             float(np.real(np.trace(x2))),
             float(np.real(np.einsum("ij,ji->", x2, x))),
         ]
+        del x, x2  # a per-trial beta reads raw_b only
         record = {
             "trial": t,
             "eigenvalues": empirical.to_list(),

@@ -84,20 +84,23 @@ def hermitian_spectrum(matrix: np.ndarray, source: str = "empirical") -> EVMulti
     A stack of square matrices, shape ``(..., k, k)``, stands for their direct
     sum.  The entrywise maximum of ``m - m*`` must be within
     ``rounding_tolerance(1e-9, max|m|)``; rounding-level asymmetry is removed
-    before the solver runs.
+    before the solver runs.  Both steps share one work buffer of ``m``'s size.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSelfadjointError("spectrum needs a square matrix")
-    adjoint = np.swapaxes(m, -1, -2).conj()
-    residual = float(np.max(np.abs(m - adjoint), initial=0.0))
+    transposed = np.swapaxes(m, -1, -2)
+    work = np.conj(transposed)
+    residual = float(np.max(np.abs(np.subtract(m, work, out=work)), initial=0.0))
     tol = rounding_tolerance(HERMITICITY_TOL, float(np.max(np.abs(m), initial=0.0)))
     if residual > tol:
         raise NotSelfadjointError(
             f"matrix is not Hermitian: max entry deviation {residual:.3e} above {tol:.3e}"
         )
-    sym = (m + adjoint) / 2.0
-    return EVMultiset(np.linalg.eigvalsh(sym).ravel(), source=source)
+    np.conj(transposed, out=work)
+    np.add(m, work, out=work)
+    work /= 2.0
+    return EVMultiset(np.linalg.eigvalsh(work).ravel(), source=source)
 
 
 def scale(c: float, s: EVMultiset) -> EVMultiset:

@@ -198,6 +198,13 @@ def test_scenario_schema_mirrors_validation():
 
 
 _ANTICOMMUTATOR = {"prediction": {"recipe": "anticommutator", "tau_b": 1.0, "tau_b2": 2.0}}
+_SUM_BAC = {"prediction": {"recipe": "sum_bac", "bprime": [[1.0, 2.0], [2.0, 1.0]]}}
+_PER_TRIAL = {
+    "b_spec": [{"kind": "gue"}, {"kind": "gue"}],
+    "expression": "b1*a1*b2 + b2*a1*b1",
+    "prediction": {"recipe": "sum_bac", "beta": "per_trial", "pairs": [[1, 2], [2, 1]],
+                   "bprime_limit": [[0.0, 1.0], [1.0, 0.0]]},
+}
 
 
 @pytest.mark.parametrize("base,path,value", [
@@ -212,6 +219,24 @@ _ANTICOMMUTATOR = {"prediction": {"recipe": "anticommutator", "tau_b": 1.0, "tau
         ({}, "name", 7),
         ({}, "expression", ["a1 + b1*a1*b1*a1*b1"]),
         ({"b_spec": [{"kind": "file", "path": "b.csv"}]}, "b_spec__0__path", 3),
+        ({}, "a_spec__start_power", 1.5),
+        ({}, "prediction__diag__1__power", 1.5),
+        ({}, "prediction__gram__0__1", "1"),
+        ({}, "prediction__gram__1__0", True),
+        ({}, "prediction__gram", "[[1, 1], [1, 2]]"),
+        ({}, "prediction__diag", {"power": 1, "coeff": 1.0}),
+        ({}, "prediction__diag__0", 1),
+        ({"a_spec": {"kind": "explicit", "values": [1.0] * 40}}, "a_spec__values", "1.0"),
+        ({}, "a_spec", ["geometric"]),
+        ({}, "b_spec__0", "gue_squared"),
+        ({}, "prediction", "sum_bab"),
+        (_SUM_BAC, "prediction__bprime__1__1", "1.0"),
+        (_SUM_BAC, "prediction__bprime__0", 1.0),
+        (_PER_TRIAL, "prediction__bprime_limit__0__1", None),
+        (_PER_TRIAL, "prediction__pairs__0__1", "2"),
+        (_PER_TRIAL, "prediction__pairs__0__0", 1.5),
+        (_PER_TRIAL, "prediction__pairs__1", [2, 1, 1]),
+        (_PER_TRIAL, "prediction__pairs", {"1": 2}),
     ]
 ])
 def test_scenario_schema_rejects_mistyped_fields_as_validation_does(base, path, value, tmp_path):
@@ -235,6 +260,38 @@ def test_scenario_schema_rejects_mistyped_fields_as_validation_does(base, path, 
         rmtlab.Scenario.from_dict(bad)
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(bad))
+    assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")) == 1
+
+
+@pytest.mark.parametrize("path,value,message", [
+    pytest.param(path, value, message, id=case)
+    for case, path, value, message in [
+        ("moment-string", "moments__b1*b1", "1", "moment 'b1*b1' must be a number"),
+        ("moment-bool", "moments__b1*b1", True, "moment 'b1*b1' must be a number"),
+        ("moment-pair-string", "moments__b2*b2", [1.0, "0"], "moment 'b2*b2' must be a number"),
+        ("moment-3-items", "moments__b2*b2", [1.0, 0.0, 0.0], "moment 'b2*b2' must be a number"),
+        ("moments-array", "moments", [], "a moment table is an object with a 'moments' object"),
+        ("degree_cap-fraction", "degree_cap", 1.5, "degree_cap must be an integer >= 1"),
+        ("degree_cap-zero", "degree_cap", 0, "degree_cap must be an integer >= 1"),
+    ]
+])
+def test_b_state_schema_rejects_mistyped_moments_as_loading_does(path, value, message, tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(json.loads(
+        resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
+    ))
+    doc = builtin_scenario("example1", n=40, trials=2).to_dict()
+    assert validator.is_valid(doc)
+    *keys, last = path.split("__")
+    target = doc["prediction"]["b_state"]
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    assert not validator.is_valid(doc)
+    with pytest.raises(ValueError, match=re.escape(f"prediction 'b_state': {message}")):
+        rmtlab.Scenario.from_dict(doc)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc))
     assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")) == 1
 
 

@@ -514,16 +514,16 @@ def _example1_chain(seed=7):
 def _chain_paths(monkeypatch, b0, chain, a_model, b_state, **kwargs):
     """ev_chain's multiset, what its sandwich step returned, and the product path's multiset."""
     seen = []
-    sandwich = linred._sandwich_spectrum
+    sandwich = linred._hermitian_sandwich
 
     def spy(*args):
         seen.append(sandwich(*args))
         return seen[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(linred, "_sandwich_spectrum", spy)
+        patch.setattr(linred, "_hermitian_sandwich", spy)
         got = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
-        patch.setattr(linred, "_sandwich_spectrum", lambda *args: None)
+        patch.setattr(linred, "_hermitian_sandwich", lambda *args: None)
         product = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
     return got, seen, product
 

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -24,10 +25,14 @@ from cyclospec import (
     sample_haar_unitary,
 )
 from cyclospec.cli import main
+from cyclospec.cmcalc import dense_word_product
+from cyclospec.ensembles import geometric_values
 from cyclospec.ncalg import FAMILY_A, FAMILY_B, Letter
 from cyclospec.rmtlab import (
     _build_a_matrix,
     _evaluate_expression,
+    _generators,
+    build_prediction,
     load_matrix_csv,
     save_matrix_csv,
     trial_rng,
@@ -457,3 +462,147 @@ def test_per_trial_beta_requires_limit_matrix():
     doc["prediction"] = {"recipe": "sum_bac", "beta": "per_trial", "pairs": [[1, 2], [2, 1]]}
     with pytest.raises(ValueError):
         Scenario.from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# the runner's arithmetic against a plain, out-of-place reference trial
+# ---------------------------------------------------------------------------
+
+
+def _reference_spectrum(x):
+    """Eigenvalues of a Hermitian ``x`` symmetrized out of place."""
+    m = np.asarray(x, dtype=complex)
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    residual = float(np.max(np.abs(m - adjoint), initial=0.0))
+    assert residual <= max(1e-9, 64 * np.finfo(float).eps * float(np.max(np.abs(m))))
+    return EVMultiset(np.linalg.eigvalsh((m + adjoint) / 2.0).ravel()).to_list()
+
+
+def _reference_trial(scenario, t):
+    """Trial ``t`` of ``scenario`` with every product formed out of place: the
+    samplers, ``u @ mat @ u.conj().T`` per B entry, ``np.trace(g @ g)``,
+    ``coeff * dense_word_product(...)`` summed into zeros, ``np.block`` and
+    ``(x + x.conj().T) / 2.0``."""
+    rng = trial_rng(scenario.seed, t)
+    diagnostics = {}
+
+    def ginibre(size):
+        return (rng.standard_normal((size, size))
+                + 1j * rng.standard_normal((size, size))) * np.sqrt(0.5)
+
+    def gue(size):
+        z = ginibre(size)
+        g = (z + z.conj().T) / np.sqrt(2.0 * size)
+        diagnostics.setdefault("gue_tr_sq", []).append(float(np.real(np.trace(g @ g)) / size))
+        return g
+
+    def haar(size):
+        q, r = np.linalg.qr(ginibre(size))
+        d = np.diagonal(r)
+        u = q * (d / np.abs(d))
+        diagnostics.setdefault("haar_unitarity", []).append(
+            float(np.max(np.abs(u @ u.conj().T - np.eye(size))))
+        )
+        return u
+
+    def evaluate(poly, mats, size):
+        out = np.zeros((size, size), dtype=complex)
+        for word, coeff in poly.sorted_terms():
+            out += coeff * dense_word_product(word, lambda letter: mats[letter.base()], size)
+        return out
+
+    def block(cells, mats, size):
+        return np.block([[evaluate(poly, mats, size) for poly in row] for row in cells])
+
+    a_cells, b_cells = scenario._blocks()
+    spec, n = scenario.a_spec, scenario.n
+    a = geometric_values(n, spec["ratio"], spec.get("scale", 1.0), spec.get("start_power", 0))
+    if a_cells is not None:
+        rotated = {}
+        for letter in _generators(a_cells):
+            rotated[letter] = a
+            if letter.index > 1:
+                u = haar(n)
+                rotated[letter] = (u * a) @ u.conj().T
+        a = block(a_cells, rotated, n)
+    dim = a.shape[0]
+    b_mats = []
+    for spec, cells in zip(scenario.b_spec, b_cells):
+        if cells is not None:
+            size = dim // len(cells)
+            b_mats.append(block(cells, {g: gue(size) for g in _generators(cells)}, size))
+        elif spec["kind"] == "gue":
+            b_mats.append(gue(dim))
+        elif spec["kind"] == "gue_squared":
+            g = gue(dim)
+            b_mats.append(g @ g)
+        else:
+            assert spec["kind"] == "copy_of"
+            b_mats.append(b_mats[spec["index"] - 1])
+    raw_b = list(b_mats)
+    if scenario.haar_conjugate_b:
+        u = haar(dim)
+        b_mats = [u @ mat @ u.conj().T for mat in b_mats]
+    mats = {Letter(FAMILY_A, 1): a}
+    mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
+    x = evaluate(parse_expression(scenario.expression, scenario._symbols()), mats, dim)
+    residual = float(np.max(np.abs(x - x.conj().T)))
+    x = (x + x.conj().T) / 2.0
+    x2 = x @ x
+    moments = [float(np.real(np.trace(x))), float(np.real(np.trace(x2))),
+               float(np.real(np.einsum("ij,ji->", x2, x)))]
+    record = {
+        "eigenvalues": _reference_spectrum(x),
+        "moments": moments,
+        "diagnostics": {"hermiticity_residual": residual, **diagnostics},
+    }
+    if scenario.prediction.get("beta") == "per_trial":
+        prediction, _ = build_prediction(scenario, trial_b_mats=raw_b)
+        record["prediction_eigenvalues"] = prediction.multiset.to_list()
+    return record
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
+def test_trials_equal_the_out_of_place_reference(name):
+    scenario = builtin_scenario(name, n=24, trials=2, seed=909)
+    report = run_scenario(scenario)
+    for t, record in enumerate(report.trials):
+        reference = _reference_trial(scenario, t)
+        # JSON text, so that the sign of a zero counts too
+        assert json.dumps({key: record[key] for key in reference}) == json.dumps(reference)
+
+
+def test_evaluate_expression_leaves_bound_matrices_alone():
+    rng = np.random.default_rng(61)
+    a1, b1 = Letter(FAMILY_A, 1), Letter(FAMILY_B, 1)
+    mats = {a1: rng.standard_normal(6).astype(complex), b1: sample_gue(6, rng)}
+    kept = {letter: mat.copy() for letter, mat in mats.items()}
+    # one-letter words return the bound matrix itself, which must be scaled by
+    # copy; -a1 has entries -0.0, which a sum from zeros turns into +0.0
+    for text in ["2*b1 - b1' - a1 + b1*a1*b1", "-a1"]:
+        poly = parse_expression(text, {"a1": a1, "b1": b1})
+        expected = np.zeros((6, 6), dtype=complex)
+        for word, coeff in poly.sorted_terms():
+            expected += coeff * dense_word_product(word, lambda letter: kept[letter.base()], 6)
+        assert _evaluate_expression(poly, mats, 6).tobytes() == expected.tobytes()
+        assert all(np.array_equal(mats[letter], kept[letter]) for letter in mats)
+
+
+def _peak_matrices(scenario, dim):
+    """tracemalloc's peak over ``run_scenario``, in dim x dim complex matrices."""
+    tracemalloc.start()
+    try:
+        floor = tracemalloc.get_traced_memory()[0]
+        run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - floor) / (16 * dim * dim)
+
+
+@pytest.mark.parametrize("name,n,dim", [
+    ("example1", 200, 400), ("example3", 400, 400), ("example2-correlated", 400, 400),
+])
+def test_one_trial_keeps_few_dense_matrices_alive(name, n, dim):
+    # the Haar QR alone holds 4 (Ginibre input, its copy, Q and R) besides one B
+    assert _peak_matrices(builtin_scenario(name, n=n, trials=1), dim) <= 5.5

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,36 @@ def test_hermitian_spectrum_of_a_stack_is_the_direct_sum():
     stack[2, 0, 1] += 1e-6
     with pytest.raises(NotSelfadjointError):
         hermitian_spectrum(stack)
+
+
+def _symmetrized_out_of_place(m):
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    return np.linalg.eigvalsh((m + adjoint) / 2.0).ravel()
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (4, 3, 3), (2, 3, 5, 5)])
+def test_hermitian_spectrum_equals_out_of_place_symmetrization(shape):
+    rng = np.random.default_rng(59)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m = m + np.swapaxes(m, -1, -2).conj()
+    m[..., 0, 1] += 3e-12 * (1 + 1j)  # rounding-level asymmetry, removed before the solver
+    kept = m.copy()
+    got = hermitian_spectrum(m).values
+    assert np.array_equal(m, kept)
+    expected = EVMultiset(_symmetrized_out_of_place(m)).values
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_hermitian_spectrum_rejection_names_deviation_and_tolerance():
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[1, 0, 1] = 2.5e-6
+    stack[2, 1, 1] = 1e8  # the tolerance is 64 * eps * 1e8
+    with pytest.raises(NotSelfadjointError, match=re.escape(
+        "matrix is not Hermitian: max entry deviation 2.500e-06 above 1.421e-06"
+    )):
+        hermitian_spectrum(stack)
+    with pytest.raises(NotSelfadjointError, match="spectrum needs a square matrix"):
+        hermitian_spectrum(np.zeros((2, 3)))
 
 
 def test_hermitian_spectrum_tolerance_scales_with_entries():
