@@ -182,7 +182,7 @@ def _write_simulation(report: Report, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.save(out_dir / "report.json")
     predicted = report.prediction["eigenvalues"]
-    EVMultiset(predicted, source="predicted").to_csv(out_dir / "prediction.csv")
+    EVMultiset(predicted).to_csv(out_dir / "prediction.csv")
     for rec in report.trials:
         EVMultiset(rec["eigenvalues"]).to_csv(
             out_dir / f"trial_{rec['trial']:02d}_eigenvalues.csv"
@@ -213,11 +213,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _compare_report(report: Report, top: int) -> tuple[float, list[dict]]:
-    predicted = EVMultiset(report.prediction["eigenvalues"], source="predicted")
+    predicted = EVMultiset(report.prediction["eigenvalues"])
     rows = []
     for rec in report.trials:
         reference = (
-            EVMultiset(rec["prediction_eigenvalues"], source="predicted")
+            EVMultiset(rec["prediction_eigenvalues"])
             if "prediction_eigenvalues" in rec
             else predicted
         )

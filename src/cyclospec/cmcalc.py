@@ -245,6 +245,53 @@ def dense_word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
     return np.diag(prod) if prod.ndim == 1 else prod
 
 
+def dense_polynomial(poly, mats: Mapping[Letter, np.ndarray], dim: int) -> np.ndarray:
+    """The ``dim x dim`` matrix of ``poly`` over ``mats``, which maps base
+    letters to what :func:`dense_word_product` takes.
+
+    The terms are summed in ``sorted_terms`` order into zeros allocated after
+    the first product.  A product is scaled in place unless it is a bound
+    matrix itself, which is scaled by copy: ``mats`` is never modified.
+    """
+    def matrix_of(letter):
+        mat = mats.get(letter.base())
+        if mat is None:
+            raise DimensionMismatchError(f"no matrix bound to {letter.label()}")
+        return mat
+
+    out = None
+    for word, coeff in poly.sorted_terms():
+        term = dense_word_product(word, matrix_of, dim)
+        if any(term is mat for mat in mats.values()):
+            term = coeff * term
+        else:
+            term *= coeff
+        if out is None:
+            out = np.zeros((dim, dim), dtype=complex)
+        out += term
+        del term  # freed before the next product is formed
+    return np.zeros((dim, dim), dtype=complex) if out is None else out
+
+
+def _generators(cells) -> list[Letter]:
+    """The sorted base letters of the rows of polynomials ``cells``."""
+    return sorted({letter.base() for row in cells for poly in row for word in poly.terms
+                   for letter in word})
+
+
+def dense_block_matrix(cells, mats: Mapping[Letter, np.ndarray], size: int) -> np.ndarray:
+    """The block matrix of the square grid of polynomials ``cells``, each
+    evaluated by :func:`dense_polynomial` at ``size`` and written into its
+    block as soon as it is formed."""
+    out = np.empty((len(cells) * size, len(cells) * size), dtype=complex)
+    for i, row in enumerate(cells):
+        for j, poly in enumerate(row):
+            out[i * size:(i + 1) * size, j * size:(j + 1) * size] = (
+                dense_polynomial(poly, mats, size)
+            )
+    return out
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue sequences for the trace-class side
 # ---------------------------------------------------------------------------
@@ -463,6 +510,19 @@ class MomentTable(TracialState):
         raise DegreeExceededError(f"no table entry for {word_str(w)}")
 
 
+def _square_matrices(matrices: Mapping[int, np.ndarray], what: str):
+    """A matrix model's generators as complex arrays, and their one dimension."""
+    if not matrices:
+        raise ValueError(f"matrix {what} needs at least one generator")
+    mats = {int(index): np.asarray(mat, dtype=complex) for index, mat in matrices.items()}
+    if any(arr.ndim != 2 or arr.shape[0] != arr.shape[1] for arr in mats.values()):
+        raise DimensionMismatchError(f"{what} matrices must be square")
+    dims = {arr.shape[0] for arr in mats.values()}
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"{what} matrices must share one dimension")
+    return mats, dims.pop()
+
+
 class TraceMatrixState(TracialState):
     """Concrete matrix model: the state is the normalized trace.
 
@@ -471,22 +531,8 @@ class TraceMatrixState(TracialState):
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray]):
-        if not matrices:
-            raise ValueError("matrix model needs at least one generator")
-        mats = {}
-        dim = None
-        for index, mat in matrices.items():
-            arr = np.asarray(mat, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise DimensionMismatchError("state matrices must be square")
-            if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
-                raise DimensionMismatchError("state matrices must share one dimension")
-            mats[int(index)] = arr
-        self.matrices = mats
-        self.dim = dim
-        self._products = WordProducts(mats, dim)
+        self.matrices, self.dim = _square_matrices(matrices, "state")
+        self._products = WordProducts(self.matrices, self.dim)
         self._values: dict[Word, complex] = {}
 
     @_memoized_per_word
@@ -528,6 +574,17 @@ def _check_pure_a_nonempty(w: Word) -> None:
         raise NotInDomainError(f"weight is defined on pure-A words only: {word_str(w)}")
 
 
+def _shared_spectra(spectra: Mapping[int, Spectrum]):
+    """A spectrum model's generators, and their one truncation count."""
+    if not spectra:
+        raise ValueError("spectrum family needs at least one generator")
+    spectra = {int(i): s for i, s in spectra.items()}
+    counts = {s.count for s in spectra.values()}
+    if len(counts) > 1:
+        raise DimensionMismatchError("all spectra in a family must share one truncation count")
+    return spectra, counts.pop()
+
+
 class SpectrumFamily(TraceClassModel):
     """Commuting family of selfadjoint generators, simultaneously diagonal.
 
@@ -539,15 +596,7 @@ class SpectrumFamily(TraceClassModel):
     """
 
     def __init__(self, spectra: Mapping[int, Spectrum]):
-        if not spectra:
-            raise ValueError("spectrum family needs at least one generator")
-        self.spectra = {int(i): s for i, s in spectra.items()}
-        counts = {s.count for s in self.spectra.values()}
-        if len(counts) > 1:
-            raise DimensionMismatchError(
-                "all spectra in a family must share one truncation count"
-            )
-        self.truncation = counts.pop()
+        self.spectra, self.truncation = _shared_spectra(spectra)
         self._values: dict[Word, complex] = {}
 
     def indices(self) -> set:
@@ -595,22 +644,8 @@ class MatrixTraceFamily(TraceClassModel):
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray]):
-        if not matrices:
-            raise ValueError("matrix family needs at least one generator")
-        mats = {}
-        dim = None
-        for index, mat in matrices.items():
-            arr = np.asarray(mat, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise DimensionMismatchError("family matrices must be square")
-            if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
-                raise DimensionMismatchError("family matrices must share one dimension")
-            mats[int(index)] = arr
-        self.matrices = mats
-        self.truncation = dim
-        self._products = WordProducts(mats, dim)
+        self.matrices, self.truncation = _square_matrices(matrices, "family")
+        self._products = WordProducts(self.matrices, self.truncation)
         self._values: dict[Word, complex] = {}
 
     def indices(self) -> set:
@@ -673,17 +708,8 @@ class HaarConjugatedFamily(TraceClassModel):
     """
 
     def __init__(self, spectra: Mapping[int, Spectrum], realization_seed: int = 0):
-        if not spectra:
-            raise ValueError("family needs at least one generator")
-        self.spectra = {int(i): s for i, s in spectra.items()}
-        counts = {s.count for s in self.spectra.values()}
-        if len(counts) > 1:
-            raise DimensionMismatchError(
-                "all spectra in a family must share one truncation count"
-            )
-        self.truncation = counts.pop()
+        self.spectra, self.truncation = _shared_spectra(spectra)
         self.realization_seed = int(realization_seed)
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
 
     def indices(self) -> set:
         return set(self.spectra)
@@ -706,19 +732,15 @@ class HaarConjugatedFamily(TraceClassModel):
         n = size if size is not None else self.truncation
         if n is None:
             raise ValueError("analytic spectra need an explicit truncation to realize")
-        key = (index, n)
-        if key not in self._cache:
-            diag = self.spectra[index].eigenvalues(n).astype(complex)
-            if index == min(self.spectra):
-                self._cache[key] = np.diag(diag)
-            else:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=self.realization_seed, spawn_key=(index,))
-                )
-                u = sample_haar_unitary(n, rng)
-                # u * diag scales the columns: u @ np.diag(diag) without a matmul
-                self._cache[key] = (u * diag) @ u.conj().T
-        return self._cache[key]
+        diag = self.spectra[index].eigenvalues(n).astype(complex)
+        if index == min(self.spectra):
+            return np.diag(diag)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=self.realization_seed, spawn_key=(index,))
+        )
+        u = sample_haar_unitary(n, rng)
+        # u * diag scales the columns: u @ np.diag(diag) without a matmul
+        return (u * diag) @ u.conj().T
 
 
 # ---------------------------------------------------------------------------

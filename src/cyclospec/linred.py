@@ -31,8 +31,9 @@ from .cmcalc import (
     Spectrum,
     TraceClassModel,
     TracialState,
+    _generators,
     cm_moment,
-    dense_word_product,
+    dense_block_matrix,
 )
 from .errors import (
     ComplexEigenvaluesError,
@@ -432,15 +433,12 @@ def realize_a(a, truncation: int | None = None) -> np.ndarray:
     raise DimensionMismatchError("cannot realize this object as an A-generator")
 
 
-def eigenvalue_multiset(a, truncation: int | None = None, source: str = "predicted") -> EVMultiset:
+def eigenvalue_multiset(a, truncation: int | None = None) -> EVMultiset:
     """Eigenvalue multiset of one A-generator description."""
-    if isinstance(a, Spectrum):
-        n = truncation if truncation is not None else a.count
-        return EVMultiset(a.eigenvalues(n), source=source)
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim == 1:
-        return EVMultiset(arr.real, source=source)
-    return hermitian_spectrum(realize_a(a, truncation), source=source)
+    diagonal = _given_diagonal(a, truncation)
+    if diagonal is not None:
+        return EVMultiset(diagonal.real)
+    return hermitian_spectrum(realize_a(a, truncation))
 
 
 def sqrtm_psd(gram: np.ndarray, tol: float = GRAM_PSD_TOL) -> np.ndarray:
@@ -537,7 +535,7 @@ def ev_sum_bab(a_list, gram, truncation: int | None = None) -> Prediction:
     else:
         # matrix[j, p, q] = sum_r root[p, r] * diagonals[r, j] * root[r, q]
         matrix = (root * diagonals.T[:, None, :]) @ root
-    multiset = hermitian_spectrum(matrix, source="predicted")
+    multiset = hermitian_spectrum(matrix)
     return Prediction(
         multiset=multiset,
         recipe="sum_bab",
@@ -559,7 +557,7 @@ def ev_sum_aba(a_list, taus, truncation: int | None = None) -> Prediction:
     acc = np.zeros((n, n), dtype=complex)
     for t, block in zip(taus, blocks):
         acc += t * (block @ block.conj().T)
-    multiset = hermitian_spectrum(acc, source="predicted")
+    multiset = hermitian_spectrum(acc)
     return Prediction(
         multiset=multiset,
         recipe="sum_aba",
@@ -699,14 +697,14 @@ def _product_spectrum(a_matrices, reduced_blocks, n_inner: int) -> EVMultiset:
         block = a_matrix @ np.kron(bprime, np.eye(n_inner))
         numeric = block if numeric is None else numeric @ block
     if _numerically_hermitian(numeric):
-        return hermitian_spectrum(numeric, source="predicted")
+        return hermitian_spectrum(numeric)
     lams = np.linalg.eigvals(numeric)
     radius = float(np.max(np.abs(lams), initial=0.0))
     if float(np.max(np.abs(lams.imag), initial=0.0)) > CHAIN_IMAG_REL_TOL * max(radius, 1e-300):
         raise NotSelfadjointError(
             "chain realization has eigenvalues with large imaginary parts"
         )
-    return EVMultiset(lams.real, source="predicted")
+    return EVMultiset(lams.real)
 
 
 def ev_chain(
@@ -751,46 +749,23 @@ def ev_chain(
             b_mat = b_mat @ b0
         reduced_blocks.append(reduce_b_matrix(b_mat, b_state))
 
-    realizations: dict[int, np.ndarray] = {}
-
-    def realize_letter(letter):
-        if letter.index not in realizations:
-            realizations[letter.index] = np.asarray(
-                a_model.realization(letter.index, truncation), dtype=complex
-            )
-        return realizations[letter.index]
-
-    def realize_a_matrix(alg: AlgMatrix, n_inner: int) -> np.ndarray:
-        out = np.zeros((dim * n_inner, dim * n_inner), dtype=complex)
-        for i in range(dim):
-            for j in range(dim):
-                acc = np.zeros((n_inner, n_inner), dtype=complex)
-                for word, coeff in alg.entries[i][j].sorted_terms():
-                    acc += coeff * dense_word_product(word, realize_letter, n_inner)
-                out[i * n_inner : (i + 1) * n_inner, j * n_inner : (j + 1) * n_inner] = acc
-        return out
-
-    letters = [
-        letter
-        for pos in range(k)
-        for row in chain[2 * pos].entries
-        for poly in row
-        for word in poly.terms
-        for letter in word
-    ]
-    if not letters:
+    generators = _generators([row for mat in chain[0::2] for row in mat.entries])
+    if not generators:
         raise NotInDomainError("chain contains no A-generators to realize")
-    n_inner = realize_letter(letters[0]).shape[0]
+    mats = {letter: np.asarray(a_model.realization(letter.index, truncation), dtype=complex)
+            for letter in generators}
+    n_inner = mats[generators[0]].shape[0]
 
     multiset = None
     if k == 1:
         # no name holds the realized A, so it is freed before the eigensolve
-        sandwich = _hermitian_sandwich(realize_a_matrix(chain[0], n_inner), reduced_blocks[0],
-                                       n_inner)
+        sandwich = _hermitian_sandwich(dense_block_matrix(chain[0].entries, mats, n_inner),
+                                       reduced_blocks[0], n_inner)
         if sandwich is not None:
-            multiset = hermitian_spectrum(sandwich, source="predicted")
+            multiset = hermitian_spectrum(sandwich)
     if multiset is None:
-        a_matrices = (realize_a_matrix(chain[2 * pos], n_inner) for pos in range(k))
+        a_matrices = (dense_block_matrix(chain[2 * pos].entries, mats, n_inner)
+                      for pos in range(k))
         multiset = _product_spectrum(a_matrices, reduced_blocks, n_inner)
     return Prediction(
         multiset=multiset,

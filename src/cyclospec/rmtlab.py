@@ -27,9 +27,11 @@ from .cmcalc import (
     GeometricSpectrum,
     HaarConjugatedFamily,
     MomentTable,
+    _generators,
     _is_json_integer,
     _is_json_number,
-    dense_word_product,
+    dense_block_matrix,
+    dense_polynomial,
 )
 from .ensembles import geometric_diag, geometric_values, sample_gue, sample_haar_unitary
 from .errors import (
@@ -219,7 +221,7 @@ class Scenario:
                 raise ValueError(f"unknown b_spec kind {kind!r}")
             if kind == "copy_of":
                 ref = spec.get("index")
-                if not isinstance(ref, int) or not (1 <= ref <= pos):
+                if ref is None or not (1 <= int(ref) <= pos):
                     raise ValueError("copy_of must reference an earlier b_spec entry")
         self._blocks()
         recipe = self.prediction.get("recipe")
@@ -240,14 +242,15 @@ class Scenario:
         parse_expression(self.expression, self._symbols())
         if recipe == "chain":
             _chain(self)
+        elif "b_state" in self.prediction:
+            _b_state(self.prediction)
 
     def _typed_fields(self):
         """``(key, value, type)`` for each given field that the schema types.
 
         A container comes before its items, and :meth:`validate` stops at the
         first mistyped field, so the items of a mistyped container are never
-        reached.  ``b_state`` is typed by its loader,
-        :meth:`MomentTable.from_json_doc`.
+        reached.  ``b_state`` is typed by its loader, :func:`_b_state`.
         """
         yield "name", self.name, "a string"
         yield "expression", self.expression, "a string"
@@ -256,8 +259,9 @@ class Scenario:
         yield "prediction", self.prediction, "an object"
         for pos, spec in enumerate(self.b_spec):
             yield f"b_spec[{pos}]", spec, "an object"
-            if "path" in spec:
-                yield f"b_spec[{pos}].path", spec["path"], "a string"
+            for key, kind in (("path", "a string"), ("index", "an integer")):
+                if key in spec:
+                    yield f"b_spec[{pos}].{key}", spec[key], kind
         for key, kind in (("scale", "a number"), ("ratio", "a number"),
                           ("start_power", "an integer")):
             if key in self.a_spec:
@@ -390,11 +394,6 @@ def _block_cells(spec: dict, kind: str, family: str, where: str) -> list | None:
     return cells
 
 
-def _generators(cells: list) -> list[Letter]:
-    return sorted({letter.base() for row in cells for poly in row for word in poly.terms
-                   for letter in word})
-
-
 def _build_a_matrix(
     scenario: Scenario, a_cells: list | None, rng: np.random.Generator, diagnostics: dict
 ) -> np.ndarray:
@@ -417,7 +416,7 @@ def _build_a_matrix(
             u = sample_haar_unitary(n, rng)
             diagnostics.setdefault("haar_unitarity", []).append(_unitarity_residual(u))
             mats[letter] = (u * d) @ u.conj().T
-    return _block_matrix(a_cells, mats, n)
+    return dense_block_matrix(a_cells, mats, n)
 
 
 def _unitarity_residual(u: np.ndarray) -> float:
@@ -446,7 +445,7 @@ def _build_b_matrices(
             size = dim // len(cells)
             gens = {letter: _sampled_gue(size, rng, diagnostics)[0]
                     for letter in _generators(cells)}
-            mats.append(_block_matrix(cells, gens, size))
+            mats.append(dense_block_matrix(cells, gens, size))
         elif kind == "gue":
             mats.append(_sampled_gue(dim, rng, diagnostics)[0])
         elif kind == "gue_squared":
@@ -459,7 +458,7 @@ def _build_b_matrices(
                 )
             mats.append(mat)
         else:  # copy_of
-            mats.append(mats[spec["index"] - 1])
+            mats.append(mats[int(spec["index"]) - 1])
     return mats
 
 
@@ -481,59 +480,29 @@ def _haar_conjugated(
     return [conjugates[id(mat)] for mat in mats]
 
 
-def _evaluate_expression(poly, mats: dict, dim: int) -> np.ndarray:
-    def matrix_of(letter):
-        mat = mats.get(letter.base())
-        if mat is None:
-            raise DimensionMismatchError(f"no matrix bound to {letter.label()}")
-        return mat
-
-    # the accumulator is allocated after the first product, and a product is
-    # scaled in place unless it is a bound matrix itself
-    out = None
-    for word, coeff in poly.sorted_terms():
-        term = dense_word_product(word, matrix_of, dim)
-        if any(term is mat for mat in mats.values()):
-            term = coeff * term
-        else:
-            term *= coeff
-        if out is None:
-            out = np.zeros((dim, dim), dtype=complex)
-        out += term
-        del term  # freed before the next product is formed
-    return np.zeros((dim, dim), dtype=complex) if out is None else out
-
-
-def _block_matrix(cells: list, mats: dict, size: int) -> np.ndarray:
-    """The block matrix of ``cells``, each evaluated over ``mats`` at ``size``
-    and written into its block as soon as it is formed."""
-    out = np.empty((len(cells) * size, len(cells) * size), dtype=complex)
-    for i, row in enumerate(cells):
-        for j, poly in enumerate(row):
-            out[i * size:(i + 1) * size, j * size:(j + 1) * size] = (
-                _evaluate_expression(poly, mats, size)
-            )
-    return out
-
-
 def _trial_matrix(
     scenario: Scenario, poly, a_cells: list | None, b_cells: list,
-    rng: np.random.Generator, diagnostics: dict, keep_b: bool,
-) -> tuple[np.ndarray, list | None]:
-    """One trial's matrix of the expression, and its B matrices as drawn
-    (before the Haar conjugation) if ``keep_b``, else ``None``.
+    rng: np.random.Generator, diagnostics: dict, pairs: list | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One trial's matrix of the expression, and the :func:`estimate_beta` of
+    its B matrices as drawn (before the Haar conjugation) over ``pairs`` of
+    b_spec positions ``(b, c)``, or ``None`` without ``pairs``.
 
-    Every other matrix built here dies when it returns.
+    Every matrix built here dies when it returns.
     """
     a_matrix = _build_a_matrix(scenario, a_cells, rng, diagnostics)
     dim = a_matrix.shape[0]
     b_mats = _build_b_matrices(scenario, b_cells, dim, rng, diagnostics)
-    raw_b = list(b_mats) if keep_b else None
+    beta = None
+    if pairs is not None:
+        # an integral float index is an integer to the schema
+        beta = estimate_beta([b_mats[int(c) - 1] for _, c in pairs],
+                             [b_mats[int(b) - 1] for b, _ in pairs])
     if scenario.haar_conjugate_b:
         b_mats = _haar_conjugated(b_mats, dim, rng, diagnostics)
     mats = {Letter(FAMILY_A, 1): a_matrix}
     mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
-    return _evaluate_expression(poly, mats, dim), raw_b
+    return dense_polynomial(poly, mats, dim), beta
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +516,15 @@ def _a_spectrum(spec: dict, count: int | None):
         return ExplicitSpectrum(spec["values"])
     scale = spec.get("scale", 1.0) * spec["ratio"] ** spec.get("start_power", 0)
     return GeometricSpectrum(scale, spec["ratio"], count=count)
+
+
+def _b_state(prediction: dict) -> MomentTable:
+    """The moment table of ``prediction['b_state']``; a malformed one raises
+    ``ValueError`` naming the key."""
+    try:
+        return MomentTable.from_json_doc(prediction["b_state"])
+    except (ValueError, TypeError, AttributeError, NotInDomainError) as exc:
+        raise ValueError(f"prediction 'b_state': {exc}") from None
 
 
 def _chain(scenario: Scenario):
@@ -569,10 +547,7 @@ def _chain(scenario: Scenario):
     index = word[0].index
     if b_cells[index - 1] is None or len(b_cells[index - 1]) != len(a_cells):
         raise ValueError(f"prediction recipe 'chain' needs as many 'blocks' on b{index} as on a1")
-    try:
-        table = MomentTable.from_json_doc(scenario.prediction["b_state"])
-    except (ValueError, TypeError, AttributeError, NotInDomainError) as exc:
-        raise ValueError(f"prediction 'b_state': {exc}") from None
+    table = _b_state(scenario.prediction)
     a_alg = AlgMatrix([[drop_stars(poly) for poly in row] for row in a_cells])
     b_alg = AlgMatrix(b_cells[index - 1])
     spectra = {g.index: _a_spectrum(scenario.a_spec, None) for g in _generators(a_cells)}
@@ -580,11 +555,12 @@ def _chain(scenario: Scenario):
     return b_alg, [a_alg, b_alg] * (len(word) // 2), family, table
 
 
-def recipe_prediction(spec: dict, spectrum, truncation, trial_b_mats: list | None = None):
+def recipe_prediction(spec: dict, spectrum, truncation, beta: np.ndarray | None = None):
     """Prediction of a closed-form recipe with the A-side ``spectrum``.
 
     ``spec`` is a scenario ``prediction`` entry of any recipe but ``chain``;
-    ``trial_b_mats`` activates the per-trial estimate of a ``sum_bac`` beta.
+    ``beta``, a trial's estimate, replaces the ``bprime_limit`` of a
+    per-trial ``sum_bac``.
     """
     recipe = spec["recipe"]
     if recipe == "anticommutator":
@@ -599,23 +575,16 @@ def recipe_prediction(spec: dict, spectrum, truncation, trial_b_mats: list | Non
         ]
         return ev_sum_bab(diag, np.asarray(spec["gram"], dtype=complex), truncation)
     if recipe == "sum_bac":
-        if spec.get("beta") == "per_trial":
-            if trial_b_mats is not None:
-                pairs = spec["pairs"]
-                # an integral float index is an integer to the schema
-                c_list = [trial_b_mats[int(c) - 1] for _, c in pairs]
-                b_list = [trial_b_mats[int(b) - 1] for b, _ in pairs]
-                bprime = estimate_beta(c_list, b_list)
-            else:
-                bprime = np.asarray(spec["bprime_limit"], dtype=complex)
-        else:
-            bprime = np.asarray(spec["bprime"], dtype=complex)
-        return ev_sum_bac(spectrum, bprime, truncation)
+        if spec.get("beta") != "per_trial":
+            beta = np.asarray(spec["bprime"], dtype=complex)
+        elif beta is None:
+            beta = np.asarray(spec["bprime_limit"], dtype=complex)
+        return ev_sum_bac(spectrum, beta, truncation)
     raise ValueError(f"unknown recipe {recipe!r}")
 
 
-def build_prediction(scenario: Scenario, trial_b_mats: list | None = None):
-    """Prediction for a scenario; ``trial_b_mats`` activates per-trial estimates.
+def build_prediction(scenario: Scenario, beta: np.ndarray | None = None):
+    """Prediction for a scenario; ``beta`` is a trial's estimate of a per-trial beta.
 
     Returns ``(prediction, moments)`` where ``moments`` are the first three
     predicted trace moments (limit values where the recipe provides them,
@@ -628,7 +597,7 @@ def build_prediction(scenario: Scenario, trial_b_mats: list | None = None):
         return pred, [float(np.real(chain_moment(closed, m, family, table))) for m in (1, 2, 3)]
     pred = recipe_prediction(
         scenario.prediction, _a_spectrum(scenario.a_spec, scenario.truncation),
-        scenario.truncation, trial_b_mats,
+        scenario.truncation, beta,
     )
     moments = [float(np.sum(pred.multiset.values**k)) for k in (1, 2, 3)]
     return pred, moments
@@ -647,14 +616,14 @@ def run_scenario(scenario: Scenario) -> Report:
         scenario.prediction.get("recipe") == "sum_bac"
         and scenario.prediction.get("beta") == "per_trial"
     )
+    pairs = scenario.prediction["pairs"] if per_trial_beta else None
     prediction, predicted_moments = build_prediction(scenario)
     a_cells, b_cells = scenario._blocks()
 
     def one_trial(t: int) -> dict:
         rng = trial_rng(scenario.seed, t)
         diagnostics: dict = {}
-        x, raw_b = _trial_matrix(scenario, poly, a_cells, b_cells, rng, diagnostics,
-                                 keep_b=per_trial_beta)
+        x, beta = _trial_matrix(scenario, poly, a_cells, b_cells, rng, diagnostics, pairs)
         adjoint = x.conj().T
         residual = float(np.max(np.abs(x - adjoint)))
         if residual > rounding_tolerance(HERMITICITY_GATE, float(np.max(np.abs(x)))):
@@ -665,22 +634,22 @@ def run_scenario(scenario: Scenario) -> Report:
         x += adjoint  # (x + x*) / 2 in place: adjoint is a copy
         x /= 2.0
         del adjoint
-        empirical = hermitian_spectrum(x, source="empirical")
+        empirical = hermitian_spectrum(x)
         x2 = x @ x
         moments = [
             float(np.real(np.trace(x))),
             float(np.real(np.trace(x2))),
             float(np.real(np.einsum("ij,ji->", x2, x))),
         ]
-        del x, x2  # a per-trial beta reads raw_b only
+        del x, x2  # freed before a per-trial prediction
         record = {
             "trial": t,
             "eigenvalues": empirical.to_list(),
             "moments": moments,
             "diagnostics": {"hermiticity_residual": residual, **diagnostics},
         }
-        if per_trial_beta:
-            trial_pred, _ = build_prediction(scenario, trial_b_mats=raw_b)
+        if beta is not None:
+            trial_pred, _ = build_prediction(scenario, beta)
             record["prediction_eigenvalues"] = trial_pred.multiset.to_list()
             record["prediction_provenance"] = trial_pred.to_json_dict()["provenance"]
             reference = trial_pred.multiset

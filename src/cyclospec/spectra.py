@@ -37,11 +37,10 @@ def _canonical(values: Iterable[float]) -> np.ndarray:
 class EVMultiset:
     """Finite real eigenvalue multiset stored in canonical order."""
 
-    __slots__ = ("values", "source")
+    __slots__ = ("values",)
 
-    def __init__(self, values: Iterable[float], source: str = "empirical"):
+    def __init__(self, values: Iterable[float]):
         self.values = _canonical(values)
-        self.source = source
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -61,7 +60,7 @@ class EVMultiset:
     def __repr__(self) -> str:
         head = ", ".join(f"{v:.6g}" for v in self.values[:6])
         tail = ", ..." if len(self) > 6 else ""
-        return f"EVMultiset([{head}{tail}], n={len(self)}, source={self.source!r})"
+        return f"EVMultiset([{head}{tail}], n={len(self)})"
 
     def to_list(self) -> list[float]:
         return [float(v) for v in self.values]
@@ -72,13 +71,13 @@ class EVMultiset:
                 fh.write(f"{float(v)!r}\n")
 
     @classmethod
-    def from_csv(cls, path, source: str = "empirical") -> "EVMultiset":
+    def from_csv(cls, path) -> "EVMultiset":
         with open(path, "r", encoding="utf-8") as fh:
             vals = [float(line) for line in fh if line.strip()]
-        return cls(vals, source=source)
+        return cls(vals)
 
 
-def hermitian_spectrum(matrix: np.ndarray, source: str = "empirical") -> EVMultiset:
+def hermitian_spectrum(matrix: np.ndarray) -> EVMultiset:
     """All eigenvalues (with multiplicity) of a Hermitian matrix.
 
     A stack of square matrices, shape ``(..., k, k)``, stands for their direct
@@ -100,22 +99,21 @@ def hermitian_spectrum(matrix: np.ndarray, source: str = "empirical") -> EVMulti
     np.conj(transposed, out=work)
     np.add(m, work, out=work)
     work /= 2.0
-    return EVMultiset(np.linalg.eigvalsh(work).ravel(), source=source)
+    return EVMultiset(np.linalg.eigvalsh(work).ravel())
 
 
 def scale(c: float, s: EVMultiset) -> EVMultiset:
-    return EVMultiset(float(c) * s.values, source=s.source)
+    return EVMultiset(float(c) * s.values)
 
 
 def disjoint_union(s: EVMultiset, t: EVMultiset) -> EVMultiset:
-    source = s.source if s.source == t.source else "predicted"
-    return EVMultiset(np.concatenate([s.values, t.values]), source=source)
+    return EVMultiset(np.concatenate([s.values, t.values]))
 
 
 def truncate(s: EVMultiset, m: int) -> EVMultiset:
     if m < 0:
         raise ValueError("truncation length must be >= 0")
-    return EVMultiset(s.values[:m], source=s.source)
+    return EVMultiset(s.values[:m])
 
 
 def multiset_moment(s: EVMultiset, k: int) -> float:

@@ -219,6 +219,8 @@ _PER_TRIAL = {
         ({}, "name", 7),
         ({}, "expression", ["a1 + b1*a1*b1*a1*b1"]),
         ({"b_spec": [{"kind": "file", "path": "b.csv"}]}, "b_spec__0__path", 3),
+        ({"b_spec": [{"kind": "gue_squared"}, {"kind": "copy_of", "index": 1}]},
+         "b_spec__1__index", True),
         ({}, "a_spec__start_power", 1.5),
         ({}, "prediction__diag__1__power", 1.5),
         ({}, "prediction__gram__0__1", "1"),
@@ -263,25 +265,35 @@ def test_scenario_schema_rejects_mistyped_fields_as_validation_does(base, path, 
     assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")) == 1
 
 
-@pytest.mark.parametrize("path,value,message", [
-    pytest.param(path, value, message, id=case)
-    for case, path, value, message in [
-        ("moment-string", "moments__b1*b1", "1", "moment 'b1*b1' must be a number"),
-        ("moment-bool", "moments__b1*b1", True, "moment 'b1*b1' must be a number"),
-        ("moment-pair-string", "moments__b2*b2", [1.0, "0"], "moment 'b2*b2' must be a number"),
-        ("moment-3-items", "moments__b2*b2", [1.0, 0.0, 0.0], "moment 'b2*b2' must be a number"),
-        ("moments-array", "moments", [], "a moment table is an object with a 'moments' object"),
-        ("degree_cap-fraction", "degree_cap", 1.5, "degree_cap must be an integer >= 1"),
-        ("degree_cap-zero", "degree_cap", 0, "degree_cap must be an integer >= 1"),
+@pytest.mark.parametrize("name,path,value,message", [
+    pytest.param(name, path, value, message, id=case)
+    for case, name, path, value, message in [
+        ("moment-string", "example1", "moments__b1*b1", "1", "moment 'b1*b1' must be a number"),
+        ("moment-bool", "example1", "moments__b1*b1", True, "moment 'b1*b1' must be a number"),
+        ("moment-pair-string", "example1", "moments__b2*b2", [1.0, "0"],
+         "moment 'b2*b2' must be a number"),
+        ("moment-3-items", "example1", "moments__b2*b2", [1.0, 0.0, 0.0],
+         "moment 'b2*b2' must be a number"),
+        ("moments-array", "example1", "moments", [],
+         "a moment table is an object with a 'moments' object"),
+        ("degree_cap-fraction", "example1", "degree_cap", 1.5,
+         "degree_cap must be an integer >= 1"),
+        ("degree_cap-zero", "example1", "degree_cap", 0, "degree_cap must be an integer >= 1"),
+        # a b_state nothing reads is typed all the same
+        ("sum_bab-moment-string", "example3", "moments__b1*b1", "x",
+         "moment 'b1*b1' must be a number"),
     ]
 ])
-def test_b_state_schema_rejects_mistyped_moments_as_loading_does(path, value, message, tmp_path):
+def test_b_state_schema_rejects_mistyped_moments_as_loading_does(name, path, value, message,
+                                                                 tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     validator = jsonschema.Draft202012Validator(json.loads(
         resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
     ))
-    doc = builtin_scenario("example1", n=40, trials=2).to_dict()
+    doc = builtin_scenario(name, n=40, trials=2).to_dict()
+    doc["prediction"].setdefault("b_state", {"moments": {"b1*b1": 1.0}})
     assert validator.is_valid(doc)
+    rmtlab.Scenario.from_dict(doc)
     *keys, last = path.split("__")
     target = doc["prediction"]["b_state"]
     for key in keys:
@@ -293,6 +305,20 @@ def test_b_state_schema_rejects_mistyped_moments_as_loading_does(path, value, me
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(doc))
     assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")) == 1
+
+
+def test_copy_of_integral_float_index_runs_as_its_integer():
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(json.loads(
+        resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
+    ))
+    doc = builtin_scenario("example2-correlated", n=24, trials=2).to_dict()
+    assert doc["b_spec"][1] == {"kind": "copy_of", "index": 1}
+    floated = json.loads(json.dumps(doc))
+    floated["b_spec"][1]["index"] = 1.0
+    assert validator.is_valid(floated)
+    report = rmtlab.run_scenario(rmtlab.Scenario.from_dict(floated))
+    assert report.trials == rmtlab.run_scenario(rmtlab.Scenario.from_dict(doc)).trials
 
 
 def test_formula_demos(capsys):

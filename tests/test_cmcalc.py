@@ -163,6 +163,25 @@ def test_spectrum_family_mixed_truncations_rejected():
         SpectrumFamily({1: GeometricSpectrum(1, 0.5, 16), 2: GeometricSpectrum(1, 0.5, 32)})
 
 
+@pytest.mark.parametrize("model,mismatched", [
+    pytest.param(model, mismatched, id=model.__name__)
+    for model, mismatched in [
+        (TraceMatrixState, [{1: np.ones((2, 3))}, {1: np.eye(2), 2: np.eye(3)}]),
+        (MatrixTraceFamily, [{1: np.ones((3, 2))}, {1: np.eye(2), 2: np.eye(3)}]),
+        (SpectrumFamily, [{1: GeometricSpectrum(1, 0.5, 16), 2: ExplicitSpectrum([1.0])}]),
+        (HaarConjugatedFamily, [{1: GeometricSpectrum(1, 0.5, 16),
+                                 2: GeometricSpectrum(1, 0.5, None)}]),
+    ]
+])
+def test_model_constructors_reject_empty_and_mismatched_generators(model, mismatched):
+    with pytest.raises(ValueError):
+        model({})
+    for generators in mismatched:
+        with pytest.raises(DimensionMismatchError):
+            model(generators)
+    model({1: mismatched[-1][1]})  # the same generator alone is accepted
+
+
 # ---------------------------------------------------------------------------
 # the moment oracle
 # ---------------------------------------------------------------------------

@@ -651,7 +651,7 @@ def _dense_sum_bab(blocks, gram):
     for i, block in enumerate(blocks):
         stacked[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
     lift = np.kron(root, np.eye(n))
-    return hermitian_spectrum(lift @ stacked @ lift, source="predicted")
+    return hermitian_spectrum(lift @ stacked @ lift)
 
 
 def _assert_same_spectrum(got, reference, rel=1e-10):

@@ -1,0 +1,61 @@
+"""Pins of the package's public names and of some parameter lists.
+
+Removing or renaming a public name, or a parameter of a pinned function,
+fails here until the pin is updated, and CHANGES.md lists the change.
+"""
+
+import inspect
+import types
+
+import pytest
+
+import cyclospec
+from cyclospec import cmcalc, linred, rmtlab, spectra
+
+PUBLIC_NAMES = [
+    "AlgMatrix", "ComplexEigenvaluesError", "CompositeFamily", "DegreeExceededError",
+    "DimensionMismatchError", "DomainError", "EVMultiset", "EmptyInputError",
+    "ExplicitSpectrum", "ExpressionSyntaxError", "GeometricSpectrum", "HaarConjugatedFamily",
+    "InsufficientEntriesError", "Letter", "MatrixTraceFamily", "MomentTable", "NCPolynomial",
+    "NotInDomainError", "NotPositiveError", "NotSelfadjointError", "Prediction", "Report",
+    "Scenario", "SpectrumFamily", "TraceMatrixState", "UnknownSymbolError", "a_gen",
+    "alternating_form", "auto_symbols", "b_gen", "builtin_scenario", "chain_moment",
+    "chain_moment_unreduced", "cm_moment", "collapse_internal_b_runs", "disjoint_union",
+    "estimate_beta", "ev_anticommutator", "ev_chain", "ev_commutator", "ev_conjugated_sum",
+    "ev_sum_aba", "ev_sum_bab", "ev_sum_bac", "format_expression", "geometric_diag",
+    "hermitian_spectrum", "is_selfadjoint", "make_symbols", "match_distance",
+    "multiset_moment", "parse_expression", "poly_moment", "power", "reduce_b_matrix",
+    "run_scenario", "sample_gue", "sample_haar_unitary", "scale", "sqrtm_psd", "truncate",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name for name in dir(cyclospec)
+        if not name.startswith("_") and not isinstance(getattr(cyclospec, name), types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("function,parameters", [
+    pytest.param(function, parameters, id=function.__qualname__)
+    for function, parameters in [
+        (cmcalc.dense_word_product, ["w", "matrix_of", "dim"]),
+        (cmcalc.dense_polynomial, ["poly", "mats", "dim"]),
+        (cmcalc.dense_block_matrix, ["cells", "mats", "size"]),
+        (cmcalc.TraceMatrixState, ["matrices"]),
+        (cmcalc.MatrixTraceFamily, ["matrices"]),
+        (cmcalc.SpectrumFamily, ["spectra"]),
+        (cmcalc.HaarConjugatedFamily, ["spectra", "realization_seed"]),
+        (spectra.EVMultiset, ["values"]),
+        (spectra.EVMultiset.from_csv, ["path"]),
+        (spectra.hermitian_spectrum, ["matrix"]),
+        (linred.eigenvalue_multiset, ["a", "truncation"]),
+        (linred.ev_chain, ["b0", "chain", "a_model", "b_state", "truncation",
+                           "check_selfadjoint", "selfadjoint_generators"]),
+        (rmtlab.recipe_prediction, ["spec", "spectrum", "truncation", "beta"]),
+        (rmtlab.build_prediction, ["scenario", "beta"]),
+    ]
+])
+def test_parameter_lists_are_pinned(function, parameters):
+    assert list(inspect.signature(function).parameters) == parameters

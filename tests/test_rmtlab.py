@@ -25,12 +25,11 @@ from cyclospec import (
     sample_haar_unitary,
 )
 from cyclospec.cli import main
-from cyclospec.cmcalc import dense_word_product
+from cyclospec.cmcalc import dense_polynomial, dense_word_product
 from cyclospec.ensembles import geometric_values
 from cyclospec.ncalg import FAMILY_A, FAMILY_B, Letter
 from cyclospec.rmtlab import (
     _build_a_matrix,
-    _evaluate_expression,
     _generators,
     build_prediction,
     load_matrix_csv,
@@ -299,8 +298,8 @@ def test_diagonal_trial_a_matches_dense_path(a_spec):
     for text in ["a1 + b1*a1*b1*a1*b1", "b1*a1*b2 + b2*a1*b1", "a1*a1 - a1", "a1*b1*a1'"]:
         poly = parse_expression(text, {"a1": a1, "b1": b1, "b2": b2})
         assert np.array_equal(
-            _evaluate_expression(poly, {a1: d, **b}, n),
-            _evaluate_expression(poly, {a1: dense, **b}, n),
+            dense_polynomial(poly, {a1: d, **b}, n),
+            dense_polynomial(poly, {a1: dense, **b}, n),
         )
 
 
@@ -435,7 +434,7 @@ def test_example3_match_improves_with_n():
     for n in sizes:
         s = builtin_scenario("example3", n=n, trials=10, seed=97)
         report = run_scenario(s)
-        pred = EVMultiset(report.prediction["eigenvalues"], source="predicted")
+        pred = EVMultiset(report.prediction["eigenvalues"])
         rels = [
             match_distance(EVMultiset(rec["eigenvalues"]), pred, 5)["max_rel"]
             for rec in report.trials
@@ -557,7 +556,9 @@ def _reference_trial(scenario, t):
         "diagnostics": {"hermiticity_residual": residual, **diagnostics},
     }
     if scenario.prediction.get("beta") == "per_trial":
-        prediction, _ = build_prediction(scenario, trial_b_mats=raw_b)
+        pairs = scenario.prediction["pairs"]
+        beta = estimate_beta([raw_b[c - 1] for _, c in pairs], [raw_b[b - 1] for b, _ in pairs])
+        prediction, _ = build_prediction(scenario, beta)
         record["prediction_eigenvalues"] = prediction.multiset.to_list()
     return record
 
@@ -584,7 +585,7 @@ def test_evaluate_expression_leaves_bound_matrices_alone():
         expected = np.zeros((6, 6), dtype=complex)
         for word, coeff in poly.sorted_terms():
             expected += coeff * dense_word_product(word, lambda letter: kept[letter.base()], 6)
-        assert _evaluate_expression(poly, mats, 6).tobytes() == expected.tobytes()
+        assert dense_polynomial(poly, mats, 6).tobytes() == expected.tobytes()
         assert all(np.array_equal(mats[letter], kept[letter]) for letter in mats)
 
 
