@@ -456,7 +456,7 @@ class MomentTable(TracialState):
         if not isinstance(doc, Mapping) or not isinstance(doc.get("moments", {}), Mapping):
             raise ValueError("a moment table is an object with a 'moments' object")
         cap = doc.get("degree_cap")
-        if cap is not None and not (_is_json_integer(cap) and cap >= 1):
+        if "degree_cap" in doc and not (_is_json_integer(cap) and cap >= 1):
             raise ValueError(f"degree_cap must be an integer >= 1, not {cap!r}")
         moments = {}
         for key, value in doc.get("moments", {}).items():

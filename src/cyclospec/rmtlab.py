@@ -15,8 +15,8 @@ shipped in the package's ``demos/`` directory.
 
 from __future__ import annotations
 
+import functools
 import json
-import numbers
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -69,20 +69,6 @@ __all__ = [
 DEMO_SEED = 20260808
 
 HERMITICITY_GATE = 1e-8
-
-_A_SPEC_KINDS = {"geometric", "explicit"}
-_B_SPEC_KINDS = {"gue", "gue_squared", "file", "copy_of"}
-# the prediction keys each recipe reads; a per-trial sum_bac beta reads
-# _PER_TRIAL_KEYS instead of "bprime"
-_RECIPE_KEYS = {
-    "anticommutator": ("tau_b", "tau_b2"),
-    "commutator": ("tau_b", "tau_b2"),
-    "sum_bab": ("diag", "gram"),
-    "sum_bac": ("bprime",),
-    "chain": ("b_state",),
-}
-_PER_TRIAL_KEYS = ("pairs", "bprime_limit")
-
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Per-trial generator; the spawn key makes streams injective in the trial."""
@@ -140,20 +126,77 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=complex)
 
 
-def _is_array(value) -> bool:
-    return isinstance(value, (list, tuple))
+@functools.cache
+def _scenario_schema() -> dict:
+    path = resources.files(__package__).joinpath("schemas/scenario.schema.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
-# the JSON types Scenario.validate checks, as jsonschema reads them: a bool
-# is not a number
+# the schema's JSON types, as jsonschema reads them: a bool is not a number
 _JSON_TYPES = {
-    "a string": lambda value: isinstance(value, str),
-    "a number": _is_json_number,
-    "an integer": _is_json_integer,
-    "an array": _is_array,
-    "an array of 2 items": lambda value: _is_array(value) and len(value) == 2,
-    "an object": lambda value: isinstance(value, dict),
+    "string": ("a string", lambda value: isinstance(value, str)),
+    "number": ("a number", _is_json_number),
+    "integer": ("an integer", _is_json_integer),
+    "boolean": ("a boolean", lambda value: isinstance(value, bool)),
+    "array": ("an array", lambda value: isinstance(value, (list, tuple))),
+    "object": ("an object", lambda value: isinstance(value, dict)),
 }
+# typed by their own loaders, _block_cells and _b_state
+_LOADER_TYPED = {"blocks", "b_state"}
+
+
+def _require(keys, doc: dict, where: str) -> None:
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"scenario {where} needs the key {key!r}")
+
+
+def _holds(condition: dict, doc: dict) -> bool:
+    """Whether ``doc`` meets an ``if`` of ``properties``/``const``, ``required`` and ``not``."""
+    return (
+        all(doc.get(key, sub["const"]) == sub["const"]
+            for key, sub in condition.get("properties", {}).items())
+        and all(key in doc for key in condition.get("required", ()))
+        and not ("not" in condition and _holds(condition["not"], doc))
+    )
+
+
+def _check(node: dict, value, where: str) -> None:
+    """Raise ``ValueError`` at the first part of ``value`` that breaks the
+    schema ``node``; ``where`` is its key path.  A container is checked
+    before its items."""
+    if "$ref" in node:
+        node = _scenario_schema()["$defs"][node["$ref"].rsplit("/", 1)[1]]
+
+    def fail(expected: str):
+        raise ValueError(f"scenario {where!r} must be {expected}, not {value!r}")
+
+    if "type" in node:
+        kind, is_kind = _JSON_TYPES[node["type"]]
+        if not is_kind(value):
+            fail(kind)
+    if "enum" in node and value not in node["enum"]:
+        *others, last = map(repr, node["enum"])
+        fail(f"{', '.join(others)} or {last}" if others else last)
+    if "minimum" in node and value < node["minimum"]:
+        fail(f">= {node['minimum']}")
+    if "minItems" in node:  # with an equal maxItems, or none
+        low = node["minItems"]
+        if not low <= len(value) <= node.get("maxItems", len(value)):
+            bound = "" if "maxItems" in node else "at least "
+            fail(f"an array of {bound}{low} item{'s' if low != 1 else ''}")
+    _require(node.get("required", ()), value, repr(where))
+    for key, sub in node.get("properties", {}).items():
+        if key in value and key not in _LOADER_TYPED:
+            _check(sub, value[key], f"{where}.{key}" if where else key)
+    if "items" in node:
+        for pos, item in enumerate(value):
+            _check(node["items"], item, f"{where}[{pos}]")
+    for rule in node.get("allOf", ()):
+        if _holds(rule["if"], value):
+            condition = ", ".join(f"{key} {sub['const']!r}"
+                                  for key, sub in sorted(rule["if"]["properties"].items()))
+            _require(rule["then"]["required"], value, f"{where!r} with {condition}")
 
 
 def _as_int(value):
@@ -162,18 +205,10 @@ def _as_int(value):
     return int(value) if _is_json_integer(value) else value
 
 
-def _array_fields(key: str, value, kind: str):
-    """The typed fields of an array of ``kind`` items: the array, then each item."""
-    yield key, value, "an array"
-    for pos, item in enumerate(value):
-        yield f"{key}[{pos}]", item, kind
-
-
-def _matrix_fields(key: str, value):
-    """The typed fields of a matrix: an array of arrays of numbers."""
-    yield key, value, "an array"
-    for pos, row in enumerate(value):
-        yield from _array_fields(f"{key}[{pos}]", row, "a number")
+def _per_trial_pairs(prediction: dict) -> list | None:
+    """The ``pairs`` of a per-trial ``sum_bac`` beta, else ``None``."""
+    per_trial = prediction.get("recipe") == "sum_bac" and prediction.get("beta") == "per_trial"
+    return prediction["pairs"] if per_trial else None
 
 
 @dataclass
@@ -193,99 +228,29 @@ class Scenario:
     truncation: int | None = None
 
     def __post_init__(self):
+        for key in ("n", "seed", "trials", "compare_top", "truncation"):
+            setattr(self, key, _as_int(getattr(self, key)))
         if self.truncation is None:
             self.truncation = self.n
         self.validate()
 
     def validate(self) -> None:
-        for key in ("n", "seed", "trials", "compare_top", "truncation"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"scenario {key!r} must be an integer, not {value!r}")
-        for key, value, kind in self._typed_fields():
-            if not _JSON_TYPES[kind](value):
-                raise ValueError(f"scenario {key!r} must be {kind}, not {value!r}")
-        if self.n < 2:
-            raise ValueError("matrix dimension must be >= 2")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if self.compare_top < 0:
-            raise ValueError("compare_top must be >= 0")
-        if self.truncation < 1:
-            raise ValueError("truncation must be >= 1")
-        if self.a_spec.get("kind") not in _A_SPEC_KINDS:
-            raise ValueError(f"unknown a_spec kind {self.a_spec.get('kind')!r}")
+        """Check the scenario against ``scenario.schema.json``, then what the
+        schema cannot express: references between entries, ``blocks``, the
+        expression and ``b_state``."""
+        _check(_scenario_schema(), vars(self), "")
         for pos, spec in enumerate(self.b_spec):
-            kind = spec.get("kind")
-            if kind not in _B_SPEC_KINDS:
-                raise ValueError(f"unknown b_spec kind {kind!r}")
-            if kind == "copy_of":
-                ref = spec.get("index")
-                if ref is None or not (1 <= int(ref) <= pos):
-                    raise ValueError("copy_of must reference an earlier b_spec entry")
+            if spec["kind"] == "copy_of" and not 1 <= spec.get("index", 0) <= pos:
+                raise ValueError("copy_of must reference an earlier b_spec entry")
         self._blocks()
-        recipe = self.prediction.get("recipe")
-        if recipe not in _RECIPE_KEYS:
-            raise ValueError(f"unknown prediction recipe {recipe!r}")
-        beta = self.prediction.get("beta", "per_trial")
-        if beta != "per_trial":
-            raise ValueError(f"prediction 'beta' must be 'per_trial', not {beta!r}")
-        per_trial = recipe == "sum_bac" and self.prediction.get("beta") == "per_trial"
-        keys = _PER_TRIAL_KEYS if per_trial else _RECIPE_KEYS[recipe]
-        for key in keys:
-            if key not in self.prediction:
-                raise ValueError(f"prediction recipe {recipe!r} needs the key {key!r}")
-        if per_trial:
-            for pair in self.prediction["pairs"]:
-                if not all(1 <= idx <= len(self.b_spec) for idx in pair):
-                    raise ValueError("beta pairs must index into b_spec")
+        for pair in _per_trial_pairs(self.prediction) or ():
+            if not all(1 <= idx <= len(self.b_spec) for idx in pair):
+                raise ValueError("beta pairs must index into b_spec")
         parse_expression(self.expression, self._symbols())
-        if recipe == "chain":
+        if self.prediction["recipe"] == "chain":
             _chain(self)
         elif "b_state" in self.prediction:
             _b_state(self.prediction)
-
-    def _typed_fields(self):
-        """``(key, value, type)`` for each given field that the schema types.
-
-        A container comes before its items, and :meth:`validate` stops at the
-        first mistyped field, so the items of a mistyped container are never
-        reached.  ``b_state`` is typed by its loader, :func:`_b_state`.
-        """
-        yield "name", self.name, "a string"
-        yield "expression", self.expression, "a string"
-        yield "a_spec", self.a_spec, "an object"
-        yield "b_spec", self.b_spec, "an array"
-        yield "prediction", self.prediction, "an object"
-        for pos, spec in enumerate(self.b_spec):
-            yield f"b_spec[{pos}]", spec, "an object"
-            for key, kind in (("path", "a string"), ("index", "an integer")):
-                if key in spec:
-                    yield f"b_spec[{pos}].{key}", spec[key], kind
-        for key, kind in (("scale", "a number"), ("ratio", "a number"),
-                          ("start_power", "an integer")):
-            if key in self.a_spec:
-                yield f"a_spec.{key}", self.a_spec[key], kind
-        if "values" in self.a_spec:
-            yield from _array_fields("a_spec.values", self.a_spec["values"], "a number")
-        prediction = self.prediction
-        for key in ("tau_b", "tau_b2"):
-            if key in prediction:
-                yield f"prediction.{key}", prediction[key], "a number"
-        if "diag" in prediction:
-            yield from _array_fields("prediction.diag", prediction["diag"], "an object")
-            for pos, piece in enumerate(prediction["diag"]):
-                for key, kind in (("power", "an integer"), ("coeff", "a number")):
-                    if key in piece:
-                        yield f"prediction.diag[{pos}].{key}", piece[key], kind
-        for key in ("gram", "bprime", "bprime_limit"):
-            if key in prediction:
-                yield from _matrix_fields(f"prediction.{key}", prediction[key])
-        if "pairs" in prediction:
-            yield "prediction.pairs", prediction["pairs"], "an array"
-            for pos, pair in enumerate(prediction["pairs"]):
-                yield from _array_fields(f"prediction.pairs[{pos}]", pair, "an integer")
-                yield f"prediction.pairs[{pos}]", pair, "an array of 2 items"
 
     def _blocks(self) -> tuple[list | None, list]:
         """The parsed ``blocks`` of a_spec and of each b_spec entry (``None`` if absent)."""
@@ -311,16 +276,16 @@ class Scenario:
     def from_dict(cls, doc: dict) -> "Scenario":
         return cls(
             name=doc["name"],
-            n=_as_int(doc["n"]),
-            seed=_as_int(doc["seed"]),
-            trials=_as_int(doc.get("trials", 5)),
+            n=doc["n"],
+            seed=doc["seed"],
+            trials=doc.get("trials", 5),
             a_spec=doc["a_spec"],
-            b_spec=list(doc["b_spec"]),
-            haar_conjugate_b=bool(doc.get("haar_conjugate_b", False)),
+            b_spec=doc["b_spec"],
+            haar_conjugate_b=doc.get("haar_conjugate_b", False),
             expression=doc["expression"],
             prediction=doc["prediction"],
-            compare_top=_as_int(doc.get("compare_top", 10)),
-            truncation=_as_int(doc.get("truncation")),
+            compare_top=doc.get("compare_top", 10),
+            truncation=doc.get("truncation"),
         )
 
     @classmethod
@@ -612,11 +577,7 @@ def run_scenario(scenario: Scenario) -> Report:
     """Run every trial of a scenario and assemble the comparison report."""
     scenario.validate()
     poly = parse_expression(scenario.expression, scenario._symbols())
-    per_trial_beta = (
-        scenario.prediction.get("recipe") == "sum_bac"
-        and scenario.prediction.get("beta") == "per_trial"
-    )
-    pairs = scenario.prediction["pairs"] if per_trial_beta else None
+    pairs = _per_trial_pairs(scenario.prediction)
     prediction, predicted_moments = build_prediction(scenario)
     a_cells, b_cells = scenario._blocks()
 

@@ -155,29 +155,12 @@ def test_scenario_schema_validation():
         jsonschema.validate(json.loads(shipped), schema)
 
 
-def _recipe_requirements(schema) -> dict:
-    """``{(recipe, per_trial): required keys}`` of the schema's prediction if/then rules."""
-    out = {}
-    for rule in schema["properties"]["prediction"]["allOf"]:
-        condition = rule["if"]["properties"]
-        per_trial = condition.get("beta", {}).get("const") == "per_trial"
-        out[(condition["recipe"]["const"], per_trial)] = tuple(rule["then"]["required"])
-    return out
-
-
 def test_scenario_schema_mirrors_validation():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(
         resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
     )
     jsonschema.Draft202012Validator.check_schema(schema)
-    props = schema["properties"]
-    assert set(props["a_spec"]["properties"]["kind"]["enum"]) == rmtlab._A_SPEC_KINDS
-    assert set(props["b_spec"]["items"]["properties"]["kind"]["enum"]) == rmtlab._B_SPEC_KINDS
-    assert set(props["prediction"]["properties"]["recipe"]["enum"]) == set(rmtlab._RECIPE_KEYS)
-    expected = {(recipe, False): keys for recipe, keys in rmtlab._RECIPE_KEYS.items()}
-    expected[("sum_bac", True)] = rmtlab._PER_TRIAL_KEYS
-    assert _recipe_requirements(schema) == expected
     # the rules fire as Scenario.validate does
     validator = jsonschema.Draft202012Validator(schema)
     doc = builtin_scenario("example1", n=40, trials=2).to_dict()
@@ -239,6 +222,8 @@ _PER_TRIAL = {
         (_PER_TRIAL, "prediction__pairs__0__0", 1.5),
         (_PER_TRIAL, "prediction__pairs__1", [2, 1, 1]),
         (_PER_TRIAL, "prediction__pairs", {"1": 2}),
+        ({}, "haar_conjugate_b", "false"),
+        ({}, "b_spec", None),
     ]
 ])
 def test_scenario_schema_rejects_mistyped_fields_as_validation_does(base, path, value, tmp_path):
@@ -279,6 +264,7 @@ def test_scenario_schema_rejects_mistyped_fields_as_validation_does(base, path, 
         ("degree_cap-fraction", "example1", "degree_cap", 1.5,
          "degree_cap must be an integer >= 1"),
         ("degree_cap-zero", "example1", "degree_cap", 0, "degree_cap must be an integer >= 1"),
+        ("degree_cap-null", "example1", "degree_cap", None, "degree_cap must be an integer >= 1"),
         # a b_state nothing reads is typed all the same
         ("sum_bab-moment-string", "example3", "moments__b1*b1", "x",
          "moment 'b1*b1' must be a number"),
@@ -305,6 +291,96 @@ def test_b_state_schema_rejects_mistyped_moments_as_loading_does(name, path, val
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(doc))
     assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")) == 1
+
+
+def test_diag_entry_without_power_fails_validation(tmp_path):
+    doc = builtin_scenario("example3", n=40, trials=1).to_dict()
+    doc["prediction"]["diag"][1] = {"coeff": 1.0}
+    with pytest.raises(ValueError, match=re.escape("'prediction.diag[1]' needs the key 'power'")):
+        rmtlab.Scenario.from_dict(doc)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc))
+    assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")) == 1
+
+
+# the values each scenario field is set to in turn; "gue" and "chain" are a
+# b_spec kind and a recipe name
+_FIELD_VALUES = [None, True, False, 0, 1, 2, -1, 1.5, 2.0, "x", "1", [], [1], [1, 2], [[1.0]],
+                 {}, {"k": 1}, "gue", "chain"]
+_DELETED = object()
+
+
+def _field_paths(value, path=()):
+    """The key paths of every field in a JSON document, containers first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield path + (key,)
+        if isinstance(item, (dict, list)):
+            yield from _field_paths(item, path + (key,))
+
+
+def _with_field(doc: dict, path: tuple, value):
+    """A copy of ``doc`` with the field at ``path`` set to ``value``, or deleted."""
+    out = json.loads(json.dumps(doc))
+    *keys, last = path
+    target = out
+    for key in keys:
+        target = target[key]
+    if value is _DELETED:
+        del target[last]
+    else:
+        target[last] = value
+    return out
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
+def test_scenario_validation_rejects_every_field_the_schema_rejects(name):
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(json.loads(
+        resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
+    ))
+    doc = builtin_scenario(name, n=24, trials=1).to_dict()
+    accepted = []
+    for path in _field_paths(doc):
+        for value in _FIELD_VALUES + [_DELETED]:
+            bad = _with_field(doc, path, value)
+            if validator.is_valid(bad) or (path, value) == (("truncation",), None):
+                continue  # a null truncation means "use n"
+            try:
+                rmtlab.Scenario.from_dict(bad)
+            except (ValueError, KeyError):
+                continue
+            accepted.append((path, value))
+    assert accepted == []
+
+
+def _schema_keywords(node, skip=("blocks", "b_state")) -> set:
+    """The keywords of a schema and its subschemas, outside the ``skip`` keys."""
+    if isinstance(node, list):
+        return set().union(*(_schema_keywords(item, skip) for item in node))
+    if not isinstance(node, dict):
+        return set()
+    found = set(node)
+    for key, sub in node.items():
+        if key in ("properties", "$defs"):
+            found |= _schema_keywords([s for name, s in sub.items() if name not in skip], skip)
+        else:
+            found |= _schema_keywords(sub, skip)
+    return found
+
+
+def test_scenario_schema_uses_only_the_keywords_validation_reads():
+    schema = json.loads(
+        resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
+    )
+    # a keyword Scenario.validate does not read fails here until it does
+    assert _schema_keywords(schema) == {
+        "$schema", "$id", "title", "$defs", "$ref", "type", "enum", "const", "minimum",
+        "minItems", "maxItems", "items", "properties", "required", "allOf", "if", "then", "not",
+    }
+    pairs = schema["properties"]["prediction"]["properties"]["pairs"]["items"]
+    # the reader reads a maxItems only next to an equal minItems
+    assert pairs["minItems"] == pairs["maxItems"]
 
 
 def test_copy_of_integral_float_index_runs_as_its_integer():

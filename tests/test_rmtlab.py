@@ -188,7 +188,7 @@ def test_scenario_accepts_integral_floats():
 def test_scenario_rejects_unknown_beta(name, beta, tmp_path):
     doc = builtin_scenario(name, n=40, trials=2).to_dict()
     doc["prediction"] = dict(doc["prediction"], beta=beta, bprime=[[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError, match="prediction 'beta' must be 'per_trial'"):
+    with pytest.raises(ValueError, match="scenario 'prediction.beta' must be 'per_trial'"):
         Scenario.from_dict(doc)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
