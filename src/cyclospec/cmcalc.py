@@ -81,12 +81,15 @@ class WordProducts:
     The products of the proper prefixes of the last evaluated word are kept
     on a stack (fewer matrices than the word has letters), so a word that
     shares its first ``k`` letters with the previous one costs only its
-    remaining products; words in sorted order share long prefixes.  Every
-    product is the same floating-point computation as the naive loop
-    ``I @ M1 @ M2 @ ...``, so results are bitwise equal to it.  Nothing else
-    is kept: adjoints are formed per product and the identity only when no
-    prefix is shared, as many small models may be alive at once.  The
-    returned array may be one kept on the stack; callers must not modify it.
+    remaining products; words in sorted order share long prefixes.  A
+    product starts from its first letter's matrix, as
+    :func:`dense_word_product` does, not from the identity: ``I @ M`` is
+    exact, so every product equals the naive loop ``I @ M1 @ M2 @ ...``
+    bitwise up to the sign of zeros, one matmul cheaper.  Nothing else is
+    kept: adjoints are formed per product, as many small models may be alive
+    at once.  The returned array may be one kept on the stack, or for a
+    one-letter word the bound matrix itself or a view of it; callers must
+    not modify it.
 
     :meth:`traces` evaluates a whole list of words at once, as a prefix tree
     multiplied out one depth at a time; it leaves the stack alone.
@@ -99,20 +102,26 @@ class WordProducts:
         self._stack: list[np.ndarray] = []
 
     def product(self, w: Word) -> np.ndarray:
-        """Product of the letters of ``w``; unknown generators raise ``NotInDomainError``."""
+        """Product of the letters of ``w`` (the identity for the empty word);
+        unknown generators raise ``NotInDomainError``."""
+        if not w:
+            return np.eye(self._dim, dtype=complex)
         shared = 0
         limit = min(len(w), len(self._word))
         while shared < limit and w[shared] == self._word[shared]:
             shared += 1
         del self._word[shared:]
         del self._stack[shared:]
-        prod = self._stack[-1] if shared else np.eye(self._dim, dtype=complex)
+        prod = self._stack[-1] if shared else None
         for pos in range(shared, len(w)):
             letter = w[pos]
-            mat = self._matrices.get(letter.index)
+            # fields by position (index, star): a read by name costs about 3x
+            mat = self._matrices.get(letter[1])
             if mat is None:
                 raise NotInDomainError(f"no matrix for generator {letter.label()}")
-            prod = prod @ (mat.conj().T if letter.star else mat)
+            if letter[2]:
+                mat = mat.conj().T
+            prod = mat if prod is None else prod @ mat
             if pos < len(w) - 1:
                 self._stack.append(prod)
                 self._word.append(letter)
@@ -123,13 +132,14 @@ class WordProducts:
 
         The words are split into batches of at most ``TRACE_BATCH_BYTES`` of
         products (a longer word gets a batch of its own).  The words of a
-        batch form a prefix tree with one node per distinct prefix.  Each
-        depth of the tree is one stacked ``np.matmul`` of the parents'
-        products by the letters' matrices, starting from the identity as
-        :meth:`product` does, and the traces of a depth's nodes are taken
-        with ``np.trace(..., axis1=1, axis2=2)``.  So every value is bitwise
-        equal to ``complex(self.product(w).trace())``.  Sorted words share
-        the most prefixes.  An unknown generator raises ``NotInDomainError``
+        batch form a prefix tree with one node per distinct prefix.  Depth 0
+        is a gather of the first letters' matrices, not a product with the
+        identity, and each deeper depth is one stacked ``np.matmul`` of the
+        parents' products by the letters' matrices, as :meth:`product`
+        multiplies.  The traces of a depth's nodes are taken with
+        ``np.trace(..., axis1=1, axis2=2)``.  So every value is bitwise equal
+        to ``complex(self.product(w).trace())``.  Sorted words share the
+        most prefixes.  An unknown generator raises ``NotInDomainError``
         before anything is multiplied.  ``letters``, when given, is the set
         of the letters of ``words``, which the caller has already taken.
         """
@@ -149,15 +159,15 @@ class WordProducts:
             else self._matrices[letter.index]
             for letter in letter_ids
         ])
-        identity = np.eye(self._dim, dtype=complex)[np.newaxis]
         node_bytes = 16 * self._dim * self._dim
         values: list[complex] = []
         for batch in _batches(words, TRACE_BATCH_BYTES // node_bytes):
             out = [0j] * len(batch)
-            products = identity
+            products = None
             for letters, parents, ends in zip(*_prefix_tree(batch)):
                 ids = [letter_ids[letter] for letter in letters]
-                products = np.matmul(products[parents], letter_stack[ids])
+                products = (letter_stack[ids] if products is None
+                            else np.matmul(products[parents], letter_stack[ids]))
                 if ends:
                     level = np.trace(products, axis1=1, axis2=2).tolist()
                     for pos, node in ends:
@@ -185,10 +195,11 @@ def _prefix_tree(words: list[Word]):
     """The prefix tree of ``words`` as three lists with one entry per depth.
 
     At depth ``d`` a node has a letter, and its parent is a node at depth
-    ``d - 1`` (at depth 0, the root: the identity).  ``ends[d]`` pairs each
-    word of length ``d + 1`` (its position in ``words``) with its node.
-    Each word's nodes are the last ones made at their depths when it is
-    done, so a new node's parent is the last node one depth up.
+    ``d - 1``.  A node at depth 0 is its letter itself, not a product with
+    the identity; its parent entry is 0 and is never read.  ``ends[d]``
+    pairs each word of length ``d + 1`` (its position in ``words``) with
+    its node.  Each word's nodes are the last ones made at their depths
+    when it is done, so a new node's parent is the last node one depth up.
     """
     depth = max(map(len, words))
     letters: list[list[Letter]] = [[] for _ in range(depth)]
@@ -761,7 +772,8 @@ def cm_moment(w: Word, a_model: TraceClassModel, b_state: TracialState) -> compl
     w = tuple(w)
     n = len(w)
     start = 0
-    while start < n and w[start].family == FAMILY_B:
+    # w[i][0] is w[i].family: a NamedTuple field read by name costs about 3x
+    while start < n and w[start][0] == FAMILY_B:
         start += 1
     if start == n:
         raise NotInDomainError(
@@ -772,11 +784,11 @@ def cm_moment(w: Word, a_model: TraceClassModel, b_state: TracialState) -> compl
     value = 1 + 0j
     while True:
         a_end = start
-        while a_end < n and w[a_end].family == FAMILY_A:
+        while a_end < n and w[a_end][0] == FAMILY_A:
             a_end += 1
         a_word += w[start:a_end]
         start = a_end
-        while start < n and w[start].family == FAMILY_B:
+        while start < n and w[start][0] == FAMILY_B:
             start += 1
         if start == n:
             run = w[a_end:] + leading_b

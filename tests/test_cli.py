@@ -333,6 +333,41 @@ def _with_field(doc: dict, path: tuple, value):
     return out
 
 
+@pytest.mark.parametrize("base,path,value,message", [
+    pytest.param(base, path, value, message, id=case)
+    for case, base, path, value, message in [
+        ("geometric-without-ratio", {}, ("a_spec", "ratio"), _DELETED,
+         "'a_spec' with kind 'geometric' needs the key 'ratio'"),
+        ("explicit-without-values", {"a_spec": {"kind": "explicit", "values": [1.0] * 40}},
+         ("a_spec", "values"), _DELETED, "'a_spec' with kind 'explicit' needs the key 'values'"),
+        ("file-without-path", {"b_spec": [{"kind": "file", "path": "b.csv"}]},
+         ("b_spec", 0, "path"), _DELETED, "'b_spec[0]' with kind 'file' needs the key 'path'"),
+        ("negative-seed", {}, ("seed",), -1, "'seed' must be >= 0, not -1"),
+    ]
+])
+def test_scenario_schema_rejects_missing_kind_keys_and_negative_seeds_as_validation_does(
+        base, path, value, message, tmp_path, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(json.loads(
+        resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
+    ))
+    doc = dict(builtin_scenario("example3", n=40, trials=2).to_dict(), **base)
+    assert validator.is_valid(doc)
+    rmtlab.Scenario.from_dict(doc)
+    bad = _with_field(doc, path, value)
+    assert not validator.is_valid(bad)
+    with pytest.raises(ValueError, match=re.escape(f"scenario {message}")):
+        rmtlab.Scenario.from_dict(bad)
+    # rejected before anything runs, with the key named, not as a KeyError or
+    # numpy's error from the first trial
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(bad))
+    capsys.readouterr()
+    assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")) == 1
+    assert f"validation failure: scenario {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
 def test_scenario_validation_rejects_every_field_the_schema_rejects(name):
     jsonschema = pytest.importorskip("jsonschema")

@@ -552,6 +552,7 @@ def test_word_products_bitwise_equal_naive_loop(order):
     products = WordProducts(matrices, 4)
     for w in words:
         assert np.array_equal(products.product(w), _naive_product(matrices, w, 4))
+    assert np.array_equal(products.product(()), np.eye(4))
 
 
 def test_dense_word_product_bitwise_equal_naive_loop():
@@ -585,6 +586,29 @@ def test_word_products_recover_after_unknown_generator():
         fam.omega((a_gen(2), a_gen(9)))
     w = (a_gen(2), a_gen(1, star=True))
     assert fam.omega(w) == complex(np.trace(_naive_product(matrices, w, 3)))
+
+
+def test_matrix_models_leave_their_matrices_unmodified():
+    rng = np.random.default_rng(39)
+    a_mats = {i: random_general(3, rng) for i in (1, 2)}
+    b_mats = {i: random_general(3, rng) for i in (1, 2)}
+    kept = {("a", i): mat.copy() for i, mat in a_mats.items()}
+    kept.update({("b", i): mat.copy() for i, mat in b_mats.items()})
+    # one-letter words first and between longer ones: their product is the
+    # bound matrix itself, or a view of it
+    words = [(a_gen(1),), (a_gen(2, star=True),), (a_gen(1), a_gen(2)), (a_gen(2),),
+             (a_gen(1, star=True), a_gen(1), a_gen(2)), (a_gen(1, star=True),)]
+    assert WordProducts(a_mats, 3).product((a_gen(2),)) is a_mats[2]
+    fam = MatrixTraceFamily(a_mats)
+    state = TraceMatrixState(b_mats)
+    assert fam.matrices[1] is a_mats[1] and state.matrices[1] is b_mats[1]
+    for w in words:
+        fam.omega(w)
+        state.tau(tuple(b_gen(letter.index, letter.star) for letter in w))
+    MatrixTraceFamily(a_mats).omega_many(words)
+    MatrixTraceFamily(a_mats).omega_many(sorted(words))
+    for (family, i), mat in kept.items():
+        assert np.array_equal((a_mats if family == "a" else b_mats)[i], mat)
 
 
 def test_memoized_models_match_fresh_models():

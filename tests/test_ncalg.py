@@ -92,6 +92,22 @@ def test_adjoint_reverses_and_stars():
     assert q.terms == {(b_gen(1, star=True), a_gen(1, star=True)): 2 - 1j}
 
 
+@pytest.mark.parametrize("family", ["a", "b"])
+@pytest.mark.parametrize("star", [False, True])
+def test_letter_adjoint_and_base_are_letters_as_replace_made_them(family, star):
+    letter = Letter(family, 3, star)
+    adjoint, base = letter.adjoint(), letter.base()
+    assert type(adjoint) is Letter and type(base) is Letter
+    # the same fields, field types and hashes as the NamedTuple's own _replace
+    for got, expected in [(adjoint, letter._replace(star=not star)),
+                          (base, letter._replace(star=False))]:
+        assert got == expected and hash(got) == hash(expected)
+        assert (got.family, got.index, got.star) == tuple(expected)
+        assert list(map(type, got)) == list(map(type, expected))
+    assert adjoint.adjoint() == letter
+    assert base.base() == base == Letter(family, 3)
+
+
 def test_selfadjoint_examples():
     assert is_selfadjoint(parse_expression("a1*b1 + b1*a1", SYMS))
     assert not is_selfadjoint(parse_expression("a1*b1", SYMS))
