@@ -45,6 +45,10 @@ from .ncalg import (
 from .spectra import rounding_tolerance
 
 DEFAULT_TRUNCATION = 64
+# ndarray.trace is this reduction of the diagonal behind argument handling
+# that costs about 0.17 us a call, a fifth of a small matrix's trace; the
+# per-word weight and state of the matrix models pay it on every memo miss.
+_add_reduce = np.add.reduce
 # Upper bound on the bytes of the product matrices of one batch of
 # WordProducts.traces: a node's bytes times the batch's letters, which bound
 # its prefix-tree nodes.  Longer word lists are split into batches.
@@ -78,18 +82,27 @@ def _memoized_per_word(evaluate):
 class WordProducts:
     """Left-to-right products of words over a set of square matrices.
 
-    The products of the proper prefixes of the last evaluated word are kept
-    on a stack (fewer matrices than the word has letters), so a word that
-    shares its first ``k`` letters with the previous one costs only its
-    remaining products; words in sorted order share long prefixes.  A
-    product starts from its first letter's matrix, as
+    A model keeps two things here.  One is the products of the proper
+    prefixes of the last evaluated word, on a stack (fewer matrices than the
+    word has letters), so a word that shares its first ``k`` letters with the
+    previous one costs only its remaining products; words in sorted order
+    share long prefixes.  The other is a table from each letter met so far to
+    its matrix: the bound matrix itself, or for a starred letter its
+    conjugate transpose, formed once on first use and read-only.  That is one
+    adjoint per starred generator, ``16 * dim**2`` bytes of data each
+    (tracemalloc counts 4.4 kB for a starred 16x16 generator and 0.6 kB for
+    a 4x4 one, the array headers and the table's entry included).
+
+    A product starts from its first letter's matrix, as
     :func:`dense_word_product` does, not from the identity: ``I @ M`` is
     exact, so every product equals the naive loop ``I @ M1 @ M2 @ ...``
-    bitwise up to the sign of zeros, one matmul cheaper.  Nothing else is
-    kept: adjoints are formed per product, as many small models may be alive
-    at once.  The returned array may be one kept on the stack, or for a
-    one-letter word the bound matrix itself or a view of it; callers must
-    not modify it.
+    bitwise up to the sign of zeros, one matmul cheaper.  Each step is
+    ``prod.dot(mat)``: it makes the same zgemm call as ``prod @ mat``, and
+    the tests check the two bitwise, but costs about half as much on the
+    small matrices the oracle multiplies, where the call overhead is most of
+    a product.  The returned array may be one kept on the stack, or for a
+    one-letter word the bound matrix itself or its read-only adjoint;
+    callers must not modify it.
 
     :meth:`traces` evaluates a whole list of words at once, as a prefix tree
     multiplied out one depth at a time; it leaves the stack alone.
@@ -98,33 +111,49 @@ class WordProducts:
     def __init__(self, matrices: Mapping[int, np.ndarray], dim: int):
         self._matrices = matrices
         self._dim = dim
-        self._word: list[Letter] = []
+        self._letters: dict[Letter, np.ndarray] = {}
+        self._word: Word = ()
         self._stack: list[np.ndarray] = []
+
+    def _letter_matrix(self, letter: Letter) -> np.ndarray:
+        """The matrix of ``letter``, entered in the letter table; an unknown
+        generator raises ``NotInDomainError`` and enters nothing."""
+        mat = self._letters.get(letter)
+        if mat is None:
+            mat = self._matrices.get(letter.index)
+            if mat is None:
+                raise NotInDomainError(f"no matrix for generator {letter.label()}")
+            if letter.star:
+                mat = mat.conj().T
+                mat.flags.writeable = False
+            self._letters[letter] = mat
+        return mat
 
     def product(self, w: Word) -> np.ndarray:
         """Product of the letters of ``w`` (the identity for the empty word);
         unknown generators raise ``NotInDomainError``."""
         if not w:
             return np.eye(self._dim, dtype=complex)
+        last, stack = self._word, self._stack
         shared = 0
-        limit = min(len(w), len(self._word))
-        while shared < limit and w[shared] == self._word[shared]:
+        limit = min(len(w), len(stack))
+        while shared < limit and w[shared] == last[shared]:
             shared += 1
-        del self._word[shared:]
-        del self._stack[shared:]
-        prod = self._stack[-1] if shared else None
+        del stack[shared:]
+        # stack[k] is the product of w[:k + 1] from here on, also when a
+        # letter below raises
+        self._word = w
+        prod = stack[-1] if shared else None
+        table = self._letters
+        end = len(w) - 1
         for pos in range(shared, len(w)):
             letter = w[pos]
-            # fields by position (index, star): a read by name costs about 3x
-            mat = self._matrices.get(letter[1])
+            mat = table.get(letter)
             if mat is None:
-                raise NotInDomainError(f"no matrix for generator {letter.label()}")
-            if letter[2]:
-                mat = mat.conj().T
-            prod = mat if prod is None else prod @ mat
-            if pos < len(w) - 1:
-                self._stack.append(prod)
-                self._word.append(letter)
+                mat = self._letter_matrix(letter)
+            prod = mat if prod is None else prod.dot(mat)
+            if pos < end:
+                stack.append(prod)
         return prod
 
     def traces(self, words: Sequence[Word], letters: Iterable[Letter] | None = None) -> list[complex]:
@@ -147,18 +176,10 @@ class WordProducts:
             raise ValueError("the empty word has no product to trace")
         if letters is None:
             letters = set().union(*words)
-        letter_ids: dict[Letter, int] = {}
-        for letter in sorted(letters):
-            if letter.index not in self._matrices:
-                raise NotInDomainError(f"no matrix for generator {letter.label()}")
-            letter_ids[letter] = len(letter_ids)
+        letter_ids = {letter: pos for pos, letter in enumerate(sorted(letters))}
         if not letter_ids:
             return []
-        letter_stack = np.stack([
-            self._matrices[letter.index].conj().T if letter.star
-            else self._matrices[letter.index]
-            for letter in letter_ids
-        ])
+        letter_stack = np.stack([self._letter_matrix(letter) for letter in letter_ids])
         node_bytes = 16 * self._dim * self._dim
         values: list[complex] = []
         for batch in _batches(words, TRACE_BATCH_BYTES // node_bytes):
@@ -256,9 +277,11 @@ def dense_word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
     return np.diag(prod) if prod.ndim == 1 else prod
 
 
-def dense_polynomial(poly, mats: Mapping[Letter, np.ndarray], dim: int) -> np.ndarray:
+def dense_polynomial(poly, mats: Mapping, dim: int) -> np.ndarray:
     """The ``dim x dim`` matrix of ``poly`` over ``mats``, which maps base
-    letters to what :func:`dense_word_product` takes.
+    letters to what :func:`dense_word_product` takes.  ``mats`` may also map
+    a whole word to its product, formed by the caller; that word is then
+    not multiplied out again.
 
     The terms are summed in ``sorted_terms`` order into zeros allocated after
     the first product.  A product is scaled in place unless it is a bound
@@ -272,7 +295,9 @@ def dense_polynomial(poly, mats: Mapping[Letter, np.ndarray], dim: int) -> np.nd
 
     out = None
     for word, coeff in poly.sorted_terms():
-        term = dense_word_product(word, matrix_of, dim)
+        term = mats.get(word)
+        if term is None:
+            term = dense_word_product(word, matrix_of, dim)
         if any(term is mat for mat in mats.values()):
             term = coeff * term
         else:
@@ -290,16 +315,22 @@ def _generators(cells) -> list[Letter]:
                    for letter in word})
 
 
-def dense_block_matrix(cells, mats: Mapping[Letter, np.ndarray], size: int) -> np.ndarray:
-    """The block matrix of the square grid of polynomials ``cells``, each
-    evaluated by :func:`dense_polynomial` at ``size`` and written into its
-    block as soon as it is formed."""
-    out = np.empty((len(cells) * size, len(cells) * size), dtype=complex)
+def dense_block_matrix(cells, mats: Mapping, size: int) -> np.ndarray:
+    """The block matrix of the square grid of polynomials ``cells``.
+
+    Each distinct cell is evaluated once by :func:`dense_polynomial` at
+    ``size`` and written into all its blocks as soon as it is formed.
+    """
+    places: dict[tuple, tuple] = {}
     for i, row in enumerate(cells):
         for j, poly in enumerate(row):
-            out[i * size:(i + 1) * size, j * size:(j + 1) * size] = (
-                dense_polynomial(poly, mats, size)
-            )
+            places.setdefault(tuple(poly.sorted_terms()), (poly, []))[1].append((i, j))
+    out = np.empty((len(cells) * size, len(cells) * size), dtype=complex)
+    for poly, blocks in places.values():
+        value = dense_polynomial(poly, mats, size)
+        for i, j in blocks:
+            out[i * size:(i + 1) * size, j * size:(j + 1) * size] = value
+        del value  # freed before the next cell is formed
     return out
 
 
@@ -551,7 +582,7 @@ class TraceMatrixState(TracialState):
         _check_pure_b(w)
         if not w:
             return 1 + 0j
-        return complex(self._products.product(w).trace()) / self.dim
+        return complex(_add_reduce(self._products.product(w).diagonal())) / self.dim
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +696,7 @@ class MatrixTraceFamily(TraceClassModel):
     @_memoized_per_word
     def omega(self, w: Word) -> complex:
         _check_pure_a_nonempty(w)
-        return complex(self._products.product(w).trace())
+        return complex(_add_reduce(self._products.product(w).diagonal()))
 
     def omega_many(self, words: Sequence[Word]) -> list[complex]:
         """The weights of ``words``, bitwise equal to :meth:`omega`'s.

@@ -408,8 +408,10 @@ def _build_b_matrices(
         kind = spec["kind"]
         if cells is not None:  # gue blocks
             size = dim // len(cells)
-            gens = {letter: _sampled_gue(size, rng, diagnostics)[0]
-                    for letter in _generators(cells)}
+            gens = {}
+            for letter in _generators(cells):
+                # the square is bound as the word b*b, so a cell b*b reuses it
+                gens[letter], gens[(letter, letter)] = _sampled_gue(size, rng, diagnostics)
             mats.append(dense_block_matrix(cells, gens, size))
         elif kind == "gue":
             mats.append(_sampled_gue(dim, rng, diagnostics)[0])

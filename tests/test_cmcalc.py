@@ -555,6 +555,47 @@ def test_word_products_bitwise_equal_naive_loop(order):
     assert np.array_equal(products.product(()), np.eye(4))
 
 
+@pytest.mark.parametrize("dim", range(1, 18))
+def test_word_products_bitwise_equal_naive_loop_at_every_small_dimension(dim):
+    rng = np.random.default_rng(300 + dim)
+    # C order, Fortran order and a conjugate-transpose view as bound matrices
+    matrices = {
+        1: random_general(dim, rng),
+        2: np.asfortranarray(random_general(dim, rng)),
+        3: random_general(dim, rng).conj().T,
+    }
+    s1, s2, s3 = (a_gen(i, star=True) for i in (1, 2, 3))
+    # a starred first letter makes the left operand of the first product the
+    # (Fortran-ordered) adjoint; starred letters repeat within and across words
+    words = [(s1, a_gen(2)), (s1, s1, s1), (s2, a_gen(1), s2, s3), (s3, s3),
+             (a_gen(1), s2, s2, a_gen(3), s1)] + _product_words(rng, count=40)
+    products = WordProducts(matrices, dim)
+    for w in words + sorted(words):
+        assert np.array_equal(products.product(w), _naive_product(matrices, w, dim))
+    # the models' traces of the same products, against np.trace's
+    fam, state = MatrixTraceFamily(matrices), TraceMatrixState(matrices)
+    for w in words:
+        trace = complex(np.trace(_naive_product(matrices, w, dim)))
+        assert fam.omega(w) == trace
+        assert state.tau(tuple(b_gen(letter.index, letter.star) for letter in w)) == trace / dim
+
+
+def test_word_products_one_starred_letter_is_a_read_only_adjoint():
+    rng = np.random.default_rng(36)
+    matrices = {1: random_general(4, rng), 2: random_general(4, rng)}
+    products = WordProducts(matrices, 4)
+    got = products.product((a_gen(1, star=True),))
+    assert np.array_equal(got, matrices[1].conj().T)
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 0
+    # formed once: the next use of the letter, alone or within a word, reads
+    # the same array
+    products.product((a_gen(2), a_gen(1, star=True)))
+    assert products.product((a_gen(1, star=True),)) is got
+    assert matrices[1].flags.writeable
+
+
 def test_dense_word_product_bitwise_equal_naive_loop():
     rng = np.random.default_rng(34)
     # C order, Fortran order, and a conjugate-transpose view as inputs
@@ -580,6 +621,19 @@ def test_word_products_recover_after_unknown_generator():
         products.product((a_gen(1), a_gen(2), a_gen(9), a_gen(1)))
     w = (a_gen(1), a_gen(2), a_gen(1))
     assert np.array_equal(products.product(w), _naive_product(matrices, w, 3))
+    # an unknown starred generator, after a known starred one, in a product
+    # and in a batch: the letter table takes no entry for it and stays usable
+    for bad in [(a_gen(2, star=True), a_gen(9, star=True)), (a_gen(9, star=True),)]:
+        with pytest.raises(NotInDomainError):
+            products.product(bad)
+        with pytest.raises(NotInDomainError):
+            products.traces([bad, (a_gen(1, star=True),)])
+    words = [(a_gen(2, star=True), a_gen(1)), (a_gen(1, star=True), a_gen(2, star=True))]
+    for w in words:
+        assert np.array_equal(products.product(w), _naive_product(matrices, w, 3))
+    assert products.traces(words) == [
+        complex(np.trace(_naive_product(matrices, w, 3))) for w in words
+    ]
 
     fam = MatrixTraceFamily(matrices)
     with pytest.raises(NotInDomainError):
@@ -607,8 +661,17 @@ def test_matrix_models_leave_their_matrices_unmodified():
         state.tau(tuple(b_gen(letter.index, letter.star) for letter in w))
     MatrixTraceFamily(a_mats).omega_many(words)
     MatrixTraceFamily(a_mats).omega_many(sorted(words))
+    # a starred letter's adjoint is formed once and kept read-only; the
+    # bound matrices stay writable, and products after it leave them alone
+    adjoint = WordProducts(a_mats, 3).product((a_gen(1, star=True),))
+    assert not adjoint.flags.writeable
+    fam.omega_many([(a_gen(2, star=True), a_gen(2, star=True)), (a_gen(1), a_gen(1))])
+    for w in [(a_gen(2, star=True),) * 3, (a_gen(1, star=True), a_gen(2, star=True))]:
+        fam.omega(w)
+        state.tau(tuple(b_gen(letter.index, letter.star) for letter in w))
     for (family, i), mat in kept.items():
-        assert np.array_equal((a_mats if family == "a" else b_mats)[i], mat)
+        bound = (a_mats if family == "a" else b_mats)[i]
+        assert np.array_equal(bound, mat) and bound.flags.writeable
 
 
 def test_memoized_models_match_fresh_models():

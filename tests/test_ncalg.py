@@ -19,7 +19,7 @@ from cyclospec import (
     parse_expression,
     power,
 )
-from cyclospec.ncalg import drop_stars, min_cyclic_rotation
+from cyclospec.ncalg import drop_stars, is_pure, min_cyclic_rotation
 
 SYMS = make_symbols(a=("a1", "a2", "a3"), b=("b1", "b2", "b3"))
 
@@ -202,6 +202,13 @@ def test_print_parse_round_trip(p):
 @given(polys)
 def test_adjoint_involution(p):
     assert p.adjoint().adjoint() == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(words, st.sampled_from("abc"))
+def test_is_pure_agrees_with_all(w, family):
+    assert is_pure(w, family) is all(letter.family == family for letter in w)
+    assert is_pure((), family) is True
 
 
 @settings(max_examples=150, deadline=None)

@@ -25,7 +25,7 @@ from cyclospec import (
     sample_haar_unitary,
 )
 from cyclospec.cli import main
-from cyclospec.cmcalc import dense_polynomial, dense_word_product
+from cyclospec.cmcalc import dense_block_matrix, dense_polynomial, dense_word_product
 from cyclospec.ensembles import geometric_values
 from cyclospec.ncalg import FAMILY_A, FAMILY_B, Letter
 from cyclospec.rmtlab import (
@@ -587,6 +587,31 @@ def test_evaluate_expression_leaves_bound_matrices_alone():
             expected += coeff * dense_word_product(word, lambda letter: kept[letter.base()], 6)
         assert dense_polynomial(poly, mats, 6).tobytes() == expected.tobytes()
         assert all(np.array_equal(mats[letter], kept[letter]) for letter in mats)
+
+
+def test_a_word_bound_to_its_product_is_not_multiplied_again():
+    rng = np.random.default_rng(62)
+    b1, b2 = Letter(FAMILY_B, 1), Letter(FAMILY_B, 2)
+    g1, g2 = sample_gue(5, rng), sample_gue(5, rng)
+    # b1*b1 bound to its product as example1's trials bind it, and a stand-in
+    # for b2*b2 that no product equals, to show the binding is what is read
+    stand_in = rng.standard_normal((5, 5)) + 0j
+    mats = {b1: g1, b2: g2, (b1, b1): g1 @ g1, (b2, b2): stand_in}
+    kept = {key: mat.copy() for key, mat in mats.items()}
+    cells = [[parse_expression(text, {"b1": b1, "b2": b2}) for text in row]
+             for row in [["b1*b1", "b2*b2 - b1"], ["b2*b2 - b1", "2*b1*b1 + b2*b1"]]]
+    plain = {b1: g1, b2: g2}
+    expected = {
+        "b1*b1": dense_polynomial(cells[0][0], plain, 5),
+        "b2*b2 - b1": stand_in - g1,
+        "2*b1*b1 + b2*b1": dense_polynomial(cells[1][1], plain, 5),
+    }
+    got = dense_block_matrix(cells, mats, 5)
+    for (i, j), text in [((0, 0), "b1*b1"), ((0, 1), "b2*b2 - b1"), ((1, 0), "b2*b2 - b1"),
+                         ((1, 1), "2*b1*b1 + b2*b1")]:
+        block = got[i * 5:(i + 1) * 5, j * 5:(j + 1) * 5]
+        assert block.tobytes() == expected[text].tobytes()
+    assert all(np.array_equal(mats[key], kept[key]) for key in mats)
 
 
 def _peak_matrices(scenario, dim):
