@@ -34,7 +34,6 @@ from .ncalg import (
     power,
 )
 from .cmcalc import (
-    CompositeFamily,
     ExplicitSpectrum,
     GeometricSpectrum,
     HaarConjugatedFamily,
@@ -55,6 +54,7 @@ from .linred import (
     ev_chain,
     ev_commutator,
     ev_conjugated_sum,
+    ev_polynomial,
     ev_sum_aba,
     ev_sum_bab,
     ev_sum_bac,

@@ -119,7 +119,7 @@ def _write_prediction(pred, out: str) -> list[str]:
 
 
 def _recipe_spec(args) -> dict:
-    """The scenario ``prediction`` entry that the ``predict --recipe`` flags describe."""
+    """The ``recipe_prediction`` spec that the ``predict --recipe`` flags describe."""
     if args.recipe == "sum_bac":
         if not args.bprime:
             raise ValueError("sum_bac needs --bprime")
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("predict", help="compute an eigenvalue-multiset prediction")
-    p.add_argument("--scenario", help="scenario JSON file supplying the recipe")
+    p.add_argument("--scenario", help="scenario JSON file whose expression is predicted")
     p.add_argument("--recipe", choices=["anticommutator", "commutator", "sum_bab", "sum_bac"])
     p.add_argument("--tau-b", type=float, default=0.0, dest="tau_b")
     p.add_argument("--tau-b2", type=float, default=0.0, dest="tau_b2")

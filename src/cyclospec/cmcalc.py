@@ -595,9 +595,6 @@ class TraceClassModel:
 
     truncation: int | None
 
-    def indices(self) -> set:
-        raise NotImplementedError
-
     def omega(self, w: Word) -> complex:
         raise NotImplementedError
 
@@ -640,9 +637,6 @@ class SpectrumFamily(TraceClassModel):
     def __init__(self, spectra: Mapping[int, Spectrum]):
         self.spectra, self.truncation = _shared_spectra(spectra)
         self._values: dict[Word, complex] = {}
-
-    def indices(self) -> set:
-        return set(self.spectra)
 
     def _spectrum(self, index: int) -> Spectrum:
         spec = self.spectra.get(index)
@@ -689,9 +683,6 @@ class MatrixTraceFamily(TraceClassModel):
         self.matrices, self.truncation = _square_matrices(matrices, "family")
         self._products = WordProducts(self.matrices, self.truncation)
         self._values: dict[Word, complex] = {}
-
-    def indices(self) -> set:
-        return set(self.matrices)
 
     @_memoized_per_word
     def omega(self, w: Word) -> complex:
@@ -752,9 +743,6 @@ class HaarConjugatedFamily(TraceClassModel):
     def __init__(self, spectra: Mapping[int, Spectrum], realization_seed: int = 0):
         self.spectra, self.truncation = _shared_spectra(spectra)
         self.realization_seed = int(realization_seed)
-
-    def indices(self) -> set:
-        return set(self.spectra)
 
     def omega(self, w: Word) -> complex:
         _check_pure_a_nonempty(w)
@@ -860,58 +848,3 @@ def collapse_internal_b_runs(w: Word, b_state: TracialState) -> tuple[complex, W
         if b_block:
             scalar *= b_state.tau(b_block)
     return scalar, tuple(reduced)
-
-
-class CompositeFamily(TraceClassModel):
-    """Derived A-generators of the form ``a-word . c-word . (a-word)*``.
-
-    Registered composites behave like ordinary A-letters; their moments are
-    evaluated by expanding the definitions and handing the mixed word to the
-    oracle.  Base-family generators pass through unchanged, so composite and
-    original letters can be mixed freely in one word.
-    """
-
-    def __init__(self, base: TraceClassModel, b_state: TracialState):
-        self.base = base
-        self.b_state = b_state
-        self._defs: dict[int, Word] = {}
-        base_indices = base.indices()
-        self._next_index = max(base_indices, default=0) + 1
-        self.truncation = base.truncation
-
-    def indices(self) -> set:
-        return self.base.indices() | set(self._defs)
-
-    def register(self, a_word: Word, c_word: Word) -> Letter:
-        """Register ``a_word * c_word * adjoint(a_word)`` as a new A-generator."""
-        a_word = tuple(a_word)
-        c_word = tuple(c_word)
-        if not a_word or not is_pure(a_word, FAMILY_A):
-            raise NotInDomainError("composite needs a nonempty pure-A left factor")
-        if not is_pure(c_word, FAMILY_B):
-            raise NotInDomainError("composite core must be a pure-B word (or the unit)")
-        index = self._next_index
-        self._next_index += 1
-        self._defs[index] = a_word + c_word + word_adjoint(a_word)
-        return Letter(FAMILY_A, index)
-
-    def definition(self, index: int) -> Word:
-        return self._defs[index]
-
-    def omega(self, w: Word) -> complex:
-        _check_pure_a_nonempty(w)
-        expanded: list[Letter] = []
-        for letter in w:
-            if letter.index in self._defs:
-                body = self._defs[letter.index]
-                expanded.extend(word_adjoint(body) if letter.star else body)
-            else:
-                expanded.append(letter)
-        return cm_moment(tuple(expanded), self.base, self.b_state)
-
-    def realization(self, index: int, size: int | None = None) -> np.ndarray:
-        if index in self._defs:
-            raise NotInDomainError(
-                "composite generators carry no direct numeric realization"
-            )
-        return self.base.realization(index, size)

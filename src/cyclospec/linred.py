@@ -15,8 +15,10 @@ per letter, and decode a word only to evaluate it.  A code's order is its
 word's order, so sorting the codes visits the words in ``sorted_terms``
 order, and every value is bitwise that of the same arithmetic on words.
 
-Each closed-form recipe returns a :class:`Prediction` carrying the eigenvalue
-multiset together with the derived scalar quantities it used.
+:func:`ev_polynomial` derives the multiset of any polynomial by the same
+reduction; each closed-form recipe is one of its corollaries, derived by
+hand.  Every prediction is a :class:`Prediction`: the eigenvalue multiset
+and the derived scalars it used.
 """
 
 from __future__ import annotations
@@ -45,14 +47,19 @@ from .errors import (
 from .ncalg import (
     FAMILY_A,
     FAMILY_B,
+    Letter,
     NCPolynomial,
     WordCode,
+    _add_terms,
     _polynomial,
     _product_terms,
     _scaled_terms,
     _sum_terms,
+    alternating_form,
     drop_stars,
     poly_sum,
+    word_adjoint,
+    word_str,
 )
 from .spectra import (
     EVMultiset,
@@ -305,16 +312,13 @@ def reduce_b_matrix(b_matrix: AlgMatrix, b_state: TracialState) -> np.ndarray:
     return out
 
 
-def _validate_chain(chain: Sequence[AlgMatrix]) -> int:
+def _validate_chain(chain: Sequence[AlgMatrix]) -> None:
     if len(chain) < 2 or len(chain) % 2 != 0:
         raise DimensionMismatchError("chain must alternate A- and B-matrices in pairs")
-    dim = None
     for pos, mat in enumerate(chain):
         if mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError("chain matrices must be square")
-        if dim is None:
-            dim = mat.shape[0]
-        elif mat.shape[0] != dim:
+        if mat.shape != chain[0].shape:
             raise DimensionMismatchError("chain matrices must share one dimension")
         if pos % 2 == 0:
             if mat.purity() != FAMILY_A:
@@ -323,7 +327,6 @@ def _validate_chain(chain: Sequence[AlgMatrix]) -> int:
                 )
         elif mat.purity() != FAMILY_B:
             raise NotInDomainError("B-positions must hold pure-B matrices")
-    return dim
 
 
 def _coded_grids(mats: Sequence[AlgMatrix]) -> tuple[WordCode, list]:
@@ -501,7 +504,7 @@ def _realized_diagonals(a_list, truncation) -> np.ndarray | None:
 def _shared_dimension(dims) -> int:
     dims = set(dims)
     if len(dims) != 1:
-        raise DimensionMismatchError("A-generator realizations must share one dimension")
+        raise DimensionMismatchError("blocks and A-generator realizations must share one size")
     return dims.pop()
 
 
@@ -662,24 +665,17 @@ def ev_conjugated_sum(a_list, c_taus, gram, truncation: int | None = None) -> Pr
 
 
 def _numerically_hermitian(m: np.ndarray) -> bool:
-    residual = float(np.max(np.abs(m - m.conj().T)))
+    """Whether ``m``, or every matrix of a stack, is Hermitian up to rounding."""
+    residual = float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
     return residual <= rounding_tolerance(NUMERIC_HERMITICITY_TOL, float(np.max(np.abs(m))))
 
 
-def _hermitian_sandwich(a_matrix: np.ndarray, bprime: np.ndarray, n_inner: int):
-    """``(sqrt(B') x I) A (sqrt(B') x I)``, whose spectrum is that of ``A (B' x I)``.
-
-    XY and YX share their eigenvalues, and the sandwich is Hermitian when A
-    is Hermitian and B' is Hermitian PSD.  Returns ``None`` when either
-    condition fails; otherwise ``a_matrix`` is symmetrized in place first,
-    since the sandwich would scale A's accepted asymmetry past the
-    spectrum's own check.
-    """
+def _hermitian_sandwich(a_matrix: np.ndarray, root: np.ndarray, n_inner: int):
+    """``(root x I) A (root x I)``, whose spectrum is that of ``A (B' x I)``
+    for ``root = sqrt(B')``, or ``None`` when A is not Hermitian.  A is first
+    symmetrized in place: the sandwich would scale its accepted asymmetry
+    past the spectrum's own check."""
     if not _numerically_hermitian(a_matrix):
-        return None
-    try:
-        root = sqrtm_psd(bprime)
-    except (NotSelfadjointError, NotPositiveError):
         return None
     dim = root.shape[0]
     a_matrix += a_matrix.conj().T  # the right side is a copy
@@ -690,21 +686,142 @@ def _hermitian_sandwich(a_matrix: np.ndarray, bprime: np.ndarray, n_inner: int):
     return sandwich.reshape(dim * n_inner, dim * n_inner)
 
 
-def _product_spectrum(a_matrices, reduced_blocks, n_inner: int) -> EVMultiset:
-    """Spectrum of ``A1 (B1' x I) ... Ak (Bk' x I)``, which must be real."""
-    numeric = None
-    for a_matrix, bprime in zip(a_matrices, reduced_blocks):
-        block = a_matrix @ np.kron(bprime, np.eye(n_inner))
-        numeric = block if numeric is None else numeric @ block
+def _product_spectrum(a_matrix: np.ndarray, bprime: np.ndarray, n_inner: int) -> EVMultiset:
+    """Spectrum of ``A (B' x I)``, which must be real."""
+    numeric = a_matrix @ np.kron(bprime, np.eye(n_inner))
     if _numerically_hermitian(numeric):
         return hermitian_spectrum(numeric)
     lams = np.linalg.eigvals(numeric)
     radius = float(np.max(np.abs(lams), initial=0.0))
     if float(np.max(np.abs(lams.imag), initial=0.0)) > CHAIN_IMAG_REL_TOL * max(radius, 1e-300):
-        raise NotSelfadjointError(
-            "chain realization has eigenvalues with large imaginary parts"
-        )
+        raise ComplexEigenvaluesError("reduced polynomial has eigenvalues with large "
+                                      "imaginary parts; prediction refused")
     return EVMultiset(lams.real)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial compiler
+# ---------------------------------------------------------------------------
+#
+# Each term ``u . core . v`` (u, v its leading and trailing B-runs) has its
+# interior B-runs reduced to state values, so ``P = sum u A_uw w*`` with w the
+# adjoint of v.  The nonzero spectrum of P is that of ``A (beta x I)``,
+# ``beta_wu = tau(w* u)``: in a moment of P each ``v_i u_(i+1)`` is one maximal
+# B-run.  Rows and columns pair in sorted order, u with u for a selfadjoint P
+# (B-letters written without stars key the columns by the rows starred, which
+# sort alike), so A is Hermitian and beta a Gram matrix.  A letter bound to a
+# d x d block ``AlgMatrix`` stands for it, an unbound one for itself times
+# the identity, and each reduction is entrywise (``reduce_b_matrix``).
+
+
+def _run_grid(run, blocks: dict, dim: int) -> list[list[dict]]:
+    """The grid of the product of the letters of ``run`` (the identity if empty)."""
+    eye = range(dim)
+    out = [[{(): 1 + 0j} if i == j else {} for j in eye] for i in eye]
+    for pos, letter in enumerate(run):
+        block = blocks.get(letter.base())
+        if block is None:
+            grid = [[{(letter,): 1 + 0j} if i == j else {} for j in eye] for i in eye]
+        else:
+            grid = (block.adjoint() if letter.star else block).grid()
+        out = grid_product(out, grid) if pos else grid
+    return out
+
+
+def _reduce(poly: NCPolynomial, b_state: TracialState, blocks=None):
+    """``(A, beta, rows, columns, d, words)``: the pure-A grid, the scalar matrix,
+    their keys, the block size, and the words whose state values were read."""
+    blocks = dict(blocks or {})
+    for letter, block in blocks.items():
+        if block.shape[0] != block.shape[1] or block.purity() != letter.family:
+            raise NotInDomainError(f"{letter.label()} needs a square pure-{letter.family} block")
+    dim = _shared_dimension(block.shape[0] for block in blocks.values()) if blocks else 1
+    terms = []
+    for word, coeff in poly.sorted_terms():
+        a_at = [pos for pos, letter in enumerate(word) if letter.family == FAMILY_A]
+        if not a_at:
+            raise NotInDomainError(f"the term {word_str(word)} has no A-letter")
+        form = alternating_form(word[a_at[0]:a_at[-1] + 1]).blocks
+        terms.append((word[:a_at[0]], word_adjoint(word[a_at[-1] + 1:]), coeff, form))
+    rows = sorted({term[0] for term in terms})
+    columns = sorted({term[1] for term in terms})
+    words = set()
+
+    def reduced(run):
+        grid = _run_grid(run, blocks, dim)
+        words.update(word for line in grid for entry in line for word in entry)
+        return reduce_b_matrix(AlgMatrix.from_grid(grid), b_state)
+
+    a_grid = [[{} for _ in range(len(columns) * dim)] for _ in range(len(rows) * dim)]
+    for row, column, coeff, form in terms:
+        core = None
+        for a_run, b_run in form:
+            grid = _run_grid(a_run, blocks, dim)
+            core = grid if core is None else grid_product(core, grid)
+            if b_run:
+                core = grid_scaled(core, reduced(b_run))
+        r, c = rows.index(row) * dim, columns.index(column) * dim
+        for p, line in enumerate(core):
+            for q, entry in enumerate(line):
+                _add_terms(a_grid[r + p][c + q], _scaled_terms(entry, coeff))
+    beta = np.block([[reduced(word_adjoint(column) + row) for row in rows] for column in columns])
+    return a_grid, beta, rows, columns, dim, words
+
+
+def ev_polynomial(
+    poly: NCPolynomial,
+    a_model: TraceClassModel,
+    b_state: TracialState,
+    truncation: int | None = None,
+    blocks=None,
+) -> Prediction:
+    """Multiset of a polynomial: the spectrum of its ``A (beta x I)`` (see the
+    comment above) over ``a_model``'s realizations; the oracle is never called.
+
+    ``blocks`` maps base letters to square ``AlgMatrix`` blocks of one size,
+    pure-A or pure-B by the letter.  A term without an A-letter raises
+    ``NotInDomainError``; unequally many row and column keys, which no
+    selfadjoint polynomial has, ``NotSelfadjointError``.  With diagonal
+    realizations the sandwich is a batch of k x k matrices; with A not
+    Hermitian or beta not PSD, the general eigensolver runs instead."""
+    a_grid, beta, rows, columns, dim, _ = _reduce(poly, b_state, blocks)
+    if len(rows) != len(columns):
+        raise NotSelfadjointError(f"{len(rows)} leading B-runs against {len(columns)} "
+                                  "trailing ones: the polynomial is not selfadjoint")
+    cells = [[_polynomial(terms) for terms in row] for row in a_grid]
+    mats = {letter: np.asarray(a_model.realization(letter.index, truncation), dtype=complex)
+            for letter in _generators(cells)}
+    n = truncation or a_model.truncation
+    if mats:
+        n = _shared_dimension(mat.shape[0] for mat in mats.values())
+    elif n is None:  # A reduced to 0: P's spectrum is all zeros, of a size no input gives
+        raise NotInDomainError("the polynomial reduces to 0, and no truncation sizes its spectrum")
+    diag = {x: np.diagonal(mat) for x, mat in mats.items()}
+    try:
+        root = sqrtm_psd(beta)
+    except (NotSelfadjointError, NotPositiveError):
+        root = None
+    multiset = None
+    if root is not None and all(np.count_nonzero(mats[x]) == np.count_nonzero(d)
+                                for x, d in diag.items()):
+        # A is the direct sum over j of the k x k matrices of its entries' j-th diagonal values
+        stack = np.zeros((n, len(a_grid), len(a_grid)), dtype=complex)
+        for i, row in enumerate(a_grid):
+            for j, entry in enumerate(row):
+                for word, coeff in sorted(entry.items()):
+                    factors = [diag[x.base()].conj() if x.star else diag[x] for x in word]
+                    stack[:, i, j] += coeff * np.prod(factors, axis=0)
+        if _numerically_hermitian(stack):
+            multiset = hermitian_spectrum(root @ stack @ root)
+    elif root is not None:
+        # no name holds the realized A, so it is freed before the eigensolve
+        sandwich = _hermitian_sandwich(dense_block_matrix(cells, mats, n), root, n)
+        multiset = None if sandwich is None else hermitian_spectrum(sandwich)
+    if multiset is None:
+        multiset = _product_spectrum(dense_block_matrix(cells, mats, n), beta, n)
+    parameters = {"rows": list(map(word_str, rows)), "columns": list(map(word_str, columns)),
+                  "dim": dim, "truncation": n}
+    return Prediction(multiset, "polynomial", parameters, provenance={"beta": beta})
 
 
 def ev_chain(
@@ -716,60 +833,19 @@ def ev_chain(
     check_selfadjoint: bool = True,
     selfadjoint_generators=None,
 ) -> Prediction:
-    """Multiset of ``B0 A1 B1 ... Ak Bk`` via the reduction of every B-matrix.
-
-    The trailing B-matrix absorbs ``B0`` (traciality rotation); the interior
-    B-matrices reduce to scalars; each A-generator is realized at the given
-    truncation and the spectrum of the assembled numeric matrix
-    ``A1 (B1' x I) ... Ak (Bk' x I)`` is returned.  For one pair (k = 1) with
-    a Hermitian realization of A1 and a Hermitian PSD reduced B1', the same
-    spectrum is taken from the Hermitian ``(sqrt(B1') x I) A1 (sqrt(B1') x I)``.
-
-    The product must be selfadjoint for the spectrum to be real; by default
-    this is verified symbolically treating the given generators (or all
-    generators) as selfadjoint.
-    """
-    dim = _validate_chain(chain)
-    if b0.shape != (dim, dim):
-        raise DimensionMismatchError("leading B-matrix must match the chain dimension")
-    if b0.purity() != FAMILY_B:
-        raise NotInDomainError("leading matrix must be pure-B")
+    """Multiset of ``B0 A1 B1 ... Ak Bk``: :func:`ev_polynomial` of one word
+    whose letters stand for the matrices.  The product must be selfadjoint
+    for the spectrum to be real; by default this is verified symbolically,
+    with the given generators (or all generators) selfadjoint."""
+    if len(chain) < 2 or len(chain) % 2 != 0:
+        raise DimensionMismatchError("chain must alternate A- and B-matrices in pairs")
     if check_selfadjoint:
         product = b0
         for mat in chain:
             product = product @ mat
         if not product.is_selfadjoint(selfadjoint_generators):
             raise NotSelfadjointError("chain product is not selfadjoint")
-
-    k = len(chain) // 2
-    reduced_blocks = []
-    for pos in range(k):
-        b_mat = chain[2 * pos + 1]
-        if pos == k - 1:
-            b_mat = b_mat @ b0
-        reduced_blocks.append(reduce_b_matrix(b_mat, b_state))
-
-    generators = _generators([row for mat in chain[0::2] for row in mat.entries])
-    if not generators:
-        raise NotInDomainError("chain contains no A-generators to realize")
-    mats = {letter: np.asarray(a_model.realization(letter.index, truncation), dtype=complex)
-            for letter in generators}
-    n_inner = mats[generators[0]].shape[0]
-
-    multiset = None
-    if k == 1:
-        # no name holds the realized A, so it is freed before the eigensolve
-        sandwich = _hermitian_sandwich(dense_block_matrix(chain[0].entries, mats, n_inner),
-                                       reduced_blocks[0], n_inner)
-        if sandwich is not None:
-            multiset = hermitian_spectrum(sandwich)
-    if multiset is None:
-        a_matrices = (dense_block_matrix(chain[2 * pos].entries, mats, n_inner)
-                      for pos in range(k))
-        multiset = _product_spectrum(a_matrices, reduced_blocks, n_inner)
-    return Prediction(
-        multiset=multiset,
-        recipe="chain",
-        parameters={"k": k, "dim": dim, "truncation": n_inner},
-        provenance={"reduced_blocks": [b for b in reduced_blocks]},
-    )
+    letters = [Letter(FAMILY_B, len(chain))] + [  # B0's index is none of B1..Bk's
+        Letter((FAMILY_A, FAMILY_B)[pos % 2], pos // 2 + 1) for pos in range(len(chain))]
+    blocks = dict(zip(letters, [b0, *chain]))
+    return ev_polynomial(NCPolynomial.from_word(letters), a_model, b_state, truncation, blocks)

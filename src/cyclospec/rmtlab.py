@@ -1,16 +1,16 @@
 """Random-matrix experiments: scenario descriptions, sampling, and reports.
 
 A scenario fixes the matrix dimension, a master seed, the builders for the
-A-side and B-side matrices, an expression to evaluate, and a prediction
-recipe.  Each trial derives its own non-overlapping random stream from the
+A-side and B-side matrices, an expression to evaluate, and the state of the
+B-side.  Each trial derives its own non-overlapping random stream from the
 master seed, samples every matrix in a fixed documented order (A-side first,
 then the B-side list, then the shared Haar conjugator), evaluates the
 expression, and compares the empirical spectrum against the prediction.
 Trials run one after another, in order.
 
-The closed-form recipes share one dispatcher, :func:`recipe_prediction`,
-with ``cyclospec predict --recipe``.  The demo scenarios are the JSON files
-shipped in the package's ``demos/`` directory.
+The prediction is :func:`linred.ev_polynomial` of the expression; the closed
+forms serve ``cyclospec predict --recipe`` through :func:`recipe_prediction`.
+The demo scenarios are the JSON files shipped in the package's ``demos/``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .cmcalc import (
     GeometricSpectrum,
     HaarConjugatedFamily,
     MomentTable,
+    SpectrumFamily,
     _generators,
     _is_json_integer,
     _is_json_number,
@@ -35,20 +36,22 @@ from .cmcalc import (
 )
 from .ensembles import geometric_diag, geometric_values, sample_gue, sample_haar_unitary
 from .errors import (
+    DegreeExceededError,
     DimensionMismatchError,
     NotInDomainError,
     NotSelfadjointError,
 )
 from .linred import (
     AlgMatrix,
+    _reduce,
     chain_moment,
     ev_anticommutator,
-    ev_chain,
     ev_commutator,
+    ev_polynomial,
     ev_sum_bab,
     ev_sum_bac,
 )
-from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression
+from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression, word_str
 from .spectra import hermitian_spectrum, match_distance, rounding_tolerance
 
 __all__ = [
@@ -152,22 +155,15 @@ def _require(keys, doc: dict, where: str) -> None:
 
 
 def _holds(condition: dict, doc: dict) -> bool:
-    """Whether ``doc`` meets an ``if`` of ``properties``/``const``, ``required`` and ``not``."""
-    return (
-        all(doc.get(key, sub["const"]) == sub["const"]
-            for key, sub in condition.get("properties", {}).items())
-        and all(key in doc for key in condition.get("required", ()))
-        and not ("not" in condition and _holds(condition["not"], doc))
-    )
+    """Whether ``doc`` meets an ``if`` of ``properties`` with a ``const`` each."""
+    return all(doc.get(key, sub["const"]) == sub["const"]
+               for key, sub in condition["properties"].items())
 
 
 def _check(node: dict, value, where: str) -> None:
     """Raise ``ValueError`` at the first part of ``value`` that breaks the
     schema ``node``; ``where`` is its key path.  A container is checked
     before its items."""
-    if "$ref" in node:
-        node = _scenario_schema()["$defs"][node["$ref"].rsplit("/", 1)[1]]
-
     def fail(expected: str):
         raise ValueError(f"scenario {where!r} must be {expected}, not {value!r}")
 
@@ -180,11 +176,9 @@ def _check(node: dict, value, where: str) -> None:
         fail(f"{', '.join(others)} or {last}" if others else last)
     if "minimum" in node and value < node["minimum"]:
         fail(f">= {node['minimum']}")
-    if "minItems" in node:  # with an equal maxItems, or none
+    if "minItems" in node and len(value) < node["minItems"]:
         low = node["minItems"]
-        if not low <= len(value) <= node.get("maxItems", len(value)):
-            bound = "" if "maxItems" in node else "at least "
-            fail(f"an array of {bound}{low} item{'s' if low != 1 else ''}")
+        fail(f"an array of at least {low} item{'s' if low != 1 else ''}")
     _require(node.get("required", ()), value, repr(where))
     for key, sub in node.get("properties", {}).items():
         if key in value and key not in _LOADER_TYPED:
@@ -203,12 +197,6 @@ def _as_int(value):
     """An integral ``value`` as an int.  Anything else is returned unchanged,
     for :meth:`Scenario.validate` to reject."""
     return int(value) if _is_json_integer(value) else value
-
-
-def _per_trial_pairs(prediction: dict) -> list | None:
-    """The ``pairs`` of a per-trial ``sum_bac`` beta, else ``None``."""
-    per_trial = prediction.get("recipe") == "sum_bac" and prediction.get("beta") == "per_trial"
-    return prediction["pairs"] if per_trial else None
 
 
 @dataclass
@@ -237,20 +225,12 @@ class Scenario:
     def validate(self) -> None:
         """Check the scenario against ``scenario.schema.json``, then what the
         schema cannot express: references between entries, ``blocks``, the
-        expression and ``b_state``."""
+        expression and its symbolic reduction against ``b_state``."""
         _check(_scenario_schema(), vars(self), "")
         for pos, spec in enumerate(self.b_spec):
             if spec["kind"] == "copy_of" and not 1 <= spec.get("index", 0) <= pos:
                 raise ValueError("copy_of must reference an earlier b_spec entry")
-        self._blocks()
-        for pair in _per_trial_pairs(self.prediction) or ():
-            if not all(1 <= idx <= len(self.b_spec) for idx in pair):
-                raise ValueError("beta pairs must index into b_spec")
-        parse_expression(self.expression, self._symbols())
-        if self.prediction["recipe"] == "chain":
-            _chain(self)
-        elif "b_state" in self.prediction:
-            _b_state(self.prediction)
+        _state_words(self)
 
     def _blocks(self) -> tuple[list | None, list]:
         """The parsed ``blocks`` of a_spec and of each b_spec entry (``None`` if absent)."""
@@ -449,27 +429,26 @@ def _haar_conjugated(
 
 def _trial_matrix(
     scenario: Scenario, poly, a_cells: list | None, b_cells: list,
-    rng: np.random.Generator, diagnostics: dict, pairs: list | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One trial's matrix of the expression, and the :func:`estimate_beta` of
-    its B matrices as drawn (before the Haar conjugation) over ``pairs`` of
-    b_spec positions ``(b, c)``, or ``None`` without ``pairs``.
+    rng: np.random.Generator, diagnostics: dict, words: list | None,
+) -> tuple[np.ndarray, MomentTable | None]:
+    """One trial's matrix of the expression, and the state of its B matrices
+    as drawn (before the Haar conjugation) on the two-letter ``words``, one
+    :func:`estimate_beta` per class ``{xy, yx}`` (``None`` without ``words``).
 
     Every matrix built here dies when it returns.
     """
     a_matrix = _build_a_matrix(scenario, a_cells, rng, diagnostics)
     dim = a_matrix.shape[0]
     b_mats = _build_b_matrices(scenario, b_cells, dim, rng, diagnostics)
-    beta = None
-    if pairs is not None:
-        # an integral float index is an integer to the schema
-        beta = estimate_beta([b_mats[int(c) - 1] for _, c in pairs],
-                             [b_mats[int(b) - 1] for b, _ in pairs])
+    drawn = None if words is None else MomentTable({
+        (x, y): estimate_beta([b_mats[x.index - 1]], [b_mats[y.index - 1]])[0, 0]
+        for x, y in filter(None, words) if (x, y) <= (y, x)  # tau(1) = 1 needs no estimate
+    })
     if scenario.haar_conjugate_b:
         b_mats = _haar_conjugated(b_mats, dim, rng, diagnostics)
     mats = {Letter(FAMILY_A, 1): a_matrix}
     mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
-    return dense_polynomial(poly, mats, dim), beta
+    return dense_polynomial(poly, mats, dim), drawn
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +457,9 @@ def _trial_matrix(
 
 
 def _a_spectrum(spec: dict, count: int | None):
-    """The spectrum of a_spec's diagonal; a geometric one truncated to ``count``."""
+    """a_spec's diagonal, truncated to ``count`` (``None``: all, or analytic)."""
     if spec["kind"] == "explicit":
-        return ExplicitSpectrum(spec["values"])
+        return ExplicitSpectrum(spec["values"][:count])
     scale = spec.get("scale", 1.0) * spec["ratio"] ** spec.get("start_power", 0)
     return GeometricSpectrum(scale, spec["ratio"], count=count)
 
@@ -494,41 +473,61 @@ def _b_state(prediction: dict) -> MomentTable:
         raise ValueError(f"prediction 'b_state': {exc}") from None
 
 
-def _chain(scenario: Scenario):
-    """``(B, [A, B, ..., A, B], a_model, b_state)`` of a ``chain`` scenario.
-
-    The expression is one word ``b a1 b ... a1 b`` in a single B letter: the
-    blocks of two b_spec entries would name independent generators alike.
-    A is ``a_spec.blocks`` with every generator selfadjoint.
-    """
+def _prediction_inputs(scenario: Scenario):
+    """``(poly, a_model, blocks)`` of a scenario's prediction.  ``a1`` stands
+    for a_spec's ``blocks``, with selfadjoint analytic spectra Haar-rotated by
+    the seed, or else for its truncated diagonal; a B letter for its entry's
+    ``blocks`` (a ``copy_of``'s source's), as many as a_spec has.  The state
+    reads block generators by name, so two entries drawn apart share none."""
     a_cells, b_cells = scenario._blocks()
+    poly = parse_expression(scenario.expression, scenario._symbols())
     if a_cells is None:
-        raise ValueError("prediction recipe 'chain' needs a_spec 'blocks'")
-    terms = parse_expression(scenario.expression, scenario._symbols()).terms
-    word, coeff = next(iter(terms.items())) if len(terms) == 1 else ((), 0)
-    shape = "".join(letter.family + "'" * letter.star for letter in word)
-    alternating = len(word) >= 3 and shape == "ba" * (len(word) // 2) + "b"
-    if coeff != 1 or not alternating or len(set(word[::2])) != 1:
-        expr = scenario.expression
-        raise ValueError(f"recipe 'chain' needs an 'expression' b*a1*...*a1*b, not {expr!r}")
-    index = word[0].index
-    if b_cells[index - 1] is None or len(b_cells[index - 1]) != len(a_cells):
-        raise ValueError(f"prediction recipe 'chain' needs as many 'blocks' on b{index} as on a1")
-    table = _b_state(scenario.prediction)
-    a_alg = AlgMatrix([[drop_stars(poly) for poly in row] for row in a_cells])
-    b_alg = AlgMatrix(b_cells[index - 1])
-    spectra = {g.index: _a_spectrum(scenario.a_spec, None) for g in _generators(a_cells)}
-    family = HaarConjugatedFamily(spectra, realization_seed=scenario.seed)
-    return b_alg, [a_alg, b_alg] * (len(word) // 2), family, table
+        a_model = SpectrumFamily({1: _a_spectrum(scenario.a_spec, scenario.truncation)})
+        blocks = {}
+    else:
+        spectra = {g.index: _a_spectrum(scenario.a_spec, None) for g in _generators(a_cells)}
+        a_model = HaarConjugatedFamily(spectra, realization_seed=scenario.seed)
+        blocks = {Letter(FAMILY_A, 1): AlgMatrix([list(map(drop_stars, row)) for row in a_cells])}
+    letters, owners = _generators([[poly]]), {}
+    for j, spec in enumerate(scenario.b_spec, start=1):
+        if spec["kind"] == "copy_of":
+            b_cells[j - 1] = b_cells[int(spec["index"]) - 1]
+        cells, letter = b_cells[j - 1], Letter(FAMILY_B, j)
+        if letter in letters and len(cells or [0]) != len(a_cells or [0]):
+            raise ValueError(f"b{j} needs as many 'blocks' as a_spec")
+        if letter in letters and cells:
+            blocks[letter] = AlgMatrix(cells)
+            if any(owners.setdefault(g, id(cells)) != id(cells) for g in _generators(cells)):
+                raise ValueError(f"b{j} 'blocks' share generators with another b_spec entry")
+    return poly, a_model, blocks
 
 
-def recipe_prediction(spec: dict, spectrum, truncation, beta: np.ndarray | None = None):
-    """Prediction of a closed-form recipe with the A-side ``spectrum``.
+def _state_words(scenario: Scenario) -> list:
+    """The state words the prediction reads, sorted; ``ValueError`` for a term without an
+    A-letter, a word missing from ``b_state``, or, per trial, B blocks or other lengths."""
+    poly, _, blocks = _prediction_inputs(scenario)
+    try:
+        a_grid, *_, words = _reduce(poly, _b_state(scenario.prediction), blocks)
+    except NotInDomainError as exc:
+        raise ValueError(f"scenario 'expression': {exc}") from None
+    except DegreeExceededError as exc:
+        raise ValueError(f"prediction 'b_state': {exc}") from None
+    if not any(map(any, a_grid)):
+        raise ValueError("scenario 'expression' reduces to 0 against prediction 'b_state'")
+    words = sorted(words)
+    if scenario.prediction.get("per_trial"):
+        if any(letter.family == FAMILY_B for letter in blocks):
+            raise ValueError("prediction 'per_trial' needs B letters without 'blocks'")
+        for word in words:
+            if word and len(word) != 2:
+                raise ValueError("prediction 'per_trial' reads the state of two-letter words "
+                                 f"only, not of {word_str(word)}")
+    return words
 
-    ``spec`` is a scenario ``prediction`` entry of any recipe but ``chain``;
-    ``beta``, a trial's estimate, replaces the ``bprime_limit`` of a
-    per-trial ``sum_bac``.
-    """
+
+def recipe_prediction(spec: dict, spectrum, truncation):
+    """Prediction of a closed-form recipe with the A-side ``spectrum``; ``spec``
+    holds ``recipe`` and the keys that the ``predict --recipe`` flags give."""
     recipe = spec["recipe"]
     if recipe == "anticommutator":
         return ev_anticommutator(spectrum, spec["tau_b"], spec["tau_b2"], truncation)
@@ -542,32 +541,20 @@ def recipe_prediction(spec: dict, spectrum, truncation, beta: np.ndarray | None 
         ]
         return ev_sum_bab(diag, np.asarray(spec["gram"], dtype=complex), truncation)
     if recipe == "sum_bac":
-        if spec.get("beta") != "per_trial":
-            beta = np.asarray(spec["bprime"], dtype=complex)
-        elif beta is None:
-            beta = np.asarray(spec["bprime_limit"], dtype=complex)
-        return ev_sum_bac(spectrum, beta, truncation)
+        return ev_sum_bac(spectrum, np.asarray(spec["bprime"], dtype=complex), truncation)
     raise ValueError(f"unknown recipe {recipe!r}")
 
 
-def build_prediction(scenario: Scenario, beta: np.ndarray | None = None):
-    """Prediction for a scenario; ``beta`` is a trial's estimate of a per-trial beta.
-
-    Returns ``(prediction, moments)`` where ``moments`` are the first three
-    predicted trace moments (limit values where the recipe provides them,
-    multiset moments otherwise).
-    """
-    if scenario.prediction["recipe"] == "chain":
-        b0, chain, family, table = _chain(scenario)
-        pred = ev_chain(b0, chain, family, table, truncation=scenario.truncation)
-        closed = chain[:-1] + [chain[-1] @ b0]
-        return pred, [float(np.real(chain_moment(closed, m, family, table))) for m in (1, 2, 3)]
-    pred = recipe_prediction(
-        scenario.prediction, _a_spectrum(scenario.a_spec, scenario.truncation),
-        scenario.truncation, beta,
-    )
-    moments = [float(np.sum(pred.multiset.values**k)) for k in (1, 2, 3)]
-    return pred, moments
+def build_prediction(scenario: Scenario, b_state: MomentTable | None = None):
+    """:func:`ev_polynomial` of a scenario's expression, and the first three trace
+    moments of its ``A (beta x I)`` (with ``blocks``, analytic: the limits).  A
+    trial's state replaces the scenario's ``b_state`` in a per-trial prediction."""
+    poly, a_model, blocks = _prediction_inputs(scenario)
+    table = _b_state(scenario.prediction) if b_state is None else b_state
+    pred = ev_polynomial(poly, a_model, table, scenario.truncation, blocks)
+    a_grid, beta = _reduce(poly, table, blocks)[:2]
+    chain = [AlgMatrix.from_grid(a_grid), AlgMatrix(beta)]
+    return pred, [float(np.real(chain_moment(chain, m, a_model, table))) for m in (1, 2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +566,14 @@ def run_scenario(scenario: Scenario) -> Report:
     """Run every trial of a scenario and assemble the comparison report."""
     scenario.validate()
     poly = parse_expression(scenario.expression, scenario._symbols())
-    pairs = _per_trial_pairs(scenario.prediction)
+    words = _state_words(scenario) if scenario.prediction.get("per_trial") else None
     prediction, predicted_moments = build_prediction(scenario)
     a_cells, b_cells = scenario._blocks()
 
     def one_trial(t: int) -> dict:
         rng = trial_rng(scenario.seed, t)
         diagnostics: dict = {}
-        x, beta = _trial_matrix(scenario, poly, a_cells, b_cells, rng, diagnostics, pairs)
+        x, drawn = _trial_matrix(scenario, poly, a_cells, b_cells, rng, diagnostics, words)
         adjoint = x.conj().T
         residual = float(np.max(np.abs(x - adjoint)))
         if residual > rounding_tolerance(HERMITICITY_GATE, float(np.max(np.abs(x)))):
@@ -611,8 +598,8 @@ def run_scenario(scenario: Scenario) -> Report:
             "moments": moments,
             "diagnostics": {"hermiticity_residual": residual, **diagnostics},
         }
-        if beta is not None:
-            trial_pred, _ = build_prediction(scenario, beta)
+        if drawn is not None:
+            trial_pred, _ = build_prediction(scenario, drawn)
             record["prediction_eigenvalues"] = trial_pred.multiset.to_list()
             record["prediction_provenance"] = trial_pred.to_json_dict()["provenance"]
             reference = trial_pred.multiset

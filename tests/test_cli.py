@@ -167,10 +167,9 @@ def test_scenario_schema_mirrors_validation():
     for change in [
         {"a_spec": {"kind": "explicit", "values": [1.0] * 40, "blocks": [["a1"]]}},
         {"b_spec": [{"kind": "file", "path": "b.csv", "blocks": [["b1"]]}]},
-        {"prediction": {"recipe": "chain"}},
-        {"prediction": {"recipe": "sum_bac", "bprime_limit": [[1.0]]}},
-        {"prediction": {"recipe": "sum_bac", "beta": "per_trial", "bprime": [[1.0]]}},
-        {"prediction": dict(doc["prediction"], beta="x")},
+        {"prediction": {}},
+        {"prediction": {"per_trial": False}},
+        {"prediction": dict(doc["prediction"], per_trial="x")},
         {"n": 40.5},
         {"trials": "2"},
     ]:
@@ -180,13 +179,11 @@ def test_scenario_schema_mirrors_validation():
             rmtlab.Scenario.from_dict(bad)
 
 
-_ANTICOMMUTATOR = {"prediction": {"recipe": "anticommutator", "tau_b": 1.0, "tau_b2": 2.0}}
-_SUM_BAC = {"prediction": {"recipe": "sum_bac", "bprime": [[1.0, 2.0], [2.0, 1.0]]}}
 _PER_TRIAL = {
     "b_spec": [{"kind": "gue"}, {"kind": "gue"}],
     "expression": "b1*a1*b2 + b2*a1*b1",
-    "prediction": {"recipe": "sum_bac", "beta": "per_trial", "pairs": [[1, 2], [2, 1]],
-                   "bprime_limit": [[0.0, 1.0], [1.0, 0.0]]},
+    "prediction": {"b_state": {"moments": {"b1*b1": 1.0, "b1*b2": 0.0, "b2*b2": 1.0}},
+                   "per_trial": True},
 }
 
 
@@ -196,32 +193,17 @@ _PER_TRIAL = {
         ({}, "a_spec__scale", "1.0"),
         ({}, "a_spec__ratio", True),
         ({"a_spec": {"kind": "explicit", "values": [1.0] * 40}}, "a_spec__values__1", "2"),
-        (_ANTICOMMUTATOR, "prediction__tau_b", "1"),
-        (_ANTICOMMUTATOR, "prediction__tau_b2", False),
-        ({}, "prediction__diag__0__coeff", None),
         ({}, "name", 7),
         ({}, "expression", ["a1 + b1*a1*b1*a1*b1"]),
         ({"b_spec": [{"kind": "file", "path": "b.csv"}]}, "b_spec__0__path", 3),
         ({"b_spec": [{"kind": "gue_squared"}, {"kind": "copy_of", "index": 1}]},
          "b_spec__1__index", True),
         ({}, "a_spec__start_power", 1.5),
-        ({}, "prediction__diag__1__power", 1.5),
-        ({}, "prediction__gram__0__1", "1"),
-        ({}, "prediction__gram__1__0", True),
-        ({}, "prediction__gram", "[[1, 1], [1, 2]]"),
-        ({}, "prediction__diag", {"power": 1, "coeff": 1.0}),
-        ({}, "prediction__diag__0", 1),
         ({"a_spec": {"kind": "explicit", "values": [1.0] * 40}}, "a_spec__values", "1.0"),
         ({}, "a_spec", ["geometric"]),
         ({}, "b_spec__0", "gue_squared"),
         ({}, "prediction", "sum_bab"),
-        (_SUM_BAC, "prediction__bprime__1__1", "1.0"),
-        (_SUM_BAC, "prediction__bprime__0", 1.0),
-        (_PER_TRIAL, "prediction__bprime_limit__0__1", None),
-        (_PER_TRIAL, "prediction__pairs__0__1", "2"),
-        (_PER_TRIAL, "prediction__pairs__0__0", 1.5),
-        (_PER_TRIAL, "prediction__pairs__1", [2, 1, 1]),
-        (_PER_TRIAL, "prediction__pairs", {"1": 2}),
+        (_PER_TRIAL, "prediction__per_trial", "true"),
         ({}, "haar_conjugate_b", "false"),
         ({}, "b_spec", None),
     ]
@@ -265,7 +247,7 @@ def test_scenario_schema_rejects_mistyped_fields_as_validation_does(base, path, 
          "degree_cap must be an integer >= 1"),
         ("degree_cap-zero", "example1", "degree_cap", 0, "degree_cap must be an integer >= 1"),
         ("degree_cap-null", "example1", "degree_cap", None, "degree_cap must be an integer >= 1"),
-        # a b_state nothing reads is typed all the same
+        # example3's b_state, of the shape the sum_bab recipe took
         ("sum_bab-moment-string", "example3", "moments__b1*b1", "x",
          "moment 'b1*b1' must be a number"),
     ]
@@ -293,20 +275,9 @@ def test_b_state_schema_rejects_mistyped_moments_as_loading_does(name, path, val
     assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")) == 1
 
 
-def test_diag_entry_without_power_fails_validation(tmp_path):
-    doc = builtin_scenario("example3", n=40, trials=1).to_dict()
-    doc["prediction"]["diag"][1] = {"coeff": 1.0}
-    with pytest.raises(ValueError, match=re.escape("'prediction.diag[1]' needs the key 'power'")):
-        rmtlab.Scenario.from_dict(doc)
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(doc))
-    assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")) == 1
-
-
-# the values each scenario field is set to in turn; "gue" and "chain" are a
-# b_spec kind and a recipe name
+# the values each scenario field is set to in turn; "gue" is a b_spec kind
 _FIELD_VALUES = [None, True, False, 0, 1, 2, -1, 1.5, 2.0, "x", "1", [], [1], [1, 2], [[1.0]],
-                 {}, {"k": 1}, "gue", "chain"]
+                 {}, {"k": 1}, "gue"]
 _DELETED = object()
 
 
@@ -410,12 +381,9 @@ def test_scenario_schema_uses_only_the_keywords_validation_reads():
     )
     # a keyword Scenario.validate does not read fails here until it does
     assert _schema_keywords(schema) == {
-        "$schema", "$id", "title", "$defs", "$ref", "type", "enum", "const", "minimum",
-        "minItems", "maxItems", "items", "properties", "required", "allOf", "if", "then", "not",
+        "$schema", "$id", "title", "$defs", "type", "enum", "const", "minimum",
+        "minItems", "items", "properties", "required", "allOf", "if", "then",
     }
-    pairs = schema["properties"]["prediction"]["properties"]["pairs"]["items"]
-    # the reader reads a maxItems only next to an equal minItems
-    assert pairs["minItems"] == pairs["maxItems"]
 
 
 def test_copy_of_integral_float_index_runs_as_its_integer():
@@ -469,7 +437,7 @@ def test_predict_from_scenario_file(tmp_path):
     out = tmp_path / "pred.json"
     assert run_cli("predict", "--scenario", str(scen_path), "--out", str(out)) == 0
     doc = json.loads(out.read_text())
-    assert doc["recipe"] == "sum_bab"
+    assert doc["recipe"] == "polynomial"
     assert len(doc["eigenvalues"]) == 80
 
 
@@ -480,17 +448,29 @@ def test_predict_from_chain_scenario_file(tmp_path):
     out = tmp_path / "pred.json"
     assert run_cli("predict", "--scenario", str(scen_path), "--out", str(out)) == 0
     doc = json.loads(out.read_text())
-    assert doc["recipe"] == "chain"
-    assert doc["parameters"] == {"k": 1, "dim": 2, "truncation": 20}
+    assert doc["recipe"] == "polynomial"
+    assert doc["parameters"] == {"rows": ["b1"], "columns": ["b1'"], "dim": 2, "truncation": 20}
+    assert len(doc["eigenvalues"]) == 40
+
+
+def test_predict_scenario_with_complex_spectrum_exits_numerical(tmp_path, capsys):
+    # b1 a b2 - b2 a b1 is not selfadjoint: with tau(b_i b_j) = delta_ij its
+    # reduction is [[0, a], [-a, 0]], whose eigenvalues are +-i a
+    doc = builtin_scenario("example2", n=20, trials=1).to_dict()
+    doc.update(expression="b1*a1*b2 - b2*a1*b1", prediction={"b_state": doc["prediction"]["b_state"]})
+    scen_path = tmp_path / "scenario.json"
+    scen_path.write_text(json.dumps(doc))
+    assert run_cli("predict", "--scenario", str(scen_path), "--out", str(tmp_path / "x")) == 2
+    assert "imaginary parts; prediction refused" in capsys.readouterr().err
 
 
 def test_predict_scenario_missing_recipe_key_exits_validation(tmp_path, capsys):
     doc = builtin_scenario("example3", n=40, trials=1).to_dict()
-    del doc["prediction"]["gram"]
+    del doc["prediction"]["b_state"]
     scen_path = tmp_path / "scenario.json"
     scen_path.write_text(json.dumps(doc))
     assert run_cli("predict", "--scenario", str(scen_path), "--out", str(tmp_path / "x")) == 1
-    assert "'sum_bab' needs the key 'gram'" in capsys.readouterr().err
+    assert "'prediction' needs the key 'b_state'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("recipe_flags", [
@@ -506,7 +486,9 @@ def test_predict_recipe_without_spectrum_exits_validation(tmp_path, capsys, reci
 
 
 def test_predict_recipe_flags_match_scenario_prediction(tmp_path):
-    # example3's a_spec is geometric with scale 1, ratio 1/2, start_power 1
+    # example3's a_spec is geometric with scale 1, ratio 1/2, start_power 1;
+    # its expression a + b a b a b reduces to the sum_bab recipe, so the two
+    # multisets agree bitwise while the recipe and its provenance differ
     scenario = builtin_scenario("example3", n=40, trials=1)
     scen_path = tmp_path / "scenario.json"
     scenario.save(scen_path)
@@ -517,9 +499,10 @@ def test_predict_recipe_flags_match_scenario_prediction(tmp_path):
         "--gram", "[[1,1],[1,2]]", "--diag", "1:1,2", "--truncation", "40",
         "--out", str(tmp_path / "from_flags.json"),
     ) == 0
-    assert (tmp_path / "from_flags.json").read_bytes() == (
-        tmp_path / "from_scenario.json"
-    ).read_bytes()
+    from_flags = json.loads((tmp_path / "from_flags.json").read_text())
+    from_scenario = json.loads((tmp_path / "from_scenario.json").read_text())
+    assert from_flags["eigenvalues"] == from_scenario["eigenvalues"]
+    assert from_flags["provenance"]["gram"] == from_scenario["provenance"]["beta"]
     assert (tmp_path / "from_flags.csv").read_bytes() == (
         tmp_path / "from_scenario.csv"
     ).read_bytes()

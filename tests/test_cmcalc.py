@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclospec import (
-    CompositeFamily,
+    AlgMatrix,
     DegreeExceededError,
     DimensionMismatchError,
     ExplicitSpectrum,
@@ -24,20 +24,23 @@ from cyclospec import (
     a_gen,
     alternating_form,
     b_gen,
+    chain_moment,
     cm_moment,
     collapse_internal_b_runs,
+    ev_polynomial,
     make_symbols,
     parse_expression,
     poly_moment,
     sample_gue,
     sample_haar_unitary,
 )
-from cyclospec import cmcalc
+from cyclospec import cmcalc, linred
 from cyclospec.cmcalc import WordProducts, dense_word_product
+from cyclospec.ncalg import Letter, word_adjoint
 
 from _oracles import random_general, random_hermitian
 
-SYMS = make_symbols(a=("a1", "a2"), b=("b1", "b2"))
+SYMS = make_symbols(a=("a1", "a2"), b=("b1", "b2", "b3"))
 
 
 def catalan(k):
@@ -253,38 +256,53 @@ def test_collapse_requires_a_boundary():
         collapse_internal_b_runs((b_gen(1), a_gen(1)), table)
 
 
+# A composite a.c.a* (an A-word, a B-core, the A-word's adjoint) behaves as
+# an A-element whose weight is the weight of the A-letters times the state of
+# the core.  ev_polynomial's reduction collapses every interior B-run so; its
+# moments are checked here against the factorized values, and the oracle's
+# own collapse by test_substitution_soundness.
+
+
+def _reduced_moments(text, a_model, b_state, orders=(1,)):
+    """The moments of ``text`` from ev_polynomial's reduction (its pure-A
+    matrix and beta, through ``chain_moment``) and from its multiset."""
+    poly = parse_expression(text, SYMS)
+    a_grid, beta = linred._reduce(poly, b_state)[:2]
+    chain = [AlgMatrix.from_grid(a_grid), AlgMatrix(beta)]
+    multiset = ev_polynomial(poly, a_model, b_state).multiset.values
+    return [(chain_moment(chain, m, a_model, b_state), np.sum(multiset**m)) for m in orders]
+
+
 def test_composite_single_moment():
     rng = np.random.default_rng(3)
     base = MatrixTraceFamily({1: random_general(4, rng)})
     table = MomentTable({(b_gen(1),): 1.5, (b_gen(2),): -0.5}, degree_cap=2)
-    fam = CompositeFamily(base, table)
-    g = fam.register((a_gen(1),), (b_gen(1),))
     expected = base.omega((a_gen(1), a_gen(1, star=True))) * 1.5
-    assert fam.omega((g,)) == pytest.approx(expected)
+    [(reduced, spectral)] = _reduced_moments("a1*b1*a1'", base, table)
+    assert reduced == pytest.approx(expected)
+    assert spectral == pytest.approx(expected.real)
 
 
 def test_composite_mixed_moment_factorizes():
     rng = np.random.default_rng(4)
     base = MatrixTraceFamily({1: random_general(4, rng)})
     table = MomentTable({(b_gen(1),): 1.5, (b_gen(2),): -0.5, (b_gen(3),): 2.0})
-    fam = CompositeFamily(base, table)
-    g = fam.register((a_gen(1),), (b_gen(1),))
-    word = (g, b_gen(2), g, b_gen(3))
-    got = cm_moment(word, fam, table)
+    # the word g b2 g b3 with g = a1 b1 a1*
+    [(reduced, spectral)] = _reduced_moments("a1*b1*a1'*b2*a1*b1*a1'*b3", base, table)
     aa = (a_gen(1), a_gen(1, star=True)) * 2
     expected = base.omega(aa) * 1.5**2 * (-0.5) * 2.0
-    assert got == pytest.approx(expected)
+    assert reduced == pytest.approx(expected)
+    assert spectral == pytest.approx(expected.real)
 
 
 def test_composite_with_unit_core():
     rng = np.random.default_rng(5)
     base = MatrixTraceFamily({1: random_general(4, rng)})
     table = MomentTable.from_b_powers({1: 1.0})
-    fam = CompositeFamily(base, table)
-    g = fam.register((a_gen(1),), ())
-    assert fam.omega((g,)) == pytest.approx(
-        base.omega((a_gen(1), a_gen(1, star=True)))
-    )
+    expected = base.omega((a_gen(1), a_gen(1, star=True)))
+    [(reduced, spectral)] = _reduced_moments("a1*a1'", base, table)
+    assert reduced == pytest.approx(expected)
+    assert spectral == pytest.approx(expected.real)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +376,15 @@ def test_conjugation_soundness():
         base = MatrixTraceFamily({i: random_general(4, rng) for i in (1, 2)})
         taus = {i: complex(rng.uniform(-2, 2)) for i in (1, 2, 3)}
         table = MomentTable({(b_gen(i),): taus[i] for i in (1, 2, 3)})
-        fam = CompositeFamily(base, table)
-        g1 = fam.register((a_gen(1),), (b_gen(1),))
-        g2 = fam.register((a_gen(2),), (b_gen(2),))
-        word = (g1, b_gen(3), g2)
-        got = cm_moment(word, fam, table)
+        # the word g1 b3 g2 with g1 = a1 b1 a1*, g2 = a2 b2 a2*, and its oracle value
+        text = "a1*b1*a1'*b3*a2*b2*a2'"
         aa = (a_gen(1), a_gen(1, star=True), a_gen(2), a_gen(2, star=True))
         expected = base.omega(aa) * taus[1] * taus[2] * taus[3]
-        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+        oracle = poly_moment(parse_expression(text, SYMS), 1, base, table)
+        assert abs(oracle - expected) <= 1e-12 * max(1.0, abs(expected))
+        [(reduced, spectral)] = _reduced_moments(text, base, table)
+        assert abs(reduced - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert abs(spectral - expected.real) <= 1e-9 * max(1.0, abs(expected))
 
 
 def test_positivity_smoke():
@@ -451,8 +470,8 @@ def _state(name):
     return MomentTable({w: TraceMatrixState(matrices).tau(w) for w in words})
 
 
-def _a_model(name, b_state):
-    """The model and the A-letters it defines."""
+def _a_model(name):
+    """The model and the A-letters it defines (for "composite", A-words)."""
     rng = np.random.default_rng(41)
     letters = [a_gen(1), a_gen(1, star=True), a_gen(2)]
     if name == "spectrum_finite":
@@ -472,17 +491,21 @@ def _a_model(name, b_state):
     base = MatrixTraceFamily({i: random_general(4, rng) / 2 for i in (1, 2)})
     if name == "matrix":
         return base, letters
-    fam = CompositeFamily(base, b_state)
-    g = fam.register((a_gen(1),), (b_gen(1),))
-    h = fam.register((a_gen(2), a_gen(1)), (b_gen(2), b_gen(2, star=True)))
-    return fam, letters + [g, h, h.adjoint()]
+    # "composite": words are drawn from letters and from the conjugated
+    # composites g = a1 b1 a1* and h = a2 a1 (b2 b2*) a1* a2*, and h* = h
+    a1, a1s, a2 = letters
+    g = (a1, b_gen(1), a1s)
+    h = (a2, a1, b_gen(2), b_gen(2, star=True), a1s, a2.adjoint())
+    return base, [(letter,) for letter in letters] + [g, h, word_adjoint(h)]
 
 
 @functools.cache
 def _rotation_case(a_name, b_name):
+    """The models and the pool of pieces (words) a drawn word is made of."""
     b_state = _state(b_name)
-    a_model, a_letters = _a_model(a_name, b_state)
-    return a_model, b_state, tuple(a_letters) + B_POOL
+    a_model, a_pieces = _a_model(a_name)
+    pieces = [(piece,) if isinstance(piece, Letter) else piece for piece in a_pieces]
+    return a_model, b_state, tuple(pieces) + tuple((letter,) for letter in B_POOL)
 
 
 def _cm_moment_by_alternating_form(w, a_model, b_state):
@@ -508,7 +531,7 @@ def test_cm_moment_invariant_under_rotation(a_name, b_name, data):
     a_model, b_state, pool = _rotation_case(a_name, b_name)
     w = data.draw(
         st.lists(st.sampled_from(pool), min_size=1, max_size=MAX_WORD)
-        .map(tuple)
+        .map(lambda pieces: sum(pieces, ()))
         .filter(lambda w: any(letter.family == "a" for letter in w))
     )
     base = cm_moment(w, a_model, b_state)
@@ -798,21 +821,14 @@ def test_omega_many_rejects_like_omega_and_memoizes_nothing(bad):
 
 def test_default_omega_many_matches_omega():
     spectra = {i: GeometricSpectrum(1.0, 0.3 * i, count=16) for i in (1, 2)}
-    base = SpectrumFamily(spectra)
-    composite = CompositeFamily(base, MomentTable.from_b_powers({1: 1.0, 2: 2.0}))
-    g = composite.register((a_gen(1),), (b_gen(1),))
     words = [(a_gen(2), a_gen(1)), (a_gen(1),), (a_gen(1), a_gen(1)), (a_gen(2), a_gen(1))]
     models = [
-        base,
+        SpectrumFamily(spectra),
         SpectrumFamily({i: GeometricSpectrum(1.0, 0.3 * i, count=None) for i in (1, 2)}),
         HaarConjugatedFamily(spectra),
-        composite,
     ]
     for model in models:
         assert model.omega_many(words) == [model.omega(w) for w in words]
-    assert composite.omega_many([(g,), (g, a_gen(1))]) == [
-        composite.omega((g,)), composite.omega((g, a_gen(1)))
-    ]
 
 
 def test_dense_word_product_broadcasts_diagonal_letters():

@@ -1,6 +1,9 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclospec import (
@@ -26,17 +29,20 @@ from cyclospec import (
     ev_chain,
     ev_commutator,
     ev_conjugated_sum,
+    ev_polynomial,
     ev_sum_aba,
     ev_sum_bab,
     ev_sum_bac,
     hermitian_spectrum,
     make_symbols,
     multiset_moment,
+    parse_expression,
     poly_moment,
     reduce_b_matrix,
     sqrtm_psd,
 )
-from cyclospec import linred
+from cyclospec import builtin_scenario, cmcalc, linred, rmtlab
+from cyclospec.ncalg import drop_stars
 
 from _oracles import (
     anticommutator_instance,
@@ -512,27 +518,33 @@ def _example1_chain(seed=7):
 
 
 def _chain_paths(monkeypatch, b0, chain, a_model, b_state, **kwargs):
-    """ev_chain's multiset, what its sandwich step returned, and the product path's multiset."""
-    seen = []
-    sandwich = linred._hermitian_sandwich
+    """ev_chain's multiset, whether it took the general eigensolver, and that
+    eigensolver's multiset, forced by a beta that never passes as PSD."""
+    calls = []
+    product_spectrum = linred._product_spectrum
 
     def spy(*args):
-        seen.append(sandwich(*args))
-        return seen[-1]
+        calls.append(args)
+        return product_spectrum(*args)
+
+    def not_psd(gram):
+        raise NotPositiveError("not PSD by construction")
 
     with monkeypatch.context() as patch:
-        patch.setattr(linred, "_hermitian_sandwich", spy)
+        patch.setattr(linred, "_product_spectrum", spy)
         got = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
-        patch.setattr(linred, "_hermitian_sandwich", lambda *args: None)
+        took_product = bool(calls)
+        patch.setattr(linred, "sqrtm_psd", not_psd)
         product = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
-    return got, seen, product
+    return got, took_product, product
 
 
 @pytest.mark.parametrize("truncation", [16, 24, 32])
 def test_ev_chain_sandwich_matches_eigvals_path(monkeypatch, truncation):
     b0, chain, fam, table = _example1_chain()
-    got, seen, product = _chain_paths(monkeypatch, b0, chain, fam, table, truncation=truncation)
-    assert len(seen) == 1 and seen[0] is not None
+    got, took_product, product = _chain_paths(monkeypatch, b0, chain, fam, table,
+                                              truncation=truncation)
+    assert not took_product
     assert len(got) == len(product) == 2 * truncation
     diff = np.max(np.abs(np.sort(got.values) - np.sort(product.values)))
     assert diff <= 1e-10 * np.max(np.abs(product.values))
@@ -548,22 +560,34 @@ def test_ev_chain_other_chains_keep_product_path(monkeypatch):
     cases = [
         # B' = [[1, 2], [1, 1]] is not Hermitian (the anticommutator chain)
         (AlgMatrix([["1", "b1"], ["0", "0"]], SYMS),
-         [diag_a, AlgMatrix([["b1", "0"], ["1", "0"]], SYMS)], table, {}, 1),
+         [diag_a, AlgMatrix([["b1", "0"], ["1", "0"]], SYMS)], table, {}),
         # B' = [[0, 1], [1, 0]] is Hermitian but indefinite
         (AlgMatrix.identity(2), [diag_a, AlgMatrix([["0", "b1"], ["b1", "0"]], SYMS)],
-         table, unchecked, 1),
+         table, unchecked),
         # B' = tau(b1 b1) = -1 is negative
-        (scalar_b, [scalar_a, scalar_b], negative, {}, 1),
+        (scalar_b, [scalar_a, scalar_b], negative, {}),
         # B' = I is PSD, but the realization of A is not Hermitian
         (AlgMatrix.identity(2), [AlgMatrix([["a1", "a1"], ["0", "a1"]], SYMS),
-                                 AlgMatrix.identity(2)], table, unchecked, 1),
-        # k = 2 pairs
-        (scalar_b, [scalar_a, scalar_b, scalar_a, scalar_b], table, {}, 0),
+                                 AlgMatrix.identity(2)], table, unchecked),
     ]
-    for b0, chain, b_state, kwargs, sandwich_calls in cases:
-        got, seen, product = _chain_paths(monkeypatch, b0, chain, fam, b_state, truncation=8, **kwargs)
-        assert seen == [None] * sandwich_calls
+    for b0, chain, b_state, kwargs in cases:
+        got, took_product, product = _chain_paths(monkeypatch, b0, chain, fam, b_state,
+                                                  truncation=8, **kwargs)
+        assert took_product
         assert got == product
+
+
+def test_ev_chain_two_pairs_take_the_hermitian_path(monkeypatch):
+    # b1 a1 b1 a1 b1 reduces to the Hermitian tau(b1) a1 a1 with beta =
+    # tau(b1 b1) = 2, so the sandwich applies beyond one pair
+    fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=8)})
+    table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
+    scalar_a, scalar_b = AlgMatrix([["a1"]], SYMS), AlgMatrix([["b1"]], SYMS)
+    got, took_product, product = _chain_paths(monkeypatch, scalar_b, [scalar_a, scalar_b] * 2,
+                                              fam, table, truncation=8)
+    assert not took_product
+    np.testing.assert_allclose(got.values, product.values, rtol=1e-12)
+    np.testing.assert_allclose(got.values, 2.0 * 0.25 ** np.arange(8), rtol=1e-12)
 
 
 def test_ev_chain_sandwich_takes_rescaled_inputs(monkeypatch):
@@ -574,10 +598,154 @@ def test_ev_chain_sandwich_takes_rescaled_inputs(monkeypatch):
         {i: GeometricSpectrum(1e9, 0.5, count=None) for i in (1, 2, 3)}, realization_seed=7
     )
     unit = ev_chain(b0, chain, fam, table, truncation=24).multiset
-    scaled, seen, _ = _chain_paths(monkeypatch, b0, chain, big, table, truncation=24)
-    assert len(seen) == 1 and seen[0] is not None
+    scaled, took_product, _ = _chain_paths(monkeypatch, b0, chain, big, table, truncation=24)
+    assert not took_product
     diff = np.max(np.abs(scaled.values - 1e9 * unit.values))
     assert diff <= 1e-12 * 1e9 * np.max(np.abs(unit.values))
+
+
+def test_complex_spectrum_raises_complex_eigenvalues_error():
+    # B' = [[0, 1], [-1, 0]] turns the spectrum of diag(a1, a1) into +-i a1
+    fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=8)})
+    table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
+    diag_a = AlgMatrix([["a1", "0"], ["0", "a1"]], SYMS)
+    rotation = AlgMatrix([["0", "b1"], ["0 - b1", "0"]], SYMS)
+    with pytest.raises(ComplexEigenvaluesError, match="imaginary parts"):
+        ev_chain(AlgMatrix.identity(2), [diag_a, rotation], fam, table, truncation=8,
+                 check_selfadjoint=False)
+    with pytest.raises(ComplexEigenvaluesError, match="imaginary parts"):
+        identity = {(b_gen(i), b_gen(j)): float(i == j) for i in (1, 2) for j in (1, 2)}
+        ev_polynomial(parse_expression("b1*a1*b2 - b2*a1*b1", SYMS), fam, MomentTable(identity))
+
+
+# ---------------------------------------------------------------------------
+# ev_polynomial
+# ---------------------------------------------------------------------------
+
+_POLY_LETTERS = [a_gen(1), a_gen(2), b_gen(1), b_gen(2)]
+
+
+@functools.cache
+def _polynomial_models(a_kind, b_kind):
+    """Selfadjoint generators: two A's, and two B's whose state a moment
+    table holds on every word of up to 8 letters, or the matrices themselves."""
+    rng = np.random.default_rng(70)
+    if a_kind == "spectrum":
+        a_model = SpectrumFamily({i: ExplicitSpectrum(rng.uniform(-1, 1, size=5)) for i in (1, 2)})
+    else:
+        a_model = MatrixTraceFamily({i: random_hermitian(3, rng) / 2 for i in (1, 2)})
+    state = TraceMatrixState({i: random_hermitian(3, rng) for i in (1, 2)})
+    if b_kind == "moment_table":
+        letters = [b_gen(1), b_gen(2)]
+        words = [w for d in range(1, 9) for w in itertools.product(letters, repeat=d)]
+        state = MomentTable({w: state.tau(w) for w in words})
+    return a_model, state
+
+
+_terms = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(_POLY_LETTERS), min_size=1, max_size=5)
+        .filter(lambda w: any(letter.family == "a" for letter in w)),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@pytest.mark.parametrize("b_kind", ["moment_table", "trace_matrix"])
+@pytest.mark.parametrize("a_kind", ["spectrum", "matrix"])
+@settings(max_examples=20, deadline=None)
+@given(terms=_terms)
+def test_ev_polynomial_moments_match_the_oracle(a_kind, b_kind, terms):
+    a_model, b_state = _polynomial_models(a_kind, b_kind)
+    p = NCPolynomial.zero()
+    for word, coeff in terms:
+        p = p + NCPolynomial.from_word(tuple(word), coeff)
+    # selfadjoint, with every generator selfadjoint and written without stars
+    poly = p + drop_stars(p.adjoint())
+    assume(not poly.is_zero())
+    values = ev_polynomial(poly, a_model, b_state).multiset.values
+    for m in range(1, 6):
+        oracle = poly_moment(poly, m, a_model, b_state)
+        bound = 1e-9 * max(1.0, float(np.sum(np.abs(values) ** m)))
+        assert abs(oracle.imag) <= bound
+        assert abs(float(np.sum(values**m)) - oracle.real) <= bound
+
+
+def _assert_same_multiset(got, expected, tol=1e-10):
+    assert len(got) == len(expected)
+    diff = np.max(np.abs(np.sort(got.values) - np.sort(expected.values)))
+    assert diff <= tol * max(1.0, float(np.max(np.abs(expected.values))))
+
+
+def _closed_form_case(name, rng):
+    """(polynomial, A-model, state, blocks, closed-form multiset) of one recipe."""
+    if name in ("anticommutator", "commutator"):
+        inst = (anticommutator_instance if name == "anticommutator" else commutator_instance)(
+            12, rng)
+        recipe = ev_anticommutator if name == "anticommutator" else ev_commutator
+        closed = recipe(inst["spectrum"], inst["tau_b"], inst["tau_b2"])
+    elif name == "sum_bab":
+        inst = sum_bab_instance(3, 6, rng)
+        closed = ev_sum_bab(inst["a_list"], inst["gram"])
+    elif name == "sum_aba":
+        inst = sum_aba_instance(3, 6, rng)
+        closed = ev_sum_aba(inst["a_list"], inst["taus"])
+    elif name == "sum_bac":
+        inst = sum_bac_instance(3, 8, rng)
+        closed = ev_sum_bac(inst["spectrum"], inst["beta"])
+    elif name == "conjugated_sum":
+        inst = conjugated_sum_instance(2, 6, rng)
+        closed = ev_conjugated_sum(inst["a_list"], inst["c_taus"], inst["gram"])
+    else:  # the chain B A B (k = 1) or B A B A B (k = 2) of example1
+        b_alg, chain, fam, table = _example1_chain()
+        k = 1 if name == "chain_k1" else 2
+        closed = ev_chain(b_alg, chain * k, fam, table, truncation=12).multiset
+        poly = parse_expression("b1" + "*a1*b1" * k, SYMS)
+        return poly, fam, table, {a_gen(1): chain[0], b_gen(1): b_alg}, closed, 12
+    return inst["poly"], inst["a_model"], inst["b_state"], None, closed.multiset, None
+
+
+@pytest.mark.parametrize("name", [
+    "anticommutator", "commutator", "sum_bab", "sum_aba", "sum_bac", "conjugated_sum",
+    "chain_k1", "chain_k2",
+])
+def test_ev_polynomial_equals_the_closed_forms(name):
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        poly, a_model, b_state, blocks, closed, truncation = _closed_form_case(name, rng)
+        got = ev_polynomial(poly, a_model, b_state, truncation, blocks).multiset
+        _assert_same_multiset(got, closed)
+
+
+def test_ev_polynomial_never_calls_the_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the moment oracle was called")
+
+    for module in (cmcalc, linred, rmtlab):
+        for name in ("cm_moment", "poly_moment"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rng = np.random.default_rng(72)
+    for name in ("anticommutator", "sum_bab", "sum_bac", "conjugated_sum", "chain_k2"):
+        poly, a_model, b_state, blocks, _, truncation = _closed_form_case(name, rng)
+        ev_polynomial(poly, a_model, b_state, truncation, blocks)
+    for demo in ("example1", "example2-correlated", "example3"):
+        rmtlab.build_prediction(builtin_scenario(demo, n=12, trials=1))
+
+
+def test_ev_polynomial_rejects_terms_without_a_letters_and_unpaired_runs():
+    fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=4)})
+    table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
+    with pytest.raises(NotInDomainError, match="the term b1\\*b1 has no A-letter"):
+        ev_polynomial(parse_expression("a1 + b1*b1", SYMS), fam, table)
+    with pytest.raises(NotSelfadjointError, match="2 leading B-runs against 1 trailing"):
+        ev_polynomial(parse_expression("a1 + b1*a1", SYMS), fam, table)
+    # a selfadjoint polynomial whose A reduces to 0 has the spectrum of 0
+    zero = parse_expression("i*(a1*a1*b1*a1 - a1*b1*a1*a1)", SYMS)
+    assert ev_polynomial(zero, fam, table).multiset.to_list() == [0.0] * 4
+    with pytest.raises(NotInDomainError, match="no truncation sizes its spectrum"):
+        ev_polynomial(zero, SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=None)}), table)
 
 
 # ---------------------------------------------------------------------------

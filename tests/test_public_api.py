@@ -13,7 +13,7 @@ import cyclospec
 from cyclospec import cmcalc, linred, rmtlab, spectra
 
 PUBLIC_NAMES = [
-    "AlgMatrix", "ComplexEigenvaluesError", "CompositeFamily", "DegreeExceededError",
+    "AlgMatrix", "ComplexEigenvaluesError", "DegreeExceededError",
     "DimensionMismatchError", "DomainError", "EVMultiset", "EmptyInputError",
     "ExplicitSpectrum", "ExpressionSyntaxError", "GeometricSpectrum", "HaarConjugatedFamily",
     "InsufficientEntriesError", "Letter", "MatrixTraceFamily", "MomentTable", "NCPolynomial",
@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "alternating_form", "auto_symbols", "b_gen", "builtin_scenario", "chain_moment",
     "chain_moment_unreduced", "cm_moment", "collapse_internal_b_runs", "disjoint_union",
     "estimate_beta", "ev_anticommutator", "ev_chain", "ev_commutator", "ev_conjugated_sum",
-    "ev_sum_aba", "ev_sum_bab", "ev_sum_bac", "format_expression", "geometric_diag",
+    "ev_polynomial", "ev_sum_aba", "ev_sum_bab", "ev_sum_bac", "format_expression", "geometric_diag",
     "hermitian_spectrum", "is_selfadjoint", "make_symbols", "match_distance",
     "multiset_moment", "parse_expression", "poly_moment", "power", "reduce_b_matrix",
     "run_scenario", "sample_gue", "sample_haar_unitary", "scale", "sqrtm_psd", "truncate",
@@ -53,8 +53,9 @@ def test_public_names_are_pinned():
         (linred.eigenvalue_multiset, ["a", "truncation"]),
         (linred.ev_chain, ["b0", "chain", "a_model", "b_state", "truncation",
                            "check_selfadjoint", "selfadjoint_generators"]),
-        (rmtlab.recipe_prediction, ["spec", "spectrum", "truncation", "beta"]),
-        (rmtlab.build_prediction, ["scenario", "beta"]),
+        (linred.ev_polynomial, ["poly", "a_model", "b_state", "truncation", "blocks"]),
+        (rmtlab.recipe_prediction, ["spec", "spectrum", "truncation"]),
+        (rmtlab.build_prediction, ["scenario", "b_state"]),
     ]
 ])
 def test_parameter_lists_are_pinned(function, parameters):

@@ -9,12 +9,14 @@ import pytest
 from cyclospec import (
     EVMultiset,
     GeometricSpectrum,
+    HaarConjugatedFamily,
     MomentTable,
     NotSelfadjointError,
     Scenario,
     SpectrumFamily,
     builtin_scenario,
     estimate_beta,
+    ev_sum_bac,
     geometric_diag,
     match_distance,
     multiset_moment,
@@ -28,8 +30,10 @@ from cyclospec.cli import main
 from cyclospec.cmcalc import dense_block_matrix, dense_polynomial, dense_word_product
 from cyclospec.ensembles import geometric_values
 from cyclospec.ncalg import FAMILY_A, FAMILY_B, Letter
+from cyclospec import linred, rmtlab
 from cyclospec.rmtlab import (
     _build_a_matrix,
+    _build_b_matrices,
     _generators,
     build_prediction,
     load_matrix_csv,
@@ -132,8 +136,8 @@ def test_builtin_scenario_is_the_shipped_file(name):
 def test_builtin_scenario_defaults_and_fresh_dicts():
     first = builtin_scenario("example3")
     assert (first.n, first.trials, first.seed, first.truncation) == (300, 5, 20260808, 300)
-    first.prediction["gram"][0][0] = 99.0
-    assert builtin_scenario("example3").prediction["gram"][0][0] == 1.0
+    first.prediction["b_state"]["moments"]["b1*b1"] = 99.0
+    assert builtin_scenario("example3").prediction["b_state"]["moments"]["b1*b1"] == 2.0
 
 
 def test_scenario_validation():
@@ -180,15 +184,16 @@ def test_scenario_accepts_integral_floats():
     assert type(scenario.n) is int and type(scenario.trials) is int
 
 
-@pytest.mark.parametrize("name,beta", [
+@pytest.mark.parametrize("name,per_trial", [
     ("example3", "x"),
     ("example3", None),
-    ("example2-correlated", "per-trial"),
+    ("example2-correlated", "true"),
+    ("example2-correlated", 1),
 ])
-def test_scenario_rejects_unknown_beta(name, beta, tmp_path):
+def test_scenario_rejects_non_boolean_per_trial(name, per_trial, tmp_path):
     doc = builtin_scenario(name, n=40, trials=2).to_dict()
-    doc["prediction"] = dict(doc["prediction"], beta=beta, bprime=[[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError, match="scenario 'prediction.beta' must be 'per_trial'"):
+    doc["prediction"] = dict(doc["prediction"], per_trial=per_trial)
+    with pytest.raises(ValueError, match="scenario 'prediction.per_trial' must be a boolean"):
         Scenario.from_dict(doc)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -229,22 +234,29 @@ _EXAMPLE1_B_BLOCKS = [["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]]
      "b_spec entry 1 'blocks' is allowed on the 'gue' kind only"),
     # a B-block count that does not divide the dimension 2n = 80
     ({"b_spec__0__blocks": [["b1"] * 3] * 3}, "b_spec entry 1 'blocks' do not divide"),
-    # a chain recipe without A blocks
-    ({"a_spec": {"kind": "geometric", "ratio": 0.5}}, "'chain' needs a_spec 'blocks'"),
-    # a B letter without blocks, or with blocks of another size
-    ({"b_spec": [{"kind": "gue"}]}, "'chain' needs as many 'blocks' on b1"),
-    ({"b_spec": [{"kind": "gue", "blocks": [["b1"]]}]}, "'chain' needs as many 'blocks' on b1"),
+    # a B letter of the expression without blocks, or with blocks of another
+    # size than a_spec's (a copy_of entry has its source's)
+    ({"b_spec": [{"kind": "gue"}]}, "b1 needs as many 'blocks' as a_spec"),
+    ({"b_spec": [{"kind": "gue", "blocks": [["b1"]]}]}, "b1 needs as many 'blocks' as a_spec"),
     ({"b_spec": [{"kind": "gue", "blocks": _EXAMPLE1_B_BLOCKS}, {"kind": "gue"}],
-      "expression": "b2*a1*b2"}, "'chain' needs as many 'blocks' on b2"),
-    # expressions that are not one alternating b...a...b word
-    ({"expression": "b1*a1*b1 + b1*a1*b1*a1*b1"}, "'chain' needs an 'expression'"),
-    ({"expression": "2*b1*a1*b1"}, "'chain' needs an 'expression'"),
-    ({"expression": "a1*b1*a1"}, "'chain' needs an 'expression'"),
-    ({"expression": "b1*a1*a1*b1"}, "'chain' needs an 'expression'"),
-    ({"expression": "b1*b1"}, "'chain' needs an 'expression'"),
-    ({"expression": "b1'*a1*b1"}, "'chain' needs an 'expression'"),
-    ({"b_spec": [{"kind": "gue", "blocks": _EXAMPLE1_B_BLOCKS}] * 2,
-      "expression": "b1*a1*b2"}, "'chain' needs an 'expression'"),
+      "expression": "b2*a1*b2"}, "b2 needs as many 'blocks' as a_spec"),
+    ({"b_spec": [{"kind": "gue"}, {"kind": "copy_of", "index": 1}],
+      "expression": "b2*a1*b2"}, "b2 needs as many 'blocks' as a_spec"),
+    ({"b_spec": [{"kind": "gue", "blocks": _EXAMPLE1_B_BLOCKS},
+                 {"kind": "gue", "blocks": [["b1"] * 4] * 4}],
+      "expression": "b1*a1*b1 + b2*a1*b2"}, "b2 needs as many 'blocks' as a_spec"),
+    ({"a_spec": {"kind": "geometric", "ratio": 0.5}}, "b1 needs as many 'blocks' as a_spec"),
+    # a term without an A-letter
+    ({"expression": "b1*a1*b1 + b1*b1"}, "scenario 'expression': the term b1*b1 has no A-letter"),
+    ({"expression": "1 + b1*a1*b1"}, "scenario 'expression': the term 1 has no A-letter"),
+    # a state word the b_state lacks: the blocks of the products b1 b1 b1 b1,
+    # and b1 b1 alone
+    ({"expression": "b1*b1*a1*b1*b1"},
+     "prediction 'b_state': word degree 8 exceeds table cap 4"),
+    ({"prediction__b_state": {"moments": {"b1*b1": 1.0}}},
+     "prediction 'b_state': word degree 4 exceeds table cap 2"),
+    # a per-trial state over blocks
+    ({"prediction__per_trial": True}, "prediction 'per_trial' needs B letters without 'blocks'"),
     # a b_state that is no moment table
     ({"prediction__b_state": {"moments": {"b1*a1": 1.0}}}, "prediction 'b_state'"),
     ({"prediction__b_state": [1.0]}, "prediction 'b_state'"),
@@ -257,6 +269,35 @@ def test_scenario_validation_of_blocks_and_chain(changes, message, tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_example1_reads_its_expression_and_copies():
+    # the chain may be longer, or use a second b_spec entry, or a copy of one
+    n = 20
+    base = run_scenario(builtin_scenario("example1", n=n, trials=1)).prediction
+    assert base["parameters"] == {"rows": ["b1"], "columns": ["b1'"], "dim": 2, "truncation": n}
+    longer = run_scenario(Scenario.from_dict(_example1_with(expression="b1*a1*b1*a1*b1")))
+    assert len(longer.prediction["eigenvalues"]) == 2 * 40
+    copied = _example1_with(expression="b2*a1*b2")
+    copied["b_spec"].append({"kind": "copy_of", "index": 1})
+    copied.update(n=n, truncation=n)
+    report = run_scenario(Scenario.from_dict(copied))
+    assert report.prediction["eigenvalues"] == base["eigenvalues"]
+    assert report.prediction["moments"] == base["moments"]
+
+
+def test_b_entries_drawn_apart_share_no_block_generators():
+    # two gue entries with the same cell letters are drawn independently, but
+    # the moment table would read their generators as one
+    doc = _example1_with(expression="b1*a1*b2 + b2*a1*b1")
+    doc["b_spec"] = [{"kind": "gue", "blocks": _EXAMPLE1_B_BLOCKS}] * 2
+    with pytest.raises(ValueError, match="b2 'blocks' share generators with another b_spec"):
+        Scenario.from_dict(doc)
+    # with generators of its own, the second entry needs its own state values
+    renamed = [["b4*b4", "b5*b5"], ["b5*b5", "b6*b6"]]
+    doc["b_spec"] = [{"kind": "gue", "blocks": _EXAMPLE1_B_BLOCKS}, {"kind": "gue", "blocks": renamed}]
+    with pytest.raises(ValueError, match="prediction 'b_state': no table entry for "):
+        Scenario.from_dict(doc)
 
 
 def test_blocks_are_drawn_in_index_order():
@@ -274,7 +315,7 @@ def test_blocks_are_drawn_in_index_order():
     assert len(run.trials[0]["diagnostics"]["gue_tr_sq"]) == 3
     longer = _example1_with(expression="b1*a1*b1*a1*b1")
     report = run_scenario(Scenario.from_dict(longer))
-    assert report.prediction["parameters"]["k"] == 2
+    assert report.prediction["parameters"]["rows"] == ["b1"]
 
 
 @pytest.mark.parametrize("a_spec", [
@@ -316,30 +357,25 @@ def test_example1_trial_a_block_is_hermitian():
     assert np.max(np.abs(x - x.conj().T)) <= 1e-15
 
 
-_RECIPE_PREDICTIONS = {
-    "anticommutator": {"recipe": "anticommutator", "tau_b": 1.0, "tau_b2": 2.0},
-    "commutator": {"recipe": "commutator", "tau_b": 1.0, "tau_b2": 2.0},
-    "sum_bab": {"recipe": "sum_bab", "diag": [{"power": 1}], "gram": [[1.0]]},
-    "sum_bac": {"recipe": "sum_bac", "bprime": [[1.0]]},
-    "sum_bac_per_trial": {
-        "recipe": "sum_bac", "beta": "per_trial", "pairs": [[1, 1]], "bprime_limit": [[1.0]],
-    },
-    "chain": {"recipe": "chain", "b_state": {"moments": {"b1*b1": 1.0}}},
-}
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_scenario_validation_names_missing_b_state(name):
+    doc = builtin_scenario(name, n=40, trials=2).to_dict()
+    prediction = {key: value for key, value in doc["prediction"].items() if key != "b_state"}
+    with pytest.raises(ValueError, match="scenario 'prediction' needs the key 'b_state'"):
+        Scenario.from_dict(dict(doc, prediction=prediction))
 
 
-@pytest.mark.parametrize("name,key", [
-    (name, key)
-    for name, prediction in _RECIPE_PREDICTIONS.items()
-    for key in prediction if key not in ("recipe", "beta")
-])
-def test_scenario_validation_names_missing_recipe_key(name, key):
-    doc = builtin_scenario("example1" if name == "chain" else "example3", n=40, trials=2).to_dict()
-    prediction = _RECIPE_PREDICTIONS[name]
-    Scenario.from_dict(dict(doc, prediction=prediction))
-    missing = {k: v for k, v in prediction.items() if k != key}
-    with pytest.raises(ValueError, match=f"'{prediction['recipe']}' needs the key '{key}'"):
-        Scenario.from_dict(dict(doc, prediction=missing))
+def test_per_trial_state_words_have_two_letters(tmp_path):
+    doc = builtin_scenario("example2", n=30, trials=1).to_dict()
+    # b1 a1 b1 a1 b2 + adjoint reads tau(b1) for its interior run
+    doc["expression"] = "b1*a1*b1*a1*b2 + b2*a1*b1*a1*b1"
+    doc["prediction"]["b_state"]["moments"]["b1"] = 0.5
+    Scenario.from_dict(dict(doc, prediction=dict(doc["prediction"], per_trial=False)))
+    with pytest.raises(ValueError, match="'per_trial' reads the state of two-letter words only"):
+        Scenario.from_dict(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
 def test_trial_streams_are_independent():
@@ -408,8 +444,7 @@ def test_example3_runs_at_scale_1e5():
 
 def test_homogeneous_scenario_scales_with_a():
     doc = builtin_scenario("example3", n=40, trials=2).to_dict()
-    doc.update(expression="b1*a1*b1",
-               prediction={"recipe": "sum_bab", "gram": [[2.0]], "diag": [{"power": 1}]})
+    doc.update(expression="b1*a1*b1")
     unit = run_scenario(_rescaled(doc, 1.0))
     scaled = run_scenario(_rescaled(doc, 1e5))
     pred_unit = np.asarray(unit.prediction["eigenvalues"])
@@ -422,10 +457,12 @@ def test_homogeneous_scenario_scales_with_a():
 def test_per_trial_beta_recorded():
     s = builtin_scenario("example2", n=40, trials=2)
     report = run_scenario(s)
+    assert report.prediction["provenance"]["beta"] == [[1.0, 0.0], [0.0, 1.0]]
     for rec in report.trials:
         assert "prediction_eigenvalues" in rec
-        lams = rec["prediction_provenance"]["lambdas"]
-        assert len(lams) == 2
+        beta = np.asarray(rec["prediction_provenance"]["beta"])
+        assert beta.shape == (2, 2) and np.array_equal(beta, beta.T)
+        assert np.max(np.abs(beta - np.eye(2))) <= 0.5 and beta[0, 0] != 1.0
 
 
 def test_example3_match_improves_with_n():
@@ -456,10 +493,64 @@ def test_file_backed_b_spec(tmp_path):
     assert len(report.trials) == 2
 
 
+@pytest.mark.parametrize("name", ["example2", "example2-correlated"])
+def test_per_trial_prediction_equals_the_sum_bac_closed_form(name):
+    # b1 a b2 + b2 a b1 is sum_bac with the pairs (b1, b2), (b2, b1): its
+    # scaling factors are the eigenvalues of [[tau(b2 b1), tau(b2 b2)],
+    # [tau(b1 b1), tau(b1 b2)]] over the trial's B matrices as drawn
+    scenario = builtin_scenario(name, n=30, trials=2)
+    report = run_scenario(scenario)
+    spectrum = GeometricSpectrum(1.0, 0.5, count=30)
+    for t, rec in enumerate(report.trials):
+        rng = trial_rng(scenario.seed, t)
+        _build_a_matrix(scenario, None, rng, {})
+        b1, b2 = _build_b_matrices(scenario, [None, None], 30, rng, {})
+        closed = ev_sum_bac(spectrum, estimate_beta([b2, b1], [b1, b2]), 30).multiset.values
+        got = np.asarray(rec["prediction_eigenvalues"])
+        assert np.max(np.abs(np.sort(got) - np.sort(closed))) <= 1e-12 * np.max(np.abs(closed))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
+def test_scenario_validation_realizes_and_solves_nothing(name, monkeypatch):
+    # the reduction reads the moment table, and nothing is realized or solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation ran numerics")
+
+    for module in (linred, rmtlab):
+        monkeypatch.setattr(module, "ev_polynomial", refuse)
+    for model in (SpectrumFamily, HaarConjugatedFamily):
+        monkeypatch.setattr(model, "realization", refuse)
+    Scenario.from_dict(builtin_scenario(name, n=40, trials=1).to_dict())
+
+
+def test_expression_that_reduces_to_zero_is_rejected():
+    # a1 a1 b1 a1 and a1 b1 a1 a1 reduce alike, so their commutator is 0 to
+    # every cyclic-monotone moment, and no multiset compares with its trials
+    doc = builtin_scenario("example3", n=20, trials=1).to_dict()
+    doc["expression"] = "i*(a1*a1*b1*a1 - a1*b1*a1*a1)"
+    with pytest.raises(ValueError, match="'expression' reduces to 0 against prediction 'b_state'"):
+        Scenario.from_dict(doc)
+
+
+def test_per_trial_state_of_interior_runs():
+    # a1 (b1 b2 + b2 b1) a1 reads tau(b1 b2) inside, and tau(1) = 1 for its
+    # one key, which no trial estimates
+    doc = builtin_scenario("example2", n=20, trials=2).to_dict()
+    doc["expression"] = "a1*b1*b2*a1 + a1*b2*b1*a1"
+    doc["prediction"]["b_state"]["moments"]["b1*b2"] = 0.5
+    report = run_scenario(Scenario.from_dict(doc))
+    assert report.prediction["eigenvalues"][0] == pytest.approx(1.0)  # 2 * 0.5 * a's top value
+    for rec in report.trials:
+        assert rec["prediction_provenance"]["beta"] == [[1.0]]
+        assert len(rec["prediction_eigenvalues"]) == 20
+        # independent draws: tau(b1 b2) is of order 1/n, not the limit table's 0.5
+        assert abs(rec["prediction_eigenvalues"][0]) < 0.5
+
+
 def test_per_trial_beta_requires_limit_matrix():
     doc = builtin_scenario("example2", n=30, trials=1).to_dict()
-    doc["prediction"] = {"recipe": "sum_bac", "beta": "per_trial", "pairs": [[1, 2], [2, 1]]}
-    with pytest.raises(ValueError):
+    doc["prediction"] = {"per_trial": True}
+    with pytest.raises(ValueError, match="'prediction' needs the key 'b_state'"):
         Scenario.from_dict(doc)
 
 
@@ -555,10 +646,13 @@ def _reference_trial(scenario, t):
         "moments": moments,
         "diagnostics": {"hermiticity_residual": residual, **diagnostics},
     }
-    if scenario.prediction.get("beta") == "per_trial":
-        pairs = scenario.prediction["pairs"]
-        beta = estimate_beta([raw_b[c - 1] for _, c in pairs], [raw_b[b - 1] for b, _ in pairs])
-        prediction, _ = build_prediction(scenario, beta)
+    if scenario.prediction.get("per_trial"):
+        letters = [Letter(FAMILY_B, j) for j in range(1, len(raw_b) + 1)]
+        drawn = MomentTable({
+            (x, y): estimate_beta([raw_b[x.index - 1]], [raw_b[y.index - 1]])[0, 0]
+            for x in letters for y in letters if x <= y
+        })
+        prediction, _ = build_prediction(scenario, drawn)
         record["prediction_eigenvalues"] = prediction.multiset.to_list()
     return record
 
