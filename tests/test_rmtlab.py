@@ -184,15 +184,18 @@ def test_scenario_accepts_integral_floats():
     assert type(scenario.n) is int and type(scenario.trials) is int
 
 
-@pytest.mark.parametrize("name,per_trial", [
+# 'per_trial' chooses where beta comes from (the drawn B's or b_state); any
+# value but a boolean is an unknown choice
+@pytest.mark.parametrize("name,beta", [
     ("example3", "x"),
     ("example3", None),
+    ("example2-correlated", "per-trial"),
     ("example2-correlated", "true"),
     ("example2-correlated", 1),
 ])
-def test_scenario_rejects_non_boolean_per_trial(name, per_trial, tmp_path):
+def test_scenario_rejects_unknown_beta(name, beta, tmp_path):
     doc = builtin_scenario(name, n=40, trials=2).to_dict()
-    doc["prediction"] = dict(doc["prediction"], per_trial=per_trial)
+    doc["prediction"] = dict(doc["prediction"], per_trial=beta)
     with pytest.raises(ValueError, match="scenario 'prediction.per_trial' must be a boolean"):
         Scenario.from_dict(doc)
     path = tmp_path / "scenario.json"
