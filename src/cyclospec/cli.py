@@ -31,6 +31,7 @@ from .errors import (
     NotPositiveError,
     NotSelfadjointError,
 )
+from .linred import ev_anticommutator, ev_commutator, ev_polynomial
 from .ncalg import (
     EmptyInputError,
     ExpressionSyntaxError,
@@ -44,7 +45,6 @@ from .rmtlab import (
     Scenario,
     build_prediction,
     builtin_scenario,
-    recipe_prediction,
     run_scenario,
 )
 from .spectra import EVMultiset, match_distance, multiset_moment
@@ -118,34 +118,35 @@ def _write_prediction(pred, out: str) -> list[str]:
     return [str(json_path), str(csv_path)]
 
 
-def _recipe_spec(args) -> dict:
-    """The ``recipe_prediction`` spec that the ``predict --recipe`` flags describe."""
-    if args.recipe == "sum_bac":
-        if not args.bprime:
-            raise ValueError("sum_bac needs --bprime")
-        return {"recipe": "sum_bac", "bprime": json.loads(args.bprime)}
-    if args.recipe == "sum_bab":
-        if not args.gram:
-            raise ValueError("sum_bab needs --gram")
-        diag = []
-        for piece in args.diag.split(","):
-            power, _, coeff = piece.partition(":")
-            diag.append({"power": int(power), "coeff": float(coeff or 1.0)})
-        return {"recipe": "sum_bab", "gram": json.loads(args.gram), "diag": diag}
-    return {"recipe": args.recipe, "tau_b": args.tau_b, "tau_b2": args.tau_b2}
+def _expression_inputs(args, spectrum: str):
+    """``(poly, a_model, b_state)`` of ``--expr``: every A generator has the
+    ``spectrum``, and the B state is ``--b-state`` or the ``--tau-b``/``--tau-b2`` powers."""
+    poly = parse_expression(args.expr, auto_symbols(args.expr))
+    spec = _parse_spectrum(spectrum)
+    a_indices = sorted({letter.index for word in poly.terms for letter in word
+                        if letter.family == "a"})
+    a_model = SpectrumFamily({i: spec for i in a_indices} or {1: spec})
+    if args.b_state:
+        return poly, a_model, MomentTable.from_json(args.b_state)
+    powers = {m: value for m, value in ((1, args.tau_b), (2, args.tau_b2)) if value is not None}
+    if not powers:
+        raise ValueError(f"{args.command} --expr needs --b-state or --tau-b/--tau-b2")
+    return poly, a_model, MomentTable.from_b_powers(powers)
 
 
 def _cmd_predict(args) -> int:
     if args.scenario:
-        scenario = Scenario.from_json(args.scenario)
-        pred, _ = build_prediction(scenario)
+        for flag in ("expr", "spectrum", "b_state", "tau_b", "tau_b2", "truncation"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"predict --scenario takes no --{flag.replace('_', '-')}")
+        pred = build_prediction(Scenario.from_json(args.scenario))
     else:
-        if not args.recipe:
-            raise ValueError("predict needs --scenario or --recipe")
+        if not args.expr:
+            raise ValueError("predict needs --scenario or --expr")
         if not args.spectrum:
-            raise ValueError("predict --recipe needs --spectrum")
-        spectrum = _parse_spectrum(args.spectrum)
-        pred = recipe_prediction(_recipe_spec(args), spectrum, args.truncation)
+            raise ValueError("predict --expr needs --spectrum")
+        poly, a_model, b_state = _expression_inputs(args, args.spectrum)
+        pred = ev_polynomial(poly, a_model, b_state, args.truncation)
     paths = _write_prediction(pred, args.out)
     print(json.dumps({"written": paths, "recipe": pred.recipe,
                       "provenance": pred.to_json_dict()["provenance"]}, sort_keys=True))
@@ -153,23 +154,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    symbols = auto_symbols(args.expr)
-    poly = parse_expression(args.expr, symbols)
-    spectrum = _parse_spectrum(args.a_model)
-    a_indices = sorted({letter.index for word in poly.terms for letter in word
-                        if letter.family == "a"})
-    a_model = SpectrumFamily({i: spectrum for i in a_indices} or {1: spectrum})
-    if args.b_state:
-        b_state = MomentTable.from_json(args.b_state)
-    else:
-        powers = {}
-        if args.tau_b is not None:
-            powers[1] = args.tau_b
-        if args.tau_b2 is not None:
-            powers[2] = args.tau_b2
-        if not powers:
-            raise ValueError("oracle needs --b-state or --tau-b/--tau-b2")
-        b_state = MomentTable.from_b_powers(powers)
+    poly, a_model, b_state = _expression_inputs(args, args.a_model)
     values = []
     for m in range(1, args.moments + 1):
         value = poly_moment(poly, m, a_model, b_state)
@@ -249,9 +234,10 @@ def _formula_demo(name: str) -> int:
     symbols = auto_symbols("a1 b1")
     if name == "anticommutator":
         poly = parse_expression("a1*b1 + b1*a1", symbols)
+        pred = ev_anticommutator(spectrum, tau_b, tau_b2, 64)
     else:
         poly = parse_expression("i*(a1*b1 - b1*a1)", symbols)
-    pred = recipe_prediction({"recipe": name, "tau_b": tau_b, "tau_b2": tau_b2}, spectrum, 64)
+        pred = ev_commutator(spectrum, tau_b, tau_b2, 64)
     print(f"demo {name}: tau(b) = {tau_b}, tau(b^2) = {tau_b2}, "
           f"provenance {pred.to_json_dict()['provenance']}")
     print(f"{'m':>2}  {'oracle':>20}  {'formula':>20}  {'rel diff':>10}")
@@ -313,13 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="compute an eigenvalue-multiset prediction")
     p.add_argument("--scenario", help="scenario JSON file whose expression is predicted")
-    p.add_argument("--recipe", choices=["anticommutator", "commutator", "sum_bab", "sum_bac"])
-    p.add_argument("--tau-b", type=float, default=0.0, dest="tau_b")
-    p.add_argument("--tau-b2", type=float, default=0.0, dest="tau_b2")
-    p.add_argument("--bprime", help="JSON matrix of state values tau(c_i b_j)")
-    p.add_argument("--gram", help="JSON Gram matrix tau(b_i* b_j)")
-    p.add_argument("--diag", default="1:1", help="diagonal spec power:coeff[,power:coeff...]")
+    p.add_argument("--expr", help="expression to predict, instead of --scenario")
     p.add_argument("--spectrum", help="geometric:scale,ratio[,count|analytic] or explicit:v1;v2")
+    p.add_argument("--b-state", dest="b_state", help="moment-table JSON file")
+    p.add_argument("--tau-b", type=float, default=None, dest="tau_b")
+    p.add_argument("--tau-b2", type=float, default=None, dest="tau_b2")
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--out", required=True, help="output path (JSON; CSV written alongside)")
     p.set_defaults(func=_cmd_predict)

@@ -8,8 +8,8 @@ then the B-side list, then the shared Haar conjugator), evaluates the
 expression, and compares the empirical spectrum against the prediction.
 Trials run one after another, in order.
 
-The prediction is :func:`linred.ev_polynomial` of the expression; the closed
-forms serve ``cyclospec predict --recipe`` through :func:`recipe_prediction`.
+The prediction is :func:`linred.ev_polynomial` of the expression, as it is for
+``cyclospec predict``; its three reported moments are computed once per run.
 The demo scenarios are the JSON files shipped in the package's ``demos/``.
 """
 
@@ -41,16 +41,7 @@ from .errors import (
     NotInDomainError,
     NotSelfadjointError,
 )
-from .linred import (
-    AlgMatrix,
-    _reduce,
-    chain_moment,
-    ev_anticommutator,
-    ev_commutator,
-    ev_polynomial,
-    ev_sum_bab,
-    ev_sum_bac,
-)
+from .linred import AlgMatrix, _reduce, chain_moment, ev_polynomial
 from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression, word_str
 from .spectra import hermitian_spectrum, match_distance, rounding_tolerance
 
@@ -525,36 +516,12 @@ def _state_words(scenario: Scenario) -> list:
     return words
 
 
-def recipe_prediction(spec: dict, spectrum, truncation):
-    """Prediction of a closed-form recipe with the A-side ``spectrum``; ``spec``
-    holds ``recipe`` and the keys that the ``predict --recipe`` flags give."""
-    recipe = spec["recipe"]
-    if recipe == "anticommutator":
-        return ev_anticommutator(spectrum, spec["tau_b"], spec["tau_b2"], truncation)
-    if recipe == "commutator":
-        return ev_commutator(spectrum, spec["tau_b"], spec["tau_b2"], truncation)
-    if recipe == "sum_bab":
-        base = spectrum.eigenvalues(truncation)
-        diag = [
-            float(entry.get("coeff", 1.0)) * base ** int(entry["power"])
-            for entry in spec["diag"]
-        ]
-        return ev_sum_bab(diag, np.asarray(spec["gram"], dtype=complex), truncation)
-    if recipe == "sum_bac":
-        return ev_sum_bac(spectrum, np.asarray(spec["bprime"], dtype=complex), truncation)
-    raise ValueError(f"unknown recipe {recipe!r}")
-
-
 def build_prediction(scenario: Scenario, b_state: MomentTable | None = None):
-    """:func:`ev_polynomial` of a scenario's expression, and the first three trace
-    moments of its ``A (beta x I)`` (with ``blocks``, analytic: the limits).  A
-    trial's state replaces the scenario's ``b_state`` in a per-trial prediction."""
+    """:func:`ev_polynomial` of a scenario's expression.  A trial's state replaces
+    the scenario's ``b_state`` in a per-trial prediction."""
     poly, a_model, blocks = _prediction_inputs(scenario)
     table = _b_state(scenario.prediction) if b_state is None else b_state
-    pred = ev_polynomial(poly, a_model, table, scenario.truncation, blocks)
-    a_grid, beta = _reduce(poly, table, blocks)[:2]
-    chain = [AlgMatrix.from_grid(a_grid), AlgMatrix(beta)]
-    return pred, [float(np.real(chain_moment(chain, m, a_model, table))) for m in (1, 2, 3)]
+    return ev_polynomial(poly, a_model, table, scenario.truncation, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +534,13 @@ def run_scenario(scenario: Scenario) -> Report:
     scenario.validate()
     poly = parse_expression(scenario.expression, scenario._symbols())
     words = _state_words(scenario) if scenario.prediction.get("per_trial") else None
-    prediction, predicted_moments = build_prediction(scenario)
+    prediction = build_prediction(scenario)
+    # the first three trace moments of its A (beta x I); with blocks, analytic: the limits
+    _, a_model, blocks = _prediction_inputs(scenario)
+    table = _b_state(scenario.prediction)
+    a_grid, beta = _reduce(poly, table, blocks)[:2]
+    chain = [AlgMatrix.from_grid(a_grid), AlgMatrix(beta)]
+    predicted_moments = [float(np.real(chain_moment(chain, m, a_model, table))) for m in (1, 2, 3)]
     a_cells, b_cells = scenario._blocks()
 
     def one_trial(t: int) -> dict:
@@ -599,7 +572,7 @@ def run_scenario(scenario: Scenario) -> Report:
             "diagnostics": {"hermiticity_residual": residual, **diagnostics},
         }
         if drawn is not None:
-            trial_pred, _ = build_prediction(scenario, drawn)
+            trial_pred = build_prediction(scenario, drawn)
             record["prediction_eigenvalues"] = trial_pred.multiset.to_list()
             record["prediction_provenance"] = trial_pred.to_json_dict()["provenance"]
             reference = trial_pred.multiset

@@ -5,7 +5,15 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from cyclospec import builtin_scenario, cli, rmtlab
+from cyclospec import (
+    EVMultiset,
+    GeometricSpectrum,
+    builtin_scenario,
+    cli,
+    ev_anticommutator,
+    multiset_moment,
+    rmtlab,
+)
 from cyclospec.cli import main
 
 
@@ -13,41 +21,76 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+_SUM_BAC_STATE = {"moments": {"b1'*b1": 1.0, "b1'*b2": 2.0, "b2'*b2": 1.0}}
+
+
 def test_predict_anticommutator(tmp_path):
     out = tmp_path / "pred.json"
     code = run_cli(
-        "predict", "--recipe", "anticommutator", "--tau-b", "1", "--tau-b2", "2",
+        "predict", "--expr", "a1*b1 + b1*a1", "--tau-b", "1", "--tau-b2", "2",
         "--spectrum", "geometric:1,0.5,64", "--out", str(out),
     )
     assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["provenance"]["p"] == pytest.approx(1 + np.sqrt(2))
-    assert doc["provenance"]["q"] == pytest.approx(1 - np.sqrt(2))
-    csv_lines = (tmp_path / "pred.csv").read_text().strip().splitlines()
-    assert len(csv_lines) == 128
+    got = np.sort(json.loads(out.read_text())["eigenvalues"])
+    closed = np.sort(ev_anticommutator(GeometricSpectrum(1.0, 0.5, count=64), 1.0, 2.0)
+                     .multiset.values)
+    assert len(got) == len((tmp_path / "pred.csv").read_text().strip().splitlines()) == 128
+    assert np.max(np.abs(got - closed)) <= 1e-14 * np.max(np.abs(closed))
 
 
 def test_predict_sum_bac_reference_matrix(tmp_path):
+    # beta = [[1,2],[2,1]] has the eigenvalues 3 and -1, so the multiset is
+    # the spectrum scaled by 3 and by -1
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(_SUM_BAC_STATE))
     out = tmp_path / "bac.json"
     code = run_cli(
-        "predict", "--recipe", "sum_bac", "--bprime", "[[1,2],[2,1]]",
+        "predict", "--expr", "b1*a1*b1' + b2*a1*b2'", "--b-state", str(state),
         "--spectrum", "geometric:1,0.5,64", "--out", str(out),
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["provenance"]["lambdas"] == [3.0, -1.0]
+    assert doc["provenance"]["beta"] == [[1.0, 2.0], [2.0, 1.0]]
+    spectrum = 0.5 ** np.arange(64)
+    assert sorted(doc["eigenvalues"]) == sorted([*(3 * spectrum), *(-spectrum)])
 
 
 def test_predict_commutator_zero_multiset(tmp_path):
     out = tmp_path / "comm.json"
     code = run_cli(
-        "predict", "--recipe", "commutator", "--tau-b", "1", "--tau-b2", "1",
+        "predict", "--expr", "i*(a1*b1 - b1*a1)", "--tau-b", "1", "--tau-b2", "1",
         "--spectrum", "geometric:1,0.5,16", "--out", str(out),
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["provenance"]["r"] == 0.0
+    assert len(doc["eigenvalues"]) == 32
     assert all(v == 0.0 for v in doc["eigenvalues"])
+
+
+@pytest.mark.parametrize("expr,flags", [
+    ("a1*b1 + b1*a1", ["--tau-b", "1", "--tau-b2", "2"]),
+    ("i*(a1*b1 - b1*a1)", ["--tau-b", "1", "--tau-b2", "2"]),
+    ("a1 + b1*a1*b1*a1*b1", ["--tau-b", "1", "--tau-b2", "2"]),
+    ("b1*a1*b1' + b2*a1*b2'", ["--b-state"]),
+], ids=["anticommutator", "commutator", "sum_bab", "sum_bac"])
+def test_predict_expression_moments_match_the_oracle(tmp_path, capsys, expr, flags):
+    # the two commands read the same inputs, so the prediction's multiset
+    # moments are the oracle's
+    if flags == ["--b-state"]:
+        (tmp_path / "state.json").write_text(json.dumps(_SUM_BAC_STATE))
+        flags = ["--b-state", str(tmp_path / "state.json")]
+    spectrum = "geometric:1,0.5,16"
+    out = tmp_path / "pred.json"
+    assert run_cli("predict", "--expr", expr, "--spectrum", spectrum, *flags,
+                   "--out", str(out)) == 0
+    multiset = EVMultiset(json.loads(out.read_text())["eigenvalues"])
+    capsys.readouterr()
+    assert run_cli("oracle", "--expr", expr, "--moments", "6", "--a-model", spectrum,
+                   *flags) == 0
+    oracle = json.loads(capsys.readouterr().out)["moments"]
+    for m, (re_part, im_part) in enumerate(oracle, start=1):
+        assert multiset_moment(multiset, m) == pytest.approx(re_part, rel=1e-9, abs=1e-9)
+        assert abs(im_part) <= 1e-9
 
 
 def test_oracle_values(capsys):
@@ -473,36 +516,53 @@ def test_predict_scenario_missing_recipe_key_exits_validation(tmp_path, capsys):
     assert "'prediction' needs the key 'b_state'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("recipe_flags", [
-    ["--recipe", "anticommutator", "--tau-b", "1", "--tau-b2", "2"],
-    ["--recipe", "commutator", "--tau-b", "1", "--tau-b2", "2"],
-    ["--recipe", "sum_bac", "--bprime", "[[1,2],[2,1]]"],
-    ["--recipe", "sum_bab", "--gram", "[[1]]"],
-], ids=lambda flags: flags[1])
-def test_predict_recipe_without_spectrum_exits_validation(tmp_path, capsys, recipe_flags):
-    assert run_cli("predict", *recipe_flags, "--out", str(tmp_path / "x")) == 1
-    assert "predict --recipe needs --spectrum" in capsys.readouterr().err
+@pytest.mark.parametrize("flags,message", [
+    (["--expr", "a1*b1 + b1*a1", "--tau-b", "1", "--tau-b2", "2"], "predict --expr needs --spectrum"),
+    (["--expr", "i*(a1*b1 - b1*a1)", "--tau-b", "1", "--tau-b2", "2"],
+     "predict --expr needs --spectrum"),
+    (["--expr", "b1*a1*b1' + b2*a1*b2'", "--b-state", "state.json"],
+     "predict --expr needs --spectrum"),
+    (["--expr", "a1 + b1*a1*b1*a1*b1", "--spectrum", "geometric:1,0.5,8"],
+     "predict --expr needs --b-state or --tau-b/--tau-b2"),
+], ids=["anticommutator", "commutator", "sum_bac", "sum_bab"])
+def test_predict_recipe_without_spectrum_exits_validation(tmp_path, capsys, flags, message):
+    # an expression needs a spectrum and a state, and nothing is written without them
+    assert run_cli("predict", *flags, "--out", str(tmp_path / "x")) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--expr", "a1"), ("--spectrum", "geometric:1,0.5,8"), ("--b-state", "state.json"),
+    ("--tau-b", "1"), ("--tau-b2", "2"), ("--truncation", "40"),
+])
+def test_predict_scenario_rejects_expression_flags(tmp_path, capsys, flag, value):
+    scen_path = tmp_path / "scenario.json"
+    builtin_scenario("example3", n=40, trials=1).save(scen_path)
+    out = tmp_path / "pred.json"
+    assert run_cli("predict", "--scenario", str(scen_path), flag, value, "--out", str(out)) == 1
+    assert f"predict --scenario takes no {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [scen_path]
+
+
 def test_predict_recipe_flags_match_scenario_prediction(tmp_path):
-    # example3's a_spec is geometric with scale 1, ratio 1/2, start_power 1;
-    # its expression a + b a b a b reduces to the sum_bab recipe, so the two
-    # multisets agree bitwise while the recipe and its provenance differ
+    # example3's a_spec is geometric with scale 1, ratio 1/2, start_power 1,
+    # and its b_state holds tau(b) = 1, tau(b^2) = 2: the same expression on
+    # the same inputs from the flags gives the same prediction, bitwise
     scenario = builtin_scenario("example3", n=40, trials=1)
     scen_path = tmp_path / "scenario.json"
     scenario.save(scen_path)
     assert run_cli("predict", "--scenario", str(scen_path),
                    "--out", str(tmp_path / "from_scenario.json")) == 0
     assert run_cli(
-        "predict", "--recipe", "sum_bab", "--spectrum", "geometric:0.5,0.5,40",
-        "--gram", "[[1,1],[1,2]]", "--diag", "1:1,2", "--truncation", "40",
+        "predict", "--expr", scenario.expression, "--spectrum", "geometric:0.5,0.5,40",
+        "--tau-b", "1", "--tau-b2", "2", "--truncation", "40",
         "--out", str(tmp_path / "from_flags.json"),
     ) == 0
     from_flags = json.loads((tmp_path / "from_flags.json").read_text())
     from_scenario = json.loads((tmp_path / "from_scenario.json").read_text())
     assert from_flags["eigenvalues"] == from_scenario["eigenvalues"]
-    assert from_flags["provenance"]["gram"] == from_scenario["provenance"]["beta"]
+    assert from_flags["provenance"]["beta"] == from_scenario["provenance"]["beta"]
     assert (tmp_path / "from_flags.csv").read_bytes() == (
         tmp_path / "from_scenario.csv"
     ).read_bytes()

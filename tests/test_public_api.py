@@ -54,7 +54,6 @@ def test_public_names_are_pinned():
         (linred.ev_chain, ["b0", "chain", "a_model", "b_state", "truncation",
                            "check_selfadjoint", "selfadjoint_generators"]),
         (linred.ev_polynomial, ["poly", "a_model", "b_state", "truncation", "blocks"]),
-        (rmtlab.recipe_prediction, ["spec", "spectrum", "truncation"]),
         (rmtlab.build_prediction, ["scenario", "b_state"]),
     ]
 ])

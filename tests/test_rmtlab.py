@@ -526,6 +526,27 @@ def test_scenario_validation_realizes_and_solves_nothing(name, monkeypatch):
     Scenario.from_dict(builtin_scenario(name, n=40, trials=1).to_dict())
 
 
+def test_predicted_moments_are_computed_once_per_run(tmp_path, monkeypatch):
+    # three chain_moment calls per run, for the report's three moments; a
+    # per-trial prediction and predict --scenario compute none
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    real = rmtlab.chain_moment
+    monkeypatch.setattr(rmtlab, "chain_moment", counted)
+    scenario = builtin_scenario("example2-correlated", n=20, trials=3)
+    run_scenario(scenario)
+    assert calls == [1, 2, 3]
+    calls.clear()
+    scenario.save(tmp_path / "scenario.json")
+    assert main(["predict", "--scenario", str(tmp_path / "scenario.json"),
+                 "--out", str(tmp_path / "pred.json")]) == 0
+    assert calls == []
+
+
 def test_expression_that_reduces_to_zero_is_rejected():
     # a1 a1 b1 a1 and a1 b1 a1 a1 reduce alike, so their commutator is 0 to
     # every cyclic-monotone moment, and no multiset compares with its trials
@@ -655,7 +676,7 @@ def _reference_trial(scenario, t):
             (x, y): estimate_beta([raw_b[x.index - 1]], [raw_b[y.index - 1]])[0, 0]
             for x in letters for y in letters if x <= y
         })
-        prediction, _ = build_prediction(scenario, drawn)
+        prediction = build_prediction(scenario, drawn)
         record["prediction_eigenvalues"] = prediction.multiset.to_list()
     return record
 
