@@ -10,6 +10,12 @@ model also has ``omega_many``, the weights of a list of words; a matrix model
 evaluates the words its memo misses as one batch (``WordProducts.traces``),
 with values bitwise equal to ``omega``.  The reduced chain trace of
 :mod:`cyclospec.linred` uses the batch; the oracle does not.
+
+For the eigenvalue recipes a weight model also realizes each generator as a
+matrix: ``diagonal`` gives the 1-D diagonal of the realization, or ``None``
+when it is not diagonal, and ``realization`` the dense matrix.  Only
+``MatrixTraceFamily`` can be non-diagonal; ``HaarConjugatedFamily`` realizes
+its limit exactly, on orthogonal coordinate blocks, and draws nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ensembles import sample_haar_unitary
 from .errors import (
     DegreeExceededError,
     DimensionMismatchError,
@@ -602,8 +607,14 @@ class TraceClassModel:
         """``[self.omega(w) for w in words]``; a model may evaluate them as one batch."""
         return [self.omega(w) for w in words]
 
-    def realization(self, index: int, size: int | None = None) -> np.ndarray:
+    def diagonal(self, index: int, size: int | None = None) -> np.ndarray | None:
+        """The 1-D complex diagonal of generator ``index``'s realization, or
+        ``None`` when that realization is not diagonal."""
         raise NotImplementedError
+
+    def realization(self, index: int, size: int | None = None) -> np.ndarray:
+        """The dense matrix of generator ``index`` realized at ``size``."""
+        return np.diag(self.diagonal(index, size))
 
 
 def _check_pure_a_nonempty(w: Word) -> None:
@@ -611,6 +622,13 @@ def _check_pure_a_nonempty(w: Word) -> None:
         raise NotInDomainError("the unit word is not in the domain of the weight")
     if not is_pure(w, FAMILY_A):
         raise NotInDomainError(f"weight is defined on pure-A words only: {word_str(w)}")
+
+
+def _realized_size(size: int | None, truncation: int | None) -> int:
+    n = size if size is not None else truncation
+    if n is None:
+        raise ValueError("analytic spectra need an explicit truncation to realize")
+    return n
 
 
 def _shared_spectra(spectra: Mapping[int, Spectrum]):
@@ -662,12 +680,9 @@ class SpectrumFamily(TraceClassModel):
             vals = vals * self.spectra[letter.index].eigenvalues(self.truncation)
         return complex(np.sum(vals))
 
-    def realization(self, index: int, size: int | None = None) -> np.ndarray:
+    def diagonal(self, index: int, size: int | None = None) -> np.ndarray:
         spec = self._spectrum(index)
-        n = size if size is not None else self.truncation
-        if n is None:
-            raise ValueError("analytic spectra need an explicit truncation to realize")
-        return np.diag(spec.eigenvalues(n)).astype(complex)
+        return spec.eigenvalues(_realized_size(size, self.truncation)).astype(complex)
 
 
 class MatrixTraceFamily(TraceClassModel):
@@ -728,21 +743,25 @@ class MatrixTraceFamily(TraceClassModel):
             )
         return mat
 
+    def diagonal(self, index: int, size: int | None = None) -> np.ndarray | None:
+        mat = self.realization(index, size)
+        diagonal = np.diagonal(mat)
+        return diagonal if np.count_nonzero(mat) == np.count_nonzero(diagonal) else None
+
 
 class HaarConjugatedFamily(TraceClassModel):
     """Limit model of independently rotated copies with given spectra.
 
     Mixed words (two or more distinct generator indices) evaluate to exactly
     0, the limiting value; single-generator words evaluate through the
-    spectrum power sums.  Numeric realizations conjugate each truncated
-    diagonal by a fixed seeded Haar unitary (the lowest index is left
-    unrotated, which is a global-basis choice that leaves every prediction
-    spectrum unchanged).
+    spectrum power sums.  The realization at size n is this limit exactly:
+    with k generators, the i-th in index order is its truncated diagonal on
+    the i-th coordinate block of n in a space of k*n, and zero elsewhere, so
+    every mixed word multiplies out to exactly 0 and nothing is drawn.
     """
 
-    def __init__(self, spectra: Mapping[int, Spectrum], realization_seed: int = 0):
+    def __init__(self, spectra: Mapping[int, Spectrum]):
         self.spectra, self.truncation = _shared_spectra(spectra)
-        self.realization_seed = int(realization_seed)
 
     def omega(self, w: Word) -> complex:
         _check_pure_a_nonempty(w)
@@ -756,21 +775,14 @@ class HaarConjugatedFamily(TraceClassModel):
         index = seen.pop()
         return complex(self.spectra[index].power_sum(len(w)))
 
-    def realization(self, index: int, size: int | None = None) -> np.ndarray:
+    def diagonal(self, index: int, size: int | None = None) -> np.ndarray:
         if index not in self.spectra:
             raise NotInDomainError(f"no spectrum for generator index {index}")
-        n = size if size is not None else self.truncation
-        if n is None:
-            raise ValueError("analytic spectra need an explicit truncation to realize")
-        diag = self.spectra[index].eigenvalues(n).astype(complex)
-        if index == min(self.spectra):
-            return np.diag(diag)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.realization_seed, spawn_key=(index,))
-        )
-        u = sample_haar_unitary(n, rng)
-        # u * diag scales the columns: u @ np.diag(diag) without a matmul
-        return (u * diag) @ u.conj().T
+        n = _realized_size(size, self.truncation)
+        block = sorted(self.spectra).index(index)
+        out = np.zeros(len(self.spectra) * n, dtype=complex)
+        out[block * n:(block + 1) * n] = self.spectra[index].eigenvalues(n)
+        return out
 
 
 # ---------------------------------------------------------------------------

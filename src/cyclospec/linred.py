@@ -482,25 +482,6 @@ def _realized_blocks(a_list, truncation):
     return blocks, _shared_dimension(b.shape[0] for b in blocks)
 
 
-def _realized_diagonals(a_list, truncation) -> np.ndarray | None:
-    """The diagonals of the realized generators as a (k, n) array.
-
-    ``None`` when some realization is not diagonal; spectra and 1-D arrays
-    always are, square matrices when every off-diagonal entry is zero.
-    """
-    diagonals = []
-    for a in a_list:
-        diagonal = _given_diagonal(a, truncation)
-        if diagonal is None:
-            block = realize_a(a, truncation)
-            diagonal = np.diagonal(block)
-            if np.count_nonzero(block) != np.count_nonzero(diagonal):
-                return None
-        diagonals.append(diagonal)
-    _shared_dimension(d.shape[0] for d in diagonals)
-    return np.stack(diagonals)
-
-
 def _shared_dimension(dims) -> int:
     dims = set(dims)
     if len(dims) != 1:
@@ -518,31 +499,18 @@ def ev_sum_bab(a_list, gram, truncation: int | None = None) -> Prediction:
 
     ``gram[i, j]`` holds the state value of ``b_i* b_j``; the prediction is
     the spectrum of ``(sqrt(gram) x I) . blockdiag(a_1..a_k) . (sqrt(gram) x I)``.
-    When every realized ``a_i`` is diagonal, that matrix is the direct sum
-    over ``j`` of the k x k matrices ``sqrt(gram) . diag(a_1[j]..a_k[j]) .
-    sqrt(gram)``, which are solved as one batch instead.
     """
     gram = np.asarray(gram, dtype=complex)
     root = sqrtm_psd(gram)
-    diagonals = _realized_diagonals(a_list, truncation)
-    if diagonals is None:
-        blocks, n = _realized_blocks(a_list, truncation)
-        k = len(blocks)
-    else:
-        k, n = diagonals.shape
-    if gram.shape[0] != k:
+    blocks, n = _realized_blocks(a_list, truncation)
+    if gram.shape[0] != len(blocks):
         raise DimensionMismatchError("Gram size must match the number of generators")
-    if diagonals is None:
-        lift = np.kron(root, np.eye(n))
-        matrix = lift @ _block_diag(blocks) @ lift
-    else:
-        # matrix[j, p, q] = sum_r root[p, r] * diagonals[r, j] * root[r, q]
-        matrix = (root * diagonals.T[:, None, :]) @ root
-    multiset = hermitian_spectrum(matrix)
+    lift = np.kron(root, np.eye(n))
+    multiset = hermitian_spectrum(lift @ _block_diag(blocks) @ lift)
     return Prediction(
         multiset=multiset,
         recipe="sum_bab",
-        parameters={"k": k, "truncation": n},
+        parameters={"k": len(blocks), "truncation": n},
         provenance={"gram": gram},
     )
 
@@ -645,21 +613,15 @@ def ev_conjugated_sum(a_list, c_taus, gram, truncation: int | None = None) -> Pr
     if np.max(np.abs(c_taus.imag), initial=0.0) > tol:
         raise NotSelfadjointError("state values tau(c_i) must be real (selfadjoint c_i)")
     c_taus = c_taus.real
-    diagonals = _realized_diagonals(a_list, truncation)
-    if diagonals is None:
-        blocks, n = _realized_blocks(a_list, truncation)
-        squares = [block @ block.conj().T for block in blocks]
-    else:
-        n = diagonals.shape[1]
-        squares = list(diagonals * diagonals.conj())  # stays diagonal
-    if c_taus.shape[0] != len(squares):
+    blocks, n = _realized_blocks(a_list, truncation)
+    if c_taus.shape[0] != len(blocks):
         raise DimensionMismatchError("need one state value per generator")
-    modified = [t * square for t, square in zip(c_taus, squares)]
+    modified = [t * (block @ block.conj().T) for t, block in zip(c_taus, blocks)]
     inner = ev_sum_bab(modified, gram, truncation=n)
     return Prediction(
         multiset=inner.multiset,
         recipe="conjugated_sum",
-        parameters={"k": len(squares), "truncation": n},
+        parameters={"k": len(blocks), "truncation": n},
         provenance={"gram": np.asarray(gram, dtype=complex), "c_taus": c_taus},
     )
 
@@ -781,29 +743,34 @@ def ev_polynomial(
     ``blocks`` maps base letters to square ``AlgMatrix`` blocks of one size,
     pure-A or pure-B by the letter.  A term without an A-letter raises
     ``NotInDomainError``; unequally many row and column keys, which no
-    selfadjoint polynomial has, ``NotSelfadjointError``.  With diagonal
-    realizations the sandwich is a batch of k x k matrices; with A not
-    Hermitian or beta not PSD, the general eigensolver runs instead."""
+    selfadjoint polynomial has, ``NotSelfadjointError``.  When the model
+    gives every generator's diagonal, nothing dense is realized and the
+    sandwich is a batch of k x k matrices; otherwise the dense realizations
+    are sandwiched.  With A not Hermitian or beta not PSD, the general
+    eigensolver runs instead."""
     a_grid, beta, rows, columns, dim, _ = _reduce(poly, b_state, blocks)
     if len(rows) != len(columns):
         raise NotSelfadjointError(f"{len(rows)} leading B-runs against {len(columns)} "
                                   "trailing ones: the polynomial is not selfadjoint")
     cells = [[_polynomial(terms) for terms in row] for row in a_grid]
-    mats = {letter: np.asarray(a_model.realization(letter.index, truncation), dtype=complex)
-            for letter in _generators(cells)}
+    generators = _generators(cells)
+    diag = {letter: a_model.diagonal(letter.index, truncation) for letter in generators}
+    batched = all(d is not None for d in diag.values())
+    # dense_word_product takes the diagonals as 1-D letters
+    mats = diag if batched else {
+        letter: np.asarray(a_model.realization(letter.index, truncation), dtype=complex)
+        for letter in generators}
     n = truncation or a_model.truncation
     if mats:
         n = _shared_dimension(mat.shape[0] for mat in mats.values())
     elif n is None:  # A reduced to 0: P's spectrum is all zeros, of a size no input gives
         raise NotInDomainError("the polynomial reduces to 0, and no truncation sizes its spectrum")
-    diag = {x: np.diagonal(mat) for x, mat in mats.items()}
     try:
         root = sqrtm_psd(beta)
     except (NotSelfadjointError, NotPositiveError):
         root = None
     multiset = None
-    if root is not None and all(np.count_nonzero(mats[x]) == np.count_nonzero(d)
-                                for x, d in diag.items()):
+    if root is not None and batched:
         # A is the direct sum over j of the k x k matrices of its entries' j-th diagonal values
         stack = np.zeros((n, len(a_grid), len(a_grid)), dtype=complex)
         for i, row in enumerate(a_grid):

@@ -466,10 +466,12 @@ def _b_state(prediction: dict) -> MomentTable:
 
 def _prediction_inputs(scenario: Scenario):
     """``(poly, a_model, blocks)`` of a scenario's prediction.  ``a1`` stands
-    for a_spec's ``blocks``, with selfadjoint analytic spectra Haar-rotated by
-    the seed, or else for its truncated diagonal; a B letter for its entry's
-    ``blocks`` (a ``copy_of``'s source's), as many as a_spec has.  The state
-    reads block generators by name, so two entries drawn apart share none."""
+    for a_spec's ``blocks``, whose generators take the limit model of
+    independent Haar rotations (``HaarConjugatedFamily``: analytic spectra,
+    mixed words exactly 0; the seed is not read), or else for its truncated
+    diagonal; a B letter for its entry's ``blocks`` (a ``copy_of``'s
+    source's), as many as a_spec has.  The state reads block generators by
+    name, so two entries drawn apart share none."""
     a_cells, b_cells = scenario._blocks()
     poly = parse_expression(scenario.expression, scenario._symbols())
     if a_cells is None:
@@ -477,7 +479,7 @@ def _prediction_inputs(scenario: Scenario):
         blocks = {}
     else:
         spectra = {g.index: _a_spectrum(scenario.a_spec, None) for g in _generators(a_cells)}
-        a_model = HaarConjugatedFamily(spectra, realization_seed=scenario.seed)
+        a_model = HaarConjugatedFamily(spectra)
         blocks = {Letter(FAMILY_A, 1): AlgMatrix([list(map(drop_stars, row)) for row in a_cells])}
     letters, owners = _generators([[poly]]), {}
     for j, spec in enumerate(scenario.b_spec, start=1):

@@ -492,8 +492,9 @@ def test_predict_from_chain_scenario_file(tmp_path):
     assert run_cli("predict", "--scenario", str(scen_path), "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     assert doc["recipe"] == "polynomial"
-    assert doc["parameters"] == {"rows": ["b1"], "columns": ["b1'"], "dim": 2, "truncation": 20}
-    assert len(doc["eigenvalues"]) == 40
+    # a1's three generators sit on orthogonal blocks of 20: the realized size is 60
+    assert doc["parameters"] == {"rows": ["b1"], "columns": ["b1'"], "dim": 2, "truncation": 60}
+    assert len(doc["eigenvalues"]) == 2 * 60
 
 
 def test_predict_scenario_with_complex_spectrum_exits_numerical(tmp_path, capsys):

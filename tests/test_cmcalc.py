@@ -153,12 +153,16 @@ def test_haar_conjugated_monte_carlo_cross_check():
 
 
 def test_haar_conjugated_realization_is_deterministic():
-    spectra = {1: GeometricSpectrum(1, 0.5, 16), 2: GeometricSpectrum(1, 0.5, 16)}
-    fam1 = HaarConjugatedFamily(spectra, realization_seed=5)
-    fam2 = HaarConjugatedFamily(spectra, realization_seed=5)
-    np.testing.assert_array_equal(fam1.realization(2, 16), fam2.realization(2, 16))
-    herm = fam1.realization(2, 16)
-    assert np.max(np.abs(herm - herm.conj().T)) < 1e-12
+    # the limit model on orthogonal coordinate blocks: nothing is drawn
+    spectra = {1: GeometricSpectrum(1, 0.5, 16), 3: GeometricSpectrum(1, -0.5, 16)}
+    fam1, fam2 = HaarConjugatedFamily(spectra), HaarConjugatedFamily(spectra)
+    np.testing.assert_array_equal(fam1.realization(3, 8), fam2.realization(3, 8))
+    diagonal = fam1.diagonal(3, 8)
+    assert diagonal.dtype == complex and diagonal.shape == (16,)
+    assert np.array_equal(diagonal[:8], np.zeros(8))
+    assert np.array_equal(diagonal[8:], spectra[3].eigenvalues(8))
+    assert np.array_equal(fam1.realization(3, 8), np.diag(diagonal))
+    assert np.array_equal(fam1.diagonal(1), np.concatenate([spectra[1].eigenvalues(), np.zeros(16)]))
 
 
 def test_spectrum_family_mixed_truncations_rejected():
@@ -860,13 +864,34 @@ def test_dense_word_product_broadcasts_diagonal_letters():
 
 
 def test_haar_realization_equals_dense_conjugation():
+    # the limit model's realization has the traces of a finite Haar draw
+    # u d u* on single-generator words, and exactly the limit 0 on mixed ones
     spectra = {i: GeometricSpectrum(1.0, -0.6, count=30) for i in (1, 2)}
-    fam = HaarConjugatedFamily(spectra, realization_seed=4)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(2,)))
-    u = sample_haar_unitary(30, rng)
-    d = np.diag(spectra[2].eigenvalues(30)).astype(complex)
-    assert np.array_equal(fam.realization(2), u @ d @ u.conj().T)
-    assert np.array_equal(fam.realization(1), np.diag(spectra[1].eigenvalues(30)))
+    fam = HaarConjugatedFamily(spectra)
+    d = spectra[2].eigenvalues(30)
+    u = sample_haar_unitary(30, np.random.default_rng(4))
+    drawn = MatrixTraceFamily({1: np.diag(d), 2: (u * d) @ u.conj().T})
+    assert drawn.diagonal(1) is not None and drawn.diagonal(2) is None
+    a1, a2 = fam.realization(1), fam.realization(2)
+    for m in (1, 2, 3):
+        word = (a_gen(2),) * m
+        assert np.trace(np.linalg.matrix_power(a2, m)) == pytest.approx(drawn.omega(word), rel=1e-12)
+    assert np.trace(a1 @ a2) == 0 and np.trace(a1 @ a2 @ a1 @ a2) == 0
+    assert abs(drawn.omega((a_gen(1), a_gen(2)))) > 0
+
+
+def test_matrix_family_diagonal_only_when_off_diagonal_entries_are_zero():
+    d = np.array([1.0, 0.0, -2.5])
+    tiny = np.diag(d)
+    tiny[2, 0] = 1e-300
+    fam = MatrixTraceFamily({1: np.diag(d), 2: tiny, 3: np.diag(d) + 0.5j * np.eye(3)})
+    diagonal = fam.diagonal(1)
+    assert diagonal.dtype == complex and np.array_equal(diagonal, d)
+    assert fam.diagonal(2) is None
+    assert np.array_equal(fam.diagonal(3), d + 0.5j)
+    assert fam.realization(2) is fam.matrices[2]
+    with pytest.raises(DimensionMismatchError):
+        fam.diagonal(1, 4)
 
 
 class _UnbatchedFamily(MatrixTraceFamily):

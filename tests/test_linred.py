@@ -11,7 +11,6 @@ from cyclospec import (
     ComplexEigenvaluesError,
     ExplicitSpectrum,
     GeometricSpectrum,
-    HaarConjugatedFamily,
     MatrixTraceFamily,
     MomentTable,
     NCPolynomial,
@@ -33,12 +32,12 @@ from cyclospec import (
     ev_sum_aba,
     ev_sum_bab,
     ev_sum_bac,
-    hermitian_spectrum,
     make_symbols,
     multiset_moment,
     parse_expression,
     poly_moment,
     reduce_b_matrix,
+    sample_haar_unitary,
     sqrtm_psd,
 )
 from cyclospec import builtin_scenario, cmcalc, linred, rmtlab
@@ -506,15 +505,20 @@ def test_ev_chain_rejects_nonselfadjoint_product():
         ev_chain(b0, [a1, b1], fam, table, truncation=8)
 
 
-def _example1_chain(seed=7):
-    """The block chain of example1: B A B with rotated copies and squared semicirculars."""
+def _example1_chain(n, scale=1.0, seed=7):
+    """The block chain of example1, B A B with squared semicirculars, over one
+    finite Haar draw: a1 is the geometric diagonal and a2, a3 its rotations by
+    unitaries drawn here.  These are not diagonal, so the dense paths run."""
     syms = make_symbols(a=("a1", "a2", "a3"), b=("b1", "b2", "b3"))
     a_alg = AlgMatrix([["a1", "a2"], ["a2", "a3"]], syms)
     b_alg = AlgMatrix([["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]], syms)
-    fam = HaarConjugatedFamily(
-        {i: GeometricSpectrum(1.0, 0.5, count=None) for i in (1, 2, 3)}, realization_seed=seed
-    )
-    return b_alg, [a_alg, b_alg], fam, semicircle_square_table()
+    d = scale * 0.5 ** np.arange(n)
+    rng = np.random.default_rng(seed)
+    mats = {1: np.diag(d)}
+    for i in (2, 3):
+        u = sample_haar_unitary(n, rng)
+        mats[i] = (u * d) @ u.conj().T
+    return b_alg, [a_alg, b_alg], MatrixTraceFamily(mats), semicircle_square_table()
 
 
 def _chain_paths(monkeypatch, b0, chain, a_model, b_state, **kwargs):
@@ -541,7 +545,7 @@ def _chain_paths(monkeypatch, b0, chain, a_model, b_state, **kwargs):
 
 @pytest.mark.parametrize("truncation", [16, 24, 32])
 def test_ev_chain_sandwich_matches_eigvals_path(monkeypatch, truncation):
-    b0, chain, fam, table = _example1_chain()
+    b0, chain, fam, table = _example1_chain(truncation)
     got, took_product, product = _chain_paths(monkeypatch, b0, chain, fam, table,
                                               truncation=truncation)
     assert not took_product
@@ -593,10 +597,8 @@ def test_ev_chain_two_pairs_take_the_hermitian_path(monkeypatch):
 def test_ev_chain_sandwich_takes_rescaled_inputs(monkeypatch):
     # At scale 1e9 the realization of A is Hermitian only up to rounding at
     # that scale, far beyond the absolute 1e-9 floor of the check
-    b0, chain, fam, table = _example1_chain()
-    big = HaarConjugatedFamily(
-        {i: GeometricSpectrum(1e9, 0.5, count=None) for i in (1, 2, 3)}, realization_seed=7
-    )
+    b0, chain, fam, table = _example1_chain(24)
+    big = _example1_chain(24, scale=1e9)[2]
     unit = ev_chain(b0, chain, fam, table, truncation=24).multiset
     scaled, took_product, _ = _chain_paths(monkeypatch, b0, chain, big, table, truncation=24)
     assert not took_product
@@ -698,7 +700,7 @@ def _closed_form_case(name, rng):
         inst = conjugated_sum_instance(2, 6, rng)
         closed = ev_conjugated_sum(inst["a_list"], inst["c_taus"], inst["gram"])
     else:  # the chain B A B (k = 1) or B A B A B (k = 2) of example1
-        b_alg, chain, fam, table = _example1_chain()
+        b_alg, chain, fam, table = _example1_chain(12)
         k = 1 if name == "chain_k1" else 2
         closed = ev_chain(b_alg, chain * k, fam, table, truncation=12).multiset
         poly = parse_expression("b1" + "*a1*b1" * k, SYMS)
@@ -811,15 +813,20 @@ def test_sqrtm_psd_rejects_non_hermitian_at_unit_scale():
         sqrtm_psd(np.array([[1.0, 1e-9], [0.0, 1.0]]))
 
 
-def _dense_sum_bab(blocks, gram):
-    """The dense path: the spectrum of the (kn) x (kn) lift of the blocks."""
-    root = sqrtm_psd(gram)
-    n = blocks[0].shape[0]
-    stacked = np.zeros((len(blocks) * n,) * 2, dtype=complex)
-    for i, block in enumerate(blocks):
-        stacked[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
-    lift = np.kron(root, np.eye(n))
-    return hermitian_spectrum(lift @ stacked @ lift)
+def _sum_bab_polynomial(gram, c_taus=None):
+    """``sum_i b_i a_i b_i*`` (with ``c_taus``, ``sum_i b_i a_i c_i a_i* b_i*``,
+    ``c_i = b_(k+i)``) and the moment table of its state."""
+    k = len(gram)
+    moments = {(b_gen(i, star=True), b_gen(j)): gram[i - 1][j - 1]
+               for i in range(1, k + 1) for j in range(1, k + 1)}
+    poly = NCPolynomial.zero()
+    for i in range(1, k + 1):
+        core = (a_gen(i),)
+        if c_taus is not None:
+            moments[(b_gen(k + i),)] = c_taus[i - 1]
+            core = (a_gen(i), b_gen(k + i), a_gen(i, star=True))
+        poly = poly + NCPolynomial.from_word((b_gen(i), *core, b_gen(i, star=True)))
+    return poly, MomentTable(moments, degree_cap=2)
 
 
 def _assert_same_spectrum(got, reference, rel=1e-10):
@@ -828,9 +835,14 @@ def _assert_same_spectrum(got, reference, rel=1e-10):
     assert diff <= rel * np.max(np.abs(reference.values), initial=0.0)
 
 
+def _no_dense(*args):
+    raise AssertionError("dense lift built")
+
+
 @st.composite
 def diagonal_recipe_inputs(draw):
-    """Diagonal generators in every accepted form and a PSD Gram of any rank."""
+    """Diagonal generators in every form the closed forms accept, a model of
+    them for ev_polynomial, and a PSD Gram of any rank."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(1, 8))
     rank = draw(st.integers(0, k))
@@ -843,52 +855,81 @@ def diagonal_recipe_inputs(draw):
         d if form == "vector" else np.diag(d) if form == "matrix" else ExplicitSpectrum(d)
         for d, form in zip(diagonals, forms)
     ]
+    if draw(st.booleans()):
+        a_model = SpectrumFamily({i: ExplicitSpectrum(d) for i, d in enumerate(diagonals, 1)})
+    else:
+        a_model = MatrixTraceFamily({i: np.diag(d) for i, d in enumerate(diagonals, 1)})
     # the conjugated sum also takes generators that are not selfadjoint
     complex_diagonals = diagonals + 1j * rng.uniform(-2, 2, size=(k, n))
     complex_list = [
         d if form == "vector" else np.diag(d) for d, form in zip(complex_diagonals, forms)
     ]
+    complex_model = MatrixTraceFamily({i: np.diag(d) for i, d in enumerate(complex_diagonals, 1)})
     c_taus = rng.uniform(-2, 2, size=k)
-    return a_list, diagonals, complex_list, complex_diagonals, gram, c_taus
+    return a_list, a_model, complex_list, complex_model, gram, c_taus
 
 
 @settings(max_examples=150, deadline=None)
 @given(diagonal_recipe_inputs())
 def test_batched_sum_bab_matches_dense_lift(inputs):
-    a_list, diagonals, complex_list, complex_diagonals, gram, c_taus = inputs
-    _assert_same_spectrum(
-        ev_sum_bab(a_list, gram).multiset, _dense_sum_bab([np.diag(d) for d in diagonals], gram)
-    )
-    for generators, diags in ((a_list, diagonals), (complex_list, complex_diagonals)):
-        squares = [t * (np.diag(d) @ np.diag(d).conj().T) for t, d in zip(c_taus, diags)]
-        _assert_same_spectrum(
-            ev_conjugated_sum(generators, c_taus, gram).multiset, _dense_sum_bab(squares, gram)
-        )
+    # ev_polynomial's batched path against the closed forms' dense lift
+    a_list, a_model, complex_list, complex_model, gram, c_taus = inputs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linred, "dense_block_matrix", _no_dense)
+        poly, table = _sum_bab_polynomial(gram)
+        _assert_same_spectrum(ev_polynomial(poly, a_model, table).multiset,
+                              ev_sum_bab(a_list, gram).multiset)
+        poly, table = _sum_bab_polynomial(gram, c_taus)
+        for generators, model in ((a_list, a_model), (complex_list, complex_model)):
+            _assert_same_spectrum(ev_polynomial(poly, model, table).multiset,
+                                  ev_conjugated_sum(generators, c_taus, gram).multiset)
 
 
 def test_batched_sum_bab_builds_no_lift(monkeypatch):
-    def no_lift(*args):
-        raise AssertionError("dense lift built")
-
-    monkeypatch.setattr(np, "kron", no_lift)
-    a_list = [ExplicitSpectrum([1.0, 0.5]), np.array([0.25, 2.0]), np.diag([1.0, -1.0])]
+    # with every generator diagonal, ev_polynomial realizes nothing dense
+    monkeypatch.setattr(np, "kron", _no_dense)
+    monkeypatch.setattr(linred, "dense_block_matrix", _no_dense)
+    monkeypatch.setattr(cmcalc.TraceClassModel, "realization", _no_dense)
+    spectra = {1: ExplicitSpectrum([1.0, 0.5]), 2: ExplicitSpectrum([0.25, 2.0]),
+               3: ExplicitSpectrum([1.0, -1.0])}
     gram = np.eye(3) + 0.5
-    ev_sum_bab(a_list, gram)
-    ev_conjugated_sum(a_list, [1.0, 2.0, 0.5], gram)
+    for model in (SpectrumFamily(spectra),
+                  MatrixTraceFamily({i: np.diag(s.values) for i, s in spectra.items()})):
+        poly, table = _sum_bab_polynomial(gram)
+        ev_polynomial(poly, model, table)
+        poly, table = _sum_bab_polynomial(gram, [1.0, 2.0, 0.5])
+        ev_polynomial(poly, model, table)
+    poly, table = _sum_bab_polynomial(np.eye(2))
+    off_diagonal = MatrixTraceFamily({1: np.diag([1.0, 2.0]),
+                                      2: np.array([[1.0, 1e-300], [1e-300, 1.0]])})
     with pytest.raises(AssertionError, match="dense lift"):
-        ev_sum_bab([np.diag([1.0, 2.0]), np.array([[1.0, 1e-300], [1e-300, 1.0]])], np.eye(2))
+        ev_polynomial(poly, off_diagonal, table)
 
 
-def test_sum_bab_non_diagonal_blocks_keep_dense_path():
+def test_sum_bab_non_diagonal_blocks_keep_dense_path(monkeypatch):
+    sandwiches = []
+    sandwich = linred._hermitian_sandwich
+
+    def spy(*args):
+        sandwiches.append(args)
+        return sandwich(*args)
+
+    monkeypatch.setattr(linred, "_hermitian_sandwich", spy)
     rng = np.random.default_rng(50)
-    for k, n in ((1, 5), (3, 4)):
+    for k, n in ((2, 5), (3, 4)):
         gram = random_psd(k, rng)
         blocks = [random_hermitian(n, rng) for _ in range(k)]
         blocks[0] = np.diag(rng.uniform(-1, 1, size=n))  # one diagonal block is not enough
         c_taus = rng.uniform(0.5, 2.0, size=k)
-        assert ev_sum_bab(blocks, gram).multiset == _dense_sum_bab(blocks, gram)
-        squares = [t * (b @ b.conj().T) for t, b in zip(c_taus, blocks)]
-        assert ev_conjugated_sum(blocks, c_taus, gram).multiset == _dense_sum_bab(squares, gram)
+        model = MatrixTraceFamily(dict(enumerate(blocks, 1)))
+        for c in (None, c_taus):
+            sandwiches.clear()
+            poly, table = _sum_bab_polynomial(gram, c)
+            got = ev_polynomial(poly, model, table).multiset
+            assert len(sandwiches) == 1
+            expected = (ev_sum_bab(blocks, gram) if c is None
+                        else ev_conjugated_sum(blocks, c, gram)).multiset
+            _assert_same_spectrum(got, expected)
 
 
 def test_sum_aba_cases():

@@ -46,7 +46,9 @@ def test_public_names_are_pinned():
         (cmcalc.TraceMatrixState, ["matrices"]),
         (cmcalc.MatrixTraceFamily, ["matrices"]),
         (cmcalc.SpectrumFamily, ["spectra"]),
-        (cmcalc.HaarConjugatedFamily, ["spectra", "realization_seed"]),
+        (cmcalc.HaarConjugatedFamily, ["spectra"]),
+        (cmcalc.TraceClassModel.diagonal, ["self", "index", "size"]),
+        (cmcalc.TraceClassModel.realization, ["self", "index", "size"]),
         (spectra.EVMultiset, ["values"]),
         (spectra.EVMultiset.from_csv, ["path"]),
         (spectra.hermitian_spectrum, ["matrix"]),

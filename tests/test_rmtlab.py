@@ -278,9 +278,11 @@ def test_example1_reads_its_expression_and_copies():
     # the chain may be longer, or use a second b_spec entry, or a copy of one
     n = 20
     base = run_scenario(builtin_scenario("example1", n=n, trials=1)).prediction
-    assert base["parameters"] == {"rows": ["b1"], "columns": ["b1'"], "dim": 2, "truncation": n}
+    # the truncation is the realized size: three generators on orthogonal blocks of n
+    assert base["parameters"] == {"rows": ["b1"], "columns": ["b1'"], "dim": 2,
+                                  "truncation": 3 * n}
     longer = run_scenario(Scenario.from_dict(_example1_with(expression="b1*a1*b1*a1*b1")))
-    assert len(longer.prediction["eigenvalues"]) == 2 * 40
+    assert len(longer.prediction["eigenvalues"]) == 2 * 3 * 40
     copied = _example1_with(expression="b2*a1*b2")
     copied["b_spec"].append({"kind": "copy_of", "index": 1})
     copied.update(n=n, truncation=n)
@@ -523,6 +525,7 @@ def test_scenario_validation_realizes_and_solves_nothing(name, monkeypatch):
         monkeypatch.setattr(module, "ev_polynomial", refuse)
     for model in (SpectrumFamily, HaarConjugatedFamily):
         monkeypatch.setattr(model, "realization", refuse)
+        monkeypatch.setattr(model, "diagonal", refuse)
     Scenario.from_dict(builtin_scenario(name, n=40, trials=1).to_dict())
 
 
@@ -750,3 +753,47 @@ def _peak_matrices(scenario, dim):
 def test_one_trial_keeps_few_dense_matrices_alive(name, n, dim):
     # the Haar QR alone holds 4 (Ginibre input, its copy, Q and R) besides one B
     assert _peak_matrices(builtin_scenario(name, n=n, trials=1), dim) <= 5.5
+
+
+def test_example1_prediction_is_its_limit_model():
+    # the prediction's power sums are the chain moments of the limit model
+    # it realizes, and it reads no seed
+    docs = []
+    for seed in (None, 1):
+        scenario = builtin_scenario("example1", seed=seed)
+        poly, a_model, blocks = rmtlab._prediction_inputs(scenario)
+        table = rmtlab._b_state(scenario.prediction)
+        a_grid, beta = linred._reduce(poly, table, blocks)[:2]
+        chain = [linred.AlgMatrix.from_grid(a_grid), linred.AlgMatrix(beta)]
+        prediction = build_prediction(scenario)
+        assert len(prediction.multiset) == 2 * 3 * scenario.n
+        for m in (1, 2, 3):
+            expected = linred.chain_moment(chain, m, a_model, table).real
+            got = multiset_moment(prediction.multiset, m)
+            assert abs(got - expected) <= 1e-12 * abs(expected)
+        docs.append(json.dumps(prediction.to_json_dict()))
+    assert docs[0] == docs[1]
+
+
+def test_diagonal_models_are_never_realized_densely(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense realization was built")
+
+    for model in (SpectrumFamily, HaarConjugatedFamily):
+        monkeypatch.setattr(model, "realization", refuse)
+    for name in ("example1", "example2", "example2-correlated", "example3"):
+        build_prediction(builtin_scenario(name, n=40, trials=1))
+
+
+def test_example3_prediction_peak_stays_under_one_mib():
+    # its 600 batched 2 x 2 solves hold 38 KB; a dense 600 x 600 realization
+    # alone would take 5.5 MiB
+    scenario = builtin_scenario("example3", n=600, trials=1)
+    build_prediction(scenario)
+    tracemalloc.start()
+    try:
+        build_prediction(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
