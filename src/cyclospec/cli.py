@@ -47,7 +47,7 @@ from .rmtlab import (
     builtin_scenario,
     run_scenario,
 )
-from .spectra import EVMultiset, match_distance, multiset_moment
+from .spectra import EVMultiset, match_distance, multiset_moment, relative_error
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -245,7 +245,7 @@ def _formula_demo(name: str) -> int:
     for m in range(1, 7):
         oracle = poly_moment(poly, m, family, table).real
         formula = multiset_moment(pred.multiset, m)
-        rel = abs(oracle - formula) / max(abs(oracle), 1e-12)
+        rel = relative_error(formula, oracle)
         worst = max(worst, rel)
         print(f"{m:>2}  {oracle:>20.12g}  {formula:>20.12g}  {rel:>10.3g}")
     print(f"worst relative difference: {worst:.3g} (tolerance 1e-09)")

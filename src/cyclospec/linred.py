@@ -65,13 +65,15 @@ from .spectra import (
     EVMultiset,
     disjoint_union,
     hermitian_spectrum,
+    hermiticity_gap,
     rounding_tolerance,
     scale,
+    symmetrize,
 )
 
 GRAM_PSD_TOL = 1e-10
 EIGENVALUE_IMAG_TOL = 1e-9
-NUMERIC_HERMITICITY_TOL = 1e-9
+SUM_BAC_HERMITIAN_TOL = 1e-14
 CHAIN_IMAG_REL_TOL = 1e-8
 
 
@@ -452,13 +454,13 @@ def sqrtm_psd(gram: np.ndarray, tol: float = GRAM_PSD_TOL) -> np.ndarray:
     (rounding from sampled Gram matrices); anything below ``-tol`` raises
     ``NotPositiveError``.
     """
-    g = np.asarray(gram, dtype=complex)
+    g = np.array(gram, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatchError("Gram matrix must be square")
-    tol = rounding_tolerance(tol, float(np.max(np.abs(g), initial=0.0)))
-    if float(np.max(np.abs(g - g.conj().T), initial=0.0)) > tol:
+    residual, tol = hermiticity_gap(g, tol)
+    if residual > tol:
         raise NotSelfadjointError("Gram matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
+    vals, vecs = np.linalg.eigh(symmetrize(g))
     if float(np.min(vals)) < -tol:
         raise NotPositiveError(
             f"Gram matrix has eigenvalue {float(np.min(vals)):.3e} below -{tol:.3e}"
@@ -582,8 +584,8 @@ def ev_sum_bac(a, bprime, truncation: int | None = None) -> Prediction:
     bprime = np.asarray(bprime, dtype=complex)
     if bprime.ndim != 2 or bprime.shape[0] != bprime.shape[1]:
         raise DimensionMismatchError("reduced matrix must be square")
-    magnitude = float(np.max(np.abs(bprime), initial=0.0))
-    if float(np.max(np.abs(bprime - bprime.conj().T))) <= rounding_tolerance(1e-14, magnitude):
+    residual, tol = hermiticity_gap(bprime, SUM_BAC_HERMITIAN_TOL)
+    if residual <= tol:
         lams = np.linalg.eigvalsh(bprime).astype(complex)
     else:
         lams = np.linalg.eigvals(bprime)
@@ -626,33 +628,26 @@ def ev_conjugated_sum(a_list, c_taus, gram, truncation: int | None = None) -> Pr
     )
 
 
-def _numerically_hermitian(m: np.ndarray) -> bool:
-    """Whether ``m``, or every matrix of a stack, is Hermitian up to rounding."""
-    residual = float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
-    return residual <= rounding_tolerance(NUMERIC_HERMITICITY_TOL, float(np.max(np.abs(m))))
-
-
 def _hermitian_sandwich(a_matrix: np.ndarray, root: np.ndarray, n_inner: int):
     """``(root x I) A (root x I)``, whose spectrum is that of ``A (B' x I)``
     for ``root = sqrt(B')``, or ``None`` when A is not Hermitian.  A is first
     symmetrized in place: the sandwich would scale its accepted asymmetry
     past the spectrum's own check."""
-    if not _numerically_hermitian(a_matrix):
+    residual, tol = hermiticity_gap(a_matrix)
+    if residual > tol:
         return None
-    dim = root.shape[0]
-    a_matrix += a_matrix.conj().T  # the right side is a copy
-    a_matrix /= 2.0
-    blocks = a_matrix.reshape(dim, n_inner, dim, n_inner)
+    blocks = symmetrize(a_matrix).reshape(len(root), n_inner, len(root), n_inner)
     # the (i, j) block of the sandwich is sum_pq root[i, p] A_pq root[q, j]
     sandwich = np.einsum("ip,paqb,qj->iajb", root, blocks, root)
-    return sandwich.reshape(dim * n_inner, dim * n_inner)
+    return sandwich.reshape(a_matrix.shape)
 
 
 def _product_spectrum(a_matrix: np.ndarray, bprime: np.ndarray, n_inner: int) -> EVMultiset:
     """Spectrum of ``A (B' x I)``, which must be real."""
     numeric = a_matrix @ np.kron(bprime, np.eye(n_inner))
-    if _numerically_hermitian(numeric):
-        return hermitian_spectrum(numeric)
+    residual, tol = hermiticity_gap(numeric)
+    if residual <= tol:  # checked once: hermitian_spectrum would check again
+        return EVMultiset(np.linalg.eigvalsh(symmetrize(numeric)))
     lams = np.linalg.eigvals(numeric)
     radius = float(np.max(np.abs(lams), initial=0.0))
     if float(np.max(np.abs(lams.imag), initial=0.0)) > CHAIN_IMAG_REL_TOL * max(radius, 1e-300):
@@ -778,7 +773,8 @@ def ev_polynomial(
                 for word, coeff in sorted(entry.items()):
                     factors = [diag[x.base()].conj() if x.star else diag[x] for x in word]
                     stack[:, i, j] += coeff * np.prod(factors, axis=0)
-        if _numerically_hermitian(stack):
+        residual, tol = hermiticity_gap(stack)
+        if residual <= tol:
             multiset = hermitian_spectrum(root @ stack @ root)
     elif root is not None:
         # no name holds the realized A, so it is freed before the eigensolve

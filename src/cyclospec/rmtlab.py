@@ -43,7 +43,7 @@ from .errors import (
 )
 from .linred import AlgMatrix, _reduce, chain_moment, ev_polynomial
 from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression, word_str
-from .spectra import hermitian_spectrum, match_distance, rounding_tolerance
+from .spectra import EVMultiset, hermiticity_gap, match_distance, relative_error, symmetrize
 
 __all__ = [
     "DEMO_SEED",
@@ -549,17 +549,11 @@ def run_scenario(scenario: Scenario) -> Report:
         rng = trial_rng(scenario.seed, t)
         diagnostics: dict = {}
         x, drawn = _trial_matrix(scenario, poly, a_cells, b_cells, rng, diagnostics, words)
-        adjoint = x.conj().T
-        residual = float(np.max(np.abs(x - adjoint)))
-        if residual > rounding_tolerance(HERMITICITY_GATE, float(np.max(np.abs(x)))):
-            raise NotSelfadjointError(
-                f"trial {t}: expression evaluated to a non-Hermitian matrix "
-                f"(residual {residual:.3e})"
-            )
-        x += adjoint  # (x + x*) / 2 in place: adjoint is a copy
-        x /= 2.0
-        del adjoint
-        empirical = hermitian_spectrum(x)
+        residual, tol = hermiticity_gap(x, HERMITICITY_GATE)
+        if residual > tol:
+            raise NotSelfadjointError(f"trial {t}: expression evaluated to a non-Hermitian "
+                                      f"matrix (residual {residual:.3e})")
+        empirical = EVMultiset(np.linalg.eigvalsh(symmetrize(x)))
         x2 = x @ x
         moments = [
             float(np.real(np.trace(x))),
@@ -590,10 +584,7 @@ def run_scenario(scenario: Scenario) -> Report:
     moment_means = [
         float(np.mean([rec["moments"][k] for rec in trial_records])) for k in range(3)
     ]
-    moment_rel_err = [
-        abs(moment_means[k] - predicted_moments[k]) / max(abs(predicted_moments[k]), 1e-12)
-        for k in range(3)
-    ]
+    moment_rel_err = relative_error(moment_means, predicted_moments).tolist()
     summary = {
         "match_mean_max_rel": float(np.mean(rels)),
         "match_max_max_rel": float(np.max(rels)),

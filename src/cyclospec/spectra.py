@@ -77,29 +77,42 @@ class EVMultiset:
         return cls(vals)
 
 
+def hermiticity_gap(m: np.ndarray, floor: float = HERMITICITY_TOL) -> tuple[float, float]:
+    """``max|m - m*|`` and its tolerance ``rounding_tolerance(floor, max|m|)``, of a matrix or
+    stack; a non-finite entry, which passes no comparison, raises ``NotSelfadjointError``."""
+    magnitude = float(np.max(np.abs(m), initial=0.0))
+    if not np.isfinite(magnitude):
+        raise NotSelfadjointError("matrix has a non-finite entry")
+    work = np.conj(np.swapaxes(m, -1, -2))
+    residual = float(np.max(np.abs(np.subtract(m, work, out=work)), initial=0.0))
+    return residual, rounding_tolerance(floor, magnitude)
+
+
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """``m = (m + m*) / 2`` in place, which removes the asymmetry a check accepted."""
+    m += np.conj(np.swapaxes(m, -1, -2))  # the right side is a copy
+    return np.divide(m, 2.0, out=m)
+
+
+def relative_error(x, ref):
+    """``|x - ref| / max(|ref|, REL_FLOOR)``, entrywise."""
+    return np.abs(np.subtract(x, ref)) / np.maximum(np.abs(ref), REL_FLOOR)
+
+
 def hermitian_spectrum(matrix: np.ndarray) -> EVMultiset:
     """All eigenvalues (with multiplicity) of a Hermitian matrix.
 
     A stack of square matrices, shape ``(..., k, k)``, stands for their direct
-    sum.  The entrywise maximum of ``m - m*`` must be within
-    ``rounding_tolerance(1e-9, max|m|)``; rounding-level asymmetry is removed
-    before the solver runs.  Both steps share one work buffer of ``m``'s size.
+    sum.  It must pass ``hermiticity_gap``; a symmetrized copy is solved.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = np.array(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSelfadjointError("spectrum needs a square matrix")
-    transposed = np.swapaxes(m, -1, -2)
-    work = np.conj(transposed)
-    residual = float(np.max(np.abs(np.subtract(m, work, out=work)), initial=0.0))
-    tol = rounding_tolerance(HERMITICITY_TOL, float(np.max(np.abs(m), initial=0.0)))
+    residual, tol = hermiticity_gap(m)
     if residual > tol:
-        raise NotSelfadjointError(
-            f"matrix is not Hermitian: max entry deviation {residual:.3e} above {tol:.3e}"
-        )
-    np.conj(transposed, out=work)
-    np.add(m, work, out=work)
-    work /= 2.0
-    return EVMultiset(np.linalg.eigvalsh(work).ravel())
+        raise NotSelfadjointError(f"matrix is not Hermitian: max entry deviation "
+                                  f"{residual:.3e} above {tol:.3e}")
+    return EVMultiset(np.linalg.eigvalsh(symmetrize(m)).ravel())
 
 
 def scale(c: float, s: EVMultiset) -> EVMultiset:
@@ -126,8 +139,8 @@ def multiset_moment(s: EVMultiset, k: int) -> float:
 def match_distance(s: EVMultiset, t: EVMultiset, m: int) -> dict:
     """Compare the first ``m`` canonical entries of ``s`` against ``t``.
 
-    ``t`` plays the reference role: the relative error divides by ``|t_i|``
-    floored at ``1e-12``.  ``m = 0`` returns zeros by convention.
+    ``t`` plays the reference role of ``relative_error``.  ``m = 0`` returns
+    zeros by convention.
     """
     if m < 0:
         raise ValueError("comparison length must be >= 0")
@@ -137,6 +150,6 @@ def match_distance(s: EVMultiset, t: EVMultiset, m: int) -> dict:
         raise InsufficientEntriesError(
             f"need {m} entries but have {len(s)} and {len(t)}"
         )
-    diff = np.abs(s.values[:m] - t.values[:m])
-    denom = np.maximum(np.abs(t.values[:m]), REL_FLOOR)
-    return {"max_abs": float(np.max(diff)), "max_rel": float(np.max(diff / denom))}
+    x, ref = s.values[:m], t.values[:m]
+    return {"max_abs": float(np.max(np.abs(x - ref))),
+            "max_rel": float(np.max(relative_error(x, ref)))}
