@@ -493,7 +493,7 @@ class MomentTable(TracialState):
         return cls({(letter,) * m: value for m, value in powers.items()})
 
     @classmethod
-    def from_json_doc(cls, doc: Mapping, symbols: Mapping[str, Letter] | None = None) -> "MomentTable":
+    def from_json_doc(cls, doc: Mapping) -> "MomentTable":
         """Load ``{"degree_cap": d, "moments": {"b1*b1": [re, im], ...}}``.
 
         A value is a number, ``[re]`` or ``[re, im]``, and ``d`` an integer
@@ -512,8 +512,7 @@ class MomentTable(TracialState):
                 raise ValueError(
                     f"moment {key!r} must be a number, [re] or [re, im], not {value!r}"
                 )
-            syms = symbols if symbols is not None else auto_symbols(key)
-            poly = parse_expression(key, syms)
+            poly = parse_expression(key, auto_symbols(key))
             if len(poly.terms) != 1:
                 raise ValueError(f"moment key {key!r} must be a single word")
             (word, coeff), = poly.terms.items()

@@ -446,18 +446,18 @@ def eigenvalue_multiset(a, truncation: int | None = None) -> EVMultiset:
     return hermitian_spectrum(realize_a(a, truncation))
 
 
-def sqrtm_psd(gram: np.ndarray, tol: float = GRAM_PSD_TOL) -> np.ndarray:
+def sqrtm_psd(gram: np.ndarray) -> np.ndarray:
     """Spectral square root of a Hermitian PSD matrix.
 
-    Both checks use the tolerance ``max(tol, 64*eps*max|G|)``, so rounding
-    scales with the entries.  Eigenvalues in ``[-tol, 0]`` are clamped to zero
-    (rounding from sampled Gram matrices); anything below ``-tol`` raises
-    ``NotPositiveError``.
+    Both checks use the tolerance ``tol = max(GRAM_PSD_TOL, 64*eps*max|G|)``,
+    so rounding scales with the entries.  Eigenvalues in ``[-tol, 0]`` are
+    clamped to zero (rounding from sampled Gram matrices); anything below
+    ``-tol`` raises ``NotPositiveError``.
     """
     g = np.array(gram, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatchError("Gram matrix must be square")
-    residual, tol = hermiticity_gap(g, tol)
+    residual, tol = hermiticity_gap(g, GRAM_PSD_TOL)
     if residual > tol:
         raise NotSelfadjointError("Gram matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(symmetrize(g))
@@ -541,6 +541,8 @@ def ev_sum_aba(a_list, taus, truncation: int | None = None) -> Prediction:
 
 def ev_anticommutator(a, tau_b: float, tau_b2: float, truncation: int | None = None) -> Prediction:
     """Multiset of ``a b + b a`` from the two derived slopes."""
+    if not np.isfinite([tau_b, tau_b2]).all():
+        raise NotSelfadjointError(f"non-finite state value: tau(b) {tau_b}, tau(b^2) {tau_b2}")
     if tau_b2 < 0:
         raise NotPositiveError("tau(b^2) must be nonnegative")
     root = float(np.sqrt(tau_b2))
@@ -558,6 +560,8 @@ def ev_anticommutator(a, tau_b: float, tau_b2: float, truncation: int | None = N
 
 def ev_commutator(a, tau_b: float, tau_b2: float, truncation: int | None = None) -> Prediction:
     """Multiset of ``i(a b - b a)``; the slope is the standard deviation of b."""
+    if not np.isfinite([tau_b, tau_b2]).all():
+        raise NotSelfadjointError(f"non-finite state value: tau(b) {tau_b}, tau(b^2) {tau_b2}")
     variance = float(tau_b2) - float(tau_b) ** 2
     if variance < -rounding_tolerance(1e-12, abs(float(tau_b2))):
         raise NotPositiveError(
@@ -743,7 +747,12 @@ def ev_polynomial(
     sandwich is a batch of k x k matrices; otherwise the dense realizations
     are sandwiched.  With A not Hermitian or beta not PSD, the general
     eigensolver runs instead."""
-    a_grid, beta, rows, columns, dim, _ = _reduce(poly, b_state, blocks)
+    return _reduction_spectrum(_reduce(poly, b_state, blocks), a_model, truncation)
+
+
+def _reduction_spectrum(reduction, a_model: TraceClassModel, truncation: int | None) -> Prediction:
+    """The :func:`ev_polynomial` of a :func:`_reduce` result."""
+    a_grid, beta, rows, columns, dim, _ = reduction
     if len(rows) != len(columns):
         raise NotSelfadjointError(f"{len(rows)} leading B-runs against {len(columns)} "
                                   "trailing ones: the polynomial is not selfadjoint")

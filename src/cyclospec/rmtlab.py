@@ -9,7 +9,8 @@ expression, and compares the empirical spectrum against the prediction.
 Trials run one after another, in order.
 
 The prediction is :func:`linred.ev_polynomial` of the expression, as it is for
-``cyclospec predict``; its three reported moments are computed once per run.
+``cyclospec predict``; a run validates, predicts and reports its three moments
+from one reduction, and reduces again only for a per-trial prediction.
 The demo scenarios are the JSON files shipped in the package's ``demos/``.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -41,7 +43,7 @@ from .errors import (
     NotInDomainError,
     NotSelfadjointError,
 )
-from .linred import AlgMatrix, _reduce, chain_moment, ev_polynomial
+from .linred import AlgMatrix, _reduce, _reduction_spectrum, chain_moment, ev_polynomial
 from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression, word_str
 from .spectra import EVMultiset, hermiticity_gap, match_distance, relative_error, symmetrize
 
@@ -135,7 +137,7 @@ _JSON_TYPES = {
     "array": ("an array", lambda value: isinstance(value, (list, tuple))),
     "object": ("an object", lambda value: isinstance(value, dict)),
 }
-# typed by their own loaders, _block_cells and _b_state
+# typed by their own loaders, _block_cells and MomentTable.from_json_doc
 _LOADER_TYPED = {"blocks", "b_state"}
 
 
@@ -217,28 +219,7 @@ class Scenario:
         """Check the scenario against ``scenario.schema.json``, then what the
         schema cannot express: references between entries, ``blocks``, the
         expression and its symbolic reduction against ``b_state``."""
-        _check(_scenario_schema(), vars(self), "")
-        for pos, spec in enumerate(self.b_spec):
-            if spec["kind"] == "copy_of" and not 1 <= spec.get("index", 0) <= pos:
-                raise ValueError("copy_of must reference an earlier b_spec entry")
-        _state_words(self)
-
-    def _blocks(self) -> tuple[list | None, list]:
-        """The parsed ``blocks`` of a_spec and of each b_spec entry (``None`` if absent)."""
-        a_cells = _block_cells(self.a_spec, "geometric", FAMILY_A, "a_spec")
-        dim = self.n * (len(a_cells) if a_cells else 1)
-        b_cells = []
-        for pos, spec in enumerate(self.b_spec, start=1):
-            b_cells.append(_block_cells(spec, "gue", FAMILY_B, f"b_spec entry {pos}"))
-            if b_cells[-1] and dim % len(b_cells[-1]):
-                raise ValueError(f"b_spec entry {pos} 'blocks' do not divide the dimension {dim}")
-        return a_cells, b_cells
-
-    def _symbols(self) -> dict:
-        symbols = {"a1": Letter(FAMILY_A, 1)}
-        for j in range(1, len(self.b_spec) + 1):
-            symbols[f"b{j}"] = Letter(FAMILY_B, j)
-        return symbols
+        _compile(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -455,25 +436,35 @@ def _a_spectrum(spec: dict, count: int | None):
     return GeometricSpectrum(scale, spec["ratio"], count=count)
 
 
-def _b_state(prediction: dict) -> MomentTable:
-    """The moment table of ``prediction['b_state']``; a malformed one raises
-    ``ValueError`` naming the key."""
-    try:
-        return MomentTable.from_json_doc(prediction["b_state"])
-    except (ValueError, TypeError, AttributeError, NotInDomainError) as exc:
-        raise ValueError(f"prediction 'b_state': {exc}") from None
+# the b_cells stay as parsed: a copy_of entry's is None, so its trials reuse
+# its source's matrix; words is None unless the prediction is per trial
+_Compiled = namedtuple("_Compiled", "poly a_model blocks b_state reduction a_cells b_cells words")
 
 
-def _prediction_inputs(scenario: Scenario):
-    """``(poly, a_model, blocks)`` of a scenario's prediction.  ``a1`` stands
-    for a_spec's ``blocks``, whose generators take the limit model of
-    independent Haar rotations (``HaarConjugatedFamily``: analytic spectra,
+def _compile(scenario: Scenario) -> _Compiled:
+    """A scenario validated, parsed once and reduced once against ``b_state``.
+    ``a1`` stands for a_spec's ``blocks``, whose generators take the limit model
+    of independent Haar rotations (``HaarConjugatedFamily``: analytic spectra,
     mixed words exactly 0; the seed is not read), or else for its truncated
-    diagonal; a B letter for its entry's ``blocks`` (a ``copy_of``'s
-    source's), as many as a_spec has.  The state reads block generators by
-    name, so two entries drawn apart share none."""
-    a_cells, b_cells = scenario._blocks()
-    poly = parse_expression(scenario.expression, scenario._symbols())
+    diagonal; a B letter for its entry's ``blocks`` (a ``copy_of``'s source's),
+    as many as a_spec has.  The state reads block generators by name, so two
+    entries drawn apart share none.  ``ValueError`` for a term without an
+    A-letter, a word missing from ``b_state``, a reduction to 0, or, per
+    trial, B blocks or other lengths."""
+    _check(_scenario_schema(), vars(scenario), "")
+    for pos, spec in enumerate(scenario.b_spec):
+        if spec["kind"] == "copy_of" and not 1 <= spec.get("index", 0) <= pos:
+            raise ValueError("copy_of must reference an earlier b_spec entry")
+    a_cells = _block_cells(scenario.a_spec, "geometric", FAMILY_A, "a_spec")
+    dim = scenario.n * (len(a_cells) if a_cells else 1)
+    b_cells = []
+    for pos, spec in enumerate(scenario.b_spec, start=1):
+        b_cells.append(_block_cells(spec, "gue", FAMILY_B, f"b_spec entry {pos}"))
+        if b_cells[-1] and dim % len(b_cells[-1]):
+            raise ValueError(f"b_spec entry {pos} 'blocks' do not divide the dimension {dim}")
+    symbols = {"a1": Letter(FAMILY_A, 1)}
+    symbols.update((f"b{j}", Letter(FAMILY_B, j)) for j in range(1, len(scenario.b_spec) + 1))
+    poly = parse_expression(scenario.expression, symbols)
     if a_cells is None:
         a_model = SpectrumFamily({1: _a_spectrum(scenario.a_spec, scenario.truncation)})
         blocks = {}
@@ -481,49 +472,46 @@ def _prediction_inputs(scenario: Scenario):
         spectra = {g.index: _a_spectrum(scenario.a_spec, None) for g in _generators(a_cells)}
         a_model = HaarConjugatedFamily(spectra)
         blocks = {Letter(FAMILY_A, 1): AlgMatrix([list(map(drop_stars, row)) for row in a_cells])}
-    letters, owners = _generators([[poly]]), {}
+    letters, owners, resolved = _generators([[poly]]), {}, list(b_cells)
     for j, spec in enumerate(scenario.b_spec, start=1):
         if spec["kind"] == "copy_of":
-            b_cells[j - 1] = b_cells[int(spec["index"]) - 1]
-        cells, letter = b_cells[j - 1], Letter(FAMILY_B, j)
+            resolved[j - 1] = resolved[int(spec["index"]) - 1]
+        cells, letter = resolved[j - 1], Letter(FAMILY_B, j)
         if letter in letters and len(cells or [0]) != len(a_cells or [0]):
             raise ValueError(f"b{j} needs as many 'blocks' as a_spec")
         if letter in letters and cells:
             blocks[letter] = AlgMatrix(cells)
             if any(owners.setdefault(g, id(cells)) != id(cells) for g in _generators(cells)):
                 raise ValueError(f"b{j} 'blocks' share generators with another b_spec entry")
-    return poly, a_model, blocks
-
-
-def _state_words(scenario: Scenario) -> list:
-    """The state words the prediction reads, sorted; ``ValueError`` for a term without an
-    A-letter, a word missing from ``b_state``, or, per trial, B blocks or other lengths."""
-    poly, _, blocks = _prediction_inputs(scenario)
     try:
-        a_grid, *_, words = _reduce(poly, _b_state(scenario.prediction), blocks)
+        table = MomentTable.from_json_doc(scenario.prediction["b_state"])
+    except (ValueError, TypeError, AttributeError, NotInDomainError) as exc:
+        raise ValueError(f"prediction 'b_state': {exc}") from None
+    try:
+        reduction = _reduce(poly, table, blocks)
     except NotInDomainError as exc:
         raise ValueError(f"scenario 'expression': {exc}") from None
     except DegreeExceededError as exc:
         raise ValueError(f"prediction 'b_state': {exc}") from None
-    if not any(map(any, a_grid)):
+    if not any(map(any, reduction[0])):
         raise ValueError("scenario 'expression' reduces to 0 against prediction 'b_state'")
-    words = sorted(words)
-    if scenario.prediction.get("per_trial"):
+    words = sorted(reduction[-1]) if scenario.prediction.get("per_trial") else None
+    if words is not None:
         if any(letter.family == FAMILY_B for letter in blocks):
             raise ValueError("prediction 'per_trial' needs B letters without 'blocks'")
         for word in words:
             if word and len(word) != 2:
                 raise ValueError("prediction 'per_trial' reads the state of two-letter words "
                                  f"only, not of {word_str(word)}")
-    return words
+    return _Compiled(poly, a_model, blocks, table, reduction, a_cells, b_cells, words)
 
 
 def build_prediction(scenario: Scenario, b_state: MomentTable | None = None):
     """:func:`ev_polynomial` of a scenario's expression.  A trial's state replaces
     the scenario's ``b_state`` in a per-trial prediction."""
-    poly, a_model, blocks = _prediction_inputs(scenario)
-    table = _b_state(scenario.prediction) if b_state is None else b_state
-    return ev_polynomial(poly, a_model, table, scenario.truncation, blocks)
+    c = _compile(scenario)
+    reduction = c.reduction if b_state is None else _reduce(c.poly, b_state, c.blocks)
+    return _reduction_spectrum(reduction, c.a_model, scenario.truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -533,23 +521,20 @@ def build_prediction(scenario: Scenario, b_state: MomentTable | None = None):
 
 def run_scenario(scenario: Scenario) -> Report:
     """Run every trial of a scenario and assemble the comparison report."""
-    scenario.validate()
-    poly = parse_expression(scenario.expression, scenario._symbols())
-    words = _state_words(scenario) if scenario.prediction.get("per_trial") else None
-    prediction = build_prediction(scenario)
+    poly, a_model, blocks, table, reduction, a_cells, b_cells, words = _compile(scenario)
+    prediction = _reduction_spectrum(reduction, a_model, scenario.truncation)
     # the first three trace moments of its A (beta x I); with blocks, analytic: the limits
-    _, a_model, blocks = _prediction_inputs(scenario)
-    table = _b_state(scenario.prediction)
-    a_grid, beta = _reduce(poly, table, blocks)[:2]
-    chain = [AlgMatrix.from_grid(a_grid), AlgMatrix(beta)]
+    chain = [AlgMatrix.from_grid(reduction[0]), AlgMatrix(reduction[1])]
     predicted_moments = [float(np.real(chain_moment(chain, m, a_model, table))) for m in (1, 2, 3)]
-    a_cells, b_cells = scenario._blocks()
 
     def one_trial(t: int) -> dict:
         rng = trial_rng(scenario.seed, t)
         diagnostics: dict = {}
         x, drawn = _trial_matrix(scenario, poly, a_cells, b_cells, rng, diagnostics, words)
-        residual, tol = hermiticity_gap(x, HERMITICITY_GATE)
+        try:
+            residual, tol = hermiticity_gap(x, HERMITICITY_GATE)
+        except NotSelfadjointError as exc:
+            raise NotSelfadjointError(f"trial {t}: {exc}") from None
         if residual > tol:
             raise NotSelfadjointError(f"trial {t}: expression evaluated to a non-Hermitian "
                                       f"matrix (residual {residual:.3e})")
@@ -568,7 +553,7 @@ def run_scenario(scenario: Scenario) -> Report:
             "diagnostics": {"hermiticity_residual": residual, **diagnostics},
         }
         if drawn is not None:
-            trial_pred = build_prediction(scenario, drawn)
+            trial_pred = ev_polynomial(poly, a_model, drawn, scenario.truncation, blocks)
             record["prediction_eigenvalues"] = trial_pred.multiset.to_list()
             record["prediction_provenance"] = trial_pred.to_json_dict()["provenance"]
             reference = trial_pred.multiset

@@ -44,7 +44,7 @@ def signed_order_max_rel(empirical, predicted, top=TOP):
 
 def seeded_draw_prediction(scenario):
     """The prediction over one finite Haar draw of a2, a3, seeded by the scenario."""
-    poly, a_model, blocks = rmtlab._prediction_inputs(scenario)
+    poly, a_model, blocks, table = rmtlab._compile(scenario)[:4]
     n = scenario.truncation
     mats = {}
     for index, spectrum in a_model.spectra.items():
@@ -55,7 +55,6 @@ def seeded_draw_prediction(scenario):
         seq = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index,))
         u = sample_haar_unitary(n, np.random.default_rng(seq))
         mats[index] = (u * d) @ u.conj().T
-    table = rmtlab._b_state(scenario.prediction)
     return ev_polynomial(poly, MatrixTraceFamily(mats), table, n, blocks).multiset.to_list()
 
 

@@ -57,6 +57,8 @@ def test_public_names_are_pinned():
                            "check_selfadjoint", "selfadjoint_generators"]),
         (linred.ev_polynomial, ["poly", "a_model", "b_state", "truncation", "blocks"]),
         (rmtlab.build_prediction, ["scenario", "b_state"]),
+        (linred.sqrtm_psd, ["gram"]),
+        (cmcalc.MomentTable.from_json_doc, ["doc"]),
     ]
 ])
 def test_parameter_lists_are_pinned(function, parameters):

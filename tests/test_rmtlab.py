@@ -277,7 +277,8 @@ def test_scenario_validation_of_blocks_and_chain(changes, message, tmp_path):
 def test_example1_reads_its_expression_and_copies():
     # the chain may be longer, or use a second b_spec entry, or a copy of one
     n = 20
-    base = run_scenario(builtin_scenario("example1", n=n, trials=1)).prediction
+    base_report = run_scenario(builtin_scenario("example1", n=n, trials=1))
+    base = base_report.prediction
     # the truncation is the realized size: three generators on orthogonal blocks of n
     assert base["parameters"] == {"rows": ["b1"], "columns": ["b1'"], "dim": 2,
                                   "truncation": 3 * n}
@@ -289,6 +290,8 @@ def test_example1_reads_its_expression_and_copies():
     report = run_scenario(Scenario.from_dict(copied))
     assert report.prediction["eigenvalues"] == base["eigenvalues"]
     assert report.prediction["moments"] == base["moments"]
+    # the trials reuse the source's matrix; they draw no blocks for the copy
+    assert report.trials == base_report.trials
 
 
 def test_b_entries_drawn_apart_share_no_block_generators():
@@ -308,7 +311,7 @@ def test_b_entries_drawn_apart_share_no_block_generators():
 def test_blocks_are_drawn_in_index_order():
     n = 40
     scenario = Scenario.from_dict(_example1_with(a_spec__blocks=[["a1", "a3"], ["a3'", "a2"]]))
-    a_cells, _ = scenario._blocks()
+    a_cells = rmtlab._compile(scenario).a_cells
     x = _build_a_matrix(scenario, a_cells, trial_rng(scenario.seed, 0), {})
     rng = trial_rng(scenario.seed, 0)
     d = geometric_diag(n, 0.5)
@@ -352,7 +355,7 @@ def test_diagonal_trial_a_matches_dense_path(a_spec):
 def test_example1_trial_a_block_is_hermitian():
     n = 30
     scenario = builtin_scenario("example1", n=n, trials=1)
-    a_cells, _ = scenario._blocks()
+    a_cells = rmtlab._compile(scenario).a_cells
     x = _build_a_matrix(scenario, a_cells, trial_rng(scenario.seed, 0), {})
     assert x.shape == (2 * n, 2 * n)
     # the lower-left block a2' is the exact adjoint of a2, and a1 is real diagonal
@@ -440,7 +443,7 @@ def test_example3_runs_at_scale_1e5():
     # a + b a b a b is not homogeneous in a, so the prediction is checked
     # against the oracle at the same scale
     spectrum = GeometricSpectrum(1e5 * 0.5, 0.5, count=scenario.truncation)
-    poly = parse_expression(scenario.expression, scenario._symbols())
+    poly = rmtlab._compile(scenario).poly
     state = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
     for m, predicted in zip((1, 2, 3), report.prediction["moments"]):
         oracle = poly_moment(poly, m, SpectrumFamily({1: spectrum}), state).real
@@ -631,7 +634,8 @@ def _reference_trial(scenario, t):
     def block(cells, mats, size):
         return np.block([[evaluate(poly, mats, size) for poly in row] for row in cells])
 
-    a_cells, b_cells = scenario._blocks()
+    compiled = rmtlab._compile(scenario)
+    a_cells, b_cells = compiled.a_cells, compiled.b_cells
     spec, n = scenario.a_spec, scenario.n
     a = geometric_values(n, spec["ratio"], spec.get("scale", 1.0), spec.get("start_power", 0))
     if a_cells is not None:
@@ -662,7 +666,7 @@ def _reference_trial(scenario, t):
         b_mats = [u @ mat @ u.conj().T for mat in b_mats]
     mats = {Letter(FAMILY_A, 1): a}
     mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
-    x = evaluate(parse_expression(scenario.expression, scenario._symbols()), mats, dim)
+    x = evaluate(compiled.poly, mats, dim)
     residual = float(np.max(np.abs(x - x.conj().T)))
     x = (x + x.conj().T) / 2.0
     x2 = x @ x
@@ -761,18 +765,49 @@ def test_example1_prediction_is_its_limit_model():
     docs = []
     for seed in (None, 1):
         scenario = builtin_scenario("example1", seed=seed)
-        poly, a_model, blocks = rmtlab._prediction_inputs(scenario)
-        table = rmtlab._b_state(scenario.prediction)
-        a_grid, beta = linred._reduce(poly, table, blocks)[:2]
+        compiled = rmtlab._compile(scenario)
+        a_grid, beta = compiled.reduction[:2]
         chain = [linred.AlgMatrix.from_grid(a_grid), linred.AlgMatrix(beta)]
         prediction = build_prediction(scenario)
         assert len(prediction.multiset) == 2 * 3 * scenario.n
         for m in (1, 2, 3):
-            expected = linred.chain_moment(chain, m, a_model, table).real
+            expected = linred.chain_moment(chain, m, compiled.a_model, compiled.b_state).real
             got = multiset_moment(prediction.multiset, m)
             assert abs(got - expected) <= 1e-12 * abs(expected)
         docs.append(json.dumps(prediction.to_json_dict()))
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("name,per_trial", [
+    ("example1", False), ("example2", True), ("example2-correlated", True), ("example3", False),
+])
+def test_a_run_reduces_once_and_once_per_trial_state(name, per_trial, monkeypatch):
+    # validation, the prediction and its moments share one reduction; a
+    # per-trial prediction reduces against its trial's state
+    scenario = builtin_scenario(name, n=20, trials=3)
+    calls = []
+    original = linred._reduce
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (linred, rmtlab):
+        monkeypatch.setattr(module, "_reduce", counted)
+    run_scenario(scenario)
+    assert len(calls) == 1 + scenario.trials * per_trial
+
+
+def test_example1_limit_cost_script_runs(capsys):
+    # the README's calibration table comes from this script, which reads
+    # private rmtlab helpers; one small row keeps it working
+    from print_example1_limit_cost import main as limit_cost
+
+    limit_cost([40])
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "n seeded_draw exact_limit"
+    n, draw, limit = row.split()
+    assert n == "40" and 0 < float(draw) and 0 < float(limit)
 
 
 def test_diagonal_models_are_never_realized_densely(monkeypatch):

@@ -16,6 +16,8 @@ from cyclospec import (
     NotSelfadjointError,
     auto_symbols,
     builtin_scenario,
+    ev_anticommutator,
+    ev_commutator,
     ev_polynomial,
     ev_sum_bac,
     hermitian_spectrum,
@@ -114,6 +116,13 @@ def test_sqrtm_psd_rejects_non_finite_entries():
         sqrtm_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("recipe", [ev_anticommutator, ev_commutator])
+@pytest.mark.parametrize("tau_b,tau_b2", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf)])
+def test_closed_forms_reject_non_finite_state_values(recipe, tau_b, tau_b2):
+    with pytest.raises(NotSelfadjointError, match="non-finite"):
+        recipe(GeometricSpectrum(1.0, 0.5, count=3), tau_b, tau_b2, 3)
+
+
 def test_file_b_with_a_nan_fails_the_gate_with_the_numerical_exit_code(tmp_path, capsys):
     b = sample_gue(30, np.random.default_rng(61))
     b = b @ b
@@ -125,7 +134,8 @@ def test_file_b_with_a_nan_fails_the_gate_with_the_numerical_exit_code(tmp_path,
     scenario_path.write_text(json.dumps(doc))
     code = main(["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "trial 0" in err and "non-finite" in err
 
 
 _FLOATS = st.one_of(
