@@ -497,11 +497,14 @@ class MomentTable(TracialState):
         """Load ``{"degree_cap": d, "moments": {"b1*b1": [re, im], ...}}``.
 
         A value is a number, ``[re]`` or ``[re, im]``, and ``d`` an integer
-        >= 1 (an integral float such as ``4.0`` counts); anything else raises
-        ``ValueError``.
+        >= 1 (an integral float such as ``4.0`` counts); anything else, or
+        another key, raises ``ValueError``.
         """
         if not isinstance(doc, Mapping) or not isinstance(doc.get("moments", {}), Mapping):
             raise ValueError("a moment table is an object with a 'moments' object")
+        for key in doc:
+            if key not in ("degree_cap", "moments"):
+                raise ValueError(f"{key!r} is not a key of a moment table")
         cap = doc.get("degree_cap")
         if "degree_cap" in doc and not (_is_json_integer(cap) and cap >= 1):
             raise ValueError(f"degree_cap must be an integer >= 1, not {cap!r}")

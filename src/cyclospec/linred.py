@@ -632,34 +632,6 @@ def ev_conjugated_sum(a_list, c_taus, gram, truncation: int | None = None) -> Pr
     )
 
 
-def _hermitian_sandwich(a_matrix: np.ndarray, root: np.ndarray, n_inner: int):
-    """``(root x I) A (root x I)``, whose spectrum is that of ``A (B' x I)``
-    for ``root = sqrt(B')``, or ``None`` when A is not Hermitian.  A is first
-    symmetrized in place: the sandwich would scale its accepted asymmetry
-    past the spectrum's own check."""
-    residual, tol = hermiticity_gap(a_matrix)
-    if residual > tol:
-        return None
-    blocks = symmetrize(a_matrix).reshape(len(root), n_inner, len(root), n_inner)
-    # the (i, j) block of the sandwich is sum_pq root[i, p] A_pq root[q, j]
-    sandwich = np.einsum("ip,paqb,qj->iajb", root, blocks, root)
-    return sandwich.reshape(a_matrix.shape)
-
-
-def _product_spectrum(a_matrix: np.ndarray, bprime: np.ndarray, n_inner: int) -> EVMultiset:
-    """Spectrum of ``A (B' x I)``, which must be real."""
-    numeric = a_matrix @ np.kron(bprime, np.eye(n_inner))
-    residual, tol = hermiticity_gap(numeric)
-    if residual <= tol:  # checked once: hermitian_spectrum would check again
-        return EVMultiset(np.linalg.eigvalsh(symmetrize(numeric)))
-    lams = np.linalg.eigvals(numeric)
-    radius = float(np.max(np.abs(lams), initial=0.0))
-    if float(np.max(np.abs(lams.imag), initial=0.0)) > CHAIN_IMAG_REL_TOL * max(radius, 1e-300):
-        raise ComplexEigenvaluesError("reduced polynomial has eigenvalues with large "
-                                      "imaginary parts; prediction refused")
-    return EVMultiset(lams.real)
-
-
 # ---------------------------------------------------------------------------
 # the polynomial compiler
 # ---------------------------------------------------------------------------
@@ -742,11 +714,12 @@ def ev_polynomial(
     ``blocks`` maps base letters to square ``AlgMatrix`` blocks of one size,
     pure-A or pure-B by the letter.  A term without an A-letter raises
     ``NotInDomainError``; unequally many row and column keys, which no
-    selfadjoint polynomial has, ``NotSelfadjointError``.  When the model
-    gives every generator's diagonal, nothing dense is realized and the
-    sandwich is a batch of k x k matrices; otherwise the dense realizations
-    are sandwiched.  With A not Hermitian or beta not PSD, the general
-    eigensolver runs instead."""
+    selfadjoint polynomial has, ``NotSelfadjointError``.  A is a stack of
+    direct summands: n of k x k when the model gives every generator's
+    diagonal, so nothing dense is realized, and otherwise one of k x k dense
+    blocks.  One step solves either: the Hermitian sandwich when A is
+    Hermitian and beta PSD, else the product ``A (beta x I)``, summand by
+    summand."""
     return _reduction_spectrum(_reduce(poly, b_state, blocks), a_model, truncation)
 
 
@@ -759,9 +732,8 @@ def _reduction_spectrum(reduction, a_model: TraceClassModel, truncation: int | N
     cells = [[_polynomial(terms) for terms in row] for row in a_grid]
     generators = _generators(cells)
     diag = {letter: a_model.diagonal(letter.index, truncation) for letter in generators}
-    batched = all(d is not None for d in diag.values())
-    # dense_word_product takes the diagonals as 1-D letters
-    mats = diag if batched else {
+    # with every generator's diagonal given, nothing dense is realized
+    mats = diag if all(d is not None for d in diag.values()) else {
         letter: np.asarray(a_model.realization(letter.index, truncation), dtype=complex)
         for letter in generators}
     n = truncation or a_model.truncation
@@ -769,12 +741,7 @@ def _reduction_spectrum(reduction, a_model: TraceClassModel, truncation: int | N
         n = _shared_dimension(mat.shape[0] for mat in mats.values())
     elif n is None:  # A reduced to 0: P's spectrum is all zeros, of a size no input gives
         raise NotInDomainError("the polynomial reduces to 0, and no truncation sizes its spectrum")
-    try:
-        root = sqrtm_psd(beta)
-    except (NotSelfadjointError, NotPositiveError):
-        root = None
-    multiset = None
-    if root is not None and batched:
+    if mats is diag:
         # A is the direct sum over j of the k x k matrices of its entries' j-th diagonal values
         stack = np.zeros((n, len(a_grid), len(a_grid)), dtype=complex)
         for i, row in enumerate(a_grid):
@@ -782,18 +749,48 @@ def _reduction_spectrum(reduction, a_model: TraceClassModel, truncation: int | N
                 for word, coeff in sorted(entry.items()):
                     factors = [diag[x.base()].conj() if x.star else diag[x] for x in word]
                     stack[:, i, j] += coeff * np.prod(factors, axis=0)
-        residual, tol = hermiticity_gap(stack)
-        if residual <= tol:
-            multiset = hermitian_spectrum(root @ stack @ root)
-    elif root is not None:
-        # no name holds the realized A, so it is freed before the eigensolve
-        sandwich = _hermitian_sandwich(dense_block_matrix(cells, mats, n), root, n)
-        multiset = None if sandwich is None else hermitian_spectrum(sandwich)
-    if multiset is None:
-        multiset = _product_spectrum(dense_block_matrix(cells, mats, n), beta, n)
+    else:
+        stack = dense_block_matrix(cells, mats, n)[np.newaxis]
+    multiset = _stack_spectrum(stack, beta)
     parameters = {"rows": list(map(word_str, rows)), "columns": list(map(word_str, columns)),
                   "dim": dim, "truncation": n}
     return Prediction(multiset, "polynomial", parameters, provenance={"beta": beta})
+
+
+def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
+    """Spectrum of ``A (beta x I_s)``, A the direct sum of the summands of
+    ``stack``, shape ``(m, k*s, k*s)``, each a k x k grid of s x s blocks.
+
+    With A Hermitian and beta PSD it is that of the Hermitian sandwich
+    ``(root x I_s) A (root x I_s)``, ``root = sqrt(beta)``; A is symmetrized
+    first, as the sandwich would scale its accepted asymmetry past the
+    spectrum's own check.  Otherwise the product is solved, and its spectrum
+    must be real.  ``stack`` is overwritten by the matrix solved."""
+    m, k = len(stack), len(beta)
+    s = stack.shape[-1] // k
+    # per summand and in-block column b, the k*s x k matrix of columns (q, b);
+    # for s = 1, the summands themselves
+    columns = stack.reshape(m, k * s, k, s).transpose(0, 3, 1, 2)
+    try:
+        root = sqrtm_psd(beta)
+    except (NotSelfadjointError, NotPositiveError):
+        root = None
+    residual, tol = hermiticity_gap(stack)
+    if root is not None and residual <= tol:
+        rows = symmetrize(stack).reshape(m, k, -1)
+        np.matmul(root, rows, out=rows)
+        np.matmul(columns, root, out=columns)
+        return hermitian_spectrum(stack)
+    np.matmul(columns, beta, out=columns)
+    residual, tol = hermiticity_gap(stack)
+    if residual <= tol:  # checked once: hermitian_spectrum would check again
+        return EVMultiset(np.linalg.eigvalsh(symmetrize(stack)).ravel())
+    lams = np.linalg.eigvals(stack).ravel()
+    radius = float(np.max(np.abs(lams), initial=0.0))
+    if float(np.max(np.abs(lams.imag), initial=0.0)) > CHAIN_IMAG_REL_TOL * max(radius, 1e-300):
+        raise ComplexEigenvaluesError("reduced polynomial has eigenvalues with large "
+                                      "imaginary parts; prediction refused")
+    return EVMultiset(lams.real)
 
 
 def ev_chain(

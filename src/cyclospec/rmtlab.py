@@ -147,6 +147,16 @@ def _require(keys, doc: dict, where: str) -> None:
             raise ValueError(f"scenario {where} needs the key {key!r}")
 
 
+def _reject_unknown(node: dict, doc: dict, where: str) -> None:
+    """Raise ``ValueError`` at a key of ``doc`` that a closed object ``node``
+    (``"additionalProperties": false``) does not list."""
+    if node.get("additionalProperties") is False:
+        for key in doc:
+            if key not in node["properties"]:
+                path = f"{where}.{key}" if where else key
+                raise ValueError(f"scenario {path!r} is not a known key")
+
+
 def _holds(condition: dict, doc: dict) -> bool:
     """Whether ``doc`` meets an ``if`` of ``properties`` with a ``const`` each."""
     return all(doc.get(key, sub["const"]) == sub["const"]
@@ -173,6 +183,7 @@ def _check(node: dict, value, where: str) -> None:
         low = node["minItems"]
         fail(f"an array of at least {low} item{'s' if low != 1 else ''}")
     _require(node.get("required", ()), value, repr(where))
+    _reject_unknown(node, value, where)
     for key, sub in node.get("properties", {}).items():
         if key in value and key not in _LOADER_TYPED:
             _check(sub, value[key], f"{where}.{key}" if where else key)
@@ -226,6 +237,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
+        if not isinstance(doc, dict):
+            raise ValueError(f"a scenario is an object, not {doc!r}")
+        _reject_unknown(_scenario_schema(), doc, "")
         return cls(
             name=doc["name"],
             n=doc["n"],
@@ -523,6 +537,10 @@ def run_scenario(scenario: Scenario) -> Report:
     """Run every trial of a scenario and assemble the comparison report."""
     poly, a_model, blocks, table, reduction, a_cells, b_cells, words = _compile(scenario)
     prediction = _reduction_spectrum(reduction, a_model, scenario.truncation)
+    dim = scenario.n * len(a_cells or [0])
+    if scenario.compare_top > min(dim, len(prediction.multiset)):
+        raise ValueError(f"scenario 'compare_top' is {scenario.compare_top}, but a trial has "
+                         f"{dim} eigenvalues and the prediction {len(prediction.multiset)}")
     # the first three trace moments of its A (beta x I); with blocks, analytic: the limits
     chain = [AlgMatrix.from_grid(reduction[0]), AlgMatrix(reduction[1])]
     predicted_moments = [float(np.real(chain_moment(chain, m, a_model, table))) for m in (1, 2, 3)]

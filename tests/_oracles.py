@@ -64,15 +64,17 @@ def sum_aba_instance(k, n, rng):
             "taus": taus, "a_list": [mats[i] for i in range(1, k + 1)]}
 
 
-def sum_bac_instance(k, n, rng):
-    """Polynomial sum_i b_i a c_i with a random symmetric beta matrix.
+def sum_bac_instance(k, n, rng, beta=None):
+    """Polynomial sum_i b_i a c_i with a random symmetric beta matrix, or the
+    given one.
 
     Generators 1..k play the left role, k+1..2k the right role; the table
     stores tau(c_i b_j) = beta[i, j].  A symmetric beta keeps the spectrum
     real, which is what the recipe requires.
     """
-    beta = rng.uniform(-2.0, 2.0, size=(k, k))
-    beta = (beta + beta.T) / 2.0
+    if beta is None:
+        beta = rng.uniform(-2.0, 2.0, size=(k, k))
+        beta = (beta + beta.T) / 2.0
     moments = {}
     for i in range(1, k + 1):
         for j in range(1, k + 1):

@@ -198,6 +198,38 @@ def test_scenario_schema_validation():
         jsonschema.validate(json.loads(shipped), schema)
 
 
+_EXAMPLE1 = builtin_scenario("example1", n=40, trials=2).to_dict()
+# one misspelt or retired key per closed object, by the path its error names
+_UNKNOWN_KEYS = {
+    "haar_conjugate": {"haar_conjugate": True},
+    "a_spec.start_powr": {"a_spec": dict(_EXAMPLE1["a_spec"], start_powr=1)},
+    "b_spec[0].size": {"b_spec": [dict(_EXAMPLE1["b_spec"][0], size=2)]},
+    "prediction.beta": {"prediction": dict(_EXAMPLE1["prediction"], beta="per_trial")},
+    "degree-cap": {"prediction": {"b_state": dict(_EXAMPLE1["prediction"]["b_state"],
+                                                  **{"degree-cap": 1})}},
+}
+
+
+@pytest.mark.parametrize("path", _UNKNOWN_KEYS)
+def test_scenario_rejects_unknown_keys(path, tmp_path, capsys):
+    bad = dict(_EXAMPLE1, **_UNKNOWN_KEYS[path])
+    with pytest.raises(ValueError, match=re.escape(repr(path))):
+        rmtlab.Scenario.from_dict(bad)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(bad))
+    assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")) == 1
+    assert repr(path) in capsys.readouterr().err
+
+
+def test_b_state_file_with_an_unknown_key_exits_validation(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"degree-cap": 1, "moments": {"b1*b1": 1.0}}))
+    code = run_cli("predict", "--expr", "b1*a1*b1", "--spectrum", "geometric:1,0.5,8",
+                   "--b-state", str(state), "--out", str(tmp_path / "pred.json"))
+    assert code == 1
+    assert "'degree-cap' is not a key of a moment table" in capsys.readouterr().err
+
+
 def test_scenario_schema_mirrors_validation():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(
@@ -215,6 +247,7 @@ def test_scenario_schema_mirrors_validation():
         {"prediction": dict(doc["prediction"], per_trial="x")},
         {"n": 40.5},
         {"trials": "2"},
+        *_UNKNOWN_KEYS.values(),
     ]:
         bad = dict(doc, **change)
         assert not validator.is_valid(bad)
@@ -426,6 +459,7 @@ def test_scenario_schema_uses_only_the_keywords_validation_reads():
     assert _schema_keywords(schema) == {
         "$schema", "$id", "title", "$defs", "type", "enum", "const", "minimum",
         "minItems", "items", "properties", "required", "allOf", "if", "then",
+        "additionalProperties",
     }
 
 

@@ -525,19 +525,24 @@ def _chain_paths(monkeypatch, b0, chain, a_model, b_state, **kwargs):
     """ev_chain's multiset, whether it took the general eigensolver, and that
     eigensolver's multiset, forced by a beta that never passes as PSD."""
     calls = []
-    product_spectrum = linred._product_spectrum
+    stack_spectrum, sandwich_spectrum = linred._stack_spectrum, linred.hermitian_spectrum
 
     def spy(*args):
-        calls.append(args)
-        return product_spectrum(*args)
+        calls.append("product")
+        return stack_spectrum(*args)
+
+    def sandwich_spy(matrix):
+        calls[-1] = "sandwich"  # only the Hermitian sandwich is solved here
+        return sandwich_spectrum(matrix)
 
     def not_psd(gram):
         raise NotPositiveError("not PSD by construction")
 
     with monkeypatch.context() as patch:
-        patch.setattr(linred, "_product_spectrum", spy)
+        patch.setattr(linred, "_stack_spectrum", spy)
+        patch.setattr(linred, "hermitian_spectrum", sandwich_spy)
         got = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
-        took_product = bool(calls)
+        took_product = calls == ["product"]
         patch.setattr(linred, "sqrtm_psd", not_psd)
         product = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
     return got, took_product, product
@@ -720,6 +725,23 @@ def test_ev_polynomial_equals_the_closed_forms(name):
         _assert_same_multiset(got, closed)
 
 
+def test_ev_polynomial_sum_bac_off_the_sandwich_matches_the_closed_form():
+    # beta is not PSD, so the product A (beta x I) is solved summand by summand
+    rng = np.random.default_rng(73)
+    similar = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, -0.4, 1.0]])
+    symmetric = np.array([[1.0, 2.0], [2.0, -0.5]])
+    skew = similar @ np.diag([2.0, -1.0, 0.5]) @ np.linalg.inv(similar)
+    assert np.linalg.eigvalsh(symmetric).min() < 0 < np.linalg.eigvalsh(symmetric).max()
+    assert not np.allclose(skew, skew.T)
+    for inst in (sum_bac_instance(2, 9, rng, beta=symmetric),
+                 sum_bac_instance(3, 9, rng, beta=skew),
+                 sum_bac_swapped_pair_instance(9, rng)):
+        got = ev_polynomial(inst["poly"], inst["a_model"], inst["b_state"]).multiset
+        closed = ev_sum_bac(inst["spectrum"], inst["beta"]).multiset
+        assert len(got) == len(closed)
+        _assert_same_spectrum(got, closed)
+
+
 def test_ev_polynomial_never_calls_the_oracle(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the moment oracle was called")
@@ -899,6 +921,25 @@ def test_batched_sum_bab_builds_no_lift(monkeypatch):
         ev_polynomial(poly, model, table)
         poly, table = _sum_bab_polynomial(gram, [1.0, 2.0, 0.5])
         ev_polynomial(poly, model, table)
+        # beta = [[0, 1], [1, 0]] is indefinite: A (beta x I) = a1 + a1
+        table = MomentTable({(b_gen(1), b_gen(2)): 1.0, (b_gen(1), b_gen(1)): 0.0,
+                             (b_gen(2), b_gen(2)): 0.0})
+        got = ev_polynomial(parse_expression("b1*a1*b2 + b2*a1*b1", SYMS), model, table)
+        np.testing.assert_allclose(np.sort(got.multiset.values), [0.5, 0.5, 1.0, 1.0])
+        # A = [[0, a1], [2 a1, 0]] is not Hermitian, beta = I: +-sqrt(2) a1
+        table = MomentTable({(b_gen(1), b_gen(2)): 0.0, (b_gen(1), b_gen(1)): 1.0,
+                             (b_gen(2), b_gen(2)): 1.0})
+        got = ev_polynomial(parse_expression("b1*a1*b2 + 2*b2*a1*b1", SYMS), model, table)
+        np.testing.assert_allclose(np.sort(got.multiset.values),
+                                   np.sqrt(2) * np.array([-1.0, -0.5, 0.5, 1.0]))
+        # A = [[a1, a1], [0, a1]] and beta = [[1, 2], [0.5, 1]] are not symmetric:
+        # A (beta x I) = [[1.5, 3], [0.5, 1]] x a1, with eigenvalues 2.5 a1 and 0
+        table = MomentTable({(b_gen(1), b_gen(2)): 1.0, (b_gen(2), b_gen(2)): 2.0,
+                             (b_gen(1), b_gen(3)): 0.5, (b_gen(2), b_gen(3)): 1.0})
+        got = ev_polynomial(parse_expression("b1*a1*b2 + b1*a1*b3 + b2*a1*b3", SYMS),
+                            model, table)
+        np.testing.assert_allclose(np.sort(got.multiset.values), [0.0, 0.0, 1.25, 2.5],
+                                   atol=1e-12)
     poly, table = _sum_bab_polynomial(np.eye(2))
     off_diagonal = MatrixTraceFamily({1: np.diag([1.0, 2.0]),
                                       2: np.array([[1.0, 1e-300], [1e-300, 1.0]])})
@@ -908,13 +949,13 @@ def test_batched_sum_bab_builds_no_lift(monkeypatch):
 
 def test_sum_bab_non_diagonal_blocks_keep_dense_path(monkeypatch):
     sandwiches = []
-    sandwich = linred._hermitian_sandwich
+    stack_spectrum = linred._stack_spectrum
 
-    def spy(*args):
-        sandwiches.append(args)
-        return sandwich(*args)
+    def spy(stack, beta):
+        sandwiches.append(stack.shape)
+        return stack_spectrum(stack, beta)
 
-    monkeypatch.setattr(linred, "_hermitian_sandwich", spy)
+    monkeypatch.setattr(linred, "_stack_spectrum", spy)
     rng = np.random.default_rng(50)
     for k, n in ((2, 5), (3, 4)):
         gram = random_psd(k, rng)
@@ -927,6 +968,7 @@ def test_sum_bab_non_diagonal_blocks_keep_dense_path(monkeypatch):
             poly, table = _sum_bab_polynomial(gram, c)
             got = ev_polynomial(poly, model, table).multiset
             assert len(sandwiches) == 1
+            assert sandwiches[0] == (1, k * n, k * n)  # one summand of dense blocks
             expected = (ev_sum_bab(blocks, gram) if c is None
                         else ev_conjugated_sum(blocks, c, gram)).multiset
             _assert_same_spectrum(got, expected)

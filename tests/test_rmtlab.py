@@ -154,6 +154,9 @@ def test_scenario_validation():
     bad = dict(doc, expression="a1 + c4")
     with pytest.raises(Exception):
         Scenario.from_dict(bad)
+    for bad in ([1, 2], ["name"]):
+        with pytest.raises(ValueError, match="a scenario is an object"):
+            Scenario.from_dict(bad)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -175,6 +178,25 @@ def test_scenario_rejects_non_integral_counts(key, value, tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("top", [100, 41])
+def test_compare_top_beyond_the_spectra_fails_before_any_trial(top, monkeypatch, tmp_path):
+    doc = dict(builtin_scenario("example3", n=40, trials=2).to_dict(), compare_top=top)
+    message = f"'compare_top' is {top}, but a trial has 40 eigenvalues and the prediction 80"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+
+    def no_trial(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(rmtlab, "trial_rng", no_trial)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_scenario(Scenario.from_dict(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    monkeypatch.undo()
+    doc["compare_top"] = 40  # every eigenvalue of a trial is compared
+    assert len(run_scenario(Scenario.from_dict(doc)).trials) == 2
 
 
 def test_scenario_accepts_integral_floats():
