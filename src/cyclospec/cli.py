@@ -163,18 +163,22 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _trial_reference(report: Report, rec: dict) -> list:
+    """The eigenvalues a trial is compared with: its own prediction if it has one."""
+    return rec.get("prediction_eigenvalues", report.prediction["eigenvalues"])
+
+
 def _write_simulation(report: Report, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.save(out_dir / "report.json")
-    predicted = report.prediction["eigenvalues"]
-    EVMultiset(predicted).to_csv(out_dir / "prediction.csv")
+    EVMultiset(report.prediction["eigenvalues"]).to_csv(out_dir / "prediction.csv")
     for rec in report.trials:
         EVMultiset(rec["eigenvalues"]).to_csv(
             out_dir / f"trial_{rec['trial']:02d}_eigenvalues.csv"
         )
-    top = max(int(report.scenario.get("compare_top", 10)), 15)
+    top = max(report.scenario["compare_top"], 15)
     first = report.trials[0]
-    reference = first.get("prediction_eigenvalues", predicted)
+    reference = _trial_reference(report, first)
     rows = min(top, len(first["eigenvalues"]), len(reference))
     with open(out_dir / "plot_data.csv", "w", encoding="utf-8") as fh:
         fh.write("rank,empirical,predicted\n")
@@ -183,29 +187,21 @@ def _write_simulation(report: Report, out_dir: Path) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = Scenario.from_json(args.scenario)
-    if args.trials is not None or args.seed is not None:
-        doc = scenario.to_dict()
-        if args.trials is not None:
-            doc["trials"] = args.trials
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        scenario = Scenario.from_dict(doc)
-    report = run_scenario(scenario)
+    with open(args.scenario, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if isinstance(doc, dict):  # anything else is refused by from_dict
+        doc.update((key, value) for key, value in (("trials", args.trials), ("seed", args.seed))
+                   if value is not None)
+    report = run_scenario(Scenario.from_dict(doc))
     _write_simulation(report, Path(args.out))
     print(json.dumps({"out": args.out, "summary": report.summary}, sort_keys=True))
     return EXIT_OK
 
 
 def _compare_report(report: Report, top: int) -> tuple[float, list[dict]]:
-    predicted = EVMultiset(report.prediction["eigenvalues"])
     rows = []
     for rec in report.trials:
-        reference = (
-            EVMultiset(rec["prediction_eigenvalues"])
-            if "prediction_eigenvalues" in rec
-            else predicted
-        )
+        reference = EVMultiset(_trial_reference(report, rec))
         metric = match_distance(EVMultiset(rec["eigenvalues"]), reference, top)
         rows.append({"trial": rec["trial"], **metric})
     mean_rel = float(np.mean([row["max_rel"] for row in rows])) if rows else 0.0

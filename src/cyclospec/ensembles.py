@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cmcalc import GeometricSpectrum
+
 
 def sample_gue(n: int, rng: np.random.Generator) -> np.ndarray:
     """Hermitian GUE sample of dimension ``n`` with ``E tr(G^2) = 1``."""
@@ -38,14 +40,8 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def geometric_values(n: int, ratio: float, scale: float = 1.0, start_power: int = 0) -> np.ndarray:
-    """The complex entries ``scale * ratio**(start_power + k)``, k < n."""
-    if abs(ratio) >= 1:
-        raise ValueError("|ratio| must be < 1")
-    powers = start_power + np.arange(n)
-    return (scale * np.power(float(ratio), powers)).astype(complex)
-
-
 def geometric_diag(n: int, ratio: float, scale: float = 1.0, start_power: int = 0) -> np.ndarray:
-    """Diagonal matrix of :func:`geometric_values`."""
-    return np.diag(geometric_values(n, ratio, scale, start_power))
+    """Diagonal matrix of the n complex values ``scale * ratio**(start_power + k)``
+    as ``GeometricSpectrum(scale * ratio**start_power, ratio)`` gives them."""
+    spectrum = GeometricSpectrum(scale * ratio**start_power, ratio, count=n)
+    return np.diag(spectrum.eigenvalues().astype(complex))

@@ -676,6 +676,8 @@ def _reduce(poly: NCPolynomial, b_state: TracialState, blocks=None):
             raise NotInDomainError(f"the term {word_str(word)} has no A-letter")
         form = alternating_form(word[a_at[0]:a_at[-1] + 1]).blocks
         terms.append((word[:a_at[0]], word_adjoint(word[a_at[-1] + 1:]), coeff, form))
+    if not terms:
+        raise NotInDomainError("the polynomial is 0: it has no term to reduce")
     rows = sorted({term[0] for term in terms})
     columns = sorted({term[1] for term in terms})
     words = set()
@@ -764,8 +766,9 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
     With A Hermitian and beta PSD it is that of the Hermitian sandwich
     ``(root x I_s) A (root x I_s)``, ``root = sqrt(beta)``; A is symmetrized
     first, as the sandwich would scale its accepted asymmetry past the
-    spectrum's own check.  Otherwise the product is solved, and its spectrum
-    must be real.  ``stack`` is overwritten by the matrix solved."""
+    spectrum's own check, and the sandwich must pass that check.  Otherwise
+    the product is solved, and its spectrum must be real.  ``stack`` is
+    overwritten by the matrix solved, and solved in place."""
     m, k = len(stack), len(beta)
     s = stack.shape[-1] // k
     # per summand and in-block column b, the k*s x k matrix of columns (q, b);
@@ -776,15 +779,19 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
     except (NotSelfadjointError, NotPositiveError):
         root = None
     residual, tol = hermiticity_gap(stack)
-    if root is not None and residual <= tol:
+    sandwich = root is not None and residual <= tol
+    if sandwich:
         rows = symmetrize(stack).reshape(m, k, -1)
         np.matmul(root, rows, out=rows)
         np.matmul(columns, root, out=columns)
-        return hermitian_spectrum(stack)
-    np.matmul(columns, beta, out=columns)
+    else:
+        np.matmul(columns, beta, out=columns)
     residual, tol = hermiticity_gap(stack)
-    if residual <= tol:  # checked once: hermitian_spectrum would check again
+    if residual <= tol:
         return EVMultiset(np.linalg.eigvalsh(symmetrize(stack)).ravel())
+    if sandwich:
+        raise NotSelfadjointError(f"matrix is not Hermitian: max entry deviation "
+                                  f"{residual:.3e} above {tol:.3e}")
     lams = np.linalg.eigvals(stack).ravel()
     radius = float(np.max(np.abs(lams), initial=0.0))
     if float(np.max(np.abs(lams.imag), initial=0.0)) > CHAIN_IMAG_REL_TOL * max(radius, 1e-300):

@@ -36,7 +36,7 @@ from .cmcalc import (
     dense_block_matrix,
     dense_polynomial,
 )
-from .ensembles import geometric_diag, geometric_values, sample_gue, sample_haar_unitary
+from .ensembles import geometric_diag, sample_gue, sample_haar_unitary
 from .errors import (
     DegreeExceededError,
     DimensionMismatchError,
@@ -142,9 +142,10 @@ _LOADER_TYPED = {"blocks", "b_state"}
 
 
 def _require(keys, doc: dict, where: str) -> None:
+    owner = f"scenario {where}" if where else "a scenario"  # "": the whole scenario
     for key in keys:
         if key not in doc:
-            raise ValueError(f"scenario {where} needs the key {key!r}")
+            raise ValueError(f"{owner} needs the key {key!r}")
 
 
 def _reject_unknown(node: dict, doc: dict, where: str) -> None:
@@ -210,11 +211,11 @@ class Scenario:
     name: str
     n: int
     seed: int
-    trials: int
     a_spec: dict
     b_spec: list
     expression: str
     prediction: dict
+    trials: int = 5
     haar_conjugate_b: bool = False
     compare_top: int = 10
     truncation: int | None = None
@@ -239,20 +240,10 @@ class Scenario:
     def from_dict(cls, doc: dict) -> "Scenario":
         if not isinstance(doc, dict):
             raise ValueError(f"a scenario is an object, not {doc!r}")
-        _reject_unknown(_scenario_schema(), doc, "")
-        return cls(
-            name=doc["name"],
-            n=doc["n"],
-            seed=doc["seed"],
-            trials=doc.get("trials", 5),
-            a_spec=doc["a_spec"],
-            b_spec=doc["b_spec"],
-            haar_conjugate_b=doc.get("haar_conjugate_b", False),
-            expression=doc["expression"],
-            prediction=doc["prediction"],
-            compare_top=doc.get("compare_top", 10),
-            truncation=doc.get("truncation"),
-        )
+        schema = _scenario_schema()
+        _reject_unknown(schema, doc, "")
+        _require(schema["required"], doc, "")
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, path) -> "Scenario":
@@ -326,27 +317,21 @@ def _block_cells(spec: dict, kind: str, family: str, where: str) -> list | None:
 
 
 def _build_a_matrix(
-    scenario: Scenario, a_cells: list | None, rng: np.random.Generator, diagnostics: dict
+    a_diag: np.ndarray, a_cells: list | None, rng: np.random.Generator, diagnostics: dict
 ) -> np.ndarray:
-    """The trial's A: a 1-D diagonal, or the dense matrix of a_spec's blocks."""
-    spec = scenario.a_spec
-    n = scenario.n
-    if spec["kind"] == "explicit":
-        values = np.asarray(spec["values"], dtype=float)
-        if values.size != n:
-            raise DimensionMismatchError("explicit spectrum length must equal n")
-        return values.astype(complex)
-    d = geometric_values(n, spec["ratio"], spec.get("scale", 1.0), spec.get("start_power", 0))
+    """The trial's A: the diagonal ``a_diag`` itself, or the dense matrix of
+    a_spec's blocks."""
     if a_cells is None:
-        return d
+        return a_diag
     # a1 is the diagonal, every further generator a fresh Haar rotation of it
+    n = len(a_diag)
     mats = {}
     for letter in _generators(a_cells):
-        mats[letter] = d
+        mats[letter] = a_diag
         if letter.index > 1:
             u = sample_haar_unitary(n, rng)
             diagnostics.setdefault("haar_unitarity", []).append(_unitarity_residual(u))
-            mats[letter] = (u * d) @ u.conj().T
+            mats[letter] = (u * a_diag) @ u.conj().T
     return dense_block_matrix(a_cells, mats, n)
 
 
@@ -414,27 +399,27 @@ def _haar_conjugated(
 
 
 def _trial_matrix(
-    scenario: Scenario, poly, a_cells: list | None, b_cells: list,
-    rng: np.random.Generator, diagnostics: dict, words: list | None,
+    scenario: Scenario, c: _Compiled, rng: np.random.Generator, diagnostics: dict
 ) -> tuple[np.ndarray, MomentTable | None]:
     """One trial's matrix of the expression, and the state of its B matrices
     as drawn (before the Haar conjugation) on the two-letter ``words``, one
     :func:`estimate_beta` per class ``{xy, yx}`` (``None`` without ``words``).
+    ``c`` is the scenario compiled.
 
     Every matrix built here dies when it returns.
     """
-    a_matrix = _build_a_matrix(scenario, a_cells, rng, diagnostics)
-    dim = a_matrix.shape[0]
-    b_mats = _build_b_matrices(scenario, b_cells, dim, rng, diagnostics)
-    drawn = None if words is None else MomentTable({
+    dim = c.dim
+    a_matrix = _build_a_matrix(c.a_diag, c.a_cells, rng, diagnostics)
+    b_mats = _build_b_matrices(scenario, c.b_cells, dim, rng, diagnostics)
+    drawn = None if c.words is None else MomentTable({
         (x, y): estimate_beta([b_mats[x.index - 1]], [b_mats[y.index - 1]])[0, 0]
-        for x, y in filter(None, words) if (x, y) <= (y, x)  # tau(1) = 1 needs no estimate
+        for x, y in filter(None, c.words) if (x, y) <= (y, x)  # tau(1) = 1 needs no estimate
     })
     if scenario.haar_conjugate_b:
         b_mats = _haar_conjugated(b_mats, dim, rng, diagnostics)
     mats = {Letter(FAMILY_A, 1): a_matrix}
     mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
-    return dense_polynomial(poly, mats, dim), drawn
+    return dense_polynomial(c.poly, mats, dim), drawn
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +427,23 @@ def _trial_matrix(
 # ---------------------------------------------------------------------------
 
 
-def _a_spectrum(spec: dict, count: int | None):
-    """a_spec's diagonal, truncated to ``count`` (``None``: all, or analytic)."""
+def _a_spectrum(spec: dict, n: int):
+    """a_spec's diagonal: its explicit ``values``, exactly ``n`` of them, or the
+    analytic geometric sequence ``scale * ratio**(start_power + k)``."""
     if spec["kind"] == "explicit":
-        return ExplicitSpectrum(spec["values"][:count])
+        if len(spec["values"]) != n:
+            raise ValueError(f"scenario 'a_spec.values' has {len(spec['values'])} entries, "
+                             f"but n is {n}")
+        return ExplicitSpectrum(spec["values"])
     scale = spec.get("scale", 1.0) * spec["ratio"] ** spec.get("start_power", 0)
-    return GeometricSpectrum(scale, spec["ratio"], count=count)
+    return GeometricSpectrum(scale, spec["ratio"], count=None)
 
 
 # the b_cells stay as parsed: a copy_of entry's is None, so its trials reuse
-# its source's matrix; words is None unless the prediction is per trial
-_Compiled = namedtuple("_Compiled", "poly a_model blocks b_state reduction a_cells b_cells words")
+# its source's matrix; words is None unless the prediction is per trial; dim
+# is a trial's dimension and a_diag, read-only, the n values of every trial's A
+_Compiled = namedtuple("_Compiled",
+                       "poly a_model blocks b_state reduction a_cells b_cells words dim a_diag")
 
 
 def _compile(scenario: Scenario) -> _Compiled:
@@ -462,9 +453,9 @@ def _compile(scenario: Scenario) -> _Compiled:
     mixed words exactly 0; the seed is not read), or else for its truncated
     diagonal; a B letter for its entry's ``blocks`` (a ``copy_of``'s source's),
     as many as a_spec has.  The state reads block generators by name, so two
-    entries drawn apart share none.  ``ValueError`` for a term without an
-    A-letter, a word missing from ``b_state``, a reduction to 0, or, per
-    trial, B blocks or other lengths."""
+    entries drawn apart share none.  ``ValueError`` for explicit values other
+    than n, a term without an A-letter, a word missing from ``b_state``, a
+    reduction to 0, or, per trial, B blocks or other lengths."""
     _check(_scenario_schema(), vars(scenario), "")
     for pos, spec in enumerate(scenario.b_spec):
         if spec["kind"] == "copy_of" and not 1 <= spec.get("index", 0) <= pos:
@@ -479,12 +470,15 @@ def _compile(scenario: Scenario) -> _Compiled:
     symbols = {"a1": Letter(FAMILY_A, 1)}
     symbols.update((f"b{j}", Letter(FAMILY_B, j)) for j in range(1, len(scenario.b_spec) + 1))
     poly = parse_expression(scenario.expression, symbols)
+    spectrum = _a_spectrum(scenario.a_spec, scenario.n)
+    a_diag = spectrum.eigenvalues(scenario.n).astype(complex)
+    a_diag.setflags(write=False)
     if a_cells is None:
-        a_model = SpectrumFamily({1: _a_spectrum(scenario.a_spec, scenario.truncation)})
+        # the prediction's diagonal is the first `truncation` values of the trials'
+        a_model = SpectrumFamily({1: ExplicitSpectrum(spectrum.eigenvalues(scenario.truncation))})
         blocks = {}
     else:
-        spectra = {g.index: _a_spectrum(scenario.a_spec, None) for g in _generators(a_cells)}
-        a_model = HaarConjugatedFamily(spectra)
+        a_model = HaarConjugatedFamily({g.index: spectrum for g in _generators(a_cells)})
         blocks = {Letter(FAMILY_A, 1): AlgMatrix([list(map(drop_stars, row)) for row in a_cells])}
     letters, owners, resolved = _generators([[poly]]), {}, list(b_cells)
     for j, spec in enumerate(scenario.b_spec, start=1):
@@ -517,7 +511,7 @@ def _compile(scenario: Scenario) -> _Compiled:
             if word and len(word) != 2:
                 raise ValueError("prediction 'per_trial' reads the state of two-letter words "
                                  f"only, not of {word_str(word)}")
-    return _Compiled(poly, a_model, blocks, table, reduction, a_cells, b_cells, words)
+    return _Compiled(poly, a_model, blocks, table, reduction, a_cells, b_cells, words, dim, a_diag)
 
 
 def build_prediction(scenario: Scenario, b_state: MomentTable | None = None):
@@ -535,20 +529,20 @@ def build_prediction(scenario: Scenario, b_state: MomentTable | None = None):
 
 def run_scenario(scenario: Scenario) -> Report:
     """Run every trial of a scenario and assemble the comparison report."""
-    poly, a_model, blocks, table, reduction, a_cells, b_cells, words = _compile(scenario)
-    prediction = _reduction_spectrum(reduction, a_model, scenario.truncation)
-    dim = scenario.n * len(a_cells or [0])
-    if scenario.compare_top > min(dim, len(prediction.multiset)):
+    c = _compile(scenario)
+    prediction = _reduction_spectrum(c.reduction, c.a_model, scenario.truncation)
+    if scenario.compare_top > min(c.dim, len(prediction.multiset)):
         raise ValueError(f"scenario 'compare_top' is {scenario.compare_top}, but a trial has "
-                         f"{dim} eigenvalues and the prediction {len(prediction.multiset)}")
+                         f"{c.dim} eigenvalues and the prediction {len(prediction.multiset)}")
     # the first three trace moments of its A (beta x I); with blocks, analytic: the limits
-    chain = [AlgMatrix.from_grid(reduction[0]), AlgMatrix(reduction[1])]
-    predicted_moments = [float(np.real(chain_moment(chain, m, a_model, table))) for m in (1, 2, 3)]
+    chain = [AlgMatrix.from_grid(c.reduction[0]), AlgMatrix(c.reduction[1])]
+    predicted_moments = [float(np.real(chain_moment(chain, m, c.a_model, c.b_state)))
+                         for m in (1, 2, 3)]
 
     def one_trial(t: int) -> dict:
         rng = trial_rng(scenario.seed, t)
         diagnostics: dict = {}
-        x, drawn = _trial_matrix(scenario, poly, a_cells, b_cells, rng, diagnostics, words)
+        x, drawn = _trial_matrix(scenario, c, rng, diagnostics)
         try:
             residual, tol = hermiticity_gap(x, HERMITICITY_GATE)
         except NotSelfadjointError as exc:
@@ -571,7 +565,7 @@ def run_scenario(scenario: Scenario) -> Report:
             "diagnostics": {"hermiticity_residual": residual, **diagnostics},
         }
         if drawn is not None:
-            trial_pred = ev_polynomial(poly, a_model, drawn, scenario.truncation, blocks)
+            trial_pred = ev_polynomial(c.poly, c.a_model, drawn, scenario.truncation, c.blocks)
             record["prediction_eigenvalues"] = trial_pred.multiset.to_list()
             record["prediction_provenance"] = trial_pred.to_json_dict()["provenance"]
             reference = trial_pred.multiset

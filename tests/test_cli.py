@@ -67,6 +67,17 @@ def test_predict_commutator_zero_multiset(tmp_path):
     assert all(v == 0.0 for v in doc["eigenvalues"])
 
 
+@pytest.mark.parametrize("expr", ["a1 - a1", "b1*a1*b1 - b1*a1*b1"])
+def test_predict_zero_polynomial_exits_validation(tmp_path, capsys, expr):
+    code = run_cli(
+        "predict", "--expr", expr, "--tau-b", "1", "--tau-b2", "2",
+        "--spectrum", "geometric:1,0.5,8", "--out", str(tmp_path / "zero.json"),
+    )
+    assert code == 1
+    assert "validation failure: the polynomial is 0" in capsys.readouterr().err
+    assert not (tmp_path / "zero.json").exists()
+
+
 @pytest.mark.parametrize("expr,flags", [
     ("a1*b1 + b1*a1", ["--tau-b", "1", "--tau-b2", "2"]),
     ("i*(a1*b1 - b1*a1)", ["--tau-b", "1", "--tau-b2", "2"]),
@@ -166,6 +177,31 @@ def test_simulate_determinism(tmp_path):
     assert (tmp_path / "r1" / "report.json").read_text() == (
         tmp_path / "r2" / "report.json"
     ).read_text()
+
+
+def test_simulate_overrides_build_the_scenario_once(tmp_path, monkeypatch):
+    # --trials and --seed replace the file's values before the scenario is
+    # built, so it is validated once, and once more by the run itself
+    scenario = builtin_scenario("example3", n=20, trials=1)
+    scen_path = tmp_path / "scenario.json"
+    scenario.save(scen_path)
+    calls = []
+    compile_scenario = rmtlab._compile
+
+    def counted(s):
+        calls.append((s.trials, s.seed))
+        return compile_scenario(s)
+
+    monkeypatch.setattr(rmtlab, "_compile", counted)
+    out_dir = tmp_path / "run"
+    assert run_cli("simulate", "--scenario", str(scen_path), "--out", str(out_dir),
+                   "--trials", "2", "--seed", "5") == 0
+    assert calls == [(2, 5), (2, 5)]
+    report = json.loads((out_dir / "report.json").read_text())
+    assert (report["scenario"]["trials"], report["scenario"]["seed"]) == (2, 5)
+    assert len(report["trials"]) == 2
+    # a value that only the file holds is still read from it
+    assert report["scenario"]["n"] == 20
 
 
 def test_simulate_missing_file_exits_io(tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -525,24 +526,27 @@ def _chain_paths(monkeypatch, b0, chain, a_model, b_state, **kwargs):
     """ev_chain's multiset, whether it took the general eigensolver, and that
     eigensolver's multiset, forced by a beta that never passes as PSD."""
     calls = []
-    stack_spectrum, sandwich_spectrum = linred._stack_spectrum, linred.hermitian_spectrum
+    stack_spectrum, symmetrize = linred._stack_spectrum, linred.symmetrize
 
     def spy(*args):
         calls.append("product")
         return stack_spectrum(*args)
 
-    def sandwich_spy(matrix):
-        calls[-1] = "sandwich"  # only the Hermitian sandwich is solved here
-        return sandwich_spectrum(matrix)
+    def symmetrize_spy(m):
+        if m.ndim == 3:  # the stack, not beta
+            calls.append("symmetrize")
+        return symmetrize(m)
 
     def not_psd(gram):
         raise NotPositiveError("not PSD by construction")
 
     with monkeypatch.context() as patch:
         patch.setattr(linred, "_stack_spectrum", spy)
-        patch.setattr(linred, "hermitian_spectrum", sandwich_spy)
+        patch.setattr(linred, "symmetrize", symmetrize_spy)
         got = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
-        took_product = calls == ["product"]
+        # the sandwich symmetrizes the stack twice, A and then the sandwich; a
+        # product once (Hermitian) or never (general eigensolver)
+        took_product = calls in (["product"], ["product", "symmetrize"])
         patch.setattr(linred, "sqrtm_psd", not_psd)
         product = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
     return got, took_product, product
@@ -609,6 +613,31 @@ def test_ev_chain_sandwich_takes_rescaled_inputs(monkeypatch):
     assert not took_product
     diff = np.max(np.abs(scaled.values - 1e9 * unit.values))
     assert diff <= 1e-12 * 1e9 * np.max(np.abs(unit.values))
+
+
+def test_ev_chain_sandwich_is_solved_in_place():
+    # the sandwich overwrites the stack it was handed and solves it there; a
+    # copy for the eigensolver would add one stack (3.5 stacks at the peak)
+    b0, chain, fam, table = _example1_chain(300)
+    ev_chain(b0, chain, fam, table, truncation=300)
+    tracemalloc.start()
+    try:
+        floor = tracemalloc.get_traced_memory()[0]
+        ev_chain(b0, chain, fam, table, truncation=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - floor < 3 * 16 * 600 * 600  # a 600 x 600 complex A
+
+
+def test_sandwich_that_fails_its_check_is_not_selfadjoint(monkeypatch):
+    # a root with root**2 = i turns the Hermitian tau(b1) a1 a1 into i tau(b1) a1 a1
+    fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=8)})
+    table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
+    scalar_a, scalar_b = AlgMatrix([["a1"]], SYMS), AlgMatrix([["b1"]], SYMS)
+    monkeypatch.setattr(linred, "sqrtm_psd", lambda gram: np.array([[np.exp(0.25j * np.pi)]]))
+    with pytest.raises(NotSelfadjointError, match="matrix is not Hermitian: max entry deviation"):
+        ev_chain(scalar_b, [scalar_a, scalar_b] * 2, fam, table, truncation=8)
 
 
 def test_complex_spectrum_raises_complex_eigenvalues_error():

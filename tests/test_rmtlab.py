@@ -28,7 +28,6 @@ from cyclospec import (
 )
 from cyclospec.cli import main
 from cyclospec.cmcalc import dense_block_matrix, dense_polynomial, dense_word_product
-from cyclospec.ensembles import geometric_values
 from cyclospec.ncalg import FAMILY_A, FAMILY_B, Letter
 from cyclospec import linred, rmtlab
 from cyclospec.rmtlab import (
@@ -333,8 +332,8 @@ def test_b_entries_drawn_apart_share_no_block_generators():
 def test_blocks_are_drawn_in_index_order():
     n = 40
     scenario = Scenario.from_dict(_example1_with(a_spec__blocks=[["a1", "a3"], ["a3'", "a2"]]))
-    a_cells = rmtlab._compile(scenario).a_cells
-    x = _build_a_matrix(scenario, a_cells, trial_rng(scenario.seed, 0), {})
+    compiled = rmtlab._compile(scenario)
+    x = _build_a_matrix(compiled.a_diag, compiled.a_cells, trial_rng(scenario.seed, 0), {})
     rng = trial_rng(scenario.seed, 0)
     d = geometric_diag(n, 0.5)
     u2, u3 = sample_haar_unitary(n, rng), sample_haar_unitary(n, rng)
@@ -356,7 +355,7 @@ def test_diagonal_trial_a_matches_dense_path(a_spec):
     n = 30
     doc = dict(builtin_scenario("example3", n=n, trials=1).to_dict(), a_spec=a_spec)
     scenario = Scenario.from_dict(doc)
-    d = _build_a_matrix(scenario, None, trial_rng(scenario.seed, 0), {})
+    d = _build_a_matrix(rmtlab._compile(scenario).a_diag, None, trial_rng(scenario.seed, 0), {})
     assert d.shape == (n,)
     if a_spec["kind"] == "geometric":
         dense = geometric_diag(n, a_spec["ratio"], a_spec["scale"], a_spec["start_power"])
@@ -374,11 +373,85 @@ def test_diagonal_trial_a_matches_dense_path(a_spec):
         )
 
 
+@pytest.mark.parametrize("name", ["example3", "example1"])
+def test_trials_draw_the_predicted_a_of_a_non_dyadic_spectrum(name, monkeypatch):
+    # at ratio 0.3, scale * ratio**(start_power + k) and (scale *
+    # ratio**start_power) * ratio**k differ in the last bit for most k; the
+    # trials take the prediction's values
+    doc = builtin_scenario(name, n=30, trials=1).to_dict()
+    doc["a_spec"].update(ratio=0.3, scale=1.7, start_power=2)
+    scenario = Scenario.from_dict(doc)
+    bound = []
+    evaluate = rmtlab.dense_polynomial
+
+    def spy(poly, mats, dim):
+        bound.append(mats[Letter(FAMILY_A, 1)])
+        return evaluate(poly, mats, dim)
+
+    monkeypatch.setattr(rmtlab, "dense_polynomial", spy)
+    run_scenario(scenario)
+    a_model = rmtlab._compile(scenario).a_model
+    diagonal = a_model.diagonal(1, 30)
+    if name == "example1":  # a1 of the blocks: the upper-left block of the trial's A
+        assert np.array_equal(np.diag(bound[0][:30, :30]), diagonal[:30])
+    else:
+        assert np.array_equal(bound[0], diagonal)
+
+
+@pytest.mark.parametrize("count", [24, 14])
+def test_explicit_spectrum_of_another_length_is_refused_before_any_trial(count, monkeypatch,
+                                                                         tmp_path):
+    doc = builtin_scenario("example3", n=20, trials=2).to_dict()
+    doc["a_spec"] = {"kind": "explicit", "values": [0.5**k for k in range(count)]}
+    message = f"scenario 'a_spec.values' has {count} entries, but n is 20"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Scenario.from_dict(doc)
+
+    def no_trial(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(rmtlab, "trial_rng", no_trial)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["predict", "--scenario", str(path), "--out", str(tmp_path / "pred.json")]) == 1
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "pred.json").exists()
+
+
+@pytest.mark.parametrize("key", ["name", "n", "seed", "a_spec", "b_spec", "expression",
+                                 "prediction"])
+def test_missing_top_level_key_is_named(key):
+    doc = builtin_scenario("example3", n=20, trials=1).to_dict()
+    del doc[key]
+    with pytest.raises(ValueError, match=f"a scenario needs the key '{key}'"):
+        Scenario.from_dict(doc)
+
+
+def test_scenario_defaults_live_in_the_dataclass():
+    doc = builtin_scenario("example3", n=20).to_dict()
+    for key in ("trials", "haar_conjugate_b", "compare_top", "truncation"):
+        del doc[key]
+    scenario = Scenario.from_dict(doc)
+    assert (scenario.trials, scenario.haar_conjugate_b, scenario.compare_top,
+            scenario.truncation) == (5, False, 10, 20)
+
+
+def test_zero_expression_is_refused_naming_the_expression(tmp_path, capsys):
+    doc = builtin_scenario("example3", n=20, trials=1).to_dict()
+    doc["expression"] = "a1 - a1"
+    with pytest.raises(ValueError, match="scenario 'expression': the polynomial is 0"):
+        Scenario.from_dict(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "scenario 'expression': the polynomial is 0" in capsys.readouterr().err
+
+
 def test_example1_trial_a_block_is_hermitian():
     n = 30
     scenario = builtin_scenario("example1", n=n, trials=1)
-    a_cells = rmtlab._compile(scenario).a_cells
-    x = _build_a_matrix(scenario, a_cells, trial_rng(scenario.seed, 0), {})
+    compiled = rmtlab._compile(scenario)
+    x = _build_a_matrix(compiled.a_diag, compiled.a_cells, trial_rng(scenario.seed, 0), {})
     assert x.shape == (2 * n, 2 * n)
     # the lower-left block a2' is the exact adjoint of a2, and a1 is real diagonal
     assert np.array_equal(x[n:, :n], x[:n, n:].conj().T)
@@ -533,7 +606,7 @@ def test_per_trial_prediction_equals_the_sum_bac_closed_form(name):
     spectrum = GeometricSpectrum(1.0, 0.5, count=30)
     for t, rec in enumerate(report.trials):
         rng = trial_rng(scenario.seed, t)
-        _build_a_matrix(scenario, None, rng, {})
+        _build_a_matrix(rmtlab._compile(scenario).a_diag, None, rng, {})
         b1, b2 = _build_b_matrices(scenario, [None, None], 30, rng, {})
         closed = ev_sum_bac(spectrum, estimate_beta([b2, b1], [b1, b2]), 30).multiset.values
         got = np.asarray(rec["prediction_eigenvalues"])
@@ -659,7 +732,9 @@ def _reference_trial(scenario, t):
     compiled = rmtlab._compile(scenario)
     a_cells, b_cells = compiled.a_cells, compiled.b_cells
     spec, n = scenario.a_spec, scenario.n
-    a = geometric_values(n, spec["ratio"], spec.get("scale", 1.0), spec.get("start_power", 0))
+    # the spectrum rule: (scale * ratio**start_power) * ratio**k, k < n
+    first = spec.get("scale", 1.0) * spec["ratio"] ** spec.get("start_power", 0)
+    a = (first * np.power(float(spec["ratio"]), np.arange(n))).astype(complex)
     if a_cells is not None:
         rotated = {}
         for letter in _generators(a_cells):
