@@ -163,11 +163,6 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _trial_reference(report: Report, rec: dict) -> list:
-    """The eigenvalues a trial is compared with: its own prediction if it has one."""
-    return rec.get("prediction_eigenvalues", report.prediction["eigenvalues"])
-
-
 def _write_simulation(report: Report, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.save(out_dir / "report.json")
@@ -178,7 +173,7 @@ def _write_simulation(report: Report, out_dir: Path) -> None:
         )
     top = max(report.scenario["compare_top"], 15)
     first = report.trials[0]
-    reference = _trial_reference(report, first)
+    reference = report.prediction["eigenvalues"]
     rows = min(top, len(first["eigenvalues"]), len(reference))
     with open(out_dir / "plot_data.csv", "w", encoding="utf-8") as fh:
         fh.write("rank,empirical,predicted\n")
@@ -200,8 +195,8 @@ def _cmd_simulate(args) -> int:
 
 def _compare_report(report: Report, top: int) -> tuple[float, list[dict]]:
     rows = []
+    reference = EVMultiset(report.prediction["eigenvalues"])
     for rec in report.trials:
-        reference = EVMultiset(_trial_reference(report, rec))
         metric = match_distance(EVMultiset(rec["eigenvalues"]), reference, top)
         rows.append({"trial": rec["trial"], **metric})
     mean_rel = float(np.mean([row["max_rel"] for row in rows])) if rows else 0.0

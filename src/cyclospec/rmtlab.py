@@ -10,7 +10,7 @@ Trials run one after another, in order.
 
 The prediction is :func:`linred.ev_polynomial` of the expression, as it is for
 ``cyclospec predict``; a run validates, predicts and reports its three moments
-from one reduction, and reduces again only for a per-trial prediction.
+from one reduction, and compares every trial with that one prediction.
 The demo scenarios are the JSON files shipped in the package's ``demos/``.
 """
 
@@ -43,8 +43,8 @@ from .errors import (
     NotInDomainError,
     NotSelfadjointError,
 )
-from .linred import AlgMatrix, _reduce, _reduction_spectrum, chain_moment, ev_polynomial
-from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression, word_str
+from .linred import AlgMatrix, _reduce, _reduction_spectrum, chain_moment
+from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression
 from .spectra import EVMultiset, hermiticity_gap, match_distance, relative_error, symmetrize
 
 __all__ = [
@@ -400,26 +400,19 @@ def _haar_conjugated(
 
 def _trial_matrix(
     scenario: Scenario, c: _Compiled, rng: np.random.Generator, diagnostics: dict
-) -> tuple[np.ndarray, MomentTable | None]:
-    """One trial's matrix of the expression, and the state of its B matrices
-    as drawn (before the Haar conjugation) on the two-letter ``words``, one
-    :func:`estimate_beta` per class ``{xy, yx}`` (``None`` without ``words``).
-    ``c`` is the scenario compiled.
+) -> np.ndarray:
+    """One trial's matrix of the expression; ``c`` is the scenario compiled.
 
-    Every matrix built here dies when it returns.
+    Every other matrix built here dies when it returns.
     """
     dim = c.dim
     a_matrix = _build_a_matrix(c.a_diag, c.a_cells, rng, diagnostics)
     b_mats = _build_b_matrices(scenario, c.b_cells, dim, rng, diagnostics)
-    drawn = None if c.words is None else MomentTable({
-        (x, y): estimate_beta([b_mats[x.index - 1]], [b_mats[y.index - 1]])[0, 0]
-        for x, y in filter(None, c.words) if (x, y) <= (y, x)  # tau(1) = 1 needs no estimate
-    })
     if scenario.haar_conjugate_b:
         b_mats = _haar_conjugated(b_mats, dim, rng, diagnostics)
     mats = {Letter(FAMILY_A, 1): a_matrix}
     mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
-    return dense_polynomial(c.poly, mats, dim), drawn
+    return dense_polynomial(c.poly, mats, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +433,10 @@ def _a_spectrum(spec: dict, n: int):
 
 
 # the b_cells stay as parsed: a copy_of entry's is None, so its trials reuse
-# its source's matrix; words is None unless the prediction is per trial; dim
-# is a trial's dimension and a_diag, read-only, the n values of every trial's A
+# its source's matrix; dim is a trial's dimension and a_diag, read-only, the n
+# values of every trial's A
 _Compiled = namedtuple("_Compiled",
-                       "poly a_model blocks b_state reduction a_cells b_cells words dim a_diag")
+                       "poly a_model blocks b_state reduction a_cells b_cells dim a_diag")
 
 
 def _compile(scenario: Scenario) -> _Compiled:
@@ -453,10 +446,12 @@ def _compile(scenario: Scenario) -> _Compiled:
     mixed words exactly 0; the seed is not read), or else for its truncated
     diagonal; a B letter for its entry's ``blocks`` (a ``copy_of``'s source's),
     as many as a_spec has.  The state reads block generators by name, so two
-    entries drawn apart share none.  ``ValueError`` for explicit values other
-    than n, a term without an A-letter, a word missing from ``b_state``, a
-    reduction to 0, or, per trial, B blocks or other lengths."""
+    entries drawn apart share none.  ``ValueError`` for a truncation beyond n,
+    explicit values other than n, a term without an A-letter, a word missing
+    from ``b_state`` or a reduction to 0."""
     _check(_scenario_schema(), vars(scenario), "")
+    if scenario.truncation > scenario.n:
+        raise ValueError(f"scenario 'truncation' is {scenario.truncation}, but n is {scenario.n}")
     for pos, spec in enumerate(scenario.b_spec):
         if spec["kind"] == "copy_of" and not 1 <= spec.get("index", 0) <= pos:
             raise ValueError("copy_of must reference an earlier b_spec entry")
@@ -503,23 +498,13 @@ def _compile(scenario: Scenario) -> _Compiled:
         raise ValueError(f"prediction 'b_state': {exc}") from None
     if not any(map(any, reduction[0])):
         raise ValueError("scenario 'expression' reduces to 0 against prediction 'b_state'")
-    words = sorted(reduction[-1]) if scenario.prediction.get("per_trial") else None
-    if words is not None:
-        if any(letter.family == FAMILY_B for letter in blocks):
-            raise ValueError("prediction 'per_trial' needs B letters without 'blocks'")
-        for word in words:
-            if word and len(word) != 2:
-                raise ValueError("prediction 'per_trial' reads the state of two-letter words "
-                                 f"only, not of {word_str(word)}")
-    return _Compiled(poly, a_model, blocks, table, reduction, a_cells, b_cells, words, dim, a_diag)
+    return _Compiled(poly, a_model, blocks, table, reduction, a_cells, b_cells, dim, a_diag)
 
 
-def build_prediction(scenario: Scenario, b_state: MomentTable | None = None):
-    """:func:`ev_polynomial` of a scenario's expression.  A trial's state replaces
-    the scenario's ``b_state`` in a per-trial prediction."""
+def build_prediction(scenario: Scenario):
+    """:func:`ev_polynomial` of a scenario's expression."""
     c = _compile(scenario)
-    reduction = c.reduction if b_state is None else _reduce(c.poly, b_state, c.blocks)
-    return _reduction_spectrum(reduction, c.a_model, scenario.truncation)
+    return _reduction_spectrum(c.reduction, c.a_model, scenario.truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +527,7 @@ def run_scenario(scenario: Scenario) -> Report:
     def one_trial(t: int) -> dict:
         rng = trial_rng(scenario.seed, t)
         diagnostics: dict = {}
-        x, drawn = _trial_matrix(scenario, c, rng, diagnostics)
+        x = _trial_matrix(scenario, c, rng, diagnostics)
         try:
             residual, tol = hermiticity_gap(x, HERMITICITY_GATE)
         except NotSelfadjointError as exc:
@@ -557,22 +542,13 @@ def run_scenario(scenario: Scenario) -> Report:
             float(np.real(np.trace(x2))),
             float(np.real(np.einsum("ij,ji->", x2, x))),
         ]
-        del x, x2  # freed before a per-trial prediction
-        record = {
+        return {
             "trial": t,
             "eigenvalues": empirical.to_list(),
             "moments": moments,
+            "match": match_distance(empirical, prediction.multiset, scenario.compare_top),
             "diagnostics": {"hermiticity_residual": residual, **diagnostics},
         }
-        if drawn is not None:
-            trial_pred = ev_polynomial(c.poly, c.a_model, drawn, scenario.truncation, c.blocks)
-            record["prediction_eigenvalues"] = trial_pred.multiset.to_list()
-            record["prediction_provenance"] = trial_pred.to_json_dict()["provenance"]
-            reference = trial_pred.multiset
-        else:
-            reference = prediction.multiset
-        record["match"] = match_distance(empirical, reference, scenario.compare_top)
-        return record
 
     trial_records = [one_trial(t) for t in range(scenario.trials)]
 

@@ -259,7 +259,7 @@ def test_criterion_7_example2_lambda_and_correlated():
         "within pairs with near-coin-flip probability at every finite n; one "
         "flip inside the top 10 drives max_rel to about 2.  Measured: every "
         "trial at n=300 across many seeds gives mean max_rel about 2.0 "
-        "(bound 0.15).  The per-trial beta pipeline itself is exercised and "
+        "(bound 0.15).  The prediction pipeline itself is exercised and "
         "correct (see the correlated variant).  See the README calibration "
         "notes."
     ),

@@ -166,6 +166,29 @@ def test_simulate_compare_pipeline(tmp_path, capsys):
                    "--top", "5", "--tol-rel", "0") == 2
 
 
+def test_every_trial_is_compared_with_the_one_prediction(tmp_path, capsys):
+    # a report holds one prediction; compare ignores the per-trial
+    # prediction_eigenvalues that reports written with per_trial still hold
+    scenario_path = tmp_path / "scenario.json"
+    builtin_scenario("example2-correlated", n=30, trials=2).save(scenario_path)
+    out_dir = tmp_path / "run"
+    assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(out_dir)) == 0
+    report_path = out_dir / "report.json"
+    doc = json.loads(report_path.read_text())
+    predicted = EVMultiset(doc["prediction"]["eigenvalues"])
+    for rec in doc["trials"]:
+        assert set(rec) == {"trial", "eigenvalues", "moments", "match", "diagnostics"}
+        assert rec["match"] == rmtlab.match_distance(EVMultiset(rec["eigenvalues"]), predicted, 10)
+    capsys.readouterr()
+    assert run_cli("compare", "--report", str(report_path), "--tol-rel", "10") == 0
+    printed = capsys.readouterr().out
+    for rec in doc["trials"]:
+        rec["prediction_eigenvalues"] = [1e3] * 30
+    report_path.write_text(json.dumps(doc))
+    assert run_cli("compare", "--report", str(report_path), "--tol-rel", "10") == 0
+    assert capsys.readouterr().out == printed
+
+
 def test_simulate_determinism(tmp_path):
     scenario = builtin_scenario("example3", n=40, trials=1)
     scen_path = tmp_path / "scenario.json"
@@ -241,6 +264,7 @@ _UNKNOWN_KEYS = {
     "a_spec.start_powr": {"a_spec": dict(_EXAMPLE1["a_spec"], start_powr=1)},
     "b_spec[0].size": {"b_spec": [dict(_EXAMPLE1["b_spec"][0], size=2)]},
     "prediction.beta": {"prediction": dict(_EXAMPLE1["prediction"], beta="per_trial")},
+    "prediction.per_trial": {"prediction": dict(_EXAMPLE1["prediction"], per_trial=True)},
     "degree-cap": {"prediction": {"b_state": dict(_EXAMPLE1["prediction"]["b_state"],
                                                   **{"degree-cap": 1})}},
 }
@@ -279,8 +303,6 @@ def test_scenario_schema_mirrors_validation():
         {"a_spec": {"kind": "explicit", "values": [1.0] * 40, "blocks": [["a1"]]}},
         {"b_spec": [{"kind": "file", "path": "b.csv", "blocks": [["b1"]]}]},
         {"prediction": {}},
-        {"prediction": {"per_trial": False}},
-        {"prediction": dict(doc["prediction"], per_trial="x")},
         {"n": 40.5},
         {"trials": "2"},
         *_UNKNOWN_KEYS.values(),
@@ -289,14 +311,6 @@ def test_scenario_schema_mirrors_validation():
         assert not validator.is_valid(bad)
         with pytest.raises(ValueError):
             rmtlab.Scenario.from_dict(bad)
-
-
-_PER_TRIAL = {
-    "b_spec": [{"kind": "gue"}, {"kind": "gue"}],
-    "expression": "b1*a1*b2 + b2*a1*b1",
-    "prediction": {"b_state": {"moments": {"b1*b1": 1.0, "b1*b2": 0.0, "b2*b2": 1.0}},
-                   "per_trial": True},
-}
 
 
 @pytest.mark.parametrize("base,path,value", [
@@ -315,7 +329,6 @@ _PER_TRIAL = {
         ({}, "a_spec", ["geometric"]),
         ({}, "b_spec__0", "gue_squared"),
         ({}, "prediction", "sum_bab"),
-        (_PER_TRIAL, "prediction__per_trial", "true"),
         ({}, "haar_conjugate_b", "false"),
         ({}, "b_spec", None),
     ]

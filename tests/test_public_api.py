@@ -56,7 +56,7 @@ def test_public_names_are_pinned():
         (linred.ev_chain, ["b0", "chain", "a_model", "b_state", "truncation",
                            "check_selfadjoint", "selfadjoint_generators"]),
         (linred.ev_polynomial, ["poly", "a_model", "b_state", "truncation", "blocks"]),
-        (rmtlab.build_prediction, ["scenario", "b_state"]),
+        (rmtlab.build_prediction, ["scenario"]),
         (linred.sqrtm_psd, ["gram"]),
         (cmcalc.MomentTable.from_json_doc, ["doc"]),
     ]

@@ -16,7 +16,6 @@ from cyclospec import (
     SpectrumFamily,
     builtin_scenario,
     estimate_beta,
-    ev_sum_bac,
     geometric_diag,
     match_distance,
     multiset_moment,
@@ -32,7 +31,6 @@ from cyclospec.ncalg import FAMILY_A, FAMILY_B, Letter
 from cyclospec import linred, rmtlab
 from cyclospec.rmtlab import (
     _build_a_matrix,
-    _build_b_matrices,
     _generators,
     build_prediction,
     load_matrix_csv,
@@ -205,8 +203,8 @@ def test_scenario_accepts_integral_floats():
     assert type(scenario.n) is int and type(scenario.trials) is int
 
 
-# 'per_trial' chooses where beta comes from (the drawn B's or b_state); any
-# value but a boolean is an unknown choice
+# every trial is compared with the one prediction, so the retired key
+# 'per_trial' is refused whatever its value
 @pytest.mark.parametrize("name,beta", [
     ("example3", "x"),
     ("example3", None),
@@ -217,7 +215,7 @@ def test_scenario_accepts_integral_floats():
 def test_scenario_rejects_unknown_beta(name, beta, tmp_path):
     doc = builtin_scenario(name, n=40, trials=2).to_dict()
     doc["prediction"] = dict(doc["prediction"], per_trial=beta)
-    with pytest.raises(ValueError, match="scenario 'prediction.per_trial' must be a boolean"):
+    with pytest.raises(ValueError, match="scenario 'prediction.per_trial' is not a known key"):
         Scenario.from_dict(doc)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -279,8 +277,8 @@ _EXAMPLE1_B_BLOCKS = [["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]]
      "prediction 'b_state': word degree 8 exceeds table cap 4"),
     ({"prediction__b_state": {"moments": {"b1*b1": 1.0}}},
      "prediction 'b_state': word degree 4 exceeds table cap 2"),
-    # a per-trial state over blocks
-    ({"prediction__per_trial": True}, "prediction 'per_trial' needs B letters without 'blocks'"),
+    # the retired per-trial state
+    ({"prediction__per_trial": True}, "scenario 'prediction.per_trial' is not a known key"),
     # a b_state that is no moment table
     ({"prediction__b_state": {"moments": {"b1*a1": 1.0}}}, "prediction 'b_state'"),
     ({"prediction__b_state": [1.0]}, "prediction 'b_state'"),
@@ -418,6 +416,24 @@ def test_explicit_spectrum_of_another_length_is_refused_before_any_trial(count, 
     assert not (tmp_path / "pred.json").exists()
 
 
+@pytest.mark.parametrize("a_spec", [
+    {"kind": "geometric", "ratio": 0.5},
+    {"kind": "explicit", "values": [0.5**k for k in range(20)]},
+], ids=["geometric", "explicit"])
+def test_truncation_beyond_n_is_refused_naming_both(a_spec, tmp_path, capsys):
+    # a trial has n eigenvalues, so a prediction of more compares with nothing
+    doc = dict(builtin_scenario("example3", n=20, trials=2).to_dict(), a_spec=a_spec,
+               truncation=30)
+    message = "scenario 'truncation' is 30, but n is 20"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Scenario.from_dict(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert Scenario.from_dict(dict(doc, truncation=20)).truncation == 20
+
+
 @pytest.mark.parametrize("key", ["name", "n", "seed", "a_spec", "b_spec", "expression",
                                  "prediction"])
 def test_missing_top_level_key_is_named(key):
@@ -466,19 +482,6 @@ def test_scenario_validation_names_missing_b_state(name):
     prediction = {key: value for key, value in doc["prediction"].items() if key != "b_state"}
     with pytest.raises(ValueError, match="scenario 'prediction' needs the key 'b_state'"):
         Scenario.from_dict(dict(doc, prediction=prediction))
-
-
-def test_per_trial_state_words_have_two_letters(tmp_path):
-    doc = builtin_scenario("example2", n=30, trials=1).to_dict()
-    # b1 a1 b1 a1 b2 + adjoint reads tau(b1) for its interior run
-    doc["expression"] = "b1*a1*b1*a1*b2 + b2*a1*b1*a1*b1"
-    doc["prediction"]["b_state"]["moments"]["b1"] = 0.5
-    Scenario.from_dict(dict(doc, prediction=dict(doc["prediction"], per_trial=False)))
-    with pytest.raises(ValueError, match="'per_trial' reads the state of two-letter words only"):
-        Scenario.from_dict(doc)
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
 def test_trial_streams_are_independent():
@@ -557,17 +560,6 @@ def test_homogeneous_scenario_scales_with_a():
         assert scaled.summary[key] == pytest.approx(unit.summary[key], rel=1e-6)
 
 
-def test_per_trial_beta_recorded():
-    s = builtin_scenario("example2", n=40, trials=2)
-    report = run_scenario(s)
-    assert report.prediction["provenance"]["beta"] == [[1.0, 0.0], [0.0, 1.0]]
-    for rec in report.trials:
-        assert "prediction_eigenvalues" in rec
-        beta = np.asarray(rec["prediction_provenance"]["beta"])
-        assert beta.shape == (2, 2) and np.array_equal(beta, beta.T)
-        assert np.max(np.abs(beta - np.eye(2))) <= 0.5 and beta[0, 0] != 1.0
-
-
 def test_example3_match_improves_with_n():
     sizes = (100, 300)
     means = []
@@ -596,31 +588,13 @@ def test_file_backed_b_spec(tmp_path):
     assert len(report.trials) == 2
 
 
-@pytest.mark.parametrize("name", ["example2", "example2-correlated"])
-def test_per_trial_prediction_equals_the_sum_bac_closed_form(name):
-    # b1 a b2 + b2 a b1 is sum_bac with the pairs (b1, b2), (b2, b1): its
-    # scaling factors are the eigenvalues of [[tau(b2 b1), tau(b2 b2)],
-    # [tau(b1 b1), tau(b1 b2)]] over the trial's B matrices as drawn
-    scenario = builtin_scenario(name, n=30, trials=2)
-    report = run_scenario(scenario)
-    spectrum = GeometricSpectrum(1.0, 0.5, count=30)
-    for t, rec in enumerate(report.trials):
-        rng = trial_rng(scenario.seed, t)
-        _build_a_matrix(rmtlab._compile(scenario).a_diag, None, rng, {})
-        b1, b2 = _build_b_matrices(scenario, [None, None], 30, rng, {})
-        closed = ev_sum_bac(spectrum, estimate_beta([b2, b1], [b1, b2]), 30).multiset.values
-        got = np.asarray(rec["prediction_eigenvalues"])
-        assert np.max(np.abs(np.sort(got) - np.sort(closed))) <= 1e-12 * np.max(np.abs(closed))
-
-
 @pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
 def test_scenario_validation_realizes_and_solves_nothing(name, monkeypatch):
     # the reduction reads the moment table, and nothing is realized or solved
     def refuse(*args, **kwargs):
         raise AssertionError("validation ran numerics")
 
-    for module in (linred, rmtlab):
-        monkeypatch.setattr(module, "ev_polynomial", refuse)
+    monkeypatch.setattr(linred, "ev_polynomial", refuse)
     for model in (SpectrumFamily, HaarConjugatedFamily):
         monkeypatch.setattr(model, "realization", refuse)
         monkeypatch.setattr(model, "diagonal", refuse)
@@ -628,8 +602,8 @@ def test_scenario_validation_realizes_and_solves_nothing(name, monkeypatch):
 
 
 def test_predicted_moments_are_computed_once_per_run(tmp_path, monkeypatch):
-    # three chain_moment calls per run, for the report's three moments; a
-    # per-trial prediction and predict --scenario compute none
+    # three chain_moment calls per run, for the report's three moments;
+    # predict --scenario computes none
     calls = []
 
     def counted(*args, **kwargs):
@@ -654,28 +628,6 @@ def test_expression_that_reduces_to_zero_is_rejected():
     doc = builtin_scenario("example3", n=20, trials=1).to_dict()
     doc["expression"] = "i*(a1*a1*b1*a1 - a1*b1*a1*a1)"
     with pytest.raises(ValueError, match="'expression' reduces to 0 against prediction 'b_state'"):
-        Scenario.from_dict(doc)
-
-
-def test_per_trial_state_of_interior_runs():
-    # a1 (b1 b2 + b2 b1) a1 reads tau(b1 b2) inside, and tau(1) = 1 for its
-    # one key, which no trial estimates
-    doc = builtin_scenario("example2", n=20, trials=2).to_dict()
-    doc["expression"] = "a1*b1*b2*a1 + a1*b2*b1*a1"
-    doc["prediction"]["b_state"]["moments"]["b1*b2"] = 0.5
-    report = run_scenario(Scenario.from_dict(doc))
-    assert report.prediction["eigenvalues"][0] == pytest.approx(1.0)  # 2 * 0.5 * a's top value
-    for rec in report.trials:
-        assert rec["prediction_provenance"]["beta"] == [[1.0]]
-        assert len(rec["prediction_eigenvalues"]) == 20
-        # independent draws: tau(b1 b2) is of order 1/n, not the limit table's 0.5
-        assert abs(rec["prediction_eigenvalues"][0]) < 0.5
-
-
-def test_per_trial_beta_requires_limit_matrix():
-    doc = builtin_scenario("example2", n=30, trials=1).to_dict()
-    doc["prediction"] = {"per_trial": True}
-    with pytest.raises(ValueError, match="'prediction' needs the key 'b_state'"):
         Scenario.from_dict(doc)
 
 
@@ -757,7 +709,6 @@ def _reference_trial(scenario, t):
         else:
             assert spec["kind"] == "copy_of"
             b_mats.append(b_mats[spec["index"] - 1])
-    raw_b = list(b_mats)
     if scenario.haar_conjugate_b:
         u = haar(dim)
         b_mats = [u @ mat @ u.conj().T for mat in b_mats]
@@ -769,20 +720,11 @@ def _reference_trial(scenario, t):
     x2 = x @ x
     moments = [float(np.real(np.trace(x))), float(np.real(np.trace(x2))),
                float(np.real(np.einsum("ij,ji->", x2, x)))]
-    record = {
+    return {
         "eigenvalues": _reference_spectrum(x),
         "moments": moments,
         "diagnostics": {"hermiticity_residual": residual, **diagnostics},
     }
-    if scenario.prediction.get("per_trial"):
-        letters = [Letter(FAMILY_B, j) for j in range(1, len(raw_b) + 1)]
-        drawn = MomentTable({
-            (x, y): estimate_beta([raw_b[x.index - 1]], [raw_b[y.index - 1]])[0, 0]
-            for x in letters for y in letters if x <= y
-        })
-        prediction = build_prediction(scenario, drawn)
-        record["prediction_eigenvalues"] = prediction.multiset.to_list()
-    return record
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
@@ -875,12 +817,10 @@ def test_example1_prediction_is_its_limit_model():
     assert docs[0] == docs[1]
 
 
-@pytest.mark.parametrize("name,per_trial", [
-    ("example1", False), ("example2", True), ("example2-correlated", True), ("example3", False),
-])
-def test_a_run_reduces_once_and_once_per_trial_state(name, per_trial, monkeypatch):
-    # validation, the prediction and its moments share one reduction; a
-    # per-trial prediction reduces against its trial's state
+@pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
+def test_every_demo_reduces_exactly_once_per_run(name, monkeypatch):
+    # validation, the prediction, its moments and every trial's comparison
+    # share one reduction
     scenario = builtin_scenario(name, n=20, trials=3)
     calls = []
     original = linred._reduce
@@ -892,7 +832,7 @@ def test_a_run_reduces_once_and_once_per_trial_state(name, per_trial, monkeypatc
     for module in (linred, rmtlab):
         monkeypatch.setattr(module, "_reduce", counted)
     run_scenario(scenario)
-    assert len(calls) == 1 + scenario.trials * per_trial
+    assert len(calls) == 1
 
 
 def test_example1_limit_cost_script_runs(capsys):

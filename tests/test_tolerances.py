@@ -54,7 +54,7 @@ def _trial_gate(m):
     # the runner's gate, on a trial matrix that the expression never built
     scenario = builtin_scenario("example3", n=len(m), trials=1)
     patch = pytest.MonkeyPatch()
-    patch.setattr(rmtlab, "_trial_matrix", lambda *args: (m.copy(), None))
+    patch.setattr(rmtlab, "_trial_matrix", lambda *args: m.copy())
     try:
         return _accepts(run_scenario)(scenario)
     finally:
