@@ -154,6 +154,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.moments < 1:
+        raise ValueError(f"oracle --moments must be >= 1, not {args.moments}")
     poly, a_model, b_state = _expression_inputs(args, args.a_model)
     values = []
     for m in range(1, args.moments + 1):

@@ -284,9 +284,7 @@ def dense_word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
 
 def dense_polynomial(poly, mats: Mapping, dim: int) -> np.ndarray:
     """The ``dim x dim`` matrix of ``poly`` over ``mats``, which maps base
-    letters to what :func:`dense_word_product` takes.  ``mats`` may also map
-    a whole word to its product, formed by the caller; that word is then
-    not multiplied out again.
+    letters to what :func:`dense_word_product` takes.
 
     The terms are summed in ``sorted_terms`` order into zeros allocated after
     the first product.  A product is scaled in place unless it is a bound
@@ -300,9 +298,7 @@ def dense_polynomial(poly, mats: Mapping, dim: int) -> np.ndarray:
 
     out = None
     for word, coeff in poly.sorted_terms():
-        term = mats.get(word)
-        if term is None:
-            term = dense_word_product(word, matrix_of, dim)
+        term = dense_word_product(word, matrix_of, dim)
         if any(term is mat for mat in mats.values()):
             term = coeff * term
         else:

@@ -662,8 +662,8 @@ def _run_grid(run, blocks: dict, dim: int) -> list[list[dict]]:
 
 
 def _reduce(poly: NCPolynomial, b_state: TracialState, blocks=None):
-    """``(A, beta, rows, columns, d, words)``: the pure-A grid, the scalar matrix,
-    their keys, the block size, and the words whose state values were read."""
+    """``(A, beta, rows, columns, d)``: the pure-A grid, the scalar matrix,
+    their keys and the block size."""
     blocks = dict(blocks or {})
     for letter, block in blocks.items():
         if block.shape[0] != block.shape[1] or block.purity() != letter.family:
@@ -680,12 +680,9 @@ def _reduce(poly: NCPolynomial, b_state: TracialState, blocks=None):
         raise NotInDomainError("the polynomial is 0: it has no term to reduce")
     rows = sorted({term[0] for term in terms})
     columns = sorted({term[1] for term in terms})
-    words = set()
 
     def reduced(run):
-        grid = _run_grid(run, blocks, dim)
-        words.update(word for line in grid for entry in line for word in entry)
-        return reduce_b_matrix(AlgMatrix.from_grid(grid), b_state)
+        return reduce_b_matrix(AlgMatrix.from_grid(_run_grid(run, blocks, dim)), b_state)
 
     a_grid = [[{} for _ in range(len(columns) * dim)] for _ in range(len(rows) * dim)]
     for row, column, coeff, form in terms:
@@ -700,7 +697,7 @@ def _reduce(poly: NCPolynomial, b_state: TracialState, blocks=None):
             for q, entry in enumerate(line):
                 _add_terms(a_grid[r + p][c + q], _scaled_terms(entry, coeff))
     beta = np.block([[reduced(word_adjoint(column) + row) for row in rows] for column in columns])
-    return a_grid, beta, rows, columns, dim, words
+    return a_grid, beta, rows, columns, dim
 
 
 def ev_polynomial(
@@ -727,7 +724,9 @@ def ev_polynomial(
 
 def _reduction_spectrum(reduction, a_model: TraceClassModel, truncation: int | None) -> Prediction:
     """The :func:`ev_polynomial` of a :func:`_reduce` result."""
-    a_grid, beta, rows, columns, dim, _ = reduction
+    if truncation is not None and truncation < 1:
+        raise ValueError(f"truncation must be >= 1, not {truncation}")
+    a_grid, beta, rows, columns, dim = reduction
     if len(rows) != len(columns):
         raise NotSelfadjointError(f"{len(rows)} leading B-runs against {len(columns)} "
                                   "trailing ones: the polynomial is not selfadjoint")

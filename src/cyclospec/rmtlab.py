@@ -317,7 +317,7 @@ def _block_cells(spec: dict, kind: str, family: str, where: str) -> list | None:
 
 
 def _build_a_matrix(
-    a_diag: np.ndarray, a_cells: list | None, rng: np.random.Generator, diagnostics: dict
+    a_diag: np.ndarray, a_cells: list | None, rng: np.random.Generator
 ) -> np.ndarray:
     """The trial's A: the diagonal ``a_diag`` itself, or the dense matrix of
     a_spec's blocks."""
@@ -330,44 +330,25 @@ def _build_a_matrix(
         mats[letter] = a_diag
         if letter.index > 1:
             u = sample_haar_unitary(n, rng)
-            diagnostics.setdefault("haar_unitarity", []).append(_unitarity_residual(u))
             mats[letter] = (u * a_diag) @ u.conj().T
     return dense_block_matrix(a_cells, mats, n)
 
 
-def _unitarity_residual(u: np.ndarray) -> float:
-    gram = u @ u.conj().T
-    gram[np.diag_indices_from(gram)] -= 1.0  # gram - I, in place
-    return float(np.max(np.abs(gram)))
-
-
-def _sampled_gue(
-    size: int, rng: np.random.Generator, diagnostics: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """A GUE sample ``g`` and ``g @ g``, whose normalized trace goes to ``gue_tr_sq``."""
-    g = sample_gue(size, rng)
-    square = g @ g
-    diagnostics.setdefault("gue_tr_sq", []).append(float(np.real(np.trace(square)) / size))
-    return g, square
-
-
 def _build_b_matrices(
-    scenario: Scenario, b_cells: list, dim: int, rng: np.random.Generator, diagnostics: dict
+    scenario: Scenario, b_cells: list, dim: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
     mats: list[np.ndarray] = []
     for spec, cells in zip(scenario.b_spec, b_cells):
         kind = spec["kind"]
         if cells is not None:  # gue blocks
             size = dim // len(cells)
-            gens = {}
-            for letter in _generators(cells):
-                # the square is bound as the word b*b, so a cell b*b reuses it
-                gens[letter], gens[(letter, letter)] = _sampled_gue(size, rng, diagnostics)
+            gens = {letter: sample_gue(size, rng) for letter in _generators(cells)}
             mats.append(dense_block_matrix(cells, gens, size))
         elif kind == "gue":
-            mats.append(_sampled_gue(dim, rng, diagnostics)[0])
+            mats.append(sample_gue(dim, rng))
         elif kind == "gue_squared":
-            mats.append(_sampled_gue(dim, rng, diagnostics)[1])
+            g = sample_gue(dim, rng)
+            mats.append(g @ g)
         elif kind == "file":
             mat = load_matrix_csv(spec["path"])
             if mat.shape != (dim, dim):
@@ -380,16 +361,13 @@ def _build_b_matrices(
     return mats
 
 
-def _haar_conjugated(
-    mats: list, dim: int, rng: np.random.Generator, diagnostics: dict
-) -> list[np.ndarray]:
+def _haar_conjugated(mats: list, dim: int, rng: np.random.Generator) -> list[np.ndarray]:
     """``u @ mat @ u*`` of each of ``mats``, with one fresh Haar ``u``.
 
     Each distinct array is conjugated once: a ``copy_of`` entry is its
     source's array, so it gets its source's conjugate.
     """
     u = sample_haar_unitary(dim, rng)
-    diagnostics.setdefault("haar_unitarity", []).append(_unitarity_residual(u))
     adjoint = u.conj().T
     conjugates = {}
     for mat in mats:
@@ -398,18 +376,16 @@ def _haar_conjugated(
     return [conjugates[id(mat)] for mat in mats]
 
 
-def _trial_matrix(
-    scenario: Scenario, c: _Compiled, rng: np.random.Generator, diagnostics: dict
-) -> np.ndarray:
+def _trial_matrix(scenario: Scenario, c: _Compiled, rng: np.random.Generator) -> np.ndarray:
     """One trial's matrix of the expression; ``c`` is the scenario compiled.
 
     Every other matrix built here dies when it returns.
     """
     dim = c.dim
-    a_matrix = _build_a_matrix(c.a_diag, c.a_cells, rng, diagnostics)
-    b_mats = _build_b_matrices(scenario, c.b_cells, dim, rng, diagnostics)
+    a_matrix = _build_a_matrix(c.a_diag, c.a_cells, rng)
+    b_mats = _build_b_matrices(scenario, c.b_cells, dim, rng)
     if scenario.haar_conjugate_b:
-        b_mats = _haar_conjugated(b_mats, dim, rng, diagnostics)
+        b_mats = _haar_conjugated(b_mats, dim, rng)
     mats = {Letter(FAMILY_A, 1): a_matrix}
     mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
     return dense_polynomial(c.poly, mats, dim)
@@ -526,8 +502,7 @@ def run_scenario(scenario: Scenario) -> Report:
 
     def one_trial(t: int) -> dict:
         rng = trial_rng(scenario.seed, t)
-        diagnostics: dict = {}
-        x = _trial_matrix(scenario, c, rng, diagnostics)
+        x = _trial_matrix(scenario, c, rng)
         try:
             residual, tol = hermiticity_gap(x, HERMITICITY_GATE)
         except NotSelfadjointError as exc:
@@ -547,7 +522,7 @@ def run_scenario(scenario: Scenario) -> Report:
             "eigenvalues": empirical.to_list(),
             "moments": moments,
             "match": match_distance(empirical, prediction.multiset, scenario.compare_top),
-            "diagnostics": {"hermiticity_residual": residual, **diagnostics},
+            "diagnostics": {"hermiticity_residual": residual},
         }
 
     trial_records = [one_trial(t) for t in range(scenario.trials)]

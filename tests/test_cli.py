@@ -141,6 +141,29 @@ def test_oracle_bad_expression_exits_validation():
     assert code == 1
 
 
+@pytest.mark.parametrize("moments", ["0", "-2"])
+def test_oracle_moments_below_1_exit_validation(capsys, moments):
+    code = run_cli(
+        "oracle", "--expr", "a1*b1+b1*a1", "--moments", moments,
+        "--a-model", "geometric:1,0.5,analytic", "--tau-b", "1",
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"oracle --moments must be >= 1, not {moments}" in err
+
+
+@pytest.mark.parametrize("truncation", ["0", "-3"])
+def test_predict_truncation_below_1_exits_validation(tmp_path, capsys, truncation):
+    code = run_cli(
+        "predict", "--expr", "a1", "--spectrum", "geometric:1,0.5", "--tau-b", "1",
+        "--truncation", truncation, "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert f"truncation must be >= 1, not {truncation}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_compare_pipeline(tmp_path, capsys):
     scenario = builtin_scenario("example3", n=40, trials=2)
     scen_path = tmp_path / "scenario.json"
@@ -178,6 +201,7 @@ def test_every_trial_is_compared_with_the_one_prediction(tmp_path, capsys):
     predicted = EVMultiset(doc["prediction"]["eigenvalues"])
     for rec in doc["trials"]:
         assert set(rec) == {"trial", "eigenvalues", "moments", "match", "diagnostics"}
+        assert set(rec["diagnostics"]) == {"hermiticity_residual"}
         assert rec["match"] == rmtlab.match_distance(EVMultiset(rec["eigenvalues"]), predicted, 10)
     capsys.readouterr()
     assert run_cli("compare", "--report", str(report_path), "--tol-rel", "10") == 0

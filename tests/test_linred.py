@@ -801,6 +801,17 @@ def test_ev_polynomial_rejects_terms_without_a_letters_and_unpaired_runs():
         ev_polynomial(zero, SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=None)}), table)
 
 
+@pytest.mark.parametrize("truncation", [0, -3])
+def test_a_truncation_below_1_is_refused_before_the_spectrum(truncation):
+    fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=None)})
+    table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
+    with pytest.raises(ValueError, match=f"truncation must be >= 1, not {truncation}"):
+        ev_polynomial(parse_expression("a1", SYMS), fam, table, truncation)
+    scalar_a, scalar_b = AlgMatrix([["a1"]], SYMS), AlgMatrix([["b1"]], SYMS)
+    with pytest.raises(ValueError, match=f"truncation must be >= 1, not {truncation}"):
+        ev_chain(scalar_b, [scalar_a, scalar_b], fam, table, truncation=truncation)
+
+
 # ---------------------------------------------------------------------------
 # closed-form recipes against the oracle
 # ---------------------------------------------------------------------------
