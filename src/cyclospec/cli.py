@@ -206,6 +206,8 @@ def _compare_report(report: Report, top: int) -> tuple[float, list[dict]]:
 
 
 def _cmd_compare(args) -> int:
+    if args.top < 1:  # no eigenvalue compared would pass any tolerance
+        raise ValueError(f"compare --top must be >= 1, not {args.top}")
     report = Report.from_json(args.report)
     mean_rel, rows = _compare_report(report, args.top)
     print(f"{'trial':>5}  {'max_abs':>12}  {'max_rel':>12}")
@@ -249,11 +251,15 @@ def _formula_demo(name: str) -> int:
 
 def _cmd_demo(args) -> int:
     name = args.name
+    given = {key: getattr(args, key) for key in ("n", "trials", "seed", "out")
+             if getattr(args, key) is not None}
     if name in ("anticommutator", "commutator"):
+        if given:
+            raise ValueError(f"demo {name} takes no --{next(iter(given))}")
         return _formula_demo(name)
-    scenario = builtin_scenario(name, n=args.n, trials=args.trials, seed=args.seed)
+    out_dir = Path(given.pop("out", None) or f"demo_{name}")
+    scenario = builtin_scenario(name, **given)  # n 300, 5 trials, DEMO_SEED unless given
     report = run_scenario(scenario)
-    out_dir = Path(args.out or f"demo_{name}")
     _write_simulation(report, out_dir)
     print(f"demo {name}: n={scenario.n}, trials={scenario.trials}, seed={scenario.seed}")
     print(f"report written to {out_dir}")
@@ -327,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run a built-in experiment with pinned defaults")
     p.add_argument("name", choices=DEMO_NAMES)
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=DEMO_SEED)
-    p.add_argument("--out", default=None)
+    p.add_argument("--n", type=int, default=None, help="dimension (default 300)")
+    p.add_argument("--trials", type=int, default=None, help="trials (default 5)")
+    p.add_argument("--seed", type=int, default=None, help=f"seed (default {DEMO_SEED})")
+    p.add_argument("--out", default=None, help="output directory (default demo_<name>)")
     p.set_defaults(func=_cmd_demo)
 
     return parser

@@ -45,7 +45,14 @@ from .errors import (
 )
 from .linred import AlgMatrix, _reduce, _reduction_spectrum, chain_moment
 from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression
-from .spectra import EVMultiset, hermiticity_gap, match_distance, relative_error, symmetrize
+from .spectra import (
+    EVMultiset,
+    hermiticity_gap,
+    match_distance,
+    multiset_moment,
+    relative_error,
+    symmetrize,
+)
 
 __all__ = [
     "DEMO_SEED",
@@ -337,43 +344,46 @@ def _build_a_matrix(
 def _build_b_matrices(
     scenario: Scenario, b_cells: list, dim: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    mats: list[np.ndarray] = []
+    """The trial's B matrices, drawn in b_spec order, then the one Haar ``u``
+    of ``haar_conjugate_b``.
+
+    A ``gue_squared`` entry draws its factor ``g`` and becomes ``g @ g``, or
+    with ``u`` ``t @ t*`` for ``t = u @ g``; every other entry ``mat`` becomes
+    ``u @ mat @ u*`` with ``u``.  Each distinct array is formed once: a
+    ``copy_of`` entry is its source's array, so it gets its source's matrix.
+    """
+    drawn: list[np.ndarray] = []
     for spec, cells in zip(scenario.b_spec, b_cells):
         kind = spec["kind"]
         if cells is not None:  # gue blocks
             size = dim // len(cells)
             gens = {letter: sample_gue(size, rng) for letter in _generators(cells)}
-            mats.append(dense_block_matrix(cells, gens, size))
-        elif kind == "gue":
-            mats.append(sample_gue(dim, rng))
-        elif kind == "gue_squared":
-            g = sample_gue(dim, rng)
-            mats.append(g @ g)
+            drawn.append(dense_block_matrix(cells, gens, size))
+        elif kind in ("gue", "gue_squared"):
+            drawn.append(sample_gue(dim, rng))
         elif kind == "file":
             mat = load_matrix_csv(spec["path"])
             if mat.shape != (dim, dim):
                 raise DimensionMismatchError(
                     f"loaded matrix has shape {mat.shape}, expected {(dim, dim)}"
                 )
-            mats.append(mat)
+            drawn.append(mat)
         else:  # copy_of
-            mats.append(mats[int(spec["index"]) - 1])
-    return mats
-
-
-def _haar_conjugated(mats: list, dim: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """``u @ mat @ u*`` of each of ``mats``, with one fresh Haar ``u``.
-
-    Each distinct array is conjugated once: a ``copy_of`` entry is its
-    source's array, so it gets its source's conjugate.
-    """
-    u = sample_haar_unitary(dim, rng)
-    adjoint = u.conj().T
-    conjugates = {}
-    for mat in mats:
-        if id(mat) not in conjugates:
-            conjugates[id(mat)] = u @ mat @ adjoint
-    return [conjugates[id(mat)] for mat in mats]
+            drawn.append(drawn[int(spec["index"]) - 1])
+    u = sample_haar_unitary(dim, rng) if scenario.haar_conjugate_b else None
+    formed = {}
+    for spec, mat in zip(scenario.b_spec, drawn):
+        if id(mat) in formed:
+            continue
+        squared = spec["kind"] == "gue_squared"
+        if u is None:
+            formed[id(mat)] = mat @ mat if squared else mat
+        elif squared:
+            t = u @ mat
+            formed[id(mat)] = t @ t.conj().T
+        else:
+            formed[id(mat)] = u @ mat @ u.conj().T
+    return [formed[id(mat)] for mat in drawn]
 
 
 def _trial_matrix(scenario: Scenario, c: _Compiled, rng: np.random.Generator) -> np.ndarray:
@@ -384,8 +394,6 @@ def _trial_matrix(scenario: Scenario, c: _Compiled, rng: np.random.Generator) ->
     dim = c.dim
     a_matrix = _build_a_matrix(c.a_diag, c.a_cells, rng)
     b_mats = _build_b_matrices(scenario, c.b_cells, dim, rng)
-    if scenario.haar_conjugate_b:
-        b_mats = _haar_conjugated(b_mats, dim, rng)
     mats = {Letter(FAMILY_A, 1): a_matrix}
     mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
     return dense_polynomial(c.poly, mats, dim)
@@ -511,16 +519,11 @@ def run_scenario(scenario: Scenario) -> Report:
             raise NotSelfadjointError(f"trial {t}: expression evaluated to a non-Hermitian "
                                       f"matrix (residual {residual:.3e})")
         empirical = EVMultiset(np.linalg.eigvalsh(symmetrize(x)))
-        x2 = x @ x
-        moments = [
-            float(np.real(np.trace(x))),
-            float(np.real(np.trace(x2))),
-            float(np.real(np.einsum("ij,ji->", x2, x))),
-        ]
+        del x
         return {
             "trial": t,
             "eigenvalues": empirical.to_list(),
-            "moments": moments,
+            "moments": [multiset_moment(empirical, k) for k in (1, 2, 3)],
             "match": match_distance(empirical, prediction.multiset, scenario.compare_top),
             "diagnostics": {"hermiticity_residual": residual},
         }

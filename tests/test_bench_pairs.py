@@ -1,0 +1,41 @@
+import pytest
+
+from bench_pairs import summarize
+
+
+def test_summary_of_a_lower_is_better_metric():
+    parent = [10.0, 12.0, 11.0, 13.0, 14.0]
+    change = [9.0, 11.5, 11.0, 10.0, 15.0]
+    row = summarize(parent, change, "lower")
+    # inclusive quartiles of 10..14 are 11 and 13
+    assert (row["parent_q1"], row["parent_median"], row["parent_q3"]) == (11.0, 12.0, 13.0)
+    assert row["change_median"] == 11.0
+    assert row["rel_change"] == pytest.approx(-1.0 / 12.0)
+    # a tie (11 vs 11) is no win
+    assert (row["wins"], row["pairs"]) == (3, 5)
+    assert row["claim_met"] is False
+
+
+def test_claim_needs_nine_wins_in_ten_and_a_gain_beyond_the_quartile_spread():
+    parent = [100.0 + k for k in range(10)]  # q1 102.25, median 104.5, q3 106.75
+    row = summarize(parent, [p - 4.0 for p in parent], "lower")
+    assert row["wins"] == 10 and row["claim_met"] is False  # a gain of 4 within 4.5
+    row = summarize(parent, [p - 5.0 for p in parent], "lower")
+    assert row["wins"] == 10 and row["claim_met"] is True
+    change = [200.0] + [p - 6.0 for p in parent[1:]]  # median 99.5: a gain of 5
+    row = summarize(parent, change, "lower")
+    assert row["wins"] == 9 and row["claim_met"] is True
+    change = [200.0, 101.1] + [p - 8.0 for p in parent[2:]]  # median 98.5: a gain of 6
+    row = summarize(parent, change, "lower")
+    assert row["wins"] == 8 and row["claim_met"] is False
+
+
+def test_higher_is_better_counts_wins_upward():
+    row = summarize([1.0, 2.0, 3.0], [2.0, 3.0, 1.0], "higher")
+    assert row["wins"] == 2
+    assert row["rel_change"] == 0.0
+
+
+def test_summary_refuses_unpaired_runs():
+    with pytest.raises(ValueError):
+        summarize([1.0, 2.0], [1.0], "lower")

@@ -189,6 +189,21 @@ def test_simulate_compare_pipeline(tmp_path, capsys):
                    "--top", "5", "--tol-rel", "0") == 2
 
 
+@pytest.mark.parametrize("top", [0, -2])
+def test_compare_refuses_a_top_below_one(top, tmp_path, capsys):
+    # comparing no eigenvalue would pass any tolerance
+    out_dir = tmp_path / "run"
+    builtin_scenario("example3", n=20, trials=1).save(tmp_path / "scenario.json")
+    assert run_cli("simulate", "--scenario", str(tmp_path / "scenario.json"),
+                   "--out", str(out_dir)) == 0
+    capsys.readouterr()
+    assert run_cli("compare", "--report", str(out_dir / "report.json"),
+                   "--top", str(top), "--tol-rel", "10") == 1
+    captured = capsys.readouterr()
+    assert f"compare --top must be >= 1, not {top}" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_every_trial_is_compared_with_the_one_prediction(tmp_path, capsys):
     # a report holds one prediction; compare ignores the per-trial
     # prediction_eigenvalues that reports written with per_trial still hold
@@ -556,6 +571,34 @@ def test_formula_demos(capsys):
     assert "PASS" not in out or True
     assert "worst relative difference" in out
     assert run_cli("demo", "commutator") == 0
+
+
+@pytest.mark.parametrize("name", ["anticommutator", "commutator"])
+@pytest.mark.parametrize("flag,value", [("--n", "0"), ("--trials", "3"), ("--seed", "1"),
+                                        ("--out", "table")])
+def test_formula_demos_refuse_scenario_flags(name, flag, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("demo", name, flag, value) == 1
+    err = capsys.readouterr().err
+    assert f"demo {name} takes no {flag}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scenario_demo_defaults(monkeypatch):
+    # the scenario demos apply n 300, 5 trials and DEMO_SEED where no flag is given
+    calls = []
+
+    def small_scenario(name, **kwargs):
+        calls.append(kwargs)
+        return builtin_scenario(name, n=20, trials=1)
+
+    monkeypatch.setattr(cli, "builtin_scenario", small_scenario)
+    monkeypatch.setattr(cli, "_write_simulation", lambda report, out_dir: calls.append(out_dir))
+    run_cli("demo", "example3")
+    run_cli("demo", "example3", "--n", "40", "--seed", "3", "--out", "there")
+    assert calls == [{}, cli.Path("demo_example3"), {"n": 40, "seed": 3}, cli.Path("there")]
+    assert builtin_scenario("example3").to_dict() == builtin_scenario(
+        "example3", n=300, trials=5, seed=rmtlab.DEMO_SEED).to_dict()
 
 
 def test_demo_small_run(tmp_path, capsys):

@@ -75,6 +75,28 @@ def test_haar_unitary_mean_trace():
     assert abs(np.mean(traces)) <= 0.05
 
 
+@pytest.mark.parametrize("seed", [0, 71, 2026])
+def test_samplers_equal_the_out_of_place_formulas(seed):
+    # one Ginibre array filled in place is bitwise a + 1j*b
+    n = 17
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    def ginibre():
+        z = ref.standard_normal((n, n)) + 1j * ref.standard_normal((n, n))
+        z *= np.sqrt(0.5)
+        return z
+
+    z = ginibre()
+    z += z.conj().T
+    z /= np.sqrt(2.0 * n)
+    assert sample_gue(n, rng).tobytes() == z.tobytes()
+    q, r = np.linalg.qr(ginibre())
+    d = np.diagonal(r)
+    q *= d / np.abs(d)
+    assert sample_haar_unitary(n, rng).tobytes() == q.tobytes()
+    assert rng.standard_normal() == ref.standard_normal()
+
+
 def test_geometric_diag():
     d = geometric_diag(4, 0.5, 1.0, 0)
     np.testing.assert_allclose(np.diag(d).real, [1.0, 0.5, 0.25, 0.125])
@@ -507,9 +529,7 @@ def test_run_scenario_moment_consistency():
     for rec in report.trials:
         spectrum = EVMultiset(rec["eigenvalues"])
         for k in (1, 2, 3):
-            direct = rec["moments"][k - 1]
-            from_spec = multiset_moment(spectrum, k)
-            assert abs(direct - from_spec) <= 1e-6 * max(1.0, abs(direct))
+            assert rec["moments"][k - 1] == multiset_moment(spectrum, k)
 
 
 def test_run_scenario_hermiticity_diagnostics():
@@ -646,9 +666,11 @@ def _reference_spectrum(x):
 
 def _reference_trial(scenario, t):
     """Trial ``t`` of ``scenario`` with every product formed out of place: the
-    samplers, ``u @ mat @ u.conj().T`` per B entry, ``coeff *
+    samplers, ``u @ mat @ u.conj().T`` per B entry (``(u @ g) @ (u @ g).conj().T``
+    for the factor ``g`` of a ``gue_squared`` entry), ``coeff *
     dense_word_product(...)`` summed into zeros, ``np.block`` and
-    ``(x + x.conj().T) / 2.0``."""
+    ``(x + x.conj().T) / 2.0``; the moments are the power sums of the canonical
+    spectrum.  Also returns the dense traces of ``x``, ``x @ x`` and ``x @ x @ x``."""
     rng = trial_rng(scenario.seed, t)
 
     def ginibre(size):
@@ -688,45 +710,101 @@ def _reference_trial(scenario, t):
                 rotated[letter] = (u * a) @ u.conj().T
         a = block(a_cells, rotated, n)
     dim = a.shape[0]
-    b_mats = []
+    drawn = []
     for spec, cells in zip(scenario.b_spec, b_cells):
         if cells is not None:
             size = dim // len(cells)
-            b_mats.append(block(cells, {g: gue(size) for g in _generators(cells)}, size))
-        elif spec["kind"] == "gue":
-            b_mats.append(gue(dim))
-        elif spec["kind"] == "gue_squared":
-            g = gue(dim)
-            b_mats.append(g @ g)
+            drawn.append(block(cells, {g: gue(size) for g in _generators(cells)}, size))
+        elif spec["kind"] in ("gue", "gue_squared"):
+            drawn.append(gue(dim))
         else:
             assert spec["kind"] == "copy_of"
+            drawn.append(None)
+    u = haar(dim) if scenario.haar_conjugate_b else None
+    b_mats = []
+    for spec, mat in zip(scenario.b_spec, drawn):
+        if spec["kind"] == "copy_of":
             b_mats.append(b_mats[spec["index"] - 1])
-    if scenario.haar_conjugate_b:
-        u = haar(dim)
-        b_mats = [u @ mat @ u.conj().T for mat in b_mats]
+        elif spec["kind"] == "gue_squared":
+            b_mats.append(mat @ mat if u is None else (u @ mat) @ (u @ mat).conj().T)
+        else:
+            b_mats.append(mat if u is None else u @ mat @ u.conj().T)
     mats = {Letter(FAMILY_A, 1): a}
     mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
     x = evaluate(compiled.poly, mats, dim)
     residual = float(np.max(np.abs(x - x.conj().T)))
     x = (x + x.conj().T) / 2.0
+    spectrum = EVMultiset(_reference_spectrum(x))
     x2 = x @ x
-    moments = [float(np.real(np.trace(x))), float(np.real(np.trace(x2))),
-               float(np.real(np.einsum("ij,ji->", x2, x)))]
+    traces = [float(np.real(np.trace(x))), float(np.real(np.trace(x2))),
+              float(np.real(np.einsum("ij,ji->", x2, x)))]
     return {
-        "eigenvalues": _reference_spectrum(x),
-        "moments": moments,
+        "eigenvalues": spectrum.to_list(),
+        "moments": [multiset_moment(spectrum, k) for k in (1, 2, 3)],
         "diagnostics": {"hermiticity_residual": residual},
-    }
+    }, traces
 
 
-@pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
-def test_trials_equal_the_out_of_place_reference(name):
-    scenario = builtin_scenario(name, n=24, trials=2, seed=909)
+# example3 with its one gue_squared entry copied: the copy shares its source's matrix
+_COPIED_GUE_SQUARED = {
+    "b_spec": [{"kind": "gue_squared"}, {"kind": "copy_of", "index": 1}],
+    "expression": "a1 + b1*a1*b2*a1*b1",
+    "prediction": {"b_state": {"moments": {"b1": 1.0, "b2": 1.0, "b1*b1": 2.0, "b1*b2": 2.0,
+                                           "b2*b2": 2.0}}},
+}
+
+
+@pytest.mark.parametrize("name,changes", [
+    ("example1", {}),
+    ("example2", {}),
+    ("example2-correlated", {}),
+    ("example3", {}),
+    ("example3", {"haar_conjugate_b": False}),
+    ("example3", _COPIED_GUE_SQUARED),
+], ids=["example1", "example2", "example2-correlated", "example3", "example3-no-haar",
+        "example3-copied"])
+def test_trials_equal_the_out_of_place_reference(name, changes):
+    doc = builtin_scenario(name, n=24, trials=2, seed=909).to_dict()
+    scenario = Scenario.from_dict({**doc, **changes})
     report = run_scenario(scenario)
     for t, record in enumerate(report.trials):
-        reference = _reference_trial(scenario, t)
+        reference, traces = _reference_trial(scenario, t)
         # JSON text, so that the sign of a zero counts too
         assert json.dumps({key: record[key] for key in reference}) == json.dumps(reference)
+        # the power sums against the dense traces, an independent check
+        values = np.asarray(record["eigenvalues"])
+        for k, (moment, trace) in enumerate(zip(record["moments"], traces), start=1):
+            assert abs(moment - trace) <= 1e-12 * np.sum(np.abs(values) ** k)
+
+
+def test_gue_squared_is_conjugated_through_its_factor(monkeypatch):
+    # B = (u g)(u g)* is u (g g) u* up to rounding, drawn from the same stream
+    n = 40
+    scenario = builtin_scenario("example3", n=n, trials=1)
+    bound = []
+    evaluate = rmtlab.dense_polynomial
+
+    def spy(poly, mats, dim):
+        bound.append(mats[Letter(FAMILY_B, 1)])
+        return evaluate(poly, mats, dim)
+
+    monkeypatch.setattr(rmtlab, "dense_polynomial", spy)
+    rng = trial_rng(scenario.seed, 0)
+    rmtlab._trial_matrix(scenario, rmtlab._compile(scenario), rng)
+    ref = trial_rng(scenario.seed, 0)
+    g = sample_gue(n, ref)
+    u = sample_haar_unitary(n, ref)
+    expected = u @ (g @ g) @ u.conj().T
+    assert np.max(np.abs(bound[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_copy_of_a_gue_squared_entry_shares_its_matrix():
+    doc = builtin_scenario("example3", n=20, trials=1).to_dict()
+    for haar in (True, False):
+        scenario = Scenario.from_dict({**doc, **_COPIED_GUE_SQUARED, "haar_conjugate_b": haar})
+        b1, b2 = rmtlab._build_b_matrices(scenario, [None, None], 20, trial_rng(1, 0))
+        assert b2 is b1
 
 
 def test_evaluate_expression_leaves_bound_matrices_alone():
