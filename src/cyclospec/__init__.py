@@ -75,7 +75,6 @@ from .rmtlab import (
     Scenario,
     builtin_scenario,
     estimate_beta,
-    geometric_diag,
     run_scenario,
     sample_gue,
     sample_haar_unitary,

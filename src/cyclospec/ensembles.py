@@ -1,4 +1,4 @@
-"""Random-matrix samplers and deterministic diagonal builders.
+"""Random-matrix samplers.
 
 GUE normalization is fixed so that the normalized trace of ``G**2`` tends to
 1 (semicircle law on ``[-2, 2]``): off-diagonal entries are complex Gaussian
@@ -9,8 +9,6 @@ with variance ``1/n`` and diagonal entries are real Gaussian with variance
 from __future__ import annotations
 
 import numpy as np
-
-from .cmcalc import GeometricSpectrum
 
 
 def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -47,10 +45,3 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     d = np.diagonal(r)
     q *= d / np.abs(d)
     return q
-
-
-def geometric_diag(n: int, ratio: float, scale: float = 1.0, start_power: int = 0) -> np.ndarray:
-    """Diagonal matrix of the n complex values ``scale * ratio**(start_power + k)``
-    as ``GeometricSpectrum(scale * ratio**start_power, ratio)`` gives them."""
-    spectrum = GeometricSpectrum(scale * ratio**start_power, ratio, count=n)
-    return np.diag(spectrum.eigenvalues().astype(complex))

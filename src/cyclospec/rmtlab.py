@@ -36,7 +36,7 @@ from .cmcalc import (
     dense_block_matrix,
     dense_polynomial,
 )
-from .ensembles import geometric_diag, sample_gue, sample_haar_unitary
+from .ensembles import sample_gue, sample_haar_unitary
 from .errors import (
     DegreeExceededError,
     DimensionMismatchError,
@@ -60,7 +60,6 @@ __all__ = [
     "Scenario",
     "builtin_scenario",
     "estimate_beta",
-    "geometric_diag",
     "load_matrix_csv",
     "run_scenario",
     "sample_gue",
@@ -342,61 +341,55 @@ def _build_a_matrix(
 
 
 def _build_b_matrices(
-    scenario: Scenario, b_cells: list, dim: int, rng: np.random.Generator
+    scenario: Scenario, c: _Compiled, files: dict, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """The trial's B matrices, drawn in b_spec order, then the one Haar ``u``
-    of ``haar_conjugate_b``.
+    """The trial's B matrices: each entry that is not a ``copy_of`` drawn in
+    b_spec order (a ``file`` entry is its loaded ``files[pos]``), then the one
+    Haar ``u`` of ``haar_conjugate_b``.
 
-    A ``gue_squared`` entry draws its factor ``g`` and becomes ``g @ g``, or
-    with ``u`` ``t @ t*`` for ``t = u @ g``; every other entry ``mat`` becomes
-    ``u @ mat @ u*`` with ``u``.  Each distinct array is formed once: a
-    ``copy_of`` entry is its source's array, so it gets its source's matrix.
+    Each draw is then replaced by its matrix, so it is freed once that is
+    formed: a ``gue_squared`` factor ``g`` becomes ``g @ g``, or with ``u``
+    ``t @ t*`` for ``t = u @ g``; every other draw ``mat`` becomes
+    ``u @ mat @ u*`` with ``u``.  A ``copy_of`` entry gets its source's matrix.
     """
-    drawn: list[np.ndarray] = []
-    for spec, cells in zip(scenario.b_spec, b_cells):
-        kind = spec["kind"]
-        if cells is not None:  # gue blocks
-            size = dim // len(cells)
-            gens = {letter: sample_gue(size, rng) for letter in _generators(cells)}
-            drawn.append(dense_block_matrix(cells, gens, size))
-        elif kind in ("gue", "gue_squared"):
-            drawn.append(sample_gue(dim, rng))
-        elif kind == "file":
-            mat = load_matrix_csv(spec["path"])
-            if mat.shape != (dim, dim):
-                raise DimensionMismatchError(
-                    f"loaded matrix has shape {mat.shape}, expected {(dim, dim)}"
-                )
-            drawn.append(mat)
-        else:  # copy_of
-            drawn.append(drawn[int(spec["index"]) - 1])
-    u = sample_haar_unitary(dim, rng) if scenario.haar_conjugate_b else None
+    sources = [pos for pos, source in enumerate(c.b_sources) if source == pos]
     formed = {}
-    for spec, mat in zip(scenario.b_spec, drawn):
-        if id(mat) in formed:
-            continue
-        squared = spec["kind"] == "gue_squared"
+    for pos in sources:
+        cells, kind = c.b_cells[pos], scenario.b_spec[pos]["kind"]
+        if cells is not None:  # gue blocks
+            size = c.dim // len(cells)
+            gens = {letter: sample_gue(size, rng) for letter in _generators(cells)}
+            formed[pos] = dense_block_matrix(cells, gens, size)
+        elif kind == "file":
+            formed[pos] = files[pos]
+        else:  # gue, gue_squared
+            formed[pos] = sample_gue(c.dim, rng)
+    u = sample_haar_unitary(c.dim, rng) if scenario.haar_conjugate_b else None
+    for pos in sources:
+        mat, squared = formed[pos], scenario.b_spec[pos]["kind"] == "gue_squared"
         if u is None:
-            formed[id(mat)] = mat @ mat if squared else mat
+            formed[pos] = mat @ mat if squared else mat
         elif squared:
             t = u @ mat
-            formed[id(mat)] = t @ t.conj().T
+            formed[pos] = t @ t.conj().T
         else:
-            formed[id(mat)] = u @ mat @ u.conj().T
-    return [formed[id(mat)] for mat in drawn]
+            formed[pos] = u @ mat @ u.conj().T
+    return [formed[source] for source in c.b_sources]
 
 
-def _trial_matrix(scenario: Scenario, c: _Compiled, rng: np.random.Generator) -> np.ndarray:
-    """One trial's matrix of the expression; ``c`` is the scenario compiled.
+def _trial_matrix(
+    scenario: Scenario, c: _Compiled, files: dict, rng: np.random.Generator
+) -> np.ndarray:
+    """One trial's matrix of the expression; ``c`` is the scenario compiled and
+    ``files`` its loaded ``file`` B's by b_spec position.
 
     Every other matrix built here dies when it returns.
     """
-    dim = c.dim
     a_matrix = _build_a_matrix(c.a_diag, c.a_cells, rng)
-    b_mats = _build_b_matrices(scenario, c.b_cells, dim, rng)
+    b_mats = _build_b_matrices(scenario, c, files, rng)
     mats = {Letter(FAMILY_A, 1): a_matrix}
     mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
-    return dense_polynomial(c.poly, mats, dim)
+    return dense_polynomial(c.poly, mats, c.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +409,11 @@ def _a_spectrum(spec: dict, n: int):
     return GeometricSpectrum(scale, spec["ratio"], count=None)
 
 
-# the b_cells stay as parsed: a copy_of entry's is None, so its trials reuse
-# its source's matrix; dim is a trial's dimension and a_diag, read-only, the n
-# values of every trial's A
-_Compiled = namedtuple("_Compiled",
-                       "poly a_model blocks b_state reduction a_cells b_cells dim a_diag")
+# the b_cells stay as parsed (a copy_of entry's is None); b_sources[pos] is the
+# entry whose matrix entry pos shares, pos itself unless it is a copy_of; dim
+# is a trial's dimension and a_diag, read-only, the n values of every trial's A
+_Compiled = namedtuple("_Compiled", "poly a_model blocks b_state reduction a_cells b_cells "
+                                    "b_sources dim a_diag")
 
 
 def _compile(scenario: Scenario) -> _Compiled:
@@ -436,16 +429,8 @@ def _compile(scenario: Scenario) -> _Compiled:
     _check(_scenario_schema(), vars(scenario), "")
     if scenario.truncation > scenario.n:
         raise ValueError(f"scenario 'truncation' is {scenario.truncation}, but n is {scenario.n}")
-    for pos, spec in enumerate(scenario.b_spec):
-        if spec["kind"] == "copy_of" and not 1 <= spec.get("index", 0) <= pos:
-            raise ValueError("copy_of must reference an earlier b_spec entry")
     a_cells = _block_cells(scenario.a_spec, "geometric", FAMILY_A, "a_spec")
     dim = scenario.n * (len(a_cells) if a_cells else 1)
-    b_cells = []
-    for pos, spec in enumerate(scenario.b_spec, start=1):
-        b_cells.append(_block_cells(spec, "gue", FAMILY_B, f"b_spec entry {pos}"))
-        if b_cells[-1] and dim % len(b_cells[-1]):
-            raise ValueError(f"b_spec entry {pos} 'blocks' do not divide the dimension {dim}")
     symbols = {"a1": Letter(FAMILY_A, 1)}
     symbols.update((f"b{j}", Letter(FAMILY_B, j)) for j in range(1, len(scenario.b_spec) + 1))
     poly = parse_expression(scenario.expression, symbols)
@@ -459,16 +444,23 @@ def _compile(scenario: Scenario) -> _Compiled:
     else:
         a_model = HaarConjugatedFamily({g.index: spectrum for g in _generators(a_cells)})
         blocks = {Letter(FAMILY_A, 1): AlgMatrix([list(map(drop_stars, row)) for row in a_cells])}
-    letters, owners, resolved = _generators([[poly]]), {}, list(b_cells)
+    letters, owners, b_cells, b_sources = _generators([[poly]]), {}, [], []
     for j, spec in enumerate(scenario.b_spec, start=1):
+        source = j - 1
         if spec["kind"] == "copy_of":
-            resolved[j - 1] = resolved[int(spec["index"]) - 1]
-        cells, letter = resolved[j - 1], Letter(FAMILY_B, j)
+            if not 1 <= spec.get("index", 0) < j:
+                raise ValueError("copy_of must reference an earlier b_spec entry")
+            source = b_sources[int(spec["index"]) - 1]
+        b_sources.append(source)
+        b_cells.append(_block_cells(spec, "gue", FAMILY_B, f"b_spec entry {j}"))
+        if b_cells[-1] and dim % len(b_cells[-1]):
+            raise ValueError(f"b_spec entry {j} 'blocks' do not divide the dimension {dim}")
+        cells, letter = b_cells[source], Letter(FAMILY_B, j)
         if letter in letters and len(cells or [0]) != len(a_cells or [0]):
             raise ValueError(f"b{j} needs as many 'blocks' as a_spec")
         if letter in letters and cells:
             blocks[letter] = AlgMatrix(cells)
-            if any(owners.setdefault(g, id(cells)) != id(cells) for g in _generators(cells)):
+            if any(owners.setdefault(g, source) != source for g in _generators(cells)):
                 raise ValueError(f"b{j} 'blocks' share generators with another b_spec entry")
     try:
         table = MomentTable.from_json_doc(scenario.prediction["b_state"])
@@ -482,7 +474,8 @@ def _compile(scenario: Scenario) -> _Compiled:
         raise ValueError(f"prediction 'b_state': {exc}") from None
     if not any(map(any, reduction[0])):
         raise ValueError("scenario 'expression' reduces to 0 against prediction 'b_state'")
-    return _Compiled(poly, a_model, blocks, table, reduction, a_cells, b_cells, dim, a_diag)
+    return _Compiled(poly, a_model, blocks, table, reduction, a_cells, b_cells, b_sources, dim,
+                     a_diag)
 
 
 def build_prediction(scenario: Scenario):
@@ -507,10 +500,18 @@ def run_scenario(scenario: Scenario) -> Report:
     chain = [AlgMatrix.from_grid(c.reduction[0]), AlgMatrix(c.reduction[1])]
     predicted_moments = [float(np.real(chain_moment(chain, m, c.a_model, c.b_state)))
                          for m in (1, 2, 3)]
+    files = {}  # each file B, read once and shared by every trial
+    for pos, spec in enumerate(scenario.b_spec):
+        if spec["kind"] == "file":
+            files[pos] = load_matrix_csv(spec["path"])
+            if files[pos].shape != (c.dim, c.dim):
+                raise DimensionMismatchError(f"loaded matrix has shape {files[pos].shape}, "
+                                             f"expected {(c.dim, c.dim)}")
+            files[pos].setflags(write=False)
 
     def one_trial(t: int) -> dict:
         rng = trial_rng(scenario.seed, t)
-        x = _trial_matrix(scenario, c, rng)
+        x = _trial_matrix(scenario, c, files, rng)
         try:
             residual, tol = hermiticity_gap(x, HERMITICITY_GATE)
         except NotSelfadjointError as exc:

@@ -137,15 +137,12 @@ def multiset_moment(s: EVMultiset, k: int) -> float:
 
 
 def match_distance(s: EVMultiset, t: EVMultiset, m: int) -> dict:
-    """Compare the first ``m`` canonical entries of ``s`` against ``t``.
+    """Compare the first ``m >= 1`` canonical entries of ``s`` against ``t``.
 
-    ``t`` plays the reference role of ``relative_error``.  ``m = 0`` returns
-    zeros by convention.
+    ``t`` plays the reference role of ``relative_error``.
     """
-    if m < 0:
-        raise ValueError("comparison length must be >= 0")
-    if m == 0:
-        return {"max_abs": 0.0, "max_rel": 0.0}
+    if m < 1:  # no entry compared would pass any tolerance
+        raise ValueError("comparison length must be >= 1")
     if len(s) < m or len(t) < m:
         raise InsufficientEntriesError(
             f"need {m} entries but have {len(s)} and {len(t)}"

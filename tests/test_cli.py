@@ -204,6 +204,16 @@ def test_compare_refuses_a_top_below_one(top, tmp_path, capsys):
     assert "PASS" not in captured.out
 
 
+def test_simulate_refuses_a_compare_top_below_one(tmp_path, capsys):
+    # a scenario that compares no eigenvalue would report a perfect match
+    doc = dict(builtin_scenario("example2", n=40, trials=2).to_dict(), compare_top=0)
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    assert run_cli("simulate", "--scenario", str(tmp_path / "scenario.json"),
+                   "--out", str(tmp_path / "run")) == 1
+    assert "scenario 'compare_top' must be >= 1, not 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_every_trial_is_compared_with_the_one_prediction(tmp_path, capsys):
     # a report holds one prediction; compare ignores the per-trial
     # prediction_eigenvalues that reports written with per_trial still hold

@@ -116,6 +116,15 @@ def test_matrix_state_dimension_validation():
 # ---------------------------------------------------------------------------
 
 
+def test_geometric_spectrum_values():
+    np.testing.assert_allclose(GeometricSpectrum(1.0, 0.5).eigenvalues(4), [1.0, 0.5, 0.25, 0.125])
+    np.testing.assert_allclose(GeometricSpectrum(0.5, 0.5).eigenvalues(6), 0.5 ** np.arange(1, 7))
+    assert float(np.sum(GeometricSpectrum(1.0, 0.5).eigenvalues(80))) == pytest.approx(2.0)
+    for ratio in (1.0, -1.5):
+        with pytest.raises(ValueError, match=r"\|ratio\| must be < 1"):
+            GeometricSpectrum(1.0, ratio)
+
+
 def test_geometric_analytic_values():
     fam = geometric_family(count=None)
     assert fam.omega((a_gen(1),)) == 2

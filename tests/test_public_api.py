@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "alternating_form", "auto_symbols", "b_gen", "builtin_scenario", "chain_moment",
     "chain_moment_unreduced", "cm_moment", "collapse_internal_b_runs", "disjoint_union",
     "estimate_beta", "ev_anticommutator", "ev_chain", "ev_commutator", "ev_conjugated_sum",
-    "ev_polynomial", "ev_sum_aba", "ev_sum_bab", "ev_sum_bac", "format_expression", "geometric_diag",
+    "ev_polynomial", "ev_sum_aba", "ev_sum_bab", "ev_sum_bac", "format_expression",
     "hermitian_spectrum", "is_selfadjoint", "make_symbols", "match_distance",
     "multiset_moment", "parse_expression", "poly_moment", "power", "reduce_b_matrix",
     "run_scenario", "sample_gue", "sample_haar_unitary", "scale", "sqrtm_psd", "truncate",

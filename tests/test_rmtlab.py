@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cyclospec import (
+    DimensionMismatchError,
     EVMultiset,
     GeometricSpectrum,
     HaarConjugatedFamily,
@@ -16,7 +17,6 @@ from cyclospec import (
     SpectrumFamily,
     builtin_scenario,
     estimate_beta,
-    geometric_diag,
     match_distance,
     multiset_moment,
     parse_expression,
@@ -95,16 +95,6 @@ def test_samplers_equal_the_out_of_place_formulas(seed):
     q *= d / np.abs(d)
     assert sample_haar_unitary(n, rng).tobytes() == q.tobytes()
     assert rng.standard_normal() == ref.standard_normal()
-
-
-def test_geometric_diag():
-    d = geometric_diag(4, 0.5, 1.0, 0)
-    np.testing.assert_allclose(np.diag(d).real, [1.0, 0.5, 0.25, 0.125])
-    d = geometric_diag(6, 0.5, 1.0, 1)
-    np.testing.assert_allclose(np.diag(d).real, 0.5 ** np.arange(1, 7))
-    assert float(np.real(np.trace(geometric_diag(80, 0.5, 1.0, 0)))) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        geometric_diag(4, 1.0, 1.0, 0)
 
 
 def test_estimate_beta():
@@ -355,7 +345,7 @@ def test_blocks_are_drawn_in_index_order():
     compiled = rmtlab._compile(scenario)
     x = _build_a_matrix(compiled.a_diag, compiled.a_cells, trial_rng(scenario.seed, 0))
     rng = trial_rng(scenario.seed, 0)
-    d = geometric_diag(n, 0.5)
+    d = np.diag(GeometricSpectrum(1.0, 0.5).eigenvalues(n))
     u2, u3 = sample_haar_unitary(n, rng), sample_haar_unitary(n, rng)
     assert np.array_equal(x[n:, n:], u2 @ d @ u2.conj().T)
     assert np.array_equal(x[:n, n:], u3 @ d @ u3.conj().T)
@@ -377,7 +367,8 @@ def test_diagonal_trial_a_matches_dense_path(a_spec):
     d = _build_a_matrix(rmtlab._compile(scenario).a_diag, None, trial_rng(scenario.seed, 0))
     assert d.shape == (n,)
     if a_spec["kind"] == "geometric":
-        dense = geometric_diag(n, a_spec["ratio"], a_spec["scale"], a_spec["start_power"])
+        first = a_spec["scale"] * a_spec["ratio"] ** a_spec["start_power"]
+        dense = np.diag(GeometricSpectrum(first, a_spec["ratio"]).eigenvalues(n)).astype(complex)
     else:
         dense = np.diag(a_spec["values"]).astype(complex)
     assert np.array_equal(np.diag(d), dense)
@@ -594,17 +585,45 @@ def test_example3_match_improves_with_n():
     assert means[1] < means[0]
 
 
-def test_file_backed_b_spec(tmp_path):
+def test_file_backed_b_spec(tmp_path, monkeypatch):
     rng = np.random.default_rng(60)
     fixed = sample_gue(30, rng)
     fixed = fixed @ fixed
     path = tmp_path / "b.csv"
     save_matrix_csv(fixed, path)
-    doc = builtin_scenario("example3", n=30, trials=2).to_dict()
+    doc = builtin_scenario("example3", n=30, trials=3).to_dict()
     doc["b_spec"] = [{"kind": "file", "path": str(path)}]
-    report = run_scenario(Scenario.from_dict(doc))
-    # the fixed matrix produces identical spectra across trials up to the Haar conjugation
-    assert len(report.trials) == 2
+    loaded = []
+
+    def load(path):
+        loaded.append(load_matrix_csv(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(rmtlab, "load_matrix_csv", load)
+    for haar in (True, False):
+        report = run_scenario(Scenario.from_dict(dict(doc, haar_conjugate_b=haar)))
+        assert len(report.trials) == 3
+    # read once per run, and shared read-only by its trials
+    assert len(loaded) == 2 and not any(mat.flags.writeable for mat in loaded)
+    # the fixed matrix gives every trial one spectrum without the Haar conjugation
+    assert report.trials[0]["eigenvalues"] == report.trials[2]["eigenvalues"]
+
+
+def test_file_b_of_another_shape_fails_before_any_trial(tmp_path, monkeypatch, capsys):
+    save_matrix_csv(np.eye(20, dtype=complex), tmp_path / "b.csv")
+    doc = builtin_scenario("example3", n=30, trials=2).to_dict()
+    doc["b_spec"] = [{"kind": "file", "path": str(tmp_path / "b.csv")}]
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+
+    def no_trial(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(rmtlab, "trial_rng", no_trial)
+    with pytest.raises(DimensionMismatchError, match=re.escape("shape (20, 20), expected (30, 30)")):
+        run_scenario(Scenario.from_dict(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(out)]) == 1
+    assert "loaded matrix has shape (20, 20)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
@@ -666,11 +685,12 @@ def _reference_spectrum(x):
 
 def _reference_trial(scenario, t):
     """Trial ``t`` of ``scenario`` with every product formed out of place: the
-    samplers, ``u @ mat @ u.conj().T`` per B entry (``(u @ g) @ (u @ g).conj().T``
-    for the factor ``g`` of a ``gue_squared`` entry), ``coeff *
-    dense_word_product(...)`` summed into zeros, ``np.block`` and
-    ``(x + x.conj().T) / 2.0``; the moments are the power sums of the canonical
-    spectrum.  Also returns the dense traces of ``x``, ``x @ x`` and ``x @ x @ x``."""
+    samplers, a ``file`` B read afresh, ``u @ mat @ u.conj().T`` per B entry
+    (``(u @ g) @ (u @ g).conj().T`` for the factor ``g`` of a ``gue_squared``
+    entry), ``coeff * dense_word_product(...)`` summed into zeros, ``np.block``
+    and ``(x + x.conj().T) / 2.0``; the moments are the power sums of the
+    canonical spectrum.  Also returns the dense traces of ``x``, ``x @ x`` and
+    ``x @ x @ x``."""
     rng = trial_rng(scenario.seed, t)
 
     def ginibre(size):
@@ -717,6 +737,8 @@ def _reference_trial(scenario, t):
             drawn.append(block(cells, {g: gue(size) for g in _generators(cells)}, size))
         elif spec["kind"] in ("gue", "gue_squared"):
             drawn.append(gue(dim))
+        elif spec["kind"] == "file":
+            drawn.append(load_matrix_csv(spec["path"]))
         else:
             assert spec["kind"] == "copy_of"
             drawn.append(None)
@@ -752,6 +774,8 @@ _COPIED_GUE_SQUARED = {
     "prediction": {"b_state": {"moments": {"b1": 1.0, "b2": 1.0, "b1*b1": 2.0, "b1*b2": 2.0,
                                            "b2*b2": 2.0}}},
 }
+# example2 with b2 read from a file, written by the test into its working directory
+_FILE_B2 = {"b_spec": [{"kind": "gue"}, {"kind": "file", "path": "b2.csv"}]}
 
 
 @pytest.mark.parametrize("name,changes", [
@@ -761,9 +785,12 @@ _COPIED_GUE_SQUARED = {
     ("example3", {}),
     ("example3", {"haar_conjugate_b": False}),
     ("example3", _COPIED_GUE_SQUARED),
+    ("example2", _FILE_B2),
 ], ids=["example1", "example2", "example2-correlated", "example3", "example3-no-haar",
-        "example3-copied"])
-def test_trials_equal_the_out_of_place_reference(name, changes):
+        "example3-copied", "example2-file"])
+def test_trials_equal_the_out_of_place_reference(name, changes, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_matrix_csv(sample_gue(24, np.random.default_rng(63)), "b2.csv")
     doc = builtin_scenario(name, n=24, trials=2, seed=909).to_dict()
     scenario = Scenario.from_dict({**doc, **changes})
     report = run_scenario(scenario)
@@ -790,7 +817,7 @@ def test_gue_squared_is_conjugated_through_its_factor(monkeypatch):
 
     monkeypatch.setattr(rmtlab, "dense_polynomial", spy)
     rng = trial_rng(scenario.seed, 0)
-    rmtlab._trial_matrix(scenario, rmtlab._compile(scenario), rng)
+    rmtlab._trial_matrix(scenario, rmtlab._compile(scenario), {}, rng)
     ref = trial_rng(scenario.seed, 0)
     g = sample_gue(n, ref)
     u = sample_haar_unitary(n, ref)
@@ -803,7 +830,9 @@ def test_copy_of_a_gue_squared_entry_shares_its_matrix():
     doc = builtin_scenario("example3", n=20, trials=1).to_dict()
     for haar in (True, False):
         scenario = Scenario.from_dict({**doc, **_COPIED_GUE_SQUARED, "haar_conjugate_b": haar})
-        b1, b2 = rmtlab._build_b_matrices(scenario, [None, None], 20, trial_rng(1, 0))
+        compiled = rmtlab._compile(scenario)
+        assert compiled.b_sources == [0, 0]
+        b1, b2 = rmtlab._build_b_matrices(scenario, compiled, {}, trial_rng(1, 0))
         assert b2 is b1
 
 
@@ -865,6 +894,14 @@ def _peak_matrices(scenario, dim):
 def test_one_trial_keeps_few_dense_matrices_alive(name, n, dim):
     # the Haar QR alone holds 4 (Ginibre input, its copy, Q and R) besides one B
     assert _peak_matrices(builtin_scenario(name, n=n, trials=1), dim) <= 5.5
+
+
+def test_example2_frees_each_draw_once_its_matrix_is_formed():
+    # two B's are drawn before u; forming the second, the first draw is
+    # already freed (6.08; 7.01 when every draw lived until both were formed)
+    scenario = builtin_scenario("example2", n=400, trials=1)
+    run_scenario(scenario)  # the second run's peak leaves out first-call allocations
+    assert _peak_matrices(scenario, 400) <= 6.5
 
 
 def test_example1_prediction_is_its_limit_model():

@@ -121,7 +121,9 @@ def test_match_distance_examples():
     metric = match_distance(s, t, 2)
     assert metric["max_abs"] == pytest.approx(0.1)
     assert metric["max_rel"] == pytest.approx(1 / 9)
-    assert match_distance(s, t, 0) == {"max_abs": 0.0, "max_rel": 0.0}
+    for m in (0, -2):  # no entry compared would pass any tolerance
+        with pytest.raises(ValueError, match="comparison length must be >= 1"):
+            match_distance(s, t, m)
 
 
 def test_match_distance_insufficient():
