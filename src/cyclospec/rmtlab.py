@@ -116,6 +116,8 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
+    """The matrix :func:`save_matrix_csv` wrote; blank lines are skipped.
+    ``ValueError`` naming ``path`` for an odd row or rows of unequal length."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -123,8 +125,11 @@ def load_matrix_csv(path) -> np.ndarray:
                 continue
             cells = [float(x) for x in line.strip().split(",")]
             if len(cells) % 2 != 0:
-                raise ValueError("matrix CSV rows need (re, im) column pairs")
+                raise ValueError(f"matrix CSV {path}: rows need (re, im) column pairs")
             rows.append([complex(cells[2 * i], cells[2 * i + 1]) for i in range(len(cells) // 2)])
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"matrix CSV {path}: row {len(rows)} has {len(rows[-1])} "
+                                 f"entries, row 1 has {len(rows[0])}")
     return np.asarray(rows, dtype=complex)
 
 
@@ -347,10 +352,11 @@ def _build_b_matrices(
     b_spec order (a ``file`` entry is its loaded ``files[pos]``), then the one
     Haar ``u`` of ``haar_conjugate_b``.
 
-    Each draw is then replaced by its matrix, so it is freed once that is
-    formed: a ``gue_squared`` factor ``g`` becomes ``g @ g``, or with ``u``
-    ``t @ t*`` for ``t = u @ g``; every other draw ``mat`` becomes
-    ``u @ mat @ u*`` with ``u``.  A ``copy_of`` entry gets its source's matrix.
+    Each draw is then replaced by its matrix: a ``gue_squared`` factor ``g``
+    becomes ``g @ g``, or with ``u`` ``t @ t*`` for ``t = u @ g``; every other
+    draw ``mat`` becomes ``t @ u*`` for ``t = u @ mat`` with ``u``.  A draw is
+    freed as soon as its ``t`` exists, and ``u`` once the last source has read
+    it.  A ``copy_of`` entry gets its source's matrix.
     """
     sources = [pos for pos, source in enumerate(c.b_sources) if source == pos]
     formed = {}
@@ -364,16 +370,19 @@ def _build_b_matrices(
             formed[pos] = files[pos]
         else:  # gue, gue_squared
             formed[pos] = sample_gue(c.dim, rng)
-    u = sample_haar_unitary(c.dim, rng) if scenario.haar_conjugate_b else None
+    squared = [pos for pos in sources if scenario.b_spec[pos]["kind"] == "gue_squared"]
+    if not scenario.haar_conjugate_b:
+        for pos in squared:
+            formed[pos] = formed[pos] @ formed[pos]
+        return [formed[source] for source in c.b_sources]
+    u = sample_haar_unitary(c.dim, rng)
     for pos in sources:
-        mat, squared = formed[pos], scenario.b_spec[pos]["kind"] == "gue_squared"
-        if u is None:
-            formed[pos] = mat @ mat if squared else mat
-        elif squared:
-            t = u @ mat
-            formed[pos] = t @ t.conj().T
-        else:
-            formed[pos] = u @ mat @ u.conj().T
+        t = u @ formed.pop(pos)
+        right = t.conj().T if pos in squared else u.conj().T
+        if pos == sources[-1]:
+            del u
+        formed[pos] = t @ right
+        del t, right  # before the next source's product
     return [formed[source] for source in c.b_sources]
 
 
@@ -507,6 +516,9 @@ def run_scenario(scenario: Scenario) -> Report:
             if files[pos].shape != (c.dim, c.dim):
                 raise DimensionMismatchError(f"loaded matrix has shape {files[pos].shape}, "
                                              f"expected {(c.dim, c.dim)}")
+            if not np.isfinite(files[pos]).all():
+                raise NotSelfadjointError(f"b_spec entry {pos + 1} ({spec['path']}): "
+                                          "matrix has a non-finite entry")
             files[pos].setflags(write=False)
 
     def one_trial(t: int) -> dict:

@@ -123,7 +123,10 @@ def test_closed_forms_reject_non_finite_state_values(recipe, tau_b, tau_b2):
         recipe(GeometricSpectrum(1.0, 0.5, count=3), tau_b, tau_b2, 3)
 
 
-def test_file_b_with_a_nan_fails_the_gate_with_the_numerical_exit_code(tmp_path, capsys):
+def test_file_b_with_a_nan_fails_the_gate_with_the_numerical_exit_code(
+    tmp_path, monkeypatch, capsys
+):
+    # the file is checked when it is loaded, before any trial draws
     b = sample_gue(30, np.random.default_rng(61))
     b = b @ b
     b[3, 5] = np.nan
@@ -132,10 +135,15 @@ def test_file_b_with_a_nan_fails_the_gate_with_the_numerical_exit_code(tmp_path,
     doc["b_spec"] = [{"kind": "file", "path": str(tmp_path / "b.csv")}]
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(doc))
+
+    def no_trial(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(rmtlab, "trial_rng", no_trial)
     code = main(["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "trial 0" in err and "non-finite" in err
+    assert f"b_spec entry 1 ({tmp_path / 'b.csv'})" in err and "non-finite" in err
 
 
 _FLOATS = st.one_of(
