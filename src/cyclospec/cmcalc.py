@@ -24,6 +24,7 @@ import functools
 import json
 import numbers
 import operator
+from collections import Counter
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
@@ -264,8 +265,15 @@ def dense_word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
     that matrix itself (or its conjugate transpose); callers must not modify
     the result.
     """
+    prod = _word_product(w, matrix_of, dim)
+    return np.diag(prod) if prod.ndim == 1 else prod
+
+
+def _word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
+    """:func:`dense_word_product`, with a word of diagonal letters only (the
+    empty word too) left as the 1-D diagonal of its product."""
     if not w:
-        return np.eye(dim, dtype=complex)
+        return np.ones(dim, dtype=complex)
     prod = None
     for letter in w:
         mat = matrix_of(letter)
@@ -279,35 +287,82 @@ def dense_word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
             prod = prod[:, np.newaxis] * mat
         else:
             prod = prod @ mat
-    return np.diag(prod) if prod.ndim == 1 else prod
+    return prod
 
 
 def dense_polynomial(poly, mats: Mapping, dim: int) -> np.ndarray:
     """The ``dim x dim`` matrix of ``poly`` over ``mats``, which maps base
-    letters to what :func:`dense_word_product` takes.
+    letters to what :func:`dense_word_product` takes; ``mats`` is never
+    modified.  See :func:`_polynomial_sum` for how the terms are summed."""
+    return _polynomial_sum(poly, mats.get, dim)
 
-    The terms are summed in ``sorted_terms`` order into zeros allocated after
-    the first product.  A product is scaled in place unless it is a bound
-    matrix itself, which is scaled by copy: ``mats`` is never modified.
+
+def _consume_polynomial(poly, mats: dict, dim: int) -> np.ndarray:
+    """:func:`dense_polynomial` that empties ``mats`` as it goes: each matrix
+    is removed after the last letter that reads it, in ``sorted_terms``
+    order.  A matrix the caller holds nowhere else is then freed as soon as
+    the product that reads it last exists."""
+    uses = Counter(letter.base() for word in poly.terms for letter in word)
+
+    def take(base):
+        uses[base] -= 1
+        return mats.pop(base, None) if not uses[base] else mats.get(base)
+
+    return _polynomial_sum(poly, take, dim)
+
+
+def _polynomial_sum(poly, lookup, dim: int) -> np.ndarray:
+    """The terms of ``poly`` over ``lookup(base letter)``, summed in
+    ``sorted_terms`` order.
+
+    Each term is scaled in place, except one that is a bound matrix itself
+    (a word of one unstarred letter): a 2-D one is scaled by copy, and a
+    diagonal is copied and then scaled in place, as its ``np.diag`` was
+    (numpy may round ``c * x`` and ``x *= c`` apart in the last bit for a
+    complex ``c``).  Diagonal words stay 1-D: those before the first dense
+    term are summed as one diagonal, and later ones are added to the sum's
+    diagonal.  The first dense term becomes the sum, so while it is
+    multiplied out only its product so far and the next are alive beside
+    the bound matrices.
+
+    The values equal summing every ``coeff * dense_word_product(...)`` into
+    zeros, scaled as above: a term skipped or added first changes only the
+    sign of zeros, and a sum started from ``+0.0`` has no ``-0.0`` under
+    round to nearest, so the closing ``+= 0.0`` makes the two bitwise equal.
     """
     def matrix_of(letter):
-        mat = mats.get(letter.base())
+        mat = lookup(letter.base())
         if mat is None:
             raise DimensionMismatchError(f"no matrix bound to {letter.label()}")
         return mat
 
-    out = None
+    out = diag = None  # the sum once a term is dense; until then, its diagonal
     for word, coeff in poly.sorted_terms():
-        term = dense_word_product(word, matrix_of, dim)
-        if any(term is mat for mat in mats.values()):
+        term = _word_product(word, matrix_of, dim)
+        itself = len(word) == 1 and not word[0].star  # the bound matrix itself
+        if itself and term.ndim == 2:
             term = coeff * term
         else:
+            if itself:
+                term = term.copy()
             term *= coeff
-        if out is None:
-            out = np.zeros((dim, dim), dtype=complex)
-        out += term
+        if term.ndim == 2 and out is None:
+            out = np.ascontiguousarray(term)  # C order, as a sum from zeros
+            if diag is not None:
+                out[np.diag_indices(dim)] += diag
+        elif term.ndim == 2:
+            out += term
+        elif out is not None:
+            out[np.diag_indices(dim)] += term
+        elif diag is None:
+            diag = term
+        else:
+            diag += term
         del term  # freed before the next product is formed
-    return np.zeros((dim, dim), dtype=complex) if out is None else out
+    if out is None:
+        out = np.zeros((dim, dim), dtype=complex) if diag is None else np.diag(diag)
+    out += 0.0
+    return out
 
 
 def _generators(cells) -> list[Letter]:

@@ -30,11 +30,11 @@ from .cmcalc import (
     HaarConjugatedFamily,
     MomentTable,
     SpectrumFamily,
+    _consume_polynomial,
     _generators,
     _is_json_integer,
     _is_json_number,
     dense_block_matrix,
-    dense_polynomial,
 )
 from .ensembles import sample_gue, sample_haar_unitary
 from .errors import (
@@ -392,13 +392,14 @@ def _trial_matrix(
     """One trial's matrix of the expression; ``c`` is the scenario compiled and
     ``files`` its loaded ``file`` B's by b_spec position.
 
-    Every other matrix built here dies when it returns.
+    The bound matrices are held by ``mats`` alone, which the evaluation
+    empties: each is freed after its last letter (example1's A once ``B·A``
+    exists), and every other matrix built here dies when it returns.
     """
-    a_matrix = _build_a_matrix(c.a_diag, c.a_cells, rng)
-    b_mats = _build_b_matrices(scenario, c, files, rng)
-    mats = {Letter(FAMILY_A, 1): a_matrix}
-    mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
-    return dense_polynomial(c.poly, mats, c.dim)
+    mats = {Letter(FAMILY_A, 1): _build_a_matrix(c.a_diag, c.a_cells, rng)}
+    mats.update((Letter(FAMILY_B, j), mat)
+                for j, mat in enumerate(_build_b_matrices(scenario, c, files, rng), start=1))
+    return _consume_polynomial(c.poly, mats, c.dim)
 
 
 # ---------------------------------------------------------------------------

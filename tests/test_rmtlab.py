@@ -409,13 +409,13 @@ def test_trials_draw_the_predicted_a_of_a_non_dyadic_spectrum(name, monkeypatch)
     doc["a_spec"].update(ratio=0.3, scale=1.7, start_power=2)
     scenario = Scenario.from_dict(doc)
     bound = []
-    evaluate = rmtlab.dense_polynomial
+    evaluate = rmtlab._consume_polynomial
 
     def spy(poly, mats, dim):
         bound.append(mats[Letter(FAMILY_A, 1)])
         return evaluate(poly, mats, dim)
 
-    monkeypatch.setattr(rmtlab, "dense_polynomial", spy)
+    monkeypatch.setattr(rmtlab, "_consume_polynomial", spy)
     run_scenario(scenario)
     a_model = rmtlab._compile(scenario).a_model
     diagonal = a_model.diagonal(1, 30)
@@ -842,13 +842,13 @@ def test_gue_squared_is_conjugated_through_its_factor(monkeypatch):
     n = 40
     scenario = builtin_scenario("example3", n=n, trials=1)
     bound = []
-    evaluate = rmtlab.dense_polynomial
+    evaluate = rmtlab._consume_polynomial
 
     def spy(poly, mats, dim):
         bound.append(mats[Letter(FAMILY_B, 1)])
         return evaluate(poly, mats, dim)
 
-    monkeypatch.setattr(rmtlab, "dense_polynomial", spy)
+    monkeypatch.setattr(rmtlab, "_consume_polynomial", spy)
     rng = trial_rng(scenario.seed, 0)
     rmtlab._trial_matrix(scenario, rmtlab._compile(scenario), {}, rng)
     ref = trial_rng(scenario.seed, 0)
@@ -875,14 +875,42 @@ def test_evaluate_expression_leaves_bound_matrices_alone():
     mats = {a1: rng.standard_normal(6).astype(complex), b1: sample_gue(6, rng)}
     kept = {letter: mat.copy() for letter, mat in mats.items()}
     # one-letter words return the bound matrix itself, which must be scaled by
-    # copy; -a1 has entries -0.0, which a sum from zeros turns into +0.0
-    for text in ["2*b1 - b1' - a1 + b1*a1*b1", "-a1"]:
+    # copy; -a1 has entries -0.0, which a sum from zeros turns into +0.0.
+    # Sorted, "3 + a1*a1 + ..." has diagonal words (the constant, a1*a1)
+    # before its first dense word a1*b1*a1 and one (-a1') after it
+    for text in ["2*b1 - b1' - a1 + b1*a1*b1", "-a1", "3 + a1*a1 + a1*b1*a1 - a1' - b1",
+                 "a1*a1 - a1 - 1", "-b1*b1 + a1"]:
         poly = parse_expression(text, {"a1": a1, "b1": b1})
         expected = np.zeros((6, 6), dtype=complex)
         for word, coeff in poly.sorted_terms():
             expected += coeff * dense_word_product(word, lambda letter: kept[letter.base()], 6)
         assert dense_polynomial(poly, mats, 6).tobytes() == expected.tobytes()
         assert all(np.array_equal(mats[letter], kept[letter]) for letter in mats)
+        assert mats.keys() == kept.keys()
+
+
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_trial_evaluation_equals_dense_polynomial_over_kept_draws(name):
+    # the trial hands its matrices over and each is freed after its last
+    # letter; the same draws, kept, give the same bytes by dense_polynomial
+    scenario = builtin_scenario(name, n=20, trials=1)
+    compiled = rmtlab._compile(scenario)
+    got = rmtlab._trial_matrix(scenario, compiled, {}, trial_rng(scenario.seed, 0))
+    rng = trial_rng(scenario.seed, 0)
+    kept = {Letter(FAMILY_A, 1): _build_a_matrix(compiled.a_diag, compiled.a_cells, rng)}
+    b_mats = rmtlab._build_b_matrices(scenario, compiled, {}, rng)
+    kept.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
+    assert got.tobytes() == dense_polynomial(compiled.poly, kept, compiled.dim).tobytes()
+
+
+def test_consumed_evaluation_empties_its_matrices():
+    rng = np.random.default_rng(64)
+    a1, b1, b2 = Letter(FAMILY_A, 1), Letter(FAMILY_B, 1), Letter(FAMILY_B, 2)
+    mats = {a1: sample_gue(5, rng), b1: sample_gue(5, rng), b2: sample_gue(5, rng)}
+    poly = parse_expression("b1*a1*b1 - a1 + 2*b1'", {"a1": a1, "b1": b1})
+    expected = dense_polynomial(poly, mats, 5)
+    assert cmcalc._consume_polynomial(poly, mats, 5).tobytes() == expected.tobytes()
+    assert list(mats) == [b2]  # every letter the polynomial reads is removed
 
 
 def test_dense_block_matrix_writes_each_cell_into_all_its_blocks(monkeypatch):
@@ -926,10 +954,12 @@ def _peak_matrices(scenario, dim):
 ])
 def test_one_trial_keeps_few_dense_matrices_alive(name, n, dim):
     # the Haar draw is factored in place (its buffer and one real draw: 1.5)
-    # and B is formed with 3 alive; the peak, about 4, is evaluating the
-    # expression with B alive (example3 4.06 and example2-correlated 4.01,
-    # both 5.08 with np.linalg.qr)
-    assert _peak_matrices(builtin_scenario(name, n=n, trials=1), dim) <= 4.5
+    # and B is formed with 3 alive.  The expression is evaluated with at most
+    # 3 alive: the first dense term is the sum and example1's A is freed once
+    # B·A exists (example1 3.02 and example3 3.06; 4.02 and 4.06 summing into
+    # zeros with A kept).  example2-correlated peaks forming B (4.01)
+    bound = 4.5 if name == "example2-correlated" else 3.5
+    assert _peak_matrices(builtin_scenario(name, n=n, trials=1), dim) <= bound
 
 
 def test_example2_frees_each_draw_once_its_matrix_is_formed():
