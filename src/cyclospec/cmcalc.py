@@ -293,7 +293,10 @@ def _word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
 def dense_polynomial(poly, mats: Mapping, dim: int) -> np.ndarray:
     """The ``dim x dim`` matrix of ``poly`` over ``mats``, which maps base
     letters to what :func:`dense_word_product` takes; ``mats`` is never
-    modified.  See :func:`_polynomial_sum` for how the terms are summed."""
+    modified.  Each matrix is read as complex (a complex one as itself), so
+    real and integer input gives the bytes of its complex cast.  See
+    :func:`_polynomial_sum` for how the terms are summed."""
+    mats = {base: np.asarray(mat, dtype=complex) for base, mat in mats.items()}
     return _polynomial_sum(poly, mats.get, dim)
 
 
@@ -850,36 +853,38 @@ def cm_moment(w: Word, a_model: TraceClassModel, b_state: TracialState) -> compl
     the trailing one by traciality.  The value is the weight of the A-letters
     in order, times the product of the state values of the B-runs.
 
-    The runs are found in one scan of the word; the state values multiply
-    in run order, the rotated run last.
+    One forward pass factors the word: after the leading B-run, each A-letter
+    joins the A-word and closes the B-run before it, whose state value is
+    taken at once.  The state values multiply in run order, the rotated run
+    last.
     """
-    w = tuple(w)
-    n = len(w)
-    start = 0
-    # w[i][0] is w[i].family: a NamedTuple field read by name costs about 3x
-    while start < n and w[start][0] == FAMILY_B:
-        start += 1
-    if start == n:
+    tau = b_state.tau
+    letters = iter(w)
+    leading = []
+    # letter[0] is letter.family: a NamedTuple field read by name costs about 3x
+    for letter in letters:
+        if letter[0] == FAMILY_A:
+            break
+        leading.append(letter)
+    else:
         raise NotInDomainError(
             f"word {word_str(w)} contains no A-letter, so it lies outside the weight domain"
         )
-    leading_b = w[:start]
-    a_word: list[Letter] = []
+    a_word = [letter]
+    run: list[Letter] = []
     value = 1 + 0j
-    while True:
-        a_end = start
-        while a_end < n and w[a_end][0] == FAMILY_A:
-            a_end += 1
-        a_word += w[start:a_end]
-        start = a_end
-        while start < n and w[start][0] == FAMILY_B:
-            start += 1
-        if start == n:
-            run = w[a_end:] + leading_b
+    for letter in letters:
+        if letter[0] != FAMILY_A:
+            run.append(letter)
+        else:
             if run:
-                value *= b_state.tau(run)
-            return value * a_model.omega(tuple(a_word))
-        value *= b_state.tau(w[a_end:start])
+                value *= tau(tuple(run))
+                run = []
+            a_word.append(letter)
+    run += leading
+    if run:
+        value *= tau(tuple(run))
+    return value * a_model.omega(tuple(a_word))
 
 
 def poly_moment(p, m: int, a_model: TraceClassModel, b_state: TracialState) -> complex:

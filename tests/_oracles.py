@@ -13,10 +13,12 @@ from cyclospec import (
     MatrixTraceFamily,
     MomentTable,
     NCPolynomial,
+    NotInDomainError,
     SpectrumFamily,
     a_gen,
     b_gen,
 )
+from cyclospec.ncalg import FAMILY_A, FAMILY_B, Letter, word_str
 
 
 def random_hermitian(n, rng):
@@ -229,3 +231,36 @@ def chain_instance(rng):
     b_state = TraceMatrixState({i: random_general(3, rng) for i in (1, 2)})
     a_model = MatrixTraceFamily({i: random_general(4, rng) for i in (1, 2)})
     return {"chain": chain, "m": m, "a_model": a_model, "b_state": b_state}
+
+
+def reference_cm_moment(w, a_model, b_state):
+    """A frozen copy of the run-scanning ``cm_moment`` that the one-pass
+    oracle replaced; tests compare the two value for value and call for call.
+    """
+    w = tuple(w)
+    n = len(w)
+    start = 0
+    # w[i][0] is w[i].family: a NamedTuple field read by name costs about 3x
+    while start < n and w[start][0] == FAMILY_B:
+        start += 1
+    if start == n:
+        raise NotInDomainError(
+            f"word {word_str(w)} contains no A-letter, so it lies outside the weight domain"
+        )
+    leading_b = w[:start]
+    a_word: list[Letter] = []
+    value = 1 + 0j
+    while True:
+        a_end = start
+        while a_end < n and w[a_end][0] == FAMILY_A:
+            a_end += 1
+        a_word += w[start:a_end]
+        start = a_end
+        while start < n and w[start][0] == FAMILY_B:
+            start += 1
+        if start == n:
+            run = w[a_end:] + leading_b
+            if run:
+                value *= b_state.tau(run)
+            return value * a_model.omega(tuple(a_word))
+        value *= b_state.tau(w[a_end:start])

@@ -7,8 +7,9 @@ every value, so two checkouts that multiply words out bitwise alike print the
 same bytes.  It covers ``poly_moment`` over a ``MatrixTraceFamily`` weight and
 a ``TraceMatrixState`` state at dimensions 1, 2, 5 and 16, on expressions with
 starred and unstarred letters, and ``chain_moment`` and
-``chain_moment_unreduced`` on the first criterion-3 chains.  It uses the
-package's public names only, so it runs against an older checkout too.
+``chain_moment_unreduced`` on all 100 criterion-3 chains, so every chain
+shape of that gate goes through the oracle.  It uses the package's public
+names only, so it runs against an older checkout too.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ EXPRESSIONS = (
     "i*(a1*b1' - b1*a1')",
 )
 CRITERION3_SEED = 3030
-CHAINS = 6
+CHAINS = 100
 
 
 def main() -> None:

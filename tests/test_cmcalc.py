@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclospec import (
@@ -38,7 +38,7 @@ from cyclospec import cmcalc, linred
 from cyclospec.cmcalc import WordProducts, dense_word_product
 from cyclospec.ncalg import Letter, word_adjoint
 
-from _oracles import random_general, random_hermitian
+from _oracles import random_general, random_hermitian, reference_cm_moment
 
 SYMS = make_symbols(a=("a1", "a2"), b=("b1", "b2", "b3"))
 
@@ -226,6 +226,57 @@ def test_cm_moment_two_state_generators():
 def test_cm_moment_rejects_pure_b():
     with pytest.raises(NotInDomainError):
         cm_moment((b_gen(1),), geometric_family(), MomentTable.from_b_powers({1: 1.0}))
+
+
+class _Recording:
+    """A weight and a state that log each call with its word and the word's
+    type, and answer the next of ``values`` in call order: two oracles that
+    make the same calls in the same order see the same answers."""
+
+    def __init__(self, values):
+        self.log, self._values = [], values
+
+    def _answer(self, name, w):
+        self.log.append((name, type(w), w))
+        return self._values[(len(self.log) - 1) % len(self._values)]
+
+    def omega(self, w):
+        return self._answer("omega", w)
+
+    def tau(self, w):
+        return self._answer("tau", w)
+
+
+def _recorded_oracle(oracle, word, values):
+    model = _Recording(values)
+    try:
+        outcome = repr(oracle(word, model, model))  # repr tells signed zeros apart
+    except Exception as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, model.log
+
+
+_ORACLE_LETTERS = (a_gen(1), a_gen(2), a_gen(1, star=True),
+                   b_gen(1), b_gen(2), b_gen(1, star=True))
+_A1, _A2, _A1S, _B1, _B2, _B1S = _ORACLE_LETTERS
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    word=st.lists(st.sampled_from(_ORACLE_LETTERS), max_size=12).map(tuple),
+    values=st.lists(st.complex_numbers(), min_size=1, max_size=6),
+)
+@example(word=(), values=[2.0])
+@example(word=(_A1, _A2, _A1S), values=[-0.0])
+@example(word=(_B1, _B2, _B1S), values=[2.0])
+@example(word=(_B1, _B1S, _A1, _B2, _A2, _A1S, _B1, _B2), values=[complex(-0.0, 0.0), -1.0, 3j])
+@example(word=(_B2, _A1, _A1, _B1, _B1S), values=[complex(0.0, -0.0), -2.0])
+@example(word=(_A2, _B1, _B1, _A1, _B2, _A1S), values=[-1.0, complex(-0.0, -0.0)])
+def test_cm_moment_matches_the_run_scanning_reference(word, values):
+    # the same value bits, the same tau and omega calls on the same tuples in
+    # the same order, and the same exception for a word without an A-letter
+    assert _recorded_oracle(cm_moment, word, values) == _recorded_oracle(
+        reference_cm_moment, word, values)
 
 
 def test_poly_moment_examples():

@@ -889,6 +889,22 @@ def test_evaluate_expression_leaves_bound_matrices_alone():
         assert mats.keys() == kept.keys()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_dense_polynomial_reads_real_matrices_as_their_complex_casts(dtype):
+    # a real product scaled in place by a complex coefficient used to raise
+    # numpy's UFuncTypeError; a1 is a 1-D real diagonal
+    rng = np.random.default_rng(65)
+    a1, b1 = Letter(FAMILY_A, 1), Letter(FAMILY_B, 1)
+    mats = {letter: (3 * rng.standard_normal(shape)).astype(dtype)
+            for letter, shape in ((a1, 5), (b1, (5, 5)))}
+    cast = {letter: mat.astype(complex) for letter, mat in mats.items()}
+    for text in ["b1*b1 + 2*b1", "b1'", "b1", "i*a1 - 2*a1*a1'", "a1*b1*a1 - a1 + 2"]:
+        poly = parse_expression(text, {"a1": a1, "b1": b1})
+        got = dense_polynomial(poly, mats, 5)
+        assert got.tobytes() == dense_polynomial(poly, cast, 5).tobytes()
+    assert all(mat.dtype == dtype for mat in mats.values())
+
+
 @pytest.mark.parametrize("name", ["example1", "example3"])
 def test_trial_evaluation_equals_dense_polynomial_over_kept_draws(name):
     # the trial hands its matrices over and each is freed after its last
