@@ -48,7 +48,7 @@ from .ncalg import (
     word_adjoint,
     word_str,
 )
-from .spectra import rounding_tolerance
+from .spectra import BLOCK_WIDTH, rounding_tolerance
 
 DEFAULT_TRUNCATION = 64
 # ndarray.trace is this reduction of the diagonal behind argument handling
@@ -263,31 +263,67 @@ def dense_word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
     agrees up to rounding.  A word of diagonal letters only gives
     ``np.diag`` of their product.  A one-letter word of a 2-D matrix returns
     that matrix itself (or its conjugate transpose); callers must not modify
-    the result.
+    the result.  The matrices are never written.
     """
-    prod = _word_product(w, matrix_of, dim)
+    prod = _word_product(w, lambda letter: (matrix_of(letter), False), dim)
     return np.diag(prod) if prod.ndim == 1 else prod
 
 
 def _word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
     """:func:`dense_word_product`, with a word of diagonal letters only (the
-    empty word too) left as the 1-D diagonal of its product."""
+    empty word too) left as the 1-D diagonal of its product.
+
+    ``matrix_of(letter)`` returns ``(matrix, released)``; a released matrix
+    is read by no later letter or caller, so it may be written over.  A
+    product formed here (an adjoint's copy included) is written over by the
+    next: a diagonal letter scales it in place, and a dense one overwrites it
+    block by block (:func:`_matmul_over`).  A product whose left operand is a
+    bound matrix is written over its right one if that is released and
+    shares no memory with the left.  Each of these equals the out-of-place
+    step bitwise.
+    """
     if not w:
         return np.ones(dim, dtype=complex)
     prod = None
+    mine = False  # whether prod may be written over
     for letter in w:
-        mat = matrix_of(letter)
+        mat, released = matrix_of(letter)
         if letter.star:
-            mat = mat.conj().T
+            mat, released = mat.conj().T, True
         if prod is None:
-            prod = mat
+            prod, mine = mat, released
         elif mat.ndim == 1:
-            prod = prod * mat
+            if mine:
+                prod *= mat
+            else:
+                prod, mine = prod * mat, True
         elif prod.ndim == 1:
-            prod = prod[:, np.newaxis] * mat
+            prod, mine = prod[:, np.newaxis] * mat, True
         else:
-            prod = prod @ mat
+            over = prod if mine else (
+                mat if released and not np.may_share_memory(prod, mat) else None)
+            prod, mine = _matmul_over(prod, mat, over), True
     return prod
+
+
+def _matmul_over(left: np.ndarray, right: np.ndarray, over: np.ndarray | None) -> np.ndarray:
+    """``left @ right`` of square matrices written over ``over``: over
+    ``left`` ``BLOCK_WIDTH`` rows at a time, over ``right`` ``BLOCK_WIDTH``
+    columns at a time, or into a new array for ``None``.  Only a block-sized
+    temporary is added; each block is the one-shot product's, byte for byte
+    (see ``BLOCK_WIDTH``).  ``over`` must share no memory with the other
+    operand."""
+    if over is None:
+        return left @ right
+    if over is left:
+        for start in range(0, len(left), BLOCK_WIDTH):
+            rows = left[start:start + BLOCK_WIDTH]
+            rows[...] = rows @ right
+    else:
+        for start in range(0, right.shape[1], BLOCK_WIDTH):
+            cols = right[:, start:start + BLOCK_WIDTH]
+            cols[...] = left @ cols
+    return over
 
 
 def dense_polynomial(poly, mats: Mapping, dim: int) -> np.ndarray:
@@ -297,25 +333,34 @@ def dense_polynomial(poly, mats: Mapping, dim: int) -> np.ndarray:
     real and integer input gives the bytes of its complex cast.  See
     :func:`_polynomial_sum` for how the terms are summed."""
     mats = {base: np.asarray(mat, dtype=complex) for base, mat in mats.items()}
-    return _polynomial_sum(poly, mats.get, dim)
+    return _polynomial_sum(poly, lambda base: (mats.get(base), False), dim)
 
 
 def _consume_polynomial(poly, mats: dict, dim: int) -> np.ndarray:
     """:func:`dense_polynomial` that empties ``mats`` as it goes: each matrix
     is removed after the last letter that reads it, in ``sorted_terms``
     order.  A matrix the caller holds nowhere else is then freed as soon as
-    the product that reads it last exists."""
+    the product that reads it last exists, or written over by that product
+    (:func:`_word_product`) if it is writeable and no other entry of
+    ``mats`` shares its memory (a ``copy_of`` B is read by two letters).
+    Read-only matrices are never written."""
     uses = Counter(letter.base() for word in poly.terms for letter in word)
 
     def take(base):
         uses[base] -= 1
-        return mats.pop(base, None) if not uses[base] else mats.get(base)
+        if uses[base]:
+            return mats.get(base), False
+        mat = mats.pop(base, None)
+        released = (mat is not None and mat.flags.writeable
+                    and not any(np.may_share_memory(mat, other) for other in mats.values()))
+        return mat, released
 
     return _polynomial_sum(poly, take, dim)
 
 
 def _polynomial_sum(poly, lookup, dim: int) -> np.ndarray:
-    """The terms of ``poly`` over ``lookup(base letter)``, summed in
+    """The terms of ``poly`` over ``lookup(base letter)``, a ``(matrix,
+    released)`` pair as :func:`_word_product` reads it, summed in
     ``sorted_terms`` order.
 
     Each term is scaled in place, except one that is a bound matrix itself
@@ -325,8 +370,8 @@ def _polynomial_sum(poly, lookup, dim: int) -> np.ndarray:
     complex ``c``).  Diagonal words stay 1-D: those before the first dense
     term are summed as one diagonal, and later ones are added to the sum's
     diagonal.  The first dense term becomes the sum, so while it is
-    multiplied out only its product so far and the next are alive beside
-    the bound matrices.
+    multiplied out only its product so far and a block beside it are alive
+    with the bound matrices.
 
     The values equal summing every ``coeff * dense_word_product(...)`` into
     zeros, scaled as above: a term skipped or added first changes only the
@@ -334,10 +379,10 @@ def _polynomial_sum(poly, lookup, dim: int) -> np.ndarray:
     round to nearest, so the closing ``+= 0.0`` makes the two bitwise equal.
     """
     def matrix_of(letter):
-        mat = lookup(letter.base())
+        mat, released = lookup(letter.base())
         if mat is None:
             raise DimensionMismatchError(f"no matrix bound to {letter.label()}")
-        return mat
+        return mat, released
 
     out = diag = None  # the sum once a term is dense; until then, its diagonal
     for word, coeff in poly.sorted_terms():
@@ -375,22 +420,83 @@ def _generators(cells) -> list[Letter]:
 
 
 def dense_block_matrix(cells, mats: Mapping, size: int) -> np.ndarray:
-    """The block matrix of the square grid of polynomials ``cells``.
+    """The block matrix of the square grid of polynomials ``cells`` over
+    ``mats``, each block the :func:`dense_polynomial` of its cell at
+    ``size``; ``mats`` is never modified.  See :func:`_block_matrix`."""
+    return _block_matrix(cells, mats.get, size)
 
-    Each distinct cell is evaluated once by :func:`dense_polynomial` at
-    ``size`` and written into all its blocks as soon as it is formed.
+
+def _block_matrix(cells, draw, size: int) -> np.ndarray:
+    """The block matrix of the square grid of polynomials ``cells``, with
+    ``draw(letter)`` the matrix of each generator, as
+    :func:`dense_polynomial` reads it, called once per generator in sorted
+    order.
+
+    Each distinct cell is formed once, as soon as its last generator is
+    drawn (a constant cell before the first draw), and written into all its
+    blocks; each generator is let go after its last cell.  So a grid of
+    one-generator cells holds one generator at a time beside the output.
     """
+    gens = _generators(cells)
+    rank = {letter: pos for pos, letter in enumerate(gens)}
     places: dict[tuple, tuple] = {}
     for i, row in enumerate(cells):
         for j, poly in enumerate(row):
             places.setdefault(tuple(poly.sorted_terms()), (poly, []))[1].append((i, j))
-    out = np.empty((len(cells) * size, len(cells) * size), dtype=complex)
+    due: dict[int, list] = {}  # the cells formed once gens[pos] is drawn, by pos
+    last_cell: dict[Letter, int] = {}  # each generator's last cell, by its due pos
     for poly, blocks in places.values():
-        value = dense_polynomial(poly, mats, size)
-        for i, j in blocks:
-            out[i * size:(i + 1) * size, j * size:(j + 1) * size] = value
-        del value  # freed before the next cell is formed
+        letters = {letter.base() for word in poly.terms for letter in word}
+        pos = max((rank[letter] for letter in letters), default=-1)
+        due.setdefault(pos, []).append((poly, blocks))
+        for letter in letters:
+            last_cell[letter] = max(last_cell.get(letter, pos), pos)
+    out = np.empty((len(cells) * size, len(cells) * size), dtype=complex)
+    mats: dict[Letter, np.ndarray] = {}
+    for pos in range(-1, len(gens)):
+        if pos >= 0:
+            mat = draw(gens[pos])
+            mats[gens[pos]] = None if mat is None else np.asarray(mat, dtype=complex)
+            del mat  # mats holds it alone, so it is freed after its last cell
+        for poly, blocks in due.get(pos, ()):
+            _cell_into(out, blocks, poly, mats, size)
+        for letter in [letter for letter in mats if last_cell[letter] == pos]:
+            del mats[letter]
     return out
+
+
+def _cell_into(out: np.ndarray, blocks, poly, mats: Mapping, size: int) -> None:
+    """Write the ``size x size`` matrix of ``poly`` over ``mats`` (complex,
+    or ``None`` for a letter not bound) into the ``(i, j)`` ``blocks`` of
+    ``out``.
+
+    A cell of one product of two or more dense letters is multiplied
+    straight into its first block and scaled there as
+    :func:`_polynomial_sum` scales a product; any other cell is that sum,
+    copied in.  A matmul into a block view equals the contiguous product
+    byte for byte."""
+    def block(i, j):
+        return out[i * size:(i + 1) * size, j * size:(j + 1) * size]
+
+    def lookup(base):
+        return mats.get(base), False
+
+    def matrix_of(letter):  # every letter is bound here
+        return lookup(letter.base())
+
+    first = block(*blocks[0])
+    terms = poly.sorted_terms()
+    word = terms[0][0] if len(terms) == 1 else ()
+    if len(word) > 1 and all(getattr(mats.get(letter.base()), "ndim", 0) == 2
+                             for letter in word):
+        np.matmul(_word_product(word[:-1], matrix_of, size),
+                  _word_product(word[-1:], matrix_of, size), out=first)
+        first *= terms[0][1]
+        first += 0.0
+    else:
+        first[...] = _polynomial_sum(poly, lookup, size)
+    for i, j in blocks[1:]:
+        block(i, j)[...] = first
 
 
 # ---------------------------------------------------------------------------

@@ -10,28 +10,32 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spectra import BLOCK_WIDTH, _add_adjoint
+
 
 def _ginibre(n: int, rng: np.random.Generator, order: str = "C") -> np.ndarray:
     """Complex Ginibre matrix ``(a + 1j*b) * sqrt(0.5)`` of two ``(n, n)``
     standard normal draws, ``a`` first, written into one array of memory
     ``order`` ("C" or "F").
 
-    Bitwise the out-of-place sum: its imaginary term's real part is +-0.0,
-    and ``a + (+-0.0) == a``.
+    Each draw is taken ``BLOCK_WIDTH`` rows at a time, which yields the
+    numbers of the one-shot draw in the same order.  Bitwise the out-of-place
+    sum: its imaginary term's real part is +-0.0, and ``a + (+-0.0) == a``.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     z = np.empty((n, n), dtype=complex, order=order)
-    z.real = rng.standard_normal((n, n))
-    z.imag = rng.standard_normal((n, n))
+    for part in (z.real, z.imag):
+        for start in range(0, n, BLOCK_WIDTH):
+            rows = part[start:start + BLOCK_WIDTH]
+            rows[...] = rng.standard_normal(rows.shape)
     z *= np.sqrt(0.5)
     return z
 
 
 def sample_gue(n: int, rng: np.random.Generator) -> np.ndarray:
     """Hermitian GUE sample of dimension ``n`` with ``E tr(G^2) = 1``."""
-    z = _ginibre(n, rng)
-    z += z.conj().T  # the right side is a copy, so z is read before it is written
+    z = _add_adjoint(_ginibre(n, rng))
     z /= np.sqrt(2.0 * n)
     return z
 

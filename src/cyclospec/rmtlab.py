@@ -30,11 +30,12 @@ from .cmcalc import (
     HaarConjugatedFamily,
     MomentTable,
     SpectrumFamily,
+    _block_matrix,
     _consume_polynomial,
     _generators,
     _is_json_integer,
     _is_json_number,
-    dense_block_matrix,
+    _matmul_over,
 )
 from .ensembles import sample_gue, sample_haar_unitary
 from .errors import (
@@ -46,6 +47,7 @@ from .errors import (
 from .linred import AlgMatrix, _reduce, _reduction_spectrum, chain_moment
 from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression
 from .spectra import (
+    BLOCK_WIDTH,
     EVMultiset,
     hermiticity_gap,
     match_distance,
@@ -335,28 +337,30 @@ def _build_a_matrix(
     if a_cells is None:
         return a_diag
     # a1 is the diagonal, every further generator a fresh Haar rotation of it
-    n = len(a_diag)
-    mats = {}
-    for letter in _generators(a_cells):
-        mats[letter] = a_diag
-        if letter.index > 1:
-            u = sample_haar_unitary(n, rng)
-            mats[letter] = (u * a_diag) @ u.conj().T
-    return dense_block_matrix(a_cells, mats, n)
+    def rotated(letter):
+        if letter.index == 1:
+            return a_diag
+        u = sample_haar_unitary(len(a_diag), rng)
+        return (u * a_diag) @ u.conj().T
+
+    return _block_matrix(a_cells, rotated, len(a_diag))
 
 
 def _build_b_matrices(
     scenario: Scenario, c: _Compiled, files: dict, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """The trial's B matrices: each entry that is not a ``copy_of`` drawn in
-    b_spec order (a ``file`` entry is its loaded ``files[pos]``), then the one
+    b_spec order (a ``file`` entry is its loaded ``files[pos]``; a blocks
+    entry's cells are formed as their generators are drawn), then the one
     Haar ``u`` of ``haar_conjugate_b``.
 
     Each draw is then replaced by its matrix: a ``gue_squared`` factor ``g``
     becomes ``g @ g``, or with ``u`` ``t @ t*`` for ``t = u @ g``; every other
-    draw ``mat`` becomes ``t @ u*`` for ``t = u @ mat`` with ``u``.  A draw is
-    freed as soon as its ``t`` exists, and ``u`` once the last source has read
-    it.  A ``copy_of`` entry gets its source's matrix.
+    draw ``mat`` becomes ``t @ u*`` for ``t = u @ mat`` with ``u``.  Each
+    product is written over an operand that dies with it (a read-only
+    ``file`` B excepted): ``t`` over the draw and ``t @ u*`` over ``t``.
+    ``u`` is freed once the last source has read it.  A ``copy_of`` entry
+    gets its source's matrix.
     """
     sources = [pos for pos, source in enumerate(c.b_sources) if source == pos]
     formed = {}
@@ -364,8 +368,7 @@ def _build_b_matrices(
         cells, kind = c.b_cells[pos], scenario.b_spec[pos]["kind"]
         if cells is not None:  # gue blocks
             size = c.dim // len(cells)
-            gens = {letter: sample_gue(size, rng) for letter in _generators(cells)}
-            formed[pos] = dense_block_matrix(cells, gens, size)
+            formed[pos] = _block_matrix(cells, lambda letter: sample_gue(size, rng), size)
         elif kind == "file":
             formed[pos] = files[pos]
         else:  # gue, gue_squared
@@ -377,13 +380,35 @@ def _build_b_matrices(
         return [formed[source] for source in c.b_sources]
     u = sample_haar_unitary(c.dim, rng)
     for pos in sources:
-        t = u @ formed.pop(pos)
-        right = t.conj().T if pos in squared else u.conj().T
-        if pos == sources[-1]:
-            del u
-        formed[pos] = t @ right
-        del t, right  # before the next source's product
+        mat = formed.pop(pos)
+        t = _matmul_over(u, mat, mat if mat.flags.writeable else None)
+        del mat
+        if pos in squared:
+            if pos == sources[-1]:
+                del u  # before t t* is formed
+            formed[pos] = _gram(t)
+        else:
+            # u* is u.T while u is conjugated in place, which is exact both ways
+            formed[pos] = _matmul_over(t, np.conj(u, out=u).T, t)
+            if pos == sources[-1]:
+                del u
+            else:
+                np.conj(u, out=u)
+        del t  # before the next source's product
     return [formed[source] for source in c.b_sources]
+
+
+def _gram(t: np.ndarray) -> np.ndarray:
+    """``t @ t.conj().T``, formed ``BLOCK_WIDTH`` rows at a time from ``t*``
+    alone: ``t`` is conjugated in place, and row block ``i`` is
+    ``conj(t*[:, i]).T @ t*``.  The bytes are the one-shot product's for
+    ``t`` of either memory order."""
+    adjoint = np.conj(t, out=t).T
+    out = np.empty(t.shape, dtype=complex)
+    for start in range(0, len(t), BLOCK_WIDTH):
+        rows = slice(start, start + BLOCK_WIDTH)
+        np.matmul(np.conj(adjoint[:, rows]).T, adjoint, out=out[rows])
+    return out
 
 
 def _trial_matrix(
@@ -393,8 +418,9 @@ def _trial_matrix(
     ``files`` its loaded ``file`` B's by b_spec position.
 
     The bound matrices are held by ``mats`` alone, which the evaluation
-    empties: each is freed after its last letter (example1's A once ``B·A``
-    exists), and every other matrix built here dies when it returns.
+    empties: each is freed after its last letter, or written over by the
+    product that reads it last (example1's ``B·A`` over A), and every other
+    matrix built here dies when it returns.
     """
     mats = {Letter(FAMILY_A, 1): _build_a_matrix(c.a_diag, c.a_cells, rng)}
     mats.update((Letter(FAMILY_B, j), mat)

@@ -923,6 +923,58 @@ def test_dense_word_product_broadcasts_diagonal_letters():
             assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("dim", [199, 200, 300, 601, 602])
+def test_products_written_over_an_operand_equal_the_one_shot_product(dim):
+    # BLOCK_WIDTH rows over the left operand, or columns over the right, give
+    # the bytes of one matmul with OpenBLAS; a width of 150 fails this
+    rng = np.random.default_rng(dim)
+    right = random_general(dim, rng)
+    for order in "CF":
+        left = np.asarray(random_general(dim, rng), order=order)
+        expected = (left @ right).tobytes()
+        over_left = left.copy(order="K")
+        assert cmcalc._matmul_over(over_left, right, over_left) is over_left
+        assert over_left.tobytes() == expected
+        over_right = right.copy()
+        assert cmcalc._matmul_over(left, over_right, over_right) is over_right
+        assert over_right.tobytes() == expected
+        assert cmcalc._matmul_over(left, right, None).tobytes() == expected
+
+
+def test_owned_products_are_scaled_and_multiplied_in_place_bitwise():
+    # a word multiplied out over owned products (row blocks, in-place
+    # diagonal scaling, a released right operand's column blocks) against
+    # the out-of-place loop; the diagonal is real but complex-typed
+    dim = 300
+    rng = np.random.default_rng(38)
+    d = rng.uniform(-1, 1, size=dim).astype(complex)
+    mats = {1: random_general(dim, rng), 2: d, 3: random_general(dim, rng)}
+    prod = random_general(dim, rng)
+    scaled = prod.copy()
+    scaled *= d
+    assert scaled.tobytes() == (prod * d).tobytes()
+    kept = {index: mat.copy() for index, mat in mats.items()}
+    for w in [(a_gen(1), a_gen(2), a_gen(3), a_gen(2), a_gen(1)),
+              (a_gen(3, True), a_gen(1), a_gen(2, True), a_gen(3)),
+              (a_gen(2), a_gen(1), a_gen(2), a_gen(3)), (a_gen(1), a_gen(3))]:
+        expected = None
+        for letter in w:
+            mat = kept[letter.index].conj().T if letter.star else kept[letter.index]
+            expected = (mat if expected is None else expected * mat if mat.ndim == 1
+                        else expected[:, np.newaxis] * mat if expected.ndim == 1
+                        else expected @ mat)
+        got = dense_word_product(w, lambda letter: mats[letter.index], dim)
+        assert got.tobytes() == expected.tobytes()
+        released = mats[3].copy()
+        got = cmcalc._word_product(
+            w, lambda letter: ((released, True) if letter.index == 3 and not letter.star
+                               and letter is w[-1] else (mats[letter.index], False)), dim)
+        assert got.tobytes() == expected.tobytes()
+        if len(w) == 2:  # a bound left operand: written over the released right one
+            assert got is released
+    assert all(np.array_equal(mats[index], kept[index]) for index in mats)
+
+
 def test_haar_realization_equals_dense_conjugation():
     # the limit model's realization has the traces of a finite Haar draw
     # u d u* on single-generator words, and exactly the limit 0 on mixed ones

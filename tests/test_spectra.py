@@ -16,6 +16,7 @@ from cyclospec import (
     scale,
     truncate,
 )
+from cyclospec.spectra import HERMITICITY_TOL, hermiticity_gap, rounding_tolerance, symmetrize
 
 from _oracles import random_hermitian
 
@@ -189,3 +190,39 @@ def test_scale_composition():
     lhs = scale(2.0, scale(-3.0, s))
     rhs = scale(-6.0, s)
     np.testing.assert_allclose(lhs.values, rhs.values, rtol=1e-15)
+
+
+def _gap_out_of_place(m):
+    adjoint = np.conj(np.swapaxes(m, -1, -2))
+    return float(np.max(np.abs(m - adjoint), initial=0.0)), float(np.max(np.abs(m), initial=0.0))
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (128, 128), (129, 129), (300, 300), (3, 200, 200),
+                                   (2, 2, 130, 130)])
+def test_tiled_hermitian_passes_equal_the_out_of_place_formulas(shape):
+    # several tiles from 129 on; the stacks walk their last two axes
+    rng = np.random.default_rng(sum(shape))
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # signed zeros: a real symmetric corner and a symmetric row 1 across the
+    # tiles (the imaginary parts of m + m* subtract to +0.0 out of place, to
+    # -0.0 read from the mirror's sum), and -0.0 parts on both sides
+    m[..., :3, :3] = np.swapaxes(m[..., :3, :3], -1, -2).real
+    m[..., :, 1] = m[..., 1, :]
+    m[..., 0, -1], m[..., -1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    residual, tol = hermiticity_gap(m)
+    expected, magnitude = _gap_out_of_place(m)
+    assert residual == expected
+    assert tol == rounding_tolerance(HERMITICITY_TOL, magnitude)
+    kept = m.copy()
+    got = symmetrize(m)
+    assert got is m
+    assert got.tobytes() == ((kept + np.conj(np.swapaxes(kept, -1, -2))) / 2.0).tobytes()
+
+
+@pytest.mark.parametrize("where", [(0, 0), (5, 250), (250, 5), (260, 260)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_tiled_hermiticity_gap_rejects_a_non_finite_entry_in_any_tile(where, bad):
+    m = np.zeros((2, 270, 270), dtype=complex)
+    m[(1,) + where] = bad
+    with pytest.raises(NotSelfadjointError, match="matrix has a non-finite entry"):
+        hermiticity_gap(m)
