@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .cmcalc import (
+    DEFAULT_TRUNCATION,
     ExplicitSpectrum,
     GeometricSpectrum,
     MomentTable,
@@ -43,6 +44,7 @@ from .rmtlab import (
     DEMO_SEED,
     Report,
     Scenario,
+    _save_json,
     build_prediction,
     builtin_scenario,
     run_scenario,
@@ -97,7 +99,7 @@ def _parse_spectrum(text: str):
         if len(parts) not in (2, 3):
             raise ValueError("geometric spectrum needs scale,ratio[,count]")
         scale, ratio = float(parts[0]), float(parts[1])
-        count: int | None = 64
+        count: int | None = DEFAULT_TRUNCATION
         if len(parts) == 3:
             count = None if parts[2] == "analytic" else int(parts[2])
         return GeometricSpectrum(scale, ratio, count=count)
@@ -111,9 +113,7 @@ def _write_prediction(pred, out: str) -> list[str]:
     json_path = out_path if out_path.suffix == ".json" else out_path.with_suffix(".json")
     csv_path = json_path.with_suffix(".csv")
     json_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(pred.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _save_json(pred.to_json_dict(), json_path)
     pred.multiset.to_csv(csv_path)
     return [str(json_path), str(csv_path)]
 
@@ -223,16 +223,16 @@ def _cmd_compare(args) -> int:
 def _formula_demo(name: str) -> int:
     """Oracle-vs-formula equivalence table for the degree-2 closed forms."""
     tau_b, tau_b2 = 1.0, 2.0
-    spectrum = GeometricSpectrum(1.0, 0.5, count=64)
+    spectrum = GeometricSpectrum(1.0, 0.5, count=DEFAULT_TRUNCATION)
     family = SpectrumFamily({1: spectrum})
     table = MomentTable.from_b_powers({1: tau_b, 2: tau_b2})
     symbols = auto_symbols("a1 b1")
     if name == "anticommutator":
         poly = parse_expression("a1*b1 + b1*a1", symbols)
-        pred = ev_anticommutator(spectrum, tau_b, tau_b2, 64)
+        pred = ev_anticommutator(spectrum, tau_b, tau_b2)
     else:
         poly = parse_expression("i*(a1*b1 - b1*a1)", symbols)
-        pred = ev_commutator(spectrum, tau_b, tau_b2, 64)
+        pred = ev_commutator(spectrum, tau_b, tau_b2)
     print(f"demo {name}: tau(b) = {tau_b}, tau(b^2) = {tau_b2}, "
           f"provenance {pred.to_json_dict()['provenance']}")
     print(f"{'m':>2}  {'oracle':>20}  {'formula':>20}  {'rel diff':>10}")

@@ -23,9 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import numbers
-import operator
 from collections import Counter
-from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -324,6 +322,19 @@ def _matmul_over(left: np.ndarray, right: np.ndarray, over: np.ndarray | None) -
             cols = right[:, start:start + BLOCK_WIDTH]
             cols[...] = left @ cols
     return over
+
+
+def _gram(t: np.ndarray) -> np.ndarray:
+    """``t @ t.conj().T``, formed ``BLOCK_WIDTH`` rows at a time from ``t*``
+    alone: ``t`` is conjugated in place, and row block ``i`` is
+    ``conj(t*[:, i]).T @ t*``.  The bytes are the one-shot product's for
+    ``t`` of either memory order."""
+    adjoint = np.conj(t, out=t).T
+    out = np.empty(t.shape, dtype=complex)
+    for start in range(0, len(t), BLOCK_WIDTH):
+        rows = slice(start, start + BLOCK_WIDTH)
+        np.matmul(np.conj(adjoint[:, rows]).T, adjoint, out=out[rows])
+    return out
 
 
 def dense_polynomial(poly, mats: Mapping, dim: int) -> np.ndarray:
@@ -871,20 +882,18 @@ class MatrixTraceFamily(TraceClassModel):
 
         Each word is looked up in the memo once.  The words it misses are
         evaluated as one sorted batch by ``WordProducts.traces`` (a repeated
-        word shares all its prefixes); misses that already come in sorted
-        order, as the words of ``linred.chain_moment`` do, are not sorted
-        again.  A word outside the domain raises the error of :meth:`omega`,
-        and then nothing is memoized.
+        word shares all its prefixes); the sort is linear on misses that
+        already come in sorted order, as the words of ``linred.chain_moment``
+        do.  A word outside the domain raises the error of :meth:`omega`, and
+        then nothing is memoized.
         """
         values = self._values
         out = list(map(values.get, words))
         misses = [pos for pos, value in enumerate(out) if value is None]
         if not misses:
             return out
+        misses.sort(key=words.__getitem__)
         missing = [words[pos] for pos in misses]
-        if any(map(operator.gt, missing, islice(missing, 1, None))):
-            misses.sort(key=words.__getitem__)
-            missing = [words[pos] for pos in misses]
         letters = set().union(*missing)
         if not all(missing) or any(letter.family != FAMILY_A for letter in letters):
             for w in missing:

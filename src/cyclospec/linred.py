@@ -34,6 +34,7 @@ from .cmcalc import (
     TraceClassModel,
     TracialState,
     _generators,
+    _word_product,
     cm_moment,
     dense_block_matrix,
 )
@@ -92,10 +93,7 @@ class AlgMatrix:
                     out_row.append(NCPolynomial.scalar(cell))
                 elif isinstance(cell, str):
                     syms = symbols if symbols is not None else ncalg.auto_symbols(cell)
-                    out_row.append(
-                        NCPolynomial.zero() if cell.strip() == "0"
-                        else ncalg.parse_expression(cell, syms)
-                    )
+                    out_row.append(ncalg.parse_expression(cell, syms))
                 else:
                     raise TypeError(f"cannot use {type(cell).__name__} as a matrix entry")
             if width is None:
@@ -748,8 +746,8 @@ def _reduction_spectrum(reduction, a_model: TraceClassModel, truncation: int | N
         for i, row in enumerate(a_grid):
             for j, entry in enumerate(row):
                 for word, coeff in sorted(entry.items()):
-                    factors = [diag[x.base()].conj() if x.star else diag[x] for x in word]
-                    stack[:, i, j] += coeff * np.prod(factors, axis=0)
+                    stack[:, i, j] += coeff * _word_product(
+                        word, lambda x: (diag[x.base()], False), n)
     else:
         stack = dense_block_matrix(cells, mats, n)[np.newaxis]
     multiset = _stack_spectrum(stack, beta)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -33,6 +34,7 @@ from .cmcalc import (
     _block_matrix,
     _consume_polynomial,
     _generators,
+    _gram,
     _is_json_integer,
     _is_json_number,
     _matmul_over,
@@ -47,7 +49,6 @@ from .errors import (
 from .linred import AlgMatrix, _reduce, _reduction_spectrum, chain_moment
 from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression
 from .spectra import (
-    BLOCK_WIDTH,
     EVMultiset,
     hermiticity_gap,
     match_distance,
@@ -110,11 +111,8 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
     m = np.asarray(matrix, dtype=complex)
     with open(path, "w", encoding="utf-8") as fh:
         for row in m:
-            cells = []
-            for value in row:
-                cells.append(repr(float(value.real)))
-                cells.append(repr(float(value.imag)))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(repr(float(part)) for value in row
+                              for part in (value.real, value.imag)) + "\n")
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -133,6 +131,14 @@ def load_matrix_csv(path) -> np.ndarray:
                 raise ValueError(f"matrix CSV {path}: row {len(rows)} has {len(rows[-1])} "
                                  f"entries, row 1 has {len(rows[0])}")
     return np.asarray(rows, dtype=complex)
+
+
+def _save_json(doc: dict, path) -> None:
+    """The one byte format of every JSON file the package writes: keys sorted,
+    two-space indents and a closing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @functools.cache
@@ -264,9 +270,7 @@ class Scenario:
             return cls.from_dict(json.load(fh))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _save_json(self.to_dict(), path)
 
 
 @dataclass
@@ -279,28 +283,16 @@ class Report:
     summary: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "prediction": self.prediction,
-            "trials": self.trials,
-            "summary": self.summary,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _save_json(self.to_json_dict(), path)
 
     @classmethod
     def from_json(cls, path) -> "Report":
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        return cls(
-            scenario=doc["scenario"],
-            prediction=doc["prediction"],
-            trials=doc["trials"],
-            summary=doc.get("summary", {}),
-        )
+        return cls(doc["scenario"], doc["prediction"], doc["trials"], doc.get("summary", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +390,6 @@ def _build_b_matrices(
     return [formed[source] for source in c.b_sources]
 
 
-def _gram(t: np.ndarray) -> np.ndarray:
-    """``t @ t.conj().T``, formed ``BLOCK_WIDTH`` rows at a time from ``t*``
-    alone: ``t`` is conjugated in place, and row block ``i`` is
-    ``conj(t*[:, i]).T @ t*``.  The bytes are the one-shot product's for
-    ``t`` of either memory order."""
-    adjoint = np.conj(t, out=t).T
-    out = np.empty(t.shape, dtype=complex)
-    for start in range(0, len(t), BLOCK_WIDTH):
-        rows = slice(start, start + BLOCK_WIDTH)
-        np.matmul(np.conj(adjoint[:, rows]).T, adjoint, out=out[rows])
-    return out
-
-
 def _trial_matrix(
     scenario: Scenario, c: _Compiled, files: dict, rng: np.random.Generator
 ) -> np.ndarray:
@@ -435,21 +414,36 @@ def _trial_matrix(
 
 def _a_spectrum(spec: dict, n: int):
     """a_spec's diagonal: its explicit ``values``, exactly ``n`` of them, or the
-    analytic geometric sequence ``scale * ratio**(start_power + k)``."""
+    analytic geometric sequence ``scale * ratio**(start_power + k)``.
+    ``ValueError`` naming the key at fault for ``|ratio| >= 1`` and for a
+    value that is not finite."""
     if spec["kind"] == "explicit":
-        if len(spec["values"]) != n:
-            raise ValueError(f"scenario 'a_spec.values' has {len(spec['values'])} entries, "
-                             f"but n is {n}")
-        return ExplicitSpectrum(spec["values"])
-    scale = spec.get("scale", 1.0) * spec["ratio"] ** spec.get("start_power", 0)
-    return GeometricSpectrum(scale, spec["ratio"], count=None)
+        values = spec["values"]
+        if len(values) != n:
+            raise ValueError(f"scenario 'a_spec.values' has {len(values)} entries, but n is {n}")
+        for pos, value in enumerate(values):
+            if not math.isfinite(value):
+                raise ValueError(f"scenario 'a_spec.values[{pos}]' must be finite, not {value!r}")
+        return ExplicitSpectrum(values)
+    ratio = spec["ratio"]
+    if not -1 < ratio < 1:
+        raise ValueError(f"scenario 'a_spec.ratio' must be > -1 and < 1, not {ratio!r}")
+    try:
+        scale = spec.get("scale", 1.0) * ratio ** spec.get("start_power", 0)
+    except (ZeroDivisionError, OverflowError):  # 0 ** -1, 0.5 ** -2000
+        scale = math.inf
+    if not math.isfinite(scale):
+        key = "start_power" if math.isfinite(spec.get("scale", 1.0)) else "scale"
+        raise ValueError(f"scenario 'a_spec.{key}' is {spec[key]!r}, so the first value "
+                         "scale * ratio**start_power is not finite")
+    return GeometricSpectrum(scale, ratio, count=None)
 
 
 # the b_cells stay as parsed (a copy_of entry's is None); b_sources[pos] is the
 # entry whose matrix entry pos shares, pos itself unless it is a copy_of; dim
 # is a trial's dimension and a_diag, read-only, the n values of every trial's A
-_Compiled = namedtuple("_Compiled", "poly a_model blocks b_state reduction a_cells b_cells "
-                                    "b_sources dim a_diag")
+_Compiled = namedtuple("_Compiled", "poly a_model b_state reduction a_cells b_cells b_sources "
+                                    "dim a_diag")
 
 
 def _compile(scenario: Scenario) -> _Compiled:
@@ -510,8 +504,7 @@ def _compile(scenario: Scenario) -> _Compiled:
         raise ValueError(f"prediction 'b_state': {exc}") from None
     if not any(map(any, reduction[0])):
         raise ValueError("scenario 'expression' reduces to 0 against prediction 'b_state'")
-    return _Compiled(poly, a_model, blocks, table, reduction, a_cells, b_cells, b_sources, dim,
-                     a_diag)
+    return _Compiled(poly, a_model, table, reduction, a_cells, b_cells, b_sources, dim, a_diag)
 
 
 def build_prediction(scenario: Scenario):

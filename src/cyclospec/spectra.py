@@ -130,10 +130,7 @@ def _add_adjoint(m: np.ndarray) -> np.ndarray:
     """``m += m*`` in place, tile pair by tile pair: each tile's new values
     are summed from its old values and its mirror's before either is
     written, so every entry is the out-of-place ``m_ij + conj(m_ji)``,
-    signed zeros included.  A matrix of one tile takes the sum in one step."""
-    if m.shape[-1] <= BLOCK_WIDTH:
-        m += np.conj(np.swapaxes(m, -1, -2))  # the right side is a copy
-        return m
+    signed zeros included."""
     for rows, cols in _tile_pairs(m.shape[-1]):
         upper, lower = m[..., rows, cols], m[..., cols, rows]
         new_upper = _adjoint(lower)

@@ -20,11 +20,10 @@ import numpy as np
 from cyclospec import (
     MatrixTraceFamily,
     builtin_scenario,
-    ev_polynomial,
     run_scenario,
     sample_haar_unitary,
 )
-from cyclospec import rmtlab
+from cyclospec import linred, rmtlab
 from cyclospec.rmtlab import DEMO_SEED
 
 SEEDS = (DEMO_SEED, 1, 2)
@@ -44,7 +43,8 @@ def signed_order_max_rel(empirical, predicted, top=TOP):
 
 def seeded_draw_prediction(scenario):
     """The prediction over one finite Haar draw of a2, a3, seeded by the scenario."""
-    poly, a_model, blocks, table = rmtlab._compile(scenario)[:4]
+    compiled = rmtlab._compile(scenario)
+    a_model = compiled.a_model
     n = scenario.truncation
     mats = {}
     for index, spectrum in a_model.spectra.items():
@@ -55,7 +55,9 @@ def seeded_draw_prediction(scenario):
         seq = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index,))
         u = sample_haar_unitary(n, np.random.default_rng(seq))
         mats[index] = (u * d) @ u.conj().T
-    return ev_polynomial(poly, MatrixTraceFamily(mats), table, n, blocks).multiset.to_list()
+    # ev_polynomial of the expression, over the scenario's one reduction
+    prediction = linred._reduction_spectrum(compiled.reduction, MatrixTraceFamily(mats), n)
+    return prediction.multiset.to_list()
 
 
 def main(dims):

@@ -330,6 +330,33 @@ def test_scenario_rejects_unknown_keys(path, tmp_path, capsys):
     assert repr(path) in capsys.readouterr().err
 
 
+# a_spec values of no finite diagonal, each with the key its refusal names:
+# before they were validated, the first two died with a ZeroDivisionError and
+# an OverflowError traceback, the next two failed in the first trial (exit 2),
+# and the last one was refused without naming its key
+_NON_FINITE_A_SPECS = {
+    "zero-ratio-negative-power": ({"kind": "geometric", "ratio": 0, "start_power": -1},
+                                  "a_spec.start_power"),
+    "overflowing-power": ({"kind": "geometric", "ratio": 0.5, "start_power": -2000},
+                          "a_spec.start_power"),
+    "nan-scale": ({"kind": "geometric", "ratio": 0.5, "scale": float("nan")}, "a_spec.scale"),
+    "infinite-value": ({"kind": "explicit", "values": [1.0] * 19 + [float("inf")]},
+                       "a_spec.values[19]"),
+    "ratio-above-one": ({"kind": "geometric", "ratio": 1.5}, "a_spec.ratio"),
+}
+
+
+@pytest.mark.parametrize("case", _NON_FINITE_A_SPECS)
+def test_a_spectrum_that_is_not_finite_exits_validation_naming_its_key(case, tmp_path, capsys):
+    a_spec, key = _NON_FINITE_A_SPECS[case]
+    doc = dict(builtin_scenario("example3", n=20, trials=1).to_dict(), a_spec=a_spec)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc))  # NaN and Infinity, as json.load reads them
+    assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("validation failure: ") and repr(key) in line
+
+
 def test_b_state_file_with_an_unknown_key_exits_validation(tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"degree-cap": 1, "moments": {"b1*b1": 1.0}}))

@@ -42,6 +42,7 @@ from cyclospec import (
     sqrtm_psd,
 )
 from cyclospec import builtin_scenario, cmcalc, linred, rmtlab
+from cyclospec.spectra import EVMultiset
 from cyclospec.ncalg import drop_stars
 
 from _oracles import (
@@ -406,6 +407,29 @@ class _CountingFamily(MatrixTraceFamily):
     def omega_many(self, words):
         self.batches.append(list(words))
         return super().omega_many(words)
+
+
+def test_unreduced_chain_moment_multiplies_each_distinct_a_word_out_once(monkeypatch):
+    # run alone, chain_moment_unreduced asks its model for many weights more
+    # than once; MatrixTraceFamily's single-word memo multiplies each out once
+    products, weights = [], []
+    product, omega = cmcalc.WordProducts.product, MatrixTraceFamily.omega
+    monkeypatch.setattr(cmcalc.WordProducts, "product",
+                        lambda self, w: products.append((self, w)) or product(self, w))
+    monkeypatch.setattr(MatrixTraceFamily, "omega",
+                        lambda self, w: weights.append(w) or omega(self, w))
+    rng = np.random.default_rng(3030)
+    asked = distinct = 0
+    for _ in range(100):
+        inst = chain_instance(rng)
+        fresh = MatrixTraceFamily(inst["a_model"].matrices)
+        products.clear()
+        weights.clear()
+        chain_moment_unreduced(inst["chain"], inst["m"], fresh, inst["b_state"])
+        multiplied = [w for owner, w in products if owner is fresh._products]
+        assert sorted(multiplied) == sorted(set(weights))
+        asked, distinct = asked + len(weights), distinct + len(multiplied)
+    assert asked > 2 * distinct
 
 
 def test_chain_moment_evaluates_its_words_as_one_batch():
@@ -785,6 +809,42 @@ def test_ev_polynomial_never_calls_the_oracle(monkeypatch):
         ev_polynomial(poly, a_model, b_state, truncation, blocks)
     for demo in ("example1", "example2-correlated", "example3"):
         rmtlab.build_prediction(builtin_scenario(demo, n=12, trials=1))
+
+
+def _random_a_word_text(rng, length):
+    return "*".join(str(rng.choice(["a1", "a1'", "a2", "a2'"])) for _ in range(length))
+
+
+@pytest.mark.parametrize("n", [1, 5, 128, 300])
+def test_diagonal_stack_keeps_the_bytes_of_the_product_of_its_factors(n, monkeypatch):
+    # a diagonal model's stack multiplies each word's diagonals out through
+    # cmcalc._word_product; it must equal, byte for byte, the np.prod over the
+    # (conjugated) factors that the stack was formed with before
+    rng = np.random.default_rng(n)
+    model = MatrixTraceFamily({i: np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                               for i in (1, 2)})
+    diag = {a_gen(i): model.diagonal(i) for i in (1, 2)}
+    poly = NCPolynomial.zero()
+    for length in (1, 2, 3, 4, 5, 5, 3):
+        re, im = rng.standard_normal(2)
+        for text in (f"b1*{_random_a_word_text(rng, length)}*b1",
+                     _random_a_word_text(rng, length)):
+            poly = poly + complex(re, im) * parse_expression(text, SYMS)
+    reduction = linred._reduce(poly, MomentTable.from_b_powers({1: 0.4, 2: 1.3}))
+    a_grid = reduction[0]
+    assert {len(word) for row in a_grid for entry in row for word in entry} == {1, 2, 3, 4, 5}
+    stacks = []
+    monkeypatch.setattr(linred, "_stack_spectrum",
+                        lambda stack, beta: stacks.append(stack.copy()) or EVMultiset([]))
+    linred._reduction_spectrum(reduction, model, None)
+    expected = np.zeros((n, len(a_grid), len(a_grid)), dtype=complex)
+    for i, row in enumerate(a_grid):
+        for j, entry in enumerate(row):
+            for word, coeff in sorted(entry.items()):
+                factors = [diag[x.base()].conj() if x.star else diag[x] for x in word]
+                expected[:, i, j] += coeff * np.prod(factors, axis=0)
+    (stack,) = stacks
+    assert stack.tobytes() == expected.tobytes()
 
 
 def test_ev_polynomial_rejects_terms_without_a_letters_and_unpaired_runs():
