@@ -330,10 +330,8 @@ def test_scenario_rejects_unknown_keys(path, tmp_path, capsys):
     assert repr(path) in capsys.readouterr().err
 
 
-# a_spec values of no finite diagonal, each with the key its refusal names:
-# before they were validated, the first two died with a ZeroDivisionError and
-# an OverflowError traceback, the next two failed in the first trial (exit 2),
-# and the last one was refused without naming its key
+# a_spec values of no finite diagonal, each with the key its refusal names;
+# 0 ** -1 and 0.5 ** -2000 raise ZeroDivisionError and OverflowError
 _NON_FINITE_A_SPECS = {
     "zero-ratio-negative-power": ({"kind": "geometric", "ratio": 0, "start_power": -1},
                                   "a_spec.start_power"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cyclospec import (
     AlgMatrix,
     ComplexEigenvaluesError,
+    EVMultiset,
     ExplicitSpectrum,
     GeometricSpectrum,
     MatrixTraceFamily,
@@ -42,7 +43,6 @@ from cyclospec import (
     sqrtm_psd,
 )
 from cyclospec import builtin_scenario, cmcalc, linred, rmtlab
-from cyclospec.spectra import EVMultiset
 from cyclospec.ncalg import drop_stars
 
 from _oracles import (
@@ -818,8 +818,8 @@ def _random_a_word_text(rng, length):
 @pytest.mark.parametrize("n", [1, 5, 128, 300])
 def test_diagonal_stack_keeps_the_bytes_of_the_product_of_its_factors(n, monkeypatch):
     # a diagonal model's stack multiplies each word's diagonals out through
-    # cmcalc._word_product; it must equal, byte for byte, the np.prod over the
-    # (conjugated) factors that the stack was formed with before
+    # cmcalc._word_product, which must equal, byte for byte, the np.prod over
+    # the (conjugated) factors: each an elementwise product, left to right
     rng = np.random.default_rng(n)
     model = MatrixTraceFamily({i: np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
                                for i in (1, 2)})
