@@ -425,18 +425,18 @@ def _a_spectrum(spec: dict, n: int):
             if not math.isfinite(value):
                 raise ValueError(f"scenario 'a_spec.values[{pos}]' must be finite, not {value!r}")
         return ExplicitSpectrum(values)
-    ratio = spec["ratio"]
+    ratio, scale = spec["ratio"], spec.get("scale", 1.0)
     if not -1 < ratio < 1:
         raise ValueError(f"scenario 'a_spec.ratio' must be > -1 and < 1, not {ratio!r}")
     try:
-        scale = spec.get("scale", 1.0) * ratio ** spec.get("start_power", 0)
+        first = scale * ratio ** spec.get("start_power", 0)
     except (ZeroDivisionError, OverflowError):  # 0 ** -1, 0.5 ** -2000
-        scale = math.inf
-    if not math.isfinite(scale):
-        key = "start_power" if math.isfinite(spec.get("scale", 1.0)) else "scale"
+        first = math.inf
+    if not math.isfinite(first):
+        key = "start_power" if math.isfinite(scale) else "scale"
         raise ValueError(f"scenario 'a_spec.{key}' is {spec[key]!r}, so the first value "
                          "scale * ratio**start_power is not finite")
-    return GeometricSpectrum(scale, ratio, count=None)
+    return GeometricSpectrum(first, ratio, count=None)
 
 
 # the b_cells stay as parsed (a copy_of entry's is None); b_sources[pos] is the
