@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
@@ -97,6 +98,14 @@ class WordProducts:
     (tracemalloc counts 4.4 kB for a starred 16x16 generator and 0.6 kB for
     a 4x4 one, the array headers and the table's entry included).
 
+    The table lives as long as the model; the stack, for one sweep.
+    ``poly_moment``, ``linred.chain_moment`` and
+    ``linred.chain_moment_unreduced`` empty the stacks of the models they
+    read when they return or raise (:func:`_end_sweep`): the next sweep
+    starts from its smallest word, which seldom shares a prefix with the
+    last sweep's largest.  That changes no value, since a rebuilt product is
+    the same left-to-right product the stack kept.
+
     A product starts from its first letter's matrix, as
     :func:`dense_word_product` does, not from the identity: ``I @ M`` is
     exact, so every product equals the naive loop ``I @ M1 @ M2 @ ...``
@@ -132,6 +141,11 @@ class WordProducts:
                 mat.flags.writeable = False
             self._letters[letter] = mat
         return mat
+
+    def _drop_stack(self) -> None:
+        """Forget the last word and free its prefix products."""
+        self._word = ()
+        self._stack.clear()
 
     def product(self, w: Word) -> np.ndarray:
         """Product of the letters of ``w`` (the identity for the empty word);
@@ -199,6 +213,15 @@ class WordProducts:
                         out[pos] = level[node]
             values += out
         return values
+
+
+def _end_sweep(*models) -> None:
+    """Empty the prefix stack of each matrix model among ``models``: its
+    ``WordProducts``, if it has one (the other models keep no products)."""
+    for model in models:
+        products = getattr(model, "_products", None)
+        if products is not None:
+            products._drop_stack()
 
 
 def _batches(words: Sequence[Word], letters: int):
@@ -538,6 +561,8 @@ class GeometricSpectrum(Spectrum):
     def __init__(self, scale: float, ratio: float, count: int | None = DEFAULT_TRUNCATION):
         if abs(ratio) >= 1:
             raise ValueError("|ratio| must be < 1")
+        if not (math.isfinite(scale) and math.isfinite(ratio)):  # a NaN passes the check above
+            raise ValueError(f"scale and ratio must be finite, not {scale!r} and {ratio!r}")
         if count is not None and count < 1:
             raise ValueError("count must be >= 1")
         self.scale = float(scale)
@@ -1008,8 +1033,11 @@ def poly_moment(p, m: int, a_model: TraceClassModel, b_state: TracialState) -> c
         raise ValueError("moment order must be >= 1")
     expanded = p**m
     total = 0j
-    for word, coeff in expanded.sorted_terms():
-        total += coeff * cm_moment(word, a_model, b_state)
+    try:
+        for word, coeff in expanded.sorted_terms():
+            total += coeff * cm_moment(word, a_model, b_state)
+    finally:
+        _end_sweep(a_model, b_state)
     return total
 
 

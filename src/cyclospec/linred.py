@@ -33,6 +33,7 @@ from .cmcalc import (
     Spectrum,
     TraceClassModel,
     TracialState,
+    _end_sweep,
     _generators,
     _word_product,
     cm_moment,
@@ -360,9 +361,12 @@ def chain_moment(
         raise ValueError("moment order must be >= 1")
     code, a_grids = _coded_grids(chain[0::2])
     reduced = None
-    for a_grid, b_matrix in zip(a_grids, chain[1::2]):
-        step = grid_scaled(a_grid, reduce_b_matrix(b_matrix, b_state))
-        reduced = step if reduced is None else grid_product(reduced, step)
+    try:
+        for a_grid, b_matrix in zip(a_grids, chain[1::2]):
+            step = grid_scaled(a_grid, reduce_b_matrix(b_matrix, b_state))
+            reduced = step if reduced is None else grid_product(reduced, step)
+    finally:
+        _end_sweep(b_state)  # the weights below are batched, over no stack
     trace = grid_power_trace(reduced, m)
     del a_grids, reduced, step
     codes = sorted(trace)
@@ -398,8 +402,11 @@ def chain_moment_unreduced(
     trace = grid_power_trace(product, m)
     del grids, product, grid  # only the trace is needed from here on
     total = 0j
-    for c in sorted(trace):
-        total += trace[c] * cm_moment(code.decode(c), a_model, b_state)
+    try:
+        for c in sorted(trace):
+            total += trace[c] * cm_moment(code.decode(c), a_model, b_state)
+    finally:
+        _end_sweep(a_model, b_state)
     return total
 
 

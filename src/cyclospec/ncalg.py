@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index as _integer, itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 FAMILY_A = "a"
@@ -49,18 +49,31 @@ class Letter(NamedTuple):
         return f"{self.family}{self.index}" + ("'" if self.star else "")
 
 
-def a_gen(index: int, star: bool = False) -> Letter:
-    """A-family generator with ``index >= 1``."""
+# the one Letter of each generator and adjoint flag that a_gen and b_gen return
+_shared_letters: dict[tuple, Letter] = {}
+
+
+def _generator(family: str, index: int, star) -> Letter:
+    index = _integer(index)
     if index < 1:
         raise ValueError("generator index must be >= 1")
-    return Letter(FAMILY_A, index, star)
+    key = (family, index, bool(star))
+    letter = _shared_letters.get(key)
+    if letter is None:
+        letter = _shared_letters[key] = Letter(*key)
+    return letter
+
+
+def a_gen(index: int, star: bool = False) -> Letter:
+    """A-family generator with integer ``index >= 1``; equal calls return the
+    same object."""
+    return _generator(FAMILY_A, index, star)
 
 
 def b_gen(index: int, star: bool = False) -> Letter:
-    """B-family generator with ``index >= 1``."""
-    if index < 1:
-        raise ValueError("generator index must be >= 1")
-    return Letter(FAMILY_B, index, star)
+    """B-family generator with integer ``index >= 1``; equal calls return the
+    same object."""
+    return _generator(FAMILY_B, index, star)
 
 
 # A word is a tuple of letters; the empty tuple is the unit.

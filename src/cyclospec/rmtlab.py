@@ -527,8 +527,14 @@ def run_scenario(scenario: Scenario) -> Report:
                          f"{c.dim} eigenvalues and the prediction {len(prediction.multiset)}")
     # the first three trace moments of its A (beta x I); with blocks, analytic: the limits
     chain = [AlgMatrix.from_grid(c.reduction[0]), AlgMatrix(c.reduction[1])]
-    predicted_moments = [float(np.real(chain_moment(chain, m, c.a_model, c.b_state)))
-                         for m in (1, 2, 3)]
+    try:
+        predicted_moments = [float(np.real(chain_moment(chain, m, c.a_model, c.b_state)))
+                             for m in (1, 2, 3)]
+    except OverflowError:  # an analytic power sum's scale**m, a float power
+        # |ratio| < 1, so a negative start_power is what raises the first value past scale
+        key = "scale" if scenario.a_spec.get("start_power", 0) >= 0 else "start_power"
+        raise ValueError(f"scenario 'a_spec.{key}' is {scenario.a_spec[key]!r}, so the "
+                         "predicted moments overflow") from None
     files = {}  # each file B, read once and shared by every trial
     for pos, spec in enumerate(scenario.b_spec):
         if spec["kind"] == "file":

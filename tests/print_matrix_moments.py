@@ -8,15 +8,20 @@ same bytes.  It covers ``poly_moment`` over a ``MatrixTraceFamily`` weight and
 a ``TraceMatrixState`` state at dimensions 1, 2, 5 and 16, on expressions with
 starred and unstarred letters, and ``chain_moment`` and
 ``chain_moment_unreduced`` on all 100 criterion-3 chains, so every chain
-shape of that gate goes through the oracle.  It uses the package's public
-names only, so it runs against an older checkout too.
+shape of that gate goes through the oracle.  It also runs sweeps that raise
+partway, in the weight's products and in the state's, each followed by a
+full sweep on the same models.  It uses the package's public names only, so
+it runs against an older checkout too.
 """
 
 import numpy as np
 
 from _oracles import chain_instance, random_general
 from cyclospec import (
+    DegreeExceededError,
     MatrixTraceFamily,
+    MomentTable,
+    NotInDomainError,
     TraceMatrixState,
     chain_moment,
     chain_moment_unreduced,
@@ -36,6 +41,13 @@ EXPRESSIONS = (
 )
 CRITERION3_SEED = 3030
 CHAINS = 100
+# RAISING's second word, a1*a1'*a2*b1*b1*b2, raises in the state, beyond a
+# degree cap of 2 or past a state with no matrix for b2, after its first has
+# filled the weight's products; FULL then sweeps the same weight (and the
+# same matrix state) through every word
+RAISING = "a1*a1'*a2 + b1*b1*b2"
+FULL = "a1*a1'*a2 + b1*a2*b1'"
+RAISING_SEED = 1414
 
 
 def main() -> None:
@@ -49,6 +61,22 @@ def main() -> None:
             for m in ORDERS:
                 value = poly_moment(poly, m, a_model, b_state)
                 print(f"poly_moment dim={dim} m={m} {text}: {value!r}")
+    raising, full_sweep = parse_expression(RAISING, syms), parse_expression(FULL, syms)
+    rng = np.random.default_rng(RAISING_SEED)
+    for dim in DIMS:
+        a_model = MatrixTraceFamily({i: random_general(dim, rng) for i in (1, 2)})
+        b_mats = {i: random_general(dim, rng) for i in (1, 2)}
+        for b_state in (MomentTable({(syms["b1"], syms["b1"]): 0.5}, degree_cap=2),
+                        TraceMatrixState({1: b_mats[1]})):
+            name = type(b_state).__name__
+            try:
+                poly_moment(raising, 2, a_model, b_state)
+            except (DegreeExceededError, NotInDomainError) as exc:
+                print(f"raising dim={dim} {name}: {type(exc).__name__}: {exc}")
+            full = TraceMatrixState(b_mats) if name == "MomentTable" else b_state
+            for m in ORDERS:
+                value = poly_moment(full_sweep, m, a_model, full)
+                print(f"after raising dim={dim} {name} m={m} {FULL}: {value!r}")
     rng = np.random.default_rng(CRITERION3_SEED)
     for pos in range(CHAINS):
         inst = chain_instance(rng)

@@ -355,6 +355,34 @@ def test_a_spectrum_that_is_not_finite_exits_validation_naming_its_key(case, tmp
     assert line.startswith("validation failure: ") and repr(key) in line
 
 
+def test_a_spectrum_whose_predicted_moments_overflow_exits_validation(tmp_path, capsys):
+    # example1's A has blocks, so its predicted moments are analytic power
+    # sums: scale**m / (1 - ratio**m), a float power beyond the float range
+    doc = builtin_scenario("example1", n=20, trials=1).to_dict()
+    doc["a_spec"]["scale"] = 1e200
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc))
+    assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(tmp_path)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("validation failure: ") and "'a_spec.scale'" in line
+
+
+@pytest.mark.parametrize("spectrum", ["geometric:1,nan,analytic", "geometric:1,nan,8",
+                                      "geometric:nan,0.5,8", "geometric:inf,0.5,analytic"])
+@pytest.mark.parametrize("command", ["oracle", "predict"])
+def test_geometric_spectrum_that_is_not_finite_exits_validation(command, spectrum, tmp_path,
+                                                                capsys):
+    argv = ["--expr", "a1*b1 + b1*a1", "--tau-b", "1", "--tau-b2", "2"]
+    if command == "oracle":
+        argv += ["--a-model", spectrum, "--moments", "2"]
+    else:
+        argv += ["--spectrum", spectrum, "--out", str(tmp_path / "pred.json")]
+    assert run_cli(command, *argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("validation failure: ") and "must be finite" in line
+    assert not list(tmp_path.iterdir())
+
+
 def test_b_state_file_with_an_unknown_key_exits_validation(tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"degree-cap": 1, "moments": {"b1*b1": 1.0}}))

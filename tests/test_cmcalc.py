@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -727,6 +728,62 @@ def test_word_products_recover_after_unknown_generator():
         fam.omega((a_gen(2), a_gen(9)))
     w = (a_gen(2), a_gen(1, star=True))
     assert fam.omega(w) == complex(np.trace(_naive_product(matrices, w, 3)))
+
+
+def _stacks(*models):
+    return [model._products._stack for model in models]
+
+
+def test_poly_moment_leaves_no_prefix_product_when_it_returns():
+    rng = np.random.default_rng(3030)
+    a_mats = {i: random_general(4, rng) for i in (1, 2)}
+    b_mats = {i: random_general(4, rng) for i in (1, 2)}
+    fam, state = MatrixTraceFamily(a_mats), TraceMatrixState(b_mats)
+    p = parse_expression("a1*a2' + a2*b1*b2'*b1", SYMS)
+    for m in (3, 1, 4):
+        value = poly_moment(p, m, fam, state)
+        assert _stacks(fam, state) == [[], []]
+        # bitwise the value of fresh models, whose stacks start empty
+        assert value == poly_moment(p, m, MatrixTraceFamily(a_mats), TraceMatrixState(b_mats))
+
+
+@pytest.mark.parametrize("b_state,error", [
+    # b1*b1*b2 lies beyond the table's degree cap
+    (lambda rng: MomentTable({(b_gen(1), b_gen(1)): 0.5}, degree_cap=2), DegreeExceededError),
+    # the state multiplies b1*b1 onto its stack, then meets b2, which it has no matrix of
+    (lambda rng: TraceMatrixState({1: random_general(4, rng)}), NotInDomainError),
+], ids=["degree-cap", "unknown-generator"])
+def test_poly_moment_leaves_no_prefix_product_when_it_raises(b_state, error):
+    rng = np.random.default_rng(3031)
+    fam = MatrixTraceFamily({1: random_general(4, rng)})
+    state = b_state(rng)
+    # the first word, a1*a1*a1*a1, fills the weight's stack; the second,
+    # a1*a1*b1*b1*b2, raises in the state
+    with pytest.raises(error):
+        poly_moment(parse_expression("a1*a1 + b1*b1*b2", SYMS), 2, fam, state)
+    models = [fam] + ([state] if isinstance(state, TraceMatrixState) else [])
+    assert _stacks(*models) == [[]] * len(models)
+    # and the models still give the values of fresh ones
+    w = (a_gen(1),) * 3
+    assert fam.omega(w) == MatrixTraceFamily(fam.matrices).omega(w)
+
+
+def test_a_sweep_over_64x64_matrices_retains_no_product_array():
+    rng = np.random.default_rng(3032)
+    fam = MatrixTraceFamily({i: random_general(64, rng) for i in (1, 2)})
+    state = TraceMatrixState({i: random_general(64, rng) for i in (1, 2)})
+    # A-words of up to 12 letters and B-runs of 3: a kept stack would hold
+    # 11 + 2 products of 64 KiB
+    p = parse_expression("a1*a2 + a2*b1*b2*b1", SYMS)
+    tracemalloc.start()
+    try:
+        poly_moment(p, 6, fam, state)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # numpy traces its array buffers in a domain of their own
+    arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    assert sum(stat.size for stat in arrays.statistics("filename")) == 0
 
 
 def test_matrix_models_leave_their_matrices_unmodified():

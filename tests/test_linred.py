@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cyclospec import (
     AlgMatrix,
     ComplexEigenvaluesError,
+    DegreeExceededError,
     EVMultiset,
     ExplicitSpectrum,
     GeometricSpectrum,
@@ -430,6 +431,48 @@ def test_unreduced_chain_moment_multiplies_each_distinct_a_word_out_once(monkeyp
         assert sorted(multiplied) == sorted(set(weights))
         asked, distinct = asked + len(weights), distinct + len(multiplied)
     assert asked > 2 * distinct
+
+
+def _stacks(*models):
+    return [model._products._stack for model in models]
+
+
+def test_chain_traces_leave_no_prefix_product_when_they_return():
+    rng = np.random.default_rng(3030)
+    for _ in range(10):
+        inst = chain_instance(rng)
+        chain, m, fam, state = inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
+        unreduced = chain_moment_unreduced(chain, m, fam, state)
+        assert _stacks(fam, state) == [[], []]
+        chain_moment(chain, m, fam, state)
+        assert _stacks(state) == [[]]
+        # bitwise the value of fresh models, whose stacks start empty
+        fresh = MatrixTraceFamily(fam.matrices), TraceMatrixState(state.matrices)
+        assert unreduced == chain_moment_unreduced(chain, m, *fresh)
+
+
+@pytest.mark.parametrize("b_state,error", [
+    # every B-run of two letters or more lies beyond the table's degree cap
+    (lambda mats: MomentTable({(b_gen(i, s),): 0.5 for i in (1, 2) for s in (False, True)},
+                              degree_cap=1), DegreeExceededError),
+    # the state has no matrix for b2
+    (lambda mats: TraceMatrixState({1: mats[1]}), NotInDomainError),
+], ids=["degree-cap", "unknown-generator"])
+def test_chain_traces_leave_no_prefix_product_when_they_raise(b_state, error):
+    rng = np.random.default_rng(3031)
+    raised = 0
+    for _ in range(10):
+        inst = chain_instance(rng)
+        chain, m, fam = inst["chain"], inst["m"], inst["a_model"]
+        state = b_state(inst["b_state"].matrices)
+        models = [fam] + ([state] if isinstance(state, TraceMatrixState) else [])
+        for trace in (chain_moment_unreduced, chain_moment):
+            try:
+                trace(chain, m, fam, state)
+            except error:
+                raised += 1
+            assert _stacks(*models) == [[]] * len(models)
+    assert raised >= 10
 
 
 def test_chain_moment_evaluates_its_words_as_one_batch():

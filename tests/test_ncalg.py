@@ -108,6 +108,22 @@ def test_letter_adjoint_and_base_are_letters_as_replace_made_them(family, star):
     assert base.base() == base == Letter(family, 3)
 
 
+@pytest.mark.parametrize("gen,family", [(a_gen, "a"), (b_gen, "b")])
+def test_generators_are_shared_letters_that_compare_as_built_ones(gen, family):
+    letters = [gen(i, star) for i in (1, 2, 10) for star in (False, True)]
+    assert [gen(i, star) for i in (1, 2, 10) for star in (False, True)] == letters
+    for letter in letters:
+        again = gen(letter.index, letter.star)
+        assert again is letter and gen(letter.index, int(letter.star)) is letter
+        built = Letter(family, letter.index, letter.star)
+        assert letter == built and hash(letter) == hash(built)
+        assert list(map(type, letter)) == [str, int, bool]
+    # letter order is the order of (family, index, star)
+    assert sorted(reversed(letters)) == letters == sorted(letters, key=tuple)
+    with pytest.raises(ValueError):
+        gen(0)
+
+
 def test_selfadjoint_examples():
     assert is_selfadjoint(parse_expression("a1*b1 + b1*a1", SYMS))
     assert not is_selfadjoint(parse_expression("a1*b1", SYMS))
