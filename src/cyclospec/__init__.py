@@ -2,6 +2,7 @@
 
 The package splits into word/polynomial algebra (:mod:`cyclospec.ncalg`),
 state models plus the brute-force moment oracle (:mod:`cyclospec.cmcalc`),
+the dense evaluator of polynomials over matrices (:mod:`cyclospec.dense`),
 matrix reduction and closed-form eigenvalue recipes (:mod:`cyclospec.linred`),
 multiset algebra (:mod:`cyclospec.spectra`), random-matrix experiments
 (:mod:`cyclospec.rmtlab`) and a command-line surface (:mod:`cyclospec.cli`).

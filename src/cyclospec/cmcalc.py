@@ -24,7 +24,6 @@ import functools
 import json
 import math
 import numbers
-from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,13 +40,14 @@ from .ncalg import (
     Word,
     alternating_form,
     auto_symbols,
+    b_gen,
     is_pure,
     min_cyclic_rotation,
     parse_expression,
     word_adjoint,
     word_str,
 )
-from .spectra import BLOCK_WIDTH, rounding_tolerance
+from .spectra import rounding_tolerance
 
 DEFAULT_TRUNCATION = 64
 # ndarray.trace is this reduction of the diagonal behind argument handling
@@ -106,8 +106,8 @@ class WordProducts:
     last sweep's largest.  That changes no value, since a rebuilt product is
     the same left-to-right product the stack kept.
 
-    A product starts from its first letter's matrix, as
-    :func:`dense_word_product` does, not from the identity: ``I @ M`` is
+    A product starts from its first letter's matrix, as the dense
+    evaluator's does, not from the identity: ``I @ M`` is
     exact, so every product equals the naive loop ``I @ M1 @ M2 @ ...``
     bitwise up to the sign of zeros, one matmul cheaper.  Each step is
     ``prod.dot(mat)``: it makes the same zgemm call as ``prod @ mat``, and
@@ -269,270 +269,6 @@ def _prefix_tree(words: list[Word]):
     return letters, parents, ends
 
 
-def dense_word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
-    """Product of the letters of ``w`` over dense matrices, left to right.
-
-    ``matrix_of(letter)`` returns the matrix of the letter's generator, or a
-    1-D array for a diagonal matrix; an adjoint letter uses its conjugate
-    transpose.  The product starts from the first letter's matrix, and the
-    empty word gives the ``dim x dim`` identity.  ``I @ M`` is exact, so the
-    result is bitwise equal to the loop ``I @ M1 @ M2 @ ...``, one product
-    cheaper.  A diagonal letter scales the columns (or, first, the rows) of
-    the product instead.  For a real diagonal (every one the package passes)
-    this equals the matmul by ``np.diag(d)`` up to the sign of zeros, and the
-    tests check the two paths with ``np.array_equal``; a complex diagonal
-    agrees up to rounding.  A word of diagonal letters only gives
-    ``np.diag`` of their product.  A one-letter word of a 2-D matrix returns
-    that matrix itself (or its conjugate transpose); callers must not modify
-    the result.  The matrices are never written.
-    """
-    prod = _word_product(w, lambda letter: (matrix_of(letter), False), dim)
-    return np.diag(prod) if prod.ndim == 1 else prod
-
-
-def _word_product(w: Word, matrix_of, dim: int) -> np.ndarray:
-    """:func:`dense_word_product`, with a word of diagonal letters only (the
-    empty word too) left as the 1-D diagonal of its product.
-
-    ``matrix_of(letter)`` returns ``(matrix, released)``; a released matrix
-    is read by no later letter or caller, so it may be written over.  A
-    product formed here (an adjoint's copy included) is written over by the
-    next: a diagonal letter scales it in place, and a dense one overwrites it
-    block by block (:func:`_matmul_over`).  A product whose left operand is a
-    bound matrix is written over its right one if that is released and
-    shares no memory with the left.  Each of these equals the out-of-place
-    step bitwise.
-    """
-    if not w:
-        return np.ones(dim, dtype=complex)
-    prod = None
-    mine = False  # whether prod may be written over
-    for letter in w:
-        mat, released = matrix_of(letter)
-        if letter.star:
-            mat, released = mat.conj().T, True
-        if prod is None:
-            prod, mine = mat, released
-        elif mat.ndim == 1:
-            if mine:
-                prod *= mat
-            else:
-                prod, mine = prod * mat, True
-        elif prod.ndim == 1:
-            prod, mine = prod[:, np.newaxis] * mat, True
-        else:
-            over = prod if mine else (
-                mat if released and not np.may_share_memory(prod, mat) else None)
-            prod, mine = _matmul_over(prod, mat, over), True
-    return prod
-
-
-def _matmul_over(left: np.ndarray, right: np.ndarray, over: np.ndarray | None) -> np.ndarray:
-    """``left @ right`` of square matrices written over ``over``: over
-    ``left`` ``BLOCK_WIDTH`` rows at a time, over ``right`` ``BLOCK_WIDTH``
-    columns at a time, or into a new array for ``None``.  Only a block-sized
-    temporary is added; each block is the one-shot product's, byte for byte
-    (see ``BLOCK_WIDTH``).  ``over`` must share no memory with the other
-    operand."""
-    if over is None:
-        return left @ right
-    if over is left:
-        for start in range(0, len(left), BLOCK_WIDTH):
-            rows = left[start:start + BLOCK_WIDTH]
-            rows[...] = rows @ right
-    else:
-        for start in range(0, right.shape[1], BLOCK_WIDTH):
-            cols = right[:, start:start + BLOCK_WIDTH]
-            cols[...] = left @ cols
-    return over
-
-
-def _gram(t: np.ndarray) -> np.ndarray:
-    """``t @ t.conj().T``, formed ``BLOCK_WIDTH`` rows at a time from ``t*``
-    alone: ``t`` is conjugated in place, and row block ``i`` is
-    ``conj(t*[:, i]).T @ t*``.  The bytes are the one-shot product's for
-    ``t`` of either memory order."""
-    adjoint = np.conj(t, out=t).T
-    out = np.empty(t.shape, dtype=complex)
-    for start in range(0, len(t), BLOCK_WIDTH):
-        rows = slice(start, start + BLOCK_WIDTH)
-        np.matmul(np.conj(adjoint[:, rows]).T, adjoint, out=out[rows])
-    return out
-
-
-def dense_polynomial(poly, mats: Mapping, dim: int) -> np.ndarray:
-    """The ``dim x dim`` matrix of ``poly`` over ``mats``, which maps base
-    letters to what :func:`dense_word_product` takes; ``mats`` is never
-    modified.  Each matrix is read as complex (a complex one as itself), so
-    real and integer input gives the bytes of its complex cast.  See
-    :func:`_polynomial_sum` for how the terms are summed."""
-    mats = {base: np.asarray(mat, dtype=complex) for base, mat in mats.items()}
-    return _polynomial_sum(poly, lambda base: (mats.get(base), False), dim)
-
-
-def _consume_polynomial(poly, mats: dict, dim: int) -> np.ndarray:
-    """:func:`dense_polynomial` that empties ``mats`` as it goes: each matrix
-    is removed after the last letter that reads it, in ``sorted_terms``
-    order.  A matrix the caller holds nowhere else is then freed as soon as
-    the product that reads it last exists, or written over by that product
-    (:func:`_word_product`) if it is writeable and no other entry of
-    ``mats`` shares its memory (a ``copy_of`` B is read by two letters).
-    Read-only matrices are never written."""
-    uses = Counter(letter.base() for word in poly.terms for letter in word)
-
-    def take(base):
-        uses[base] -= 1
-        if uses[base]:
-            return mats.get(base), False
-        mat = mats.pop(base, None)
-        released = (mat is not None and mat.flags.writeable
-                    and not any(np.may_share_memory(mat, other) for other in mats.values()))
-        return mat, released
-
-    return _polynomial_sum(poly, take, dim)
-
-
-def _polynomial_sum(poly, lookup, dim: int) -> np.ndarray:
-    """The terms of ``poly`` over ``lookup(base letter)``, a ``(matrix,
-    released)`` pair as :func:`_word_product` reads it, summed in
-    ``sorted_terms`` order.
-
-    Each term is scaled in place, except one that is a bound matrix itself
-    (a word of one unstarred letter): a 2-D one is scaled by copy, and a
-    diagonal is copied and then scaled in place, as its ``np.diag`` was
-    (numpy may round ``c * x`` and ``x *= c`` apart in the last bit for a
-    complex ``c``).  Diagonal words stay 1-D: those before the first dense
-    term are summed as one diagonal, and later ones are added to the sum's
-    diagonal.  The first dense term becomes the sum, so while it is
-    multiplied out only its product so far and a block beside it are alive
-    with the bound matrices.
-
-    The values equal summing every ``coeff * dense_word_product(...)`` into
-    zeros, scaled as above: a term skipped or added first changes only the
-    sign of zeros, and a sum started from ``+0.0`` has no ``-0.0`` under
-    round to nearest, so the closing ``+= 0.0`` makes the two bitwise equal.
-    """
-    def matrix_of(letter):
-        mat, released = lookup(letter.base())
-        if mat is None:
-            raise DimensionMismatchError(f"no matrix bound to {letter.label()}")
-        return mat, released
-
-    out = diag = None  # the sum once a term is dense; until then, its diagonal
-    for word, coeff in poly.sorted_terms():
-        term = _word_product(word, matrix_of, dim)
-        itself = len(word) == 1 and not word[0].star  # the bound matrix itself
-        if itself and term.ndim == 2:
-            term = coeff * term
-        else:
-            if itself:
-                term = term.copy()
-            term *= coeff
-        if term.ndim == 2 and out is None:
-            out = np.ascontiguousarray(term)  # C order, as a sum from zeros
-            if diag is not None:
-                out[np.diag_indices(dim)] += diag
-        elif term.ndim == 2:
-            out += term
-        elif out is not None:
-            out[np.diag_indices(dim)] += term
-        elif diag is None:
-            diag = term
-        else:
-            diag += term
-        del term  # freed before the next product is formed
-    if out is None:
-        out = np.zeros((dim, dim), dtype=complex) if diag is None else np.diag(diag)
-    out += 0.0
-    return out
-
-
-def _generators(cells) -> list[Letter]:
-    """The sorted base letters of the rows of polynomials ``cells``."""
-    return sorted({letter.base() for row in cells for poly in row for word in poly.terms
-                   for letter in word})
-
-
-def dense_block_matrix(cells, mats: Mapping, size: int) -> np.ndarray:
-    """The block matrix of the square grid of polynomials ``cells`` over
-    ``mats``, each block the :func:`dense_polynomial` of its cell at
-    ``size``; ``mats`` is never modified.  See :func:`_block_matrix`."""
-    return _block_matrix(cells, mats.get, size)
-
-
-def _block_matrix(cells, draw, size: int) -> np.ndarray:
-    """The block matrix of the square grid of polynomials ``cells``, with
-    ``draw(letter)`` the matrix of each generator, as
-    :func:`dense_polynomial` reads it, called once per generator in sorted
-    order.
-
-    Each distinct cell is formed once, as soon as its last generator is
-    drawn (a constant cell before the first draw), and written into all its
-    blocks; each generator is let go after its last cell.  So a grid of
-    one-generator cells holds one generator at a time beside the output.
-    """
-    gens = _generators(cells)
-    rank = {letter: pos for pos, letter in enumerate(gens)}
-    places: dict[tuple, tuple] = {}
-    for i, row in enumerate(cells):
-        for j, poly in enumerate(row):
-            places.setdefault(tuple(poly.sorted_terms()), (poly, []))[1].append((i, j))
-    due: dict[int, list] = {}  # the cells formed once gens[pos] is drawn, by pos
-    last_cell: dict[Letter, int] = {}  # each generator's last cell, by its due pos
-    for poly, blocks in places.values():
-        letters = {letter.base() for word in poly.terms for letter in word}
-        pos = max((rank[letter] for letter in letters), default=-1)
-        due.setdefault(pos, []).append((poly, blocks))
-        for letter in letters:
-            last_cell[letter] = max(last_cell.get(letter, pos), pos)
-    out = np.empty((len(cells) * size, len(cells) * size), dtype=complex)
-    mats: dict[Letter, np.ndarray] = {}
-    for pos in range(-1, len(gens)):
-        if pos >= 0:
-            mat = draw(gens[pos])
-            mats[gens[pos]] = None if mat is None else np.asarray(mat, dtype=complex)
-            del mat  # mats holds it alone, so it is freed after its last cell
-        for poly, blocks in due.get(pos, ()):
-            _cell_into(out, blocks, poly, mats, size)
-        for letter in [letter for letter in mats if last_cell[letter] == pos]:
-            del mats[letter]
-    return out
-
-
-def _cell_into(out: np.ndarray, blocks, poly, mats: Mapping, size: int) -> None:
-    """Write the ``size x size`` matrix of ``poly`` over ``mats`` (complex,
-    or ``None`` for a letter not bound) into the ``(i, j)`` ``blocks`` of
-    ``out``.
-
-    A cell of one product of two or more dense letters is multiplied
-    straight into its first block and scaled there as
-    :func:`_polynomial_sum` scales a product; any other cell is that sum,
-    copied in.  A matmul into a block view equals the contiguous product
-    byte for byte."""
-    def block(i, j):
-        return out[i * size:(i + 1) * size, j * size:(j + 1) * size]
-
-    def lookup(base):
-        return mats.get(base), False
-
-    def matrix_of(letter):  # every letter is bound here
-        return lookup(letter.base())
-
-    first = block(*blocks[0])
-    terms = poly.sorted_terms()
-    word = terms[0][0] if len(terms) == 1 else ()
-    if len(word) > 1 and all(getattr(mats.get(letter.base()), "ndim", 0) == 2
-                             for letter in word):
-        np.matmul(_word_product(word[:-1], matrix_of, size),
-                  _word_product(word[-1:], matrix_of, size), out=first)
-        first *= terms[0][1]
-        first += 0.0
-    else:
-        first[...] = _polynomial_sum(poly, lookup, size)
-    for i, j in blocks[1:]:
-        block(i, j)[...] = first
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue sequences for the trace-class side
 # ---------------------------------------------------------------------------
@@ -684,8 +420,9 @@ class MomentTable(TracialState):
 
     @classmethod
     def from_b_powers(cls, powers: Mapping[int, complex], index: int = 1) -> "MomentTable":
-        """Table for a single generator given ``{m: tau(b**m)}``."""
-        letter = Letter(FAMILY_B, index)
+        """Table for a single generator given ``{m: tau(b**m)}``; its letter is
+        ``b_gen(index)``, so ``ValueError`` for an index below 1."""
+        letter = b_gen(index)
         return cls({(letter,) * m: value for m, value in powers.items()})
 
     @classmethod

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectra import BLOCK_WIDTH, _add_adjoint
+from .dense import BLOCK_WIDTH
+from .spectra import _add_adjoint
 
 
 def _ginibre(n: int, rng: np.random.Generator, order: str = "C") -> np.ndarray:

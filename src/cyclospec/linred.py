@@ -34,11 +34,9 @@ from .cmcalc import (
     TraceClassModel,
     TracialState,
     _end_sweep,
-    _generators,
-    _word_product,
     cm_moment,
-    dense_block_matrix,
 )
+from .dense import _generators, _word_product, dense_block_matrix
 from .errors import (
     ComplexEigenvaluesError,
     DimensionMismatchError,
@@ -749,14 +747,14 @@ def _reduction_spectrum(reduction, a_model: TraceClassModel, truncation: int | N
         raise NotInDomainError("the polynomial reduces to 0, and no truncation sizes its spectrum")
     if mats is diag:
         # A is the direct sum over j of the k x k matrices of its entries' j-th diagonal values
+        lookup = {letter: (d, False) for letter, d in diag.items()}.__getitem__  # never written
         stack = np.zeros((n, len(a_grid), len(a_grid)), dtype=complex)
         for i, row in enumerate(a_grid):
             for j, entry in enumerate(row):
                 for word, coeff in sorted(entry.items()):
-                    stack[:, i, j] += coeff * _word_product(
-                        word, lambda x: (diag[x.base()], False), n)
+                    stack[:, i, j] += coeff * _word_product(word, lookup, n)
     else:
-        stack = dense_block_matrix(cells, mats, n)[np.newaxis]
+        stack = dense_block_matrix(cells, mats.get, n)[np.newaxis]
     multiset = _stack_spectrum(stack, beta)
     parameters = {"rows": list(map(word_str, rows)), "columns": list(map(word_str, columns)),
                   "dim": dim, "truncation": n}

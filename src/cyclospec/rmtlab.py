@@ -31,14 +31,10 @@ from .cmcalc import (
     HaarConjugatedFamily,
     MomentTable,
     SpectrumFamily,
-    _block_matrix,
-    _consume_polynomial,
-    _generators,
-    _gram,
     _is_json_integer,
     _is_json_number,
-    _matmul_over,
 )
+from .dense import _consume_polynomial, _generators, _gram, _matmul_over, dense_block_matrix
 from .ensembles import sample_gue, sample_haar_unitary
 from .errors import (
     DegreeExceededError,
@@ -335,7 +331,7 @@ def _build_a_matrix(
         u = sample_haar_unitary(len(a_diag), rng)
         return (u * a_diag) @ u.conj().T
 
-    return _block_matrix(a_cells, rotated, len(a_diag))
+    return dense_block_matrix(a_cells, rotated, len(a_diag))
 
 
 def _build_b_matrices(
@@ -360,7 +356,7 @@ def _build_b_matrices(
         cells, kind = c.b_cells[pos], scenario.b_spec[pos]["kind"]
         if cells is not None:  # gue blocks
             size = c.dim // len(cells)
-            formed[pos] = _block_matrix(cells, lambda letter: sample_gue(size, rng), size)
+            formed[pos] = dense_block_matrix(cells, lambda letter: sample_gue(size, rng), size)
         elif kind == "file":
             formed[pos] = files[pos]
         else:  # gue, gue_squared

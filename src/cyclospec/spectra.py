@@ -14,17 +14,12 @@ from typing import Iterable
 
 import numpy as np
 
+from .dense import BLOCK_WIDTH
 from .errors import InsufficientEntriesError, NotSelfadjointError
 
 HERMITICITY_TOL = 1e-9
 REL_FLOOR = 1e-12
 ROUNDING_REL_TOL = 64 * np.finfo(float).eps
-# Rows or columns per block of a product written over one of its operands, and
-# the side of a tile of a full-matrix Hermitian pass.  A multiple of 32: with
-# OpenBLAS 0.3.31, products blocked in 128 rows or columns equal the one-shot
-# product byte for byte (dims 199-1000 checked, odd ones included), while
-# 150-column blocks differ at every dim tried.
-BLOCK_WIDTH = 128
 
 
 def rounding_tolerance(floor: float, magnitude: float) -> float:

@@ -35,8 +35,8 @@ from cyclospec import (
     sample_gue,
     sample_haar_unitary,
 )
-from cyclospec import cmcalc, linred
-from cyclospec.cmcalc import WordProducts, dense_word_product
+from cyclospec import cmcalc, dense, linred
+from cyclospec.cmcalc import WordProducts
 from cyclospec.ncalg import Letter, word_adjoint
 
 from _oracles import random_general, random_hermitian, reference_cm_moment
@@ -67,6 +67,14 @@ def test_moment_table_lookup_and_cap():
     assert table.tau((b_gen(1), b_gen(1))) == 2
     with pytest.raises(DegreeExceededError):
         table.tau((b_gen(1),) * 3)
+
+
+def test_moment_tables_of_powers_share_their_generator():
+    tables = [MomentTable.from_b_powers({1: 1.0, 2: 2.0}) for _ in range(2)]
+    for table in tables:
+        assert all(letter is b_gen(1) for word in table._table for letter in word)
+    with pytest.raises(ValueError, match="generator index must be >= 1"):
+        MomentTable.from_b_powers({2: 1.0}, index=0)
 
 
 def test_moment_table_cyclic_canonicalization():
@@ -684,6 +692,13 @@ def test_word_products_one_starred_letter_is_a_read_only_adjoint():
     assert matrices[1].flags.writeable
 
 
+def _dense_product(w, mats, dim):
+    """The dense matrix of ``w`` over ``mats``, keyed by index, multiplied out
+    by ``dense._word_product`` with no matrix released."""
+    prod = dense._word_product(w, lambda base: (mats[base.index], False), dim)
+    return np.diag(prod) if prod.ndim == 1 else prod
+
+
 def test_dense_word_product_bitwise_equal_naive_loop():
     rng = np.random.default_rng(34)
     # C order, Fortran order, and a conjugate-transpose view as inputs
@@ -695,9 +710,9 @@ def test_dense_word_product_bitwise_equal_naive_loop():
     words = [(), (a_gen(2, star=True),), (a_gen(3, star=True), a_gen(1))] + _product_words(rng)
     assert any(w and w[0].star for w in words[3:])
     for w in words:
-        got = dense_word_product(w, lambda letter: matrices[letter.index], 4)
+        got = _dense_product(w, matrices, 4)
         assert np.array_equal(got, _naive_product(matrices, w, 4))
-    assert np.array_equal(dense_word_product((), None, 3), np.eye(3))
+    assert np.array_equal(_dense_product((), None, 3), np.eye(3))
 
 
 def test_word_products_recover_after_unknown_generator():
@@ -960,9 +975,9 @@ def test_dense_word_product_broadcasts_diagonal_letters():
         2: np.array([0.5, -2.0, 0.0, 1e-3, -7.25], dtype=complex),
         3: rng.uniform(-1, 1, size=5) + 1j * rng.uniform(-1, 1, size=5),
     }
-    dense = {i: np.diag(d) for i, d in diagonals.items()}
-    dense[4] = random_general(5, rng)
-    given_ = {**diagonals, 4: dense[4]}
+    full = {i: np.diag(d) for i, d in diagonals.items()}
+    full[4] = random_general(5, rng)
+    given_ = {**diagonals, 4: full[4]}
     pool = [a_gen(i, star) for i in (1, 2, 3, 4) for star in (False, True)]
     words = [
         tuple(pool[j] for j in rng.integers(0, len(pool), size=int(rng.integers(1, 6))))
@@ -970,8 +985,8 @@ def test_dense_word_product_broadcasts_diagonal_letters():
     ]
     assert any(all(letter.index < 4 for letter in w) for w in words)
     for w in words:
-        got = dense_word_product(w, lambda letter: given_[letter.index], 5)
-        expected = dense_word_product(w, lambda letter: dense[letter.index], 5)
+        got = _dense_product(w, given_, 5)
+        expected = _dense_product(w, full, 5)
         assert got.shape == (5, 5)
         if any(letter.index == 3 for letter in w):
             # a complex diagonal rounds once per entry, the matmul may not
@@ -990,12 +1005,12 @@ def test_products_written_over_an_operand_equal_the_one_shot_product(dim):
         left = np.asarray(random_general(dim, rng), order=order)
         expected = (left @ right).tobytes()
         over_left = left.copy(order="K")
-        assert cmcalc._matmul_over(over_left, right, over_left) is over_left
+        assert dense._matmul_over(over_left, right, over_left) is over_left
         assert over_left.tobytes() == expected
         over_right = right.copy()
-        assert cmcalc._matmul_over(left, over_right, over_right) is over_right
+        assert dense._matmul_over(left, over_right, over_right) is over_right
         assert over_right.tobytes() == expected
-        assert cmcalc._matmul_over(left, right, None).tobytes() == expected
+        assert dense._matmul_over(left, right, None).tobytes() == expected
 
 
 def test_owned_products_are_scaled_and_multiplied_in_place_bitwise():
@@ -1020,12 +1035,13 @@ def test_owned_products_are_scaled_and_multiplied_in_place_bitwise():
             expected = (mat if expected is None else expected * mat if mat.ndim == 1
                         else expected[:, np.newaxis] * mat if expected.ndim == 1
                         else expected @ mat)
-        got = dense_word_product(w, lambda letter: mats[letter.index], dim)
+        got = _dense_product(w, mats, dim)
         assert got.tobytes() == expected.tobytes()
         released = mats[3].copy()
-        got = cmcalc._word_product(
-            w, lambda letter: ((released, True) if letter.index == 3 and not letter.star
-                               and letter is w[-1] else (mats[letter.index], False)), dim)
+        letters = iter(w)  # looked up one at a time, in order; a last a3 is released
+        got = dense._word_product(
+            w, lambda base: ((released, True) if next(letters) is w[-1] is a_gen(3)
+                             else (mats[base.index], False)), dim)
         assert got.tobytes() == expected.tobytes()
         if len(w) == 2:  # a bound left operand: written over the released right one
             assert got is released

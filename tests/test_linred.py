@@ -861,7 +861,7 @@ def _random_a_word_text(rng, length):
 @pytest.mark.parametrize("n", [1, 5, 128, 300])
 def test_diagonal_stack_keeps_the_bytes_of_the_product_of_its_factors(n, monkeypatch):
     # a diagonal model's stack multiplies each word's diagonals out through
-    # cmcalc._word_product, which must equal, byte for byte, the np.prod over
+    # dense._word_product, which must equal, byte for byte, the np.prod over
     # the (conjugated) factors: each an elementwise product, left to right
     rng = np.random.default_rng(n)
     model = MatrixTraceFamily({i: np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))

@@ -10,7 +10,7 @@ import types
 import pytest
 
 import cyclospec
-from cyclospec import cmcalc, linred, rmtlab, spectra
+from cyclospec import cmcalc, dense, linred, rmtlab, spectra
 
 PUBLIC_NAMES = [
     "AlgMatrix", "ComplexEigenvaluesError", "DegreeExceededError",
@@ -40,9 +40,8 @@ def test_public_names_are_pinned():
 @pytest.mark.parametrize("function,parameters", [
     pytest.param(function, parameters, id=function.__qualname__)
     for function, parameters in [
-        (cmcalc.dense_word_product, ["w", "matrix_of", "dim"]),
-        (cmcalc.dense_polynomial, ["poly", "mats", "dim"]),
-        (cmcalc.dense_block_matrix, ["cells", "mats", "size"]),
+        (dense.dense_polynomial, ["poly", "mats", "dim"]),
+        (dense.dense_block_matrix, ["cells", "draw", "size"]),
         (cmcalc.TraceMatrixState, ["matrices"]),
         (cmcalc.MatrixTraceFamily, ["matrices"]),
         (cmcalc.SpectrumFamily, ["spectra"]),

@@ -26,9 +26,9 @@ from cyclospec import (
     sample_haar_unitary,
 )
 from cyclospec.cli import main
-from cyclospec.cmcalc import dense_block_matrix, dense_polynomial, dense_word_product
+from cyclospec.dense import dense_block_matrix, dense_polynomial
 from cyclospec.ncalg import FAMILY_A, FAMILY_B, Letter, NCPolynomial
-from cyclospec import cmcalc, linred, rmtlab
+from cyclospec import dense, linred, rmtlab
 from cyclospec.rmtlab import (
     _build_a_matrix,
     _generators,
@@ -73,6 +73,24 @@ def test_haar_unitary_mean_trace():
     rng = np.random.default_rng(54)
     traces = [np.trace(sample_haar_unitary(100, rng)) / 100 for _ in range(200)]
     assert abs(np.mean(traces)) <= 0.05
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_haar_unitary_traces_follow_the_haar_law(seed):
+    # Diaconis-Shahshahani: for Haar U in U(n), E tr U^j = 0 and
+    # E|tr U^j|^2 = min(j, n).  Each bound is 4 standard errors of the mean,
+    # estimated from the draws themselves.  Without the R-diagonal phase fix
+    # the sampler reads E tr U = -1.08 and E|tr U|^2 = 1.85 at n = 4.
+    n, draws = 4, 4000
+    rng = np.random.default_rng(seed)
+    u = np.stack([sample_haar_unitary(n, rng) for _ in range(draws)])
+    power = u
+    for j in (1, 2, 3):
+        trace = np.trace(power, axis1=1, axis2=2)
+        square = np.abs(trace) ** 2
+        assert abs(trace.mean()) <= 4 * trace.std() / np.sqrt(draws)
+        assert abs(square.mean() - min(j, n)) <= 4 * square.std() / np.sqrt(draws)
+        power = power @ u
 
 
 @pytest.mark.parametrize("seed", [0, 71, 2026])
@@ -722,8 +740,8 @@ def _reference_trial(scenario, t):
     """Trial ``t`` of ``scenario`` with every product formed out of place: the
     samplers, a ``file`` B read afresh, ``u @ mat @ u.conj().T`` per B entry
     (``(u @ g) @ (u @ g).conj().T`` for the factor ``g`` of a ``gue_squared``
-    entry), ``coeff * dense_word_product(...)`` summed into zeros, ``np.block``
-    and ``(x + x.conj().T) / 2.0``; the moments are the power sums of the
+    entry), the naive ``_scaled_sum`` of the terms, ``np.block`` and
+    ``(x + x.conj().T) / 2.0``; the moments are the power sums of the
     canonical spectrum.  Also returns the dense traces of ``x``, ``x @ x`` and
     ``x @ x @ x``."""
     rng = trial_rng(scenario.seed, t)
@@ -741,14 +759,8 @@ def _reference_trial(scenario, t):
         d = np.diagonal(r)
         return q * (d / np.abs(d))
 
-    def evaluate(poly, mats, size):
-        out = np.zeros((size, size), dtype=complex)
-        for word, coeff in poly.sorted_terms():
-            out += coeff * dense_word_product(word, lambda letter: mats[letter.base()], size)
-        return out
-
     def block(cells, mats, size):
-        return np.block([[evaluate(poly, mats, size) for poly in row] for row in cells])
+        return np.block([[_scaled_sum(poly, mats, size) for poly in row] for row in cells])
 
     compiled = rmtlab._compile(scenario)
     a_cells, b_cells = compiled.a_cells, compiled.b_cells
@@ -788,7 +800,7 @@ def _reference_trial(scenario, t):
             b_mats.append(mat if u is None else u @ mat @ u.conj().T)
     mats = {Letter(FAMILY_A, 1): a}
     mats.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
-    x = evaluate(compiled.poly, mats, dim)
+    x = _scaled_sum(compiled.poly, mats, dim)
     residual = float(np.max(np.abs(x - x.conj().T)))
     x = (x + x.conj().T) / 2.0
     spectrum = EVMultiset(_reference_spectrum(x))
@@ -890,9 +902,7 @@ def test_evaluate_expression_leaves_bound_matrices_alone():
     for text in ["2*b1 - b1' - a1 + b1*a1*b1", "-a1", "3 + a1*a1 + a1*b1*a1 - a1' - b1",
                  "a1*a1 - a1 - 1", "-b1*b1 + a1"]:
         poly = parse_expression(text, {"a1": a1, "b1": b1})
-        expected = np.zeros((6, 6), dtype=complex)
-        for word, coeff in poly.sorted_terms():
-            expected += coeff * dense_word_product(word, lambda letter: kept[letter.base()], 6)
+        expected = _scaled_sum(poly, kept, 6)
         assert dense_polynomial(poly, mats, 6).tobytes() == expected.tobytes()
         assert all(np.array_equal(mats[letter], kept[letter]) for letter in mats)
         assert mats.keys() == kept.keys()
@@ -943,7 +953,7 @@ def test_generic_complex_coefficients_scale_as_documented():
             assert dense_polynomial(poly, kept, dim).tobytes() == expected
             mats = {a1: a_diag, b1: b.copy()}
             mats[b2] = mats[b1] if shared else b.conj()  # shared, as a copy_of entry
-            assert cmcalc._consume_polynomial(poly, mats, dim).tobytes() == expected
+            assert dense._consume_polynomial(poly, mats, dim).tobytes() == expected
             assert not mats
 
 
@@ -983,7 +993,7 @@ def test_consumed_evaluation_empties_its_matrices():
     mats = {a1: sample_gue(5, rng), b1: sample_gue(5, rng), b2: sample_gue(5, rng)}
     poly = parse_expression("b1*a1*b1 - a1 + 2*b1'", {"a1": a1, "b1": b1})
     expected = dense_polynomial(poly, mats, 5)
-    assert cmcalc._consume_polynomial(poly, mats, 5).tobytes() == expected.tobytes()
+    assert dense._consume_polynomial(poly, mats, 5).tobytes() == expected.tobytes()
     assert list(mats) == [b2]  # every letter the polynomial reads is removed
 
 
@@ -1004,7 +1014,7 @@ def test_a_shared_matrix_is_written_only_once_no_letter_binds_it(text, monkeypat
     expected = dense_polynomial(poly, {a1: a_kept, b1: kept, b2: kept}, dim)
     mats = {a1: a, b1: shared, b2: shared}
     targets = []
-    matmul_over = cmcalc._matmul_over
+    matmul_over = dense._matmul_over
 
     def checked(left, right, over):
         if b1 in mats or b2 in mats:
@@ -1012,8 +1022,8 @@ def test_a_shared_matrix_is_written_only_once_no_letter_binds_it(text, monkeypat
         targets.append(over)
         return matmul_over(left, right, over)
 
-    monkeypatch.setattr(cmcalc, "_matmul_over", checked)
-    assert cmcalc._consume_polynomial(poly, mats, dim).tobytes() == expected.tobytes()
+    monkeypatch.setattr(dense, "_matmul_over", checked)
+    assert dense._consume_polynomial(poly, mats, dim).tobytes() == expected.tobytes()
     assert np.array_equal(a, a_kept) and not mats
     assert any(over is shared for over in targets) == text.startswith("a1")
 
@@ -1026,14 +1036,14 @@ def test_dense_block_matrix_writes_each_cell_into_all_its_blocks(monkeypatch):
     cells = [[parse_expression(text, {"b1": b1, "b2": b2}) for text in row]
              for row in [["b1*b1", "b2*b2 - b1"], ["b2*b2 - b1", "2*b1*b1 + b2*b1"]]]
     evaluated = []
-    cell_into = cmcalc._cell_into
+    cell_into = dense._cell_into
 
     def counted(out, blocks, poly, *args):
         evaluated.append(poly)
         return cell_into(out, blocks, poly, *args)
 
-    monkeypatch.setattr(cmcalc, "_cell_into", counted)
-    got = dense_block_matrix(cells, mats, 5)
+    monkeypatch.setattr(dense, "_cell_into", counted)
+    got = dense_block_matrix(cells, mats.get, 5)
     monkeypatch.undo()
     assert len(evaluated) == 3  # the off-diagonal cell is formed once
     for i, row in enumerate(cells):
