@@ -11,6 +11,15 @@ evaluates the words its memo misses as one batch (``WordProducts.traces``),
 with values bitwise equal to ``omega``.  The reduced chain trace of
 :mod:`cyclospec.linred` uses the batch; the oracle does not.
 
+Every model but ``HaarConjugatedFamily`` memoizes its values per word.  A
+matrix model (``MatrixTraceFamily``, ``TraceMatrixState``) keeps them, and
+its prefix products, for one sweep: ``poly_moment`` and
+``linred.chain_moment_unreduced`` empty both when they return or raise, and
+``linred.chain_moment`` those of its state, so between sweeps such a model
+keeps only its letter table.  ``MomentTable`` and ``SpectrumFamily`` keep
+their memos as long as they live: they hold a few runs, which every sweep
+reads again.
+
 For the eigenvalue recipes a weight model also realizes each generator as a
 matrix: ``diagonal`` gives the 1-D diagonal of the realization, or ``None``
 when it is not diagonal, and ``realization`` the dense matrix.  Only
@@ -66,12 +75,13 @@ TRACE_BATCH_BYTES = 1 << 20
 
 
 def _memoized_per_word(evaluate):
-    """Memoize a model's ``omega``/``tau`` on the exact word.
+    """Memoize a model's ``omega``/``tau`` on the exact word, in its ``_values``.
 
     The lookup runs before the domain checks of ``evaluate``; only successful
     values are stored, so a word outside the domain raises on every call.  A
     memoized value depends on the model's data, which must therefore not be
-    mutated once the model is built.
+    mutated once the model is built.  A matrix model's memo lasts one sweep
+    (:func:`_end_sweep`); the other models keep theirs.
     """
 
     @functools.wraps(evaluate)
@@ -98,13 +108,14 @@ class WordProducts:
     (tracemalloc counts 4.4 kB for a starred 16x16 generator and 0.6 kB for
     a 4x4 one, the array headers and the table's entry included).
 
-    The table lives as long as the model; the stack, for one sweep.
-    ``poly_moment``, ``linred.chain_moment`` and
-    ``linred.chain_moment_unreduced`` empty the stacks of the models they
-    read when they return or raise (:func:`_end_sweep`): the next sweep
-    starts from its smallest word, which seldom shares a prefix with the
-    last sweep's largest.  That changes no value, since a rebuilt product is
-    the same left-to-right product the stack kept.
+    The table lives as long as the model; the stack, for one sweep, as the
+    model's per-word values do.  ``poly_moment``, ``linred.chain_moment``
+    and ``linred.chain_moment_unreduced`` empty the stacks and the values of
+    the models they read when they return or raise (:func:`_end_sweep`):
+    the next sweep starts from its smallest word, which seldom shares a
+    prefix with the last sweep's largest, and a weight word seldom comes
+    back in another sweep.  That changes no value, since a rebuilt product
+    is the same left-to-right product the stack kept.
 
     A product starts from its first letter's matrix, as the dense
     evaluator's does, not from the identity: ``I @ M`` is
@@ -216,12 +227,14 @@ class WordProducts:
 
 
 def _end_sweep(*models) -> None:
-    """Empty the prefix stack of each matrix model among ``models``: its
-    ``WordProducts``, if it has one (the other models keep no products)."""
+    """Empty the prefix stack and the per-word values of each matrix model
+    among ``models``, a model with a ``WordProducts``.  The other models keep
+    no products, and their memos hold few runs that later sweeps read again."""
     for model in models:
         products = getattr(model, "_products", None)
         if products is not None:
             products._drop_stack()
+            model._values.clear()
 
 
 def _batches(words: Sequence[Word], letters: int):
@@ -322,12 +335,19 @@ class GeometricSpectrum(Spectrum):
 
 
 class ExplicitSpectrum(Spectrum):
-    """Finite list of eigenvalues."""
+    """Finite list of finite eigenvalues."""
 
     def __init__(self, values: Iterable[float]):
         self.values = np.asarray(list(values), dtype=float)
         if self.values.size < 1:
             raise ValueError("spectrum must contain at least one value")
+        # min and max carry a NaN or an infinity through and allocate no mask;
+        # an np.isfinite mask here moved the scenarios benchmark's peak RSS up
+        # by about 0.15 MB, through heap placement rather than its own bytes
+        if not (math.isfinite(self.values.min()) and math.isfinite(self.values.max())):
+            pos = int(np.argmin(np.isfinite(self.values)))
+            value = float(self.values[pos])
+            raise ValueError(f"spectrum value {pos} must be finite, not {value!r}")
         self.count = int(self.values.size)
 
     def eigenvalues(self, n: int | None = None) -> np.ndarray:
@@ -385,8 +405,9 @@ class MomentTable(TracialState):
     Keys are canonicalized to their minimal cyclic rotation (traciality), and
     the adjoint of a stored word is looked up as the conjugate value.  Entries
     that collide after canonicalization, and stored adjoint pairs, must agree
-    within ``rounding_tolerance(1e-12, max(|x|, |y|))``.  Values are memoized
-    per word.
+    within ``rounding_tolerance(1e-12, max(|x|, |y|))``, and every value must be
+    finite.  Values are memoized per word for the table's lifetime: a table
+    holds a few runs, which every later sweep reads again.
     """
 
     def __init__(self, moments: Mapping[Word, complex], degree_cap: int | None = None):
@@ -396,6 +417,8 @@ class MomentTable(TracialState):
             word = tuple(word)
             _check_pure_b(word)
             value = complex(value)
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise ValueError(f"the state of {word_str(word)} must be finite, not {value!r}")
             if not word:
                 if not _agree(value, 1):
                     raise ValueError("the state of the unit word must be 1")
@@ -508,8 +531,9 @@ def _square_matrices(matrices: Mapping[int, np.ndarray], what: str):
 class TraceMatrixState(TracialState):
     """Concrete matrix model: the state is the normalized trace.
 
-    Values are memoized per word, so the matrices must not be mutated after
-    the model is built.
+    Values are memoized per word for one sweep, as the prefix products are
+    (:class:`WordProducts`), so the matrices must not be mutated after the
+    model is built.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray]):
@@ -625,8 +649,10 @@ class MatrixTraceFamily(TraceClassModel):
 
     Hermitian matrices give the selfadjoint semantics the recipes expect,
     but general square matrices are accepted for oracle cross-checks.  Values
-    are memoized per word, so the matrices must not be mutated after the
-    family is built.
+    are memoized per word for one sweep, as the prefix products are
+    (:class:`WordProducts`); ``linred.chain_moment`` leaves the weights it
+    batched, for a reference sweep of the same family to read.  The matrices
+    must not be mutated after the family is built.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray]):

@@ -352,7 +352,9 @@ def chain_moment(
     the weight as one sorted batch (``omega_many``).  The polynomials are
     multiplied out over the :class:`WordCode` codes of their words, with the
     products and sums of the ``AlgMatrix`` arithmetic, and a word is decoded
-    only for the weight, in code order, which is word order.
+    only for the weight, in code order, which is word order.  The state's
+    sweep ends with the reduction; the weight's memo keeps the batch, so a
+    :func:`chain_moment_unreduced` of the same chain and models reads it.
     """
     _validate_chain(chain)
     if m < 1:

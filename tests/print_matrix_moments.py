@@ -10,8 +10,11 @@ starred and unstarred letters, and ``chain_moment`` and
 ``chain_moment_unreduced`` on all 100 criterion-3 chains, so every chain
 shape of that gate goes through the oracle.  It also runs sweeps that raise
 partway, in the weight's products and in the state's, each followed by a
-full sweep on the same models.  It uses the package's public names only, so
-it runs against an older checkout too.
+full sweep on the same models.  Every sweep runs twice on the same models and
+prints both values, so a checkout that keeps a matrix model's per-word values
+between sweeps and one that multiplies the words out again print the same
+bytes only if the two agree bit for bit.  It uses the package's public names
+only, so it runs against an older checkout too.
 """
 
 import numpy as np
@@ -48,6 +51,7 @@ CHAINS = 100
 RAISING = "a1*a1'*a2 + b1*b1*b2"
 FULL = "a1*a1'*a2 + b1*a2*b1'"
 RAISING_SEED = 1414
+SWEEPS = ("first", "second")
 
 
 def main() -> None:
@@ -59,8 +63,9 @@ def main() -> None:
         for text in EXPRESSIONS:
             poly = parse_expression(text, syms)
             for m in ORDERS:
-                value = poly_moment(poly, m, a_model, b_state)
-                print(f"poly_moment dim={dim} m={m} {text}: {value!r}")
+                for sweep in SWEEPS:
+                    value = poly_moment(poly, m, a_model, b_state)
+                    print(f"poly_moment dim={dim} m={m} {sweep} {text}: {value!r}")
     raising, full_sweep = parse_expression(RAISING, syms), parse_expression(FULL, syms)
     rng = np.random.default_rng(RAISING_SEED)
     for dim in DIMS:
@@ -69,20 +74,23 @@ def main() -> None:
         for b_state in (MomentTable({(syms["b1"], syms["b1"]): 0.5}, degree_cap=2),
                         TraceMatrixState({1: b_mats[1]})):
             name = type(b_state).__name__
-            try:
-                poly_moment(raising, 2, a_model, b_state)
-            except (DegreeExceededError, NotInDomainError) as exc:
-                print(f"raising dim={dim} {name}: {type(exc).__name__}: {exc}")
+            for sweep in SWEEPS:
+                try:
+                    poly_moment(raising, 2, a_model, b_state)
+                except (DegreeExceededError, NotInDomainError) as exc:
+                    print(f"raising dim={dim} {name} {sweep}: {type(exc).__name__}: {exc}")
             full = TraceMatrixState(b_mats) if name == "MomentTable" else b_state
             for m in ORDERS:
-                value = poly_moment(full_sweep, m, a_model, full)
-                print(f"after raising dim={dim} {name} m={m} {FULL}: {value!r}")
+                for sweep in SWEEPS:
+                    value = poly_moment(full_sweep, m, a_model, full)
+                    print(f"after raising dim={dim} {name} m={m} {sweep} {FULL}: {value!r}")
     rng = np.random.default_rng(CRITERION3_SEED)
     for pos in range(CHAINS):
         inst = chain_instance(rng)
         args = (inst["chain"], inst["m"], inst["a_model"], inst["b_state"])
-        print(f"chain {pos} chain_moment: {chain_moment(*args)!r}")
-        print(f"chain {pos} chain_moment_unreduced: {chain_moment_unreduced(*args)!r}")
+        for trace in (chain_moment, chain_moment_unreduced):
+            for sweep in SWEEPS:
+                print(f"chain {pos} {trace.__name__} {sweep}: {trace(*args)!r}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -381,6 +382,39 @@ def test_geometric_spectrum_that_is_not_finite_exits_validation(command, spectru
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("validation failure: ") and "must be finite" in line
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spectrum,tau_b,tau_b2", [
+    ("explicit:nan;1", "1", "2"), ("explicit:inf;1", "1", "2"),
+    ("geometric:1,0.5,8", "nan", "2"), ("geometric:1,0.5,8", "1", "inf"),
+])
+@pytest.mark.parametrize("command", ["oracle", "predict"])
+def test_explicit_spectrum_or_state_value_that_is_not_finite_exits_validation(
+        command, spectrum, tau_b, tau_b2, tmp_path, capsys):
+    argv = ["--expr", "a1*b1 + b1*a1", "--tau-b", tau_b, "--tau-b2", tau_b2]
+    if command == "oracle":
+        argv += ["--a-model", spectrum, "--moments", "2"]
+    else:
+        argv += ["--spectrum", spectrum, "--out", str(tmp_path / "pred.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        assert run_cli(command, *argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("validation failure: ") and "must be finite" in line
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate"])
+def test_scenario_state_value_that_is_not_finite_exits_validation(command, tmp_path, capsys):
+    doc = builtin_scenario("example3", n=20, trials=1).to_dict()
+    doc["prediction"]["b_state"]["moments"]["b1*b1"] = float("nan")
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc))  # NaN, as json.load reads it
+    out = tmp_path / "out"
+    assert run_cli(command, "--scenario", str(scenario_path), "--out", str(out)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("validation failure: prediction 'b_state': ")
+    assert "must be finite" in line and not out.exists()
 
 
 def test_b_state_file_with_an_unknown_key_exits_validation(tmp_path, capsys):

@@ -98,6 +98,21 @@ def test_moment_table_rejects_pure_a_keys():
         MomentTable({(a_gen(1),): 1.0})
 
 
+@pytest.mark.parametrize("moments", [
+    {(b_gen(1),): float("nan")},
+    {(b_gen(1), b_gen(1)): complex(2.0, float("inf"))},
+])
+def test_moment_table_rejects_values_that_are_not_finite(moments):
+    with pytest.raises(ValueError, match="must be finite"):
+        MomentTable(moments)
+
+
+@pytest.mark.parametrize("values", [[float("nan"), 1.0], [1.0, -float("inf")]])
+def test_explicit_spectrum_rejects_values_that_are_not_finite(values):
+    with pytest.raises(ValueError, match="must be finite"):
+        ExplicitSpectrum(values)
+
+
 def test_moment_table_json_round_trip():
     table = MomentTable({(b_gen(1), b_gen(1)): 2.0, (b_gen(1),): 1.0})
     doc = table.to_json_doc()
@@ -745,8 +760,9 @@ def test_word_products_recover_after_unknown_generator():
     assert fam.omega(w) == complex(np.trace(_naive_product(matrices, w, 3)))
 
 
-def _stacks(*models):
-    return [model._products._stack for model in models]
+def _kept(*models):
+    """What each matrix model keeps of its last sweep: prefix products and per-word values."""
+    return [(model._products._stack, model._values) for model in models]
 
 
 def test_poly_moment_leaves_no_prefix_product_when_it_returns():
@@ -757,9 +773,23 @@ def test_poly_moment_leaves_no_prefix_product_when_it_returns():
     p = parse_expression("a1*a2' + a2*b1*b2'*b1", SYMS)
     for m in (3, 1, 4):
         value = poly_moment(p, m, fam, state)
-        assert _stacks(fam, state) == [[], []]
-        # bitwise the value of fresh models, whose stacks start empty
+        assert _kept(fam, state) == [([], {}), ([], {})]
+        # bitwise the value of fresh models, whose stacks and memos start
+        # empty, and of a second sweep on these models
         assert value == poly_moment(p, m, MatrixTraceFamily(a_mats), TraceMatrixState(b_mats))
+        assert value == poly_moment(p, m, fam, state)
+
+
+def test_moment_table_and_spectrum_family_keep_their_memos_across_sweeps():
+    table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
+    fam = geometric_family(16)
+    p = parse_expression("a1*b1 + b1*a1", SYMS)
+    value = poly_moment(p, 2, fam, table)
+    # the runs of a1*b1*a1*b1, a1*b1*b1*a1, b1*a1*a1*b1 and b1*a1*b1*a1
+    b1, a1 = b_gen(1), a_gen(1)
+    assert table._values == {(b1,): 1.0, (b1, b1): 2.0}
+    assert list(fam._values) == [(a1, a1)]
+    assert poly_moment(p, 2, fam, table) == value
 
 
 @pytest.mark.parametrize("b_state,error", [
@@ -777,7 +807,7 @@ def test_poly_moment_leaves_no_prefix_product_when_it_raises(b_state, error):
     with pytest.raises(error):
         poly_moment(parse_expression("a1*a1 + b1*b1*b2", SYMS), 2, fam, state)
     models = [fam] + ([state] if isinstance(state, TraceMatrixState) else [])
-    assert _stacks(*models) == [[]] * len(models)
+    assert _kept(*models) == [([], {})] * len(models)
     # and the models still give the values of fresh ones
     w = (a_gen(1),) * 3
     assert fam.omega(w) == MatrixTraceFamily(fam.matrices).omega(w)

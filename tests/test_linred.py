@@ -433,8 +433,9 @@ def test_unreduced_chain_moment_multiplies_each_distinct_a_word_out_once(monkeyp
     assert asked > 2 * distinct
 
 
-def _stacks(*models):
-    return [model._products._stack for model in models]
+def _kept(*models):
+    """What each matrix model keeps of its last sweep: prefix products and per-word values."""
+    return [(model._products._stack, model._values) for model in models]
 
 
 def test_chain_traces_leave_no_prefix_product_when_they_return():
@@ -443,12 +444,35 @@ def test_chain_traces_leave_no_prefix_product_when_they_return():
         inst = chain_instance(rng)
         chain, m, fam, state = inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
         unreduced = chain_moment_unreduced(chain, m, fam, state)
-        assert _stacks(fam, state) == [[], []]
+        assert _kept(fam, state) == [([], {}), ([], {})]
+        # a second sweep on these models multiplies every word out again
+        assert chain_moment_unreduced(chain, m, fam, state) == unreduced
         chain_moment(chain, m, fam, state)
-        assert _stacks(state) == [[]]
-        # bitwise the value of fresh models, whose stacks start empty
+        assert _kept(state) == [([], {})]
+        assert fam._products._stack == [] and fam._values  # its batched weights
+        # bitwise the value of fresh models, whose stacks and memos start empty
         fresh = MatrixTraceFamily(fam.matrices), TraceMatrixState(state.matrices)
         assert unreduced == chain_moment_unreduced(chain, m, *fresh)
+
+
+def test_unreduced_chain_moment_reads_the_weights_chain_moment_batched(monkeypatch):
+    owners = []
+    product = cmcalc.WordProducts.product
+    monkeypatch.setattr(cmcalc.WordProducts, "product",
+                        lambda self, w: owners.append(self) or product(self, w))
+    rng = np.random.default_rng(3033)
+    for _ in range(20):
+        inst = chain_instance(rng)
+        args = inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
+        weights, state = inst["a_model"]._products, inst["b_state"]._products
+        chain_moment(*args)
+        owners.clear()
+        chain_moment_unreduced(*args)
+        # chain_moment ended its state's sweep, and left the weights it batched
+        assert state in owners and weights not in owners
+        owners.clear()
+        chain_moment_unreduced(*args)
+        assert state in owners and weights in owners
 
 
 @pytest.mark.parametrize("b_state,error", [
@@ -471,7 +495,10 @@ def test_chain_traces_leave_no_prefix_product_when_they_raise(b_state, error):
                 trace(chain, m, fam, state)
             except error:
                 raised += 1
-            assert _stacks(*models) == [[]] * len(models)
+            # chain_moment ends its state's sweep, but keeps the weights it batched
+            ended = models if trace is chain_moment_unreduced else models[1:]
+            assert _kept(*ended) == [([], {})] * len(ended)
+            assert fam._products._stack == []
     assert raised >= 10
 
 
