@@ -5,11 +5,18 @@ is decomposed into maximal A-runs and B-runs, a leading B-run is rotated into
 the trailing one (traciality), and the value is the weight of the concatenated
 A-letters times the product of the state values of the B-runs.
 
-The oracle asks the weight for one word at a time (``omega``).  Every weight
-model also has ``omega_many``, the weights of a list of words; a matrix model
-evaluates the words its memo misses as one batch (``WordProducts.traces``),
-with values bitwise equal to ``omega``.  The reduced chain trace of
-:mod:`cyclospec.linred` uses the batch; the oracle does not.
+The oracle takes a word in one of two forms.  On a tuple of letters
+(``poly_moment``'s sweep) it factors the word letter by letter and asks the
+models for each run and A-word (``tau``, ``omega``).  On the code of a word
+under an :class:`~cyclospec.ncalg.WordCode` (``linred.chain_moment_unreduced``'s
+sweep) it cuts the code with ``str`` operations and reads the values
+through code-keyed memos that live for one sweep (:class:`CodedSweep`), so
+a run or an A-word is decoded and asked for only when it first misses.
+Every weight model also has ``omega_many``, the weights of a list of words
+or of codes; a matrix model evaluates the words its memo misses as one
+batch of codes (``WordProducts.traces``), with values bitwise equal to
+``omega``.  The reduced chain trace of :mod:`cyclospec.linred` uses the
+batch; the oracle does not.
 
 Every model but ``HaarConjugatedFamily`` memoizes its values per word.  A
 matrix model (``MatrixTraceFamily``, ``TraceMatrixState``) keeps them, and
@@ -47,6 +54,7 @@ from .ncalg import (
     FAMILY_B,
     Letter,
     Word,
+    WordCode,
     alternating_form,
     auto_symbols,
     b_gen,
@@ -129,7 +137,8 @@ class WordProducts:
     callers must not modify it.
 
     :meth:`traces` evaluates a whole list of words at once, as a prefix tree
-    multiplied out one depth at a time; it leaves the stack alone.
+    of their codes multiplied out one depth at a time; it leaves the stack
+    alone.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray], dim: int):
@@ -185,39 +194,43 @@ class WordProducts:
                 stack.append(prod)
         return prod
 
-    def traces(self, words: Sequence[Word], letters: Iterable[Letter] | None = None) -> list[complex]:
+    def traces(self, words: Sequence, code: WordCode | None = None) -> list[complex]:
         """Traces of the products of the nonempty ``words``, in their order.
 
-        The words are split into batches of at most ``TRACE_BATCH_BYTES`` of
-        products (a longer word gets a batch of its own).  The words of a
+        With ``code``, ``words`` are its codes (:class:`~cyclospec.ncalg.WordCode`);
+        without, they are tuples of letters, which are coded first.  The
+        codes are split into batches of at most ``TRACE_BATCH_BYTES`` of
+        products (a longer code gets a batch of its own).  The codes of a
         batch form a prefix tree with one node per distinct prefix.  Depth 0
         is a gather of the first letters' matrices, not a product with the
         identity, and each deeper depth is one stacked ``np.matmul`` of the
         parents' products by the letters' matrices, as :meth:`product`
-        multiplies.  The traces of a depth's nodes are taken with
-        ``np.trace(..., axis1=1, axis2=2)``.  So every value is bitwise equal
-        to ``complex(self.product(w).trace())``.  Sorted words share the
-        most prefixes.  An unknown generator raises ``NotInDomainError``
-        before anything is multiplied.  ``letters``, when given, is the set
-        of the letters of ``words``, which the caller has already taken.
+        multiplies.  A letter's matrix is gathered by its code: one stacked
+        matrix per distinct character of ``words``.  The traces of a depth's
+        nodes are taken with ``np.trace(..., axis1=1, axis2=2)``.  So every
+        value is bitwise equal to ``complex(self.product(w).trace())``.
+        Sorted codes share the most prefixes.  An unknown generator raises
+        ``NotInDomainError`` before anything is multiplied.
         """
+        if code is None:
+            code = WordCode(set().union(*words))
+            words = list(map(code.encode, words))
         if not all(words):
             raise ValueError("the empty word has no product to trace")
-        if letters is None:
-            letters = set().union(*words)
-        letter_ids = {letter: pos for pos, letter in enumerate(sorted(letters))}
-        if not letter_ids:
+        ranks = sorted(set("".join(words)))
+        if not ranks:
             return []
-        letter_stack = np.stack([self._letter_matrix(letter) for letter in letter_ids])
+        row_of = {rank: row for row, rank in enumerate(ranks)}
+        letter_stack = np.stack([self._letter_matrix(code.letters[ord(rank)]) for rank in ranks])
         node_bytes = 16 * self._dim * self._dim
         values: list[complex] = []
         for batch in _batches(words, TRACE_BATCH_BYTES // node_bytes):
             out = [0j] * len(batch)
             products = None
-            for letters, parents, ends in zip(*_prefix_tree(batch)):
-                ids = [letter_ids[letter] for letter in letters]
-                products = (letter_stack[ids] if products is None
-                            else np.matmul(products[parents], letter_stack[ids]))
+            for chars, parents, ends in zip(*_prefix_tree(batch)):
+                rows = [row_of[char] for char in chars]
+                products = (letter_stack[rows] if products is None
+                            else np.matmul(products[parents], letter_stack[rows]))
                 if ends:
                     level = np.trace(products, axis1=1, axis2=2).tolist()
                     for pos, node in ends:
@@ -237,49 +250,52 @@ def _end_sweep(*models) -> None:
             model._values.clear()
 
 
-def _batches(words: Sequence[Word], letters: int):
-    """Consecutive runs of ``words`` with at most ``letters`` letters each
-    (a longer word is a run of its own)."""
-    batch: list[Word] = []
+def _batches(codes: Sequence[str], letters: int):
+    """Consecutive runs of ``codes`` with at most ``letters`` letters each
+    (a longer code is a run of its own)."""
+    batch: list[str] = []
     size = 0
-    for w in words:
-        if batch and size + len(w) > letters:
+    for c in codes:
+        if batch and size + len(c) > letters:
             yield batch
             batch, size = [], 0
-        batch.append(w)
-        size += len(w)
+        batch.append(c)
+        size += len(c)
     if batch:
         yield batch
 
 
-def _prefix_tree(words: list[Word]):
-    """The prefix tree of ``words`` as three lists with one entry per depth.
+def _prefix_tree(codes: list[str]):
+    """The prefix tree of ``codes`` as three lists with one entry per depth.
 
-    At depth ``d`` a node has a letter, and its parent is a node at depth
+    At depth ``d`` a node has a character, and its parent is a node at depth
     ``d - 1``.  A node at depth 0 is its letter itself, not a product with
     the identity; its parent entry is 0 and is never read.  ``ends[d]``
-    pairs each word of length ``d + 1`` (its position in ``words``) with
-    its node.  Each word's nodes are the last ones made at their depths
+    pairs each code of length ``d + 1`` (its position in ``codes``) with
+    its node.  Each code's nodes are the last ones made at their depths
     when it is done, so a new node's parent is the last node one depth up.
     """
-    depth = max(map(len, words))
-    letters: list[list[Letter]] = [[] for _ in range(depth)]
+    depth = max(map(len, codes))
+    chars: list[list[str]] = [[] for _ in range(depth)]
     parents: list[list[int]] = [[] for _ in range(depth)]
     ends: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
-    prev: Word = ()
-    for pos, w in enumerate(words):
+    prev = ""
+    for pos, c in enumerate(codes):
         shared = 0
-        for x, y in zip(w, prev):
+        for x, y in zip(c, prev):
             if x != y:
                 break
             shared += 1
-        for d in range(shared, len(w)):
-            letters[d].append(w[d])
-            parents[d].append(len(letters[d - 1]) - 1 if d else 0)
-        last = len(w) - 1
-        ends[last].append((pos, len(letters[last]) - 1))
-        prev = w
-    return letters, parents, ends
+        parent = len(chars[shared - 1]) - 1 if shared else 0
+        for d in range(shared, len(c)):
+            level = chars[d]
+            parents[d].append(parent)
+            parent = len(level)
+            level.append(c[d])
+        last = len(c) - 1
+        ends[last].append((pos, len(chars[last]) - 1))
+        prev = c
+    return chars, parents, ends
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +578,11 @@ class TraceClassModel:
     def omega(self, w: Word) -> complex:
         raise NotImplementedError
 
-    def omega_many(self, words: Sequence[Word]) -> list[complex]:
-        """``[self.omega(w) for w in words]``; a model may evaluate them as one batch."""
+    def omega_many(self, words: Sequence, code: WordCode | None = None) -> list[complex]:
+        """``[self.omega(w) for w in words]``; with ``code``, ``words`` are its
+        codes, decoded first.  A model may evaluate them as one batch."""
+        if code is not None:
+            words = map(code.decode, words)
         return [self.omega(w) for w in words]
 
     def diagonal(self, index: int, size: int | None = None) -> np.ndarray | None:
@@ -665,29 +684,36 @@ class MatrixTraceFamily(TraceClassModel):
         _check_pure_a_nonempty(w)
         return complex(_add_reduce(self._products.product(w).diagonal()))
 
-    def omega_many(self, words: Sequence[Word]) -> list[complex]:
-        """The weights of ``words``, bitwise equal to :meth:`omega`'s.
+    def omega_many(self, words: Sequence, code: WordCode | None = None) -> list[complex]:
+        """The weights of ``words``, bitwise equal to :meth:`omega`'s; with
+        ``code``, ``words`` are its codes.
 
-        Each word is looked up in the memo once.  The words it misses are
-        evaluated as one sorted batch by ``WordProducts.traces`` (a repeated
-        word shares all its prefixes); the sort is linear on misses that
-        already come in sorted order, as the words of ``linred.chain_moment``
-        do.  A word outside the domain raises the error of :meth:`omega`, and
-        then nothing is memoized.
+        Each word is decoded (or, given as letters, coded) and looked up in
+        the memo once.  The words it misses are evaluated as one batch of
+        codes, sorted, by ``WordProducts.traces`` (a repeated word shares all
+        its prefixes); the sort is linear on misses that already come in
+        sorted order, as the codes of ``linred.chain_moment`` do.  A word
+        outside the domain raises the error of :meth:`omega`, and then
+        nothing is memoized.
         """
+        if code is None:
+            code = WordCode(set().union(*words))
+            codes = list(map(code.encode, words))
+        else:
+            codes, words = words, list(map(code.decode, words))
         values = self._values
         out = list(map(values.get, words))
         misses = [pos for pos, value in enumerate(out) if value is None]
         if not misses:
             return out
-        misses.sort(key=words.__getitem__)
-        missing = [words[pos] for pos in misses]
-        letters = set().union(*missing)
-        if not all(missing) or any(letter.family != FAMILY_A for letter in letters):
-            for w in missing:
-                _check_pure_a_nonempty(w)
-        traced = self._products.traces(missing, letters)
-        values.update(zip(missing, traced))
+        misses.sort(key=codes.__getitem__)
+        missing = [codes[pos] for pos in misses]
+        # the A-letters have the lowest codes
+        if not all(missing) or max("".join(missing)) >= chr(code.a_count):
+            for pos in misses:
+                _check_pure_a_nonempty(words[pos])
+        traced = self._products.traces(missing, code)
+        values.update(zip([words[pos] for pos in misses], traced))
         for pos, value in zip(misses, traced):
             out[pos] = value
         return out
@@ -749,18 +775,89 @@ class HaarConjugatedFamily(TraceClassModel):
 # ---------------------------------------------------------------------------
 
 
-def cm_moment(w: Word, a_model: TraceClassModel, b_state: TracialState) -> complex:
+class _SweepMemo(dict):
+    """Values keyed by code for one sweep: a code that misses is decoded and
+    evaluated once, and only a value is stored, so a code outside the domain
+    raises on every lookup."""
+
+    __slots__ = ("_evaluate", "_decode")
+
+    def __init__(self, evaluate, decode):
+        super().__init__()
+        self._evaluate, self._decode = evaluate, decode
+
+    def __missing__(self, c: str) -> complex:
+        value = self[c] = self._evaluate(self._decode(c))
+        return value
+
+
+class CodedSweep:
+    """What :func:`cm_moment`'s coded form reads over one sweep of codes.
+
+    The codes are those of ``code`` (a :class:`~cyclospec.ncalg.WordCode`),
+    whose A-letters take the lowest codes.  Two ``str.translate`` tables
+    factor a code: ``a_to_cut`` turns each A-letter into ``cut``, a
+    character that is no code, at which ``str.split`` cuts the B-runs
+    apart, and ``drop_b`` drops the B-letters, which leaves the A-word.
+    ``taus`` and ``omegas`` hold the state value of each B-run code and the
+    weight of each A-word code; they live as long as the sweep, and ask
+    ``b_state.tau`` or ``a_model.omega`` only when a code first misses, with
+    its word.
+    """
+
+    __slots__ = ("code", "cut", "a_to_cut", "drop_b", "taus", "omegas")
+
+    def __init__(self, code: WordCode, a_model: TraceClassModel, b_state: TracialState):
+        a_count, count = code.a_count, len(code.letters)
+        # translate reads a list table in about half the time of a dict one
+        # (0.43 against 0.80 us a code of an oracle-chains pass, 2-vCPU x86)
+        self.code = code
+        self.cut = chr(count)
+        self.a_to_cut = [self.cut] * a_count + [chr(rank) for rank in range(a_count, count)]
+        self.drop_b = [chr(rank) for rank in range(a_count)] + [None] * (count - a_count)
+        self.taus = _SweepMemo(b_state.tau, code.decode)
+        self.omegas = _SweepMemo(a_model.omega, code.decode)
+
+
+def cm_moment(
+    w: Word | str,
+    a_model: TraceClassModel | CodedSweep,
+    b_state: TracialState | None = None,
+) -> complex:
     """Mixed moment of a word through the factorization formula.
 
     The word is decomposed into maximal runs; a leading B-run is rotated into
     the trailing one by traciality.  The value is the weight of the A-letters
     in order, times the product of the state values of the B-runs.
 
-    One forward pass factors the word: after the leading B-run, each A-letter
-    joins the A-word and closes the B-run before it, whose state value is
-    taken at once.  The state values multiply in run order, the rotated run
-    last.
+    ``cm_moment(w, a_model, b_state)``, on a tuple of letters, is the
+    definition.  One forward pass factors the word: after the leading B-run,
+    each A-letter joins the A-word and closes the B-run before it, whose
+    state value is taken at once.  The state values multiply in run order,
+    the rotated run last, and the weight multiplies last of all.
+
+    ``cm_moment(c, sweep)`` is the coded form, on the code ``c`` of a word
+    under a :class:`CodedSweep`'s ``WordCode``.  It cuts the code at its
+    A-letters, drops the B-codes for the A-word, and reads the values through
+    the sweep's code-keyed memos; a run or an A-word is decoded only when it
+    first misses.  The multiplications and the errors are those of the
+    definition, so the two forms agree bitwise.
     """
+    if b_state is None:
+        # the B-runs before, between and after the A-letters; a code without
+        # an A-letter is one run
+        runs = w.translate(a_model.a_to_cut).split(a_model.cut)
+        if len(runs) == 1:
+            raise _no_a_letter(a_model.code.decode(w))
+        taus = a_model.taus
+        value = 1 + 0j
+        for run in runs[1:-1]:
+            if run:
+                value *= taus[run]
+        run = runs[-1] + runs[0]
+        if run:
+            value *= taus[run]
+        return value * a_model.omegas[w.translate(a_model.drop_b)]
     tau = b_state.tau
     letters = iter(w)
     leading = []
@@ -770,9 +867,7 @@ def cm_moment(w: Word, a_model: TraceClassModel, b_state: TracialState) -> compl
             break
         leading.append(letter)
     else:
-        raise NotInDomainError(
-            f"word {word_str(w)} contains no A-letter, so it lies outside the weight domain"
-        )
+        raise _no_a_letter(w)
     a_word = [letter]
     run: list[Letter] = []
     value = 1 + 0j
@@ -788,6 +883,12 @@ def cm_moment(w: Word, a_model: TraceClassModel, b_state: TracialState) -> compl
     if run:
         value *= tau(tuple(run))
     return value * a_model.omega(tuple(a_word))
+
+
+def _no_a_letter(w: Word) -> NotInDomainError:
+    return NotInDomainError(
+        f"word {word_str(w)} contains no A-letter, so it lies outside the weight domain"
+    )
 
 
 def poly_moment(p, m: int, a_model: TraceClassModel, b_state: TracialState) -> complex:

@@ -11,9 +11,11 @@ Matrix products, traces and trace powers are module functions over grids of
 term maps (``grid_product``, ``grid_scaled``, ``grid_trace``,
 ``grid_power_trace``); ``AlgMatrix`` wraps them.  Both chain paths run the
 same functions on the ``ncalg.WordCode`` codes of their words, one character
-per letter, and decode a word only to evaluate it.  A code's order is its
-word's order, so sorting the codes visits the words in ``sorted_terms``
-order, and every value is bitwise that of the same arithmetic on words.
+per letter, and hand the codes on: the weight model takes the reduced
+path's codes as one batch, and the moment oracle factors each unreduced
+code itself.  A code's order is its word's order, so sorting the codes
+visits the words in ``sorted_terms`` order, and every value is bitwise
+that of the same arithmetic on words.
 
 :func:`ev_polynomial` derives the multiset of any polynomial by the same
 reduction; each closed-form recipe is one of its corollaries, derived by
@@ -30,6 +32,7 @@ import numpy as np
 
 from . import ncalg
 from .cmcalc import (
+    CodedSweep,
     Spectrum,
     TraceClassModel,
     TracialState,
@@ -349,12 +352,13 @@ def chain_moment(
 
     The scalar matrices fold into coefficients, the chain power stays a
     matrix of pure-A polynomials, and the words of its trace are evaluated by
-    the weight as one sorted batch (``omega_many``).  The polynomials are
-    multiplied out over the :class:`WordCode` codes of their words, with the
-    products and sums of the ``AlgMatrix`` arithmetic, and a word is decoded
-    only for the weight, in code order, which is word order.  The state's
-    sweep ends with the reduction; the weight's memo keeps the batch, so a
-    :func:`chain_moment_unreduced` of the same chain and models reads it.
+    the weight as one sorted batch.  The polynomials are multiplied out over
+    the :class:`WordCode` codes of their words, with the products and sums
+    of the ``AlgMatrix`` arithmetic, and the weight takes the sorted codes
+    with their ``WordCode`` (``omega_many(codes, code)``); code order is
+    word order.  The state's sweep ends with the reduction; the weight's
+    memo keeps the batch, so a :func:`chain_moment_unreduced` of the same
+    chain and models reads it.
     """
     _validate_chain(chain)
     if m < 1:
@@ -371,10 +375,9 @@ def chain_moment(
     del a_grids, reduced, step
     codes = sorted(trace)
     coeffs = [trace[c] for c in codes]
-    words = [code.decode(c) for c in codes]
-    del trace, codes  # the codes are freed before the weight runs
+    del trace  # only the sorted codes are needed from here on
     total = 0j
-    for coeff, value in zip(coeffs, a_model.omega_many(words)):
+    for coeff, value in zip(coeffs, a_model.omega_many(codes, code)):
         total += coeff * value
     return total
 
@@ -388,8 +391,10 @@ def chain_moment_unreduced(
     """Cross-check path: expand the unreduced chain and use the moment oracle.
 
     The expansion runs over :class:`WordCode` codes as :func:`chain_moment`
-    does; each word of the trace is decoded as its turn comes, in word
-    order, and handed to ``cm_moment``.  Exponential in the chain length;
+    does.  Each code of the trace is handed to ``cm_moment``'s coded form
+    in code order, which is word order, with one :class:`CodedSweep` for the
+    whole trace: a word is never decoded, only a B-run or an A-word when it
+    first misses the sweep's memos.  Exponential in the chain length;
     intended for small verification instances, not production evaluation.
     """
     _validate_chain(chain)
@@ -401,10 +406,11 @@ def chain_moment_unreduced(
         product = grid if product is None else grid_product(product, grid)
     trace = grid_power_trace(product, m)
     del grids, product, grid  # only the trace is needed from here on
+    sweep = CodedSweep(code, a_model, b_state)
     total = 0j
     try:
         for c in sorted(trace):
-            total += trace[c] * cm_moment(code.decode(c), a_model, b_state)
+            total += trace[c] * cm_moment(c, sweep)
     finally:
         _end_sweep(a_model, b_state)
     return total

@@ -95,10 +95,17 @@ class WordCode:
     coefficients in the same term order on coded keys as on words.  Unlike a
     tuple of letters, a ``str`` caches its hash, which makes coded products
     and sorts cheaper.
+
+    A letter sorts by its family first, and ``FAMILY_A`` before
+    ``FAMILY_B``, so **the A-letters take the lowest codes**: ``letters``
+    (the letters in rank order) begins with the ``a_count`` A-letters, and a
+    code's A-letters are exactly its characters below ``chr(a_count)``.
     """
 
     def __init__(self, letters: Iterable[Letter]):
-        self._codes = {letter: chr(rank) for rank, letter in enumerate(sorted(set(letters)))}
+        self.letters: tuple[Letter, ...] = tuple(sorted(set(letters)))
+        self.a_count = sum(letter.family == FAMILY_A for letter in self.letters)
+        self._codes = {letter: chr(rank) for rank, letter in enumerate(self.letters)}
         self._letter_of = {code: letter for letter, code in self._codes.items()}.__getitem__
 
     def encode(self, w: Word) -> str:

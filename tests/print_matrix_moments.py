@@ -8,12 +8,15 @@ same bytes.  It covers ``poly_moment`` over a ``MatrixTraceFamily`` weight and
 a ``TraceMatrixState`` state at dimensions 1, 2, 5 and 16, on expressions with
 starred and unstarred letters, and ``chain_moment`` and
 ``chain_moment_unreduced`` on all 100 criterion-3 chains, so every chain
-shape of that gate goes through the oracle.  It also runs sweeps that raise
-partway, in the weight's products and in the state's, each followed by a
-full sweep on the same models.  Every sweep runs twice on the same models and
-prints both values, so a checkout that keeps a matrix model's per-word values
-between sweeps and one that multiplies the words out again print the same
-bytes only if the two agree bit for bit.  It uses the package's public names
+shape of that gate goes through the oracle, and on seeded chains over the
+letters a1, a2, a10, a11, b1, b3 and b12, starred and not, with unit words
+in their B-matrices, so the words' codes have an A-block other than that of
+a1 and a2.  It also runs sweeps that raise partway, in the weight's
+products and in the state's, and chain sweeps on a state with no matrix for
+b12, each followed by a full sweep on the same weight.  Every sweep runs
+twice on the same models and prints both values, so a checkout that keeps a
+matrix model's per-word values between sweeps and one that multiplies the
+words out again print the same bytes only if the two agree bit for bit.  It uses the package's public names
 only, so it runs against an older checkout too.
 """
 
@@ -21,11 +24,15 @@ import numpy as np
 
 from _oracles import chain_instance, random_general
 from cyclospec import (
+    AlgMatrix,
     DegreeExceededError,
     MatrixTraceFamily,
     MomentTable,
+    NCPolynomial,
     NotInDomainError,
     TraceMatrixState,
+    a_gen,
+    b_gen,
     chain_moment,
     chain_moment_unreduced,
     make_symbols,
@@ -52,6 +59,33 @@ RAISING = "a1*a1'*a2 + b1*b1*b2"
 FULL = "a1*a1'*a2 + b1*a2*b1'"
 RAISING_SEED = 1414
 SWEEPS = ("first", "second")
+MIXED_SEED = 1515
+MIXED_A = [a_gen(i, star) for i in (1, 2, 10, 11) for star in (False, True)]
+MIXED_B = [b_gen(i, star) for i in (1, 3, 12) for star in (False, True)]
+# (dim, A-B pairs, order), three chains each
+MIXED_SHAPES = ((1, 1, 3), (1, 2, 2), (2, 1, 2), (2, 2, 1))
+
+
+def mixed_entry(rng, letters, lengths):
+    """A polynomial of one or two words, their lengths drawn from ``lengths``."""
+    poly = NCPolynomial.zero()
+    for _ in range(int(rng.integers(1, 3))):
+        word = tuple(letters[i] for i in rng.integers(0, len(letters), size=rng.choice(lengths)))
+        poly = poly + NCPolynomial.from_word(word, complex(*rng.uniform(-1, 1, size=2)))
+    return poly
+
+
+def mixed_chain(rng, dim, pairs):
+    """An alternating chain whose every B-matrix has a unit word in its
+    first entry."""
+    chain = []
+    for _ in range(pairs):
+        b_rows = [[mixed_entry(rng, MIXED_B, (0, 1, 2)) for _ in range(dim)] for _ in range(dim)]
+        b_rows[0][0] = b_rows[0][0] + NCPolynomial.from_word((), 0.5)
+        chain.append(AlgMatrix([[mixed_entry(rng, MIXED_A, (1, 2)) for _ in range(dim)]
+                                for _ in range(dim)]))
+        chain.append(AlgMatrix(b_rows))
+    return chain
 
 
 def main() -> None:
@@ -91,6 +125,23 @@ def main() -> None:
         for trace in (chain_moment, chain_moment_unreduced):
             for sweep in SWEEPS:
                 print(f"chain {pos} {trace.__name__} {sweep}: {trace(*args)!r}")
+    rng = np.random.default_rng(MIXED_SEED)
+    for dim, pairs, m in MIXED_SHAPES:
+        for pos in range(3):
+            chain = mixed_chain(rng, dim, pairs)
+            a_model = MatrixTraceFamily({i: random_general(3, rng) for i in (1, 2, 10, 11)})
+            b_mats = {i: random_general(3, rng) for i in (1, 3, 12)}
+            name = f"mixed d{dim} k{pairs} m{m} {pos}"
+            for b_state in (TraceMatrixState({i: b_mats[i] for i in (1, 3)}),
+                            TraceMatrixState(b_mats)):
+                for trace in (chain_moment_unreduced, chain_moment):
+                    for sweep in SWEEPS:
+                        try:
+                            value = repr(trace(chain, m, a_model, b_state))
+                        except NotInDomainError as exc:
+                            value = f"{type(exc).__name__}: {exc}"
+                        print(f"{name} {trace.__name__} b-state {sorted(b_state.matrices)} "
+                              f"{sweep}: {value}")
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from cyclospec import (
     sqrtm_psd,
 )
 from cyclospec import builtin_scenario, cmcalc, linred, rmtlab
-from cyclospec.ncalg import drop_stars
+from cyclospec.ncalg import WordCode, drop_stars
 
 from _oracles import (
     anticommutator_instance,
@@ -380,6 +380,83 @@ def test_chain_paths_bitwise_equal_reference_on_mixed_letters(shape, seed, data)
     _assert_chain_paths_match_reference(chain, m, a_model, b_state)
 
 
+def _coded_forms_agree(chain, m, a_mats, b_mats, rotations=False) -> int:
+    """Every word of the chain's unreduced expansion (and, with
+    ``rotations``, every rotation of it, so that B-runs lead and wrap):
+    ``cm_moment``'s coded form, on one sweep of fresh models, against the
+    definition on fresh models of its own, compared with ``==``; returns
+    the number of words."""
+    code, grids = linred._coded_grids(chain)
+    product = grids[0]
+    for grid in grids[1:]:
+        product = linred.grid_product(product, grid)
+    codes = sorted(linred.grid_power_trace(product, m))
+    if rotations:
+        codes = sorted({c[j:] + c[:j] for c in codes for j in range(len(c))})
+    sweep = cmcalc.CodedSweep(code, MatrixTraceFamily(a_mats), TraceMatrixState(b_mats))
+    fam, state = MatrixTraceFamily(a_mats), TraceMatrixState(b_mats)
+    for c in codes:
+        assert cm_moment(c, sweep) == cm_moment(code.decode(c), fam, state)
+    return len(codes)
+
+
+def test_coded_moment_equals_the_definition_on_criterion_3_chains():
+    rng = np.random.default_rng(3030)
+    words = 0
+    for _ in range(100):
+        inst = chain_instance(rng)
+        words += _coded_forms_agree(inst["chain"], inst["m"], inst["a_model"].matrices,
+                                    inst["b_state"].matrices)
+    assert words == 100_631  # every word the oracle meets on these chains
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(1, 1, 3), (1, 2, 2), (2, 1, 2), (2, 1, 1)]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_coded_moment_equals_the_definition_on_mixed_letters(shape, seed, data):
+    dim, k, m = shape
+    a_polys = _mixed_polys(_mixed_a_letters, min_len=1)
+    b_polys = _mixed_polys(_mixed_b_letters)
+    chain = []
+    for _ in range(k):
+        b_rows = [[data.draw(b_polys) for _ in range(dim)] for _ in range(dim)]
+        # a unit word in every B-matrix: B-runs that vanish between A-runs
+        b_rows[0][0] = b_rows[0][0] + NCPolynomial.from_word(
+            (), data.draw(st.builds(complex, _coefficient_parts, _coefficient_parts)))
+        chain.append(AlgMatrix([[data.draw(a_polys) for _ in range(dim)] for _ in range(dim)]))
+        chain.append(AlgMatrix(b_rows))
+    rng = np.random.default_rng(seed)
+    a_mats = {i: random_general(3, rng) for i in (1, 2, 10, 11)}
+    b_mats = {i: random_general(3, rng) for i in (1, 3, 12)}
+    assert _coded_forms_agree(chain, m, a_mats, b_mats, rotations=True) > 0
+
+
+def test_coded_moment_raises_as_the_definition():
+    rng = np.random.default_rng(3034)
+    a_mats = {i: random_general(2, rng) for i in (1, 10)}
+    b_mats = {i: random_general(2, rng) for i in (1, 3)}
+    a1, a10, b1, b3, b12 = a_gen(1), a_gen(10, star=True), b_gen(1), b_gen(3, star=True), b_gen(12)
+    cases = [
+        # no A-letter in the word, or in the whole code, where b1 codes as chr(0)
+        ([a1, a10, b1, b3], [(), (b1,), (b3, b1, b1)]),
+        ([b1, b3], [(), (b1,), (b3, b1, b1)]),
+        # a B-run over a generator the state has no matrix for
+        ([a1, a10, b1, b3, b12], [(a1, b12), (b1, a10, b3, b12, a1, b1)]),
+    ]
+    for letters, words in cases:
+        code = WordCode(letters)
+        for w in words:
+            models = MatrixTraceFamily(a_mats), TraceMatrixState(b_mats)
+            with pytest.raises(NotInDomainError) as coded:
+                cm_moment(code.encode(w), cmcalc.CodedSweep(code, *models))
+            with pytest.raises(NotInDomainError) as plain:
+                cm_moment(w, *models)
+            assert str(coded.value) == str(plain.value)
+
+
 def test_numpy_left_operand_reaches_rmatmul():
     mat = AlgMatrix([["a1 + 2*b10'", "a11*b1"], ["0", "b2 - a1"]])
     scalar = np.array([[1.0, 2 - 1j], [0.0, 0.5j]])
@@ -405,32 +482,37 @@ class _CountingFamily(MatrixTraceFamily):
         super().__init__(matrices)
         self.batches = []
 
-    def omega_many(self, words):
-        self.batches.append(list(words))
-        return super().omega_many(words)
+    def omega_many(self, words, code=None):
+        self.batches.append((list(words), code))
+        return super().omega_many(words, code)
 
 
 def test_unreduced_chain_moment_multiplies_each_distinct_a_word_out_once(monkeypatch):
-    # run alone, chain_moment_unreduced asks its model for many weights more
-    # than once; MatrixTraceFamily's single-word memo multiplies each out once
-    products, weights = [], []
+    # the expansion holds many words per distinct A-word; the sweep asks its
+    # model once for each A-word, and MatrixTraceFamily multiplies each out once
+    expanded, products, weights = [], [], []
+    moment = linred.cm_moment
     product, omega = cmcalc.WordProducts.product, MatrixTraceFamily.omega
+    monkeypatch.setattr(linred, "cm_moment",
+                        lambda w, *models: expanded.append(w) or moment(w, *models))
     monkeypatch.setattr(cmcalc.WordProducts, "product",
                         lambda self, w: products.append((self, w)) or product(self, w))
     monkeypatch.setattr(MatrixTraceFamily, "omega",
                         lambda self, w: weights.append(w) or omega(self, w))
     rng = np.random.default_rng(3030)
-    asked = distinct = 0
+    words = distinct = 0
     for _ in range(100):
         inst = chain_instance(rng)
         fresh = MatrixTraceFamily(inst["a_model"].matrices)
+        expanded.clear()
         products.clear()
         weights.clear()
         chain_moment_unreduced(inst["chain"], inst["m"], fresh, inst["b_state"])
         multiplied = [w for owner, w in products if owner is fresh._products]
-        assert sorted(multiplied) == sorted(set(weights))
-        asked, distinct = asked + len(weights), distinct + len(multiplied)
-    assert asked > 2 * distinct
+        assert len(set(weights)) == len(weights)  # asked once per sweep
+        assert sorted(multiplied) == sorted(weights)  # and multiplied out once
+        words, distinct = words + len(expanded), distinct + len(weights)
+    assert words > 2 * distinct
 
 
 def _kept(*models):
@@ -510,8 +592,12 @@ def test_chain_moment_evaluates_its_words_as_one_batch():
         args = (inst["chain"], inst["m"])
         value = chain_moment(*args, counting, inst["b_state"])
         assert value == chain_moment(*args, inst["a_model"], inst["b_state"])
-        (batch,) = counting.batches
+        # the sorted batch reaches the model as codes with their WordCode
+        ((batch, code),) = counting.batches
+        assert isinstance(code, WordCode) and all(isinstance(c, str) for c in batch)
         assert batch == sorted(batch) and len(set(batch)) == len(batch)
+        words = [code.decode(c) for c in batch]
+        assert words == sorted(words)
         chain_moment_unreduced(*args, counting, inst["b_state"])
         assert len(counting.batches) == 1
 

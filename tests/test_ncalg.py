@@ -19,7 +19,14 @@ from cyclospec import (
     parse_expression,
     power,
 )
-from cyclospec.ncalg import drop_stars, is_pure, min_cyclic_rotation
+from cyclospec.ncalg import (
+    FAMILY_A,
+    FAMILY_B,
+    WordCode,
+    drop_stars,
+    is_pure,
+    min_cyclic_rotation,
+)
 
 SYMS = make_symbols(a=("a1", "a2", "a3"), b=("b1", "b2", "b3"))
 
@@ -280,3 +287,20 @@ def test_sorted_terms_follow_letter_key_order(p):
 def test_min_cyclic_rotation_is_least_rotation_by_letter_key(w):
     rotations = [w[j:] + w[:j] for j in range(len(w))] or [w]
     assert min_cyclic_rotation(w) == min(rotations, key=_word_key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.builds(
+    Letter,
+    family=st.sampled_from("ab"),
+    index=st.integers(min_value=1, max_value=200),
+    star=st.booleans(),
+)))
+def test_word_code_gives_the_a_letters_the_lowest_codes(alphabet):
+    code = WordCode(alphabet)
+    a_codes = [code.encode((x,)) for x in alphabet if x.family == FAMILY_A]
+    b_codes = [code.encode((x,)) for x in alphabet if x.family == FAMILY_B]
+    assert all(a < b for a in a_codes for b in b_codes)
+    assert code.a_count == len(a_codes)
+    assert sorted(a_codes + b_codes) == [chr(rank) for rank in range(len(alphabet))]
+    assert code.letters == tuple(sorted(alphabet))
