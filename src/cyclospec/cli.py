@@ -201,7 +201,7 @@ def _compare_report(report: Report, top: int) -> tuple[float, list[dict]]:
     for rec in report.trials:
         metric = match_distance(EVMultiset(rec["eigenvalues"]), reference, top)
         rows.append({"trial": rec["trial"], **metric})
-    mean_rel = float(np.mean([row["max_rel"] for row in rows])) if rows else 0.0
+    mean_rel = float(np.mean([row["max_rel"] for row in rows]))
     return mean_rel, rows
 
 
@@ -209,6 +209,8 @@ def _cmd_compare(args) -> int:
     if args.top < 1:  # no eigenvalue compared would pass any tolerance
         raise ValueError(f"compare --top must be >= 1, not {args.top}")
     report = Report.from_json(args.report)
+    if not report.trials:  # a mean over no trial would pass any tolerance
+        raise ValueError(f"report {args.report} holds no trials to compare")
     mean_rel, rows = _compare_report(report, args.top)
     print(f"{'trial':>5}  {'max_abs':>12}  {'max_rel':>12}")
     for row in rows:

@@ -12,20 +12,19 @@ under an :class:`~cyclospec.ncalg.WordCode` (``linred.chain_moment_unreduced``'s
 sweep) it cuts the code with ``str`` operations and reads the values
 through code-keyed memos that live for one sweep (:class:`CodedSweep`), so
 a run or an A-word is decoded and asked for only when it first misses.
-Every weight model also has ``omega_many``, the weights of a list of words
-or of codes; a matrix model evaluates the words its memo misses as one
-batch of codes (``WordProducts.traces``), with values bitwise equal to
-``omega``.  The reduced chain trace of :mod:`cyclospec.linred` uses the
-batch; the oracle does not.
+Both sweeps are one loop, ``_sweep``.  Every weight model also has
+``omega_many``, the weights of a list of codes of one ``WordCode``; a matrix
+model evaluates them as one batch (``WordProducts.traces``), with values
+bitwise equal to ``omega``.  The reduced chain trace of
+:mod:`cyclospec.linred` uses the batch; the oracle does not.
 
 Every model but ``HaarConjugatedFamily`` memoizes its values per word.  A
 matrix model (``MatrixTraceFamily``, ``TraceMatrixState``) keeps them, and
-its prefix products, for one sweep: ``poly_moment`` and
-``linred.chain_moment_unreduced`` empty both when they return or raise, and
-``linred.chain_moment`` those of its state, so between sweeps such a model
-keeps only its letter table.  ``MomentTable`` and ``SpectrumFamily`` keep
-their memos as long as they live: they hold a few runs, which every sweep
-reads again.
+its prefix products, for one sweep: ``_sweep`` empties both when it
+returns or raises, and ``linred.chain_moment`` those of its state, so
+between sweeps such a model keeps only its letter table.  ``MomentTable``
+and ``SpectrumFamily`` keep their memos as long as they live: they hold a
+few runs, which every sweep reads again.
 
 For the eigenvalue recipes a weight model also realizes each generator as a
 matrix: ``diagonal`` gives the 1-D diagonal of the realization, or ``None``
@@ -40,6 +39,7 @@ import functools
 import json
 import math
 import numbers
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -117,9 +117,9 @@ class WordProducts:
     a 4x4 one, the array headers and the table's entry included).
 
     The table lives as long as the model; the stack, for one sweep, as the
-    model's per-word values do.  ``poly_moment``, ``linred.chain_moment``
-    and ``linred.chain_moment_unreduced`` empty the stacks and the values of
-    the models they read when they return or raise (:func:`_end_sweep`):
+    model's per-word values do.  The oracle's sweep and
+    ``linred.chain_moment`` empty the stacks and the values of the models
+    they read when they return or raise (:func:`_end_sweep`):
     the next sweep starts from its smallest word, which seldom shares a
     prefix with the last sweep's largest, and a weight word seldom comes
     back in another sweep.  That changes no value, since a rebuilt product
@@ -194,37 +194,33 @@ class WordProducts:
                 stack.append(prod)
         return prod
 
-    def traces(self, words: Sequence, code: WordCode | None = None) -> list[complex]:
-        """Traces of the products of the nonempty ``words``, in their order.
+    def traces(self, codes: Sequence[str], code: WordCode) -> list[complex]:
+        """Traces of the products of the words of the nonempty ``codes`` of
+        ``code`` (:class:`~cyclospec.ncalg.WordCode`), in their order.
 
-        With ``code``, ``words`` are its codes (:class:`~cyclospec.ncalg.WordCode`);
-        without, they are tuples of letters, which are coded first.  The
-        codes are split into batches of at most ``TRACE_BATCH_BYTES`` of
+        The codes are split into batches of at most ``TRACE_BATCH_BYTES`` of
         products (a longer code gets a batch of its own).  The codes of a
         batch form a prefix tree with one node per distinct prefix.  Depth 0
         is a gather of the first letters' matrices, not a product with the
         identity, and each deeper depth is one stacked ``np.matmul`` of the
         parents' products by the letters' matrices, as :meth:`product`
         multiplies.  A letter's matrix is gathered by its code: one stacked
-        matrix per distinct character of ``words``.  The traces of a depth's
+        matrix per distinct character of ``codes``.  The traces of a depth's
         nodes are taken with ``np.trace(..., axis1=1, axis2=2)``.  So every
-        value is bitwise equal to ``complex(self.product(w).trace())``.
-        Sorted codes share the most prefixes.  An unknown generator raises
-        ``NotInDomainError`` before anything is multiplied.
+        value is bitwise equal to ``complex(self.product(w).trace())``, ``w``
+        its code's word.  Sorted codes share the most prefixes.  An unknown
+        generator raises ``NotInDomainError`` before anything is multiplied.
         """
-        if code is None:
-            code = WordCode(set().union(*words))
-            words = list(map(code.encode, words))
-        if not all(words):
+        if not all(codes):
             raise ValueError("the empty word has no product to trace")
-        ranks = sorted(set("".join(words)))
+        ranks = sorted(set("".join(codes)))
         if not ranks:
             return []
         row_of = {rank: row for row, rank in enumerate(ranks)}
         letter_stack = np.stack([self._letter_matrix(code.letters[ord(rank)]) for rank in ranks])
         node_bytes = 16 * self._dim * self._dim
         values: list[complex] = []
-        for batch in _batches(words, TRACE_BATCH_BYTES // node_bytes):
+        for batch in _batches(codes, TRACE_BATCH_BYTES // node_bytes):
             out = [0j] * len(batch)
             products = None
             for chars, parents, ends in zip(*_prefix_tree(batch)):
@@ -578,12 +574,10 @@ class TraceClassModel:
     def omega(self, w: Word) -> complex:
         raise NotImplementedError
 
-    def omega_many(self, words: Sequence, code: WordCode | None = None) -> list[complex]:
-        """``[self.omega(w) for w in words]``; with ``code``, ``words`` are its
-        codes, decoded first.  A model may evaluate them as one batch."""
-        if code is not None:
-            words = map(code.decode, words)
-        return [self.omega(w) for w in words]
+    def omega_many(self, codes: Sequence[str], code: WordCode) -> list[complex]:
+        """The weights of the words of ``codes`` under ``code``, each decoded
+        and asked of :meth:`omega`.  A model may evaluate them as one batch."""
+        return [self.omega(w) for w in map(code.decode, codes)]
 
     def diagonal(self, index: int, size: int | None = None) -> np.ndarray | None:
         """The 1-D complex diagonal of generator ``index``'s realization, or
@@ -684,39 +678,24 @@ class MatrixTraceFamily(TraceClassModel):
         _check_pure_a_nonempty(w)
         return complex(_add_reduce(self._products.product(w).diagonal()))
 
-    def omega_many(self, words: Sequence, code: WordCode | None = None) -> list[complex]:
-        """The weights of ``words``, bitwise equal to :meth:`omega`'s; with
-        ``code``, ``words`` are its codes.
+    def omega_many(self, codes: Sequence[str], code: WordCode) -> list[complex]:
+        """The weights of the words of ``codes`` under ``code``, bitwise equal
+        to :meth:`omega`'s, as one batch of ``WordProducts.traces`` in the
+        given order (sorted codes, as ``linred.chain_moment`` passes, share
+        the most prefixes).
 
-        Each word is decoded (or, given as letters, coded) and looked up in
-        the memo once.  The words it misses are evaluated as one batch of
-        codes, sorted, by ``WordProducts.traces`` (a repeated word shares all
-        its prefixes); the sort is linear on misses that already come in
-        sorted order, as the codes of ``linred.chain_moment`` do.  A word
-        outside the domain raises the error of :meth:`omega`, and then
-        nothing is memoized.
+        The memo is not read; the values are memoized per decoded word, for
+        a reference sweep of the same family to read.  A word outside the
+        domain raises the error of :meth:`omega`, and then nothing is
+        multiplied or memoized.  No codes give ``[]``.
         """
-        if code is None:
-            code = WordCode(set().union(*words))
-            codes = list(map(code.encode, words))
-        else:
-            codes, words = words, list(map(code.decode, words))
-        values = self._values
-        out = list(map(values.get, words))
-        misses = [pos for pos, value in enumerate(out) if value is None]
-        if not misses:
-            return out
-        misses.sort(key=codes.__getitem__)
-        missing = [codes[pos] for pos in misses]
         # the A-letters have the lowest codes
-        if not all(missing) or max("".join(missing)) >= chr(code.a_count):
-            for pos in misses:
-                _check_pure_a_nonempty(words[pos])
-        traced = self._products.traces(missing, code)
-        values.update(zip([words[pos] for pos in misses], traced))
-        for pos, value in zip(misses, traced):
-            out[pos] = value
-        return out
+        if not all(codes) or max("".join(codes), default="") >= chr(code.a_count):
+            for c in codes:
+                _check_pure_a_nonempty(code.decode(c))
+        values = self._products.traces(codes, code)
+        self._values.update(zip(map(code.decode, codes), values))
+        return values
 
     def realization(self, index: int, size: int | None = None) -> np.ndarray:
         if index not in self.matrices:
@@ -891,18 +870,35 @@ def _no_a_letter(w: Word) -> NotInDomainError:
     )
 
 
+def _sweep(
+    terms: Mapping,
+    a_model: TraceClassModel,
+    b_state: TracialState,
+    code: WordCode | None = None,
+) -> complex:
+    """The sum of ``coeff * cm_moment(key, ...)`` over ``terms`` in key order,
+    that of ``NCPolynomial.sorted_terms``.  With ``code`` the keys are its
+    codes, whose order is their words', read through one :class:`CodedSweep`.
+    Both models' sweeps end when the sum returns or raises."""
+    # positional models and a key-only sort: *models with whole-item compares
+    # read the unreduced chain path 18-20% slower, and terms[key] after a
+    # sort of the keys hashes each tuple word again (poly_moment +4-6%)
+    first, second = (a_model, b_state) if code is None else (
+        CodedSweep(code, a_model, b_state), None)
+    total = 0j
+    try:
+        for key, coeff in sorted(terms.items(), key=itemgetter(0)):
+            total += coeff * cm_moment(key, first, second)
+    finally:
+        _end_sweep(a_model, b_state)
+    return total
+
+
 def poly_moment(p, m: int, a_model: TraceClassModel, b_state: TracialState) -> complex:
     """Linear extension of :func:`cm_moment` over the expansion of ``p**m``."""
     if m < 1:
         raise ValueError("moment order must be >= 1")
-    expanded = p**m
-    total = 0j
-    try:
-        for word, coeff in expanded.sorted_terms():
-            total += coeff * cm_moment(word, a_model, b_state)
-    finally:
-        _end_sweep(a_model, b_state)
-    return total
+    return _sweep((p**m).terms, a_model, b_state)
 
 
 def collapse_internal_b_runs(w: Word, b_state: TracialState) -> tuple[complex, Word]:

@@ -12,10 +12,10 @@ term maps (``grid_product``, ``grid_scaled``, ``grid_trace``,
 ``grid_power_trace``); ``AlgMatrix`` wraps them.  Both chain paths run the
 same functions on the ``ncalg.WordCode`` codes of their words, one character
 per letter, and hand the codes on: the weight model takes the reduced
-path's codes as one batch, and the moment oracle factors each unreduced
-code itself.  A code's order is its word's order, so sorting the codes
-visits the words in ``sorted_terms`` order, and every value is bitwise
-that of the same arithmetic on words.
+path's codes as one batch, and ``poly_moment``'s sweep factors each
+unreduced code itself.  A code's order is its word's order, so sorting the
+codes visits the words in ``sorted_terms`` order, and every value is
+bitwise that of the same arithmetic on words.
 
 :func:`ev_polynomial` derives the multiset of any polynomial by the same
 reduction; each closed-form recipe is one of its corollaries, derived by
@@ -32,12 +32,11 @@ import numpy as np
 
 from . import ncalg
 from .cmcalc import (
-    CodedSweep,
     Spectrum,
     TraceClassModel,
     TracialState,
     _end_sweep,
-    cm_moment,
+    _sweep,
 )
 from .dense import _generators, _word_product, dense_block_matrix
 from .errors import (
@@ -354,11 +353,11 @@ def chain_moment(
     matrix of pure-A polynomials, and the words of its trace are evaluated by
     the weight as one sorted batch.  The polynomials are multiplied out over
     the :class:`WordCode` codes of their words, with the products and sums
-    of the ``AlgMatrix`` arithmetic, and the weight takes the sorted codes
-    with their ``WordCode`` (``omega_many(codes, code)``); code order is
-    word order.  The state's sweep ends with the reduction; the weight's
-    memo keeps the batch, so a :func:`chain_moment_unreduced` of the same
-    chain and models reads it.
+    of the ``AlgMatrix`` arithmetic, and the weight takes the sorted,
+    distinct codes with their ``WordCode`` (``omega_many(codes, code)``),
+    none if the trace cancels; code order is word order.  The state's sweep
+    ends with the reduction; the weight's memo keeps the batch, so a
+    :func:`chain_moment_unreduced` of the same chain and models reads it.
     """
     _validate_chain(chain)
     if m < 1:
@@ -391,11 +390,11 @@ def chain_moment_unreduced(
     """Cross-check path: expand the unreduced chain and use the moment oracle.
 
     The expansion runs over :class:`WordCode` codes as :func:`chain_moment`
-    does.  Each code of the trace is handed to ``cm_moment``'s coded form
-    in code order, which is word order, with one :class:`CodedSweep` for the
-    whole trace: a word is never decoded, only a B-run or an A-word when it
-    first misses the sweep's memos.  Exponential in the chain length;
-    intended for small verification instances, not production evaluation.
+    does, and ``poly_moment``'s loop hands each code of the trace to
+    ``cm_moment``'s coded form in code order, which is word order, through
+    one ``CodedSweep``: a word is never decoded, only a B-run or an A-word
+    when it first misses the sweep's memos.  Exponential in the chain
+    length; intended for small verification instances.
     """
     _validate_chain(chain)
     if m < 1:
@@ -406,14 +405,7 @@ def chain_moment_unreduced(
         product = grid if product is None else grid_product(product, grid)
     trace = grid_power_trace(product, m)
     del grids, product, grid  # only the trace is needed from here on
-    sweep = CodedSweep(code, a_model, b_state)
-    total = 0j
-    try:
-        for c in sorted(trace):
-            total += trace[c] * cm_moment(c, sweep)
-    finally:
-        _end_sweep(a_model, b_state)
-    return total
+    return _sweep(trace, a_model, b_state, code)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ letters a1, a2, a10, a11, b1, b3 and b12, starred and not, with unit words
 in their B-matrices, so the words' codes have an A-block other than that of
 a1 and a2.  It also runs sweeps that raise partway, in the weight's
 products and in the state's, and chain sweeps on a state with no matrix for
-b12, each followed by a full sweep on the same weight.  Every sweep runs
+b12, each followed by a full sweep on the same weight, and a chain whose
+trace cancels to no term at odd orders, which the weight gets as an empty
+batch.  Every sweep runs
 twice on the same models and prints both values, so a checkout that keeps a
 matrix model's per-word values between sweeps and one that multiplies the
 words out again print the same bytes only if the two agree bit for bit.  It uses the package's public names
@@ -64,6 +66,10 @@ MIXED_A = [a_gen(i, star) for i in (1, 2, 10, 11) for star in (False, True)]
 MIXED_B = [b_gen(i, star) for i in (1, 3, 12) for star in (False, True)]
 # (dim, A-B pairs, order), three chains each
 MIXED_SHAPES = ((1, 1, 3), (1, 2, 2), (2, 1, 2), (2, 2, 1))
+# a1*b1 on the diagonal and -a1*b1 below it: at orders 1 and 3 both chain
+# traces cancel to no term
+CANCELLING = ([["a1", "0"], ["0", "0 - a1"]], [["b1", "0"], ["0", "b1"]])
+CANCELLING_SEED = 1616
 
 
 def mixed_entry(rng, letters, lengths):
@@ -142,6 +148,15 @@ def main() -> None:
                             value = f"{type(exc).__name__}: {exc}"
                         print(f"{name} {trace.__name__} b-state {sorted(b_state.matrices)} "
                               f"{sweep}: {value}")
+    chain = [AlgMatrix(rows, syms) for rows in CANCELLING]
+    rng = np.random.default_rng(CANCELLING_SEED)
+    a_model = MatrixTraceFamily({1: random_general(3, rng)})
+    b_state = TraceMatrixState({1: random_general(3, rng)})
+    for m in (1, 2, 3):
+        for trace in (chain_moment, chain_moment_unreduced):
+            for sweep in SWEEPS:
+                value = trace(chain, m, a_model, b_state)
+                print(f"cancelling m={m} {trace.__name__} {sweep}: {value!r}")
 
 
 if __name__ == "__main__":

@@ -205,6 +205,23 @@ def test_compare_refuses_a_top_below_one(top, tmp_path, capsys):
     assert "PASS" not in captured.out
 
 
+def test_compare_refuses_a_report_without_trials(tmp_path, capsys):
+    # a mean over no trial would pass any tolerance
+    out_dir = tmp_path / "run"
+    builtin_scenario("example3", n=20, trials=1).save(tmp_path / "scenario.json")
+    assert run_cli("simulate", "--scenario", str(tmp_path / "scenario.json"),
+                   "--out", str(out_dir)) == 0
+    report_path = out_dir / "report.json"
+    doc = json.loads(report_path.read_text())
+    doc["trials"] = []
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("compare", "--report", str(report_path), "--tol-rel", "10") == 1
+    captured = capsys.readouterr()
+    assert f"report {report_path} holds no trials to compare" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_simulate_refuses_a_compare_top_below_one(tmp_path, capsys):
     # a scenario that compares no eigenvalue would report a perfect match
     doc = dict(builtin_scenario("example2", n=40, trials=2).to_dict(), compare_top=0)

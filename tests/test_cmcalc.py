@@ -37,7 +37,7 @@ from cyclospec import (
 )
 from cyclospec import cmcalc, dense, linred
 from cyclospec.cmcalc import WordProducts
-from cyclospec.ncalg import Letter, word_adjoint
+from cyclospec.ncalg import Letter, WordCode, word_adjoint
 
 from _oracles import random_general, random_hermitian, reference_cm_moment
 
@@ -651,6 +651,12 @@ def _product_words(rng, count=150):
     return words + words[: count // 5]
 
 
+def _coded(words):
+    """The codes of ``words`` under a ``WordCode`` of their letters, and the code."""
+    code = WordCode(set().union(*words))
+    return [code.encode(w) for w in words], code
+
+
 @pytest.mark.parametrize("order", ["sorted", "reversed", "random"])
 def test_word_products_bitwise_equal_naive_loop(order):
     rng = np.random.default_rng(30)
@@ -745,11 +751,11 @@ def test_word_products_recover_after_unknown_generator():
         with pytest.raises(NotInDomainError):
             products.product(bad)
         with pytest.raises(NotInDomainError):
-            products.traces([bad, (a_gen(1, star=True),)])
+            products.traces(*_coded([bad, (a_gen(1, star=True),)]))
     words = [(a_gen(2, star=True), a_gen(1)), (a_gen(1, star=True), a_gen(2, star=True))]
     for w in words:
         assert np.array_equal(products.product(w), _naive_product(matrices, w, 3))
-    assert products.traces(words) == [
+    assert products.traces(*_coded(words)) == [
         complex(np.trace(_naive_product(matrices, w, 3))) for w in words
     ]
 
@@ -848,13 +854,13 @@ def test_matrix_models_leave_their_matrices_unmodified():
     for w in words:
         fam.omega(w)
         state.tau(tuple(b_gen(letter.index, letter.star) for letter in w))
-    MatrixTraceFamily(a_mats).omega_many(words)
-    MatrixTraceFamily(a_mats).omega_many(sorted(words))
+    MatrixTraceFamily(a_mats).omega_many(*_coded(words))
+    MatrixTraceFamily(a_mats).omega_many(*_coded(sorted(words)))
     # a starred letter's adjoint is formed once and kept read-only; the
     # bound matrices stay writable, and products after it leave them alone
     adjoint = WordProducts(a_mats, 3).product((a_gen(1, star=True),))
     assert not adjoint.flags.writeable
-    fam.omega_many([(a_gen(2, star=True), a_gen(2, star=True)), (a_gen(1), a_gen(1))])
+    fam.omega_many(*_coded([(a_gen(2, star=True), a_gen(2, star=True)), (a_gen(1), a_gen(1))]))
     for w in [(a_gen(2, star=True),) * 3, (a_gen(1, star=True), a_gen(2, star=True))]:
         fam.omega(w)
         state.tau(tuple(b_gen(letter.index, letter.star) for letter in w))
@@ -908,8 +914,8 @@ def test_word_product_traces_bitwise_equal_product(order):
     elif order == "reversed":
         words.sort(reverse=True)
     expected = [complex(np.trace(_naive_product(matrices, w, 4))) for w in words]
-    assert WordProducts(matrices, 4).traces(words) == expected
-    assert WordProducts(matrices, 4).traces([]) == []
+    assert WordProducts(matrices, 4).traces(*_coded(words)) == expected
+    assert WordProducts(matrices, 4).traces(*_coded([])) == []
 
 
 # a word list with adjoint letters, repeats, and words that are prefixes of
@@ -935,14 +941,15 @@ def test_omega_many_is_bitwise_omega(dim, seed, words, memoized, batch_nodes):
     rng = np.random.default_rng(seed)
     matrices = {i: random_general(dim, rng) for i in (1, 2, 3)}
     fam = MatrixTraceFamily(matrices)
-    for w in words[:memoized]:  # some words hit the memo, the others miss it
+    for w in words[:memoized]:  # some words are in the memo, the others not
         fam.omega(w)
+    codes, code = _coded(words)
     # a budget of a few nodes splits the words into many batches
     with mock.patch.object(cmcalc, "TRACE_BATCH_BYTES", batch_nodes * 16 * dim * dim):
-        got = fam.omega_many(words)
+        got = fam.omega_many(codes, code)
     fresh = MatrixTraceFamily(matrices)
     assert got == [fresh.omega(w) for w in words]
-    assert fam.omega_many(words) == got
+    assert fam.omega_many(codes, code) == got
 
 
 @pytest.mark.parametrize("order", ["sorted", "reversed", "random"])
@@ -960,7 +967,7 @@ def test_omega_many_memoizes_what_omega_does(order):
     batch = MatrixTraceFamily(matrices)
     for w in words[::7]:
         batch.omega(w)
-    values = batch.omega_many(words)
+    values = batch.omega_many(*_coded(words))
     assert values == [fam.omega(w) for w in words]
     assert batch._values == fam._values
 
@@ -979,10 +986,10 @@ def test_omega_many_rejects_like_omega_and_memoizes_nothing(bad):
     fam = MatrixTraceFamily(matrices)
     good = [(a_gen(2), a_gen(1, star=True)), (a_gen(1),)]
     with pytest.raises(NotInDomainError) as batch:
-        fam.omega_many(good + [bad])
+        fam.omega_many(*_coded(good + [bad]))
     assert type(batch.value) is type(single.value)
     assert fam._values == {}
-    assert fam.omega_many(good) == [MatrixTraceFamily(matrices).omega(w) for w in good]
+    assert fam.omega_many(*_coded(good)) == [MatrixTraceFamily(matrices).omega(w) for w in good]
 
 
 def test_default_omega_many_matches_omega():
@@ -994,7 +1001,7 @@ def test_default_omega_many_matches_omega():
         HaarConjugatedFamily(spectra),
     ]
     for model in models:
-        assert model.omega_many(words) == [model.omega(w) for w in words]
+        assert model.omega_many(*_coded(words)) == [model.omega(w) for w in words]
 
 
 def test_dense_word_product_broadcasts_diagonal_letters():
@@ -1110,7 +1117,7 @@ def test_matrix_family_diagonal_only_when_off_diagonal_entries_are_zero():
 
 
 class _UnbatchedFamily(MatrixTraceFamily):
-    def omega_many(self, words):
+    def omega_many(self, codes, code):
         raise AssertionError("the oracle evaluates one word at a time")
 
 

@@ -482,18 +482,18 @@ class _CountingFamily(MatrixTraceFamily):
         super().__init__(matrices)
         self.batches = []
 
-    def omega_many(self, words, code=None):
-        self.batches.append((list(words), code))
-        return super().omega_many(words, code)
+    def omega_many(self, codes, code):
+        self.batches.append((list(codes), code))
+        return super().omega_many(codes, code)
 
 
 def test_unreduced_chain_moment_multiplies_each_distinct_a_word_out_once(monkeypatch):
     # the expansion holds many words per distinct A-word; the sweep asks its
     # model once for each A-word, and MatrixTraceFamily multiplies each out once
     expanded, products, weights = [], [], []
-    moment = linred.cm_moment
+    moment = cmcalc.cm_moment
     product, omega = cmcalc.WordProducts.product, MatrixTraceFamily.omega
-    monkeypatch.setattr(linred, "cm_moment",
+    monkeypatch.setattr(cmcalc, "cm_moment",
                         lambda w, *models: expanded.append(w) or moment(w, *models))
     monkeypatch.setattr(cmcalc.WordProducts, "product",
                         lambda self, w: products.append((self, w)) or product(self, w))
@@ -600,6 +600,26 @@ def test_chain_moment_evaluates_its_words_as_one_batch():
         assert words == sorted(words)
         chain_moment_unreduced(*args, counting, inst["b_state"])
         assert len(counting.batches) == 1
+
+
+def test_a_chain_whose_trace_cancels_is_an_empty_batch():
+    # a1*b1 on the diagonal and -a1*b1 below it: both traces cancel to no
+    # term at odd orders, so chain_moment weighs an empty batch
+    chain = [AlgMatrix([["a1", "0"], ["0", "0 - a1"]], SYMS),
+             AlgMatrix([["b1", "0"], ["0", "b1"]], SYMS)]
+    rng = np.random.default_rng(3035)
+    matrices = {1: random_general(3, rng)}
+    counting = _CountingFamily(matrices)
+    for m in (1, 3):
+        for a_model, b_state in [(counting, TraceMatrixState(matrices)),
+                                 (SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, 8)}),
+                                  MomentTable.from_b_powers({1: 0.5}))]:
+            assert chain_moment(chain, m, a_model, b_state) == 0j
+            assert chain_moment_unreduced(chain, m, a_model, b_state) == 0j
+        ((batch, code),) = counting.batches
+        assert batch == [] and isinstance(code, WordCode)
+        counting.batches.clear()
+    assert MatrixTraceFamily(matrices).omega_many([], code) == []
 
 
 def test_chain_validation_errors():
