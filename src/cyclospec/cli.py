@@ -1,9 +1,13 @@
 """Command-line surface: predictions, the moment oracle, simulations, comparisons.
 
 Exit codes: 0 success, 1 validation failure (bad expressions, unknown
-generators, out-of-domain words, malformed scenarios), 2 numerical or
-tolerance failure (Hermiticity gate, refused predictions, comparison beyond
-tolerance), 3 I/O failure.
+generators, out-of-domain words, malformed scenarios, reports or matrix CSVs,
+an oracle moment that is not finite), 2 numerical or tolerance failure
+(Hermiticity gate, refused predictions, comparison beyond tolerance), 3 I/O
+failure. ``main`` dispatches on the error class: ``OSError`` and
+``json.JSONDecodeError`` exit 3, the ``DomainError`` subclasses of
+``_NUMERICAL_ERRORS`` exit 2, and every other ``DomainError``, ``ValueError``
+or ``KeyError`` exits 1. A tolerance failure is the command's return value.
 """
 
 from __future__ import annotations
@@ -25,21 +29,13 @@ from .cmcalc import (
 )
 from .errors import (
     ComplexEigenvaluesError,
-    DegreeExceededError,
-    DimensionMismatchError,
+    DomainError,
     InsufficientEntriesError,
-    NotInDomainError,
     NotPositiveError,
     NotSelfadjointError,
 )
 from .linred import ev_anticommutator, ev_commutator, ev_polynomial
-from .ncalg import (
-    EmptyInputError,
-    ExpressionSyntaxError,
-    UnknownSymbolError,
-    auto_symbols,
-    parse_expression,
-)
+from .ncalg import auto_symbols, parse_expression
 from .rmtlab import (
     DEMO_SEED,
     Report,
@@ -56,16 +52,7 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-_VALIDATION_ERRORS = (
-    ValueError,
-    KeyError,
-    EmptyInputError,
-    ExpressionSyntaxError,
-    UnknownSymbolError,
-    NotInDomainError,
-    DegreeExceededError,
-    DimensionMismatchError,
-)
+# the DomainErrors that exit 2; every other one exits 1
 _NUMERICAL_ERRORS = (
     NotSelfadjointError,
     NotPositiveError,
@@ -73,22 +60,15 @@ _NUMERICAL_ERRORS = (
     InsufficientEntriesError,
 )
 
-DEMO_NAMES = (
-    "example1",
-    "example2",
-    "example2-correlated",
-    "example3",
-    "anticommutator",
-    "commutator",
-)
-
 # Acceptance-style gates used by `demo`; example1 gates on trace moments.
 DEMO_MOMENT_GATES = {"example1": (0.08, 0.08, 0.12)}
 DEMO_MATCH_GATES = {"example2": 0.15, "example2-correlated": 0.15, "example3": 0.10}
-
-
-class _ToleranceExceeded(Exception):
-    pass
+# the degree-2 closed forms `demo` checks against the oracle: name -> (expression, recipe)
+_FORMULA_DEMOS = {
+    "anticommutator": ("a1*b1 + b1*a1", ev_anticommutator),
+    "commutator": ("i*(a1*b1 - b1*a1)", ev_commutator),
+}
+DEMO_NAMES = (*DEMO_MOMENT_GATES, *DEMO_MATCH_GATES, *_FORMULA_DEMOS)
 
 
 def _parse_spectrum(text: str):
@@ -160,6 +140,9 @@ def _cmd_oracle(args) -> int:
     values = []
     for m in range(1, args.moments + 1):
         value = poly_moment(poly, m, a_model, b_state)
+        if not np.isfinite(value):
+            raise ValueError(f"oracle moment {m} is {value}, not finite: --a-model "
+                             f"{args.a_model} or the B state overflows")
         values.append([value.real, value.imag])
     print(json.dumps({"expression": args.expr, "moments": values}, sort_keys=True))
     return EXIT_OK
@@ -217,9 +200,7 @@ def _cmd_compare(args) -> int:
         print(f"{row['trial']:>5}  {row['max_abs']:>12.6g}  {row['max_rel']:>12.6g}")
     verdict = "PASS" if mean_rel <= args.tol_rel else "FAIL"
     print(f"mean max_rel over trials: {mean_rel:.6g}  (tolerance {args.tol_rel:g})  {verdict}")
-    if mean_rel > args.tol_rel:
-        raise _ToleranceExceeded()
-    return EXIT_OK
+    return EXIT_OK if mean_rel <= args.tol_rel else EXIT_NUMERICAL
 
 
 def _formula_demo(name: str) -> int:
@@ -228,13 +209,9 @@ def _formula_demo(name: str) -> int:
     spectrum = GeometricSpectrum(1.0, 0.5, count=DEFAULT_TRUNCATION)
     family = SpectrumFamily({1: spectrum})
     table = MomentTable.from_b_powers({1: tau_b, 2: tau_b2})
-    symbols = auto_symbols("a1 b1")
-    if name == "anticommutator":
-        poly = parse_expression("a1*b1 + b1*a1", symbols)
-        pred = ev_anticommutator(spectrum, tau_b, tau_b2)
-    else:
-        poly = parse_expression("i*(a1*b1 - b1*a1)", symbols)
-        pred = ev_commutator(spectrum, tau_b, tau_b2)
+    expression, recipe = _FORMULA_DEMOS[name]
+    poly = parse_expression(expression, auto_symbols(expression))
+    pred = recipe(spectrum, tau_b, tau_b2)
     print(f"demo {name}: tau(b) = {tau_b}, tau(b^2) = {tau_b2}, "
           f"provenance {pred.to_json_dict()['provenance']}")
     print(f"{'m':>2}  {'oracle':>20}  {'formula':>20}  {'rel diff':>10}")
@@ -246,16 +223,14 @@ def _formula_demo(name: str) -> int:
         worst = max(worst, rel)
         print(f"{m:>2}  {oracle:>20.12g}  {formula:>20.12g}  {rel:>10.3g}")
     print(f"worst relative difference: {worst:.3g} (tolerance 1e-09)")
-    if worst > 1e-9:
-        raise _ToleranceExceeded()
-    return EXIT_OK
+    return EXIT_OK if worst <= 1e-9 else EXIT_NUMERICAL
 
 
 def _cmd_demo(args) -> int:
     name = args.name
     given = {key: getattr(args, key) for key in ("n", "trials", "seed", "out")
              if getattr(args, key) is not None}
-    if name in ("anticommutator", "commutator"):
+    if name in _FORMULA_DEMOS:
         if given:
             raise ValueError(f"demo {name} takes no --{next(iter(given))}")
         return _formula_demo(name)
@@ -269,16 +244,12 @@ def _cmd_demo(args) -> int:
         gates = DEMO_MOMENT_GATES[name]
         errs = report.summary["moment_rel_err_vs_prediction"]
         print(f"{'k':>2}  {'empirical mean':>16}  {'predicted':>16}  {'rel err':>9}  gate")
-        ok = True
+        passed = [errs[k] <= gates[k] for k in range(3)]
         for k in range(3):
-            passed = errs[k] <= gates[k]
-            ok = ok and passed
             print(f"{k + 1:>2}  {report.summary['moments_mean'][k]:>16.6g}  "
                   f"{report.prediction['moments'][k]:>16.6g}  {errs[k]:>9.3g}  "
-                  f"<= {gates[k]:g} {'PASS' if passed else 'FAIL'}")
-        if not ok:
-            raise _ToleranceExceeded()
-        return EXIT_OK
+                  f"<= {gates[k]:g} {'PASS' if passed[k] else 'FAIL'}")
+        return EXIT_OK if all(passed) else EXIT_NUMERICAL
     tol = DEMO_MATCH_GATES[name]
     mean_rel = report.summary["match_mean_max_rel"]
     for rec in report.trials:
@@ -286,9 +257,7 @@ def _cmd_demo(args) -> int:
               f"{rec['match']['max_rel']:.4g}")
     verdict = "PASS" if mean_rel <= tol else "FAIL"
     print(f"mean max_rel = {mean_rel:.4g}  (tolerance {tol:g})  {verdict}")
-    if mean_rel > tol:
-        raise _ToleranceExceeded()
-    return EXIT_OK
+    return EXIT_OK if mean_rel <= tol else EXIT_NUMERICAL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,15 +318,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ToleranceExceeded:
-        return EXIT_NUMERICAL
     except (OSError, json.JSONDecodeError) as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _VALIDATION_ERRORS as exc:
+    except (DomainError, ValueError, KeyError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -113,13 +113,17 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
 
 def load_matrix_csv(path) -> np.ndarray:
     """The matrix :func:`save_matrix_csv` wrote; blank lines are skipped.
-    ``ValueError`` naming ``path`` for an odd row or rows of unequal length."""
+    ``ValueError`` naming ``path`` and the row for a cell that is not a
+    number, an odd row or rows of unequal length."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
                 continue
-            cells = [float(x) for x in line.strip().split(",")]
+            try:
+                cells = [float(x) for x in line.strip().split(",")]
+            except ValueError as exc:
+                raise ValueError(f"matrix CSV {path}: row {len(rows) + 1}: {exc}") from None
             if len(cells) % 2 != 0:
                 raise ValueError(f"matrix CSV {path}: rows need (re, im) column pairs")
             rows.append([complex(cells[2 * i], cells[2 * i + 1]) for i in range(len(cells) // 2)])
@@ -286,9 +290,33 @@ class Report:
 
     @classmethod
     def from_json(cls, path) -> "Report":
+        """The report at ``path``: ``ValueError`` naming ``path`` and the key
+        at fault unless ``prediction.eigenvalues`` is a list of numbers and
+        ``trials`` a list of objects, each with an integer ``trial`` and a
+        list of numbers ``eigenvalues``."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        return cls(doc["scenario"], doc["prediction"], doc["trials"], doc.get("summary", {}))
+
+        def require(ok, key, what):
+            if not ok:
+                raise ValueError(f"report {path}: {key!r} must be {what}")
+
+        def numbers(value):
+            return isinstance(value, list) and all(map(_is_json_number, value))
+
+        if not isinstance(doc, dict):
+            raise ValueError(f"report {path} must hold an object, not {type(doc).__name__}")
+        require(isinstance(doc.get("scenario"), dict), "scenario", "an object")
+        prediction, trials = doc.get("prediction"), doc.get("trials")
+        require(isinstance(prediction, dict) and numbers(prediction.get("eigenvalues")),
+                "prediction.eigenvalues", "a list of numbers")
+        require(isinstance(trials, list), "trials", "a list of objects")
+        for pos, rec in enumerate(trials):
+            require(isinstance(rec, dict), f"trials[{pos}]", "an object")
+            require(_is_json_integer(rec.get("trial")), f"trials[{pos}].trial", "an integer")
+            require(numbers(rec.get("eigenvalues")), f"trials[{pos}].eigenvalues",
+                    "a list of numbers")
+        return cls(doc["scenario"], prediction, trials, doc.get("summary", {}))
 
 
 # ---------------------------------------------------------------------------

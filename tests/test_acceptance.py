@@ -17,9 +17,11 @@ import pytest
 from cyclospec import (
     EVMultiset,
     GeometricSpectrum,
+    MatrixTraceFamily,
     MomentTable,
     NCPolynomial,
     SpectrumFamily,
+    TraceMatrixState,
     a_gen,
     b_gen,
     builtin_scenario,
@@ -139,8 +141,11 @@ def test_criterion_3_reduction_soundness():
     for _ in range(100):
         inst = chain_instance(rng)
         reduced = chain_moment(inst["chain"], inst["m"], inst["a_model"], inst["b_state"])
+        # fresh models of the same matrices: the reference reads no value
+        # that chain_moment left in a model's memo
         direct = chain_moment_unreduced(
-            inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
+            inst["chain"], inst["m"], MatrixTraceFamily(inst["a_model"].matrices),
+            TraceMatrixState(inst["b_state"].matrices),
         )
         err = abs(reduced - direct) / max(1.0, abs(reduced), abs(direct))
         worst = max(worst, err)

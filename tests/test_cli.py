@@ -11,8 +11,10 @@ from cyclospec import (
     GeometricSpectrum,
     builtin_scenario,
     cli,
+    errors,
     ev_anticommutator,
     multiset_moment,
+    ncalg,
     rmtlab,
 )
 from cyclospec.cli import main
@@ -142,6 +144,20 @@ def test_oracle_bad_expression_exits_validation():
     assert code == 1
 
 
+def test_oracle_moment_that_is_not_finite_exits_validation(capsys):
+    # the second moment of scale 1e300 overflows to inf, and inf - inf is NaN
+    code = run_cli(
+        "oracle", "--expr", "a1*b1 + b1*a1", "--moments", "3",
+        "--a-model", "geometric:1e300,0.5,analytic", "--tau-b", "1", "--tau-b2", "2",
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("validation failure: oracle moment 2 is ")
+    assert "not finite: --a-model geometric:1e300,0.5,analytic" in line
+
+
 @pytest.mark.parametrize("moments", ["0", "-2"])
 def test_oracle_moments_below_1_exit_validation(capsys, moments):
     code = run_cli(
@@ -220,6 +236,23 @@ def test_compare_refuses_a_report_without_trials(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"report {report_path} holds no trials to compare" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("doc,key", [
+    ([], "must hold an object, not list"),
+    ({"trials": 5}, "'trials' must be a list of objects"),
+    ({"trials": [{"trial": 0}]}, "'trials[0].eigenvalues' must be a list of numbers"),
+])
+def test_compare_refuses_a_malformed_report_naming_its_path_and_key(doc, key, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    if isinstance(doc, dict):
+        doc = {"scenario": {}, "prediction": {"eigenvalues": [1.0]}, **doc}
+    report_path.write_text(json.dumps(doc))
+    assert run_cli("compare", "--report", str(report_path), "--tol-rel", "10") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"validation failure: report {report_path}") and key in line
 
 
 def test_simulate_refuses_a_compare_top_below_one(tmp_path, capsys):
@@ -839,3 +872,33 @@ def test_demo_unknown_scenario_name_exits_validation(monkeypatch, capsys):
     monkeypatch.setattr(cli, "DEMO_NAMES", (*cli.DEMO_NAMES, "example4"))
     assert run_cli("demo", "example4", "--n", "20", "--trials", "1") == 1
     assert "unknown demo scenario 'example4'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc,code,prefix", [
+    (errors.NotInDomainError("x"), 1, "validation failure: "),
+    (errors.DegreeExceededError("x"), 1, "validation failure: "),
+    (errors.DimensionMismatchError("x"), 1, "validation failure: "),
+    (errors.NotSelfadjointError("x"), 2, "numerical failure: "),
+    (errors.NotPositiveError("x"), 2, "numerical failure: "),
+    (errors.ComplexEigenvaluesError("x"), 2, "numerical failure: "),
+    (errors.InsufficientEntriesError("x"), 2, "numerical failure: "),
+    (ValueError("x"), 1, "validation failure: "),
+    (KeyError("x"), 1, "validation failure: "),
+    (ncalg.ExpressionSyntaxError("x", 0), 1, "validation failure: "),
+    (ncalg.UnknownSymbolError("x", 0), 1, "validation failure: "),
+    (ncalg.EmptyInputError(), 1, "validation failure: "),
+    (OSError("x"), 3, "i/o failure: "),
+    (json.JSONDecodeError("x", "", 0), 3, "i/o failure: "),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_exit_code_of_each_error_class(exc, code, prefix, monkeypatch, capsys):
+    # a JSONDecodeError is a ValueError, yet an i/o failure
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "poly_moment", fail)
+    assert run_cli("oracle", "--expr", "a1", "--a-model", "geometric:1,0.5,8",
+                   "--tau-b", "1") == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(prefix)

@@ -679,6 +679,22 @@ def test_file_b_with_ragged_rows_names_its_path(tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_file_b_with_a_cell_that_is_not_a_number_names_its_path_and_row(tmp_path, capsys):
+    save_matrix_csv(np.eye(30, dtype=complex), tmp_path / "b.csv")
+    lines = (tmp_path / "b.csv").read_text().splitlines()
+    lines[2] = "x" + lines[2][lines[2].index(","):]  # row 3 starts with the cell x
+    (tmp_path / "b.csv").write_text("\n".join(lines) + "\n")
+    doc = builtin_scenario("example3", n=30, trials=2).to_dict()
+    doc["b_spec"] = [{"kind": "file", "path": str(tmp_path / "b.csv")}]
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    message = f"matrix CSV {tmp_path / 'b.csv'}: row 3: could not convert string to float: 'x'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_matrix_csv(tmp_path / "b.csv")
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"validation failure: {message}"]
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
 def test_scenario_validation_realizes_and_solves_nothing(name, monkeypatch):
     # the reduction reads the moment table, and nothing is realized or solved
