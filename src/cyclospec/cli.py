@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation failure (bad expressions, unknown
 generators, out-of-domain words, malformed scenarios, reports or matrix CSVs,
-an oracle moment that is not finite), 2 numerical or tolerance failure
+an oracle moment that is not finite, a prediction whose A (beta x I)
+overflows), 2 numerical or tolerance failure
 (Hermiticity gate, refused predictions, comparison beyond tolerance), 3 I/O
 failure. ``main`` dispatches on the error class: ``OSError`` and
 ``json.JSONDecodeError`` exit 3, the ``DomainError`` subclasses of

@@ -16,15 +16,20 @@ Both sweeps are one loop, ``_sweep``.  Every weight model also has
 ``omega_many``, the weights of a list of codes of one ``WordCode``; a matrix
 model evaluates them as one batch (``WordProducts.traces``), with values
 bitwise equal to ``omega``.  The reduced chain trace of
-:mod:`cyclospec.linred` uses the batch; the oracle does not.
+:mod:`cyclospec.linred` uses the batch; the oracle does not.  A
+``MatrixTraceFamily`` keeps its last batch's weights by code, and the next
+coded sweep starts its A-word memo from them when its ``WordCode`` has the
+same A-letters, so ``chain_moment_unreduced`` after ``chain_moment`` on the
+same models decodes no A-word of the batch.
 
 Every model but ``HaarConjugatedFamily`` memoizes its values per word.  A
-matrix model (``MatrixTraceFamily``, ``TraceMatrixState``) keeps them, and
-its prefix products, for one sweep: ``_sweep`` empties both when it
-returns or raises, and ``linred.chain_moment`` those of its state, so
-between sweeps such a model keeps only its letter table.  ``MomentTable``
-and ``SpectrumFamily`` keep their memos as long as they live: they hold a
-few runs, which every sweep reads again.
+matrix model (``MatrixTraceFamily``, ``TraceMatrixState``) keeps them, its
+prefix products and a weight's batch for one sweep: ``_sweep`` ends both
+models' sweeps when it returns or raises (:func:`_end_sweep`), and
+``linred.chain_moment`` its state's before it batches the weights, so
+between sweeps such a model keeps only its letter table and the weight its
+batch.  ``MomentTable`` and ``SpectrumFamily`` keep their memos as long as
+they live: they hold a few runs, which every sweep reads again.
 
 For the eigenvalue recipes a weight model also realizes each generator as a
 matrix: ``diagonal`` gives the 1-D diagonal of the realization, or ``None``
@@ -236,14 +241,12 @@ class WordProducts:
 
 
 def _end_sweep(*models) -> None:
-    """Empty the prefix stack and the per-word values of each matrix model
-    among ``models``, a model with a ``WordProducts``.  The other models keep
-    no products, and their memos hold few runs that later sweeps read again."""
+    """End the sweep of each of ``models``: a matrix model empties its prefix
+    stack, its per-word values and its batch (``_drop_sweep``).  The other
+    models keep no products, and their memos hold few runs that later sweeps
+    read again."""
     for model in models:
-        products = getattr(model, "_products", None)
-        if products is not None:
-            products._drop_stack()
-            model._values.clear()
+        model._drop_sweep()
 
 
 def _batches(codes: Sequence[str], letters: int):
@@ -388,6 +391,10 @@ class TracialState:
 
     def tau(self, w: Word) -> complex:
         raise NotImplementedError
+
+    def _drop_sweep(self) -> None:
+        """Forget what the model keeps for one sweep (:func:`_end_sweep`);
+        only a matrix model keeps anything."""
 
 
 def _check_pure_b(w: Word) -> None:
@@ -560,6 +567,10 @@ class TraceMatrixState(TracialState):
             return 1 + 0j
         return complex(_add_reduce(self._products.product(w).diagonal())) / self.dim
 
+    def _drop_sweep(self) -> None:
+        self._products._drop_stack()
+        self._values.clear()
+
 
 # ---------------------------------------------------------------------------
 # trace-class models for the A-family
@@ -578,6 +589,16 @@ class TraceClassModel:
         """The weights of the words of ``codes`` under ``code``, each decoded
         and asked of :meth:`omega`.  A model may evaluate them as one batch."""
         return [self.omega(w) for w in map(code.decode, codes)]
+
+    def _batched_weights(self, code: WordCode) -> Mapping[str, complex]:
+        """The weights a batch of :meth:`omega_many` left for the next
+        sweep, keyed by code under ``code``; a model keeps none unless it
+        says so."""
+        return {}
+
+    def _drop_sweep(self) -> None:
+        """Forget what the model keeps for one sweep (:func:`_end_sweep`);
+        only a matrix model keeps anything."""
 
     def diagonal(self, index: int, size: int | None = None) -> np.ndarray | None:
         """The 1-D complex diagonal of generator ``index``'s realization, or
@@ -663,15 +684,19 @@ class MatrixTraceFamily(TraceClassModel):
     Hermitian matrices give the selfadjoint semantics the recipes expect,
     but general square matrices are accepted for oracle cross-checks.  Values
     are memoized per word for one sweep, as the prefix products are
-    (:class:`WordProducts`); ``linred.chain_moment`` leaves the weights it
-    batched, for a reference sweep of the same family to read.  The matrices
-    must not be mutated after the family is built.
+    (:class:`WordProducts`).  The weights of the last :meth:`omega_many`
+    batch are kept apart, by code with the A-letters of their ``WordCode``,
+    until a sweep ends: ``linred.chain_moment`` leaves them for the next
+    coded sweep (:class:`CodedSweep`) to start from.  The matrices must not
+    be mutated after the family is built.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray]):
         self.matrices, self.truncation = _square_matrices(matrices, "family")
         self._products = WordProducts(self.matrices, self.truncation)
         self._values: dict[Word, complex] = {}
+        # the A-letters of the last batch's WordCode, and its weights by code
+        self._batch: tuple[tuple[Letter, ...], dict[str, complex]] = ((), {})
 
     @_memoized_per_word
     def omega(self, w: Word) -> complex:
@@ -684,18 +709,32 @@ class MatrixTraceFamily(TraceClassModel):
         given order (sorted codes, as ``linred.chain_moment`` passes, share
         the most prefixes).
 
-        The memo is not read; the values are memoized per decoded word, for
-        a reference sweep of the same family to read.  A word outside the
-        domain raises the error of :meth:`omega`, and then nothing is
-        multiplied or memoized.  No codes give ``[]``.
+        The per-word memo is neither read nor written, and no code is
+        decoded: the values are kept as the batch, keyed by code with the
+        A-letters of ``code``, for the next coded sweep to start from
+        (:meth:`_batched_weights`); the batch replaces the last one.  A
+        word outside the domain raises the error of :meth:`omega`, and then
+        nothing is multiplied or kept.  No codes give ``[]``.
         """
         # the A-letters have the lowest codes
         if not all(codes) or max("".join(codes), default="") >= chr(code.a_count):
             for c in codes:
                 _check_pure_a_nonempty(code.decode(c))
         values = self._products.traces(codes, code)
-        self._values.update(zip(map(code.decode, codes), values))
+        self._batch = code.letters[:code.a_count], dict(zip(codes, values))
         return values
+
+    def _batched_weights(self, code: WordCode) -> Mapping[str, complex]:
+        """The last batch's weights by code, if ``code`` has the A-letters of
+        its ``WordCode``, else none.  The A-letters take the lowest codes, so
+        under equal A-letters a code names the same A-word in both."""
+        letters, values = self._batch
+        return values if letters == code.letters[:code.a_count] else {}
+
+    def _drop_sweep(self) -> None:
+        self._products._drop_stack()
+        self._values.clear()
+        self._batch = (), {}
 
     def realization(self, index: int, size: int | None = None) -> np.ndarray:
         if index not in self.matrices:
@@ -755,14 +794,14 @@ class HaarConjugatedFamily(TraceClassModel):
 
 
 class _SweepMemo(dict):
-    """Values keyed by code for one sweep: a code that misses is decoded and
-    evaluated once, and only a value is stored, so a code outside the domain
-    raises on every lookup."""
+    """Values keyed by code for one sweep, starting from ``known``: a code
+    that misses is decoded and evaluated once, and only a value is stored,
+    so a code outside the domain raises on every lookup."""
 
     __slots__ = ("_evaluate", "_decode")
 
-    def __init__(self, evaluate, decode):
-        super().__init__()
+    def __init__(self, evaluate, decode, known: Mapping[str, complex]):
+        super().__init__(known)
         self._evaluate, self._decode = evaluate, decode
 
     def __missing__(self, c: str) -> complex:
@@ -781,7 +820,11 @@ class CodedSweep:
     ``taus`` and ``omegas`` hold the state value of each B-run code and the
     weight of each A-word code; they live as long as the sweep, and ask
     ``b_state.tau`` or ``a_model.omega`` only when a code first misses, with
-    its word.
+    its word.  ``omegas`` starts from the weights ``a_model`` batched by
+    code (``_batched_weights``), which it keeps only for a ``WordCode`` with
+    the same A-letters: the A-letters take the lowest codes, so then a code
+    names the same A-word in both, although ``linred.chain_moment`` codes
+    only the A-matrices' letters.
     """
 
     __slots__ = ("code", "cut", "a_to_cut", "drop_b", "taus", "omegas")
@@ -794,8 +837,8 @@ class CodedSweep:
         self.cut = chr(count)
         self.a_to_cut = [self.cut] * a_count + [chr(rank) for rank in range(a_count, count)]
         self.drop_b = [chr(rank) for rank in range(a_count)] + [None] * (count - a_count)
-        self.taus = _SweepMemo(b_state.tau, code.decode)
-        self.omegas = _SweepMemo(a_model.omega, code.decode)
+        self.taus = _SweepMemo(b_state.tau, code.decode, {})
+        self.omegas = _SweepMemo(a_model.omega, code.decode, a_model._batched_weights(code))
 
 
 def cm_moment(

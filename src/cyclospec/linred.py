@@ -356,8 +356,10 @@ def chain_moment(
     of the ``AlgMatrix`` arithmetic, and the weight takes the sorted,
     distinct codes with their ``WordCode`` (``omega_many(codes, code)``),
     none if the trace cancels; code order is word order.  The state's sweep
-    ends with the reduction; the weight's memo keeps the batch, so a
-    :func:`chain_moment_unreduced` of the same chain and models reads it.
+    ends with the reduction.  A matrix weight keeps the batch by code, and a
+    :func:`chain_moment_unreduced` of the same chain and models starts from
+    it: its codes of the batch's A-words are the same, since both codes rank
+    the same A-letters first, so it decodes none of them.
     """
     _validate_chain(chain)
     if m < 1:
@@ -393,8 +395,9 @@ def chain_moment_unreduced(
     does, and ``poly_moment``'s loop hands each code of the trace to
     ``cm_moment``'s coded form in code order, which is word order, through
     one ``CodedSweep``: a word is never decoded, only a B-run or an A-word
-    when it first misses the sweep's memos.  Exponential in the chain
-    length; intended for small verification instances.
+    when it first misses the sweep's memos, whose A-words start from the
+    weights a :func:`chain_moment` on the same weight batched.  Exponential
+    in the chain length; intended for small verification instances.
     """
     _validate_chain(chain)
     if m < 1:
@@ -769,7 +772,8 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
     ``(root x I_s) A (root x I_s)``, ``root = sqrt(beta)``; A is symmetrized
     first, as the sandwich would scale its accepted asymmetry past the
     spectrum's own check, and the sandwich must pass that check.  Otherwise
-    the product is solved, and its spectrum must be real.  ``stack`` is
+    the product is solved, and its spectrum must be real.  A product that
+    overflows to a non-finite entry raises ``ValueError``.  ``stack`` is
     overwritten by the matrix solved, and solved in place."""
     m, k = len(stack), len(beta)
     s = stack.shape[-1] // k
@@ -782,12 +786,17 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
         root = None
     residual, tol = hermiticity_gap(stack)
     sandwich = root is not None and residual <= tol
-    if sandwich:
-        rows = symmetrize(stack).reshape(m, k, -1)
-        np.matmul(root, rows, out=rows)
-        np.matmul(columns, root, out=columns)
-    else:
-        np.matmul(columns, beta, out=columns)
+    # the stack is finite here, so a non-finite entry below is an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sandwich:
+            rows = symmetrize(stack).reshape(m, k, -1)
+            np.matmul(root, rows, out=rows)
+            np.matmul(columns, root, out=columns)
+        else:
+            np.matmul(columns, beta, out=columns)
+    if not np.isfinite(stack).all():
+        raise ValueError("A (beta x I) overflows: the weight's realizations or the "
+                         "state values are too large")
     residual, tol = hermiticity_gap(stack)
     if residual <= tol:
         return EVMultiset(np.linalg.eigvalsh(symmetrize(stack)).ravel())

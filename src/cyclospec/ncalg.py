@@ -219,9 +219,6 @@ class NCPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def contains_unit(self) -> bool:
         return UNIT in self.terms
 

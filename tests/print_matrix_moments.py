@@ -15,7 +15,10 @@ a1 and a2.  It also runs sweeps that raise partway, in the weight's
 products and in the state's, and chain sweeps on a state with no matrix for
 b12, each followed by a full sweep on the same weight, and a chain whose
 trace cancels to no term at odd orders, which the weight gets as an empty
-batch.  Every sweep runs
+batch.  Its cross-chain section runs ``chain_moment`` on one chain and then
+``chain_moment_unreduced`` on another on the same models, in both orders:
+chains over the A-letters {a1, a2} and {a1, a2*}, whose codes name other
+words, and two chains over {a1, a2}.  Every sweep runs
 twice on the same models and prints both values, so a checkout that keeps a
 matrix model's per-word values between sweeps and one that multiplies the
 words out again print the same bytes only if the two agree bit for bit.  It uses the package's public names
@@ -70,6 +73,18 @@ MIXED_SHAPES = ((1, 1, 3), (1, 2, 2), (2, 1, 2), (2, 2, 1))
 # traces cancel to no term
 CANCELLING = ([["a1", "0"], ["0", "0 - a1"]], [["b1", "0"], ["0", "b1"]])
 CANCELLING_SEED = 1616
+# two A-B pairs each: the A-matrices of chains over {a1, a2}, over {a1, a2*}
+# and again over {a1, a2}, and the B-matrices they share
+CROSS_A = {
+    "a1 a2": ([["a1 + a2", "a1*a2"], ["a2*a1", "a2"]], [["a1", "a2*a2"], ["a2 + a1", "a1"]]),
+    "a1 a2*": ([["a1 + a2'", "a1*a2'"], ["a2'*a1", "a2'"]],
+               [["a1", "a2'*a2'"], ["a2' + a1", "a1"]]),
+    "a1 a2 again": ([["a2", "a1"], ["a1*a1", "a2*a1 + a1"]], [["a2*a2", "a1 + a2"], ["a1", "a2"]]),
+}
+CROSS_B = ([["b1", "b2"], ["b2*b1", "b1"]], [["b2", "b1*b1"], ["b1", "b2*b2"]])
+CROSS_PAIRS = (("a1 a2", "a1 a2*"), ("a1 a2*", "a1 a2"),
+               ("a1 a2", "a1 a2 again"), ("a1 a2 again", "a1 a2"))
+CROSS_SEED = 1717
 
 
 def mixed_entry(rng, letters, lengths):
@@ -157,6 +172,18 @@ def main() -> None:
             for sweep in SWEEPS:
                 value = trace(chain, m, a_model, b_state)
                 print(f"cancelling m={m} {trace.__name__} {sweep}: {value!r}")
+    rng = np.random.default_rng(CROSS_SEED)
+    chains = {name: [AlgMatrix(rows, syms) for pair in zip(a_rows, CROSS_B) for rows in pair]
+              for name, a_rows in CROSS_A.items()}
+    for first, second in CROSS_PAIRS:
+        a_model = MatrixTraceFamily({i: random_general(3, rng) for i in (1, 2)})
+        b_state = TraceMatrixState({i: random_general(3, rng) for i in (1, 2)})
+        for m in (1, 2):
+            for sweep in SWEEPS:
+                reduced = chain_moment(chains[first], m, a_model, b_state)
+                direct = chain_moment_unreduced(chains[second], m, a_model, b_state)
+                print(f"cross m={m} {sweep} chain_moment {first}: {reduced!r}, "
+                      f"then chain_moment_unreduced {second}: {direct!r}")
 
 
 if __name__ == "__main__":

@@ -967,9 +967,13 @@ def test_omega_many_memoizes_what_omega_does(order):
     batch = MatrixTraceFamily(matrices)
     for w in words[::7]:
         batch.omega(w)
-    values = batch.omega_many(*_coded(words))
+    memo = dict(batch._values)
+    codes, code = _coded(words)
+    values = batch.omega_many(codes, code)
     assert values == [fam.omega(w) for w in words]
-    assert batch._values == fam._values
+    # the batch keeps omega's values keyed by code, and leaves the memo as it was
+    assert batch._batched_weights(code) == {c: fam.omega(code.decode(c)) for c in codes}
+    assert batch._values == memo
 
 
 @pytest.mark.parametrize("bad", [

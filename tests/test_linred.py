@@ -525,13 +525,14 @@ def test_chain_traces_leave_no_prefix_product_when_they_return():
     for _ in range(10):
         inst = chain_instance(rng)
         chain, m, fam, state = inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
+        code = linred._coded_grids(chain)[0]
         unreduced = chain_moment_unreduced(chain, m, fam, state)
-        assert _kept(fam, state) == [([], {}), ([], {})]
+        assert _kept(fam, state) == [([], {}), ([], {})] and fam._batched_weights(code) == {}
         # a second sweep on these models multiplies every word out again
         assert chain_moment_unreduced(chain, m, fam, state) == unreduced
         chain_moment(chain, m, fam, state)
-        assert _kept(state) == [([], {})]
-        assert fam._products._stack == [] and fam._values  # its batched weights
+        assert _kept(fam, state) == [([], {}), ([], {})]
+        assert fam._batched_weights(code)  # its batched weights, by code
         # bitwise the value of fresh models, whose stacks and memos start empty
         fresh = MatrixTraceFamily(fam.matrices), TraceMatrixState(state.matrices)
         assert unreduced == chain_moment_unreduced(chain, m, *fresh)
@@ -555,6 +556,87 @@ def test_unreduced_chain_moment_reads_the_weights_chain_moment_batched(monkeypat
         owners.clear()
         chain_moment_unreduced(*args)
         assert state in owners and weights in owners
+
+
+def test_unreduced_chain_moment_decodes_and_asks_no_a_word_of_the_batch(monkeypatch):
+    weighed, decoded = [], []
+    omega, decode = MatrixTraceFamily.omega, WordCode.decode
+    monkeypatch.setattr(MatrixTraceFamily, "omega",
+                        lambda self, w: weighed.append(w) or omega(self, w))
+    monkeypatch.setattr(WordCode, "decode", lambda self, c: decoded.append(c) or decode(self, c))
+    rng = np.random.default_rng(3036)
+    handed = 0
+    for _ in range(20):
+        inst = chain_instance(rng)
+        args = inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
+        code = linred._coded_grids(inst["chain"])[0]
+        chain_moment(*args)
+        batch = set(inst["a_model"]._batched_weights(code))
+        weighed.clear()
+        decoded.clear()
+        value = chain_moment_unreduced(*args)
+        # the sweep's codes of the batch's A-words are the batch's codes
+        assert not batch & set(decoded)
+        assert not batch & {code.encode(w) for w in weighed}
+        fresh = (MatrixTraceFamily(inst["a_model"].matrices),
+                 TraceMatrixState(inst["b_state"].matrices))
+        assert value == chain_moment_unreduced(inst["chain"], inst["m"], *fresh)
+        handed += len(batch)
+    assert handed > 1000
+
+
+# two A-B pairs over the A-letters {a1, a2}, where "\x01" codes a2; the same
+# with a2' for a2, where "\x01" codes a2*; and another chain over {a1, a2}
+_CROSS_B = ([["b1", "b2"], ["b2*b1", "b1"]], [["b2", "b1*b1"], ["b1", "b2*b2"]])
+_CROSS_A = {
+    "a1 a2": ([["a1 + a2", "a1*a2"], ["a2*a1", "a2"]], [["a1", "a2*a2"], ["a2 + a1", "a1"]]),
+    "a1 a2*": ([["a1 + a2'", "a1*a2'"], ["a2'*a1", "a2'"]],
+               [["a1", "a2'*a2'"], ["a2' + a1", "a1"]]),
+    "a1 a2 again": ([["a2", "a1"], ["a1*a1", "a2*a1 + a1"]], [["a2*a2", "a1 + a2"], ["a1", "a2"]]),
+}
+
+
+def _cross_chain(name):
+    return [AlgMatrix(rows, SYMS) for pair in zip(_CROSS_A[name], _CROSS_B) for rows in pair]
+
+
+@pytest.mark.parametrize("first,second", [
+    ("a1 a2", "a1 a2*"), ("a1 a2*", "a1 a2"),
+    ("a1 a2", "a1 a2 again"), ("a1 a2 again", "a1 a2"),
+])
+def test_unreduced_chain_moment_reads_no_batch_of_other_a_letters(first, second):
+    rng = np.random.default_rng(3037)
+    a_mats = {i: random_general(3, rng) for i in (1, 2)}
+    b_mats = {i: random_general(3, rng) for i in (1, 2)}
+    fam, state = MatrixTraceFamily(a_mats), TraceMatrixState(b_mats)
+    chain_moment(_cross_chain(first), 2, fam, state)
+    batch = set(fam._batched_weights(linred._coded_grids(_cross_chain(first))[0]))
+    fresh = MatrixTraceFamily(a_mats), TraceMatrixState(b_mats)
+    expected = chain_moment_unreduced(_cross_chain(second), 2, *fresh)
+    assert chain_moment_unreduced(_cross_chain(second), 2, fam, state) == expected
+    # the first batch holds codes of the second chain's A-words, and under
+    # other A-letters ("\x01" for a2 against a2*) they name other words
+    chain_moment(_cross_chain(second), 2, *fresh)
+    code = linred._coded_grids(_cross_chain(second))[0]
+    assert batch & set(fresh[0]._batched_weights(code))
+
+
+def test_every_other_sweep_drops_the_batch():
+    rng = np.random.default_rng(3038)
+    inst = chain_instance(rng)
+    chain, m, fam, state = inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
+    code = linred._coded_grids(chain)[0]
+    raising = parse_expression("a1*a1 + b1*b3", SYMS)  # the state has no matrix for b3
+    sweeps = [
+        lambda: poly_moment(parse_expression("a1*b1 + a2'", SYMS), 2, fam, state),
+        lambda: pytest.raises(NotInDomainError, poly_moment, raising, 2, fam, state),
+        lambda: chain_moment_unreduced(chain, m, fam, state),
+    ]
+    for sweep in sweeps:
+        chain_moment(chain, m, fam, state)
+        assert fam._batched_weights(code)
+        sweep()
+        assert fam._batched_weights(code) == {} and _kept(fam) == [([], {})]
 
 
 @pytest.mark.parametrize("b_state,error", [
