@@ -69,7 +69,6 @@ from .spectra import (
     match_distance,
     multiset_moment,
     scale,
-    truncate,
 )
 from .rmtlab import (
     Report,

@@ -506,16 +506,6 @@ class MomentTable(TracialState):
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_doc(json.load(fh))
 
-    def to_json_doc(self) -> dict:
-        return {
-            "degree_cap": self.degree_cap,
-            "moments": {
-                word_str(w): [v.real, v.imag] for w, v in sorted(
-                    self._table.items(), key=lambda item: word_str(item[0])
-                )
-            },
-        }
-
     @_memoized_per_word
     def tau(self, w: Word) -> complex:
         _check_pure_b(w)

@@ -9,7 +9,8 @@ independent so they can cross-check each other.
 
 Matrix products, traces and trace powers are module functions over grids of
 term maps (``grid_product``, ``grid_scaled``, ``grid_trace``,
-``grid_power_trace``); ``AlgMatrix`` wraps them.  Both chain paths run the
+``grid_power_trace``); ``AlgMatrix``'s ``@`` runs the products, and
+``ndarray @ AlgMatrix`` raises ``TypeError``.  Both chain paths run the
 same functions on the ``ncalg.WordCode`` codes of their words, one character
 per letter, and hand the codes on: the weight model takes the reduced
 path's codes as one batch, and ``poly_moment``'s sweep factors each
@@ -59,7 +60,6 @@ from .ncalg import (
     _sum_terms,
     alternating_form,
     drop_stars,
-    poly_sum,
     word_adjoint,
     word_str,
 )
@@ -106,13 +106,6 @@ class AlgMatrix:
             raise DimensionMismatchError("matrix must be nonempty")
         self.entries = entries
         self.shape = (len(entries), width)
-
-    @classmethod
-    def identity(cls, n: int) -> "AlgMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> NCPolynomial:
-        return self.entries[i][j]
 
     def purity(self) -> str:
         """One of ``"a"``, ``"b"`` or ``"mixed"``.
@@ -166,41 +159,9 @@ class AlgMatrix:
             raise DimensionMismatchError("matrix product dimension mismatch")
         return AlgMatrix.from_grid(grid_scaled(self.grid(), scalar))
 
-    # numpy hands ``ndarray @ AlgMatrix`` over to __rmatmul__ instead of
-    # treating the matrix as a 0-d object array
+    # ``ndarray @ AlgMatrix`` raises TypeError instead of treating the matrix
+    # as a 0-d object array
     __array_ufunc__ = None
-
-    def __rmatmul__(self, other) -> "AlgMatrix":
-        scalar = np.asarray(other, dtype=complex)
-        if scalar.ndim != 2 or scalar.shape[1] != self.shape[0]:
-            raise DimensionMismatchError("matrix product dimension mismatch")
-        return AlgMatrix([
-            [poly_sum(c * self.entries[p][j] for p, c in enumerate(scalar[i]) if c != 0)
-             for j in range(self.shape[1])]
-            for i in range(scalar.shape[0])
-        ])
-
-    def _check_power(self, m: int) -> None:
-        if m < 1:
-            raise ValueError("matrix power must be >= 1")
-        if self.shape[0] != self.shape[1]:
-            raise DimensionMismatchError("matrix power needs a square matrix")
-
-    def __pow__(self, m: int) -> "AlgMatrix":
-        self._check_power(m)
-        return AlgMatrix.from_grid(grid_power(self.grid(), m))
-
-    def trace(self) -> NCPolynomial:
-        if self.shape[0] != self.shape[1]:
-            raise DimensionMismatchError("trace needs a square matrix")
-        return _polynomial(grid_trace(self.grid()))
-
-    def power_trace(self, m: int) -> NCPolynomial:
-        """``(self**m).trace()``, forming only the diagonal of the last product."""
-        if m == 1:
-            return self.trace()
-        self._check_power(m - 1)
-        return _polynomial(grid_power_trace(self.grid(), m))
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +194,20 @@ def grid_scaled(left, scalar: np.ndarray) -> list[list[dict]]:
     ]
 
 
-def grid_power(grid, m: int) -> list[list[dict]]:
-    """``grid @ grid @ ...`` (``m`` factors), multiplied from the left."""
-    out = grid
-    for _ in range(m - 1):
-        out = grid_product(out, grid)
-    return out
-
-
 def grid_trace(grid) -> dict:
     return _sum_terms(grid[i][i] for i in range(len(grid)))
 
 
 def grid_power_trace(grid, m: int) -> dict:
-    """``grid_trace(grid_power(grid, m))``, forming only the diagonal of the
-    last product; its entries and their sum are accumulated in the same
-    order, so the terms are bitwise equal."""
+    """The trace of ``grid @ grid @ ...`` (``m`` factors, multiplied from the
+    left), forming only the diagonal of the last product; its entries and
+    their sum are accumulated as ``grid_product`` and ``grid_trace`` would,
+    so the terms are bitwise equal."""
     if m == 1:
         return grid_trace(grid)
-    left = grid_power(grid, m - 1)
+    left = grid
+    for _ in range(m - 2):
+        left = grid_product(left, grid)
     n = len(grid)
     return _sum_terms(
         _sum_terms(_product_terms(left[i][p], grid[p][i]) for p in range(n))
@@ -748,16 +704,17 @@ def _reduction_spectrum(reduction, a_model: TraceClassModel, truncation: int | N
         n = _shared_dimension(mat.shape[0] for mat in mats.values())
     elif n is None:  # A reduced to 0: P's spectrum is all zeros, of a size no input gives
         raise NotInDomainError("the polynomial reduces to 0, and no truncation sizes its spectrum")
-    if mats is diag:
-        # A is the direct sum over j of the k x k matrices of its entries' j-th diagonal values
-        lookup = {letter: (d, False) for letter, d in diag.items()}.__getitem__  # never written
-        stack = np.zeros((n, len(a_grid), len(a_grid)), dtype=complex)
-        for i, row in enumerate(a_grid):
-            for j, entry in enumerate(row):
-                for word, coeff in sorted(entry.items()):
-                    stack[:, i, j] += coeff * _word_product(word, lookup, n)
-    else:
-        stack = dense_block_matrix(cells, mats.get, n)[np.newaxis]
+    with np.errstate(over="ignore", invalid="ignore"):  # _stack_spectrum refuses an overflow
+        if mats is diag:
+            # A is the direct sum over j of the k x k matrices of its entries' j-th diagonal values
+            lookup = {letter: (d, False) for letter, d in diag.items()}.__getitem__  # never written
+            stack = np.zeros((n, len(a_grid), len(a_grid)), dtype=complex)
+            for i, row in enumerate(a_grid):
+                for j, entry in enumerate(row):
+                    for word, coeff in sorted(entry.items()):
+                        stack[:, i, j] += coeff * _word_product(word, lookup, n)
+        else:
+            stack = dense_block_matrix(cells, mats.get, n)[np.newaxis]
     multiset = _stack_spectrum(stack, beta)
     parameters = {"rows": list(map(word_str, rows)), "columns": list(map(word_str, columns)),
                   "dim": dim, "truncation": n}
@@ -772,9 +729,11 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
     ``(root x I_s) A (root x I_s)``, ``root = sqrt(beta)``; A is symmetrized
     first, as the sandwich would scale its accepted asymmetry past the
     spectrum's own check, and the sandwich must pass that check.  Otherwise
-    the product is solved, and its spectrum must be real.  A product that
-    overflows to a non-finite entry raises ``ValueError``.  ``stack`` is
-    overwritten by the matrix solved, and solved in place."""
+    the product is solved, and its spectrum must be real.  A non-finite
+    entry of ``stack``, or of the product, is an overflow of its finite
+    inputs, and raises ``ValueError``.  ``stack`` is overwritten by the
+    matrix solved, and solved in place."""
+    _refuse_overflow(stack)
     m, k = len(stack), len(beta)
     s = stack.shape[-1] // k
     # per summand and in-block column b, the k*s x k matrix of columns (q, b);
@@ -786,7 +745,6 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
         root = None
     residual, tol = hermiticity_gap(stack)
     sandwich = root is not None and residual <= tol
-    # the stack is finite here, so a non-finite entry below is an overflow
     with np.errstate(over="ignore", invalid="ignore"):
         if sandwich:
             rows = symmetrize(stack).reshape(m, k, -1)
@@ -794,9 +752,7 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
             np.matmul(columns, root, out=columns)
         else:
             np.matmul(columns, beta, out=columns)
-    if not np.isfinite(stack).all():
-        raise ValueError("A (beta x I) overflows: the weight's realizations or the "
-                         "state values are too large")
+    _refuse_overflow(stack)
     residual, tol = hermiticity_gap(stack)
     if residual <= tol:
         return EVMultiset(np.linalg.eigvalsh(symmetrize(stack)).ravel())
@@ -809,6 +765,12 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
         raise ComplexEigenvaluesError("reduced polynomial has eigenvalues with large "
                                       "imaginary parts; prediction refused")
     return EVMultiset(lams.real)
+
+
+def _refuse_overflow(stack: np.ndarray) -> None:
+    if not np.isfinite(stack).all():
+        raise ValueError("A (beta x I) overflows: the weight's realizations or the "
+                         "state values are too large")
 
 
 def ev_chain(

@@ -201,10 +201,6 @@ class NCPolynomial:
         return cls({UNIT: c})
 
     @classmethod
-    def one(cls) -> "NCPolynomial":
-        return cls.scalar(1)
-
-    @classmethod
     def from_word(cls, word: Iterable[Letter], coeff: complex = 1) -> "NCPolynomial":
         return cls({tuple(word): coeff})
 
@@ -341,15 +337,6 @@ def _sum_terms(term_maps: Iterable[Mapping]) -> dict:
     return out
 
 
-def poly_sum(polys: Iterable[NCPolynomial]) -> NCPolynomial:
-    """``0 + p1 + p2 + ...`` accumulated in one dict.
-
-    The coefficients and the term order are those of the chain of ``+``, so
-    the result is bitwise equal to it, without a copy of the sum per addend.
-    """
-    return _polynomial(_sum_terms(poly.terms for poly in polys))
-
-
 def _coerce(value) -> NCPolynomial:
     if isinstance(value, NCPolynomial):
         return value
@@ -404,13 +391,6 @@ class AlternatingForm:
 
     leading_b: Word
     blocks: tuple  # tuple[tuple[Word, Word], ...]
-
-    def reconstruct(self) -> Word:
-        out = list(self.leading_b)
-        for a_block, b_block in self.blocks:
-            out.extend(a_block)
-            out.extend(b_block)
-        return tuple(out)
 
 
 def alternating_form(w: Word) -> AlternatingForm:

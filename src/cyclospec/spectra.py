@@ -74,12 +74,6 @@ class EVMultiset:
             for v in self.values:
                 fh.write(f"{float(v)!r}\n")
 
-    @classmethod
-    def from_csv(cls, path) -> "EVMultiset":
-        with open(path, "r", encoding="utf-8") as fh:
-            vals = [float(line) for line in fh if line.strip()]
-        return cls(vals)
-
 
 @functools.cache
 def _tile_pairs(k: int) -> list[tuple[slice, slice]]:
@@ -169,12 +163,6 @@ def scale(c: float, s: EVMultiset) -> EVMultiset:
 
 def disjoint_union(s: EVMultiset, t: EVMultiset) -> EVMultiset:
     return EVMultiset(np.concatenate([s.values, t.values]))
-
-
-def truncate(s: EVMultiset, m: int) -> EVMultiset:
-    if m < 0:
-        raise ValueError("truncation length must be >= 0")
-    return EVMultiset(s.values[:m])
 
 
 def multiset_moment(s: EVMultiset, k: int) -> float:

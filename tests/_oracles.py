@@ -264,3 +264,14 @@ def reference_cm_moment(w, a_model, b_state):
                 value *= b_state.tau(run)
             return value * a_model.omega(tuple(a_word))
         value *= b_state.tau(w[a_end:start])
+
+
+def reconstruct(form):
+    """The word that an ``alternating_form`` decomposed: its leading B-run,
+    then each A-run and the B-run after it.  Equal to the word, it shows the
+    form loses nothing."""
+    out = list(form.leading_b)
+    for a_block, b_block in form.blocks:
+        out.extend(a_block)
+        out.extend(b_block)
+    return tuple(out)

@@ -158,17 +158,21 @@ def test_oracle_moment_that_is_not_finite_exits_validation(capsys):
     assert "not finite: --a-model geometric:1e300,0.5,analytic" in line
 
 
-@pytest.mark.parametrize("tau_b,tau_b2", [
-    ("1e10", "1e20"),  # beta is PSD: the Hermitian sandwich root A root overflows
-    ("1e10", "1"),  # beta is not PSD: the product A (beta x I) overflows
-], ids=["sandwich", "product"])
-def test_predict_whose_reduced_matrix_overflows_exits_validation(tau_b, tau_b2, tmp_path,
-                                                                 capsys):
+@pytest.mark.parametrize("expr,scale,tau_b,tau_b2", [
+    # beta is PSD: the Hermitian sandwich root A root overflows
+    ("a1*b1 + b1*a1", "1e300", "1e10", "1e20"),
+    # beta is not PSD: the product A (beta x I) overflows
+    ("a1*b1 + b1*a1", "1e300", "1e10", "1"),
+    # A itself overflows while its stack is built: a1*a1 reads 1e200 * 1e200
+    ("a1*a1*b1 + b1*a1*a1", "1e200", "1", "2"),
+], ids=["sandwich", "product", "stack"])
+def test_predict_whose_reduced_matrix_overflows_exits_validation(expr, scale, tau_b, tau_b2,
+                                                                 tmp_path, capsys):
     out_path = tmp_path / "w.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warnings are silenced, not printed
         code = run_cli(
-            "predict", "--expr", "a1*b1 + b1*a1", "--spectrum", "geometric:1e300,0.5,8",
+            "predict", "--expr", expr, "--spectrum", f"geometric:{scale},0.5,8",
             "--tau-b", tau_b, "--tau-b2", tau_b2, "--out", str(out_path),
         )
     assert code == 1

@@ -1,11 +1,16 @@
-"""Pins of the package's public names and of some parameter lists.
+"""Pins of the package's public names and of some parameter lists, and of
+the names the benchmark's tracer looks up.
 
 Removing or renaming a public name, or a parameter of a pinned function,
-fails here until the pin is updated, and CHANGES.md lists the change.
+fails here until the pin is updated, and CHANGES.md lists the change.  A
+name the tracer wraps is looked up with ``getattr`` when a traced benchmark
+run starts, so removing one is a change to the benchmark.
 """
 
+import importlib.util
 import inspect
 import types
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +30,7 @@ PUBLIC_NAMES = [
     "ev_polynomial", "ev_sum_aba", "ev_sum_bab", "ev_sum_bac", "format_expression",
     "hermitian_spectrum", "is_selfadjoint", "make_symbols", "match_distance",
     "multiset_moment", "parse_expression", "poly_moment", "power", "reduce_b_matrix",
-    "run_scenario", "sample_gue", "sample_haar_unitary", "scale", "sqrtm_psd", "truncate",
+    "run_scenario", "sample_gue", "sample_haar_unitary", "scale", "sqrtm_psd",
 ]
 
 
@@ -49,7 +54,6 @@ def test_public_names_are_pinned():
         (cmcalc.TraceClassModel.diagonal, ["self", "index", "size"]),
         (cmcalc.TraceClassModel.realization, ["self", "index", "size"]),
         (spectra.EVMultiset, ["values"]),
-        (spectra.EVMultiset.from_csv, ["path"]),
         (spectra.hermitian_spectrum, ["matrix"]),
         (linred.eigenvalue_multiset, ["a", "truncation"]),
         (linred.ev_chain, ["b0", "chain", "a_model", "b_state", "truncation",
@@ -62,3 +66,22 @@ def test_public_names_are_pinned():
 ])
 def test_parameter_lists_are_pinned(function, parameters):
     assert list(inspect.signature(function).parameters) == parameters
+
+
+def _tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # the tracer imports the standard library only
+    return module
+
+
+def test_every_name_the_benchmark_traces_resolves_on_its_home_module():
+    tracer = _tracer()
+    for home, names in tracer.FUNCTIONS.values():
+        module = importlib.import_module(home)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{home}.{name}"
+    for home, base, _methods in tracer.METHODS.values():
+        assert isinstance(getattr(importlib.import_module(home), base, None), type), (
+            f"{home}.{base}")

@@ -14,7 +14,6 @@ from cyclospec import (
     multiset_moment,
     sample_haar_unitary,
     scale,
-    truncate,
 )
 from cyclospec.spectra import HERMITICITY_TOL, hermiticity_gap, rounding_tolerance, symmetrize
 
@@ -106,8 +105,8 @@ def test_scale_union_truncate():
     # the scaled-copies limit multiset of the two-sided product experiment
     pos = scale(3.0, EVMultiset(0.5 ** np.arange(8)))
     neg = scale(-1.0, EVMultiset(0.5 ** np.arange(8)))
-    top4 = truncate(disjoint_union(pos, neg), 4)
-    np.testing.assert_allclose(top4.values, [3.0, 1.5, -1.0, 0.75], rtol=1e-15)
+    top4 = disjoint_union(pos, neg).values[:4]
+    np.testing.assert_allclose(top4, [3.0, 1.5, -1.0, 0.75], rtol=1e-15)
 
 
 def test_multiset_moment_examples():
@@ -136,8 +135,7 @@ def test_csv_round_trip(tmp_path):
     s = EVMultiset([1.0, -0.25, 0.125])
     path = tmp_path / "vals.csv"
     s.to_csv(path)
-    again = EVMultiset.from_csv(path)
-    np.testing.assert_array_equal(s.values, again.values)
+    assert path.read_text(encoding="utf-8") == "1.0\n-0.25\n0.125\n"
 
 
 # ---------------------------------------------------------------------------
