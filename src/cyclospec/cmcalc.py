@@ -303,14 +303,14 @@ def _prefix_tree(codes: list[str]):
 
 
 class Spectrum:
-    """A real eigenvalue sequence; subclasses provide truncations and power sums."""
+    """A real eigenvalue sequence; subclasses give truncations and its ``count`` values' power sums."""
 
     count: int | None
 
     def eigenvalues(self, n: int | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def power_sum(self, m: int, n: int | None = None) -> float:
+    def power_sum(self, m: int) -> float:
         raise NotImplementedError
 
 
@@ -336,14 +336,13 @@ class GeometricSpectrum(Spectrum):
     def eigenvalues(self, n: int | None = None) -> np.ndarray:
         n = n if n is not None else self.count
         if n is None:
-            raise ValueError("analytic spectrum needs an explicit truncation")
+            raise ValueError(f"{self!r} is analytic: give a count, or n, to list its values")
         return self.scale * np.power(self.ratio, np.arange(n))
 
-    def power_sum(self, m: int, n: int | None = None) -> float:
-        n = n if n is not None else self.count
-        if n is None:
+    def power_sum(self, m: int) -> float:
+        if self.count is None:
             return self.scale**m / (1.0 - self.ratio**m)
-        return float(np.sum(self.eigenvalues(n) ** m))
+        return float(np.sum(self.eigenvalues() ** m))
 
     def __repr__(self):
         return f"GeometricSpectrum(scale={self.scale}, ratio={self.ratio}, count={self.count})"
@@ -374,8 +373,8 @@ class ExplicitSpectrum(Spectrum):
             )
         return self.values[:n].copy()
 
-    def power_sum(self, m: int, n: int | None = None) -> float:
-        return float(np.sum(self.eigenvalues(n) ** m))
+    def power_sum(self, m: int) -> float:
+        return float(np.sum(self.values ** m))
 
     def __repr__(self):
         return f"ExplicitSpectrum({self.values.tolist()!r})"
@@ -461,11 +460,9 @@ class MomentTable(TracialState):
         self._values: dict[Word, complex] = {}
 
     @classmethod
-    def from_b_powers(cls, powers: Mapping[int, complex], index: int = 1) -> "MomentTable":
-        """Table for a single generator given ``{m: tau(b**m)}``; its letter is
-        ``b_gen(index)``, so ``ValueError`` for an index below 1."""
-        letter = b_gen(index)
-        return cls({(letter,) * m: value for m, value in powers.items()})
+    def from_b_powers(cls, powers: Mapping[int, complex]) -> "MomentTable":
+        """Table for the one generator ``b1`` given ``{m: tau(b1**m)}``."""
+        return cls({(b_gen(1),) * m: value for m, value in powers.items()})
 
     @classmethod
     def from_json_doc(cls, doc: Mapping) -> "MomentTable":
@@ -525,7 +522,8 @@ class MomentTable(TracialState):
 
 
 def _square_matrices(matrices: Mapping[int, np.ndarray], what: str):
-    """A matrix model's generators as complex arrays, and their one dimension."""
+    """A matrix model's generators as complex arrays, and their one dimension;
+    ``ValueError`` for a NaN or infinite entry."""
     if not matrices:
         raise ValueError(f"matrix {what} needs at least one generator")
     mats = {int(index): np.asarray(mat, dtype=complex) for index, mat in matrices.items()}
@@ -534,6 +532,9 @@ def _square_matrices(matrices: Mapping[int, np.ndarray], what: str):
     dims = {arr.shape[0] for arr in mats.values()}
     if len(dims) > 1:
         raise DimensionMismatchError(f"{what} matrices must share one dimension")
+    for index, arr in mats.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"matrix {what}: generator {index} has a non-finite entry")
     return mats, dims.pop()
 
 

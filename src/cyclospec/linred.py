@@ -9,8 +9,8 @@ independent so they can cross-check each other.
 
 Matrix products, traces and trace powers are module functions over grids of
 term maps (``grid_product``, ``grid_scaled``, ``grid_trace``,
-``grid_power_trace``); ``AlgMatrix``'s ``@`` runs the products, and
-``ndarray @ AlgMatrix`` raises ``TypeError``.  Both chain paths run the
+``grid_power_trace``); ``AlgMatrix``'s ``@`` runs the products, and an
+ndarray on either side raises ``TypeError``.  Both chain paths run the
 same functions on the ``ncalg.WordCode`` codes of their words, one character
 per letter, and hand the codes on: the weight model takes the reduced
 path's codes as one batch, and ``poly_moment``'s sweep factors each
@@ -82,7 +82,7 @@ CHAIN_IMAG_REL_TOL = 1e-8
 class AlgMatrix:
     """Square or rectangular matrix with polynomial entries."""
 
-    def __init__(self, rows: Sequence[Sequence], symbols=None):
+    def __init__(self, rows: Sequence[Sequence]):
         entries: list[list[NCPolynomial]] = []
         width = None
         for row in rows:
@@ -93,8 +93,7 @@ class AlgMatrix:
                 elif isinstance(cell, (int, float, complex)):
                     out_row.append(NCPolynomial.scalar(cell))
                 elif isinstance(cell, str):
-                    syms = symbols if symbols is not None else ncalg.auto_symbols(cell)
-                    out_row.append(ncalg.parse_expression(cell, syms))
+                    out_row.append(ncalg.parse_expression(cell, ncalg.auto_symbols(cell)))
                 else:
                     raise TypeError(f"cannot use {type(cell).__name__} as a matrix entry")
             if width is None:
@@ -129,14 +128,14 @@ class AlgMatrix:
             [[self.entries[j][i].adjoint() for j in range(n)] for i in range(m)]
         )
 
-    def is_selfadjoint(self, selfadjoint_generators=None) -> bool:
+    def is_selfadjoint(self) -> bool:
         n, m = self.shape
         if n != m:
             return False
         for i in range(n):
             for j in range(n):
                 diff = self.entries[i][j] - self.entries[j][i].adjoint()
-                if not drop_stars(diff, selfadjoint_generators).is_zero():
+                if not drop_stars(diff).is_zero():
                     return False
         return True
 
@@ -149,18 +148,15 @@ class AlgMatrix:
         """The matrix whose entries have the given canonical term maps."""
         return cls([[_polynomial(terms) for terms in row] for row in grid])
 
-    def __matmul__(self, other) -> "AlgMatrix":
-        if isinstance(other, AlgMatrix):
-            if self.shape[1] != other.shape[0]:
-                raise DimensionMismatchError("matrix product dimension mismatch")
-            return AlgMatrix.from_grid(grid_product(self.grid(), other.grid()))
-        scalar = np.asarray(other, dtype=complex)
-        if scalar.ndim != 2 or self.shape[1] != scalar.shape[0]:
+    def __matmul__(self, other: "AlgMatrix") -> "AlgMatrix":
+        if not isinstance(other, AlgMatrix):
+            return NotImplemented
+        if self.shape[1] != other.shape[0]:
             raise DimensionMismatchError("matrix product dimension mismatch")
-        return AlgMatrix.from_grid(grid_scaled(self.grid(), scalar))
+        return AlgMatrix.from_grid(grid_product(self.grid(), other.grid()))
 
-    # ``ndarray @ AlgMatrix`` raises TypeError instead of treating the matrix
-    # as a 0-d object array
+    # ``ndarray @ AlgMatrix`` raises TypeError, as ``AlgMatrix @ ndarray`` does,
+    # instead of treating the matrix as a 0-d object array
     __array_ufunc__ = None
 
 
@@ -372,40 +368,35 @@ def chain_moment_unreduced(
 # ---------------------------------------------------------------------------
 
 
-def _given_diagonal(a, truncation: int | None) -> np.ndarray | None:
+def _given_diagonal(a) -> np.ndarray | None:
     """The diagonal of an A-generator given as a :class:`Spectrum` or 1-D array."""
     if isinstance(a, Spectrum):
-        n = truncation if truncation is not None else a.count
-        return a.eigenvalues(n).astype(complex)
+        return a.eigenvalues().astype(complex)
     arr = np.asarray(a, dtype=complex)
     return arr if arr.ndim == 1 else None
 
 
-def realize_a(a, truncation: int | None = None) -> np.ndarray:
+def realize_a(a) -> np.ndarray:
     """Numeric matrix for one A-generator description.
 
-    Accepts a :class:`Spectrum` (diagonal truncation), a square matrix, or a
-    one-dimensional array of eigenvalues.
+    Accepts a :class:`Spectrum` with a count (its diagonal), a square
+    matrix, or a one-dimensional array of eigenvalues.
     """
-    diagonal = _given_diagonal(a, truncation)
+    diagonal = _given_diagonal(a)
     if diagonal is not None:
         return np.diag(diagonal)
     arr = np.asarray(a, dtype=complex)
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        if truncation is not None and truncation != arr.shape[0]:
-            raise DimensionMismatchError(
-                f"matrix has dimension {arr.shape[0]}, not the requested {truncation}"
-            )
         return arr
     raise DimensionMismatchError("cannot realize this object as an A-generator")
 
 
-def eigenvalue_multiset(a, truncation: int | None = None) -> EVMultiset:
+def eigenvalue_multiset(a) -> EVMultiset:
     """Eigenvalue multiset of one A-generator description."""
-    diagonal = _given_diagonal(a, truncation)
+    diagonal = _given_diagonal(a)
     if diagonal is not None:
         return EVMultiset(diagonal.real)
-    return hermitian_spectrum(realize_a(a, truncation))
+    return hermitian_spectrum(realize_a(a))
 
 
 def sqrtm_psd(gram: np.ndarray) -> np.ndarray:
@@ -441,8 +432,8 @@ def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _realized_blocks(a_list, truncation):
-    blocks = [realize_a(a, truncation) for a in a_list]
+def _realized_blocks(a_list):
+    blocks = [realize_a(a) for a in a_list]
     return blocks, _shared_dimension(b.shape[0] for b in blocks)
 
 
@@ -458,7 +449,7 @@ def _shared_dimension(dims) -> int:
 # ---------------------------------------------------------------------------
 
 
-def ev_sum_bab(a_list, gram, truncation: int | None = None) -> Prediction:
+def ev_sum_bab(a_list, gram) -> Prediction:
     """Multiset of the Gram-sandwiched block diagonal of the generators.
 
     ``gram[i, j]`` holds the state value of ``b_i* b_j``; the prediction is
@@ -466,7 +457,7 @@ def ev_sum_bab(a_list, gram, truncation: int | None = None) -> Prediction:
     """
     gram = np.asarray(gram, dtype=complex)
     root = sqrtm_psd(gram)
-    blocks, n = _realized_blocks(a_list, truncation)
+    blocks, n = _realized_blocks(a_list)
     if gram.shape[0] != len(blocks):
         raise DimensionMismatchError("Gram size must match the number of generators")
     lift = np.kron(root, np.eye(n))
@@ -479,14 +470,14 @@ def ev_sum_bab(a_list, gram, truncation: int | None = None) -> Prediction:
     )
 
 
-def ev_sum_aba(a_list, taus, truncation: int | None = None) -> Prediction:
+def ev_sum_aba(a_list, taus) -> Prediction:
     """Multiset of ``sum_i tau(b_i) a_i a_i*`` realized numerically."""
     taus = np.asarray(taus, dtype=complex)
     tol = rounding_tolerance(1e-12, float(np.max(np.abs(taus), initial=0.0)))
     if np.max(np.abs(taus.imag), initial=0.0) > tol:
         raise NotSelfadjointError("state values tau(b_i) must be real (selfadjoint b_i)")
     taus = taus.real
-    blocks, n = _realized_blocks(a_list, truncation)
+    blocks, n = _realized_blocks(a_list)
     if taus.shape[0] != len(blocks):
         raise DimensionMismatchError("need one state value per generator")
     acc = np.zeros((n, n), dtype=complex)
@@ -501,7 +492,7 @@ def ev_sum_aba(a_list, taus, truncation: int | None = None) -> Prediction:
     )
 
 
-def ev_anticommutator(a, tau_b: float, tau_b2: float, truncation: int | None = None) -> Prediction:
+def ev_anticommutator(a, tau_b: float, tau_b2: float) -> Prediction:
     """Multiset of ``a b + b a`` from the two derived slopes."""
     if not np.isfinite([tau_b, tau_b2]).all():
         raise NotSelfadjointError(f"non-finite state value: tau(b) {tau_b}, tau(b^2) {tau_b2}")
@@ -510,7 +501,7 @@ def ev_anticommutator(a, tau_b: float, tau_b2: float, truncation: int | None = N
     root = float(np.sqrt(tau_b2))
     p = root + float(tau_b)
     q = -root + float(tau_b)
-    base = eigenvalue_multiset(a, truncation)
+    base = eigenvalue_multiset(a)
     multiset = disjoint_union(scale(p, base), scale(q, base))
     return Prediction(
         multiset=multiset,
@@ -520,7 +511,7 @@ def ev_anticommutator(a, tau_b: float, tau_b2: float, truncation: int | None = N
     )
 
 
-def ev_commutator(a, tau_b: float, tau_b2: float, truncation: int | None = None) -> Prediction:
+def ev_commutator(a, tau_b: float, tau_b2: float) -> Prediction:
     """Multiset of ``i(a b - b a)``; the slope is the standard deviation of b."""
     if not np.isfinite([tau_b, tau_b2]).all():
         raise NotSelfadjointError(f"non-finite state value: tau(b) {tau_b}, tau(b^2) {tau_b2}")
@@ -530,7 +521,7 @@ def ev_commutator(a, tau_b: float, tau_b2: float, truncation: int | None = None)
             "tau(b^2) - tau(b)^2 is negative beyond tolerance; inconsistent state table"
         )
     r = float(np.sqrt(max(variance, 0.0)))
-    base = eigenvalue_multiset(a, truncation)
+    base = eigenvalue_multiset(a)
     multiset = disjoint_union(scale(r, base), scale(-r, base))
     return Prediction(
         multiset=multiset,
@@ -540,7 +531,7 @@ def ev_commutator(a, tau_b: float, tau_b2: float, truncation: int | None = None)
     )
 
 
-def ev_sum_bac(a, bprime, truncation: int | None = None) -> Prediction:
+def ev_sum_bac(a, bprime) -> Prediction:
     """Multiset of ``sum_i b_i a c_i``: scaled copies of the base spectrum.
 
     ``bprime[i, j]`` holds the state value of ``c_i b_j``; its eigenvalues
@@ -561,7 +552,7 @@ def ev_sum_bac(a, bprime, truncation: int | None = None) -> Prediction:
             "reduced matrix has complex eigenvalues; prediction refused"
         )
     lams = np.sort(lams.real)[::-1]
-    base = eigenvalue_multiset(a, truncation)
+    base = eigenvalue_multiset(a)
     multiset = None
     for lam in lams:
         piece = scale(float(lam), base)
@@ -574,18 +565,18 @@ def ev_sum_bac(a, bprime, truncation: int | None = None) -> Prediction:
     )
 
 
-def ev_conjugated_sum(a_list, c_taus, gram, truncation: int | None = None) -> Prediction:
+def ev_conjugated_sum(a_list, c_taus, gram) -> Prediction:
     """Multiset of ``sum_i b_i a_i c_i a_i* b_i*`` via the modified diagonal."""
     c_taus = np.asarray(c_taus, dtype=complex)
     tol = rounding_tolerance(1e-12, float(np.max(np.abs(c_taus), initial=0.0)))
     if np.max(np.abs(c_taus.imag), initial=0.0) > tol:
         raise NotSelfadjointError("state values tau(c_i) must be real (selfadjoint c_i)")
     c_taus = c_taus.real
-    blocks, n = _realized_blocks(a_list, truncation)
+    blocks, n = _realized_blocks(a_list)
     if c_taus.shape[0] != len(blocks):
         raise DimensionMismatchError("need one state value per generator")
     modified = [t * (block @ block.conj().T) for t, block in zip(c_taus, blocks)]
-    inner = ev_sum_bab(modified, gram, truncation=n)
+    inner = ev_sum_bab(modified, gram)
     return Prediction(
         multiset=inner.multiset,
         recipe="conjugated_sum",
@@ -778,23 +769,19 @@ def ev_chain(
     chain: Sequence[AlgMatrix],
     a_model: TraceClassModel,
     b_state: TracialState,
-    truncation: int | None = None,
-    check_selfadjoint: bool = True,
-    selfadjoint_generators=None,
 ) -> Prediction:
     """Multiset of ``B0 A1 B1 ... Ak Bk``: :func:`ev_polynomial` of one word
-    whose letters stand for the matrices.  The product must be selfadjoint
-    for the spectrum to be real; by default this is verified symbolically,
-    with the given generators (or all generators) selfadjoint."""
+    whose letters stand for the matrices, at ``a_model``'s truncation.  The
+    product must be selfadjoint for the spectrum to be real, which is
+    verified symbolically with every generator selfadjoint."""
     if len(chain) < 2 or len(chain) % 2 != 0:
         raise DimensionMismatchError("chain must alternate A- and B-matrices in pairs")
-    if check_selfadjoint:
-        product = b0
-        for mat in chain:
-            product = product @ mat
-        if not product.is_selfadjoint(selfadjoint_generators):
-            raise NotSelfadjointError("chain product is not selfadjoint")
+    product = b0
+    for mat in chain:
+        product = product @ mat
+    if not product.is_selfadjoint():
+        raise NotSelfadjointError("chain product is not selfadjoint")
     letters = [Letter(FAMILY_B, len(chain))] + [  # B0's index is none of B1..Bk's
         Letter((FAMILY_A, FAMILY_B)[pos % 2], pos // 2 + 1) for pos in range(len(chain))]
     blocks = dict(zip(letters, [b0, *chain]))
-    return ev_polynomial(NCPolynomial.from_word(letters), a_model, b_state, truncation, blocks)
+    return ev_polynomial(NCPolynomial.from_word(letters), a_model, b_state, blocks=blocks)

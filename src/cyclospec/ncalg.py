@@ -354,24 +354,11 @@ def power(p: NCPolynomial, m: int) -> NCPolynomial:
     return out
 
 
-def drop_stars(p: NCPolynomial, selfadjoint_generators: Iterable[Letter] | None = None) -> NCPolynomial:
-    """``p`` with ``x* -> x`` rewritten for the given generators.
-
-    ``selfadjoint_generators`` is a collection of letters (adjoint flags are
-    ignored); ``None`` declares every generator selfadjoint.
-    """
-    if selfadjoint_generators is None:
-        bases = None
-    else:
-        bases = {(letter.family, letter.index) for letter in selfadjoint_generators}
+def drop_stars(p: NCPolynomial) -> NCPolynomial:
+    """``p`` with ``x* -> x`` rewritten: every generator declared selfadjoint."""
     out: dict[Word, complex] = {}
     for word, coeff in p.terms.items():
-        new = tuple(
-            letter.base()
-            if letter.star and (bases is None or (letter.family, letter.index) in bases)
-            else letter
-            for letter in word
-        )
+        new = tuple(letter.base() if letter.star else letter for letter in word)
         acc = out.get(new, 0j) + coeff
         if acc == 0:
             out.pop(new, None)
@@ -380,9 +367,9 @@ def drop_stars(p: NCPolynomial, selfadjoint_generators: Iterable[Letter] | None 
     return _polynomial(out)
 
 
-def is_selfadjoint(p: NCPolynomial, selfadjoint_generators: Iterable[Letter] | None = None) -> bool:
-    """True iff ``p* == p`` after :func:`drop_stars` for the given generators."""
-    return drop_stars(p, selfadjoint_generators) == drop_stars(p.adjoint(), selfadjoint_generators)
+def is_selfadjoint(p: NCPolynomial) -> bool:
+    """True iff ``p* == p`` after :func:`drop_stars`, every generator selfadjoint."""
+    return drop_stars(p) == drop_stars(p.adjoint())
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ def main() -> None:
                             value = f"{type(exc).__name__}: {exc}"
                         print(f"{name} {trace.__name__} b-state {sorted(b_state.matrices)} "
                               f"{sweep}: {value}")
-    chain = [AlgMatrix(rows, syms) for rows in CANCELLING]
+    chain = [AlgMatrix(rows) for rows in CANCELLING]
     rng = np.random.default_rng(CANCELLING_SEED)
     a_model = MatrixTraceFamily({1: random_general(3, rng)})
     b_state = TraceMatrixState({1: random_general(3, rng)})
@@ -173,7 +173,7 @@ def main() -> None:
                 value = trace(chain, m, a_model, b_state)
                 print(f"cancelling m={m} {trace.__name__} {sweep}: {value!r}")
     rng = np.random.default_rng(CROSS_SEED)
-    chains = {name: [AlgMatrix(rows, syms) for pair in zip(a_rows, CROSS_B) for rows in pair]
+    chains = {name: [AlgMatrix(rows) for pair in zip(a_rows, CROSS_B) for rows in pair]
               for name, a_rows in CROSS_A.items()}
     for first, second in CROSS_PAIRS:
         a_model = MatrixTraceFamily({i: random_general(3, rng) for i in (1, 2)})

@@ -75,7 +75,7 @@ def test_criterion_1_anticommutator_equivalence():
     family = SpectrumFamily({1: spectrum})
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
     poly = parse_expression("a1*b1 + b1*a1", SYMS)
-    pred = ev_anticommutator(spectrum, 1.0, 2.0, truncation=64)
+    pred = ev_anticommutator(spectrum, 1.0, 2.0)
     worst = 0.0
     for m in range(1, 7):
         oracle = poly_moment(poly, m, family, table).real
@@ -169,7 +169,7 @@ def test_criterion_4_substitution(tau_b, tau_b2):
     )
     gram = [[1.0, tau_b], [tau_b, tau_b2]]
     base = spectrum.eigenvalues(32)
-    pred = ev_sum_bab([np.diag(base), tau_b * np.diag(base**2)], gram, 32)
+    pred = ev_sum_bab([np.diag(base), tau_b * np.diag(base**2)], gram)
     worst = 0.0
     for m in range(1, 5):
         v_full = poly_moment(full, m, family, table).real
@@ -238,7 +238,7 @@ def test_criterion_6_example3_as_stated():
 
 def test_criterion_7_example2_lambda_and_correlated():
     start = time.monotonic()
-    pred = ev_sum_bac(GeometricSpectrum(1.0, 0.5, 64), [[1.0, 2.0], [2.0, 1.0]], 64)
+    pred = ev_sum_bac(GeometricSpectrum(1.0, 0.5, 64), [[1.0, 2.0], [2.0, 1.0]])
     lams = list(pred.provenance["lambdas"])
     ok_lambda = lams == [3.0, -1.0]
     report = run_scenario(builtin_scenario("example2-correlated", n=300, trials=5))

@@ -73,8 +73,6 @@ def test_moment_tables_of_powers_share_their_generator():
     tables = [MomentTable.from_b_powers({1: 1.0, 2: 2.0}) for _ in range(2)]
     for table in tables:
         assert all(letter is b_gen(1) for word in table._table for letter in word)
-    with pytest.raises(ValueError, match="generator index must be >= 1"):
-        MomentTable.from_b_powers({2: 1.0}, index=0)
 
 
 def test_moment_table_cyclic_canonicalization():
@@ -196,6 +194,24 @@ def test_haar_conjugated_realization_is_deterministic():
     assert np.array_equal(diagonal[8:], spectra[3].eigenvalues(8))
     assert np.array_equal(fam1.realization(3, 8), np.diag(diagonal))
     assert np.array_equal(fam1.diagonal(1), np.concatenate([spectra[1].eigenvalues(), np.zeros(16)]))
+
+
+@pytest.mark.parametrize("model,what", [(TraceMatrixState, "state"),
+                                        (MatrixTraceFamily, "family")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_matrix_models_refuse_a_non_finite_entry(model, what, bad):
+    m = np.eye(3, dtype=complex)
+    m[0, 2] = bad
+    with pytest.raises(ValueError, match=f"^matrix {what}: generator 2 has a non-finite entry$"):
+        model({1: np.eye(3), 2: m})
+
+
+def test_haar_conjugated_explicit_spectra_weigh_single_generator_words_by_power_sums():
+    values = [1.0, -0.5, 0.25]
+    fam = HaarConjugatedFamily({1: ExplicitSpectrum(values), 2: ExplicitSpectrum([2.0, 1.0, 0.5])})
+    for m in (1, 2, 3):
+        assert fam.omega((a_gen(1),) * m) == complex(np.sum(np.asarray(values) ** m))
+    assert fam.omega((a_gen(1), a_gen(2))) == 0j
 
 
 def test_spectrum_family_mixed_truncations_rejected():

@@ -1,5 +1,6 @@
-"""The two checks of the closed forms share no logic with them, and the
-package holds no code that its entry points do not reach.
+"""The two checks of the closed forms share no logic with them, the
+package holds no code that its entry points do not reach, and no option
+that no caller sets.
 
 The predictions (``linred.ev_*`` and ``ev_polynomial``, through the
 reduction) are checked against the moment oracle (``cmcalc``) and against
@@ -15,7 +16,11 @@ in the tests.
 The call graph is name-level, built with ``ast``: each function, method or
 class name, and each name a module-level assignment binds, maps to every
 name its body (or assigned value) refers to, and definitions of one name
-merge.  A method call ``x.f()`` so reaches every ``f`` of the package.
+merge.  A name that a function binds itself (an argument, or the target of
+an assignment, a loop, a ``with`` or a comprehension) is its local, which
+refers to nothing, and an attribute of a module that an ``import``
+statement binds (``np.trace``) is none of the package's names.  A method
+call ``x.f()`` so reaches every ``f`` of the package.
 Annotations are left out (they are never evaluated), and so are a class's
 plain methods, which only such calls reach.  A class reaches its dunder
 methods, its constructors among them; every function reaches the other
@@ -34,14 +39,36 @@ import pytest
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(Path(find_spec("cyclospec").origin).parent.glob("*.py"))}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# the names ``import`` statements bind: numpy's and the standard library's modules
+IMPORTED = {alias.asname or alias.name.split(".")[0] for tree in TREES.values()
+            for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
 
 
 def _dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _refs(node):
-    """The names that ``node``'s children refer to, as described above."""
+def _own_nodes(node):
+    """The nodes under ``node``, but not those of a function, class or lambda
+    it defines."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (*DEFINITIONS, ast.Lambda)):
+            yield child
+            yield from _own_nodes(child)
+
+
+def _locals(node) -> set:
+    """The names a function binds in its own scope (none for a class)."""
+    if isinstance(node, ast.ClassDef):
+        return set()
+    return {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)} | {
+        child.id for child in _own_nodes(node)
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Load)}
+
+
+def _refs(node, local=frozenset()):
+    """The names that ``node``'s children refer to, as described above, less
+    the function's ``local`` names."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.arg) or child is getattr(node, "returns", None) or (
                 isinstance(node, ast.AnnAssign) and child is node.annotation):
@@ -51,17 +78,23 @@ def _refs(node):
                 yield child.name
             continue  # its body is its own node's
         if isinstance(child, ast.Name):
-            yield child.id
+            if child.id not in local:
+                yield child.id
         elif isinstance(child, ast.Attribute):
+            root = child.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if getattr(root, "id", None) in IMPORTED:
+                continue
             yield child.attr
-        yield from _refs(child)
+        yield from _refs(child, local)
 
 
 GRAPH: dict[str, set] = {}
 for _tree in TREES.values():
     for _node in ast.walk(_tree):
         if isinstance(_node, DEFINITIONS):
-            GRAPH.setdefault(_node.name, set()).update(_refs(_node))
+            GRAPH.setdefault(_node.name, set()).update(_refs(_node, _locals(_node)))
     for _node in _tree.body:  # a module-level table of functions, such as cli's demos
         if isinstance(_node, (ast.Assign, ast.AnnAssign)):
             for _target in _node.targets if isinstance(_node, ast.Assign) else [_node.target]:
@@ -138,3 +171,69 @@ def test_every_definition_is_reached_from_the_cli_or_an_export():
         f"reached from neither cli.main nor an export: {sorted(unreached - UNREACHED.keys())}")
     assert not UNREACHED.keys() - unreached, (
         f"reached now, so off UNREACHED: {sorted(UNREACHED.keys() - unreached)}")
+
+
+# The options rule.  Every optional parameter of a function or method of the
+# package is set at some call in the package or the benchmark: an option that
+# every caller leaves at its default is a constant.  The scan is name-level,
+# as the graph above: a call ``f(...)`` or ``x.f(...)`` counts for every
+# function or method ``f`` and for the constructor of every class ``f``.  A
+# positional argument sets the parameter at its place (after ``self`` or
+# ``cls``), a keyword the parameter it names, and a ``*`` or ``**`` splat
+# every optional parameter.  Dataclass and NamedTuple field defaults are out
+# of scope: they are document keys, such as the scenario schema's.
+BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+CALLERS = [*TREES.values(), *(ast.parse(path.read_text(encoding="utf-8")) for path in BENCHMARK)]
+# "module.function(parameter)" -> why it stays optional though no caller sets it
+UNSET_OPTIONS = {
+    "cli.main(argv)": "the entry point's test seam: the console script passes no arguments",
+}
+
+
+def _functions(node, prefix, method=False):
+    """``(qualified name, called name, function, whether it takes self or
+    cls)`` of every function under ``node``; a class's ``__init__`` is also
+    called by the class's name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.", True)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bound = method and not any(getattr(d, "id", None) == "staticmethod"
+                                       for d in child.decorator_list)
+            yield f"{prefix}{child.name}", child.name, child, bound
+            if bound and child.name == "__init__":
+                yield f"{prefix}__init__", prefix.rstrip(".").rsplit(".", 1)[-1], child, bound
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix, method)
+
+
+def _optional(function) -> list:
+    positional = function.args.posonlyargs + function.args.args
+    return [arg.arg for arg in positional[len(positional) - len(function.args.defaults):]] + [
+        arg.arg for arg, default in zip(function.args.kwonlyargs, function.args.kw_defaults)
+        if default is not None]
+
+
+def test_every_optional_parameter_is_set_by_a_call_in_the_package_or_the_benchmark():
+    assert BENCHMARK, "the benchmark's source is not beside the tests"
+    callees, unset = {}, set()
+    for module, tree in TREES.items():
+        for qualified, name, function, bound in _functions(tree, f"{module}."):
+            callees.setdefault(name, []).append((qualified, function, bound))
+            unset.update(f"{qualified}({parameter})" for parameter in _optional(function))
+    for call in (node for tree in CALLERS for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        splat = any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+            keyword.arg is None for keyword in call.keywords)
+        for qualified, function, bound in callees.get(name, ()):
+            positional = function.args.posonlyargs + function.args.args
+            named = {arg.arg for arg in positional[bound:bound + len(call.args)]} | {
+                keyword.arg for keyword in call.keywords}
+            unset -= {f"{qualified}({parameter})" for parameter in _optional(function)
+                      if splat or parameter in named}
+    assert not unset - UNSET_OPTIONS.keys(), (
+        f"optional, but set by no call in the package or the benchmark: "
+        f"{sorted(unset - UNSET_OPTIONS.keys())}")
+    assert not UNSET_OPTIONS.keys() - unset, (
+        f"set by a call now, so off UNSET_OPTIONS: {sorted(UNSET_OPTIONS.keys() - unset)}")

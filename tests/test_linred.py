@@ -86,13 +86,13 @@ def semicircle_square_table():
 
 def test_reduce_linearization_matrix():
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
-    b = AlgMatrix([["b1", "0"], ["1", "0"]], SYMS)
+    b = AlgMatrix([["b1", "0"], ["1", "0"]])
     np.testing.assert_allclose(reduce_b_matrix(b, table), [[1, 0], [1, 0]])
 
 
 def test_reduce_squared_semicircle_block():
     table = semicircle_square_table()
-    b = AlgMatrix([["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]], SYMS)
+    b = AlgMatrix([["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]])
     squared = b @ b
     np.testing.assert_allclose(reduce_b_matrix(squared, table), [[4, 2], [2, 4]])
 
@@ -106,14 +106,14 @@ def test_reduce_identity():
 def test_reduce_rejects_a_entries():
     table = MomentTable.from_b_powers({1: 1.0})
     with pytest.raises(NotInDomainError):
-        reduce_b_matrix(AlgMatrix([["a1"]], SYMS), table)
+        reduce_b_matrix(AlgMatrix([["a1"]]), table)
 
 
 def test_purity_tags():
-    assert AlgMatrix([["a1"]], SYMS).purity() == "a"
-    assert AlgMatrix([["b1 + 1"]], SYMS).purity() == "b"
-    assert AlgMatrix([["a1 + 1"]], SYMS).purity() == "mixed"
-    assert AlgMatrix([["a1*b1"]], SYMS).purity() == "mixed"
+    assert AlgMatrix([["a1"]]).purity() == "a"
+    assert AlgMatrix([["b1 + 1"]]).purity() == "b"
+    assert AlgMatrix([["a1 + 1"]]).purity() == "mixed"
+    assert AlgMatrix([["a1*b1"]]).purity() == "mixed"
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_purity_tags():
 def test_chain_moment_scalar_case():
     fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=None)})
     table = MomentTable.from_b_powers({1: 1.0})
-    chain = [AlgMatrix([["a1"]], SYMS), AlgMatrix([["b1"]], SYMS)]
+    chain = [AlgMatrix([["a1"]]), AlgMatrix([["b1"]])]
     assert chain_moment(chain, 1, fam, table) == pytest.approx(2.0)
 
 
@@ -159,9 +159,8 @@ def test_chain_moment_block_limits():
     from cyclospec.cmcalc import HaarConjugatedFamily
 
     table = semicircle_square_table()
-    syms = make_symbols(a=("a1", "a2", "a3"), b=("b1", "b2", "b3"))
-    a_alg = AlgMatrix([["a1", "a2"], ["a2", "a3"]], syms)
-    b_alg = AlgMatrix([["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]], syms)
+    a_alg = AlgMatrix([["a1", "a2"], ["a2", "a3"]])
+    b_alg = AlgMatrix([["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]])
     fam = HaarConjugatedFamily(
         {i: GeometricSpectrum(1.0, 0.5, count=None) for i in (1, 2, 3)}
     )
@@ -474,6 +473,12 @@ def test_numpy_left_operand_raises_type_error():
         np.eye(1) @ AlgMatrix([["a1"]])
 
 
+def test_right_operand_is_an_algmatrix_only():
+    # a scalar matrix is folded in by grid_scaled, not by @
+    with pytest.raises(TypeError):
+        AlgMatrix([["a1"]]) @ np.eye(1)
+
+
 def test_chain_reduction_soundness_randomized():
     rng = np.random.default_rng(41)
     for _ in range(25):
@@ -605,7 +610,7 @@ _CROSS_A = {
 
 
 def _cross_chain(name):
-    return [AlgMatrix(rows, SYMS) for pair in zip(_CROSS_A[name], _CROSS_B) for rows in pair]
+    return [AlgMatrix(rows) for pair in zip(_CROSS_A[name], _CROSS_B) for rows in pair]
 
 
 @pytest.mark.parametrize("first,second", [
@@ -695,8 +700,8 @@ def test_chain_moment_evaluates_its_words_as_one_batch():
 def test_a_chain_whose_trace_cancels_is_an_empty_batch():
     # a1*b1 on the diagonal and -a1*b1 below it: both traces cancel to no
     # term at odd orders, so chain_moment weighs an empty batch
-    chain = [AlgMatrix([["a1", "0"], ["0", "0 - a1"]], SYMS),
-             AlgMatrix([["b1", "0"], ["0", "b1"]], SYMS)]
+    chain = [AlgMatrix([["a1", "0"], ["0", "0 - a1"]]),
+             AlgMatrix([["b1", "0"], ["0", "b1"]])]
     rng = np.random.default_rng(3035)
     matrices = {1: random_general(3, rng)}
     counting = _CountingFamily(matrices)
@@ -716,10 +721,10 @@ def test_chain_validation_errors():
     fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, 8)})
     table = MomentTable.from_b_powers({1: 1.0})
     with pytest.raises(NotInDomainError):
-        chain_moment([AlgMatrix([["b1"]], SYMS), AlgMatrix([["b1"]], SYMS)], 1, fam, table)
+        chain_moment([AlgMatrix([["b1"]]), AlgMatrix([["b1"]])], 1, fam, table)
     with pytest.raises(NotInDomainError):
         # unit word inside an A-position
-        chain_moment([AlgMatrix([["a1 + 1"]], SYMS), AlgMatrix([["b1"]], SYMS)], 1, fam, table)
+        chain_moment([AlgMatrix([["a1 + 1"]]), AlgMatrix([["b1"]])], 1, fam, table)
 
 
 # ---------------------------------------------------------------------------
@@ -731,11 +736,11 @@ def test_ev_chain_anticommutator_matrices():
     spec = GeometricSpectrum(1.0, 0.5, count=16)
     fam = SpectrumFamily({1: spec})
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
-    b0 = AlgMatrix([["1", "b1"], ["0", "0"]], SYMS)
-    a1 = AlgMatrix([["a1", "0"], ["0", "a1"]], SYMS)
-    b1 = AlgMatrix([["b1", "0"], ["1", "0"]], SYMS)
-    pred = ev_chain(b0, [a1, b1], fam, table, truncation=16)
-    closed = ev_anticommutator(spec, 1.0, 2.0, truncation=16)
+    b0 = AlgMatrix([["1", "b1"], ["0", "0"]])
+    a1 = AlgMatrix([["a1", "0"], ["0", "a1"]])
+    b1 = AlgMatrix([["b1", "0"], ["1", "0"]])
+    pred = ev_chain(b0, [a1, b1], fam, table)
+    closed = ev_anticommutator(spec, 1.0, 2.0)
     assert np.max(np.abs(pred.multiset.values - closed.multiset.values)) <= 1e-12
 
 
@@ -743,11 +748,11 @@ def test_ev_chain_commutator_matrices():
     spec = GeometricSpectrum(1.0, 0.5, count=16)
     fam = SpectrumFamily({1: spec})
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
-    b0 = AlgMatrix([["i", "0 - i*b1"], ["0", "0"]], SYMS)
-    a1 = AlgMatrix([["a1", "0"], ["0", "a1"]], SYMS)
-    b1 = AlgMatrix([["b1", "0"], ["1", "0"]], SYMS)
-    pred = ev_chain(b0, [a1, b1], fam, table, truncation=16)
-    closed = ev_commutator(spec, 1.0, 2.0, truncation=16)
+    b0 = AlgMatrix([["i", "0 - i*b1"], ["0", "0"]])
+    a1 = AlgMatrix([["a1", "0"], ["0", "a1"]])
+    b1 = AlgMatrix([["b1", "0"], ["1", "0"]])
+    pred = ev_chain(b0, [a1, b1], fam, table)
+    closed = ev_commutator(spec, 1.0, 2.0)
     assert np.max(np.abs(pred.multiset.values - closed.multiset.values)) <= 1e-12
 
 
@@ -755,11 +760,11 @@ def test_ev_chain_scalar_sandwich_matches_oracle():
     spec = GeometricSpectrum(1.0, 0.5, count=12)
     fam = SpectrumFamily({1: spec})
     table = MomentTable.from_b_powers({1: 0.0, 2: 2.0})
-    b0 = AlgMatrix([["b1"]], SYMS)
-    a1 = AlgMatrix([["a1"]], SYMS)
-    b1 = AlgMatrix([["b1"]], SYMS)
+    b0 = AlgMatrix([["b1"]])
+    a1 = AlgMatrix([["a1"]])
+    b1 = AlgMatrix([["b1"]])
     # trailing block absorbs the leading one: (b1 . b1) reduces to 2
-    pred = ev_chain(b0, [a1, b1], fam, table, truncation=12)
+    pred = ev_chain(b0, [a1, b1], fam, table)
     np.testing.assert_allclose(pred.multiset.values, 2.0 * spec.eigenvalues(12), rtol=1e-12)
     # oracle: moments of the sandwiched word match the scaled multiset
     word_poly = __import__("cyclospec").NCPolynomial.from_word(
@@ -776,10 +781,10 @@ def test_ev_chain_identity_reduction():
     spec = ExplicitSpectrum([1.0, -0.5, 0.25])
     fam = SpectrumFamily({1: spec})
     table = MomentTable.from_b_powers({1: 1.0})
-    b0 = AlgMatrix([["1"]], SYMS)
-    a1 = AlgMatrix([["a1"]], SYMS)
-    b1 = AlgMatrix([["1"]], SYMS)
-    pred = ev_chain(b0, [a1, b1], fam, table, truncation=3)
+    b0 = AlgMatrix([["1"]])
+    a1 = AlgMatrix([["a1"]])
+    b1 = AlgMatrix([["1"]])
+    pred = ev_chain(b0, [a1, b1], fam, table)
     np.testing.assert_allclose(
         pred.multiset.values, sorted([1.0, -0.5, 0.25], key=lambda v: (-abs(v), -v))
     )
@@ -789,20 +794,19 @@ def test_ev_chain_rejects_nonselfadjoint_product():
     spec = GeometricSpectrum(1.0, 0.5, count=8)
     fam = SpectrumFamily({1: spec})
     table = MomentTable.from_b_powers({1: 1.0})
-    b0 = AlgMatrix([["1"]], SYMS)
-    a1 = AlgMatrix([["a1"]], SYMS)
-    b1 = AlgMatrix([["b1 + i"]], SYMS)
+    b0 = AlgMatrix([["1"]])
+    a1 = AlgMatrix([["a1"]])
+    b1 = AlgMatrix([["b1 + i"]])
     with pytest.raises(NotSelfadjointError):
-        ev_chain(b0, [a1, b1], fam, table, truncation=8)
+        ev_chain(b0, [a1, b1], fam, table)
 
 
 def _example1_chain(n, scale=1.0, seed=7):
     """The block chain of example1, B A B with squared semicirculars, over one
     finite Haar draw: a1 is the geometric diagonal and a2, a3 its rotations by
     unitaries drawn here.  These are not diagonal, so the dense paths run."""
-    syms = make_symbols(a=("a1", "a2", "a3"), b=("b1", "b2", "b3"))
-    a_alg = AlgMatrix([["a1", "a2"], ["a2", "a3"]], syms)
-    b_alg = AlgMatrix([["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]], syms)
+    a_alg = AlgMatrix([["a1", "a2"], ["a2", "a3"]])
+    b_alg = AlgMatrix([["b1*b1", "b2*b2"], ["b2*b2", "b3*b3"]])
     d = scale * 0.5 ** np.arange(n)
     rng = np.random.default_rng(seed)
     mats = {1: np.diag(d)}
@@ -812,9 +816,10 @@ def _example1_chain(n, scale=1.0, seed=7):
     return b_alg, [a_alg, b_alg], MatrixTraceFamily(mats), semicircle_square_table()
 
 
-def _chain_paths(monkeypatch, b0, chain, a_model, b_state, **kwargs):
-    """ev_chain's multiset, whether it took the general eigensolver, and that
-    eigensolver's multiset, forced by a beta that never passes as PSD."""
+def _chain_paths(monkeypatch, predict):
+    """The multiset of ``predict()`` (an ``ev_chain`` or ``ev_polynomial``),
+    whether it took the general eigensolver, and that eigensolver's
+    multiset, forced by a beta that never passes as PSD."""
     calls = []
     stack_spectrum, symmetrize = linred._stack_spectrum, linred.symmetrize
 
@@ -833,22 +838,30 @@ def _chain_paths(monkeypatch, b0, chain, a_model, b_state, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(linred, "_stack_spectrum", spy)
         patch.setattr(linred, "symmetrize", symmetrize_spy)
-        got = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
+        got = predict().multiset
         # the sandwich symmetrizes the stack twice, A and then the sandwich; a
         # product once (Hermitian) or never (general eigensolver)
         took_product = calls in (["product"], ["product", "symmetrize"])
         patch.setattr(linred, "sqrtm_psd", not_psd)
-        product = ev_chain(b0, chain, a_model, b_state, **kwargs).multiset
+        product = predict().multiset
     return got, took_product, product
 
 
-@pytest.mark.parametrize("truncation", [16, 24, 32])
-def test_ev_chain_sandwich_matches_eigvals_path(monkeypatch, truncation):
-    b0, chain, fam, table = _example1_chain(truncation)
-    got, took_product, product = _chain_paths(monkeypatch, b0, chain, fam, table,
-                                              truncation=truncation)
+def _unchecked_chain(b0, chain, a_model, b_state):
+    """The ``ev_polynomial`` that ``ev_chain`` hands its chain to, without its
+    symbolic check that the product is selfadjoint."""
+    letters = [b_gen(len(chain))] + [(a_gen, b_gen)[pos % 2](pos // 2 + 1)
+                                     for pos in range(len(chain))]
+    return ev_polynomial(NCPolynomial.from_word(letters), a_model, b_state,
+                         blocks=dict(zip(letters, [b0, *chain])))
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_ev_chain_sandwich_matches_eigvals_path(monkeypatch, n):
+    b0, chain, fam, table = _example1_chain(n)
+    got, took_product, product = _chain_paths(monkeypatch, lambda: ev_chain(b0, chain, fam, table))
     assert not took_product
-    assert len(got) == len(product) == 2 * truncation
+    assert len(got) == len(product) == 2 * n
     diff = np.max(np.abs(np.sort(got.values) - np.sort(product.values)))
     assert diff <= 1e-10 * np.max(np.abs(product.values))
 
@@ -857,25 +870,24 @@ def test_ev_chain_other_chains_keep_product_path(monkeypatch):
     fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=8)})
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
     negative = MomentTable.from_b_powers({1: 1.0, 2: -1.0})
-    diag_a = AlgMatrix([["a1", "0"], ["0", "a1"]], SYMS)
-    scalar_a, scalar_b = AlgMatrix([["a1"]], SYMS), AlgMatrix([["b1"]], SYMS)
-    unchecked = {"check_selfadjoint": False}
+    diag_a = AlgMatrix([["a1", "0"], ["0", "a1"]])
+    scalar_a, scalar_b = AlgMatrix([["a1"]]), AlgMatrix([["b1"]])
     cases = [
         # B' = [[1, 2], [1, 1]] is not Hermitian (the anticommutator chain)
-        (AlgMatrix([["1", "b1"], ["0", "0"]], SYMS),
-         [diag_a, AlgMatrix([["b1", "0"], ["1", "0"]], SYMS)], table, {}),
+        (ev_chain, AlgMatrix([["1", "b1"], ["0", "0"]]),
+         [diag_a, AlgMatrix([["b1", "0"], ["1", "0"]])], table),
         # B' = [[0, 1], [1, 0]] is Hermitian but indefinite
-        (AlgMatrix([[1, 0], [0, 1]]), [diag_a, AlgMatrix([["0", "b1"], ["b1", "0"]], SYMS)],
-         table, unchecked),
+        (_unchecked_chain, AlgMatrix([[1, 0], [0, 1]]),
+         [diag_a, AlgMatrix([["0", "b1"], ["b1", "0"]])], table),
         # B' = tau(b1 b1) = -1 is negative
-        (scalar_b, [scalar_a, scalar_b], negative, {}),
+        (ev_chain, scalar_b, [scalar_a, scalar_b], negative),
         # B' = I is PSD, but the realization of A is not Hermitian
-        (AlgMatrix([[1, 0], [0, 1]]), [AlgMatrix([["a1", "a1"], ["0", "a1"]], SYMS),
-                                       AlgMatrix([[1, 0], [0, 1]])], table, unchecked),
+        (_unchecked_chain, AlgMatrix([[1, 0], [0, 1]]),
+         [AlgMatrix([["a1", "a1"], ["0", "a1"]]), AlgMatrix([[1, 0], [0, 1]])], table),
     ]
-    for b0, chain, b_state, kwargs in cases:
-        got, took_product, product = _chain_paths(monkeypatch, b0, chain, fam, b_state,
-                                                  truncation=8, **kwargs)
+    for predict, b0, chain, b_state in cases:
+        got, took_product, product = _chain_paths(
+            monkeypatch, lambda: predict(b0, chain, fam, b_state))
         assert took_product
         assert got == product
 
@@ -885,9 +897,9 @@ def test_ev_chain_two_pairs_take_the_hermitian_path(monkeypatch):
     # tau(b1 b1) = 2, so the sandwich applies beyond one pair
     fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=8)})
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
-    scalar_a, scalar_b = AlgMatrix([["a1"]], SYMS), AlgMatrix([["b1"]], SYMS)
-    got, took_product, product = _chain_paths(monkeypatch, scalar_b, [scalar_a, scalar_b] * 2,
-                                              fam, table, truncation=8)
+    scalar_a, scalar_b = AlgMatrix([["a1"]]), AlgMatrix([["b1"]])
+    got, took_product, product = _chain_paths(
+        monkeypatch, lambda: ev_chain(scalar_b, [scalar_a, scalar_b] * 2, fam, table))
     assert not took_product
     np.testing.assert_allclose(got.values, product.values, rtol=1e-12)
     np.testing.assert_allclose(got.values, 2.0 * 0.25 ** np.arange(8), rtol=1e-12)
@@ -898,8 +910,8 @@ def test_ev_chain_sandwich_takes_rescaled_inputs(monkeypatch):
     # that scale, far beyond the absolute 1e-9 floor of the check
     b0, chain, fam, table = _example1_chain(24)
     big = _example1_chain(24, scale=1e9)[2]
-    unit = ev_chain(b0, chain, fam, table, truncation=24).multiset
-    scaled, took_product, _ = _chain_paths(monkeypatch, b0, chain, big, table, truncation=24)
+    unit = ev_chain(b0, chain, fam, table).multiset
+    scaled, took_product, _ = _chain_paths(monkeypatch, lambda: ev_chain(b0, chain, big, table))
     assert not took_product
     diff = np.max(np.abs(scaled.values - 1e9 * unit.values))
     assert diff <= 1e-12 * 1e9 * np.max(np.abs(unit.values))
@@ -909,11 +921,11 @@ def test_ev_chain_sandwich_is_solved_in_place():
     # the sandwich overwrites the stack it was handed and solves it there; a
     # copy for the eigensolver would add one stack (3.5 stacks at the peak)
     b0, chain, fam, table = _example1_chain(300)
-    ev_chain(b0, chain, fam, table, truncation=300)
+    ev_chain(b0, chain, fam, table)
     tracemalloc.start()
     try:
         floor = tracemalloc.get_traced_memory()[0]
-        ev_chain(b0, chain, fam, table, truncation=300)
+        ev_chain(b0, chain, fam, table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -924,21 +936,20 @@ def test_sandwich_that_fails_its_check_is_not_selfadjoint(monkeypatch):
     # a root with root**2 = i turns the Hermitian tau(b1) a1 a1 into i tau(b1) a1 a1
     fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=8)})
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
-    scalar_a, scalar_b = AlgMatrix([["a1"]], SYMS), AlgMatrix([["b1"]], SYMS)
+    scalar_a, scalar_b = AlgMatrix([["a1"]]), AlgMatrix([["b1"]])
     monkeypatch.setattr(linred, "sqrtm_psd", lambda gram: np.array([[np.exp(0.25j * np.pi)]]))
     with pytest.raises(NotSelfadjointError, match="matrix is not Hermitian: max entry deviation"):
-        ev_chain(scalar_b, [scalar_a, scalar_b] * 2, fam, table, truncation=8)
+        ev_chain(scalar_b, [scalar_a, scalar_b] * 2, fam, table)
 
 
 def test_complex_spectrum_raises_complex_eigenvalues_error():
     # B' = [[0, 1], [-1, 0]] turns the spectrum of diag(a1, a1) into +-i a1
     fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=8)})
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
-    diag_a = AlgMatrix([["a1", "0"], ["0", "a1"]], SYMS)
-    rotation = AlgMatrix([["0", "b1"], ["0 - b1", "0"]], SYMS)
+    diag_a = AlgMatrix([["a1", "0"], ["0", "a1"]])
+    rotation = AlgMatrix([["0", "b1"], ["0 - b1", "0"]])
     with pytest.raises(ComplexEigenvaluesError, match="imaginary parts"):
-        ev_chain(AlgMatrix([[1, 0], [0, 1]]), [diag_a, rotation], fam, table, truncation=8,
-                 check_selfadjoint=False)
+        _unchecked_chain(AlgMatrix([[1, 0], [0, 1]]), [diag_a, rotation], fam, table)
     with pytest.raises(ComplexEigenvaluesError, match="imaginary parts"):
         identity = {(b_gen(i), b_gen(j)): float(i == j) for i in (1, 2) for j in (1, 2)}
         ev_polynomial(parse_expression("b1*a1*b2 - b2*a1*b1", SYMS), fam, MomentTable(identity))
@@ -1026,7 +1037,7 @@ def _closed_form_case(name, rng):
     else:  # the chain B A B (k = 1) or B A B A B (k = 2) of example1
         b_alg, chain, fam, table = _example1_chain(12)
         k = 1 if name == "chain_k1" else 2
-        closed = ev_chain(b_alg, chain * k, fam, table, truncation=12).multiset
+        closed = ev_chain(b_alg, chain * k, fam, table).multiset
         poly = parse_expression("b1" + "*a1*b1" * k, SYMS)
         return poly, fam, table, {a_gen(1): chain[0], b_gen(1): b_alg}, closed, 12
     return inst["poly"], inst["a_model"], inst["b_state"], None, closed.multiset, None
@@ -1133,9 +1144,6 @@ def test_a_truncation_below_1_is_refused_before_the_spectrum(truncation):
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
     with pytest.raises(ValueError, match=f"truncation must be >= 1, not {truncation}"):
         ev_polynomial(parse_expression("a1", SYMS), fam, table, truncation)
-    scalar_a, scalar_b = AlgMatrix([["a1"]], SYMS), AlgMatrix([["b1"]], SYMS)
-    with pytest.raises(ValueError, match=f"truncation must be >= 1, not {truncation}"):
-        ev_chain(scalar_b, [scalar_a, scalar_b], fam, table, truncation=truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -1145,7 +1153,7 @@ def test_a_truncation_below_1_is_refused_before_the_spectrum(truncation):
 
 def test_sum_bab_scalar_gram():
     spec = ExplicitSpectrum([1.0, 0.5, -0.25])
-    pred = ev_sum_bab([spec], [[2.0]], truncation=3)
+    pred = ev_sum_bab([spec], [[2.0]])
     np.testing.assert_allclose(
         pred.multiset.values, [2.0, 1.0, -0.5], rtol=1e-12
     )
@@ -1363,9 +1371,9 @@ def test_sum_aba_oracle_randomized():
 
 def test_anticommutator_cases():
     spec = GeometricSpectrum(1.0, 0.5, count=10)
-    pred = ev_anticommutator(spec, 0.0, 0.0, truncation=10)
+    pred = ev_anticommutator(spec, 0.0, 0.0)
     assert np.all(pred.multiset.values == 0.0)
-    pred = ev_anticommutator(spec, 0.0, 1.0, truncation=10)
+    pred = ev_anticommutator(spec, 0.0, 1.0)
     base = spec.eigenvalues(10)
     expected = sorted(np.concatenate([base, -base]), key=lambda v: (-abs(v), -v))
     np.testing.assert_allclose(pred.multiset.values, expected, atol=1e-15)
@@ -1383,15 +1391,15 @@ def test_anticommutator_oracle_randomized():
 
 def test_commutator_cases():
     spec = GeometricSpectrum(1.0, 0.5, count=8)
-    pred = ev_commutator(spec, 1.0, 1.0, truncation=8)
+    pred = ev_commutator(spec, 1.0, 1.0)
     assert np.all(pred.multiset.values == 0.0)
-    pred = ev_commutator(spec, 0.0, 4.0, truncation=8)
+    pred = ev_commutator(spec, 0.0, 4.0)
     base = spec.eigenvalues(8)
     expected = sorted(np.concatenate([2 * base, -2 * base]), key=lambda v: (-abs(v), -v))
     np.testing.assert_allclose(pred.multiset.values, expected, atol=1e-15)
     assert pred.provenance["r"] == pytest.approx(2.0)
     with pytest.raises(NotPositiveError):
-        ev_commutator(spec, 2.0, 1.0, truncation=8)
+        ev_commutator(spec, 2.0, 1.0)
 
 
 def test_commutator_variance_tolerance_scales_with_data():
@@ -1416,7 +1424,7 @@ def test_commutator_oracle_randomized():
 
 
 def test_sum_bac_reference_matrix_lambdas_exact():
-    pred = ev_sum_bac(GeometricSpectrum(1.0, 0.5, 16), [[1.0, 2.0], [2.0, 1.0]], 16)
+    pred = ev_sum_bac(GeometricSpectrum(1.0, 0.5, 16), [[1.0, 2.0], [2.0, 1.0]])
     lams = pred.provenance["lambdas"]
     assert lams[0] == 3.0 and lams[1] == -1.0
     np.testing.assert_allclose(pred.multiset.values[:4], [3.0, 1.5, -1.0, 0.75], rtol=1e-15)
@@ -1424,15 +1432,15 @@ def test_sum_bac_reference_matrix_lambdas_exact():
 
 def test_sum_bac_identity_and_swap():
     spec = ExplicitSpectrum([1.0, 0.5])
-    pred = ev_sum_bac(spec, np.eye(2), 2)
+    pred = ev_sum_bac(spec, np.eye(2))
     np.testing.assert_allclose(pred.multiset.values, [1.0, 1.0, 0.5, 0.5], atol=1e-12)
-    pred = ev_sum_bac(spec, [[0.0, 1.0], [1.0, 0.0]], 2)
+    pred = ev_sum_bac(spec, [[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(pred.multiset.values, [1.0, -1.0, 0.5, -0.5], atol=1e-12)
 
 
 def test_sum_bac_refuses_complex_spectrum():
     with pytest.raises(ComplexEigenvaluesError):
-        ev_sum_bac(ExplicitSpectrum([1.0]), [[0.0, 1.0], [-1.0, 0.0]], 1)
+        ev_sum_bac(ExplicitSpectrum([1.0]), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def test_state_value_tolerances_scale_with_data():
@@ -1461,7 +1469,7 @@ def test_state_value_tolerances_keep_unit_scale_rejections():
     with pytest.raises(NotSelfadjointError):
         ev_conjugated_sum([d], [1 + 1e-11j], [[1]])
     with pytest.raises(ComplexEigenvaluesError):
-        ev_sum_bac(ExplicitSpectrum([1.0]), [[1.0, 1e-8], [-1e-8, 1.0]], 1)
+        ev_sum_bac(ExplicitSpectrum([1.0]), [[1.0, 1e-8], [-1e-8, 1.0]])
 
 
 def test_sum_bac_oracle_randomized():
@@ -1515,7 +1523,7 @@ def test_sum_bab_similarity_invariance():
         k, n = 3, 6
         gram = random_psd(k, rng) + 0.5 * np.eye(k)
         blocks = [np.diag(rng.uniform(-1, 1, size=n)) for _ in range(k)]
-        pred = ev_sum_bab(blocks, gram, n)
+        pred = ev_sum_bab(blocks, gram)
         # same spectrum as the unsymmetrized product D (gram x I)
         big = np.zeros((k * n, k * n), dtype=complex)
         for i, blk in enumerate(blocks):
@@ -1551,3 +1559,42 @@ def test_prediction_json_shape():
     assert set(doc) == {"recipe", "parameters", "provenance", "eigenvalues"}
     assert doc["provenance"]["p"] == pytest.approx(1 + np.sqrt(2))
     assert len(doc["eigenvalues"]) == 16
+
+
+def test_prediction_json_writes_a_complex_beta_as_pairs():
+    # beta_wu = tau(w* u) of b1 a1 b1' + b2 a1 b2' is Hermitian, not real
+    fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=6)})
+    table = MomentTable.from_json_doc(
+        {"moments": {"b1'*b1": 1.0, "b2'*b2": 1.0, "b1'*b2": [0.0, 0.5]}})
+    pred = ev_polynomial(parse_expression("b1*a1*b1' + b2*a1*b2'", SYMS), fam, table)
+    assert pred.to_json_dict()["provenance"] == {"beta": [[1.0, [0.0, 0.5]], [[0.0, -0.5], 1.0]]}
+    base = 0.5 ** np.arange(6)
+    np.testing.assert_allclose(np.sort(pred.multiset.values),
+                               np.sort(np.concatenate([1.5 * base, 0.5 * base])), rtol=1e-12)
+
+
+def test_a_starred_block_letter_stands_for_the_adjoint_block():
+    # b1' over a non-Hermitian block B is B*, as a second letter bound to B* is
+    rng = np.random.default_rng(5)
+    fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=6)})
+    state = TraceMatrixState({i: random_hermitian(4, rng) for i in (1, 2)})
+    block = AlgMatrix([["b1", "b2"], ["0", "b1"]])
+    assert not block.is_selfadjoint()
+    starred = ev_polynomial(parse_expression("b1'*a1*b1", SYMS), fam, state,
+                            blocks={b_gen(1): block})
+    bound = ev_polynomial(parse_expression("b3*a1*b1", SYMS), fam, state,
+                          blocks={b_gen(1): block, b_gen(3): block.adjoint()})
+    assert starred.multiset == bound.multiset
+
+
+@pytest.mark.parametrize("recipe,args", [
+    (ev_anticommutator, (1.0, 2.0)),
+    (ev_commutator, (0.5, 2.0)),
+    (ev_sum_bac, ([[1.0, 2.0], [2.0, 1.0]],)),
+])
+def test_a_dense_hermitian_generator_gives_its_eigenvalues(recipe, args):
+    rng = np.random.default_rng(6)
+    a = random_hermitian(5, rng)
+    dense = recipe(a, *args).multiset
+    diagonal = recipe(np.linalg.eigvalsh(a), *args).multiset
+    np.testing.assert_allclose(dense.values, diagonal.values, rtol=1e-12, atol=1e-12)

@@ -140,15 +140,14 @@ def test_selfadjoint_examples():
 
 
 def test_selfadjoint_respects_declared_set():
-    p = parse_expression("a1*b1 + b1*a1", SYMS)
-    # if a1 is not declared selfadjoint, the rewrite cannot close the gap
-    assert not is_selfadjoint(p, selfadjoint_generators=[b_gen(1)])
+    # every generator is declared selfadjoint, so a starred letter counts as its base
+    assert is_selfadjoint(parse_expression("a1'*b1 + b1*a1", SYMS))
+    assert not is_selfadjoint(parse_expression("i*(a1'*b1 + b1*a1)", SYMS))
 
 
 def test_drop_stars_rewrites_declared_generators_only():
     p = parse_expression("a1'*b1' + 2*a1*b1'", SYMS)
-    # the declared letter's own star flag is ignored; equal words merge
-    assert drop_stars(p, [a_gen(1, star=True)]) == parse_expression("3*a1*b1'", SYMS)
+    # every generator is declared selfadjoint; equal words merge
     assert drop_stars(p) == parse_expression("3*a1*b1", SYMS)
     assert drop_stars(parse_expression("a1' - a1", SYMS)).is_zero()
 
@@ -167,6 +166,15 @@ def test_multiply_unit_identity():
     one = NCPolynomial({(): 1})
     assert one * p == p
     assert p * one == p
+
+
+def test_numbers_combine_as_scalar_polynomials():
+    p = parse_expression("a1*b1 + b1*a1", SYMS)
+    assert p + 3 == 3 + p == p + NCPolynomial.scalar(3)
+    assert 3 - p == NCPolynomial.scalar(3) - p == parse_expression("3 - a1*b1 - b1*a1", SYMS)
+    assert p - 2.5j == p + NCPolynomial.scalar(-2.5j)
+    with pytest.raises(TypeError, match="cannot combine NCPolynomial with str"):
+        p + "a1"
 
 
 def test_power_requires_positive_exponent():
@@ -256,10 +264,10 @@ def test_product_adjoint_antihomomorphism(p, q):
 
 
 @settings(max_examples=150, deadline=None)
-@given(polys, st.none() | st.lists(letters, max_size=3))
-def test_polynomial_and_algmatrix_selfadjointness_agree(p, generators):
+@given(polys)
+def test_polynomial_and_algmatrix_selfadjointness_agree(p):
     # both rewrite through drop_stars; integer coefficients make the sums exact
-    assert AlgMatrix([[p]]).is_selfadjoint(generators) == is_selfadjoint(p, generators)
+    assert AlgMatrix([[p]]).is_selfadjoint() == is_selfadjoint(p)
 
 
 # The canonical word order, as an explicit per-letter key.  Term order

@@ -153,6 +153,15 @@ def test_matrix_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(load_matrix_csv(path), m)
 
 
+def test_matrix_csv_skips_blank_lines(tmp_path):
+    m = np.array([[1.0 + 2.0j, -0.5], [0.25j, 3.0]])
+    path = tmp_path / "matrix.csv"
+    save_matrix_csv(m, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n" + lines[0] + "\n  \n" + lines[1] + "\n\n")
+    np.testing.assert_array_equal(load_matrix_csv(path), m)
+
+
 # ---------------------------------------------------------------------------
 # scenarios and the runner
 # ---------------------------------------------------------------------------
@@ -443,6 +452,18 @@ def test_trials_draw_the_predicted_a_of_a_non_dyadic_spectrum(name, monkeypatch)
         assert np.array_equal(np.diag(bound[0][:30, :30]), diagonal[:30])
     else:
         assert np.array_equal(bound[0], diagonal)
+
+
+def test_explicit_spectrum_cut_to_the_truncation_predicts_as_the_cut_values():
+    # the prediction reads the first `truncation` of n explicit values
+    values = [0.5**k * (-1) ** k for k in range(20)]
+    doc = builtin_scenario("example3", n=20, trials=1).to_dict()
+    doc.update(a_spec={"kind": "explicit", "values": values}, truncation=12)
+    cut = dict(doc, n=12, a_spec={"kind": "explicit", "values": values[:12]})
+    got = build_prediction(Scenario.from_dict(doc))
+    assert got.parameters["truncation"] == 12
+    assert got.multiset == build_prediction(Scenario.from_dict(cut)).multiset
+    assert len(got.multiset) == 24  # a1 + b1 a1 b1 a1 b1: two scaled copies of the 12 values
 
 
 @pytest.mark.parametrize("count", [24, 14])

@@ -77,7 +77,7 @@ def _takes_hermitian_path(solve):
 
 
 def _sum_bac(m):
-    ev_sum_bac(GeometricSpectrum(1.0, 0.5, count=4), m, 4)
+    ev_sum_bac(GeometricSpectrum(1.0, 0.5, count=4), m)
 
 
 def _polynomial(m):
@@ -120,7 +120,7 @@ def test_sqrtm_psd_rejects_non_finite_entries():
 @pytest.mark.parametrize("tau_b,tau_b2", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf)])
 def test_closed_forms_reject_non_finite_state_values(recipe, tau_b, tau_b2):
     with pytest.raises(NotSelfadjointError, match="non-finite"):
-        recipe(GeometricSpectrum(1.0, 0.5, count=3), tau_b, tau_b2, 3)
+        recipe(GeometricSpectrum(1.0, 0.5, count=3), tau_b, tau_b2)
 
 
 def test_file_b_with_a_nan_fails_the_gate_with_the_numerical_exit_code(
