@@ -25,8 +25,8 @@ same models decodes no A-word of the batch.
 Every model but ``HaarConjugatedFamily`` memoizes its values per word.  A
 matrix model (``MatrixTraceFamily``, ``TraceMatrixState``) keeps them, its
 prefix products and a weight's batch for one sweep: ``_sweep`` ends both
-models' sweeps when it returns or raises (:func:`_end_sweep`), and
-``linred.chain_moment`` its state's before it batches the weights, so
+models' sweeps when it returns or raises (each model's ``_drop_sweep``),
+and ``linred.chain_moment`` its state's before it batches the weights, so
 between sweeps such a model keeps only its letter table and the weight its
 batch.  ``MomentTable`` and ``SpectrumFamily`` keep their memos as long as
 they live: they hold a few runs, which every sweep reads again.
@@ -94,7 +94,7 @@ def _memoized_per_word(evaluate):
     values are stored, so a word outside the domain raises on every call.  A
     memoized value depends on the model's data, which must therefore not be
     mutated once the model is built.  A matrix model's memo lasts one sweep
-    (:func:`_end_sweep`); the other models keep theirs.
+    (:func:`_sweep`, ``_drop_sweep``); the other models keep theirs.
     """
 
     @functools.wraps(evaluate)
@@ -124,7 +124,7 @@ class WordProducts:
     The table lives as long as the model; the stack, for one sweep, as the
     model's per-word values do.  The oracle's sweep and
     ``linred.chain_moment`` empty the stacks and the values of the models
-    they read when they return or raise (:func:`_end_sweep`):
+    they read when they return or raise (``_drop_sweep``):
     the next sweep starts from its smallest word, which seldom shares a
     prefix with the last sweep's largest, and a weight word seldom comes
     back in another sweep.  That changes no value, since a rebuilt product
@@ -173,10 +173,8 @@ class WordProducts:
         self._stack.clear()
 
     def product(self, w: Word) -> np.ndarray:
-        """Product of the letters of ``w`` (the identity for the empty word);
-        unknown generators raise ``NotInDomainError``."""
-        if not w:
-            return np.eye(self._dim, dtype=complex)
+        """Product of the letters of the nonempty word ``w``; unknown
+        generators raise ``NotInDomainError``."""
         last, stack = self._word, self._stack
         shared = 0
         limit = min(len(w), len(stack))
@@ -238,15 +236,6 @@ class WordProducts:
                         out[pos] = level[node]
             values += out
         return values
-
-
-def _end_sweep(*models) -> None:
-    """End the sweep of each of ``models``: a matrix model empties its prefix
-    stack, its per-word values and its batch (``_drop_sweep``).  The other
-    models keep no products, and their memos hold few runs that later sweeps
-    read again."""
-    for model in models:
-        model._drop_sweep()
 
 
 def _batches(codes: Sequence[str], letters: int):
@@ -392,8 +381,8 @@ class TracialState:
         raise NotImplementedError
 
     def _drop_sweep(self) -> None:
-        """Forget what the model keeps for one sweep (:func:`_end_sweep`);
-        only a matrix model keeps anything."""
+        """Forget what the model keeps for one sweep (:func:`_sweep`); only a
+        matrix model keeps anything."""
 
 
 def _check_pure_b(w: Word) -> None:
@@ -588,8 +577,8 @@ class TraceClassModel:
         return {}
 
     def _drop_sweep(self) -> None:
-        """Forget what the model keeps for one sweep (:func:`_end_sweep`);
-        only a matrix model keeps anything."""
+        """Forget what the model keeps for one sweep (:func:`_sweep`); only a
+        matrix model keeps anything."""
 
     def diagonal(self, index: int, size: int | None = None) -> np.ndarray | None:
         """The 1-D complex diagonal of generator ``index``'s realization, or
@@ -924,7 +913,8 @@ def _sweep(
         for key, coeff in sorted(terms.items(), key=itemgetter(0)):
             total += coeff * cm_moment(key, first, second)
     finally:
-        _end_sweep(a_model, b_state)
+        a_model._drop_sweep()
+        b_state._drop_sweep()
     return total
 
 

@@ -36,7 +36,6 @@ from .cmcalc import (
     Spectrum,
     TraceClassModel,
     TracialState,
-    _end_sweep,
     _sweep,
 )
 from .dense import _generators, _word_product, dense_block_matrix
@@ -323,7 +322,7 @@ def chain_moment(
             step = grid_scaled(a_grid, reduce_b_matrix(b_matrix, b_state))
             reduced = step if reduced is None else grid_product(reduced, step)
     finally:
-        _end_sweep(b_state)  # the weights below are batched, over no stack
+        b_state._drop_sweep()  # the weights below are batched, over no stack
     trace = grid_power_trace(reduced, m)
     del a_grids, reduced, step
     codes = sorted(trace)
@@ -772,10 +771,10 @@ def ev_chain(
 ) -> Prediction:
     """Multiset of ``B0 A1 B1 ... Ak Bk``: :func:`ev_polynomial` of one word
     whose letters stand for the matrices, at ``a_model``'s truncation.  The
-    product must be selfadjoint for the spectrum to be real, which is
-    verified symbolically with every generator selfadjoint."""
-    if len(chain) < 2 or len(chain) % 2 != 0:
-        raise DimensionMismatchError("chain must alternate A- and B-matrices in pairs")
+    chain is checked as :func:`chain_moment`'s is, before anything is
+    multiplied.  The product must be selfadjoint for the spectrum to be real,
+    which is verified symbolically with every generator selfadjoint."""
+    _validate_chain(chain)
     product = b0
     for mat in chain:
         product = product @ mat

@@ -287,16 +287,13 @@ def _polynomial(terms: dict) -> NCPolynomial:
 
 
 def _canonical_terms(terms: Mapping) -> dict:
-    """``terms`` with complex coefficients; zeros, and sums to zero, are dropped."""
+    """``terms`` with complex coefficients, zeros dropped; ``0j + c`` makes a
+    ``-0.0`` part ``+0.0``."""
     out: dict = {}
     for word, coeff in terms.items():
         c = complex(coeff)
         if c != 0:
-            acc = out.get(word, 0j) + c
-            if acc == 0:
-                out.pop(word, None)
-            else:
-                out[word] = acc
+            out[word] = 0j + c
     return out
 
 
@@ -356,15 +353,9 @@ def power(p: NCPolynomial, m: int) -> NCPolynomial:
 
 def drop_stars(p: NCPolynomial) -> NCPolynomial:
     """``p`` with ``x* -> x`` rewritten: every generator declared selfadjoint."""
-    out: dict[Word, complex] = {}
-    for word, coeff in p.terms.items():
-        new = tuple(letter.base() if letter.star else letter for letter in word)
-        acc = out.get(new, 0j) + coeff
-        if acc == 0:
-            out.pop(new, None)
-        else:
-            out[new] = acc
-    return _polynomial(out)
+    return _polynomial(_sum_terms(
+        {tuple(letter.base() if letter.star else letter for letter in word): coeff}
+        for word, coeff in p.terms.items()))
 
 
 def is_selfadjoint(p: NCPolynomial) -> bool:
@@ -437,7 +428,7 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[+\-*()'])"
-    r")"
+    r"|(?P<bad>\S))"
 )
 
 _GENERATOR_NAME_RE = re.compile(r"^([ab])([0-9]+)$")
@@ -471,18 +462,14 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            match = _TOKEN_RE.match(text, pos)
-            if match is None or match.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                bad_at = len(text) - len(stripped)
-                raise ExpressionSyntaxError(f"unexpected character {text[bad_at]!r}", bad_at)
+        # every non-space character starts a token, so the matches are
+        # consecutive; trailing whitespace matches nothing and ends the input
+        for match in _TOKEN_RE.finditer(text):
             kind = match.lastgroup
+            if kind == "bad":
+                raise ExpressionSyntaxError(f"unexpected character {match.group(kind)!r}",
+                                            match.start(kind))
             self.items.append((kind, match.group(kind), match.start(kind)))
-            pos = match.end()
         self.cursor = 0
 
     def peek(self):

@@ -781,6 +781,18 @@ def test_demo_small_run(tmp_path, capsys):
     assert (tmp_path / "demo" / "report.json").exists()
 
 
+def test_example1_demo_gates_each_moment(tmp_path, monkeypatch, capsys):
+    argv = ("demo", "example1", "--n", "100", "--trials", "2")
+    assert run_cli(*argv, "--out", str(tmp_path / "pass")) == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert [row.split()[0] for row in rows] == ["1", "2", "3"]
+    assert all(row.endswith(" PASS") for row in rows)
+    monkeypatch.setitem(cli.DEMO_MOMENT_GATES, "example1", (0, 0, 0))
+    assert run_cli(*argv, "--out", str(tmp_path / "fail")) == 2
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert len(rows) == 3 and all(row.endswith("<= 0 FAIL") for row in rows)
+
+
 def test_oracle_with_moment_table_file(tmp_path, capsys):
     table = {"degree_cap": 2, "moments": {"b1": [1.0, 0.0], "b1*b1": [2.0, 0.0]}}
     path = tmp_path / "table.json"

@@ -113,8 +113,9 @@ def test_explicit_spectrum_rejects_values_that_are_not_finite(values):
 
 def test_moment_table_json_round_trip():
     table = MomentTable({(b_gen(1), b_gen(1)): 2.0, (b_gen(1),): 1.0})
-    doc = {"degree_cap": 2, "moments": {"b1": [1.0, 0.0], "b1*b1": [2.0, 0.0]}}
+    doc = {"degree_cap": 2, "moments": {"1": 1.0, "b1": [1.0, 0.0], "b1*b1": [2.0, 0.0]}}
     again = MomentTable.from_json_doc(doc)
+    assert again.tau(()) == 1
     assert again.tau((b_gen(1), b_gen(1))) == 2.0
     assert again.degree_cap == table.degree_cap
 
@@ -145,6 +146,12 @@ def test_geometric_spectrum_values():
     for ratio in (1.0, -1.5):
         with pytest.raises(ValueError, match=r"\|ratio\| must be < 1"):
             GeometricSpectrum(1.0, ratio)
+
+
+def test_spectra_print_their_parameters():
+    assert (repr(GeometricSpectrum(1, 0.5, count=None))
+            == "GeometricSpectrum(scale=1.0, ratio=0.5, count=None)")
+    assert repr(ExplicitSpectrum([1, 0.5])) == "ExplicitSpectrum([1.0, 0.5])"
 
 
 def test_geometric_analytic_values():
@@ -685,7 +692,6 @@ def test_word_products_bitwise_equal_naive_loop(order):
     products = WordProducts(matrices, 4)
     for w in words:
         assert np.array_equal(products.product(w), _naive_product(matrices, w, 4))
-    assert np.array_equal(products.product(()), np.eye(4))
 
 
 @pytest.mark.parametrize("dim", range(1, 18))

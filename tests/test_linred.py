@@ -1561,6 +1561,16 @@ def test_prediction_json_shape():
     assert len(doc["eigenvalues"]) == 16
 
 
+def test_prediction_json_writes_a_numpy_scalar_as_a_number():
+    # tau(b1) = 0 reduces A to 0, so the truncation as given sizes the spectrum
+    fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=None)})
+    table = MomentTable.from_b_powers({1: 0.0, 2: 1.0})
+    pred = ev_polynomial(parse_expression("a1*b1*a1", SYMS), fam, table, truncation=np.int64(8))
+    assert isinstance(pred.parameters["truncation"], np.int64)
+    truncation = pred.to_json_dict()["parameters"]["truncation"]
+    assert truncation == 8 and type(truncation) is int
+
+
 def test_prediction_json_writes_a_complex_beta_as_pairs():
     # beta_wu = tau(w* u) of b1 a1 b1' + b2 a1 b2' is Hermitian, not real
     fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=6)})

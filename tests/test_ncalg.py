@@ -175,6 +175,15 @@ def test_numbers_combine_as_scalar_polynomials():
     assert p - 2.5j == p + NCPolynomial.scalar(-2.5j)
     with pytest.raises(TypeError, match="cannot combine NCPolynomial with str"):
         p + "a1"
+    with pytest.raises(TypeError, match="cannot combine NCPolynomial with list"):
+        [1] * p
+    assert (p == 3) is False
+
+
+def test_polynomial_prints_as_its_expression():
+    p = 0.5 * parse_expression("a1", SYMS) - parse_expression("b1*a1", SYMS)
+    assert format_expression(p) == str(p) == "0.5*a1 - b1*a1"
+    assert repr(p) == "NCPolynomial('0.5*a1 - b1*a1')"
 
 
 def test_power_requires_positive_exponent():

@@ -12,30 +12,45 @@ import pytest
 from cyclospec import (
     AlgMatrix,
     DimensionMismatchError,
+    EVMultiset,
     ExplicitSpectrum,
+    ExpressionSyntaxError,
     GeometricSpectrum,
     HaarConjugatedFamily,
     MatrixTraceFamily,
     MomentTable,
     NotInDomainError,
     NotPositiveError,
+    NotSelfadjointError,
+    Scenario,
     SpectrumFamily,
     a_gen,
+    alternating_form,
     b_gen,
+    builtin_scenario,
     chain_moment,
     chain_moment_unreduced,
+    estimate_beta,
     ev_anticommutator,
+    ev_chain,
     ev_conjugated_sum,
     ev_polynomial,
     ev_sum_aba,
     ev_sum_bab,
     ev_sum_bac,
+    make_symbols,
+    multiset_moment,
     parse_expression,
     poly_moment,
+    run_scenario,
+    sample_gue,
     sqrtm_psd,
 )
 from cyclospec.cli import main
-from cyclospec.ncalg import auto_symbols
+from cyclospec.cmcalc import WordProducts
+from cyclospec.dense import dense_polynomial
+from cyclospec.ncalg import WordCode, auto_symbols
+from cyclospec.rmtlab import load_matrix_csv, save_matrix_csv
 
 FAMILY = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=4)})
 TABLE = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
@@ -110,6 +125,65 @@ CASES = {
     "moment key with a coefficient": (
         lambda: MomentTable.from_json_doc({"moments": {"2*b1": 1.0}}),
         ValueError, "moment key '2*b1' must have coefficient 1"),
+    # expression text and symbols
+    "unexpected first character": (lambda: _poly("@ a1"), ExpressionSyntaxError,
+                                   "unexpected character '@' (at position 0)"),
+    "unexpected character after whitespace": (lambda: _poly("a1 @ b1"), ExpressionSyntaxError,
+                                              "unexpected character '@' (at position 3)"),
+    "trailing token": (lambda: _poly("a1 b1"), ExpressionSyntaxError,
+                       "unexpected token 'b1' (at position 3)"),
+    "duplicate generator name": (lambda: make_symbols(["x", "x"]),
+                                 ValueError, "duplicate generator name 'x'"),
+    "alternating form of the unit word": (lambda: alternating_form(()), ValueError,
+                                          "alternating_form requires a nonempty word"),
+    # matrices of polynomials
+    "matrix product of mismatched shapes": (lambda: A @ A2, DimensionMismatchError,
+                                            "matrix product dimension mismatch"),
+    "ev_chain of three": (lambda: ev_chain(B, [A, B, A], FAMILY, TABLE),
+                          DimensionMismatchError, "alternate A- and B-matrices in pairs"),
+    "sum_bab rectangular block": (lambda: ev_sum_bab([np.ones((2, 3))], np.eye(1)),
+                                  DimensionMismatchError,
+                                  "cannot realize this object as an A-generator"),
+    "sum_bab blocks of two sizes": (
+        lambda: ev_sum_bab([np.diag([1.0, 0.5]), np.diag([1.0, 0.5, 0.25])], np.eye(2)),
+        DimensionMismatchError, "blocks and A-generator realizations must share one size"),
+    # spectra and realizations of a size they do not have
+    "values of an analytic spectrum": (
+        lambda: GeometricSpectrum(1.0, 0.5, count=None).eigenvalues(),
+        ValueError, "is analytic: give a count, or n, to list its values"),
+    "more values than recorded": (lambda: ExplicitSpectrum([1.0, 0.5]).eigenvalues(3),
+                                  DimensionMismatchError,
+                                  "asked for 3 eigenvalues but only 2 are recorded"),
+    "analytic diagonal of no size": (
+        lambda: SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=None)}).diagonal(1),
+        ValueError, "analytic spectra need an explicit truncation to realize"),
+    "MatrixTraceFamily realization without a2": (
+        lambda: MatrixTraceFamily({1: np.eye(2)}).realization(2),
+        NotInDomainError, "no matrix for generator index 2"),
+    "MatrixTraceFamily realization at another size": (
+        lambda: MatrixTraceFamily({1: np.eye(2)}).realization(1, 3),
+        DimensionMismatchError, "matrix generator has dimension 2, not 3"),
+    "HaarConjugatedFamily diagonal without a2": (
+        lambda: HaarConjugatedFamily({1: SPECTRUM}).diagonal(2),
+        NotInDomainError, "no spectrum for generator index 2"),
+    "trace of the empty code": (
+        lambda: WordProducts({1: np.eye(2)}, 2).traces(["", "\0"], WordCode([a_gen(1)])),
+        ValueError, "the empty word has no product to trace"),
+    "dense letter bound to no matrix": (
+        lambda: dense_polynomial(_poly("a1*b1"), {a_gen(1): np.eye(2)}, 2),
+        DimensionMismatchError, "no matrix bound to b1"),
+    # sampling and multisets
+    "GUE of dimension 0": (lambda: sample_gue(0, np.random.default_rng(0)),
+                           ValueError, "dimension must be >= 1"),
+    "multiset moment 0": (lambda: multiset_moment(EVMultiset([1.0]), 0),
+                          ValueError, "moment order must be >= 1"),
+    # estimate_beta's matrices
+    "beta of unequal counts": (lambda: estimate_beta([np.eye(2)], [np.eye(2)] * 2),
+                               DimensionMismatchError, "need equally many C and B matrices"),
+    "beta of two shapes": (lambda: estimate_beta([np.eye(2)], [np.eye(3)]),
+                           DimensionMismatchError, "all matrices must share one shape"),
+    "beta of rectangular matrices": (lambda: estimate_beta([np.ones((2, 3))], [np.ones((2, 3))]),
+                                     DimensionMismatchError, "matrices must be square"),
 }
 
 
@@ -117,6 +191,29 @@ CASES = {
 def test_refusal_raises_its_error_and_says_why(refused, error, message):
     with pytest.raises(error, match=re.escape(message)):
         refused()
+
+
+def test_rectangular_matrix_is_not_selfadjoint():
+    assert not AlgMatrix([["a1", "a1"]]).is_selfadjoint()
+
+
+def test_matrix_csv_of_an_odd_row_names_its_path(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text("1.0,0.0,2.0\n")
+    message = f"matrix CSV {path}: rows need (re, im) column pairs"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_matrix_csv(path)
+
+
+def test_trial_that_overflows_names_its_trial(tmp_path):
+    # B is finite, so the file passes its check; B A B overflows in trial 0
+    save_matrix_csv(np.full((8, 8), 1e200), tmp_path / "b.csv")
+    doc = builtin_scenario("example3", n=8, trials=1).to_dict()
+    doc.update(expression="b1*a1*b1", compare_top=4,
+               b_spec=[{"kind": "file", "path": str(tmp_path / "b.csv")}])
+    with np.errstate(all="ignore"), pytest.raises(
+            NotSelfadjointError, match=re.escape("trial 0: matrix has a non-finite entry")):
+        run_scenario(Scenario.from_dict(doc))
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -25,6 +25,13 @@ def test_canonical_order():
     np.testing.assert_array_equal(s.values, [1.0, -1.0, 0.5, 0.25])
 
 
+def test_multiset_iterates_prints_and_compares_its_values():
+    s = EVMultiset(0.5 ** np.arange(8))
+    assert list(s) == s.to_list()
+    assert repr(s) == "EVMultiset([1, 0.5, 0.25, 0.125, 0.0625, 0.03125, ...], n=8)"
+    assert (s == 3) is False
+
+
 def test_hermitian_spectrum_examples():
     s = hermitian_spectrum(np.array([[0, 1], [1, 0]], dtype=float))
     np.testing.assert_allclose(s.values, [1.0, -1.0], atol=1e-12)
