@@ -192,6 +192,8 @@ def _compare_report(report: Report, top: int) -> tuple[float, list[dict]]:
 def _cmd_compare(args) -> int:
     if args.top < 1:  # no eigenvalue compared would pass any tolerance
         raise ValueError(f"compare --top must be >= 1, not {args.top}")
+    if not 0 <= args.tol_rel < float("inf"):  # NaN, inf or < 0 would decide the verdict alone
+        raise ValueError(f"compare --tol-rel must be finite and >= 0, not {args.tol_rel}")
     report = Report.from_json(args.report)
     if not report.trials:  # a mean over no trial would pass any tolerance
         raise ValueError(f"report {args.report} holds no trials to compare")

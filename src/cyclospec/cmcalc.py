@@ -22,14 +22,15 @@ coded sweep starts its A-word memo from them when its ``WordCode`` has the
 same A-letters, so ``chain_moment_unreduced`` after ``chain_moment`` on the
 same models decodes no A-word of the batch.
 
-Every model but ``HaarConjugatedFamily`` memoizes its values per word.  A
-matrix model (``MatrixTraceFamily``, ``TraceMatrixState``) keeps them, its
-prefix products and a weight's batch for one sweep: ``_sweep`` ends both
-models' sweeps when it returns or raises (each model's ``_drop_sweep``),
-and ``linred.chain_moment`` its state's before it batches the weights, so
-between sweeps such a model keeps only its letter table and the weight its
-batch.  ``MomentTable`` and ``SpectrumFamily`` keep their memos as long as
-they live: they hold a few runs, which every sweep reads again.
+``MomentTable`` and ``SpectrumFamily`` memoize their values per word as
+long as they live: they hold a few runs, which every sweep reads again.  A
+matrix model (``MatrixTraceFamily``, ``TraceMatrixState``) memoizes no
+value; a coded sweep's memos answer the repeats within one sweep.  Such a
+model keeps the prefix products of its last word, and a weight its batch,
+for one sweep: ``_sweep`` ends both models' sweeps when it returns or raises
+(each model's ``_drop_sweep``), and ``linred.chain_moment`` its state's
+before it batches the weights, so between sweeps such a model keeps only its
+letter table and the weight its batch.
 
 For the eigenvalue recipes a weight model also realizes each generator as a
 matrix: ``diagonal`` gives the 1-D diagonal of the realization, or ``None``
@@ -74,7 +75,7 @@ from .spectra import rounding_tolerance
 DEFAULT_TRUNCATION = 64
 # ndarray.trace is this reduction of the diagonal behind argument handling
 # that costs about 0.17 us a call, a fifth of a small matrix's trace; the
-# per-word weight and state of the matrix models pay it on every memo miss.
+# per-word weight and state of the matrix models pay it on every word.
 _add_reduce = np.add.reduce
 # Upper bound on the bytes of the product matrices of one batch of
 # WordProducts.traces: a node's bytes times the batch's letters, which bound
@@ -88,13 +89,13 @@ TRACE_BATCH_BYTES = 1 << 20
 
 
 def _memoized_per_word(evaluate):
-    """Memoize a model's ``omega``/``tau`` on the exact word, in its ``_values``.
+    """Memoize a table model's ``omega``/``tau`` on the exact word, in its ``_values``.
 
     The lookup runs before the domain checks of ``evaluate``; only successful
     values are stored, so a word outside the domain raises on every call.  A
     memoized value depends on the model's data, which must therefore not be
-    mutated once the model is built.  A matrix model's memo lasts one sweep
-    (:func:`_sweep`, ``_drop_sweep``); the other models keep theirs.
+    mutated once the model is built.  The memo lasts the model's lifetime;
+    the matrix models keep none (:class:`WordProducts`).
     """
 
     @functools.wraps(evaluate)
@@ -121,14 +122,14 @@ class WordProducts:
     (tracemalloc counts 4.4 kB for a starred 16x16 generator and 0.6 kB for
     a 4x4 one, the array headers and the table's entry included).
 
-    The table lives as long as the model; the stack, for one sweep, as the
-    model's per-word values do.  The oracle's sweep and
-    ``linred.chain_moment`` empty the stacks and the values of the models
-    they read when they return or raise (``_drop_sweep``):
-    the next sweep starts from its smallest word, which seldom shares a
-    prefix with the last sweep's largest, and a weight word seldom comes
-    back in another sweep.  That changes no value, since a rebuilt product
-    is the same left-to-right product the stack kept.
+    The table lives as long as the model; the stack, for one sweep.  The
+    oracle's sweep and ``linred.chain_moment`` empty the stacks of the
+    models they read when they return or raise (``_drop_sweep``): the next
+    sweep starts from its smallest word, which seldom shares a prefix with
+    the last sweep's largest.  A matrix model keeps no value per word, so a
+    word asked again is multiplied out again from the stack.  Neither
+    changes a value, since a rebuilt product is the same left-to-right
+    product the stack kept.
 
     A product starts from its first letter's matrix, as the dense
     evaluator's does, not from the identity: ``I @ M`` is
@@ -198,8 +199,8 @@ class WordProducts:
         return prod
 
     def traces(self, codes: Sequence[str], code: WordCode) -> list[complex]:
-        """Traces of the products of the words of the nonempty ``codes`` of
-        ``code`` (:class:`~cyclospec.ncalg.WordCode`), in their order.
+        """Traces of the products of the words of ``codes``, nonempty codes
+        of ``code`` (:class:`~cyclospec.ncalg.WordCode`), in their order.
 
         The codes are split into batches of at most ``TRACE_BATCH_BYTES`` of
         products (a longer code gets a batch of its own).  The codes of a
@@ -214,11 +215,9 @@ class WordProducts:
         its code's word.  Sorted codes share the most prefixes.  An unknown
         generator raises ``NotInDomainError`` before anything is multiplied.
         """
-        if not all(codes):
-            raise ValueError("the empty word has no product to trace")
-        ranks = sorted(set("".join(codes)))
-        if not ranks:
+        if not codes:
             return []
+        ranks = sorted(set("".join(codes)))
         row_of = {rank: row for row, rank in enumerate(ranks)}
         letter_stack = np.stack([self._letter_matrix(code.letters[ord(rank)]) for rank in ranks])
         node_bytes = 16 * self._dim * self._dim
@@ -530,17 +529,15 @@ def _square_matrices(matrices: Mapping[int, np.ndarray], what: str):
 class TraceMatrixState(TracialState):
     """Concrete matrix model: the state is the normalized trace.
 
-    Values are memoized per word for one sweep, as the prefix products are
-    (:class:`WordProducts`), so the matrices must not be mutated after the
-    model is built.
+    No value is memoized: each is multiplied out when asked, from the prefix
+    products of the last word (:class:`WordProducts`).  The matrices must
+    not be mutated after the model is built.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray]):
         self.matrices, self.dim = _square_matrices(matrices, "state")
         self._products = WordProducts(self.matrices, self.dim)
-        self._values: dict[Word, complex] = {}
 
-    @_memoized_per_word
     def tau(self, w: Word) -> complex:
         _check_pure_b(w)
         if not w:
@@ -549,7 +546,6 @@ class TraceMatrixState(TracialState):
 
     def _drop_sweep(self) -> None:
         self._products._drop_stack()
-        self._values.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -662,23 +658,21 @@ class MatrixTraceFamily(TraceClassModel):
     """Concrete matrix family; the weight is the unnormalized trace.
 
     Hermitian matrices give the selfadjoint semantics the recipes expect,
-    but general square matrices are accepted for oracle cross-checks.  Values
-    are memoized per word for one sweep, as the prefix products are
-    (:class:`WordProducts`).  The weights of the last :meth:`omega_many`
-    batch are kept apart, by code with the A-letters of their ``WordCode``,
-    until a sweep ends: ``linred.chain_moment`` leaves them for the next
-    coded sweep (:class:`CodedSweep`) to start from.  The matrices must not
-    be mutated after the family is built.
+    but general square matrices are accepted for oracle cross-checks.  No
+    value is memoized: each is multiplied out when asked, from the prefix
+    products of the last word (:class:`WordProducts`).  The weights of the
+    last :meth:`omega_many` batch are kept, by code with the A-letters of
+    their ``WordCode``, until a sweep ends: ``linred.chain_moment`` leaves
+    them for the next coded sweep (:class:`CodedSweep`) to start from.  The
+    matrices must not be mutated after the family is built.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray]):
         self.matrices, self.truncation = _square_matrices(matrices, "family")
         self._products = WordProducts(self.matrices, self.truncation)
-        self._values: dict[Word, complex] = {}
         # the A-letters of the last batch's WordCode, and its weights by code
         self._batch: tuple[tuple[Letter, ...], dict[str, complex]] = ((), {})
 
-    @_memoized_per_word
     def omega(self, w: Word) -> complex:
         _check_pure_a_nonempty(w)
         return complex(_add_reduce(self._products.product(w).diagonal()))
@@ -689,12 +683,12 @@ class MatrixTraceFamily(TraceClassModel):
         given order (sorted codes, as ``linred.chain_moment`` passes, share
         the most prefixes).
 
-        The per-word memo is neither read nor written, and no code is
-        decoded: the values are kept as the batch, keyed by code with the
-        A-letters of ``code``, for the next coded sweep to start from
-        (:meth:`_batched_weights`); the batch replaces the last one.  A
-        word outside the domain raises the error of :meth:`omega`, and then
-        nothing is multiplied or kept.  No codes give ``[]``.
+        No code is decoded, and the prefix stack is left alone: the values
+        are kept as the batch, keyed by code with the A-letters of ``code``,
+        for the next coded sweep to start from (:meth:`_batched_weights`);
+        the batch replaces the last one.  A word outside the domain raises
+        the error of :meth:`omega`, and then nothing is multiplied or kept.
+        No codes give ``[]``.
         """
         # the A-letters have the lowest codes
         if not all(codes) or max("".join(codes), default="") >= chr(code.a_count):
@@ -713,7 +707,6 @@ class MatrixTraceFamily(TraceClassModel):
 
     def _drop_sweep(self) -> None:
         self._products._drop_stack()
-        self._values.clear()
         self._batch = (), {}
 
     def realization(self, index: int, size: int | None = None) -> np.ndarray:

@@ -771,10 +771,12 @@ def ev_chain(
 ) -> Prediction:
     """Multiset of ``B0 A1 B1 ... Ak Bk``: :func:`ev_polynomial` of one word
     whose letters stand for the matrices, at ``a_model``'s truncation.  The
-    chain is checked as :func:`chain_moment`'s is, before anything is
+    chain is checked as :func:`chain_moment`'s is, and ``b0`` as the
+    B-matrix of a pair with the chain's first matrix, before anything is
     multiplied.  The product must be selfadjoint for the spectrum to be real,
     which is verified symbolically with every generator selfadjoint."""
     _validate_chain(chain)
+    _validate_chain([chain[0], b0])
     product = b0
     for mat in chain:
         product = product @ mat

@@ -142,7 +142,7 @@ def test_criterion_3_reduction_soundness():
         inst = chain_instance(rng)
         reduced = chain_moment(inst["chain"], inst["m"], inst["a_model"], inst["b_state"])
         # fresh models of the same matrices: the reference reads no value
-        # that chain_moment left in a model's memo
+        # that chain_moment left in the weight's batch
         direct = chain_moment_unreduced(
             inst["chain"], inst["m"], MatrixTraceFamily(inst["a_model"].matrices),
             TraceMatrixState(inst["b_state"].matrices),

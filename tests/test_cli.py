@@ -245,6 +245,21 @@ def test_compare_refuses_a_top_below_one(top, tmp_path, capsys):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("tol,shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+def test_compare_refuses_a_tolerance_that_decides_the_verdict_alone(tol, shown, tmp_path, capsys):
+    # NaN and -1 would fail, and inf pass, whatever the report holds
+    out_dir = tmp_path / "run"
+    builtin_scenario("example3", n=20, trials=1).save(tmp_path / "scenario.json")
+    assert run_cli("simulate", "--scenario", str(tmp_path / "scenario.json"),
+                   "--out", str(out_dir)) == 0
+    capsys.readouterr()
+    assert run_cli("compare", "--report", str(out_dir / "report.json"), "--tol-rel", tol) == 1
+    captured = capsys.readouterr()
+    message = f"compare --tol-rel must be finite and >= 0, not {shown}"
+    assert captured.err == f"validation failure: {message}\n"
+    assert captured.out == ""
+
+
 def test_compare_refuses_a_report_without_trials(tmp_path, capsys):
     # a mean over no trial would pass any tolerance
     out_dir = tmp_path / "run"

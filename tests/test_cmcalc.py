@@ -789,8 +789,9 @@ def test_word_products_recover_after_unknown_generator():
 
 
 def _kept(*models):
-    """What each matrix model keeps of its last sweep: prefix products and per-word values."""
-    return [(model._products._stack, model._values) for model in models]
+    """What each matrix model keeps of its last sweep: its prefix products,
+    and a weight the weights of its batch (a state has none)."""
+    return [(model._products._stack, getattr(model, "_batch", ((), {}))[1]) for model in models]
 
 
 def test_poly_moment_leaves_no_prefix_product_when_it_returns():
@@ -802,10 +803,32 @@ def test_poly_moment_leaves_no_prefix_product_when_it_returns():
     for m in (3, 1, 4):
         value = poly_moment(p, m, fam, state)
         assert _kept(fam, state) == [([], {}), ([], {})]
-        # bitwise the value of fresh models, whose stacks and memos start
-        # empty, and of a second sweep on these models
+        # bitwise the value of fresh models, whose stacks start empty, and
+        # of a second sweep on these models
         assert value == poly_moment(p, m, MatrixTraceFamily(a_mats), TraceMatrixState(b_mats))
         assert value == poly_moment(p, m, fam, state)
+
+
+def test_poly_moment_asking_words_again_equals_fresh_models_term_by_term(monkeypatch):
+    rng = np.random.default_rng(3034)
+    a_mats = {1: random_general(4, rng)}
+    b_mats = {i: random_general(4, rng) for i in (1, 2)}
+    p = parse_expression("a1*b1 + a1*b2", SYMS)
+    asked = []
+    omega, tau = MatrixTraceFamily.omega, TraceMatrixState.tau
+    monkeypatch.setattr(MatrixTraceFamily, "omega",
+                        lambda self, w: asked.append(w) or omega(self, w))
+    monkeypatch.setattr(TraceMatrixState, "tau", lambda self, w: asked.append(w) or tau(self, w))
+    value = poly_moment(p, 3, MatrixTraceFamily(a_mats), TraceMatrixState(b_mats))
+    # the sweep asks a1*a1*a1 of the weight once per term, and b1 of the state
+    # in most terms: a matrix model multiplies each ask out again
+    assert asked.count((a_gen(1),) * 3) == 8 and asked.count((b_gen(1),)) > 2
+    monkeypatch.undo()
+    expected = 0j
+    for w, coeff in (p**3).sorted_terms():
+        fresh = MatrixTraceFamily(a_mats), TraceMatrixState(b_mats)
+        expected += coeff * reference_cm_moment(w, *fresh)
+    assert value == expected
 
 
 def test_moment_table_and_spectrum_family_keep_their_memos_across_sweeps():
@@ -959,11 +982,11 @@ _batch_words = st.lists(
     st.integers(min_value=0, max_value=10),
     st.integers(min_value=1, max_value=12),
 )
-def test_omega_many_is_bitwise_omega(dim, seed, words, memoized, batch_nodes):
+def test_omega_many_is_bitwise_omega(dim, seed, words, asked, batch_nodes):
     rng = np.random.default_rng(seed)
     matrices = {i: random_general(dim, rng) for i in (1, 2, 3)}
     fam = MatrixTraceFamily(matrices)
-    for w in words[:memoized]:  # some words are in the memo, the others not
+    for w in words[:asked]:  # some words asked of omega first, leaving a prefix stack
         fam.omega(w)
     codes, code = _coded(words)
     # a budget of a few nodes splits the words into many batches
@@ -984,18 +1007,20 @@ def test_omega_many_memoizes_what_omega_does(order):
     elif order == "reversed":
         words.sort(reverse=True)
     fam = MatrixTraceFamily(matrices)
-    for w in words[::7]:  # hits among the misses
+    for w in words[::7]:  # words asked again, after a prefix stack of others
         fam.omega(w)
     batch = MatrixTraceFamily(matrices)
     for w in words[::7]:
         batch.omega(w)
-    memo = dict(batch._values)
+    last, stack = batch._products._word, list(batch._products._stack)
     codes, code = _coded(words)
     values = batch.omega_many(codes, code)
     assert values == [fam.omega(w) for w in words]
-    # the batch keeps omega's values keyed by code, and leaves the memo as it was
+    # the batch keeps omega's values keyed by code, and leaves the prefix
+    # stack of the last omega as it was
     assert batch._batched_weights(code) == {c: fam.omega(code.decode(c)) for c in codes}
-    assert batch._values == memo
+    assert batch._products._word == last
+    assert list(map(id, batch._products._stack)) == list(map(id, stack))
 
 
 @pytest.mark.parametrize("bad", [
@@ -1014,7 +1039,7 @@ def test_omega_many_rejects_like_omega_and_memoizes_nothing(bad):
     with pytest.raises(NotInDomainError) as batch:
         fam.omega_many(*_coded(good + [bad]))
     assert type(batch.value) is type(single.value)
-    assert fam._values == {}
+    assert _kept(fam) == [([], {})]
     assert fam.omega_many(*_coded(good)) == [MatrixTraceFamily(matrices).omega(w) for w in good]
 
 

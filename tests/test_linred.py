@@ -529,8 +529,8 @@ def test_unreduced_chain_moment_multiplies_each_distinct_a_word_out_once(monkeyp
 
 
 def _kept(*models):
-    """What each matrix model keeps of its last sweep: prefix products and per-word values."""
-    return [(model._products._stack, model._values) for model in models]
+    """What each matrix model keeps of its last sweep: its prefix products."""
+    return [model._products._stack for model in models]
 
 
 def test_chain_traces_leave_no_prefix_product_when_they_return():
@@ -540,13 +540,13 @@ def test_chain_traces_leave_no_prefix_product_when_they_return():
         chain, m, fam, state = inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
         code = linred._coded_grids(chain)[0]
         unreduced = chain_moment_unreduced(chain, m, fam, state)
-        assert _kept(fam, state) == [([], {}), ([], {})] and fam._batched_weights(code) == {}
+        assert _kept(fam, state) == [[], []] and fam._batched_weights(code) == {}
         # a second sweep on these models multiplies every word out again
         assert chain_moment_unreduced(chain, m, fam, state) == unreduced
         chain_moment(chain, m, fam, state)
-        assert _kept(fam, state) == [([], {}), ([], {})]
+        assert _kept(fam, state) == [[], []]
         assert fam._batched_weights(code)  # its batched weights, by code
-        # bitwise the value of fresh models, whose stacks and memos start empty
+        # bitwise the value of fresh models, whose stacks start empty
         fresh = MatrixTraceFamily(fam.matrices), TraceMatrixState(state.matrices)
         assert unreduced == chain_moment_unreduced(chain, m, *fresh)
 
@@ -649,7 +649,7 @@ def test_every_other_sweep_drops_the_batch():
         chain_moment(chain, m, fam, state)
         assert fam._batched_weights(code)
         sweep()
-        assert fam._batched_weights(code) == {} and _kept(fam) == [([], {})]
+        assert fam._batched_weights(code) == {} and _kept(fam) == [[]]
 
 
 @pytest.mark.parametrize("b_state,error", [
@@ -674,7 +674,7 @@ def test_chain_traces_leave_no_prefix_product_when_they_raise(b_state, error):
                 raised += 1
             # chain_moment ends its state's sweep, but keeps the weights it batched
             ended = models if trace is chain_moment_unreduced else models[1:]
-            assert _kept(*ended) == [([], {})] * len(ended)
+            assert _kept(*ended) == [[]] * len(ended)
             assert fam._products._stack == []
     assert raised >= 10
 

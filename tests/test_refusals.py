@@ -47,9 +47,8 @@ from cyclospec import (
     sqrtm_psd,
 )
 from cyclospec.cli import main
-from cyclospec.cmcalc import WordProducts
 from cyclospec.dense import dense_polynomial
-from cyclospec.ncalg import WordCode, auto_symbols
+from cyclospec.ncalg import auto_symbols
 from cyclospec.rmtlab import load_matrix_csv, save_matrix_csv
 
 FAMILY = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=4)})
@@ -141,6 +140,16 @@ CASES = {
                                             "matrix product dimension mismatch"),
     "ev_chain of three": (lambda: ev_chain(B, [A, B, A], FAMILY, TABLE),
                           DimensionMismatchError, "alternate A- and B-matrices in pairs"),
+    # ev_chain's B0, checked as the B-matrix of a pair with the chain's A1
+    "ev_chain of a rectangular b0": (
+        lambda: ev_chain(AlgMatrix([["b1", "b1"]]), [A2, B2], FAMILY, TABLE),
+        DimensionMismatchError, "chain matrices must be square"),
+    "ev_chain of a pure-A b0": (lambda: ev_chain(A2, [A2, B2], FAMILY, TABLE),
+                                NotInDomainError, "B-positions must hold pure-B matrices"),
+    "ev_chain of a b0 of another size": (
+        lambda: ev_chain(AlgMatrix([["b1", "0", "0"], ["0", "b1", "0"], ["0", "0", "b1"]]),
+                         [A2, B2], FAMILY, TABLE),
+        DimensionMismatchError, "chain matrices must share one dimension"),
     "sum_bab rectangular block": (lambda: ev_sum_bab([np.ones((2, 3))], np.eye(1)),
                                   DimensionMismatchError,
                                   "cannot realize this object as an A-generator"),
@@ -166,9 +175,6 @@ CASES = {
     "HaarConjugatedFamily diagonal without a2": (
         lambda: HaarConjugatedFamily({1: SPECTRUM}).diagonal(2),
         NotInDomainError, "no spectrum for generator index 2"),
-    "trace of the empty code": (
-        lambda: WordProducts({1: np.eye(2)}, 2).traces(["", "\0"], WordCode([a_gen(1)])),
-        ValueError, "the empty word has no product to trace"),
     "dense letter bound to no matrix": (
         lambda: dense_polynomial(_poly("a1*b1"), {a_gen(1): np.eye(2)}, 2),
         DimensionMismatchError, "no matrix bound to b1"),
