@@ -394,6 +394,20 @@ def _agree(x: complex, y: complex) -> bool:
     return abs(x - y) <= rounding_tolerance(1e-12, max(abs(x), abs(y)))
 
 
+@functools.cache
+def _noncrossing_pairings(names: tuple) -> int:
+    """The limit state of a word in independent standard semicircles, given
+    as one name per letter (a word in independent GUE matrices, by
+    Voiculescu's asymptotic freeness): the number of its non-crossing
+    pairings of equal names.  The first letter pairs with an equal one at an
+    odd distance, and the letters inside and outside that pair are counted
+    apart."""
+    if not names:
+        return 1
+    return sum(_noncrossing_pairings(names[1:k]) * _noncrossing_pairings(names[k + 1:])
+               for k in range(1, len(names), 2) if names[k] == names[0])
+
+
 def _is_json_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 

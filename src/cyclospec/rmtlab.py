@@ -31,8 +31,10 @@ from .cmcalc import (
     HaarConjugatedFamily,
     MomentTable,
     SpectrumFamily,
+    _agree,
     _is_json_integer,
     _is_json_number,
+    _noncrossing_pairings,
 )
 from .dense import _consume_polynomial, _generators, _gram, _matmul_over, dense_block_matrix
 from .ensembles import sample_gue, sample_haar_unitary
@@ -43,7 +45,7 @@ from .errors import (
     NotSelfadjointError,
 )
 from .linred import AlgMatrix, _reduce, _reduction_spectrum, chain_moment
-from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression
+from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression, word_str
 from .spectra import (
     EVMultiset,
     hermiticity_gap,
@@ -249,7 +251,8 @@ class Scenario:
     def validate(self) -> None:
         """Check the scenario against ``scenario.schema.json``, then what the
         schema cannot express: references between entries, ``blocks``, the
-        expression and its symbolic reduction against ``b_state``."""
+        expression, ``b_state`` against the B laws, and the expression's
+        symbolic reduction against ``b_state``."""
         _compile(self)
 
     def to_dict(self) -> dict:
@@ -362,63 +365,58 @@ def _build_a_matrix(
     return dense_block_matrix(a_cells, rotated, len(a_diag))
 
 
-def _build_b_matrices(
-    scenario: Scenario, c: _Compiled, files: dict, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """The trial's B matrices: each entry that is not a ``copy_of`` drawn in
-    b_spec order (a ``file`` entry is its loaded ``files[pos]``; a blocks
-    entry's cells are formed as their generators are drawn), then the one
-    Haar ``u`` of ``haar_conjugate_b``.
+def _build_b_matrices(c: _Compiled, files: dict, rng: np.random.Generator) -> list[np.ndarray]:
+    """The trial's B matrices: each law drawn in b_spec order (a ``file``
+    law is its loaded ``files[pos]``; a blocks law's cells are formed as
+    their generators are drawn), then the one Haar ``u`` of
+    ``haar_conjugate_b``.
 
     Each draw is then replaced by its matrix: a ``gue_squared`` factor ``g``
     becomes ``g @ g``, or with ``u`` ``t @ t*`` for ``t = u @ g``; every other
     draw ``mat`` becomes ``t @ u*`` for ``t = u @ mat`` with ``u``.  Each
     product is written over an operand that dies with it (a read-only
     ``file`` B excepted): ``t`` over the draw and ``t @ u*`` over ``t``.
-    ``u`` is freed once the last source has read it.  A ``copy_of`` entry
+    ``u`` is freed once the last law has read it.  A ``copy_of`` entry
     gets its source's matrix.
     """
-    sources = [pos for pos, source in enumerate(c.b_sources) if source == pos]
+    sources = {law.pos: law for law in c.b_laws}  # in b_spec order: a copy follows its source
+    squared = [pos for pos, law in sources.items() if law.kind == "gue_squared"]
     formed = {}
-    for pos in sources:
-        cells, kind = c.b_cells[pos], scenario.b_spec[pos]["kind"]
-        if cells is not None:  # gue blocks
-            size = c.dim // len(cells)
-            formed[pos] = dense_block_matrix(cells, lambda letter: sample_gue(size, rng), size)
-        elif kind == "file":
+    for pos, law in sources.items():
+        if law.kind == "blocks":
+            size = c.dim // len(law.cells)
+            formed[pos] = dense_block_matrix(law.cells, lambda letter: sample_gue(size, rng), size)
+        elif law.kind == "file":
             formed[pos] = files[pos]
         else:  # gue, gue_squared
             formed[pos] = sample_gue(c.dim, rng)
-    squared = [pos for pos in sources if scenario.b_spec[pos]["kind"] == "gue_squared"]
-    if not scenario.haar_conjugate_b:
+    if not c.haar:
         for pos in squared:
             formed[pos] = formed[pos] @ formed[pos]
-        return [formed[source] for source in c.b_sources]
-    u = sample_haar_unitary(c.dim, rng)
+        return [formed[law.pos] for law in c.b_laws]
+    u, last = sample_haar_unitary(c.dim, rng), max(sources)
     for pos in sources:
         mat = formed.pop(pos)
         t = _matmul_over(u, mat, mat if mat.flags.writeable else None)
         del mat
         if pos in squared:
-            if pos == sources[-1]:
+            if pos == last:
                 del u  # before t t* is formed
             formed[pos] = _gram(t)
         else:
             # u* is u.T while u is conjugated in place, which is exact both ways
             formed[pos] = _matmul_over(t, np.conj(u, out=u).T, t)
-            if pos == sources[-1]:
+            if pos == last:
                 del u
             else:
                 np.conj(u, out=u)
-        del t  # before the next source's product
-    return [formed[source] for source in c.b_sources]
+        del t  # before the next law's product
+    return [formed[law.pos] for law in c.b_laws]
 
 
-def _trial_matrix(
-    scenario: Scenario, c: _Compiled, files: dict, rng: np.random.Generator
-) -> np.ndarray:
-    """One trial's matrix of the expression; ``c`` is the scenario compiled and
-    ``files`` its loaded ``file`` B's by b_spec position.
+def _trial_matrix(c: _Compiled, files: dict, rng: np.random.Generator) -> np.ndarray:
+    """One trial's matrix of the compiled scenario's expression; ``files``
+    holds its loaded ``file`` laws by position.
 
     The bound matrices are held by ``mats`` alone, which the evaluation
     empties: each is freed after its last letter, or written over by the
@@ -427,7 +425,7 @@ def _trial_matrix(
     """
     mats = {Letter(FAMILY_A, 1): _build_a_matrix(c.a_diag, c.a_cells, rng)}
     mats.update((Letter(FAMILY_B, j), mat)
-                for j, mat in enumerate(_build_b_matrices(scenario, c, files, rng), start=1))
+                for j, mat in enumerate(_build_b_matrices(c, files, rng), start=1))
     return _consume_polynomial(c.poly, mats, c.dim)
 
 
@@ -463,10 +461,14 @@ def _a_spectrum(spec: dict, n: int):
     return GeometricSpectrum(first, ratio, count=None)
 
 
-# the b_cells stay as parsed (a copy_of entry's is None); b_sources[pos] is the
-# entry whose matrix entry pos shares, pos itself unless it is a copy_of; dim
-# is a trial's dimension and a_diag, read-only, the n values of every trial's A
-_Compiled = namedtuple("_Compiled", "poly a_model b_state reduction a_cells b_cells b_sources "
+# the law of one b_spec entry as plain data: kind is "gue", "gue_squared",
+# "file" or "blocks" (a gue entry's), cells a blocks law's parsed cells and
+# path a file law's; pos is the entry that draws it, so a copy_of entry holds
+# its source's law
+_BLaw = namedtuple("_BLaw", "pos kind cells path")
+# b_laws holds each B letter's law, haar is haar_conjugate_b, dim a trial's
+# dimension and a_diag, read-only, the n values of every trial's A
+_Compiled = namedtuple("_Compiled", "poly a_model b_state reduction a_cells b_laws haar "
                                     "dim a_diag")
 
 
@@ -477,9 +479,11 @@ def _compile(scenario: Scenario) -> _Compiled:
     mixed words exactly 0; the seed is not read), or else for its truncated
     diagonal; a B letter for its entry's ``blocks`` (a ``copy_of``'s source's),
     as many as a_spec has.  The state reads block generators by name, so two
-    entries drawn apart share none.  ``ValueError`` for a truncation beyond n,
-    explicit values other than n, a term without an A-letter, a word missing
-    from ``b_state`` or a reduction to 0."""
+    entries drawn apart share none.  Each b_spec entry is read here only, into
+    its ``_BLaw``.  ``ValueError`` for a truncation beyond n, explicit values
+    other than n, a term without an A-letter, a ``b_state`` entry that
+    disagrees with the law of the GUE letters the expression reads, a word
+    missing from ``b_state`` or a reduction to 0."""
     _check(_scenario_schema(), vars(scenario), "")
     if scenario.truncation > scenario.n:
         raise ValueError(f"scenario 'truncation' is {scenario.truncation}, but n is {scenario.n}")
@@ -498,28 +502,38 @@ def _compile(scenario: Scenario) -> _Compiled:
     else:
         a_model = HaarConjugatedFamily({g.index: spectrum for g in _generators(a_cells)})
         blocks = {Letter(FAMILY_A, 1): AlgMatrix([list(map(drop_stars, row)) for row in a_cells])}
-    letters, owners, b_cells, b_sources = _generators([[poly]]), {}, [], []
+    # names maps each B letter the state reads (a block generator, for blocks)
+    # to the GUEs it multiplies, each named by its entry and block generator
+    letters, owners, b_laws, names = _generators([[poly]]), {}, [], {}
     for j, spec in enumerate(scenario.b_spec, start=1):
-        source = j - 1
-        if spec["kind"] == "copy_of":
-            if not 1 <= spec.get("index", 0) < j:
-                raise ValueError("copy_of must reference an earlier b_spec entry")
-            source = b_sources[int(spec["index"]) - 1]
-        b_sources.append(source)
-        b_cells.append(_block_cells(spec, "gue", FAMILY_B, f"b_spec entry {j}"))
-        if b_cells[-1] and dim % len(b_cells[-1]):
+        if spec["kind"] == "copy_of" and not 1 <= spec.get("index", 0) < j:
+            raise ValueError("copy_of must reference an earlier b_spec entry")
+        cells = _block_cells(spec, "gue", FAMILY_B, f"b_spec entry {j}")
+        if cells and dim % len(cells):
             raise ValueError(f"b_spec entry {j} 'blocks' do not divide the dimension {dim}")
-        cells, letter = b_cells[source], Letter(FAMILY_B, j)
-        if letter in letters and len(cells or [0]) != len(a_cells or [0]):
+        b_laws.append(b_laws[int(spec["index"]) - 1] if spec["kind"] == "copy_of" else
+                      _BLaw(j - 1, "blocks" if cells else spec["kind"], cells, spec.get("path")))
+        law, letter = b_laws[-1], Letter(FAMILY_B, j)
+        if letter in letters and len(law.cells or [0]) != len(a_cells or [0]):
             raise ValueError(f"b{j} needs as many 'blocks' as a_spec")
-        if letter in letters and cells:
-            blocks[letter] = AlgMatrix(cells)
-            if any(owners.setdefault(g, source) != source for g in _generators(cells)):
+        if letter in letters and law.cells:
+            blocks[letter] = AlgMatrix(law.cells)
+            if any(owners.setdefault(g, law.pos) != law.pos for g in _generators(law.cells)):
                 raise ValueError(f"b{j} 'blocks' share generators with another b_spec entry")
+            names.update((g, ((law.pos, g.index),)) for g in _generators(law.cells))
+        elif letter in letters and law.kind != "file":
+            names[letter] = (law.pos,) * (2 if law.kind == "gue_squared" else 1)
     try:
         table = MomentTable.from_json_doc(scenario.prediction["b_state"])
     except (ValueError, TypeError, AttributeError, NotInDomainError) as exc:
         raise ValueError(f"prediction 'b_state': {exc}") from None
+    for word, value in table._table.items():  # each entry over named letters against the law
+        if all(letter.base() in names for letter in word):
+            derived = _noncrossing_pairings(sum((names[letter.base()] for letter in word), ()))
+            if not _agree(value, derived):
+                shown = value if value.imag else value.real
+                raise ValueError(f"prediction 'b_state' gives tau({word_str(word)}) = {shown}, "
+                                 f"but b_spec's law gives {derived}")
     try:
         reduction = _reduce(poly, table, blocks)
     except NotInDomainError as exc:
@@ -528,7 +542,8 @@ def _compile(scenario: Scenario) -> _Compiled:
         raise ValueError(f"prediction 'b_state': {exc}") from None
     if not any(map(any, reduction[0])):
         raise ValueError("scenario 'expression' reduces to 0 against prediction 'b_state'")
-    return _Compiled(poly, a_model, table, reduction, a_cells, b_cells, b_sources, dim, a_diag)
+    return _Compiled(poly, a_model, table, reduction, a_cells, b_laws, scenario.haar_conjugate_b,
+                     dim, a_diag)
 
 
 def build_prediction(scenario: Scenario):
@@ -559,21 +574,20 @@ def run_scenario(scenario: Scenario) -> Report:
         key = "scale" if scenario.a_spec.get("start_power", 0) >= 0 else "start_power"
         raise ValueError(f"scenario 'a_spec.{key}' is {scenario.a_spec[key]!r}, so the "
                          "predicted moments overflow") from None
-    files = {}  # each file B, read once and shared by every trial
-    for pos, spec in enumerate(scenario.b_spec):
-        if spec["kind"] == "file":
-            files[pos] = load_matrix_csv(spec["path"])
-            if files[pos].shape != (c.dim, c.dim):
-                raise DimensionMismatchError(f"loaded matrix has shape {files[pos].shape}, "
-                                             f"expected {(c.dim, c.dim)}")
-            if not np.isfinite(files[pos]).all():
-                raise NotSelfadjointError(f"b_spec entry {pos + 1} ({spec['path']}): "
-                                          "matrix has a non-finite entry")
-            files[pos].setflags(write=False)
+    files = {}  # each file law, read once and shared by every trial
+    for pos, law in {law.pos: law for law in c.b_laws if law.kind == "file"}.items():
+        files[pos] = load_matrix_csv(law.path)
+        if files[pos].shape != (c.dim, c.dim):
+            raise DimensionMismatchError(f"loaded matrix has shape {files[pos].shape}, "
+                                         f"expected {(c.dim, c.dim)}")
+        if not np.isfinite(files[pos]).all():
+            raise NotSelfadjointError(f"b_spec entry {pos + 1} ({law.path}): "
+                                      "matrix has a non-finite entry")
+        files[pos].setflags(write=False)
 
     def one_trial(t: int) -> dict:
         rng = trial_rng(scenario.seed, t)
-        x = _trial_matrix(scenario, c, files, rng)
+        x = _trial_matrix(c, files, rng)
         try:
             residual, tol = hermiticity_gap(x, HERMITICITY_GATE)
         except NotSelfadjointError as exc:

@@ -1,6 +1,6 @@
 import pytest
 
-from bench_pairs import summarize
+from bench_pairs import parse_tier1, summarize
 
 
 def test_summary_of_a_lower_is_better_metric():
@@ -39,3 +39,23 @@ def test_higher_is_better_counts_wins_upward():
 def test_summary_refuses_unpaired_runs():
     with pytest.raises(ValueError):
         summarize([1.0, 2.0], [1.0], "lower")
+
+
+def test_tier1_output_is_read_for_its_time_counts_and_slowest_tests():
+    stdout = """........................................................................ [ 99%]
+.x                                                                       [100%]
+============================= slowest 10 durations =============================
+4.53s call     tests/test_linred.py::test_chain_paths
+0.50s setup    tests/test_refusals.py::test_refusal[trace of the empty code]
+713 passed, 2 xfailed in 37.81s
+"""
+    run = parse_tier1(stdout)
+    assert run["pytest_s"] == 37.81
+    assert run["counts"] == {"passed": 713, "xfailed": 2}
+    assert run["slowest"] == [
+        {"s": 4.53, "when": "call", "test": "tests/test_linred.py::test_chain_paths"},
+        {"s": 0.5, "when": "setup",
+         "test": "tests/test_refusals.py::test_refusal[trace of the empty code]"},
+    ]
+    with pytest.raises(ValueError, match="not a pytest summary line"):
+        parse_tier1("collecting ...\n")

@@ -111,6 +111,17 @@ def test_explicit_spectrum_rejects_values_that_are_not_finite(values):
         ExplicitSpectrum(values)
 
 
+def test_noncrossing_pairings_give_the_semicircle_moments():
+    catalan = [1, 1, 2, 5, 14, 42, 132, 429]
+    for k, number in enumerate(catalan):
+        assert cmcalc._noncrossing_pairings(("s",) * (2 * k)) == number
+        assert cmcalc._noncrossing_pairings(("s",) * (2 * k + 1)) == 0
+    # independent semicircles: a pairing of unequal names, or a crossing one, counts nothing
+    for word, count in [("st", 0), ("sstt", 1), ("stts", 1), ("stst", 0), ("ssss", 2),
+                        ("sstsst", 1), ("ststss", 0), ("sssstt", 2)]:
+        assert cmcalc._noncrossing_pairings(tuple(word)) == count
+
+
 def test_moment_table_json_round_trip():
     table = MomentTable({(b_gen(1), b_gen(1)): 2.0, (b_gen(1),): 1.0})
     doc = {"degree_cap": 2, "moments": {"1": 1.0, "b1": [1.0, 0.0], "b1*b1": [2.0, 0.0]}}

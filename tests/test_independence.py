@@ -123,6 +123,15 @@ def test_the_trials_reach_no_reduction():
     assert not reached & REDUCTION
 
 
+def test_the_derived_b_state_reaches_no_sampler_and_no_runner():
+    # the trials sample the law this state is derived from, so it is checked
+    # by them only if it shares nothing with them
+    reached = _reach("_noncrossing_pairings")
+    sampling = {node.name for module in ("ensembles", "rmtlab") for node in TREES[module].body
+                if isinstance(node, DEFINITIONS)}
+    assert "_noncrossing_pairings" in reached and not reached & sampling
+
+
 @pytest.mark.parametrize("entry", ["cm_moment", "poly_moment", "chain_moment_unreduced"])
 def test_the_oracle_reaches_no_reduction_and_no_dense_evaluation(entry):
     reached = _reach(entry)

@@ -331,9 +331,12 @@ def test_matrix_kernels_bitwise_equal_polynomial_arithmetic(mats):
 
 def _chain_reference(chain, m, a_model, b_state):
     """Both chain traces from polynomial arithmetic on words and ``sorted_terms``,
-    evaluated one word at a time on fresh copies of the matrix models."""
+    evaluated one word at a time on fresh copies of the matrix models, each
+    word's product multiplied out once (the package's models keep no memo)."""
     a_model = MatrixTraceFamily(a_model.matrices)
     b_state = TraceMatrixState(b_state.matrices)
+    a_model.omega = functools.cache(a_model.omega)
+    b_state.tau = functools.cache(b_state.tau)
     entries = [mat.entries for mat in chain]
     reduced = None
     for a_entries, b_mat in zip(entries[0::2], chain[1::2]):
@@ -401,6 +404,8 @@ def _coded_forms_agree(chain, m, a_mats, b_mats, rotations=False) -> int:
         codes = sorted({c[j:] + c[:j] for c in codes for j in range(len(c))})
     sweep = cmcalc.CodedSweep(code, MatrixTraceFamily(a_mats), TraceMatrixState(b_mats))
     fam, state = MatrixTraceFamily(a_mats), TraceMatrixState(b_mats)
+    fam.omega = functools.cache(fam.omega)  # each word's product multiplied out once
+    state.tau = functools.cache(state.tau)
     for c in codes:
         assert cm_moment(c, sweep) == cm_moment(code.decode(c), fam, state)
     return len(codes)

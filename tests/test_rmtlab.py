@@ -26,6 +26,7 @@ from cyclospec import (
     sample_haar_unitary,
 )
 from cyclospec.cli import main
+from cyclospec.cmcalc import _noncrossing_pairings
 from cyclospec.dense import dense_block_matrix, dense_polynomial
 from cyclospec.ncalg import FAMILY_A, FAMILY_B, Letter, NCPolynomial
 from cyclospec import dense, linred, rmtlab
@@ -665,6 +666,17 @@ def test_file_backed_b_spec(tmp_path, monkeypatch):
     assert len(loaded) == 2 and not any(mat.flags.writeable for mat in loaded)
     # the fixed matrix gives every trial one spectrum without the Haar conjugation
     assert report.trials[0]["eigenvalues"] == report.trials[2]["eigenvalues"]
+    # one file law shared by two letters: example2-correlated with b1 read
+    # from the file, read once per run, and b2 is b1's array
+    doc = builtin_scenario("example2-correlated", n=30, trials=2).to_dict()
+    doc["b_spec"] = [{"kind": "file", "path": str(path)}, {"kind": "copy_of", "index": 1}]
+    for haar in (True, False):
+        loaded.clear()
+        scenario = Scenario.from_dict(dict(doc, haar_conjugate_b=haar))
+        assert len(run_scenario(scenario).trials) == 2 and len(loaded) == 1
+        b1, b2 = rmtlab._build_b_matrices(rmtlab._compile(scenario), {0: loaded[0]},
+                                          trial_rng(1, 0))
+        assert b2 is b1 and (b1 is loaded[0]) != haar
 
 
 def test_file_b_of_another_shape_fails_before_any_trial(tmp_path, monkeypatch, capsys):
@@ -760,6 +772,83 @@ def test_expression_that_reduces_to_zero_is_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the B state against the law the trials sample
+# ---------------------------------------------------------------------------
+
+# the GUEs each demo's state letters multiply, by hand: example1's table reads
+# its block generators, example3's b1 is g g and example2-correlated's b2 is b1
+_DEMO_GUES = {
+    "example1": {"b1": ("g1",), "b2": ("g2",), "b3": ("g3",)},
+    "example2": {"b1": ("g1",), "b2": ("g2",)},
+    "example2-correlated": {"b1": ("g1",), "b2": ("g1",)},
+    "example3": {"b1": ("g1", "g1")},
+}
+
+
+def _with_state(doc, key, value):
+    """A copy of the scenario ``doc`` whose ``b_state`` gives ``key`` the ``value``."""
+    doc = json.loads(json.dumps(doc))
+    doc["prediction"]["b_state"]["moments"][key] = value
+    return doc
+
+
+def test_every_demo_state_value_is_the_law_of_its_b_spec():
+    checked = 0
+    for name, gues in _DEMO_GUES.items():
+        doc = builtin_scenario(name, n=20, trials=1).to_dict()
+        for key, value in doc["prediction"]["b_state"]["moments"].items():
+            word = sum((gues[letter] for letter in key.split("*")), ())
+            assert _noncrossing_pairings(word) == value
+            # and the scenario's own check reads this entry, up to rounding
+            Scenario.from_dict(_with_state(doc, key, value * (1 + 1e-15)))
+            with pytest.raises(ValueError, match=re.escape(f"= {value + 1e-6}, but b_spec's law "
+                                                           f"gives {int(value)}")):
+                Scenario.from_dict(_with_state(doc, key, value + 1e-6))
+            checked += 1
+    assert checked == 17
+
+
+@pytest.mark.parametrize("name,key,value,law", [
+    ("example1", "b1*b1*b1*b1", 2.2, 2),
+    ("example1", "b1*b1*b1*b1", 2.5, 2),
+    ("example3", "b1*b1", 2.1, 2),
+    ("example3", "b1*b1", 1.9, 2),
+    ("example3", "b1", 1.05, 1),
+    ("example2-correlated", "b1*b2", 0.95, 1),
+])
+def test_a_b_state_that_disagrees_with_b_spec_exits_1(name, key, value, law, tmp_path, capsys):
+    # each of these tables passed the random-matrix gates or was caught by
+    # a 5-trial statistic only
+    doc = _with_state(builtin_scenario(name, n=20, trials=1).to_dict(), key, value)
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    line = (f"validation failure: prediction 'b_state' gives tau({key}) = {value}, "
+            f"but b_spec's law gives {law}\n")
+    for command in ("predict", "simulate"):
+        out = tmp_path / command
+        assert main([command, "--scenario", str(tmp_path / "scenario.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == line and not out.exists()
+
+
+def test_a_file_letter_is_not_checked():
+    doc = builtin_scenario("example2", n=20, trials=1).to_dict()
+    doc["b_spec"][1] = {"kind": "file", "path": "never-read.csv"}
+    # b1*b2 reads the file letter b2; b1*b1 reads the GUE b1 only
+    Scenario.from_dict(_with_state(doc, "b1*b2", 0.3))
+    Scenario.from_dict(_with_state(doc, "b2*b2", 7.0))
+    with pytest.raises(ValueError, match=re.escape("tau(b1*b1) = 1.1, but b_spec's law gives 1")):
+        Scenario.from_dict(_with_state(doc, "b1*b1", 1.1))
+
+
+def test_the_state_names_only_the_letters_the_expression_reads():
+    # example1's table reads its block generator b2, a semicircle; an unread
+    # gue_squared entry b2 must not lend that name its law, whose tau(b2 b2) is 2
+    doc = builtin_scenario("example1", n=20, trials=1).to_dict()
+    doc["b_spec"].append({"kind": "gue_squared"})
+    Scenario.from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
 # the runner's arithmetic against a plain, out-of-place reference trial
 # ---------------------------------------------------------------------------
 
@@ -800,7 +889,7 @@ def _reference_trial(scenario, t):
         return np.block([[_scaled_sum(poly, mats, size) for poly in row] for row in cells])
 
     compiled = rmtlab._compile(scenario)
-    a_cells, b_cells = compiled.a_cells, compiled.b_cells
+    a_cells = compiled.a_cells
     spec, n = scenario.a_spec, scenario.n
     # the spectrum rule: (scale * ratio**start_power) * ratio**k, k < n
     first = spec.get("scale", 1.0) * spec["ratio"] ** spec.get("start_power", 0)
@@ -815,17 +904,17 @@ def _reference_trial(scenario, t):
         a = block(a_cells, rotated, n)
     dim = a.shape[0]
     drawn = []
-    for spec, cells in zip(scenario.b_spec, b_cells):
-        if cells is not None:
-            size = dim // len(cells)
-            drawn.append(block(cells, {g: gue(size) for g in _generators(cells)}, size))
+    for spec, law in zip(scenario.b_spec, compiled.b_laws):
+        if spec["kind"] == "copy_of":
+            drawn.append(None)
+        elif law.cells is not None:
+            size = dim // len(law.cells)
+            drawn.append(block(law.cells, {g: gue(size) for g in _generators(law.cells)}, size))
         elif spec["kind"] in ("gue", "gue_squared"):
             drawn.append(gue(dim))
-        elif spec["kind"] == "file":
-            drawn.append(load_matrix_csv(spec["path"]))
         else:
-            assert spec["kind"] == "copy_of"
-            drawn.append(None)
+            assert spec["kind"] == "file"
+            drawn.append(load_matrix_csv(spec["path"]))
     u = haar(dim) if scenario.haar_conjugate_b else None
     b_mats = []
     for spec, mat in zip(scenario.b_spec, drawn):
@@ -860,6 +949,8 @@ _COPIED_GUE_SQUARED = {
 }
 # example2 with b2 read from a file, written by the test into its working directory
 _FILE_B2 = {"b_spec": [{"kind": "gue"}, {"kind": "file", "path": "b2.csv"}]}
+# example2-correlated with b1 read from that file: one file law for two letters
+_FILE_B1_COPIED = {"b_spec": [{"kind": "file", "path": "b2.csv"}, {"kind": "copy_of", "index": 1}]}
 
 
 @pytest.mark.parametrize("name,changes", [
@@ -870,13 +961,14 @@ _FILE_B2 = {"b_spec": [{"kind": "gue"}, {"kind": "file", "path": "b2.csv"}]}
     ("example3", {"haar_conjugate_b": False}),
     ("example3", _COPIED_GUE_SQUARED),
     ("example2", _FILE_B2),
+    ("example2-correlated", _FILE_B1_COPIED),
     # at these sizes every product and Hermitian pass runs several blocks
     ("example1", {"n": 150}),
     ("example2", {"n": 260}),
     ("example2-correlated", {"n": 260}),
     ("example3", {"n": 260}),
 ], ids=["example1", "example2", "example2-correlated", "example3", "example3-no-haar",
-        "example3-copied", "example2-file", "example1-blocked", "example2-blocked",
+        "example3-copied", "example2-file", "example2-correlated-file", "example1-blocked", "example2-blocked",
         "example2-correlated-blocked", "example3-blocked"])
 def test_trials_equal_the_out_of_place_reference(name, changes, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -908,7 +1000,7 @@ def test_gue_squared_is_conjugated_through_its_factor(monkeypatch):
 
     monkeypatch.setattr(rmtlab, "_consume_polynomial", spy)
     rng = trial_rng(scenario.seed, 0)
-    rmtlab._trial_matrix(scenario, rmtlab._compile(scenario), {}, rng)
+    rmtlab._trial_matrix(rmtlab._compile(scenario), {}, rng)
     ref = trial_rng(scenario.seed, 0)
     g = sample_gue(n, ref)
     u = sample_haar_unitary(n, ref)
@@ -922,8 +1014,9 @@ def test_copy_of_a_gue_squared_entry_shares_its_matrix():
     for haar in (True, False):
         scenario = Scenario.from_dict({**doc, **_COPIED_GUE_SQUARED, "haar_conjugate_b": haar})
         compiled = rmtlab._compile(scenario)
-        assert compiled.b_sources == [0, 0]
-        b1, b2 = rmtlab._build_b_matrices(scenario, compiled, {}, trial_rng(1, 0))
+        law, copy = compiled.b_laws
+        assert copy is law and law.pos == 0
+        b1, b2 = rmtlab._build_b_matrices(compiled, {}, trial_rng(1, 0))
         assert b2 is b1
 
 
@@ -1016,10 +1109,10 @@ def test_trial_evaluation_equals_dense_polynomial_over_kept_draws(name):
     # letter; the same draws, kept, give the same bytes by dense_polynomial
     scenario = builtin_scenario(name, n=20, trials=1)
     compiled = rmtlab._compile(scenario)
-    got = rmtlab._trial_matrix(scenario, compiled, {}, trial_rng(scenario.seed, 0))
+    got = rmtlab._trial_matrix(compiled, {}, trial_rng(scenario.seed, 0))
     rng = trial_rng(scenario.seed, 0)
     kept = {Letter(FAMILY_A, 1): _build_a_matrix(compiled.a_diag, compiled.a_cells, rng)}
-    b_mats = rmtlab._build_b_matrices(scenario, compiled, {}, rng)
+    b_mats = rmtlab._build_b_matrices(compiled, {}, rng)
     kept.update((Letter(FAMILY_B, j), mat) for j, mat in enumerate(b_mats, start=1))
     assert got.tobytes() == dense_polynomial(compiled.poly, kept, compiled.dim).tobytes()
 
