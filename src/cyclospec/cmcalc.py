@@ -25,12 +25,12 @@ same models decodes no A-word of the batch.
 ``MomentTable`` and ``SpectrumFamily`` memoize their values per word as
 long as they live: they hold a few runs, which every sweep reads again.  A
 matrix model (``MatrixTraceFamily``, ``TraceMatrixState``) memoizes no
-value; a coded sweep's memos answer the repeats within one sweep.  Such a
-model keeps the prefix products of its last word, and a weight its batch,
-for one sweep: ``_sweep`` ends both models' sweeps when it returns or raises
-(each model's ``_drop_sweep``), and ``linred.chain_moment`` its state's
-before it batches the weights, so between sweeps such a model keeps only its
-letter table and the weight its batch.
+value; a coded sweep's memos answer the repeats within one sweep.  A matrix
+state multiplies each word out from its letter table and keeps no product.
+A matrix weight keeps the prefix products of its last word, and its batch,
+for one sweep: ``_sweep`` ends the weight's sweep when it returns or raises
+(``_drop_sweep``), so between sweeps a matrix model keeps only its letter
+table and the weight its batch.
 
 For the eigenvalue recipes a weight model also realizes each generator as a
 matrix: ``diagonal`` gives the 1-D diagonal of the realization, or ``None``
@@ -111,23 +111,24 @@ def _memoized_per_word(evaluate):
 class WordProducts:
     """Left-to-right products of words over a set of square matrices.
 
-    A model keeps two things here.  One is the products of the proper
-    prefixes of the last evaluated word, on a stack (fewer matrices than the
-    word has letters), so a word that shares its first ``k`` letters with the
-    previous one costs only its remaining products; words in sorted order
-    share long prefixes.  The other is a table from each letter met so far to
-    its matrix: the bound matrix itself, or for a starred letter its
-    conjugate transpose, formed once on first use and read-only.  That is one
-    adjoint per starred generator, ``16 * dim**2`` bytes of data each
-    (tracemalloc counts 4.4 kB for a starred 16x16 generator and 0.6 kB for
-    a 4x4 one, the array headers and the table's entry included).
+    A matrix model keeps a table here from each letter met so far to its
+    matrix: the bound matrix itself, or for a starred letter its conjugate
+    transpose, formed once on first use and read-only.  That is one adjoint
+    per starred generator, ``16 * dim**2`` bytes of data each (tracemalloc
+    counts 4.4 kB for a starred 16x16 generator and 0.6 kB for a 4x4 one,
+    the array headers and the table's entry included).  The table lives as
+    long as the model.  A matrix state reads only the table
+    (:class:`TraceMatrixState`).
 
-    The table lives as long as the model; the stack, for one sweep.  The
-    oracle's sweep and ``linred.chain_moment`` empty the stacks of the
-    models they read when they return or raise (``_drop_sweep``): the next
-    sweep starts from its smallest word, which seldom shares a prefix with
-    the last sweep's largest.  A matrix model keeps no value per word, so a
-    word asked again is multiplied out again from the stack.  Neither
+    :meth:`product` serves the weight: it keeps the products of the proper
+    prefixes of the last evaluated word, on a stack (fewer matrices than the
+    word has letters), so a word that shares its first ``k`` letters with
+    the previous one costs only its remaining products; words in sorted
+    order share long prefixes.  The stack lives for one sweep: the oracle's
+    sweep empties it when it returns or raises (``_drop_sweep``), since the
+    next sweep starts from its smallest word, which seldom shares a prefix
+    with the last sweep's largest.  A matrix model keeps no value per word,
+    so a word asked again is multiplied out again from the stack.  Neither
     changes a value, since a rebuilt product is the same left-to-right
     product the stack kept.
 
@@ -379,10 +380,6 @@ class TracialState:
     def tau(self, w: Word) -> complex:
         raise NotImplementedError
 
-    def _drop_sweep(self) -> None:
-        """Forget what the model keeps for one sweep (:func:`_sweep`); only a
-        matrix model keeps anything."""
-
 
 def _check_pure_b(w: Word) -> None:
     if not is_pure(w, FAMILY_B):
@@ -543,9 +540,11 @@ def _square_matrices(matrices: Mapping[int, np.ndarray], what: str):
 class TraceMatrixState(TracialState):
     """Concrete matrix model: the state is the normalized trace.
 
-    No value is memoized: each is multiplied out when asked, from the prefix
-    products of the last word (:class:`WordProducts`).  The matrices must
-    not be mutated after the model is built.
+    No value or product is kept: each word is multiplied out when asked,
+    left to right from the letter table of :class:`WordProducts` (the bound
+    matrix or its read-only adjoint), in the ``prod.dot(mat)`` steps of
+    ``WordProducts.product``.  The matrices must not be mutated after the
+    model is built.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray]):
@@ -556,10 +555,8 @@ class TraceMatrixState(TracialState):
         _check_pure_b(w)
         if not w:
             return 1 + 0j
-        return complex(_add_reduce(self._products.product(w).diagonal())) / self.dim
-
-    def _drop_sweep(self) -> None:
-        self._products._drop_stack()
+        prod = functools.reduce(np.ndarray.dot, map(self._products._letter_matrix, w))
+        return complex(_add_reduce(prod.diagonal())) / self.dim
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +906,7 @@ def _sweep(
     """The sum of ``coeff * cm_moment(key, ...)`` over ``terms`` in key order,
     that of ``NCPolynomial.sorted_terms``.  With ``code`` the keys are its
     codes, whose order is their words', read through one :class:`CodedSweep`.
-    Both models' sweeps end when the sum returns or raises."""
+    The weight's sweep ends when the sum returns or raises."""
     # positional models and a key-only sort: *models with whole-item compares
     # read the unreduced chain path 18-20% slower, and terms[key] after a
     # sort of the keys hashes each tuple word again (poly_moment +4-6%)
@@ -921,7 +918,6 @@ def _sweep(
             total += coeff * cm_moment(key, first, second)
     finally:
         a_model._drop_sweep()
-        b_state._drop_sweep()
     return total
 
 

@@ -306,23 +306,20 @@ def chain_moment(
     the :class:`WordCode` codes of their words, with the products and sums
     of the ``AlgMatrix`` arithmetic, and the weight takes the sorted,
     distinct codes with their ``WordCode`` (``omega_many(codes, code)``),
-    none if the trace cancels; code order is word order.  The state's sweep
-    ends with the reduction.  A matrix weight keeps the batch by code, and a
-    :func:`chain_moment_unreduced` of the same chain and models starts from
-    it: its codes of the batch's A-words are the same, since both codes rank
-    the same A-letters first, so it decodes none of them.
+    none if the trace cancels; code order is word order.  A matrix state
+    keeps nothing of the reduction.  A matrix weight keeps the batch by
+    code, and a :func:`chain_moment_unreduced` of the same chain and models
+    starts from it: its codes of the batch's A-words are the same, since
+    both codes rank the same A-letters first, so it decodes none of them.
     """
     _validate_chain(chain)
     if m < 1:
         raise ValueError("moment order must be >= 1")
     code, a_grids = _coded_grids(chain[0::2])
     reduced = None
-    try:
-        for a_grid, b_matrix in zip(a_grids, chain[1::2]):
-            step = grid_scaled(a_grid, reduce_b_matrix(b_matrix, b_state))
-            reduced = step if reduced is None else grid_product(reduced, step)
-    finally:
-        b_state._drop_sweep()  # the weights below are batched, over no stack
+    for a_grid, b_matrix in zip(a_grids, chain[1::2]):
+        step = grid_scaled(a_grid, reduce_b_matrix(b_matrix, b_state))
+        reduced = step if reduced is None else grid_product(reduced, step)
     trace = grid_power_trace(reduced, m)
     del a_grids, reduced, step
     codes = sorted(trace)

@@ -479,11 +479,12 @@ def _compile(scenario: Scenario) -> _Compiled:
     mixed words exactly 0; the seed is not read), or else for its truncated
     diagonal; a B letter for its entry's ``blocks`` (a ``copy_of``'s source's),
     as many as a_spec has.  The state reads block generators by name, so two
-    entries drawn apart share none.  Each b_spec entry is read here only, into
-    its ``_BLaw``.  ``ValueError`` for a truncation beyond n, explicit values
-    other than n, a term without an A-letter, a ``b_state`` entry that
-    disagrees with the law of the GUE letters the expression reads, a word
-    missing from ``b_state`` or a reduction to 0."""
+    entries drawn apart share none, and no B letter the expression reads
+    without blocks is another entry's block generator.  Each b_spec entry is
+    read here only, into its ``_BLaw``.  ``ValueError`` for a truncation
+    beyond n, explicit values other than n, a term without an A-letter, a
+    ``b_state`` entry that disagrees with the law of the GUE letters the
+    expression reads, a word missing from ``b_state`` or a reduction to 0."""
     _check(_scenario_schema(), vars(scenario), "")
     if scenario.truncation > scenario.n:
         raise ValueError(f"scenario 'truncation' is {scenario.truncation}, but n is {scenario.n}")
@@ -523,6 +524,10 @@ def _compile(scenario: Scenario) -> _Compiled:
             names.update((g, ((law.pos, g.index),)) for g in _generators(law.cells))
         elif letter in letters and law.kind != "file":
             names[letter] = (law.pos,) * (2 if law.kind == "gue_squared" else 1)
+    # a letter read without blocks, and also a generator of another entry's
+    for letter in sorted(owners.keys() & set(letters) - blocks.keys()):
+        raise ValueError(f"{letter.label()} is read as its own b_spec entry and as a "
+                         f"'blocks' generator of b_spec entry {owners[letter] + 1}")
     try:
         table = MomentTable.from_json_doc(scenario.prediction["b_state"])
     except (ValueError, TypeError, AttributeError, NotInDomainError) as exc:

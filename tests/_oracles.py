@@ -6,6 +6,8 @@ recipe.  The oracle side and the recipe side share the same truncation, so
 the identities hold to rounding.
 """
 
+import functools
+
 import numpy as np
 
 from cyclospec import (
@@ -15,6 +17,7 @@ from cyclospec import (
     NCPolynomial,
     NotInDomainError,
     SpectrumFamily,
+    TraceMatrixState,
     a_gen,
     b_gen,
 )
@@ -231,6 +234,41 @@ def chain_instance(rng):
     b_state = TraceMatrixState({i: random_general(3, rng) for i in (1, 2)})
     a_model = MatrixTraceFamily({i: random_general(4, rng) for i in (1, 2)})
     return {"chain": chain, "m": m, "a_model": a_model, "b_state": b_state}
+
+
+def memoized_models(a_mats, b_mats):
+    """Fresh matrix models over ``a_mats`` and ``b_mats`` whose ``omega`` and
+    ``tau`` multiply each word out once (``functools.cache`` on the bound
+    methods), for references that ask many words again; the package's
+    models keep no value per word."""
+    a_model, b_state = MatrixTraceFamily(a_mats), TraceMatrixState(b_mats)
+    a_model.omega = functools.cache(a_model.omega)
+    b_state.tau = functools.cache(b_state.tau)
+    return a_model, b_state
+
+
+def stray_arrays(state):
+    """The arrays that a matrix state holds anywhere in its attributes, other
+    than its generators and their adjoints: what it keeps of the words it
+    was asked."""
+    generators = list(state.matrices.values())
+    adjoints = [g.conj().T for g in generators]
+
+    def held(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, dict):
+            for value in obj.values():
+                yield from held(value)
+        elif isinstance(obj, (list, tuple, set)):
+            for value in obj:
+                yield from held(value)
+        elif hasattr(obj, "__dict__"):
+            yield from held(vars(obj))
+
+    return [arr for arr in held(vars(state))
+            if not any(arr is g for g in generators)
+            and not any(np.array_equal(arr, adjoint) for adjoint in adjoints)]
 
 
 def reference_cm_moment(w, a_model, b_state):

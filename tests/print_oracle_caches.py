@@ -12,14 +12,17 @@ answer while the cases run (case generation is not counted):
   hit when its word is already in the memo.
 - ``asks``: the matrix models' ``omega`` and ``tau``, which keep no value;
   ``in sweep`` counts the asks a coded sweep's memo makes on a miss, and
-  ``repeats`` the asks of a word the same model was already asked since its
-  last ``_drop_sweep``, which a memo living one sweep would answer.
+  ``repeats`` the asks of a word the same model was already asked since the
+  last oracle sweep (``cmcalc._sweep``) over it began or ended, which a memo
+  living one sweep, or one stretch between sweeps, would answer.  For the state, which keeps no product,
+  ``products`` counts the matrix products its asks make.
 - ``coded``: a coded sweep's two memos (``CodedSweep.taus`` and
   ``omegas``): lookups, hits, misses (each one ask of the model), and the
   entries an ``omegas`` memo starts from, the weights ``chain_moment``
   batched; ``batch`` counts the ``omega_many`` calls and their codes.
-- ``stack``: ``WordProducts.product`` calls, the matrix products they make,
-  and the products the same words need without the prefix stack.
+- ``stack``: ``WordProducts.product`` calls (the weight's), the matrix
+  products they make, and the products the same words need without the
+  prefix stack.
 
 It uses the standard library, numpy and the package only, and reads the
 package's private names, so it follows the code it counts, not a stable API.
@@ -38,7 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import cases  # noqa: E402  (perfbench/cases.py)
-from cyclospec import cmcalc  # noqa: E402
+from cyclospec import cmcalc, linred  # noqa: E402
 
 
 def _shared(w, last, stack) -> int:
@@ -55,7 +58,7 @@ class Counts:
 
     def __init__(self):
         self.n = Counter()
-        self._seen: dict[int, set] = {}  # words asked of a matrix model this sweep
+        self._seen: dict[int, set] = {}  # words asked of a matrix model in this window
         self._in_sweep = 0
 
     def _patch(self, owner, name, make):
@@ -74,23 +77,33 @@ class Counts:
             self._patch(cls, method, memo)
         for cls, method in ((cmcalc.MatrixTraceFamily, "omega"),
                             (cmcalc.TraceMatrixState, "tau")):
-            def matrix(original, key=f"asks {cls.__name__}.{method}"):
+            def matrix(original, key=f"asks {cls.__name__}.{method}", state=method == "tau"):
                 def ask(model, w):
                     n[key, "asks"] += 1
                     n[key, "in sweep"] += bool(self._in_sweep)
                     seen = self._seen.setdefault(id(model), set())
                     n[key, "repeats"] += w in seen
                     seen.add(w)
+                    if state:
+                        n[key, "products"] += max(len(w) - 1, 0)
                     return original(model, w)
                 return ask
             self._patch(cls, method, matrix)
 
-            def drop(original):
-                def drop_sweep(model):
-                    self._seen.pop(id(model), None)
-                    return original(model)
-                return drop_sweep
-            self._patch(cls, "_drop_sweep", drop)
+        def sweep(original):
+            def counted(terms, a_model, b_state, *code):
+                models = id(a_model), id(b_state)
+                for model in models:  # a sweep's asks start a window of their own
+                    self._seen.pop(model, None)
+                try:
+                    return original(terms, a_model, b_state, *code)
+                finally:
+                    for model in models:
+                        self._seen.pop(model, None)
+            return counted
+        # poly_moment reads cmcalc's name, chain_moment_unreduced linred's
+        for module in (cmcalc, linred):
+            self._patch(module, "_sweep", sweep)
 
         def sweep_memo(original):
             def init(memo, evaluate, decode, known):

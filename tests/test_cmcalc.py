@@ -39,7 +39,7 @@ from cyclospec import cmcalc, dense, linred
 from cyclospec.cmcalc import WordProducts
 from cyclospec.ncalg import Letter, WordCode, word_adjoint
 
-from _oracles import random_general, random_hermitian, reference_cm_moment
+from _oracles import random_general, random_hermitian, reference_cm_moment, stray_arrays
 
 SYMS = make_symbols(a=("a1", "a2"), b=("b1", "b2", "b3"))
 
@@ -120,6 +120,32 @@ def test_noncrossing_pairings_give_the_semicircle_moments():
     for word, count in [("st", 0), ("sstt", 1), ("stts", 1), ("stst", 0), ("ssss", 2),
                         ("sstsst", 1), ("ststss", 0), ("sssstt", 2)]:
         assert cmcalc._noncrossing_pairings(tuple(word)) == count
+
+
+def test_noncrossing_pairings_are_the_state_of_sampled_gue_words():
+    # the derived limit state against TraceMatrixState over independent GUE
+    # draws, on all 30 words of degree 1 to 4 in two letters; the bound is
+    # the t quantile for a family-wise false-alarm rate of 1% over the 30
+    # two-sided tests (Bonferroni): scipy.stats.t.ppf(1 - 0.01 / 60, 15).
+    # The bias of a mean at n = 100 is O(1 / n**2), a few percent of its
+    # standard error.
+    rng = np.random.default_rng(3041)
+    draws, n, bound = 16, 100, 4.6202
+    words = [tuple(map(b_gen, w)) for d in range(1, 5) for w in itertools.product((1, 2), repeat=d)]
+    values = np.empty((draws, len(words)))
+    for k in range(draws):
+        state = TraceMatrixState({1: sample_gue(n, rng), 2: sample_gue(n, rng)})
+        values[k] = [state.tau(w).real for w in words]
+    limit = [cmcalc._noncrossing_pairings(tuple(letter.index for letter in w)) for w in words]
+    z = (values.mean(axis=0) - limit) / (values.std(axis=0, ddof=1) / math.sqrt(draws))
+    assert np.abs(z).max() <= bound
+    # a long word at a size where BLAS blocks its products: each step is the
+    # product of the naive loop I @ M1 @ M2 @ ..., bitwise
+    n = 400
+    mats = {1: sample_gue(n, rng), 2: sample_gue(n, rng)}
+    w = (b_gen(1, star=True), b_gen(2), b_gen(1), b_gen(2, star=True)) * 2
+    naive = _naive_product(mats, w, n)
+    assert TraceMatrixState(mats).tau(w) == complex(np.trace(naive)) / n
 
 
 def test_moment_table_json_round_trip():
@@ -703,6 +729,11 @@ def test_word_products_bitwise_equal_naive_loop(order):
     products = WordProducts(matrices, 4)
     for w in words:
         assert np.array_equal(products.product(w), _naive_product(matrices, w, 4))
+    # a state multiplies each word out from its letter table, with no stack
+    state = TraceMatrixState(matrices)
+    for w in words:
+        b_word = tuple(b_gen(letter.index, letter.star) for letter in w)
+        assert state.tau(b_word) == complex(np.trace(_naive_product(matrices, w, 4))) / 4
 
 
 @pytest.mark.parametrize("dim", range(1, 18))
@@ -800,9 +831,9 @@ def test_word_products_recover_after_unknown_generator():
 
 
 def _kept(*models):
-    """What each matrix model keeps of its last sweep: its prefix products,
-    and a weight the weights of its batch (a state has none)."""
-    return [(model._products._stack, getattr(model, "_batch", ((), {}))[1]) for model in models]
+    """What each matrix weight keeps of its last sweep: its prefix products,
+    and the weights of its batch."""
+    return [(model._products._stack, model._batch[1]) for model in models]
 
 
 def test_poly_moment_leaves_no_prefix_product_when_it_returns():
@@ -813,11 +844,30 @@ def test_poly_moment_leaves_no_prefix_product_when_it_returns():
     p = parse_expression("a1*a2' + a2*b1*b2'*b1", SYMS)
     for m in (3, 1, 4):
         value = poly_moment(p, m, fam, state)
-        assert _kept(fam, state) == [([], {}), ([], {})]
+        # the state holds b2's adjoint, but no product of the words it was asked
+        assert _kept(fam) == [([], {})] and stray_arrays(state) == []
         # bitwise the value of fresh models, whose stacks start empty, and
         # of a second sweep on these models
         assert value == poly_moment(p, m, MatrixTraceFamily(a_mats), TraceMatrixState(b_mats))
         assert value == poly_moment(p, m, fam, state)
+
+
+@pytest.mark.parametrize("asked_by", ["reduce_b_matrix", "tau"])
+def test_a_state_holds_only_its_generators_and_their_adjoints(asked_by):
+    rng = np.random.default_rng(3039)
+    state = TraceMatrixState({i: random_general(4, rng) for i in (1, 2)})
+    # the last word asked, b1*b2*b1, has the longest proper prefix
+    b = AlgMatrix([["b2'*b1*b2'", "b2*b1'"], ["b1'*b2", "b1*b2*b1"]])
+    if asked_by == "reduce_b_matrix":
+        linred.reduce_b_matrix(b, state)
+    else:
+        for poly in itertools.chain(*b.entries):
+            for w in poly.terms:
+                state.tau(w)
+    # no word's product is kept once its value is taken; the adjoints of b1
+    # and b2 join the generators
+    assert stray_arrays(state) == []
+    assert {letter.label() for letter in state._products._letters} == {"b1", "b1'", "b2", "b2'"}
 
 
 def test_poly_moment_asking_words_again_equals_fresh_models_term_by_term(monkeypatch):
@@ -857,7 +907,7 @@ def test_moment_table_and_spectrum_family_keep_their_memos_across_sweeps():
 @pytest.mark.parametrize("b_state,error", [
     # b1*b1*b2 lies beyond the table's degree cap
     (lambda rng: MomentTable({(b_gen(1), b_gen(1)): 0.5}, degree_cap=2), DegreeExceededError),
-    # the state multiplies b1*b1 onto its stack, then meets b2, which it has no matrix of
+    # the state multiplies b1*b1 out, then meets b2, which it has no matrix of
     (lambda rng: TraceMatrixState({1: random_general(4, rng)}), NotInDomainError),
 ], ids=["degree-cap", "unknown-generator"])
 def test_poly_moment_leaves_no_prefix_product_when_it_raises(b_state, error):
@@ -868,8 +918,9 @@ def test_poly_moment_leaves_no_prefix_product_when_it_raises(b_state, error):
     # a1*a1*b1*b1*b2, raises in the state
     with pytest.raises(error):
         poly_moment(parse_expression("a1*a1 + b1*b1*b2", SYMS), 2, fam, state)
-    models = [fam] + ([state] if isinstance(state, TraceMatrixState) else [])
-    assert _kept(*models) == [([], {})] * len(models)
+    assert _kept(fam) == [([], {})]
+    if isinstance(state, TraceMatrixState):
+        assert stray_arrays(state) == []
     # and the models still give the values of fresh ones
     w = (a_gen(1),) * 3
     assert fam.omega(w) == MatrixTraceFamily(fam.matrices).omega(w)

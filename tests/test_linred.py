@@ -51,9 +51,11 @@ from _oracles import (
     chain_instance,
     commutator_instance,
     conjugated_sum_instance,
+    memoized_models,
     random_general,
     random_hermitian,
     random_psd,
+    stray_arrays,
     sum_aba_instance,
     sum_bab_instance,
     sum_bac_instance,
@@ -333,10 +335,7 @@ def _chain_reference(chain, m, a_model, b_state):
     """Both chain traces from polynomial arithmetic on words and ``sorted_terms``,
     evaluated one word at a time on fresh copies of the matrix models, each
     word's product multiplied out once (the package's models keep no memo)."""
-    a_model = MatrixTraceFamily(a_model.matrices)
-    b_state = TraceMatrixState(b_state.matrices)
-    a_model.omega = functools.cache(a_model.omega)
-    b_state.tau = functools.cache(b_state.tau)
+    a_model, b_state = memoized_models(a_model.matrices, b_state.matrices)
     entries = [mat.entries for mat in chain]
     reduced = None
     for a_entries, b_mat in zip(entries[0::2], chain[1::2]):
@@ -403,9 +402,7 @@ def _coded_forms_agree(chain, m, a_mats, b_mats, rotations=False) -> int:
     if rotations:
         codes = sorted({c[j:] + c[:j] for c in codes for j in range(len(c))})
     sweep = cmcalc.CodedSweep(code, MatrixTraceFamily(a_mats), TraceMatrixState(b_mats))
-    fam, state = MatrixTraceFamily(a_mats), TraceMatrixState(b_mats)
-    fam.omega = functools.cache(fam.omega)  # each word's product multiplied out once
-    state.tau = functools.cache(state.tau)
+    fam, state = memoized_models(a_mats, b_mats)
     for c in codes:
         assert cm_moment(c, sweep) == cm_moment(code.decode(c), fam, state)
     return len(codes)
@@ -534,7 +531,7 @@ def test_unreduced_chain_moment_multiplies_each_distinct_a_word_out_once(monkeyp
 
 
 def _kept(*models):
-    """What each matrix model keeps of its last sweep: its prefix products."""
+    """What each matrix weight keeps of its last sweep: its prefix products."""
     return [model._products._stack for model in models]
 
 
@@ -545,11 +542,13 @@ def test_chain_traces_leave_no_prefix_product_when_they_return():
         chain, m, fam, state = inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
         code = linred._coded_grids(chain)[0]
         unreduced = chain_moment_unreduced(chain, m, fam, state)
-        assert _kept(fam, state) == [[], []] and fam._batched_weights(code) == {}
+        assert _kept(fam) == [[]] and fam._batched_weights(code) == {}
+        # the state holds no product of the words it was asked
+        assert stray_arrays(state) == []
         # a second sweep on these models multiplies every word out again
         assert chain_moment_unreduced(chain, m, fam, state) == unreduced
         chain_moment(chain, m, fam, state)
-        assert _kept(fam, state) == [[], []]
+        assert _kept(fam) == [[]] and stray_arrays(state) == []
         assert fam._batched_weights(code)  # its batched weights, by code
         # bitwise the value of fresh models, whose stacks start empty
         fresh = MatrixTraceFamily(fam.matrices), TraceMatrixState(state.matrices)
@@ -558,18 +557,20 @@ def test_chain_traces_leave_no_prefix_product_when_they_return():
 
 def test_unreduced_chain_moment_reads_the_weights_chain_moment_batched(monkeypatch):
     owners = []
-    product = cmcalc.WordProducts.product
+    product, tau = cmcalc.WordProducts.product, TraceMatrixState.tau
     monkeypatch.setattr(cmcalc.WordProducts, "product",
                         lambda self, w: owners.append(self) or product(self, w))
+    monkeypatch.setattr(TraceMatrixState, "tau", lambda self, w: owners.append(self) or tau(self, w))
     rng = np.random.default_rng(3033)
     for _ in range(20):
         inst = chain_instance(rng)
         args = inst["chain"], inst["m"], inst["a_model"], inst["b_state"]
-        weights, state = inst["a_model"]._products, inst["b_state"]._products
+        weights, state = inst["a_model"]._products, inst["b_state"]
         chain_moment(*args)
         owners.clear()
         chain_moment_unreduced(*args)
-        # chain_moment ended its state's sweep, and left the weights it batched
+        # the sweep asks the state, which kept nothing of the reduction, and
+        # reads the weights chain_moment left batched
         assert state in owners and weights not in owners
         owners.clear()
         chain_moment_unreduced(*args)
@@ -671,15 +672,14 @@ def test_chain_traces_leave_no_prefix_product_when_they_raise(b_state, error):
         inst = chain_instance(rng)
         chain, m, fam = inst["chain"], inst["m"], inst["a_model"]
         state = b_state(inst["b_state"].matrices)
-        models = [fam] + ([state] if isinstance(state, TraceMatrixState) else [])
         for trace in (chain_moment_unreduced, chain_moment):
             try:
                 trace(chain, m, fam, state)
             except error:
                 raised += 1
-            # chain_moment ends its state's sweep, but keeps the weights it batched
-            ended = models if trace is chain_moment_unreduced else models[1:]
-            assert _kept(*ended) == [[]] * len(ended)
+            # a matrix state holds no product of the words it was asked
+            if isinstance(state, TraceMatrixState):
+                assert stray_arrays(state) == []
             assert fam._products._stack == []
     assert raised >= 10
 

@@ -385,6 +385,34 @@ def test_b_entries_drawn_apart_share_no_block_generators():
         Scenario.from_dict(doc)
 
 
+@pytest.mark.parametrize("blocks_first", [True, False], ids=["blocks-first", "blocks-last"])
+@pytest.mark.parametrize("kind", ["gue", "gue_squared", "copy_of", "file"])
+def test_a_letter_read_without_blocks_is_no_block_generator_of_another_entry(
+        kind, blocks_first, tmp_path):
+    # the reduction reads the plain letter and the block generator of that
+    # name as one letter, while the trials draw the two apart
+    save_matrix_csv(np.eye(20), tmp_path / "b.csv")
+    plain = {"kind": kind, "index": 1} if kind == "copy_of" else {"kind": kind}
+    if kind == "file":
+        plain["path"] = str(tmp_path / "b.csv")
+    p, k = (3, 2) if blocks_first else (2, 3)  # the plain entry and the blocks entry
+    b_spec = [{"kind": "gue"}, None, None]
+    b_spec[p - 1], b_spec[k - 1] = plain, {"kind": "gue", "blocks": [[f"b{p}"]]}
+    doc = {"name": "clash", "n": 20, "seed": 1, "trials": 1,
+           "a_spec": {"kind": "geometric", "ratio": 0.5}, "b_spec": b_spec,
+           "expression": f"b{k}*a1*b{p} + b{p}*a1*b{k}",
+           "prediction": {"b_state": {"moments": {f"b{p}*b{p}": 1.0}}}}
+    message = f"b{p} is read as its own b_spec entry and as a 'blocks' generator of b_spec entry {k}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Scenario.from_dict(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["predict", "--scenario", str(path), "--out", str(tmp_path / "p.json")]) == 1
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    # a plain entry the expression does not read stays unchecked
+    Scenario.from_dict(dict(doc, expression=f"b{k}*a1*b{k}"))
+
+
 def test_blocks_are_drawn_in_index_order():
     n = 40
     scenario = Scenario.from_dict(_example1_with(a_spec__blocks=[["a1", "a3"], ["a3'", "a2"]]))
