@@ -22,15 +22,17 @@ coded sweep starts its A-word memo from them when its ``WordCode`` has the
 same A-letters, so ``chain_moment_unreduced`` after ``chain_moment`` on the
 same models decodes no A-word of the batch.
 
-``MomentTable`` and ``SpectrumFamily`` memoize their values per word as
-long as they live: they hold a few runs, which every sweep reads again.  A
-matrix model (``MatrixTraceFamily``, ``TraceMatrixState``) memoizes no
-value; a coded sweep's memos answer the repeats within one sweep.  A matrix
-state multiplies each word out from its letter table and keeps no product.
-A matrix weight keeps the prefix products of its last word, and its batch,
-for one sweep: ``_sweep`` ends the weight's sweep when it returns or raises
-(``_drop_sweep``), so between sweeps a matrix model keeps only its letter
-table and the weight its batch.
+Every lazily filled table is a ``_Memo``, whose evaluator holds a model's
+data, never the model.  ``MomentTable`` and ``SpectrumFamily`` memoize their
+values per word as long as they live: they hold a few runs, which every
+sweep reads again.  A matrix model (``MatrixTraceFamily``,
+``TraceMatrixState``) memoizes no value, only its letters; a coded sweep's
+memos answer the repeats within one sweep.  A matrix state keeps only its
+letters and multiplies each word out from them.  A matrix weight keeps the
+prefix products of its last word, and its batch, for one sweep: ``_sweep``
+ends the weight's sweep when it returns or raises (``_drop_sweep``), so
+between sweeps a matrix model keeps only its letters and the weight its
+batch.
 
 For the eigenvalue recipes a weight model also realizes each generator as a
 matrix: ``diagonal`` gives the 1-D diagonal of the realization, or ``None``
@@ -88,41 +90,52 @@ TRACE_BATCH_BYTES = 1 << 20
 # ---------------------------------------------------------------------------
 
 
-def _memoized_per_word(evaluate):
-    """Memoize a table model's ``omega``/``tau`` on the exact word, in its ``_values``.
+class _Memo(dict):
+    """Values by key, starting from ``known``: a key that misses is evaluated
+    once, as ``evaluate(key)``, and only a value is stored, so a key outside
+    the domain raises on every ask.  ``evaluate`` holds a model's data, never
+    the model, so a model's memo keeps it in no reference cycle; that data
+    must not be mutated once the memo is built."""
 
-    The lookup runs before the domain checks of ``evaluate``; only successful
-    values are stored, so a word outside the domain raises on every call.  A
-    memoized value depends on the model's data, which must therefore not be
-    mutated once the model is built.  The memo lasts the model's lifetime;
-    the matrix models keep none (:class:`WordProducts`).
-    """
+    __slots__ = ("_evaluate",)
 
-    @functools.wraps(evaluate)
-    def lookup(self, w: Word) -> complex:
-        value = self._values.get(w)
-        if value is None:
-            value = self._values[w] = evaluate(self, w)
+    def __init__(self, evaluate, known=()):
+        super().__init__(known)
+        self._evaluate = evaluate
+
+    def __missing__(self, key):
+        value = self[key] = self._evaluate(key)
         return value
 
-    return lookup
+
+def _letter_matrix(matrices: Mapping[int, np.ndarray], letter: Letter) -> np.ndarray:
+    """The matrix of ``letter`` over ``matrices``: the bound matrix, or for a
+    starred letter its conjugate transpose, read-only; an unknown generator
+    raises ``NotInDomainError``."""
+    mat = matrices.get(letter.index)
+    if mat is None:
+        raise NotInDomainError(f"no matrix for generator {letter.label()}")
+    if letter.star:
+        mat = mat.conj().T
+        mat.flags.writeable = False
+    return mat
 
 
 class WordProducts:
-    """Left-to-right products of words over a set of square matrices.
+    """Left-to-right products of words over a matrix weight's generators.
 
-    A matrix model keeps a table here from each letter met so far to its
-    matrix: the bound matrix itself, or for a starred letter its conjugate
-    transpose, formed once on first use and read-only.  That is one adjoint
-    per starred generator, ``16 * dim**2`` bytes of data each (tracemalloc
-    counts 4.4 kB for a starred 16x16 generator and 0.6 kB for a 4x4 one,
-    the array headers and the table's entry included).  The table lives as
-    long as the model.  A matrix state reads only the table
-    (:class:`TraceMatrixState`).
+    Its letter table, ``_letters``, is a :class:`_Memo` from each letter met
+    so far to its matrix (:func:`_letter_matrix`): the bound matrix itself,
+    or for a starred letter its conjugate transpose, formed once on first use
+    and read-only.  That is one adjoint per starred generator, ``16 *
+    dim**2`` bytes of data each (tracemalloc counts 4.4 kB for a starred
+    16x16 generator and 0.6 kB for a 4x4 one, the array headers and the
+    table's entry included).  The table lives as long as the model.  A matrix
+    state keeps only a letter table of its own (:class:`TraceMatrixState`).
 
-    :meth:`product` serves the weight: it keeps the products of the proper
-    prefixes of the last evaluated word, on a stack (fewer matrices than the
-    word has letters), so a word that shares its first ``k`` letters with
+    :meth:`product` keeps the products of the proper prefixes of the last
+    evaluated word, on a stack (fewer matrices than the word has letters),
+    so a word that shares its first ``k`` letters with
     the previous one costs only its remaining products; words in sorted
     order share long prefixes.  The stack lives for one sweep: the oracle's
     sweep empties it when it returns or raises (``_drop_sweep``), since the
@@ -149,25 +162,10 @@ class WordProducts:
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray], dim: int):
-        self._matrices = matrices
+        self._letters = _Memo(functools.partial(_letter_matrix, matrices))
         self._dim = dim
-        self._letters: dict[Letter, np.ndarray] = {}
         self._word: Word = ()
         self._stack: list[np.ndarray] = []
-
-    def _letter_matrix(self, letter: Letter) -> np.ndarray:
-        """The matrix of ``letter``, entered in the letter table; an unknown
-        generator raises ``NotInDomainError`` and enters nothing."""
-        mat = self._letters.get(letter)
-        if mat is None:
-            mat = self._matrices.get(letter.index)
-            if mat is None:
-                raise NotInDomainError(f"no matrix for generator {letter.label()}")
-            if letter.star:
-                mat = mat.conj().T
-                mat.flags.writeable = False
-            self._letters[letter] = mat
-        return mat
 
     def _drop_stack(self) -> None:
         """Forget the last word and free its prefix products."""
@@ -187,13 +185,10 @@ class WordProducts:
         # letter below raises
         self._word = w
         prod = stack[-1] if shared else None
-        table = self._letters
+        letters = self._letters
         end = len(w) - 1
         for pos in range(shared, len(w)):
-            letter = w[pos]
-            mat = table.get(letter)
-            if mat is None:
-                mat = self._letter_matrix(letter)
+            mat = letters[w[pos]]
             prod = mat if prod is None else prod.dot(mat)
             if pos < end:
                 stack.append(prod)
@@ -213,14 +208,20 @@ class WordProducts:
         matrix per distinct character of ``codes``.  The traces of a depth's
         nodes are taken with ``np.trace(..., axis1=1, axis2=2)``.  So every
         value is bitwise equal to ``complex(self.product(w).trace())``, ``w``
-        its code's word.  Sorted codes share the most prefixes.  An unknown
-        generator raises ``NotInDomainError`` before anything is multiplied.
+        its code's word.  Sorted codes share the most prefixes.  An empty or
+        impure code raises the weight's ``NotInDomainError``, and so does an
+        unknown generator, before anything is stacked.
         """
         if not codes:
             return []
-        ranks = sorted(set("".join(codes)))
+        chars = "".join(codes)
+        # the A-letters have the lowest codes
+        if not all(codes) or max(chars) >= chr(code.a_count):
+            for c in codes:
+                _check_pure_a_nonempty(code.decode(c))
+        ranks = sorted(set(chars))
         row_of = {rank: row for row, rank in enumerate(ranks)}
-        letter_stack = np.stack([self._letter_matrix(code.letters[ord(rank)]) for rank in ranks])
+        letter_stack = np.stack([self._letters[code.letters[ord(rank)]] for rank in ranks])
         node_bytes = 16 * self._dim * self._dim
         values: list[complex] = []
         for batch in _batches(codes, TRACE_BATCH_BYTES // node_bytes):
@@ -456,7 +457,7 @@ class MomentTable(TracialState):
                 )
         self._table = table
         self.degree_cap = degree_cap if degree_cap is not None else max_degree
-        self._values: dict[Word, complex] = {}
+        self._values = _Memo(functools.partial(self._tau, table, self.degree_cap))
 
     @classmethod
     def from_b_powers(cls, powers: Mapping[int, complex]) -> "MomentTable":
@@ -502,21 +503,24 @@ class MomentTable(TracialState):
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_doc(json.load(fh))
 
-    @_memoized_per_word
     def tau(self, w: Word) -> complex:
+        return self._values[w]
+
+    @staticmethod
+    def _tau(table: Mapping[Word, complex], degree_cap: int, w: Word) -> complex:
         _check_pure_b(w)
         if not w:
             return 1 + 0j
-        if len(w) > self.degree_cap:
+        if len(w) > degree_cap:
             raise DegreeExceededError(
-                f"word degree {len(w)} exceeds table cap {self.degree_cap}"
+                f"word degree {len(w)} exceeds table cap {degree_cap}"
             )
         canon = min_cyclic_rotation(w)
-        if canon in self._table:
-            return self._table[canon]
+        if canon in table:
+            return table[canon]
         conj_key = min_cyclic_rotation(word_adjoint(w))
-        if conj_key in self._table:
-            return self._table[conj_key].conjugate()
+        if conj_key in table:
+            return table[conj_key].conjugate()
         raise DegreeExceededError(f"no table entry for {word_str(w)}")
 
 
@@ -540,22 +544,22 @@ def _square_matrices(matrices: Mapping[int, np.ndarray], what: str):
 class TraceMatrixState(TracialState):
     """Concrete matrix model: the state is the normalized trace.
 
-    No value or product is kept: each word is multiplied out when asked,
-    left to right from the letter table of :class:`WordProducts` (the bound
-    matrix or its read-only adjoint), in the ``prod.dot(mat)`` steps of
-    ``WordProducts.product``.  The matrices must not be mutated after the
-    model is built.
+    The state keeps only its letters, in a letter table as the weight's
+    (:class:`WordProducts`), and no value or product: each word is
+    multiplied out when asked, left to right from the table, in the
+    ``prod.dot(mat)`` steps of ``WordProducts.product``.  The matrices must
+    not be mutated after the model is built.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray]):
         self.matrices, self.dim = _square_matrices(matrices, "state")
-        self._products = WordProducts(self.matrices, self.dim)
+        self._letters = _Memo(functools.partial(_letter_matrix, self.matrices))
 
     def tau(self, w: Word) -> complex:
         _check_pure_b(w)
         if not w:
             return 1 + 0j
-        prod = functools.reduce(np.ndarray.dot, map(self._products._letter_matrix, w))
+        prod = functools.reduce(np.ndarray.dot, map(self._letters.__getitem__, w))
         return complex(_add_reduce(prod.diagonal())) / self.dim
 
 
@@ -634,34 +638,38 @@ class SpectrumFamily(TraceClassModel):
 
     def __init__(self, spectra: Mapping[int, Spectrum]):
         self.spectra, self.truncation = _shared_spectra(spectra)
-        self._values: dict[Word, complex] = {}
+        self._values = _Memo(functools.partial(self._omega, self.spectra, self.truncation))
 
-    def _spectrum(self, index: int) -> Spectrum:
-        spec = self.spectra.get(index)
+    @staticmethod
+    def _spectrum(spectra: Mapping[int, Spectrum], index: int) -> Spectrum:
+        spec = spectra.get(index)
         if spec is None:
             raise NotInDomainError(f"no spectrum for generator index {index}")
         return spec
 
-    @_memoized_per_word
     def omega(self, w: Word) -> complex:
+        return self._values[w]
+
+    @staticmethod
+    def _omega(spectra: Mapping[int, Spectrum], truncation: int | None, w: Word) -> complex:
         _check_pure_a_nonempty(w)
         for letter in w:
-            self._spectrum(letter.index)
-        if self.truncation is None:
+            SpectrumFamily._spectrum(spectra, letter.index)
+        if truncation is None:
             scale = 1.0
             ratio = 1.0
             for letter in w:
-                spec = self.spectra[letter.index]
+                spec = spectra[letter.index]
                 scale *= spec.scale
                 ratio *= spec.ratio
             return complex(scale / (1.0 - ratio))
-        vals = np.ones(self.truncation)
+        vals = np.ones(truncation)
         for letter in w:
-            vals = vals * self.spectra[letter.index].eigenvalues(self.truncation)
+            vals = vals * spectra[letter.index].eigenvalues(truncation)
         return complex(np.sum(vals))
 
     def diagonal(self, index: int, size: int | None = None) -> np.ndarray:
-        spec = self._spectrum(index)
+        spec = self._spectrum(self.spectra, index)
         return spec.eigenvalues(_realized_size(size, self.truncation)).astype(complex)
 
 
@@ -698,13 +706,9 @@ class MatrixTraceFamily(TraceClassModel):
         are kept as the batch, keyed by code with the A-letters of ``code``,
         for the next coded sweep to start from (:meth:`_batched_weights`);
         the batch replaces the last one.  A word outside the domain raises
-        the error of :meth:`omega`, and then nothing is multiplied or kept.
-        No codes give ``[]``.
+        the error of :meth:`omega` (``WordProducts.traces`` checks), and then
+        nothing is multiplied or kept.  No codes give ``[]``.
         """
-        # the A-letters have the lowest codes
-        if not all(codes) or max("".join(codes), default="") >= chr(code.a_count):
-            for c in codes:
-                _check_pure_a_nonempty(code.decode(c))
         values = self._products.traces(codes, code)
         self._batch = code.letters[:code.a_count], dict(zip(codes, values))
         return values
@@ -777,20 +781,9 @@ class HaarConjugatedFamily(TraceClassModel):
 # ---------------------------------------------------------------------------
 
 
-class _SweepMemo(dict):
-    """Values keyed by code for one sweep, starting from ``known``: a code
-    that misses is decoded and evaluated once, and only a value is stored,
-    so a code outside the domain raises on every lookup."""
-
-    __slots__ = ("_evaluate", "_decode")
-
-    def __init__(self, evaluate, decode, known: Mapping[str, complex]):
-        super().__init__(known)
-        self._evaluate, self._decode = evaluate, decode
-
-    def __missing__(self, c: str) -> complex:
-        value = self[c] = self._evaluate(self._decode(c))
-        return value
+def _decoded(evaluate, decode, c: str) -> complex:
+    """``evaluate`` of the word that ``decode`` gives for the code ``c``."""
+    return evaluate(decode(c))
 
 
 class CodedSweep:
@@ -801,14 +794,14 @@ class CodedSweep:
     factor a code: ``a_to_cut`` turns each A-letter into ``cut``, a
     character that is no code, at which ``str.split`` cuts the B-runs
     apart, and ``drop_b`` drops the B-letters, which leaves the A-word.
-    ``taus`` and ``omegas`` hold the state value of each B-run code and the
-    weight of each A-word code; they live as long as the sweep, and ask
-    ``b_state.tau`` or ``a_model.omega`` only when a code first misses, with
-    its word.  ``omegas`` starts from the weights ``a_model`` batched by
-    code (``_batched_weights``), which it keeps only for a ``WordCode`` with
-    the same A-letters: the A-letters take the lowest codes, so then a code
-    names the same A-word in both, although ``linred.chain_moment`` codes
-    only the A-matrices' letters.
+    ``taus`` and ``omegas``, each a :class:`_Memo`, hold the state value of
+    each B-run code and the weight of each A-word code; they live as long as
+    the sweep, and decode a code and ask ``b_state.tau`` or ``a_model.omega``
+    only when it first misses.  ``omegas`` starts from the weights
+    ``a_model`` batched by code (``_batched_weights``), which it keeps only
+    for a ``WordCode`` with the same A-letters: the A-letters take the lowest
+    codes, so then a code names the same A-word in both, although
+    ``linred.chain_moment`` codes only the A-matrices' letters.
     """
 
     __slots__ = ("code", "cut", "a_to_cut", "drop_b", "taus", "omegas")
@@ -821,8 +814,9 @@ class CodedSweep:
         self.cut = chr(count)
         self.a_to_cut = [self.cut] * a_count + [chr(rank) for rank in range(a_count, count)]
         self.drop_b = [chr(rank) for rank in range(a_count)] + [None] * (count - a_count)
-        self.taus = _SweepMemo(b_state.tau, code.decode, {})
-        self.omegas = _SweepMemo(a_model.omega, code.decode, a_model._batched_weights(code))
+        self.taus = _Memo(functools.partial(_decoded, b_state.tau, code.decode))
+        self.omegas = _Memo(functools.partial(_decoded, a_model.omega, code.decode),
+                            a_model._batched_weights(code))
 
 
 def cm_moment(

@@ -248,9 +248,9 @@ def memoized_models(a_mats, b_mats):
 
 
 def stray_arrays(state):
-    """The arrays that a matrix state holds anywhere in its attributes, other
-    than its generators and their adjoints: what it keeps of the words it
-    was asked."""
+    """The arrays that a matrix state holds anywhere in its attributes, its
+    letter table ``state._letters`` among them, other than its generators
+    and their adjoints: what it keeps of the words it was asked."""
     generators = list(state.matrices.values())
     adjoints = [g.conj().T for g in generators]
 

@@ -7,12 +7,13 @@ alternating order, one pair per seed, and appends the set to a JSON file:
         --workload scenarios --pairs 10 --seconds 30 --seed 301 --out BENCH_<PR>.json
 
 The workload ``tier1`` runs each tree's tier-1 tests instead (pytest with
-``--durations=10``, the tree's ``src`` on ``PYTHONPATH``; no seed) and
-records per side each run's wall time, pytest's own time, its outcome counts
-and its 10 slowest tests, under the file's ``"tier1"`` key:
+``--durations=10``, the tree's ``src`` on ``PYTHONPATH``) and records per
+side each run's wall time, pytest's own time, its outcome counts and its 10
+slowest tests, under the file's ``"tier1"`` key.  Both sides of pair k run
+with ``--hypothesis-seed <seed + k>``, so they draw the same examples:
 
     python3 tests/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --workload tier1 --pairs 3 --out BENCH_<PR>.json
+        --workload tier1 --pairs 3 --seed 1 --out BENCH_<PR>.json
 
 Make the parent tree with ``git archive <rev> | tar -x -C PARENT_DIR`` (or
 ``git worktree``).  Pair k runs both trees with ``--seed <seed + k>``; the
@@ -124,28 +125,31 @@ def parse_tier1(stdout: str) -> dict:
     return {"pytest_s": float(seconds.group(1)), "counts": counts, "slowest": slowest}
 
 
-def run_tier1(tree: Path) -> dict:
-    """One tier-1 run in ``tree``: its wall time and :func:`parse_tier1`."""
+def run_tier1(tree: Path, seed: int) -> dict:
+    """One tier-1 run in ``tree`` at hypothesis seed ``seed``: its wall time
+    and :func:`parse_tier1`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "--durations=10", "-p", "no:cacheprovider"],
+         "--durations=10", "-p", "no:cacheprovider", "--hypothesis-seed", str(seed)],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     return {"wall_s": time.perf_counter() - start, "exit_code": proc.returncode,
             **parse_tier1(proc.stdout)}
 
 
-def run_tier1_set(parent: Path, change: Path, pairs: int) -> dict:
+def run_tier1_set(parent: Path, change: Path, pairs: int, seed: int) -> dict:
     runs = {"parent": [], "change": []}
     for k in range(pairs):
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_tier1(parent if side == "parent" else change))
-            print(f"pair {k + 1}/{pairs} {side}: {runs[side][-1]['wall_s']:.1f} s, "
-                  f"{runs[side][-1]['counts']}", file=sys.stderr)
+            runs[side].append(run_tier1(parent if side == "parent" else change, seed + k))
+            print(f"pair {k + 1}/{pairs} seed {seed + k} {side}: "
+                  f"{runs[side][-1]['wall_s']:.1f} s, {runs[side][-1]['counts']}",
+                  file=sys.stderr)
     walls = {side: [run["wall_s"] for run in runs[side]] for side in runs}
-    return {"runs": runs, "wall_s": summarize(walls["parent"], walls["change"], "lower")}
+    return {"runs": runs, "seeds": [seed + k for k in range(pairs)],
+            "wall_s": summarize(walls["parent"], walls["change"], "lower")}
 
 
 def main(argv=None) -> int:
@@ -155,7 +159,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, help="the first pair's seed (not for tier1)")
+    parser.add_argument("--seed", type=int, required=True,
+                        help="the first pair's seed (for tier1, its hypothesis seed)")
     parser.add_argument("--out", required=True, type=Path, help="BENCH_<PR>.json to extend")
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -163,15 +168,13 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     if args.workload == "tier1":
         entry = doc.setdefault("tier1", {"sets": []})
-        entry["sets"].append(run_tier1_set(args.parent, args.change, args.pairs))
+        entry["sets"].append(run_tier1_set(args.parent, args.change, args.pairs, args.seed))
         entry["sets_run"] = len(entry["sets"])
         args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         row = entry["sets"][-1]["wall_s"]
         print(f"tier1 wall_s: {row['parent_median']:.1f} -> {row['change_median']:.1f} s "
               f"({100 * row['rel_change']:+.1f}%), wins {row['wins']}/{row['pairs']}")
         return 0
-    if args.seed is None:
-        raise SystemExit("--seed is needed for a benchmark workload")
     new = run_set(args.parent, args.change, args.workload, args.pairs, args.seconds, args.seed)
     entry = doc.setdefault("workloads", {}).setdefault(args.workload, {"sets": []})
     entry["sets"].append(new)

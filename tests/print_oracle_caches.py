@@ -53,6 +53,15 @@ def _shared(w, last, stack) -> int:
     return shared
 
 
+def _coded_row(memo) -> str | None:
+    """The row of a coded sweep's memo (``CodedSweep.taus`` or ``omegas``),
+    named by the model its evaluator asks; ``None`` for any other memo."""
+    evaluate = memo._evaluate
+    if getattr(evaluate, "func", None) is not cmcalc._decoded:
+        return None
+    return f"coded {type(evaluate.args[0].__self__).__name__} memo"
+
+
 class Counts:
     """Counters installed on the oracle's caches for the length of a block."""
 
@@ -105,17 +114,22 @@ class Counts:
         for module in (cmcalc, linred):
             self._patch(module, "_sweep", sweep)
 
-        def sweep_memo(original):
-            def init(memo, evaluate, decode, known):
-                original(memo, evaluate, decode, known)
-                owner = type(evaluate.__self__).__name__
-                n[f"coded {owner} memo", "seeded"] += len(known)
+        # every lazily filled table is a cmcalc._Memo; only a coded sweep's
+        # two are counted here
+        def memo_init(original):
+            def init(memo, evaluate, known=()):
+                original(memo, evaluate, known)
+                key = _coded_row(memo)
+                if key:
+                    n[key, "seeded"] += len(known)
             return init
-        self._patch(cmcalc._SweepMemo, "__init__", sweep_memo)
+        self._patch(cmcalc._Memo, "__init__", memo_init)
 
         def lookup(original):  # dict.__getitem__, which calls __missing__ on a miss
             def get(memo, c):
-                key = f"coded {type(memo._evaluate.__self__).__name__} memo"
+                key = _coded_row(memo)
+                if key is None:
+                    return original(memo, c)
                 n[key, "lookups"] += 1
                 if c in memo:
                     n[key, "hits"] += 1
@@ -127,7 +141,7 @@ class Counts:
                 finally:
                     self._in_sweep -= 1
             return get
-        self._patch(cmcalc._SweepMemo, "__getitem__", lookup)
+        self._patch(cmcalc._Memo, "__getitem__", lookup)
 
         def batch(original):
             def omega_many(model, codes, code):

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+import bench_pairs
 from bench_pairs import parse_tier1, summarize
 
 
@@ -59,3 +62,18 @@ def test_tier1_output_is_read_for_its_time_counts_and_slowest_tests():
     ]
     with pytest.raises(ValueError, match="not a pytest summary line"):
         parse_tier1("collecting ...\n")
+
+
+def test_tier1_pairs_run_both_sides_at_one_hypothesis_seed_per_pair(monkeypatch):
+    runs = []
+
+    def run_tier1(tree, seed):
+        runs.append((tree.name, seed))
+        return {"wall_s": float(len(runs)), "counts": {"passed": 1}}
+
+    monkeypatch.setattr(bench_pairs, "run_tier1", run_tier1)
+    row = bench_pairs.run_tier1_set(Path("parent"), Path("change"), 3, 50)
+    assert runs == [("parent", 50), ("change", 50), ("change", 51), ("parent", 51),
+                    ("parent", 52), ("change", 52)]
+    assert row["seeds"] == [50, 51, 52]
+    assert row["wall_s"]["parent"] == [1.0, 4.0, 5.0]

@@ -1,7 +1,9 @@
 import functools
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -867,7 +869,7 @@ def test_a_state_holds_only_its_generators_and_their_adjoints(asked_by):
     # no word's product is kept once its value is taken; the adjoints of b1
     # and b2 join the generators
     assert stray_arrays(state) == []
-    assert {letter.label() for letter in state._products._letters} == {"b1", "b1'", "b2", "b2'"}
+    assert {letter.label() for letter in state._letters} == {"b1", "b1'", "b2", "b2'"}
 
 
 def test_poly_moment_asking_words_again_equals_fresh_models_term_by_term(monkeypatch):
@@ -890,6 +892,30 @@ def test_poly_moment_asking_words_again_equals_fresh_models_term_by_term(monkeyp
         fresh = MatrixTraceFamily(a_mats), TraceMatrixState(b_mats)
         expected += coeff * reference_cm_moment(w, *fresh)
     assert value == expected
+
+
+def test_no_model_is_kept_alive_by_its_own_memo():
+    # a memo's evaluator holds the model's data, not the model, so with the
+    # cycle collector off a model dies as soon as its last reference goes
+    rng = np.random.default_rng(3040)
+    a1, b1, b1_star = a_gen(1), b_gen(1), b_gen(1, star=True)
+    cases = [
+        (MomentTable.from_b_powers({1: 1.0, 2: 2.0}), lambda m: m.tau((b1, b1))),
+        (geometric_family(16), lambda m: m.omega((a1, a1))),
+        (MatrixTraceFamily({1: random_general(3, rng)}),
+         lambda m: (m.omega((a1, a1)), m.omega_many(*_coded([(a1,), (a1, a1)])))),
+        (TraceMatrixState({1: random_general(3, rng)}), lambda m: m.tau((b1, b1_star, b1))),
+    ]
+    gc.disable()
+    try:
+        while cases:
+            model, ask = cases.pop()
+            ask(model)
+            ref, name = weakref.ref(model), type(model).__name__
+            del model
+            assert ref() is None, name
+    finally:
+        gc.enable()
 
 
 def test_moment_table_and_spectrum_family_keep_their_memos_across_sweeps():
@@ -1023,6 +1049,19 @@ def test_word_product_traces_bitwise_equal_product(order):
     expected = [complex(np.trace(_naive_product(matrices, w, 4))) for w in words]
     assert WordProducts(matrices, 4).traces(*_coded(words)) == expected
     assert WordProducts(matrices, 4).traces(*_coded([])) == []
+
+
+@pytest.mark.parametrize("codes,letters,error", [
+    ([""], [a_gen(1)], "unit word"),
+    (["", "\0"], [a_gen(1)], "unit word"),
+    (["\0", "\0\1"], [a_gen(1), b_gen(1)], "pure-A words only"),
+], ids=["empty", "empty-and-a1", "impure"])
+def test_word_product_traces_refuse_a_word_outside_the_weight_domain(codes, letters, error):
+    # the batch walk checks its own codes, as omega checks its words
+    products = WordProducts({1: np.diag([1.0, 2.0])}, 2)
+    with pytest.raises(NotInDomainError, match=error):
+        products.traces(codes, WordCode(letters))
+    assert products.traces(["\0"], WordCode([a_gen(1)])) == [3.0]
 
 
 # a word list with adjoint letters, repeats, and words that are prefixes of
