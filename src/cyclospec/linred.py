@@ -63,7 +63,9 @@ from .ncalg import (
     word_str,
 )
 from .spectra import (
+    HERMITICITY_TOL,
     EVMultiset,
+    _solve_hermitian,
     disjoint_union,
     hermitian_spectrum,
     hermiticity_gap,
@@ -466,16 +468,22 @@ def ev_sum_bab(a_list, gram) -> Prediction:
     )
 
 
-def ev_sum_aba(a_list, taus) -> Prediction:
-    """Multiset of ``sum_i tau(b_i) a_i a_i*`` realized numerically."""
+def _real_state_values(taus, a_list, letter: str):
+    """``(taus.real, blocks, n)``: the state values ``tau(<letter>_i)``, which
+    must be real, one per generator of ``a_list``, and its realized blocks."""
     taus = np.asarray(taus, dtype=complex)
     tol = rounding_tolerance(1e-12, float(np.max(np.abs(taus), initial=0.0)))
     if np.max(np.abs(taus.imag), initial=0.0) > tol:
-        raise NotSelfadjointError("state values tau(b_i) must be real (selfadjoint b_i)")
-    taus = taus.real
+        raise NotSelfadjointError(f"state values tau({letter}_i) must be real (selfadjoint {letter}_i)")
     blocks, n = _realized_blocks(a_list)
     if taus.shape[0] != len(blocks):
         raise DimensionMismatchError("need one state value per generator")
+    return taus.real, blocks, n
+
+
+def ev_sum_aba(a_list, taus) -> Prediction:
+    """Multiset of ``sum_i tau(b_i) a_i a_i*`` realized numerically."""
+    taus, blocks, n = _real_state_values(taus, a_list, "b")
     acc = np.zeros((n, n), dtype=complex)
     for t, block in zip(taus, blocks):
         acc += t * (block @ block.conj().T)
@@ -488,43 +496,39 @@ def ev_sum_aba(a_list, taus) -> Prediction:
     )
 
 
-def ev_anticommutator(a, tau_b: float, tau_b2: float) -> Prediction:
-    """Multiset of ``a b + b a`` from the two derived slopes."""
+def _refuse_nonfinite_states(tau_b: float, tau_b2: float) -> None:
     if not np.isfinite([tau_b, tau_b2]).all():
         raise NotSelfadjointError(f"non-finite state value: tau(b) {tau_b}, tau(b^2) {tau_b2}")
+
+
+def _two_scaled_copies(recipe: str, a, tau_b, tau_b2, slopes, provenance: dict) -> Prediction:
+    """The prediction of the spectrum of ``a`` scaled by each of the two ``slopes``."""
+    base = eigenvalue_multiset(a)
+    return Prediction(disjoint_union(scale(slopes[0], base), scale(slopes[1], base)), recipe,
+                      {"tau_b": float(tau_b), "tau_b2": float(tau_b2)}, provenance)
+
+
+def ev_anticommutator(a, tau_b: float, tau_b2: float) -> Prediction:
+    """Multiset of ``a b + b a`` from the two derived slopes."""
+    _refuse_nonfinite_states(tau_b, tau_b2)
     if tau_b2 < 0:
         raise NotPositiveError("tau(b^2) must be nonnegative")
     root = float(np.sqrt(tau_b2))
     p = root + float(tau_b)
     q = -root + float(tau_b)
-    base = eigenvalue_multiset(a)
-    multiset = disjoint_union(scale(p, base), scale(q, base))
-    return Prediction(
-        multiset=multiset,
-        recipe="anticommutator",
-        parameters={"tau_b": float(tau_b), "tau_b2": float(tau_b2)},
-        provenance={"p": p, "q": q},
-    )
+    return _two_scaled_copies("anticommutator", a, tau_b, tau_b2, (p, q), {"p": p, "q": q})
 
 
 def ev_commutator(a, tau_b: float, tau_b2: float) -> Prediction:
     """Multiset of ``i(a b - b a)``; the slope is the standard deviation of b."""
-    if not np.isfinite([tau_b, tau_b2]).all():
-        raise NotSelfadjointError(f"non-finite state value: tau(b) {tau_b}, tau(b^2) {tau_b2}")
+    _refuse_nonfinite_states(tau_b, tau_b2)
     variance = float(tau_b2) - float(tau_b) ** 2
     if variance < -rounding_tolerance(1e-12, abs(float(tau_b2))):
         raise NotPositiveError(
             "tau(b^2) - tau(b)^2 is negative beyond tolerance; inconsistent state table"
         )
     r = float(np.sqrt(max(variance, 0.0)))
-    base = eigenvalue_multiset(a)
-    multiset = disjoint_union(scale(r, base), scale(-r, base))
-    return Prediction(
-        multiset=multiset,
-        recipe="commutator",
-        parameters={"tau_b": float(tau_b), "tau_b2": float(tau_b2)},
-        provenance={"r": r},
-    )
+    return _two_scaled_copies("commutator", a, tau_b, tau_b2, (r, -r), {"r": r})
 
 
 def ev_sum_bac(a, bprime) -> Prediction:
@@ -538,8 +542,8 @@ def ev_sum_bac(a, bprime) -> Prediction:
     if bprime.ndim != 2 or bprime.shape[0] != bprime.shape[1]:
         raise DimensionMismatchError("reduced matrix must be square")
     residual, tol = hermiticity_gap(bprime, SUM_BAC_HERMITIAN_TOL)
-    if residual <= tol:
-        lams = np.linalg.eigvalsh(bprime).astype(complex)
+    if residual <= tol:  # a copy: the caller's array is not written
+        lams = _solve_hermitian(bprime.copy(), SUM_BAC_HERMITIAN_TOL)[0].values
     else:
         lams = np.linalg.eigvals(bprime)
     radius = float(np.max(np.abs(lams), initial=0.0))
@@ -563,14 +567,7 @@ def ev_sum_bac(a, bprime) -> Prediction:
 
 def ev_conjugated_sum(a_list, c_taus, gram) -> Prediction:
     """Multiset of ``sum_i b_i a_i c_i a_i* b_i*`` via the modified diagonal."""
-    c_taus = np.asarray(c_taus, dtype=complex)
-    tol = rounding_tolerance(1e-12, float(np.max(np.abs(c_taus), initial=0.0)))
-    if np.max(np.abs(c_taus.imag), initial=0.0) > tol:
-        raise NotSelfadjointError("state values tau(c_i) must be real (selfadjoint c_i)")
-    c_taus = c_taus.real
-    blocks, n = _realized_blocks(a_list)
-    if c_taus.shape[0] != len(blocks):
-        raise DimensionMismatchError("need one state value per generator")
+    c_taus, blocks, n = _real_state_values(c_taus, a_list, "c")
     modified = [t * (block @ block.conj().T) for t, block in zip(c_taus, blocks)]
     inner = ev_sum_bab(modified, gram)
     return Prediction(
@@ -715,11 +712,12 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
     With A Hermitian and beta PSD it is that of the Hermitian sandwich
     ``(root x I_s) A (root x I_s)``, ``root = sqrt(beta)``; A is symmetrized
     first, as the sandwich would scale its accepted asymmetry past the
-    spectrum's own check, and the sandwich must pass that check.  Otherwise
-    the product is solved, and its spectrum must be real.  A non-finite
-    entry of ``stack``, or of the product, is an overflow of its finite
-    inputs, and raises ``ValueError``.  ``stack`` is overwritten by the
-    matrix solved, and solved in place."""
+    spectrum's own check.  Otherwise it is that of the product.  Either is
+    solved in place by :func:`_solve_hermitian`; a sandwich that it refuses
+    raises, and a product that it refuses, unwritten, goes to the general
+    eigensolver, whose spectrum must be real.  A non-finite entry of
+    ``stack``, or of the product, is an overflow of its finite inputs, and
+    raises ``ValueError``."""
     _refuse_overflow(stack)
     m, k = len(stack), len(beta)
     s = stack.shape[-1] // k
@@ -740,12 +738,11 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
         else:
             np.matmul(columns, beta, out=columns)
     _refuse_overflow(stack)
-    residual, tol = hermiticity_gap(stack)
-    if residual <= tol:
-        return EVMultiset(np.linalg.eigvalsh(symmetrize(stack)).ravel())
-    if sandwich:
-        raise NotSelfadjointError(f"matrix is not Hermitian: max entry deviation "
-                                  f"{residual:.3e} above {tol:.3e}")
+    try:  # the stack is finite, so only its asymmetry is refused
+        return _solve_hermitian(stack, HERMITICITY_TOL)[0]
+    except NotSelfadjointError:
+        if sandwich:
+            raise
     lams = np.linalg.eigvals(stack).ravel()
     radius = float(np.max(np.abs(lams), initial=0.0))
     if float(np.max(np.abs(lams.imag), initial=0.0)) > CHAIN_IMAG_REL_TOL * max(radius, 1e-300):

@@ -2,8 +2,9 @@
 
 The canonical order is descending absolute value, ties broken by descending
 signed value; this is the order in which truncated spectra are displayed and
-compared.  The Hermiticity check and symmetrization that precede every
-eigensolve walk a matrix tile by tile, ``BLOCK_WIDTH`` on a side.
+compared.  Every Hermitian eigensolve is :func:`_solve_hermitian`: a check
+and a symmetrization, which walk a matrix tile by tile, ``BLOCK_WIDTH`` on
+a side, then ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -141,20 +142,27 @@ def relative_error(x, ref):
     return np.abs(np.subtract(x, ref)) / np.maximum(np.abs(ref), REL_FLOOR)
 
 
+def _solve_hermitian(m: np.ndarray, floor: float) -> tuple[EVMultiset, float]:
+    """The spectrum and residual of a matrix or stack ``m`` that passes
+    ``hermiticity_gap(m, floor)``, symmetrized and solved in place; otherwise
+    ``NotSelfadjointError``, with ``m`` unwritten."""
+    residual, tol = hermiticity_gap(m, floor)
+    if residual > tol:
+        raise NotSelfadjointError(f"matrix is not Hermitian: max entry deviation "
+                                  f"{residual:.3e} above {tol:.3e}")
+    return EVMultiset(np.linalg.eigvalsh(symmetrize(m)).ravel()), residual
+
+
 def hermitian_spectrum(matrix: np.ndarray) -> EVMultiset:
     """All eigenvalues (with multiplicity) of a Hermitian matrix.
 
     A stack of square matrices, shape ``(..., k, k)``, stands for their direct
-    sum.  It must pass ``hermiticity_gap``; a symmetrized copy is solved.
+    sum.  A copy goes through :func:`_solve_hermitian` at ``HERMITICITY_TOL``.
     """
     m = np.array(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSelfadjointError("spectrum needs a square matrix")
-    residual, tol = hermiticity_gap(m)
-    if residual > tol:
-        raise NotSelfadjointError(f"matrix is not Hermitian: max entry deviation "
-                                  f"{residual:.3e} above {tol:.3e}")
-    return EVMultiset(np.linalg.eigvalsh(symmetrize(m)).ravel())
+    return _solve_hermitian(m, HERMITICITY_TOL)[0]
 
 
 def scale(c: float, s: EVMultiset) -> EVMultiset:

@@ -35,6 +35,7 @@ from cyclospec import (
     ev_sum_aba,
     ev_sum_bab,
     ev_sum_bac,
+    hermitian_spectrum,
     make_symbols,
     multiset_moment,
     parse_expression,
@@ -823,13 +824,14 @@ def _example1_chain(n, scale=1.0, seed=7):
 
 def _chain_paths(monkeypatch, predict):
     """The multiset of ``predict()`` (an ``ev_chain`` or ``ev_polynomial``),
-    whether it took the general eigensolver, and that eigensolver's
-    multiset, forced by a beta that never passes as PSD."""
+    the path it took (``"sandwich"`` or ``"product"``), and the product
+    path's multiset, forced by a beta that never passes as PSD."""
     calls = []
     stack_spectrum, symmetrize = linred._stack_spectrum, linred.symmetrize
+    solve_hermitian = linred._solve_hermitian
 
     def spy(*args):
-        calls.append("product")
+        calls.append("stack")
         return stack_spectrum(*args)
 
     def symmetrize_spy(m):
@@ -837,19 +839,29 @@ def _chain_paths(monkeypatch, predict):
             calls.append("symmetrize")
         return symmetrize(m)
 
+    def solve_spy(m, floor):
+        solved = solve_hermitian(m, floor)
+        calls.append("solved")
+        return solved
+
     def not_psd(gram):
         raise NotPositiveError("not PSD by construction")
 
     with monkeypatch.context() as patch:
         patch.setattr(linred, "_stack_spectrum", spy)
         patch.setattr(linred, "symmetrize", symmetrize_spy)
+        patch.setattr(linred, "_solve_hermitian", solve_spy)
         got = predict().multiset
-        # the sandwich symmetrizes the stack twice, A and then the sandwich; a
-        # product once (Hermitian) or never (general eigensolver)
-        took_product = calls in (["product"], ["product", "symmetrize"])
+        # the sandwich symmetrizes A, and the shared step solves the sandwich;
+        # a product passes that step (Hermitian) or is refused by it (general
+        # eigensolver)
+        path = {("stack", "symmetrize", "solved"): "sandwich", ("stack", "solved"): "product",
+                ("stack",): "product"}.get(tuple(calls))
         patch.setattr(linred, "sqrtm_psd", not_psd)
+        calls.clear()
         product = predict().multiset
-    return got, took_product, product
+        assert tuple(calls) in {("stack", "solved"), ("stack",)}
+    return got, path, product
 
 
 def _unchecked_chain(b0, chain, a_model, b_state):
@@ -864,8 +876,8 @@ def _unchecked_chain(b0, chain, a_model, b_state):
 @pytest.mark.parametrize("n", [16, 24, 32])
 def test_ev_chain_sandwich_matches_eigvals_path(monkeypatch, n):
     b0, chain, fam, table = _example1_chain(n)
-    got, took_product, product = _chain_paths(monkeypatch, lambda: ev_chain(b0, chain, fam, table))
-    assert not took_product
+    got, path, product = _chain_paths(monkeypatch, lambda: ev_chain(b0, chain, fam, table))
+    assert path == "sandwich"
     assert len(got) == len(product) == 2 * n
     diff = np.max(np.abs(np.sort(got.values) - np.sort(product.values)))
     assert diff <= 1e-10 * np.max(np.abs(product.values))
@@ -891,9 +903,9 @@ def test_ev_chain_other_chains_keep_product_path(monkeypatch):
          [AlgMatrix([["a1", "a1"], ["0", "a1"]]), AlgMatrix([[1, 0], [0, 1]])], table),
     ]
     for predict, b0, chain, b_state in cases:
-        got, took_product, product = _chain_paths(
+        got, path, product = _chain_paths(
             monkeypatch, lambda: predict(b0, chain, fam, b_state))
-        assert took_product
+        assert path == "product"
         assert got == product
 
 
@@ -903,9 +915,9 @@ def test_ev_chain_two_pairs_take_the_hermitian_path(monkeypatch):
     fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=8)})
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
     scalar_a, scalar_b = AlgMatrix([["a1"]]), AlgMatrix([["b1"]])
-    got, took_product, product = _chain_paths(
+    got, path, product = _chain_paths(
         monkeypatch, lambda: ev_chain(scalar_b, [scalar_a, scalar_b] * 2, fam, table))
-    assert not took_product
+    assert path == "sandwich"
     np.testing.assert_allclose(got.values, product.values, rtol=1e-12)
     np.testing.assert_allclose(got.values, 2.0 * 0.25 ** np.arange(8), rtol=1e-12)
 
@@ -916,8 +928,8 @@ def test_ev_chain_sandwich_takes_rescaled_inputs(monkeypatch):
     b0, chain, fam, table = _example1_chain(24)
     big = _example1_chain(24, scale=1e9)[2]
     unit = ev_chain(b0, chain, fam, table).multiset
-    scaled, took_product, _ = _chain_paths(monkeypatch, lambda: ev_chain(b0, chain, big, table))
-    assert not took_product
+    scaled, path, _ = _chain_paths(monkeypatch, lambda: ev_chain(b0, chain, big, table))
+    assert path == "sandwich"
     diff = np.max(np.abs(scaled.values - 1e9 * unit.values))
     assert diff <= 1e-12 * 1e9 * np.max(np.abs(unit.values))
 
@@ -1441,6 +1453,17 @@ def test_sum_bac_identity_and_swap():
     np.testing.assert_allclose(pred.multiset.values, [1.0, 1.0, 0.5, 0.5], atol=1e-12)
     pred = ev_sum_bac(spec, [[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(pred.multiset.values, [1.0, -1.0, 0.5, -0.5], atol=1e-12)
+
+
+def test_sum_bac_solves_a_symmetrized_copy_of_a_nearly_hermitian_bprime():
+    # within the 1e-14 floor but not exactly Hermitian: the eigensolver reads
+    # one triangle, so unsymmetrized the lambdas would be 1 +- (2 + 1e-14)
+    bprime = np.array([[1.0, 2.0], [2.0 + 1e-14, 1.0]], dtype=complex)
+    given = bprime.copy()
+    pred = ev_sum_bac(ExplicitSpectrum([1.0]), bprime)
+    expected = hermitian_spectrum(given).values
+    assert np.sort(pred.provenance["lambdas"]).tobytes() == np.sort(expected).tobytes()
+    assert np.array_equal(bprime, given)  # the caller's array is not written
 
 
 def test_sum_bac_refuses_complex_spectrum():

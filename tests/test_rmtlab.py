@@ -618,11 +618,16 @@ def test_run_scenario_hermiticity_diagnostics():
             assert rec["diagnostics"]["hermiticity_residual"] <= 1e-8
 
 
-def test_run_scenario_rejects_nonhermitian_expression():
+def test_run_scenario_rejects_nonhermitian_expression(tmp_path, capsys):
     doc = builtin_scenario("example3", n=30, trials=1).to_dict()
     doc["expression"] = "a1*b1"  # not selfadjoint
-    with pytest.raises(NotSelfadjointError):
+    refusal = r"trial 0: matrix is not Hermitian: max entry deviation \S+ above 1\.000e-08"
+    with pytest.raises(NotSelfadjointError, match=refusal):
         run_scenario(Scenario.from_dict(doc))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert re.search(refusal, capsys.readouterr().err)
 
 
 def _rescaled(doc, scale):

@@ -15,7 +15,13 @@ from cyclospec import (
     sample_haar_unitary,
     scale,
 )
-from cyclospec.spectra import HERMITICITY_TOL, hermiticity_gap, rounding_tolerance, symmetrize
+from cyclospec.spectra import (
+    HERMITICITY_TOL,
+    _solve_hermitian,
+    hermiticity_gap,
+    rounding_tolerance,
+    symmetrize,
+)
 
 from _oracles import random_hermitian
 
@@ -89,6 +95,21 @@ def test_hermitian_spectrum_rejection_names_deviation_and_tolerance():
         hermitian_spectrum(stack)
     with pytest.raises(NotSelfadjointError, match="spectrum needs a square matrix"):
         hermitian_spectrum(np.zeros((2, 3)))
+
+
+def test_solve_hermitian_writes_only_a_matrix_it_accepts():
+    # ev_polynomial hands a stack this step refuses on to the general eigensolver
+    m = np.array([[[1.0, 2.0], [2.0 + 1e-6, 1.0]]], dtype=complex)
+    kept = m.copy()
+    with pytest.raises(NotSelfadjointError, match=re.escape(
+        "matrix is not Hermitian: max entry deviation 1.000e-06 above 1.000e-09"
+    )):
+        _solve_hermitian(m, HERMITICITY_TOL)
+    assert m.tobytes() == kept.tobytes()
+    spectrum, residual = _solve_hermitian(m, 1e-5)
+    assert residual == abs(kept[0, 1, 0] - kept[0, 0, 1])
+    assert m.tobytes() == ((kept + np.conj(np.swapaxes(kept, -1, -2))) / 2.0).tobytes()
+    assert spectrum == EVMultiset(np.linalg.eigvalsh(m).ravel())
 
 
 def test_hermitian_spectrum_tolerance_scales_with_entries():
