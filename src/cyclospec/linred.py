@@ -21,7 +21,9 @@ bitwise that of the same arithmetic on words.
 :func:`ev_polynomial` derives the multiset of any polynomial by the same
 reduction; each closed-form recipe is one of its corollaries, derived by
 hand.  Every prediction is a :class:`Prediction`: the eigenvalue multiset
-and the derived scalars it used.
+and the derived scalars it used.  A recipe builds its matrix, checks its
+state values and sizes, and hands the matrix to ``spectra``, which solves
+every spectrum and refuses it (``sqrtm_psd`` is ``spectra``'s too).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .cmcalc import (
 )
 from .dense import _generators, _word_product, dense_block_matrix
 from .errors import (
-    ComplexEigenvaluesError,
     DimensionMismatchError,
     NotInDomainError,
     NotPositiveError,
@@ -65,16 +66,14 @@ from .ncalg import (
 from .spectra import (
     HERMITICITY_TOL,
     EVMultiset,
-    _solve_hermitian,
-    disjoint_union,
+    _diagonal_spectrum,
+    _hermitian_gate,
+    _real_spectrum,
     hermitian_spectrum,
-    hermiticity_gap,
     rounding_tolerance,
-    scale,
-    symmetrize,
+    sqrtm_psd,
 )
 
-GRAM_PSD_TOL = 1e-10
 EIGENVALUE_IMAG_TOL = 1e-9
 SUM_BAC_HERMITIAN_TOL = 1e-14
 CHAIN_IMAG_REL_TOL = 1e-8
@@ -390,34 +389,12 @@ def realize_a(a) -> np.ndarray:
 
 
 def eigenvalue_multiset(a) -> EVMultiset:
-    """Eigenvalue multiset of one A-generator description."""
+    """Eigenvalue multiset of one A-generator description; a diagonal is
+    accepted or refused as its ``np.diag`` is."""
     diagonal = _given_diagonal(a)
     if diagonal is not None:
-        return EVMultiset(diagonal.real)
+        return _diagonal_spectrum(diagonal)
     return hermitian_spectrum(realize_a(a))
-
-
-def sqrtm_psd(gram: np.ndarray) -> np.ndarray:
-    """Spectral square root of a Hermitian PSD matrix.
-
-    Both checks use the tolerance ``tol = max(GRAM_PSD_TOL, 64*eps*max|G|)``,
-    so rounding scales with the entries.  Eigenvalues in ``[-tol, 0]`` are
-    clamped to zero (rounding from sampled Gram matrices); anything below
-    ``-tol`` raises ``NotPositiveError``.
-    """
-    g = np.array(gram, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DimensionMismatchError("Gram matrix must be square")
-    residual, tol = hermiticity_gap(g, GRAM_PSD_TOL)
-    if residual > tol:
-        raise NotSelfadjointError("Gram matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(symmetrize(g))
-    if float(np.min(vals)) < -tol:
-        raise NotPositiveError(
-            f"Gram matrix has eigenvalue {float(np.min(vals)):.3e} below -{tol:.3e}"
-        )
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -468,17 +445,26 @@ def ev_sum_bab(a_list, gram) -> Prediction:
     )
 
 
+def _real_states(values, label: str) -> np.ndarray:
+    """The state values ``label``, which must be finite and then real, as reals."""
+    values = np.asarray(values, dtype=complex)
+    if not np.isfinite(values).all():
+        raise NotSelfadjointError(f"non-finite state value: {label} = "
+                                  f"{np.real_if_close(values).tolist()}")
+    tol = rounding_tolerance(1e-12, float(np.max(np.abs(values), initial=0.0)))
+    if np.max(np.abs(values.imag), initial=0.0) > tol:
+        raise NotSelfadjointError(f"state values {label} must be real (selfadjoint generators)")
+    return values.real
+
+
 def _real_state_values(taus, a_list, letter: str):
-    """``(taus.real, blocks, n)``: the state values ``tau(<letter>_i)``, which
-    must be real, one per generator of ``a_list``, and its realized blocks."""
-    taus = np.asarray(taus, dtype=complex)
-    tol = rounding_tolerance(1e-12, float(np.max(np.abs(taus), initial=0.0)))
-    if np.max(np.abs(taus.imag), initial=0.0) > tol:
-        raise NotSelfadjointError(f"state values tau({letter}_i) must be real (selfadjoint {letter}_i)")
+    """``(taus, blocks, n)``: the real state values ``tau(<letter>_i)``, one
+    per generator of ``a_list``, and its realized blocks."""
+    taus = _real_states(taus, f"tau({letter}_i)")
     blocks, n = _realized_blocks(a_list)
     if taus.shape[0] != len(blocks):
         raise DimensionMismatchError("need one state value per generator")
-    return taus.real, blocks, n
+    return taus, blocks, n
 
 
 def ev_sum_aba(a_list, taus) -> Prediction:
@@ -496,73 +482,50 @@ def ev_sum_aba(a_list, taus) -> Prediction:
     )
 
 
-def _refuse_nonfinite_states(tau_b: float, tau_b2: float) -> None:
-    if not np.isfinite([tau_b, tau_b2]).all():
-        raise NotSelfadjointError(f"non-finite state value: tau(b) {tau_b}, tau(b^2) {tau_b2}")
-
-
-def _two_scaled_copies(recipe: str, a, tau_b, tau_b2, slopes, provenance: dict) -> Prediction:
-    """The prediction of the spectrum of ``a`` scaled by each of the two ``slopes``."""
-    base = eigenvalue_multiset(a)
-    return Prediction(disjoint_union(scale(slopes[0], base), scale(slopes[1], base)), recipe,
-                      {"tau_b": float(tau_b), "tau_b2": float(tau_b2)}, provenance)
+def _scaled_copies(recipe: str, a, slopes, parameters: dict, provenance: dict) -> Prediction:
+    """The prediction of the spectrum of ``a`` scaled by each of the ``slopes`` in turn."""
+    copies = np.outer(slopes, eigenvalue_multiset(a).values).ravel()
+    return Prediction(EVMultiset(copies), recipe, parameters, provenance)
 
 
 def ev_anticommutator(a, tau_b: float, tau_b2: float) -> Prediction:
     """Multiset of ``a b + b a`` from the two derived slopes."""
-    _refuse_nonfinite_states(tau_b, tau_b2)
+    tau_b, tau_b2 = map(float, _real_states((tau_b, tau_b2), "tau(b), tau(b^2)"))
     if tau_b2 < 0:
         raise NotPositiveError("tau(b^2) must be nonnegative")
     root = float(np.sqrt(tau_b2))
-    p = root + float(tau_b)
-    q = -root + float(tau_b)
-    return _two_scaled_copies("anticommutator", a, tau_b, tau_b2, (p, q), {"p": p, "q": q})
+    p, q = root + tau_b, -root + tau_b
+    return _scaled_copies("anticommutator", a, (p, q), {"tau_b": tau_b, "tau_b2": tau_b2},
+                          {"p": p, "q": q})
 
 
 def ev_commutator(a, tau_b: float, tau_b2: float) -> Prediction:
     """Multiset of ``i(a b - b a)``; the slope is the standard deviation of b."""
-    _refuse_nonfinite_states(tau_b, tau_b2)
-    variance = float(tau_b2) - float(tau_b) ** 2
-    if variance < -rounding_tolerance(1e-12, abs(float(tau_b2))):
-        raise NotPositiveError(
-            "tau(b^2) - tau(b)^2 is negative beyond tolerance; inconsistent state table"
-        )
+    tau_b, tau_b2 = map(float, _real_states((tau_b, tau_b2), "tau(b), tau(b^2)"))
+    variance = tau_b2 - tau_b ** 2
+    if variance < -rounding_tolerance(1e-12, abs(tau_b2)):
+        raise NotPositiveError("tau(b^2) - tau(b)^2 is negative beyond tolerance; "
+                               "inconsistent state table")
     r = float(np.sqrt(max(variance, 0.0)))
-    return _two_scaled_copies("commutator", a, tau_b, tau_b2, (r, -r), {"r": r})
+    return _scaled_copies("commutator", a, (r, -r), {"tau_b": tau_b, "tau_b2": tau_b2}, {"r": r})
 
 
 def ev_sum_bac(a, bprime) -> Prediction:
     """Multiset of ``sum_i b_i a c_i``: scaled copies of the base spectrum.
 
     ``bprime[i, j]`` holds the state value of ``c_i b_j``; its eigenvalues
-    are the scaling factors.  Eigenvalues with imaginary part beyond
-    tolerance refuse the prediction.
+    are the scaling factors, from a copy of ``bprime`` at
+    ``SUM_BAC_HERMITIAN_TOL``.  Eigenvalues with imaginary part beyond
+    ``max(EIGENVALUE_IMAG_TOL, 64*eps*radius)`` refuse the prediction.
     """
     bprime = np.asarray(bprime, dtype=complex)
-    if bprime.ndim != 2 or bprime.shape[0] != bprime.shape[1]:
-        raise DimensionMismatchError("reduced matrix must be square")
-    residual, tol = hermiticity_gap(bprime, SUM_BAC_HERMITIAN_TOL)
-    if residual <= tol:  # a copy: the caller's array is not written
-        lams = _solve_hermitian(bprime.copy(), SUM_BAC_HERMITIAN_TOL)[0].values
-    else:
-        lams = np.linalg.eigvals(bprime)
-    radius = float(np.max(np.abs(lams), initial=0.0))
-    if np.max(np.abs(lams.imag), initial=0.0) > rounding_tolerance(EIGENVALUE_IMAG_TOL, radius):
-        raise ComplexEigenvaluesError(
-            "reduced matrix has complex eigenvalues; prediction refused"
-        )
-    lams = np.sort(lams.real)[::-1]
-    base = eigenvalue_multiset(a)
-    multiset = None
-    for lam in lams:
-        piece = scale(float(lam), base)
-        multiset = piece if multiset is None else disjoint_union(multiset, piece)
-    return Prediction(
-        multiset=multiset,
-        recipe="sum_bac",
-        parameters={"k": int(bprime.shape[0])},
-        provenance={"bprime": bprime, "lambdas": lams},
-    )
+    if bprime.ndim != 2 or bprime.shape[0] != bprime.shape[1] or not bprime.size:
+        raise DimensionMismatchError("reduced matrix must be square and nonempty")
+    spectrum = _real_spectrum(bprime.copy(), SUM_BAC_HERMITIAN_TOL,
+                              lambda radius: rounding_tolerance(EIGENVALUE_IMAG_TOL, radius))
+    lams = np.sort(spectrum.values)[::-1]
+    return _scaled_copies("sum_bac", a, lams, {"k": len(bprime)},
+                          {"bprime": bprime, "lambdas": lams})
 
 
 def ev_conjugated_sum(a_list, c_taus, gram) -> Prediction:
@@ -710,45 +673,36 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
     ``stack``, shape ``(m, k*s, k*s)``, each a k x k grid of s x s blocks.
 
     With A Hermitian and beta PSD it is that of the Hermitian sandwich
-    ``(root x I_s) A (root x I_s)``, ``root = sqrt(beta)``; A is symmetrized
-    first, as the sandwich would scale its accepted asymmetry past the
-    spectrum's own check.  Otherwise it is that of the product.  Either is
-    solved in place by :func:`_solve_hermitian`; a sandwich that it refuses
-    raises, and a product that it refuses, unwritten, goes to the general
-    eigensolver, whose spectrum must be real.  A non-finite entry of
-    ``stack``, or of the product, is an overflow of its finite inputs, and
-    raises ``ValueError``."""
+    ``(root x I_s) A (root x I_s)``, ``root = sqrt(beta)``; the gate
+    symmetrizes A first, as the sandwich would scale its accepted asymmetry
+    past the spectrum's own check, and a sandwich that the gate refuses
+    raises.  Otherwise it is that of the product.  Either is solved in place
+    by :func:`_real_spectrum`, whose spectrum must be real.  A non-finite
+    entry of ``stack``, or of the product, is an overflow of its finite
+    inputs, and raises ``ValueError``."""
     _refuse_overflow(stack)
     m, k = len(stack), len(beta)
     s = stack.shape[-1] // k
     # per summand and in-block column b, the k*s x k matrix of columns (q, b);
     # for s = 1, the summands themselves
     columns = stack.reshape(m, k * s, k, s).transpose(0, 3, 1, 2)
-    try:
+    try:  # the sandwich needs beta PSD, and A Hermitian, which the gate symmetrizes
         root = sqrtm_psd(beta)
+        _hermitian_gate(stack, HERMITICITY_TOL)
     except (NotSelfadjointError, NotPositiveError):
         root = None
-    residual, tol = hermiticity_gap(stack)
-    sandwich = root is not None and residual <= tol
     with np.errstate(over="ignore", invalid="ignore"):
-        if sandwich:
-            rows = symmetrize(stack).reshape(m, k, -1)
+        if root is None:
+            np.matmul(columns, beta, out=columns)
+        else:
+            rows = stack.reshape(m, k, -1)
             np.matmul(root, rows, out=rows)
             np.matmul(columns, root, out=columns)
-        else:
-            np.matmul(columns, beta, out=columns)
     _refuse_overflow(stack)
-    try:  # the stack is finite, so only its asymmetry is refused
-        return _solve_hermitian(stack, HERMITICITY_TOL)[0]
-    except NotSelfadjointError:
-        if sandwich:
-            raise
-    lams = np.linalg.eigvals(stack).ravel()
-    radius = float(np.max(np.abs(lams), initial=0.0))
-    if float(np.max(np.abs(lams.imag), initial=0.0)) > CHAIN_IMAG_REL_TOL * max(radius, 1e-300):
-        raise ComplexEigenvaluesError("reduced polynomial has eigenvalues with large "
-                                      "imaginary parts; prediction refused")
-    return EVMultiset(lams.real)
+    if root is not None:  # a sandwich that the gate refuses raises
+        _hermitian_gate(stack, HERMITICITY_TOL)
+    return _real_spectrum(stack, HERMITICITY_TOL,
+                          lambda radius: CHAIN_IMAG_REL_TOL * max(radius, 1e-300))
 
 
 def _refuse_overflow(stack: np.ndarray) -> None:

@@ -2,23 +2,37 @@
 
 The canonical order is descending absolute value, ties broken by descending
 signed value; this is the order in which truncated spectra are displayed and
-compared.  Every Hermitian eigensolve is :func:`_solve_hermitian`: a check
-and a symmetrization, which walk a matrix tile by tile, ``BLOCK_WIDTH`` on
-a side, then ``eigvalsh``.
+compared.
+
+Every eigensolve of the package, and every refusal of a spectrum, is here.
+One gate, :func:`_hermitian_gate`, checks a matrix, a stack or a diagonal
+and symmetrizes it in place, walking a matrix tile by tile, ``BLOCK_WIDTH``
+on a side; it serves :func:`_solve_hermitian` (``eigvalsh``),
+:func:`sqrtm_psd` (``eigh``) and :func:`_diagonal_spectrum`.
+:func:`_real_spectrum` solves a matrix that must have a real spectrum:
+the Hermitian solve, or ``eigvals`` when the gate refuses.  Each caller
+passes its own floor.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .dense import BLOCK_WIDTH
-from .errors import InsufficientEntriesError, NotSelfadjointError
+from .errors import (
+    ComplexEigenvaluesError,
+    DimensionMismatchError,
+    InsufficientEntriesError,
+    NotPositiveError,
+    NotSelfadjointError,
+)
 
 HERMITICITY_TOL = 1e-9
+GRAM_PSD_TOL = 1e-10
 REL_FLOOR = 1e-12
 ROUNDING_REL_TOL = 64 * np.finfo(float).eps
 
@@ -142,15 +156,26 @@ def relative_error(x, ref):
     return np.abs(np.subtract(x, ref)) / np.maximum(np.abs(ref), REL_FLOOR)
 
 
-def _solve_hermitian(m: np.ndarray, floor: float) -> tuple[EVMultiset, float]:
-    """The spectrum and residual of a matrix or stack ``m`` that passes
-    ``hermiticity_gap(m, floor)``, symmetrized and solved in place; otherwise
-    ``NotSelfadjointError``, with ``m`` unwritten."""
-    residual, tol = hermiticity_gap(m, floor)
+def _hermitian_gate(m: np.ndarray, floor: float) -> tuple[float, float]:
+    """``hermiticity_gap(m, floor)`` of a matrix or stack ``m`` that passes
+    it, with ``m`` symmetrized in place; otherwise ``NotSelfadjointError``,
+    with ``m`` unwritten.  A 1-D ``m`` is a diagonal, checked as the stack
+    of its entries as 1 x 1 matrices, which is as its ``np.diag`` is; it is
+    not written, as its spectrum is its real part."""
+    residual, tol = hermiticity_gap(m.reshape(-1, 1, 1) if m.ndim == 1 else m, floor)
     if residual > tol:
         raise NotSelfadjointError(f"matrix is not Hermitian: max entry deviation "
                                   f"{residual:.3e} above {tol:.3e}")
-    return EVMultiset(np.linalg.eigvalsh(symmetrize(m)).ravel()), residual
+    if m.ndim > 1:
+        symmetrize(m)
+    return residual, tol
+
+
+def _solve_hermitian(m: np.ndarray, floor: float) -> tuple[EVMultiset, float]:
+    """The spectrum and residual of a matrix or stack ``m`` that passes
+    :func:`_hermitian_gate` at ``floor``, solved in place."""
+    residual = _hermitian_gate(m, floor)[0]
+    return EVMultiset(np.linalg.eigvalsh(m).ravel()), residual
 
 
 def hermitian_spectrum(matrix: np.ndarray) -> EVMultiset:
@@ -163,6 +188,53 @@ def hermitian_spectrum(matrix: np.ndarray) -> EVMultiset:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSelfadjointError("spectrum needs a square matrix")
     return _solve_hermitian(m, HERMITICITY_TOL)[0]
+
+
+def _diagonal_spectrum(d: np.ndarray) -> EVMultiset:
+    """The spectrum of ``np.diag(d)``, its real part, accepted or refused as
+    :func:`hermitian_spectrum` would accept or refuse that matrix."""
+    _hermitian_gate(d, HERMITICITY_TOL)
+    return EVMultiset(d.real)
+
+
+def _real_spectrum(m: np.ndarray, floor: float, imag_tol: Callable[[float], float]) -> EVMultiset:
+    """The spectrum of a matrix or stack ``m``, which must be real: that of
+    :func:`_solve_hermitian` at ``floor``, in place, or, if its gate refuses
+    the asymmetry of ``m``, that of ``eigvals``.  An imaginary part above
+    ``imag_tol(radius)``, ``radius`` the largest modulus, raises
+    ``ComplexEigenvaluesError``; a non-finite ``m`` the gate's
+    ``NotSelfadjointError``."""
+    try:
+        return _solve_hermitian(m, floor)[0]
+    except NotSelfadjointError:
+        if not np.isfinite(m).all():
+            raise
+    lams = np.linalg.eigvals(m).ravel()
+    imag = float(np.max(np.abs(lams.imag), initial=0.0))
+    tol = imag_tol(float(np.max(np.abs(lams), initial=0.0)))
+    if imag > tol:
+        raise ComplexEigenvaluesError(f"max imaginary part {imag:.3e} above {tol:.3e}: eigenvalues "
+                                      "with large imaginary parts; prediction refused")
+    return EVMultiset(lams.real)
+
+
+def sqrtm_psd(gram: np.ndarray) -> np.ndarray:
+    """Spectral square root of a Hermitian PSD matrix.
+
+    The gate and the PSD check use the tolerance ``tol = max(GRAM_PSD_TOL,
+    64*eps*max|G|)``, so rounding scales with the entries.  Eigenvalues in
+    ``[-tol, 0]`` are clamped to zero (rounding from sampled Gram matrices);
+    anything below ``-tol`` raises ``NotPositiveError``.
+    """
+    g = np.array(gram, dtype=complex)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or not g.size:
+        raise DimensionMismatchError("Gram matrix must be square and nonempty")
+    tol = _hermitian_gate(g, GRAM_PSD_TOL)[1]
+    vals, vecs = np.linalg.eigh(g)
+    if float(np.min(vals)) < -tol:
+        raise NotPositiveError(f"Gram matrix has eigenvalue {float(np.min(vals)):.3e} "
+                               f"below -{tol:.3e}")
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
 def scale(c: float, s: EVMultiset) -> EVMultiset:

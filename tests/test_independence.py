@@ -1,6 +1,6 @@
 """The two checks of the closed forms share no logic with them, the
 package holds no code that its entry points do not reach, no option that no
-caller sets, and one Hermitian eigensolve.
+caller sets, and no eigensolve outside ``spectra``.
 
 The predictions (``linred.ev_*`` and ``ev_polynomial``, through the
 reduction) are checked against the moment oracle (``cmcalc``) and against
@@ -248,19 +248,26 @@ def test_every_optional_parameter_is_set_by_a_call_in_the_package_or_the_benchma
         f"set by a call now, so off UNSET_OPTIONS: {sorted(UNSET_OPTIONS.keys() - unset)}")
 
 
-# The one Hermitian eigensolve.  ``eigvalsh`` reads one triangle of its
-# input, so a matrix that a Hermiticity check accepted must be symmetrized
-# first; ``spectra._solve_hermitian`` checks, symmetrizes and solves, and no
-# other function of the package names ``eigvalsh``.
+# Every eigensolve is in ``spectra``.  ``eigvalsh`` reads one triangle of
+# its input, so a matrix that a Hermiticity check accepted must be
+# symmetrized first: ``spectra._solve_hermitian`` gates and solves, and
+# ``sqrtm_psd`` gates before ``eigh``.  ``eigvals`` runs only where the gate
+# refused a matrix whose spectrum must be real, in ``_real_spectrum``.
+EIGENSOLVERS = {"eigvalsh": "spectra._solve_hermitian", "eigh": "spectra.sqrtm_psd",
+                "eigvals": "spectra._real_spectrum"}
 
 
-def _names_eigvalsh(node) -> bool:
-    return any("eigvalsh" in (getattr(child, "attr", None), getattr(child, "id", None),
-                              getattr(child, "name", None)) for child in ast.walk(node))
+def _names(node, name: str) -> bool:
+    return any(name in (getattr(child, "attr", None), getattr(child, "id", None),
+                        getattr(child, "name", None)) for child in ast.walk(node))
 
 
 def test_only_the_shared_hermitian_solve_calls_eigvalsh():
-    assert [module for module, tree in TREES.items() if _names_eigvalsh(tree)] == ["spectra"]
-    namers = {f"{module}.{node.name}" for module, tree in TREES.items() for node in ast.walk(tree)
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _names_eigvalsh(node)}
-    assert namers == {"spectra._solve_hermitian"}
+    # and each other eigensolver is named in one function of spectra too
+    for solver, function in EIGENSOLVERS.items():
+        assert [module for module, tree in TREES.items() if _names(tree, solver)] == ["spectra"]
+        namers = {f"{module}.{node.name}" for module, tree in TREES.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and _names(node, solver)}
+        assert namers == {function}, solver

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclospec import (
@@ -827,40 +827,39 @@ def _chain_paths(monkeypatch, predict):
     the path it took (``"sandwich"`` or ``"product"``), and the product
     path's multiset, forced by a beta that never passes as PSD."""
     calls = []
-    stack_spectrum, symmetrize = linred._stack_spectrum, linred.symmetrize
-    solve_hermitian = linred._solve_hermitian
+    stack_spectrum, gate = linred._stack_spectrum, linred._hermitian_gate
+    real_spectrum = linred._real_spectrum
 
     def spy(*args):
         calls.append("stack")
         return stack_spectrum(*args)
 
-    def symmetrize_spy(m):
-        if m.ndim == 3:  # the stack, not beta
-            calls.append("symmetrize")
-        return symmetrize(m)
+    def gate_spy(m, floor):
+        gated = gate(m, floor)
+        calls.append("gate")
+        return gated
 
-    def solve_spy(m, floor):
-        solved = solve_hermitian(m, floor)
-        calls.append("solved")
-        return solved
+    def solve_spy(*args):
+        calls.append("solve")
+        return real_spectrum(*args)
 
     def not_psd(gram):
         raise NotPositiveError("not PSD by construction")
 
     with monkeypatch.context() as patch:
         patch.setattr(linred, "_stack_spectrum", spy)
-        patch.setattr(linred, "symmetrize", symmetrize_spy)
-        patch.setattr(linred, "_solve_hermitian", solve_spy)
+        patch.setattr(linred, "_hermitian_gate", gate_spy)
+        patch.setattr(linred, "_real_spectrum", solve_spy)
         got = predict().multiset
-        # the sandwich symmetrizes A, and the shared step solves the sandwich;
-        # a product passes that step (Hermitian) or is refused by it (general
-        # eigensolver)
-        path = {("stack", "symmetrize", "solved"): "sandwich", ("stack", "solved"): "product",
-                ("stack",): "product"}.get(tuple(calls))
+        # the sandwich passes A, then itself, through the gate before the
+        # shared solve; a product goes to the solve ungated (a gate that
+        # refuses A records nothing)
+        path = {("stack", "gate", "gate", "solve"): "sandwich",
+                ("stack", "solve"): "product"}.get(tuple(calls))
         patch.setattr(linred, "sqrtm_psd", not_psd)
         calls.clear()
         product = predict().multiset
-        assert tuple(calls) in {("stack", "solved"), ("stack",)}
+        assert tuple(calls) == ("stack", "solve")
     return got, path, product
 
 
@@ -1636,3 +1635,40 @@ def test_a_dense_hermitian_generator_gives_its_eigenvalues(recipe, args):
     dense = recipe(a, *args).multiset
     diagonal = recipe(np.linalg.eigvalsh(a), *args).multiset
     np.testing.assert_allclose(dense.values, diagonal.values, rtol=1e-12, atol=1e-12)
+
+
+def _spectrum_or_refusal(predict, a):
+    """The multiset ``predict(a)`` gives, or the class of its refusal."""
+    try:
+        out = predict(a)
+    except NotSelfadjointError as exc:
+        return type(exc)
+    return getattr(out, "multiset", out)
+
+
+# zero, or of modulus within [1e-100, 1e100]: LAPACK rescales a matrix whose
+# largest entry lies outside about [1e-146, 1e146] before it solves it, which
+# can round the eigenvalues of an np.diag (np.diag([0.0, 9.152323907126586e184]))
+_real_parts = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
+# imaginary parts within and beyond the 1e-9 floor, and non-finite entries
+_diagonal_entries = st.one_of(
+    _real_parts,
+    st.builds(complex, _real_parts, st.sampled_from([1e-12, -4e-10, 6e-10, -1e-8, 1e-3])),
+    st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_diagonal_entries, min_size=1, max_size=6))
+@example([1 + 1j, 0.5])
+@example([np.nan, 1.0])
+@pytest.mark.parametrize("predict", [
+    linred.eigenvalue_multiset,
+    lambda a: ev_anticommutator(a, 1.0, 2.0),
+    lambda a: ev_commutator(a, 0.5, 2.0),
+    lambda a: ev_sum_bac(a, [[1.0, 2.0], [2.0, 1.0]]),
+], ids=["eigenvalue_multiset", "anticommutator", "commutator", "sum_bac"])
+def test_a_diagonal_and_its_np_diag_are_one_input(predict, entries):
+    d = np.array(entries, dtype=complex)
+    assert _spectrum_or_refusal(predict, d) == _spectrum_or_refusal(predict, np.diag(d))
+

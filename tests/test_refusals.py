@@ -11,6 +11,7 @@ import pytest
 
 from cyclospec import (
     AlgMatrix,
+    ComplexEigenvaluesError,
     DimensionMismatchError,
     EVMultiset,
     ExplicitSpectrum,
@@ -92,6 +93,32 @@ CASES = {
                             DimensionMismatchError, "reduced matrix must be square"),
     "anticommutator negative tau(b^2)": (lambda: ev_anticommutator(SPECTRUM, 0.0, -1.0),
                                          NotPositiveError, "tau(b^2) must be nonnegative"),
+    "anticommutator complex tau(b)": (lambda: ev_anticommutator(SPECTRUM, 1j, 1.0),
+                                      NotSelfadjointError,
+                                      "state values tau(b), tau(b^2) must be real"),
+    # a non-finite state value is named before any matrix is built
+    "sum_aba non-finite state value": (lambda: ev_sum_aba([np.eye(2)], [np.nan]),
+                                       NotSelfadjointError,
+                                       "non-finite state value: tau(b_i) = [nan]"),
+    "conjugated_sum non-finite state value": (
+        lambda: ev_conjugated_sum([np.eye(2)], [np.inf], [[1.0]]),
+        NotSelfadjointError, "non-finite state value: tau(c_i) = [inf]"),
+    # the one gate and the one real-spectrum refusal name their numbers
+    "sqrtm_psd not Hermitian": (
+        lambda: sqrtm_psd(np.array([[1.0, 1e-9], [0.0, 1.0]])), NotSelfadjointError,
+        "matrix is not Hermitian: max entry deviation 1.000e-09 above 1.000e-10"),
+    "sum_bac complex spectrum": (
+        lambda: ev_sum_bac(SPECTRUM, [[0.0, 1.0], [-1.0, 0.0]]), ComplexEigenvaluesError,
+        "max imaginary part 1.000e+00 above 1.000e-09: eigenvalues with large imaginary parts"),
+    "sum_bac non-finite": (lambda: ev_sum_bac(SPECTRUM, [[0.0, np.nan], [1.0, 0.0]]),
+                           NotSelfadjointError, "matrix has a non-finite entry"),
+    # empty matrices
+    "sum_bac empty": (lambda: ev_sum_bac(SPECTRUM, np.zeros((0, 0))),
+                      DimensionMismatchError, "reduced matrix must be square and nonempty"),
+    "sqrtm_psd empty": (lambda: sqrtm_psd(np.zeros((0, 0))),
+                        DimensionMismatchError, "Gram matrix must be square and nonempty"),
+    "sum_bab empty": (lambda: ev_sum_bab([], np.zeros((0, 0))),
+                      DimensionMismatchError, "Gram matrix must be square and nonempty"),
     # square inputs
     "sqrtm_psd rectangular": (lambda: sqrtm_psd(np.ones((2, 3))),
                               DimensionMismatchError, "Gram matrix must be square"),
