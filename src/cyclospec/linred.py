@@ -451,8 +451,8 @@ def _real_states(values, label: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise NotSelfadjointError(f"non-finite state value: {label} = "
                                   f"{np.real_if_close(values).tolist()}")
-    tol = rounding_tolerance(1e-12, float(np.max(np.abs(values), initial=0.0)))
-    if np.max(np.abs(values.imag), initial=0.0) > tol:
+    tol = rounding_tolerance(1e-12, float(np.abs(values).max(initial=0.0)))
+    if np.abs(values.imag).max(initial=0.0) > tol:
         raise NotSelfadjointError(f"state values {label} must be real (selfadjoint generators)")
     return values.real
 
