@@ -406,6 +406,24 @@ def _noncrossing_pairings(names: tuple) -> int:
                for k in range(1, len(names), 2) if names[k] == names[0])
 
 
+class _SemicircleState(TracialState):
+    """The limit state of B letters that multiply independent GUE matrices
+    (Voiculescu's asymptotic freeness): ``names`` maps each letter to the
+    names of the GUEs it multiplies, and a word's value is the
+    :func:`_noncrossing_pairings` of their names.  It needs no degree cap.
+    A word over another letter raises ``DegreeExceededError``, as a table
+    without that entry does."""
+
+    def __init__(self, names: Mapping[Letter, tuple]):
+        self.names = names
+
+    def tau(self, w: Word) -> complex:
+        _check_pure_b(w)
+        if not all(letter.base() in self.names for letter in w):
+            raise DegreeExceededError(f"no table entry for {word_str(w)}")
+        return complex(_noncrossing_pairings(sum((self.names[letter.base()] for letter in w), ())))
+
+
 def _is_json_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 

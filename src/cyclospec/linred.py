@@ -675,11 +675,11 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
     With A Hermitian and beta PSD it is that of the Hermitian sandwich
     ``(root x I_s) A (root x I_s)``, ``root = sqrt(beta)``; the gate
     symmetrizes A first, as the sandwich would scale its accepted asymmetry
-    past the spectrum's own check, and a sandwich that the gate refuses
-    raises.  Otherwise it is that of the product.  Either is solved in place
-    by :func:`_real_spectrum`, whose spectrum must be real.  A non-finite
-    entry of ``stack``, or of the product, is an overflow of its finite
-    inputs, and raises ``ValueError``."""
+    past the spectrum's own check.  Otherwise it is that of the product.
+    Either is solved in place by :func:`_real_spectrum`, whose spectrum must
+    be real: a sandwich its gate refuses goes to ``eigvals``, as a product
+    does.  A non-finite entry of ``stack``, or of the product, is an overflow
+    of its finite inputs, and raises ``ValueError``."""
     _refuse_overflow(stack)
     m, k = len(stack), len(beta)
     s = stack.shape[-1] // k
@@ -699,8 +699,6 @@ def _stack_spectrum(stack: np.ndarray, beta: np.ndarray) -> EVMultiset:
             np.matmul(root, rows, out=rows)
             np.matmul(columns, root, out=columns)
     _refuse_overflow(stack)
-    if root is not None:  # a sandwich that the gate refuses raises
-        _hermitian_gate(stack, HERMITICITY_TOL)
     return _real_spectrum(stack, HERMITICITY_TOL,
                           lambda radius: CHAIN_IMAG_REL_TOL * max(radius, 1e-300))
 

@@ -1,12 +1,14 @@
 """Random-matrix experiments: scenario descriptions, sampling, and reports.
 
 A scenario fixes the matrix dimension, a master seed, the builders for the
-A-side and B-side matrices, an expression to evaluate, and the state of the
-B-side.  Each trial derives its own non-overlapping random stream from the
-master seed, samples every matrix in a fixed documented order (A-side first,
-then the B-side list, then the shared Haar conjugator), evaluates the
-expression, and compares the empirical spectrum against the prediction.
-Trials run one after another, in order.
+A-side and B-side matrices, an expression to evaluate, and optionally the
+state of the B-side, which is otherwise the law of its GUE letters.  Each
+trial derives its own non-overlapping random stream from the master seed,
+samples every matrix in a fixed documented order (A-side first, then the
+B-side list, then the shared Haar conjugator), evaluates the expression,
+and compares the empirical spectrum against the prediction, by
+rank in canonical order and by signed order.  Trials run one after
+another, in order.
 
 The prediction is :func:`linred.ev_polynomial` of the expression, as it is for
 ``cyclospec predict``; a run validates, predicts and reports its three moments
@@ -31,10 +33,10 @@ from .cmcalc import (
     HaarConjugatedFamily,
     MomentTable,
     SpectrumFamily,
+    _SemicircleState,
     _agree,
     _is_json_integer,
     _is_json_number,
-    _noncrossing_pairings,
 )
 from .dense import _consume_polynomial, _generators, _gram, _matmul_over, dense_block_matrix
 from .ensembles import sample_gue, sample_haar_unitary
@@ -46,7 +48,8 @@ from .errors import (
 )
 from .linred import AlgMatrix, _reduce, _reduction_spectrum, chain_moment
 from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression, word_str
-from .spectra import _solve_hermitian, match_distance, multiset_moment, relative_error
+from .spectra import (_solve_hermitian, match_distance, multiset_moment, relative_error,
+                      signed_match_distance)
 
 __all__ = [
     "DEMO_SEED",
@@ -228,7 +231,7 @@ class Scenario:
     a_spec: dict
     b_spec: list
     expression: str
-    prediction: dict
+    prediction: dict | None = None  # None: the B state is b_spec's law
     trials: int = 5
     haar_conjugate_b: bool = False
     compare_top: int = 10
@@ -244,12 +247,14 @@ class Scenario:
     def validate(self) -> None:
         """Check the scenario against ``scenario.schema.json``, then what the
         schema cannot express: references between entries, ``blocks``, the
-        expression, ``b_state`` against the B laws, and the expression's
-        symbolic reduction against ``b_state``."""
+        expression, a given ``b_state`` against the B laws, and the
+        expression's symbolic reduction against the B state."""
         _compile(self)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The scenario's JSON object, without ``prediction`` when it is ``None``."""
+        return {key: value for key, value in asdict(self).items()
+                if key != "prediction" or value is not None}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -466,7 +471,9 @@ _Compiled = namedtuple("_Compiled", "poly a_model b_state reduction a_cells b_la
 
 
 def _compile(scenario: Scenario) -> _Compiled:
-    """A scenario validated, parsed once and reduced once against ``b_state``.
+    """A scenario validated, parsed once and reduced once against the B state:
+    ``prediction.b_state`` if given, else the law of the GUE letters the
+    expression reads (``_SemicircleState``).
     ``a1`` stands for a_spec's ``blocks``, whose generators take the limit model
     of independent Haar rotations (``HaarConjugatedFamily``: analytic spectra,
     mixed words exactly 0; the seed is not read), or else for its truncated
@@ -477,8 +484,9 @@ def _compile(scenario: Scenario) -> _Compiled:
     read here only, into its ``_BLaw``.  ``ValueError`` for a truncation
     beyond n, explicit values other than n, a term without an A-letter, a
     ``b_state`` entry that disagrees with the law of the GUE letters the
-    expression reads, a word missing from ``b_state`` or a reduction to 0."""
-    _check(_scenario_schema(), vars(scenario), "")
+    expression reads, a word missing from ``b_state`` (a ``file`` letter's, if
+    none is given) or a reduction to 0."""
+    _check(_scenario_schema(), scenario.to_dict(), "")
     if scenario.truncation > scenario.n:
         raise ValueError(f"scenario 'truncation' is {scenario.truncation}, but n is {scenario.n}")
     a_cells = _block_cells(scenario.a_spec, "geometric", FAMILY_A, "a_spec")
@@ -521,17 +529,18 @@ def _compile(scenario: Scenario) -> _Compiled:
     for letter in sorted(owners.keys() & set(letters) - blocks.keys()):
         raise ValueError(f"{letter.label()} is read as its own b_spec entry and as a "
                          f"'blocks' generator of b_spec entry {owners[letter] + 1}")
-    try:
-        table = MomentTable.from_json_doc(scenario.prediction["b_state"])
-    except (ValueError, TypeError, AttributeError, NotInDomainError) as exc:
-        raise ValueError(f"prediction 'b_state': {exc}") from None
-    for word, value in table._table.items():  # each entry over named letters against the law
-        if all(letter.base() in names for letter in word):
-            derived = _noncrossing_pairings(sum((names[letter.base()] for letter in word), ()))
-            if not _agree(value, derived):
+    table = derived = _SemicircleState(names)
+    if scenario.prediction is not None:  # a given table, each entry over named letters checked
+        try:
+            table = MomentTable.from_json_doc(scenario.prediction["b_state"])
+        except (ValueError, TypeError, AttributeError, NotInDomainError) as exc:
+            raise ValueError(f"prediction 'b_state': {exc}") from None
+        for word, value in table._table.items():
+            if (all(letter.base() in names for letter in word)
+                    and not _agree(value, derived.tau(word))):
                 shown = value if value.imag else value.real
                 raise ValueError(f"prediction 'b_state' gives tau({word_str(word)}) = {shown}, "
-                                 f"but b_spec's law gives {derived}")
+                                 f"but b_spec's law gives {int(derived.tau(word).real)}")
     try:
         reduction = _reduce(poly, table, blocks)
     except NotInDomainError as exc:
@@ -591,11 +600,13 @@ def run_scenario(scenario: Scenario) -> Report:
         except NotSelfadjointError as exc:
             raise NotSelfadjointError(f"trial {t}: {exc}") from None
         del x
+        signed = signed_match_distance(empirical, prediction.multiset, scenario.compare_top)
         return {
             "trial": t,
             "eigenvalues": empirical.to_list(),
             "moments": [multiset_moment(empirical, k) for k in (1, 2, 3)],
-            "match": match_distance(empirical, prediction.multiset, scenario.compare_top),
+            "match": dict(match_distance(empirical, prediction.multiset, scenario.compare_top),
+                          signed_max_rel=signed["max_rel"]),
             "diagnostics": {"hermiticity_residual": residual},
         }
 
@@ -603,6 +614,7 @@ def run_scenario(scenario: Scenario) -> Report:
 
     rels = [rec["match"]["max_rel"] for rec in trial_records]
     abss = [rec["match"]["max_abs"] for rec in trial_records]
+    signed = [rec["match"]["signed_max_rel"] for rec in trial_records]
     moment_means = [
         float(np.mean([rec["moments"][k] for rec in trial_records])) for k in range(3)
     ]
@@ -611,6 +623,7 @@ def run_scenario(scenario: Scenario) -> Report:
         "match_mean_max_rel": float(np.mean(rels)),
         "match_max_max_rel": float(np.max(rels)),
         "match_mean_max_abs": float(np.mean(abss)),
+        "match_mean_signed_max_rel": float(np.mean(signed)),
         "moments_mean": moment_means,
         "moment_rel_err_vs_prediction": moment_rel_err,
     }

@@ -2,7 +2,8 @@
 
 The canonical order is descending absolute value, ties broken by descending
 signed value; this is the order in which truncated spectra are displayed and
-compared.
+compared (:func:`match_distance`; :func:`signed_match_distance` pairs the
+same values by signed order).
 
 Every eigensolve of the package, and every refusal of a spectrum, is here.
 One gate, :func:`_hermitian_gate`, checks a matrix, a stack or a diagonal
@@ -147,8 +148,11 @@ def _add_adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """``m = (m + m*) / 2`` in place, which removes the asymmetry a check accepted."""
-    return np.divide(_add_adjoint(m), 2.0, out=m)
+    """``m = m/2 + m*/2`` in place, which removes the asymmetry a check
+    accepted.  Halving first keeps a finite ``m`` finite up to the largest
+    float; it is exact for every entry but a subnormal one, so the sum
+    equals ``(m + m*) / 2`` wherever that does not overflow."""
+    return _add_adjoint(np.divide(m, 2.0, out=m))
 
 
 def relative_error(x, ref):
@@ -159,10 +163,18 @@ def relative_error(x, ref):
 def _hermitian_gate(m: np.ndarray, floor: float) -> tuple[float, float]:
     """``hermiticity_gap(m, floor)`` of a matrix or stack ``m`` that passes
     it, with ``m`` symmetrized in place; otherwise ``NotSelfadjointError``,
-    with ``m`` unwritten.  A 1-D ``m`` is a diagonal, checked as the stack
-    of its entries as 1 x 1 matrices, which is as its ``np.diag`` is; it is
-    not written, as its spectrum is its real part."""
-    residual, tol = hermiticity_gap(m.reshape(-1, 1, 1) if m.ndim == 1 else m, floor)
+    with ``m`` unwritten.  A 1-D ``m`` is a diagonal, checked as its
+    ``np.diag`` is: its gap ``|d - conj(d)|`` is ``2 max|Im d|`` exactly, at
+    the magnitude ``max|d|``.  It is not written, as its spectrum is its
+    real part."""
+    if m.ndim == 1:
+        magnitude = float(np.abs(m).max(initial=0.0))
+        if not math.isfinite(magnitude):
+            raise NotSelfadjointError("matrix has a non-finite entry")
+        residual = 2.0 * float(np.abs(m.imag).max(initial=0.0))
+        tol = rounding_tolerance(floor, magnitude)
+    else:
+        residual, tol = hermiticity_gap(m, floor)
     if residual > tol:
         raise NotSelfadjointError(f"matrix is not Hermitian: max entry deviation "
                                   f"{residual:.3e} above {tol:.3e}")
@@ -257,12 +269,32 @@ def match_distance(s: EVMultiset, t: EVMultiset, m: int) -> dict:
 
     ``t`` plays the reference role of ``relative_error``.
     """
+    _refuse_short(s, t, m)
+    return _distances(s.values[:m], t.values[:m])
+
+
+def signed_match_distance(s: EVMultiset, t: EVMultiset, m: int) -> dict:
+    """:func:`match_distance` with the first ``m`` canonical entries of ``t``
+    paired by signed order: the non-negative ones, descending, with the
+    largest entries of ``s``, and the negative ones, ascending, with the
+    smallest.  That is the optimal matching on the line, so it does not
+    depend on which value of a tied ``+/-`` pair canonical order puts first.
+    It equals :func:`match_distance` when both top-``m`` lists have one
+    sign pattern."""
+    _refuse_short(s, t, m)
+    ref = np.sort(t.values[:m])[::-1]
+    emp, nonnegative = np.sort(s.values), int(np.count_nonzero(ref >= 0))
+    x = np.concatenate([emp[::-1][:nonnegative], emp[:m - nonnegative][::-1]])
+    return _distances(x, ref)
+
+
+def _refuse_short(s: EVMultiset, t: EVMultiset, m: int) -> None:
     if m < 1:  # no entry compared would pass any tolerance
         raise ValueError("comparison length must be >= 1")
     if len(s) < m or len(t) < m:
-        raise InsufficientEntriesError(
-            f"need {m} entries but have {len(s)} and {len(t)}"
-        )
-    x, ref = s.values[:m], t.values[:m]
+        raise InsufficientEntriesError(f"need {m} entries but have {len(s)} and {len(t)}")
+
+
+def _distances(x: np.ndarray, ref: np.ndarray) -> dict:
     return {"max_abs": float(np.max(np.abs(x - ref))),
             "max_rel": float(np.max(relative_error(x, ref)))}

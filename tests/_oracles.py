@@ -4,9 +4,13 @@ Each builder returns the scalar polynomial, the models which the brute-force
 moment oracle evaluates it against, and the inputs of the matching closed-form
 recipe.  The oracle side and the recipe side share the same truncation, so
 the identities hold to rounding.
+
+``DEMO_B_STATES`` holds the B state tables that the demo files once gave by
+hand, 17 values, which the tests compare with the derived state and edit.
 """
 
 import functools
+import json
 
 import numpy as np
 
@@ -22,6 +26,24 @@ from cyclospec import (
     b_gen,
 )
 from cyclospec.ncalg import FAMILY_A, FAMILY_B, Letter, word_str
+
+
+# each demo's former prediction.b_state, as its file held it
+DEMO_B_STATES = {
+    "example1": {"degree_cap": 4, "moments": {
+        "b1*b1": 1.0, "b1*b1*b1*b1": 2.0, "b1*b1*b2*b2": 1.0, "b1*b1*b3*b3": 1.0,
+        "b2*b2": 1.0, "b2*b2*b2*b2": 2.0, "b2*b2*b3*b3": 1.0, "b3*b3": 1.0, "b3*b3*b3*b3": 2.0}},
+    "example2": {"moments": {"b1*b1": 1.0, "b1*b2": 0.0, "b2*b2": 1.0}},
+    "example2-correlated": {"moments": {"b1*b1": 1.0, "b1*b2": 1.0, "b2*b2": 1.0}},
+    "example3": {"moments": {"b1": 1.0, "b1*b1": 2.0}},
+}
+
+
+def with_demo_b_state(doc):
+    """A copy of the demo scenario ``doc`` that gives its former table."""
+    doc = json.loads(json.dumps(doc))
+    doc["prediction"] = {"b_state": json.loads(json.dumps(DEMO_B_STATES[doc["name"]]))}
+    return doc
 
 
 def random_hermitian(n, rng):

@@ -18,6 +18,10 @@ from cyclospec import (
     rmtlab,
 )
 from cyclospec.cli import main
+from cyclospec.spectra import signed_match_distance
+
+import print_report_diff
+from _oracles import DEMO_B_STATES, with_demo_b_state
 
 
 def run_cli(*argv):
@@ -317,7 +321,10 @@ def test_every_trial_is_compared_with_the_one_prediction(tmp_path, capsys):
     for rec in doc["trials"]:
         assert set(rec) == {"trial", "eigenvalues", "moments", "match", "diagnostics"}
         assert set(rec["diagnostics"]) == {"hermiticity_residual"}
-        assert rec["match"] == rmtlab.match_distance(EVMultiset(rec["eigenvalues"]), predicted, 10)
+        empirical = EVMultiset(rec["eigenvalues"])
+        signed = signed_match_distance(empirical, predicted, 10)["max_rel"]
+        assert rec["match"] == dict(rmtlab.match_distance(empirical, predicted, 10),
+                                    signed_max_rel=signed)
     capsys.readouterr()
     assert run_cli("compare", "--report", str(report_path), "--tol-rel", "10") == 0
     printed = capsys.readouterr().out
@@ -326,6 +333,41 @@ def test_every_trial_is_compared_with_the_one_prediction(tmp_path, capsys):
     report_path.write_text(json.dumps(doc))
     assert run_cli("compare", "--report", str(report_path), "--tol-rel", "10") == 0
     assert capsys.readouterr().out == printed
+
+
+def test_compare_reads_a_report_of_either_revision(tmp_path, capsys):
+    # a report written while the demos gave their B state tables holds
+    # scenario.prediction and neither signed entry; compare reads it alike
+    builtin_scenario("example2", n=30, trials=2).save(tmp_path / "scenario.json")
+    assert run_cli("simulate", "--scenario", str(tmp_path / "scenario.json"),
+                   "--out", str(tmp_path / "run")) == 0
+    new = tmp_path / "run" / "report.json"
+    doc = json.loads(new.read_text())
+    del doc["summary"]["match_mean_signed_max_rel"]
+    for rec in doc["trials"]:
+        del rec["match"]["signed_max_rel"]
+    doc["scenario"]["prediction"] = {"b_state": DEMO_B_STATES["example2"]}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("compare", "--report", str(new), "--tol-rel", "10") == 0
+    printed = capsys.readouterr().out
+    assert run_cli("compare", "--report", str(old), "--tol-rel", "10") == 0
+    assert capsys.readouterr().out == printed
+    # the signed column and mean are the report's own statistics
+    signed = [float(line.split()[3]) for line in printed.splitlines()[1:3]]
+    report = json.loads(new.read_text())
+    assert signed == pytest.approx([rec["match"]["signed_max_rel"] for rec in report["trials"]],
+                                   rel=1e-5)
+    assert f"mean signed_max_rel over trials: {report['summary']['match_mean_signed_max_rel']:.6g}" \
+        in printed
+    # and the two revisions' reports differ in exactly the revised keys
+    assert print_report_diff.main([str(old), str(new)]) == 0
+    doc["trials"][1]["eigenvalues"][0] = float(np.nextafter(doc["trials"][1]["eigenvalues"][0],
+                                                            np.inf))  # one ulp
+    old.write_text(json.dumps(doc))
+    assert print_report_diff.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.endswith(f"differs from {old} at $.trials[1].eigenvalues[0]\n")
 
 
 def test_simulate_determinism(tmp_path):
@@ -396,7 +438,7 @@ def test_scenario_schema_validation():
         jsonschema.validate(json.loads(shipped), schema)
 
 
-_EXAMPLE1 = builtin_scenario("example1", n=40, trials=2).to_dict()
+_EXAMPLE1 = with_demo_b_state(builtin_scenario("example1", n=40, trials=2).to_dict())
 # one misspelt or retired key per closed object, by the path its error names
 _UNKNOWN_KEYS = {
     "haar_conjugate": {"haar_conjugate": True},
@@ -495,7 +537,7 @@ def test_explicit_spectrum_or_state_value_that_is_not_finite_exits_validation(
 
 @pytest.mark.parametrize("command", ["predict", "simulate"])
 def test_scenario_state_value_that_is_not_finite_exits_validation(command, tmp_path, capsys):
-    doc = builtin_scenario("example3", n=20, trials=1).to_dict()
+    doc = with_demo_b_state(builtin_scenario("example3", n=20, trials=1).to_dict())
     doc["prediction"]["b_state"]["moments"]["b1*b1"] = float("nan")
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(doc))  # NaN, as json.load reads it
@@ -563,7 +605,7 @@ def test_scenario_schema_rejects_mistyped_fields_as_validation_does(base, path, 
     validator = jsonschema.Draft202012Validator(json.loads(
         resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
     ))
-    doc = dict(builtin_scenario("example3", n=40, trials=2).to_dict(), **base)
+    doc = dict(with_demo_b_state(builtin_scenario("example3", n=40, trials=2).to_dict()), **base)
     assert validator.is_valid(doc)
     rmtlab.Scenario.from_dict(doc)
     # set the field named by path (keys and list positions joined by "__")
@@ -608,8 +650,7 @@ def test_b_state_schema_rejects_mistyped_moments_as_loading_does(name, path, val
     validator = jsonschema.Draft202012Validator(json.loads(
         resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
     ))
-    doc = builtin_scenario(name, n=40, trials=2).to_dict()
-    doc["prediction"].setdefault("b_state", {"moments": {"b1*b1": 1.0}})
+    doc = with_demo_b_state(builtin_scenario(name, n=40, trials=2).to_dict())
     assert validator.is_valid(doc)
     rmtlab.Scenario.from_dict(doc)
     *keys, last = path.split("__")
@@ -672,7 +713,7 @@ def test_scenario_schema_rejects_missing_kind_keys_and_negative_seeds_as_validat
     validator = jsonschema.Draft202012Validator(json.loads(
         resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
     ))
-    doc = dict(builtin_scenario("example3", n=40, trials=2).to_dict(), **base)
+    doc = dict(with_demo_b_state(builtin_scenario("example3", n=40, trials=2).to_dict()), **base)
     assert validator.is_valid(doc)
     rmtlab.Scenario.from_dict(doc)
     bad = _with_field(doc, path, value)
@@ -695,13 +736,14 @@ def test_scenario_validation_rejects_every_field_the_schema_rejects(name):
     validator = jsonschema.Draft202012Validator(json.loads(
         resources.files("cyclospec").joinpath("schemas/scenario.schema.json").read_text()
     ))
-    doc = builtin_scenario(name, n=24, trials=1).to_dict()
+    doc = with_demo_b_state(builtin_scenario(name, n=24, trials=1).to_dict())
     accepted = []
     for path in _field_paths(doc):
         for value in _FIELD_VALUES + [_DELETED]:
             bad = _with_field(doc, path, value)
-            if validator.is_valid(bad) or (path, value) == (("truncation",), None):
-                continue  # a null truncation means "use n"
+            if validator.is_valid(bad) or value is None and path in (("truncation",),
+                                                                     ("prediction",)):
+                continue  # a null truncation means "use n", a null prediction "derive it"
             try:
                 rmtlab.Scenario.from_dict(bad)
             except (ValueError, KeyError):
@@ -846,10 +888,11 @@ def test_predict_from_chain_scenario_file(tmp_path):
 
 
 def test_predict_scenario_with_complex_spectrum_exits_numerical(tmp_path, capsys):
-    # b1 a b2 - b2 a b1 is not selfadjoint: with tau(b_i b_j) = delta_ij its
-    # reduction is [[0, a], [-a, 0]], whose eigenvalues are +-i a
-    doc = builtin_scenario("example2", n=20, trials=1).to_dict()
-    doc.update(expression="b1*a1*b2 - b2*a1*b1", prediction={"b_state": doc["prediction"]["b_state"]})
+    # b1 a b2 - b2 a b1 is not selfadjoint: with tau(b_i b_j) = delta_ij, the
+    # law of example2's independent GUEs, its reduction is [[0, a], [-a, 0]],
+    # whose eigenvalues are +-i a
+    doc = dict(builtin_scenario("example2", n=20, trials=1).to_dict(),
+               expression="b1*a1*b2 - b2*a1*b1")
     scen_path = tmp_path / "scenario.json"
     scen_path.write_text(json.dumps(doc))
     assert run_cli("predict", "--scenario", str(scen_path), "--out", str(tmp_path / "x")) == 2
@@ -857,7 +900,7 @@ def test_predict_scenario_with_complex_spectrum_exits_numerical(tmp_path, capsys
 
 
 def test_predict_scenario_missing_recipe_key_exits_validation(tmp_path, capsys):
-    doc = builtin_scenario("example3", n=40, trials=1).to_dict()
+    doc = with_demo_b_state(builtin_scenario("example3", n=40, trials=1).to_dict())
     del doc["prediction"]["b_state"]
     scen_path = tmp_path / "scenario.json"
     scen_path.write_text(json.dumps(doc))

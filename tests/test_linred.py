@@ -851,10 +851,10 @@ def _chain_paths(monkeypatch, predict):
         patch.setattr(linred, "_hermitian_gate", gate_spy)
         patch.setattr(linred, "_real_spectrum", solve_spy)
         got = predict().multiset
-        # the sandwich passes A, then itself, through the gate before the
-        # shared solve; a product goes to the solve ungated (a gate that
-        # refuses A records nothing)
-        path = {("stack", "gate", "gate", "solve"): "sandwich",
+        # the sandwich passes A through the gate before the shared solve,
+        # which gates the sandwich; a product goes to the solve ungated (a
+        # gate that refuses A records nothing)
+        path = {("stack", "gate", "solve"): "sandwich",
                 ("stack", "solve"): "product"}.get(tuple(calls))
         patch.setattr(linred, "sqrtm_psd", not_psd)
         calls.clear()
@@ -949,12 +949,14 @@ def test_ev_chain_sandwich_is_solved_in_place():
 
 
 def test_sandwich_that_fails_its_check_is_not_selfadjoint(monkeypatch):
-    # a root with root**2 = i turns the Hermitian tau(b1) a1 a1 into i tau(b1) a1 a1
+    # a root with root**2 = i turns the Hermitian tau(b1) a1 a1 into i tau(b1)
+    # a1 a1: the solve's gate refuses it, and eigvals finds its imaginary spectrum
     fam = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=8)})
     table = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
     scalar_a, scalar_b = AlgMatrix([["a1"]]), AlgMatrix([["b1"]])
     monkeypatch.setattr(linred, "sqrtm_psd", lambda gram: np.array([[np.exp(0.25j * np.pi)]]))
-    with pytest.raises(NotSelfadjointError, match="matrix is not Hermitian: max entry deviation"):
+    refused = "max imaginary part 1.000e\\+00 above 1.000e-08"
+    with pytest.raises(ComplexEigenvaluesError, match=refused):
         ev_chain(scalar_b, [scalar_a, scalar_b] * 2, fam, table)
 
 

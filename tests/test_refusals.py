@@ -52,6 +52,8 @@ from cyclospec.dense import dense_polynomial
 from cyclospec.ncalg import auto_symbols
 from cyclospec.rmtlab import load_matrix_csv, save_matrix_csv
 
+from _oracles import with_demo_b_state
+
 FAMILY = SpectrumFamily({1: GeometricSpectrum(1.0, 0.5, count=4)})
 TABLE = MomentTable.from_b_powers({1: 1.0, 2: 2.0})
 A, B = AlgMatrix([["a1"]]), AlgMatrix([["b1"]])
@@ -241,7 +243,7 @@ def test_matrix_csv_of_an_odd_row_names_its_path(tmp_path):
 def test_trial_that_overflows_names_its_trial(tmp_path):
     # B is finite, so the file passes its check; B A B overflows in trial 0
     save_matrix_csv(np.full((8, 8), 1e200), tmp_path / "b.csv")
-    doc = builtin_scenario("example3", n=8, trials=1).to_dict()
+    doc = with_demo_b_state(builtin_scenario("example3", n=8, trials=1).to_dict())
     doc.update(expression="b1*a1*b1", compare_top=4,
                b_spec=[{"kind": "file", "path": str(tmp_path / "b.csv")}])
     with np.errstate(all="ignore"), pytest.raises(

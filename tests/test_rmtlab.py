@@ -15,6 +15,7 @@ from cyclospec import (
     NotSelfadjointError,
     Scenario,
     SpectrumFamily,
+    auto_symbols,
     builtin_scenario,
     estimate_beta,
     match_distance,
@@ -38,6 +39,8 @@ from cyclospec.rmtlab import (
     save_matrix_csv,
     trial_rng,
 )
+
+from _oracles import DEMO_B_STATES, with_demo_b_state
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +177,7 @@ def test_scenario_json_round_trip(tmp_path):
     s.save(path)
     again = Scenario.from_json(path)
     assert again.to_dict() == s.to_dict()
+    assert again.prediction is None and "prediction" not in json.loads(path.read_text())
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
@@ -191,8 +195,10 @@ def test_builtin_scenario_is_the_shipped_file(name):
 def test_builtin_scenario_defaults_and_fresh_dicts():
     first = builtin_scenario("example3")
     assert (first.n, first.trials, first.seed, first.truncation) == (300, 5, 20260808, 300)
-    first.prediction["b_state"]["moments"]["b1*b1"] = 99.0
-    assert builtin_scenario("example3").prediction["b_state"]["moments"]["b1*b1"] == 2.0
+    assert first.prediction is None
+    first.a_spec["ratio"], first.b_spec[0]["kind"] = 0.25, "gue"
+    again = builtin_scenario("example3")
+    assert (again.a_spec["ratio"], again.b_spec[0]["kind"]) == (0.5, "gue_squared")
 
 
 def test_scenario_validation():
@@ -271,7 +277,7 @@ def test_scenario_accepts_integral_floats():
     ("example2-correlated", 1),
 ])
 def test_scenario_rejects_unknown_beta(name, beta, tmp_path):
-    doc = builtin_scenario(name, n=40, trials=2).to_dict()
+    doc = with_demo_b_state(builtin_scenario(name, n=40, trials=2).to_dict())
     doc["prediction"] = dict(doc["prediction"], per_trial=beta)
     with pytest.raises(ValueError, match="scenario 'prediction.per_trial' is not a known key"):
         Scenario.from_dict(doc)
@@ -281,7 +287,8 @@ def test_scenario_rejects_unknown_beta(name, beta, tmp_path):
 
 
 def _example1_with(**changes):
-    doc = builtin_scenario("example1", n=40, trials=1).to_dict()
+    """example1 with its former table and the given changes."""
+    doc = with_demo_b_state(builtin_scenario("example1", n=40, trials=1).to_dict())
     for path, value in changes.items():
         *keys, last = path.split("__")
         target = doc
@@ -383,6 +390,9 @@ def test_b_entries_drawn_apart_share_no_block_generators():
     doc["b_spec"] = [{"kind": "gue", "blocks": _EXAMPLE1_B_BLOCKS}, {"kind": "gue", "blocks": renamed}]
     with pytest.raises(ValueError, match="prediction 'b_state': no table entry for "):
         Scenario.from_dict(doc)
+    # which the state derived from b_spec has
+    del doc["prediction"]
+    Scenario.from_dict(doc)
 
 
 @pytest.mark.parametrize("blocks_first", [True, False], ids=["blocks-first", "blocks-last"])
@@ -533,8 +543,7 @@ def test_truncation_beyond_n_is_refused_naming_both(a_spec, tmp_path, capsys):
     assert Scenario.from_dict(dict(doc, truncation=20)).truncation == 20
 
 
-@pytest.mark.parametrize("key", ["name", "n", "seed", "a_spec", "b_spec", "expression",
-                                 "prediction"])
+@pytest.mark.parametrize("key", ["name", "n", "seed", "a_spec", "b_spec", "expression"])
 def test_missing_top_level_key_is_named(key):
     doc = builtin_scenario("example3", n=20, trials=1).to_dict()
     del doc[key]
@@ -577,7 +586,7 @@ def test_example1_trial_a_block_is_hermitian():
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_scenario_validation_names_missing_b_state(name):
-    doc = builtin_scenario(name, n=40, trials=2).to_dict()
+    doc = with_demo_b_state(builtin_scenario(name, n=40, trials=2).to_dict())
     prediction = {key: value for key, value in doc["prediction"].items() if key != "b_state"}
     with pytest.raises(ValueError, match="scenario 'prediction' needs the key 'b_state'"):
         Scenario.from_dict(dict(doc, prediction=prediction))
@@ -683,7 +692,7 @@ def test_file_backed_b_spec(tmp_path, monkeypatch):
     fixed = fixed @ fixed
     path = tmp_path / "b.csv"
     save_matrix_csv(fixed, path)
-    doc = builtin_scenario("example3", n=30, trials=3).to_dict()
+    doc = with_demo_b_state(builtin_scenario("example3", n=30, trials=3).to_dict())
     doc["b_spec"] = [{"kind": "file", "path": str(path)}]
     loaded = []
 
@@ -701,7 +710,7 @@ def test_file_backed_b_spec(tmp_path, monkeypatch):
     assert report.trials[0]["eigenvalues"] == report.trials[2]["eigenvalues"]
     # one file law shared by two letters: example2-correlated with b1 read
     # from the file, read once per run, and b2 is b1's array
-    doc = builtin_scenario("example2-correlated", n=30, trials=2).to_dict()
+    doc = with_demo_b_state(builtin_scenario("example2-correlated", n=30, trials=2).to_dict())
     doc["b_spec"] = [{"kind": "file", "path": str(path)}, {"kind": "copy_of", "index": 1}]
     for haar in (True, False):
         loaded.clear()
@@ -714,7 +723,7 @@ def test_file_backed_b_spec(tmp_path, monkeypatch):
 
 def test_file_b_of_another_shape_fails_before_any_trial(tmp_path, monkeypatch, capsys):
     save_matrix_csv(np.eye(20, dtype=complex), tmp_path / "b.csv")
-    doc = builtin_scenario("example3", n=30, trials=2).to_dict()
+    doc = with_demo_b_state(builtin_scenario("example3", n=30, trials=2).to_dict())
     doc["b_spec"] = [{"kind": "file", "path": str(tmp_path / "b.csv")}]
     (tmp_path / "scenario.json").write_text(json.dumps(doc))
 
@@ -734,7 +743,7 @@ def test_file_b_with_ragged_rows_names_its_path(tmp_path, capsys):
     lines = (tmp_path / "b.csv").read_text().splitlines()
     lines[4] = lines[4].rsplit(",", 2)[0]  # row 5 loses its last entry
     (tmp_path / "b.csv").write_text("\n".join(lines) + "\n")
-    doc = builtin_scenario("example3", n=30, trials=2).to_dict()
+    doc = with_demo_b_state(builtin_scenario("example3", n=30, trials=2).to_dict())
     doc["b_spec"] = [{"kind": "file", "path": str(tmp_path / "b.csv")}]
     (tmp_path / "scenario.json").write_text(json.dumps(doc))
     message = f"matrix CSV {tmp_path / 'b.csv'}: row 5 has 29 entries, row 1 has 30"
@@ -750,7 +759,7 @@ def test_file_b_with_a_cell_that_is_not_a_number_names_its_path_and_row(tmp_path
     lines = (tmp_path / "b.csv").read_text().splitlines()
     lines[2] = "x" + lines[2][lines[2].index(","):]  # row 3 starts with the cell x
     (tmp_path / "b.csv").write_text("\n".join(lines) + "\n")
-    doc = builtin_scenario("example3", n=30, trials=2).to_dict()
+    doc = with_demo_b_state(builtin_scenario("example3", n=30, trials=2).to_dict())
     doc["b_spec"] = [{"kind": "file", "path": str(tmp_path / "b.csv")}]
     (tmp_path / "scenario.json").write_text(json.dumps(doc))
     message = f"matrix CSV {tmp_path / 'b.csv'}: row 3: could not convert string to float: 'x'"
@@ -819,8 +828,8 @@ _DEMO_GUES = {
 
 
 def _with_state(doc, key, value):
-    """A copy of the scenario ``doc`` whose ``b_state`` gives ``key`` the ``value``."""
-    doc = json.loads(json.dumps(doc))
+    """A copy of the demo scenario ``doc`` whose former table gives ``key`` the ``value``."""
+    doc = with_demo_b_state(doc)
     doc["prediction"]["b_state"]["moments"][key] = value
     return doc
 
@@ -829,9 +838,13 @@ def test_every_demo_state_value_is_the_law_of_its_b_spec():
     checked = 0
     for name, gues in _DEMO_GUES.items():
         doc = builtin_scenario(name, n=20, trials=1).to_dict()
-        for key, value in doc["prediction"]["b_state"]["moments"].items():
+        derived = rmtlab._compile(Scenario.from_dict(doc)).b_state
+        for key, value in DEMO_B_STATES[name]["moments"].items():
             word = sum((gues[letter] for letter in key.split("*")), ())
             assert _noncrossing_pairings(word) == value
+            # the state a demo without its table reduces against gives it too
+            (letters,) = parse_expression(key, auto_symbols(key)).terms
+            assert derived.tau(letters) == value
             # and the scenario's own check reads this entry, up to rounding
             Scenario.from_dict(_with_state(doc, key, value * (1 + 1e-15)))
             with pytest.raises(ValueError, match=re.escape(f"= {value + 1e-6}, but b_spec's law "
@@ -876,9 +889,49 @@ def test_a_file_letter_is_not_checked():
 def test_the_state_names_only_the_letters_the_expression_reads():
     # example1's table reads its block generator b2, a semicircle; an unread
     # gue_squared entry b2 must not lend that name its law, whose tau(b2 b2) is 2
-    doc = builtin_scenario("example1", n=20, trials=1).to_dict()
+    doc = with_demo_b_state(builtin_scenario("example1", n=20, trials=1).to_dict())
     doc["b_spec"].append({"kind": "gue_squared"})
     Scenario.from_dict(doc)
+
+
+def _prediction_bytes(scenario):
+    """The prediction of ``scenario`` as JSON text (its multiset and beta) and
+    its three moments, as ``run_scenario`` computes them."""
+    c = rmtlab._compile(scenario)
+    prediction = rmtlab._reduction_spectrum(c.reduction, c.a_model, scenario.truncation)
+    chain = [linred.AlgMatrix.from_grid(c.reduction[0]), linred.AlgMatrix(c.reduction[1])]
+    moments = [linred.chain_moment(chain, m, c.a_model, c.b_state) for m in (1, 2, 3)]
+    return json.dumps(prediction.to_json_dict()), repr(moments)
+
+
+@pytest.mark.parametrize("n", [100, 300])
+@pytest.mark.parametrize("name", ["example1", "example2", "example2-correlated", "example3"])
+def test_a_demo_without_its_table_predicts_as_its_former_file(name, n):
+    doc = builtin_scenario(name, n=n, trials=1).to_dict()
+    assert "prediction" not in doc
+    former = Scenario.from_dict(with_demo_b_state(doc))
+    assert _prediction_bytes(Scenario.from_dict(doc)) == _prediction_bytes(former)
+
+
+def test_a_file_letter_without_a_table_exits_1(tmp_path, capsys):
+    # the derived state knows the GUE letters only
+    doc = builtin_scenario("example2", n=20, trials=1).to_dict()
+    doc["b_spec"][1] = {"kind": "file", "path": "never-read.csv"}
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    for command in ("predict", "simulate"):
+        out = tmp_path / command
+        assert main([command, "--scenario", str(tmp_path / "scenario.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "validation failure: prediction 'b_state': no table entry for b1*b2\n")
+        assert not out.exists()
+
+
+def test_the_signed_statistic_reads_far_below_the_canonical_one_on_example2():
+    # example2's limit multiset pairs +-2^-k with tied moduli, and canonical
+    # order flips a pair with near-coin-flip odds; signed order does not
+    summary = run_scenario(builtin_scenario("example2", n=300, trials=5)).summary
+    assert summary["match_mean_signed_max_rel"] < 0.15 < 1.5 < summary["match_mean_max_rel"]
 
 
 # ---------------------------------------------------------------------------
@@ -980,10 +1033,13 @@ _COPIED_GUE_SQUARED = {
     "prediction": {"b_state": {"moments": {"b1": 1.0, "b2": 1.0, "b1*b1": 2.0, "b1*b2": 2.0,
                                            "b2*b2": 2.0}}},
 }
-# example2 with b2 read from a file, written by the test into its working directory
-_FILE_B2 = {"b_spec": [{"kind": "gue"}, {"kind": "file", "path": "b2.csv"}]}
+# example2 with b2 read from a file, written by the test into its working
+# directory, and its former table, which gives the file letter's state
+_FILE_B2 = {"b_spec": [{"kind": "gue"}, {"kind": "file", "path": "b2.csv"}],
+            "prediction": {"b_state": DEMO_B_STATES["example2"]}}
 # example2-correlated with b1 read from that file: one file law for two letters
-_FILE_B1_COPIED = {"b_spec": [{"kind": "file", "path": "b2.csv"}, {"kind": "copy_of", "index": 1}]}
+_FILE_B1_COPIED = {"b_spec": [{"kind": "file", "path": "b2.csv"}, {"kind": "copy_of", "index": 1}],
+                   "prediction": {"b_state": DEMO_B_STATES["example2-correlated"]}}
 
 
 @pytest.mark.parametrize("name,changes", [

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclospec import (
     EVMultiset,
@@ -15,11 +17,13 @@ from cyclospec import (
     sample_haar_unitary,
     scale,
 )
+from cyclospec.linred import eigenvalue_multiset
 from cyclospec.spectra import (
     HERMITICITY_TOL,
     _solve_hermitian,
     hermiticity_gap,
     rounding_tolerance,
+    signed_match_distance,
     symmetrize,
 )
 
@@ -155,8 +159,51 @@ def test_match_distance_examples():
 
 
 def test_match_distance_insufficient():
-    with pytest.raises(InsufficientEntriesError):
-        match_distance(EVMultiset([1.0]), EVMultiset([1.0, 2.0]), 2)
+    for distance in (match_distance, signed_match_distance):
+        with pytest.raises(InsufficientEntriesError):
+            distance(EVMultiset([1.0]), EVMultiset([1.0, 2.0]), 2)
+        with pytest.raises(ValueError, match="comparison length must be >= 1"):
+            distance(EVMultiset([1.0]), EVMultiset([1.0]), 0)
+
+
+def test_signed_match_distance_pairs_a_tied_pair_by_sign():
+    # canonical order puts -2.1 first and pairs it with 2, the first of the
+    # tied pair +-2; by signed order 2 pairs with 1.9 and -2 with -2.1
+    s, t = EVMultiset([-2.1, 1.9, 0.5]), EVMultiset([2.0, -2.0, 0.25])
+    assert match_distance(s, t, 2) == {"max_abs": 4.1, "max_rel": 2.05}
+    signed = signed_match_distance(s, t, 2)
+    assert signed["max_abs"] == pytest.approx(0.1) and signed["max_rel"] == pytest.approx(0.05)
+    # over three, 0.25 is paired with the next largest value of s, 0.5
+    assert signed_match_distance(s, t, 3)["max_rel"] == pytest.approx(1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(powers=st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=12,
+                       unique=True),
+       signs=st.lists(st.booleans(), min_size=12, max_size=12),
+       noise=st.lists(st.floats(min_value=-1e-3, max_value=1e-3), min_size=12, max_size=12),
+       data=st.data())
+def test_signed_match_distance_is_match_distance_for_one_sign_pattern(powers, signs, noise,
+                                                                      data):
+    # distinct moduli 1.25**k, 25% apart, under a relative noise of 0.1%
+    # keep both top-m lists in one order and one sign pattern
+    t = np.array([1.25**k if positive else -1.25**k for k, positive in zip(powers, signs)])
+    s = t * (1.0 + np.array(noise[:len(t)]))
+    m = data.draw(st.integers(min_value=1, max_value=len(t)))
+    assert signed_match_distance(EVMultiset(s), EVMultiset(t), m) == match_distance(
+        EVMultiset(s), EVMultiset(t), m)
+
+
+def test_symmetrize_keeps_the_top_of_the_float_range_finite():
+    # m + m* would overflow; m/2 + m*/2 does not
+    assert hermitian_spectrum(np.array([[1e308]])).to_list() == [1e308]
+    big = np.finfo(float).max
+    m = np.array([[big, 1e308 + 1e308j], [1e308 - 1e308j, -big]])
+    assert np.array_equal(symmetrize(m.copy()), m)
+
+
+def test_a_diagonal_at_the_top_of_the_float_range_is_its_np_diag():
+    assert eigenvalue_multiset(np.diag([1e308])) == eigenvalue_multiset(np.array([1e308]))
 
 
 def test_csv_round_trip(tmp_path):
@@ -242,7 +289,8 @@ def test_tiled_hermitian_passes_equal_the_out_of_place_formulas(shape):
     kept = m.copy()
     got = symmetrize(m)
     assert got is m
-    assert got.tobytes() == ((kept + np.conj(np.swapaxes(kept, -1, -2))) / 2.0).tobytes()
+    halved = kept / 2.0
+    assert got.tobytes() == (halved + np.conj(np.swapaxes(halved, -1, -2))).tobytes()
 
 
 @pytest.mark.parametrize("where", [(0, 0), (5, 250), (250, 5), (260, 260)])

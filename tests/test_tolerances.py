@@ -30,6 +30,8 @@ from cyclospec import (
 from cyclospec.cli import main
 from cyclospec.spectra import relative_error
 
+from _oracles import with_demo_b_state
+
 
 def _off_hermitian(scale, floor, factor, size=2):
     """``diag(scale, scale/2, ...)`` with ``factor`` times the tolerance of
@@ -131,7 +133,7 @@ def test_file_b_with_a_nan_fails_the_gate_with_the_numerical_exit_code(
     b = b @ b
     b[3, 5] = np.nan
     rmtlab.save_matrix_csv(b, tmp_path / "b.csv")
-    doc = builtin_scenario("example3", n=30, trials=2).to_dict()
+    doc = with_demo_b_state(builtin_scenario("example3", n=30, trials=2).to_dict())
     doc["b_spec"] = [{"kind": "file", "path": str(tmp_path / "b.csv")}]
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(doc))
