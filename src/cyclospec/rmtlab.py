@@ -546,9 +546,14 @@ def _compile(scenario: Scenario) -> _Compiled:
     except NotInDomainError as exc:
         raise ValueError(f"scenario 'expression': {exc}") from None
     except DegreeExceededError as exc:
-        raise ValueError(f"prediction 'b_state': {exc}") from None
+        if table is not derived:
+            raise ValueError(f"prediction 'b_state': {exc}") from None
+        word = str(exc).removeprefix("no table entry for ")
+        raise ValueError(f"b_spec's law has no value for {word}, a word over a 'file' letter: "
+                         "give it in prediction.b_state") from None
     if not any(map(any, reduction[0])):
-        raise ValueError("scenario 'expression' reduces to 0 against prediction 'b_state'")
+        against = "b_spec's law" if table is derived else "prediction 'b_state'"
+        raise ValueError(f"scenario 'expression' reduces to 0 against {against}")
     return _Compiled(poly, a_model, table, reduction, a_cells, b_laws, scenario.haar_conjugate_b,
                      dim, a_diag)
 

@@ -16,6 +16,10 @@ answer while the cases run (case generation is not counted):
   last oracle sweep (``cmcalc._sweep``) over it began or ended, which a memo
   living one sweep, or one stretch between sweeps, would answer.  For the state, which keeps no product,
   ``products`` counts the matrix products its asks make.
+- ``cache``: the asks of ``_SemicircleState.tau`` (the B state derived from
+  ``b_spec``), which keeps no memo of its own, and the hits and misses of
+  the process-wide ``functools.cache`` of ``_noncrossing_pairings`` during
+  them (its ``cache_info()`` deltas, recursive calls included).
 - ``coded``: a coded sweep's two memos (``CodedSweep.taus`` and
   ``omegas``): lookups, hits, misses (each one ask of the model), and the
   entries an ``omegas`` memo starts from, the weights ``chain_moment``
@@ -98,6 +102,19 @@ class Counts:
                     return original(model, w)
                 return ask
             self._patch(cls, method, matrix)
+
+        def semicircle(original, key="cache _SemicircleState.tau"):
+            def ask(state, w):
+                before = cmcalc._noncrossing_pairings.cache_info()
+                try:
+                    return original(state, w)
+                finally:
+                    after = cmcalc._noncrossing_pairings.cache_info()
+                    n[key, "asks"] += 1
+                    n[key, "pairings hits"] += after.hits - before.hits
+                    n[key, "pairings misses"] += after.misses - before.misses
+            return ask
+        self._patch(cmcalc._SemicircleState, "tau", semicircle)
 
         def sweep(original):
             def counted(terms, a_model, b_state, *code):

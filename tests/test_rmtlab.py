@@ -809,8 +809,11 @@ def test_expression_that_reduces_to_zero_is_rejected():
     # every cyclic-monotone moment, and no multiset compares with its trials
     doc = builtin_scenario("example3", n=20, trials=1).to_dict()
     doc["expression"] = "i*(a1*a1*b1*a1 - a1*b1*a1*a1)"
-    with pytest.raises(ValueError, match="'expression' reduces to 0 against prediction 'b_state'"):
+    with pytest.raises(ValueError, match="'expression' reduces to 0 against b_spec's law"):
         Scenario.from_dict(doc)
+    # a given table is named as before
+    with pytest.raises(ValueError, match="'expression' reduces to 0 against prediction 'b_state'"):
+        Scenario.from_dict(with_demo_b_state(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +926,8 @@ def test_a_file_letter_without_a_table_exits_1(tmp_path, capsys):
         assert main([command, "--scenario", str(tmp_path / "scenario.json"),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "validation failure: prediction 'b_state': no table entry for b1*b2\n")
+            "validation failure: b_spec's law has no value for b1*b2, a word over a 'file' "
+            "letter: give it in prediction.b_state\n")
         assert not out.exists()
 
 
