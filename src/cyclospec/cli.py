@@ -38,7 +38,6 @@ from .errors import (
 from .linred import ev_anticommutator, ev_commutator, ev_polynomial
 from .ncalg import auto_symbols, parse_expression
 from .rmtlab import (
-    DEMO_SEED,
     Report,
     Scenario,
     _save_json,
@@ -46,8 +45,7 @@ from .rmtlab import (
     builtin_scenario,
     run_scenario,
 )
-from .spectra import (EVMultiset, match_distance, multiset_moment, relative_error,
-                      signed_match_distance)
+from .spectra import EVMultiset, match_distance, multiset_moment, relative_error
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -191,10 +189,9 @@ def _cmd_compare(args) -> int:
     reference, rels, signed = EVMultiset(report.prediction["eigenvalues"]), [], []
     print(f"{'trial':>5}  {'max_abs':>12}  {'max_rel':>12}  {'signed_max_rel':>14}")
     for rec in report.trials:
-        empirical = EVMultiset(rec["eigenvalues"])
-        row = match_distance(empirical, reference, args.top)
+        row = match_distance(EVMultiset(rec["eigenvalues"]), reference, args.top)
         rels.append(row["max_rel"])
-        signed.append(signed_match_distance(empirical, reference, args.top)["max_rel"])
+        signed.append(row["signed_max_rel"])
         print(f"{rec['trial']:>5}  {row['max_abs']:>12.6g}  {rels[-1]:>12.6g}  {signed[-1]:>14.6g}")
     mean_rel = float(np.mean(rels))
     print(f"mean signed_max_rel over trials: {float(np.mean(signed)):.6g}  (not gated)")
@@ -235,7 +232,7 @@ def _cmd_demo(args) -> int:
             raise ValueError(f"demo {name} takes no --{next(iter(given))}")
         return _formula_demo(name)
     out_dir = Path(given.pop("out", None) or f"demo_{name}")
-    scenario = builtin_scenario(name, **given)  # n 300, 5 trials, DEMO_SEED unless given
+    scenario = builtin_scenario(name, **given)  # the demo file's n, trials and seed unless given
     report = run_scenario(scenario)
     _write_simulation(report, out_dir)
     print(f"demo {name}: n={scenario.n}, trials={scenario.trials}, seed={scenario.seed}")
@@ -304,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run a built-in experiment with pinned defaults")
     p.add_argument("name", choices=DEMO_NAMES)
-    p.add_argument("--n", type=int, default=None, help="dimension (default 300)")
-    p.add_argument("--trials", type=int, default=None, help="trials (default 5)")
-    p.add_argument("--seed", type=int, default=None, help=f"seed (default {DEMO_SEED})")
+    p.add_argument("--n", type=int, default=None, help="dimension (default: the demo file's)")
+    p.add_argument("--trials", type=int, default=None, help="trials (default: the demo file's)")
+    p.add_argument("--seed", type=int, default=None, help="seed (default: the demo file's)")
     p.add_argument("--out", default=None, help="output directory (default demo_<name>)")
     p.set_defaults(func=_cmd_demo)
 

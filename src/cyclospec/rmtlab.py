@@ -48,11 +48,9 @@ from .errors import (
 )
 from .linred import AlgMatrix, _reduce, _reduction_spectrum, chain_moment
 from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression, word_str
-from .spectra import (_solve_hermitian, match_distance, multiset_moment, relative_error,
-                      signed_match_distance)
+from .spectra import _solve_hermitian, match_distance, multiset_moment, relative_error
 
 __all__ = [
-    "DEMO_SEED",
     "Report",
     "Scenario",
     "builtin_scenario",
@@ -64,8 +62,6 @@ __all__ = [
     "save_matrix_csv",
     "trial_rng",
 ]
-
-DEMO_SEED = 20260808
 
 HERMITICITY_GATE = 1e-8
 
@@ -605,13 +601,11 @@ def run_scenario(scenario: Scenario) -> Report:
         except NotSelfadjointError as exc:
             raise NotSelfadjointError(f"trial {t}: {exc}") from None
         del x
-        signed = signed_match_distance(empirical, prediction.multiset, scenario.compare_top)
         return {
             "trial": t,
             "eigenvalues": empirical.to_list(),
             "moments": [multiset_moment(empirical, k) for k in (1, 2, 3)],
-            "match": dict(match_distance(empirical, prediction.multiset, scenario.compare_top),
-                          signed_max_rel=signed["max_rel"]),
+            "match": match_distance(empirical, prediction.multiset, scenario.compare_top),
             "diagnostics": {"hermiticity_residual": residual},
         }
 
@@ -647,16 +641,19 @@ def run_scenario(scenario: Scenario) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def builtin_scenario(name: str, n: int = 300, trials: int = 5, seed: int | None = None) -> Scenario:
-    """The shipped demo scenario ``demos/<name>.json`` at dimension ``n``.
+def builtin_scenario(name: str, n: int | None = None, trials: int | None = None,
+                     seed: int | None = None) -> Scenario:
+    """The shipped demo scenario ``demos/<name>.json``.
 
-    ``n``, ``trials``, ``seed`` (default :data:`DEMO_SEED`) and
-    ``truncation = n`` replace the file's values.  The file is read afresh on
-    every call, so the returned scenario shares nothing with earlier ones.
+    Each of ``n``, ``trials`` and ``seed`` that is given replaces the file's
+    value, and a given ``n`` also sets ``truncation = n``.  The file is read
+    afresh on every call, so the returned scenario shares nothing with
+    earlier ones.
     """
     path = resources.files(__package__).joinpath(f"demos/{name}.json")
     if not path.is_file():
         raise ValueError(f"unknown demo scenario {name!r}")
     doc = json.loads(path.read_text(encoding="utf-8"))
-    doc.update(n=n, trials=trials, seed=DEMO_SEED if seed is None else seed, truncation=n)
+    given = {"n": n, "trials": trials, "seed": seed, "truncation": n}
+    doc.update((key, value) for key, value in given.items() if value is not None)
     return Scenario.from_dict(doc)

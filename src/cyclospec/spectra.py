@@ -2,8 +2,8 @@
 
 The canonical order is descending absolute value, ties broken by descending
 signed value; this is the order in which truncated spectra are displayed and
-compared (:func:`match_distance`; :func:`signed_match_distance` pairs the
-same values by signed order).
+compared (:func:`match_distance`, which also pairs the same values by signed
+order).
 
 Every eigensolve of the package, and every refusal of a spectrum, is here.
 One gate, :func:`_hermitian_gate`, checks a matrix, a stack or a diagonal
@@ -267,34 +267,23 @@ def multiset_moment(s: EVMultiset, k: int) -> float:
 def match_distance(s: EVMultiset, t: EVMultiset, m: int) -> dict:
     """Compare the first ``m >= 1`` canonical entries of ``s`` against ``t``.
 
-    ``t`` plays the reference role of ``relative_error``.
+    ``max_abs`` and ``max_rel`` pair the entries by canonical rank.
+    ``signed_max_rel`` pairs the first ``m`` canonical entries of ``t`` by
+    signed order: the non-negative ones, descending, with the largest entries
+    of ``s``, and the negative ones, ascending, with the smallest.  That is
+    the optimal matching on the line, so it does not depend on which value of
+    a tied ``+/-`` pair canonical order puts first, and it equals ``max_rel``
+    when both top-``m`` lists have one sign pattern.  ``t`` plays the
+    reference role of ``relative_error``.
     """
-    _refuse_short(s, t, m)
-    return _distances(s.values[:m], t.values[:m])
-
-
-def signed_match_distance(s: EVMultiset, t: EVMultiset, m: int) -> dict:
-    """:func:`match_distance` with the first ``m`` canonical entries of ``t``
-    paired by signed order: the non-negative ones, descending, with the
-    largest entries of ``s``, and the negative ones, ascending, with the
-    smallest.  That is the optimal matching on the line, so it does not
-    depend on which value of a tied ``+/-`` pair canonical order puts first.
-    It equals :func:`match_distance` when both top-``m`` lists have one
-    sign pattern."""
-    _refuse_short(s, t, m)
-    ref = np.sort(t.values[:m])[::-1]
-    emp, nonnegative = np.sort(s.values), int(np.count_nonzero(ref >= 0))
-    x = np.concatenate([emp[::-1][:nonnegative], emp[:m - nonnegative][::-1]])
-    return _distances(x, ref)
-
-
-def _refuse_short(s: EVMultiset, t: EVMultiset, m: int) -> None:
     if m < 1:  # no entry compared would pass any tolerance
         raise ValueError("comparison length must be >= 1")
     if len(s) < m or len(t) < m:
         raise InsufficientEntriesError(f"need {m} entries but have {len(s)} and {len(t)}")
-
-
-def _distances(x: np.ndarray, ref: np.ndarray) -> dict:
+    x, ref = s.values[:m], t.values[:m]
+    signed_ref = np.sort(ref)[::-1]
+    emp, nonnegative = np.sort(s.values), int(np.count_nonzero(signed_ref >= 0))
+    signed_x = np.concatenate([emp[::-1][:nonnegative], emp[:m - nonnegative][::-1]])
     return {"max_abs": float(np.max(np.abs(x - ref))),
-            "max_rel": float(np.max(relative_error(x, ref)))}
+            "max_rel": float(np.max(relative_error(x, ref))),
+            "signed_max_rel": float(np.max(relative_error(signed_x, signed_ref)))}

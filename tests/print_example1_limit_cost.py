@@ -5,13 +5,13 @@
 The two predictions are example1's own, the exact limit model, and the
 spectrum over one seeded finite Haar draw of the rotated copies a2, a3
 (``a1`` unrotated, each further generator rotated by a Haar unitary seeded
-with ``(seed, index)``).  The statistic is the signed-order top-15 max_rel
-of ``spectra.signed_match_distance``: the top 15 predicted values in
-canonical order, non-negative ones descending paired with the largest
-empirical values and negatives ascending with the smallest, and the largest
-relative error of a pair.  Each row is the mean over 3 seeds
-of 5 trials each (2 at n >= 1000).  A trial at n holds about five complex
-2n x 2n matrices: 350 MB at n = 1000.
+with ``(seed, index)``).  The statistic is the top-15 ``signed_max_rel``
+of ``spectra.match_distance``: the top 15 predicted values in canonical
+order, non-negative ones descending paired with the largest empirical
+values and negatives ascending with the smallest, and the largest relative
+error of a pair.  Each row is the mean over 3 seeds (the demo file's and
+1, 2) of 5 trials each (2 at n >= 1000).  A trial at n holds about five
+complex 2n x 2n matrices: 350 MB at n = 1000.
 """
 
 import sys
@@ -22,16 +22,16 @@ from cyclospec import (
     EVMultiset,
     MatrixTraceFamily,
     builtin_scenario,
+    match_distance,
     run_scenario,
     sample_haar_unitary,
 )
 from cyclospec import linred, rmtlab
-from cyclospec.rmtlab import DEMO_SEED
-from cyclospec.spectra import signed_match_distance
 
-SEEDS = (DEMO_SEED, 1, 2)
+DEMO = builtin_scenario("example1")
+SEEDS = (DEMO.seed, 1, 2)  # the demo file's seed, then two more
 TOP = 15
-assert builtin_scenario("example1").compare_top == TOP
+assert DEMO.compare_top == TOP
 
 
 def seeded_draw_prediction(scenario):
@@ -63,7 +63,7 @@ def main(dims):
             seeded = seeded_draw_prediction(scenario)
             for trial in report.trials:
                 empirical = EVMultiset(trial["eigenvalues"])
-                draw.append(signed_match_distance(empirical, seeded, TOP)["max_rel"])
+                draw.append(match_distance(empirical, seeded, TOP)["signed_max_rel"])
                 # the report's own statistic: example1 compares its top 15
                 limit.append(trial["match"]["signed_max_rel"])
         print(f"{n} {np.mean(draw):.3f} {np.mean(limit):.3f}", flush=True)

@@ -18,7 +18,6 @@ from cyclospec import (
     rmtlab,
 )
 from cyclospec.cli import main
-from cyclospec.spectra import signed_match_distance
 
 from _oracles import DEMO_B_STATES, with_demo_b_state
 
@@ -321,9 +320,7 @@ def test_every_trial_is_compared_with_the_one_prediction(tmp_path, capsys):
         assert set(rec) == {"trial", "eigenvalues", "moments", "match", "diagnostics"}
         assert set(rec["diagnostics"]) == {"hermiticity_residual"}
         empirical = EVMultiset(rec["eigenvalues"])
-        signed = signed_match_distance(empirical, predicted, 10)["max_rel"]
-        assert rec["match"] == dict(rmtlab.match_distance(empirical, predicted, 10),
-                                    signed_max_rel=signed)
+        assert rec["match"] == rmtlab.match_distance(empirical, predicted, 10)
     capsys.readouterr()
     assert run_cli("compare", "--report", str(report_path), "--tol-rel", "10") == 0
     printed = capsys.readouterr().out
@@ -805,7 +802,8 @@ def test_formula_demos_refuse_scenario_flags(name, flag, value, tmp_path, monkey
 
 
 def test_scenario_demo_defaults(monkeypatch):
-    # the scenario demos apply n 300, 5 trials and DEMO_SEED where no flag is given
+    # the scenario demos pass on only the flags given, so the demo file's n,
+    # trials and seed hold where none is given
     calls = []
 
     def small_scenario(name, **kwargs):
@@ -817,8 +815,9 @@ def test_scenario_demo_defaults(monkeypatch):
     run_cli("demo", "example3")
     run_cli("demo", "example3", "--n", "40", "--seed", "3", "--out", "there")
     assert calls == [{}, cli.Path("demo_example3"), {"n": 40, "seed": 3}, cli.Path("there")]
-    assert builtin_scenario("example3").to_dict() == builtin_scenario(
-        "example3", n=300, trials=5, seed=rmtlab.DEMO_SEED).to_dict()
+    shipped = json.loads(resources.files("cyclospec").joinpath("demos/example3.json").read_text())
+    assert json.dumps(builtin_scenario("example3").to_dict(), sort_keys=True) == json.dumps(
+        shipped, sort_keys=True)
 
 
 def test_demo_small_run(tmp_path, capsys):

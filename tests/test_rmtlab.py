@@ -2,6 +2,7 @@ import json
 import re
 import tracemalloc
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,6 +200,22 @@ def test_builtin_scenario_defaults_and_fresh_dicts():
     first.a_spec["ratio"], first.b_spec[0]["kind"] = 0.25, "gue"
     again = builtin_scenario("example3")
     assert (again.a_spec["ratio"], again.b_spec[0]["kind"]) == (0.5, "gue_squared")
+
+
+def test_builtin_scenario_reads_its_defaults_from_the_demo_file(tmp_path, monkeypatch):
+    # a demo file with another n, trials and seed gives them where no
+    # argument does; a given n also sets truncation
+    package = resources.files("cyclospec")
+    shipped = json.loads(package.joinpath("demos/example3.json").read_text())
+    (tmp_path / "schemas").symlink_to(package.joinpath("schemas"))
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "example3.json").write_text(
+        json.dumps(dict(shipped, n=40, trials=2, seed=7, truncation=40)))
+    monkeypatch.setattr(rmtlab, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    scenario = builtin_scenario("example3")
+    assert (scenario.n, scenario.trials, scenario.seed, scenario.truncation) == (40, 2, 7, 40)
+    scenario = builtin_scenario("example3", n=30, seed=8)
+    assert (scenario.n, scenario.trials, scenario.seed, scenario.truncation) == (30, 2, 8, 30)
 
 
 def test_scenario_validation():

@@ -23,7 +23,6 @@ from cyclospec.spectra import (
     _solve_hermitian,
     hermiticity_gap,
     rounding_tolerance,
-    signed_match_distance,
     symmetrize,
 )
 
@@ -148,33 +147,35 @@ def test_multiset_moment_examples():
 
 def test_match_distance_examples():
     s = EVMultiset([1.0, -1.0])
-    assert match_distance(s, s, 2) == {"max_abs": 0.0, "max_rel": 0.0}
+    assert match_distance(s, s, 2) == {"max_abs": 0.0, "max_rel": 0.0, "signed_max_rel": 0.0}
     t = EVMultiset([1.1, -0.9])
     metric = match_distance(s, t, 2)
+    assert list(metric) == ["max_abs", "max_rel", "signed_max_rel"]
     assert metric["max_abs"] == pytest.approx(0.1)
-    assert metric["max_rel"] == pytest.approx(1 / 9)
+    assert metric["max_rel"] == metric["signed_max_rel"] == pytest.approx(1 / 9)
     for m in (0, -2):  # no entry compared would pass any tolerance
         with pytest.raises(ValueError, match="comparison length must be >= 1"):
             match_distance(s, t, m)
 
 
 def test_match_distance_insufficient():
-    for distance in (match_distance, signed_match_distance):
-        with pytest.raises(InsufficientEntriesError):
-            distance(EVMultiset([1.0]), EVMultiset([1.0, 2.0]), 2)
-        with pytest.raises(ValueError, match="comparison length must be >= 1"):
-            distance(EVMultiset([1.0]), EVMultiset([1.0]), 0)
+    with pytest.raises(InsufficientEntriesError):
+        match_distance(EVMultiset([1.0]), EVMultiset([1.0, 2.0]), 2)
+    with pytest.raises(InsufficientEntriesError):
+        match_distance(EVMultiset([1.0, 2.0]), EVMultiset([1.0]), 2)
+    with pytest.raises(ValueError, match="comparison length must be >= 1"):
+        match_distance(EVMultiset([1.0]), EVMultiset([1.0]), 0)
 
 
-def test_signed_match_distance_pairs_a_tied_pair_by_sign():
+def test_match_distance_pairs_a_tied_pair_by_sign():
     # canonical order puts -2.1 first and pairs it with 2, the first of the
     # tied pair +-2; by signed order 2 pairs with 1.9 and -2 with -2.1
     s, t = EVMultiset([-2.1, 1.9, 0.5]), EVMultiset([2.0, -2.0, 0.25])
-    assert match_distance(s, t, 2) == {"max_abs": 4.1, "max_rel": 2.05}
-    signed = signed_match_distance(s, t, 2)
-    assert signed["max_abs"] == pytest.approx(0.1) and signed["max_rel"] == pytest.approx(0.05)
+    metric = match_distance(s, t, 2)
+    assert (metric["max_abs"], metric["max_rel"]) == (4.1, 2.05)
+    assert metric["signed_max_rel"] == pytest.approx(0.05)
     # over three, 0.25 is paired with the next largest value of s, 0.5
-    assert signed_match_distance(s, t, 3)["max_rel"] == pytest.approx(1.0)
+    assert match_distance(s, t, 3)["signed_max_rel"] == pytest.approx(1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,15 +184,14 @@ def test_signed_match_distance_pairs_a_tied_pair_by_sign():
        signs=st.lists(st.booleans(), min_size=12, max_size=12),
        noise=st.lists(st.floats(min_value=-1e-3, max_value=1e-3), min_size=12, max_size=12),
        data=st.data())
-def test_signed_match_distance_is_match_distance_for_one_sign_pattern(powers, signs, noise,
-                                                                      data):
+def test_signed_max_rel_is_max_rel_for_one_sign_pattern(powers, signs, noise, data):
     # distinct moduli 1.25**k, 25% apart, under a relative noise of 0.1%
     # keep both top-m lists in one order and one sign pattern
     t = np.array([1.25**k if positive else -1.25**k for k, positive in zip(powers, signs)])
     s = t * (1.0 + np.array(noise[:len(t)]))
     m = data.draw(st.integers(min_value=1, max_value=len(t)))
-    assert signed_match_distance(EVMultiset(s), EVMultiset(t), m) == match_distance(
-        EVMultiset(s), EVMultiset(t), m)
+    metric = match_distance(EVMultiset(s), EVMultiset(t), m)
+    assert metric["signed_max_rel"] == metric["max_rel"]
 
 
 def test_symmetrize_keeps_the_top_of_the_float_range_finite():
