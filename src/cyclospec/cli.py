@@ -89,8 +89,7 @@ def _parse_spectrum(text: str):
 
 
 def _write_prediction(pred, out: str) -> list[str]:
-    out_path = Path(out)
-    json_path = out_path if out_path.suffix == ".json" else out_path.with_suffix(".json")
+    json_path = Path(out).with_suffix(".json")
     csv_path = json_path.with_suffix(".csv")
     json_path.parent.mkdir(parents=True, exist_ok=True)
     _save_json(pred.to_json_dict(), json_path)

@@ -411,8 +411,8 @@ class _SemicircleState(TracialState):
     (Voiculescu's asymptotic freeness): ``names`` maps each letter to the
     names of the GUEs it multiplies, and a word's value is the
     :func:`_noncrossing_pairings` of their names.  It needs no degree cap.
-    A word over another letter raises ``DegreeExceededError``, as a table
-    without that entry does."""
+    A word over another letter raises ``DegreeExceededError`` naming
+    b_spec's law, the state's source."""
 
     def __init__(self, names: Mapping[Letter, tuple]):
         self.names = names
@@ -420,7 +420,7 @@ class _SemicircleState(TracialState):
     def tau(self, w: Word) -> complex:
         _check_pure_b(w)
         if not all(letter.base() in self.names for letter in w):
-            raise DegreeExceededError(f"no table entry for {word_str(w)}")
+            raise DegreeExceededError(f"b_spec's law has no value for {word_str(w)}")
         return complex(_noncrossing_pairings(sum((self.names[letter.base()] for letter in w), ())))
 
 
@@ -840,7 +840,7 @@ class CodedSweep:
 def cm_moment(
     w: Word | str,
     a_model: TraceClassModel | CodedSweep,
-    b_state: TracialState | None = None,
+    b_state: TracialState | None,
 ) -> complex:
     """Mixed moment of a word through the factorization formula.
 
@@ -854,7 +854,7 @@ def cm_moment(
     state value is taken at once.  The state values multiply in run order,
     the rotated run last, and the weight multiplies last of all.
 
-    ``cm_moment(c, sweep)`` is the coded form, on the code ``c`` of a word
+    ``cm_moment(c, sweep, None)`` is the coded form, on the code ``c`` of a word
     under a :class:`CodedSweep`'s ``WordCode``.  It cuts the code at its
     A-letters, drops the B-codes for the A-word, and reads the values through
     the sweep's code-keyed memos; a run or an A-word is decoded only when it

@@ -50,19 +50,6 @@ from .linred import AlgMatrix, _reduce, _reduction_spectrum, chain_moment
 from .ncalg import FAMILY_A, FAMILY_B, Letter, auto_symbols, drop_stars, parse_expression, word_str
 from .spectra import _solve_hermitian, match_distance, multiset_moment, relative_error
 
-__all__ = [
-    "Report",
-    "Scenario",
-    "builtin_scenario",
-    "estimate_beta",
-    "load_matrix_csv",
-    "run_scenario",
-    "sample_gue",
-    "sample_haar_unitary",
-    "save_matrix_csv",
-    "trial_rng",
-]
-
 HERMITICITY_GATE = 1e-8
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -537,19 +524,16 @@ def _compile(scenario: Scenario) -> _Compiled:
                 shown = value if value.imag else value.real
                 raise ValueError(f"prediction 'b_state' gives tau({word_str(word)}) = {shown}, "
                                  f"but b_spec's law gives {int(derived.tau(word).real)}")
+    source = "b_spec's law" if table is derived else "prediction 'b_state'"
     try:
         reduction = _reduce(poly, table, blocks)
     except NotInDomainError as exc:
         raise ValueError(f"scenario 'expression': {exc}") from None
-    except DegreeExceededError as exc:
-        if table is not derived:
-            raise ValueError(f"prediction 'b_state': {exc}") from None
-        word = str(exc).removeprefix("no table entry for ")
-        raise ValueError(f"b_spec's law has no value for {word}, a word over a 'file' letter: "
-                         "give it in prediction.b_state") from None
+    except DegreeExceededError as exc:  # the derived state's message names its source
+        raise ValueError(f"{exc}, a word over a 'file' letter: give it in prediction.b_state"
+                         if table is derived else f"{source}: {exc}") from None
     if not any(map(any, reduction[0])):
-        against = "b_spec's law" if table is derived else "prediction 'b_state'"
-        raise ValueError(f"scenario 'expression' reduces to 0 against {against}")
+        raise ValueError(f"scenario 'expression' reduces to 0 against {source}")
     return _Compiled(poly, a_model, table, reduction, a_cells, b_laws, scenario.haar_conjugate_b,
                      dim, a_diag)
 

@@ -156,8 +156,10 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def relative_error(x, ref):
-    """``|x - ref| / max(|ref|, REL_FLOOR)``, entrywise."""
-    return np.abs(np.subtract(x, ref)) / np.maximum(np.abs(ref), REL_FLOOR)
+    """``|x - ref| / |ref|`` entrywise, with ``REL_FLOOR`` for a zero ``ref``:
+    up to rounding, one rescaling of both leaves it unchanged."""
+    size = np.abs(ref)
+    return np.abs(np.subtract(x, ref)) / np.where(size == 0, REL_FLOOR, size)
 
 
 def _hermitian_gate(m: np.ndarray, floor: float) -> tuple[float, float]:

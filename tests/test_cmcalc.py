@@ -124,6 +124,14 @@ def test_noncrossing_pairings_give_the_semicircle_moments():
         assert cmcalc._noncrossing_pairings(tuple(word)) == count
 
 
+def test_semicircle_state_refuses_a_word_over_an_unnamed_letter():
+    # b1 multiplies one GUE; b2, a 'file' letter, has no law to count with
+    state = cmcalc._SemicircleState({b_gen(1): (0,)})
+    assert state.tau((b_gen(1), b_gen(1))) == 1
+    with pytest.raises(DegreeExceededError, match=r"^b_spec's law has no value for b1\*b2$"):
+        state.tau((b_gen(1), b_gen(2)))
+
+
 def test_noncrossing_pairings_are_the_state_of_sampled_gue_words():
     # the derived limit state against TraceMatrixState over independent GUE
     # draws, on all 30 words of degree 1 to 4 in two letters; the bound is
@@ -312,6 +320,13 @@ def test_cm_moment_two_state_generators():
 def test_cm_moment_rejects_pure_b():
     with pytest.raises(NotInDomainError):
         cm_moment((b_gen(1),), geometric_family(), MomentTable.from_b_powers({1: 1.0}))
+
+
+def test_cm_moment_needs_its_state_argument():
+    # the coded form passes None; a call on letters that leaves the state
+    # out is refused by name, not read as a code
+    with pytest.raises(TypeError, match="b_state"):
+        cm_moment((a_gen(1), b_gen(1)), geometric_family(count=None))
 
 
 class _Recording:

@@ -405,7 +405,7 @@ def _coded_forms_agree(chain, m, a_mats, b_mats, rotations=False) -> int:
     sweep = cmcalc.CodedSweep(code, MatrixTraceFamily(a_mats), TraceMatrixState(b_mats))
     fam, state = memoized_models(a_mats, b_mats)
     for c in codes:
-        assert cm_moment(c, sweep) == cm_moment(code.decode(c), fam, state)
+        assert cm_moment(c, sweep, None) == cm_moment(code.decode(c), fam, state)
     return len(codes)
 
 
@@ -460,7 +460,7 @@ def test_coded_moment_raises_as_the_definition():
         for w in words:
             models = MatrixTraceFamily(a_mats), TraceMatrixState(b_mats)
             with pytest.raises(NotInDomainError) as coded:
-                cm_moment(code.encode(w), cmcalc.CodedSweep(code, *models))
+                cm_moment(code.encode(w), cmcalc.CodedSweep(code, *models), None)
             with pytest.raises(NotInDomainError) as plain:
                 cm_moment(w, *models)
             assert str(coded.value) == str(plain.value)

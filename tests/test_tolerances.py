@@ -1,12 +1,13 @@
 """The tolerance policy of ``spectra``: every Hermiticity check accepts
 ``max|m - m*|`` up to ``max(floor, 64*eps*max|m|)``, a non-finite matrix
-fails it, and every relative error divides by ``max(|ref|, 1e-12)``."""
+fails it, and every relative error divides by ``|ref|``, or by 1e-12 where
+``ref`` is 0."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclospec import (
@@ -14,6 +15,7 @@ from cyclospec import (
     MatrixTraceFamily,
     MomentTable,
     NotSelfadjointError,
+    Scenario,
     auto_symbols,
     builtin_scenario,
     ev_anticommutator,
@@ -157,10 +159,31 @@ _FLOATS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(_FLOATS, _FLOATS)
+@example(2e-20, 1e-20)  # a tiny reference: 1, where the floor read 1e-8
+@example(1e-20, 0.0)
 def test_relative_error_equals_the_expressions_it_replaced(x, ref):
-    got = relative_error(x, ref)
-    assert got == abs(x - ref) / max(abs(ref), 1e-12)  # the runner's moment errors
-    assert got == abs(ref - x) / max(abs(ref), 1e-12)  # the formula demos
-    s, t = np.array([x, ref]), np.array([ref, x])  # match_distance
-    expected = np.abs(s - t) / np.maximum(np.abs(t), 1e-12)
-    assert np.array_equal(relative_error(s, t), expected)
+    with np.errstate(over="ignore"):  # a tiny reference can take it past the float range
+        got = relative_error(x, ref)
+        s, t = np.array([x, ref]), np.array([ref, x])  # match_distance
+        assert np.array_equal(relative_error(s, t), [got, relative_error(ref, x)])
+    if ref == 0 or abs(ref) >= 1e-12:  # where the floored denominator was 1e-12 or |ref|
+        assert got == abs(x - ref) / max(abs(ref), 1e-12)  # the runner's moment errors
+        assert got == abs(ref - x) / max(abs(ref), 1e-12)  # the formula demos
+    else:  # a tiny reference divides by its own size
+        assert got == abs(x - ref) / abs(ref)
+
+
+def test_summary_does_not_depend_on_the_scale_of_a():
+    # example2-correlated is homogeneous of degree 1 in a, and a power of two
+    # scales every value exactly: each relative statistic is the unit-scale
+    # run's, the absolute ones scale with a (moment k with a**k)
+    doc = builtin_scenario("example2-correlated", n=120, trials=2, seed=1).to_dict()
+    unit = run_scenario(Scenario.from_dict(doc)).summary
+    for c in (2.0**-20, 2.0**-43):
+        doc["a_spec"]["scale"] = c
+        got = run_scenario(Scenario.from_dict(doc)).summary
+        scaled = dict(got, match_mean_max_abs=got["match_mean_max_abs"] / c,
+                      moments_mean=[v / c**k for k, v in enumerate(got["moments_mean"], 1)])
+        assert scaled.keys() == unit.keys()
+        for key, value in unit.items():
+            assert scaled[key] == pytest.approx(value, rel=1e-12, abs=0), (c, key)
