@@ -14,8 +14,9 @@ through code-keyed memos that live for one sweep (:class:`CodedSweep`), so
 a run or an A-word is decoded and asked for only when it first misses.
 Both sweeps are one loop, ``_sweep``.  Every weight model also has
 ``omega_many``, the weights of a list of codes of one ``WordCode``; a matrix
-model evaluates them as one batch (``WordProducts.traces``), with values
-bitwise equal to ``omega``.  The reduced chain trace of
+model evaluates them as one batch (``WordProducts.traces``: the codes' prefix
+tree, built with array operations, multiplied out one depth at a time), with
+values bitwise equal to ``omega``.  The reduced chain trace of
 :mod:`cyclospec.linred` uses the batch; the oracle does not.  A
 ``MatrixTraceFamily`` keeps its last batch's weights by code, and the next
 coded sweep starts its A-word memo from them when its ``WordCode`` has the
@@ -157,8 +158,8 @@ class WordProducts:
     callers must not modify it.
 
     :meth:`traces` evaluates a whole list of words at once, as a prefix tree
-    of their codes multiplied out one depth at a time; it leaves the stack
-    alone.
+    of their codes, built with numpy array operations and multiplied out one
+    depth at a time; it leaves the stack alone.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray], dim: int):
@@ -198,93 +199,88 @@ class WordProducts:
         """Traces of the products of the words of ``codes``, nonempty codes
         of ``code`` (:class:`~cyclospec.ncalg.WordCode`), in their order.
 
-        The codes are split into batches of at most ``TRACE_BATCH_BYTES`` of
-        products (a longer code gets a batch of its own).  The codes of a
-        batch form a prefix tree with one node per distinct prefix.  Depth 0
-        is a gather of the first letters' matrices, not a product with the
-        identity, and each deeper depth is one stacked ``np.matmul`` of the
-        parents' products by the letters' matrices, as :meth:`product`
-        multiplies.  A letter's matrix is gathered by its code: one stacked
-        matrix per distinct character of ``codes``.  The traces of a depth's
+        The codes are read as one array of code points, and each code point
+        is mapped to its letter's row of a stacked letter matrix: one row per
+        distinct character of ``codes``.  They are split greedily into
+        consecutive batches of at most ``TRACE_BATCH_BYTES`` of products (a
+        longer code gets a batch of its own).  The codes of a batch form a
+        prefix tree with one node per distinct prefix, built with array
+        operations on the batch's codes padded into a matrix: a code opens a
+        node at each depth past the prefix it shares with the code before
+        it, a new node's parent is its code's node one depth up, and a code
+        ends at its node at its last depth, the last one made there so far.
+        So unsorted and repeated codes are welcome; sorted codes share the
+        most prefixes.  Depth 0 is a gather of the first letters' matrices,
+        not a product with the identity, and each deeper depth is one
+        stacked ``np.matmul`` of the parents' products by the letters'
+        matrices, as :meth:`product` multiplies.  The traces of a depth's
         nodes are taken with ``np.trace(..., axis1=1, axis2=2)``.  So every
         value is bitwise equal to ``complex(self.product(w).trace())``, ``w``
-        its code's word.  Sorted codes share the most prefixes.  An empty or
-        impure code raises the weight's ``NotInDomainError``, and so does an
-        unknown generator, before anything is stacked.
+        its code's word.  An empty or impure code raises the weight's
+        ``NotInDomainError``, and so does an unknown generator, before
+        anything is stacked.
         """
         if not codes:
             return []
-        chars = "".join(codes)
+        # every rank is a code point, those in the surrogate range too
+        chars = np.frombuffer("".join(codes).encode("utf-32-le", "surrogatepass"), np.uint32)
+        lengths = np.fromiter(map(len, codes), np.intp, len(codes))
         # the A-letters have the lowest codes
-        if not all(codes) or max(chars) >= chr(code.a_count):
+        if not lengths.all() or chars.max() >= code.a_count:
             for c in codes:
                 _check_pure_a_nonempty(code.decode(c))
-        ranks = sorted(set(chars))
-        row_of = {rank: row for row, rank in enumerate(ranks)}
-        letter_stack = np.stack([self._letters[code.letters[ord(rank)]] for rank in ranks])
-        node_bytes = 16 * self._dim * self._dim
-        values: list[complex] = []
-        for batch in _batches(codes, TRACE_BATCH_BYTES // node_bytes):
-            out = [0j] * len(batch)
+        counts = np.bincount(chars)
+        ranks = np.flatnonzero(counts)
+        letter_stack = np.stack([self._letters[code.letters[rank]] for rank in ranks.tolist()])
+        # row_of[rank] is the letter stack's row of the character chr(rank);
+        # len(ranks), the padding below, is no row
+        row_type = np.min_scalar_type(len(ranks))
+        row_of = np.zeros(len(counts), row_type)
+        row_of[ranks] = np.arange(len(ranks))
+        rows = row_of[chars]
+        offsets = np.zeros(len(codes) + 1, np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        budget = TRACE_BATCH_BYTES // (16 * self._dim * self._dim)
+        values = np.empty(len(codes), complex)
+        start = 0
+        while start < len(codes):
+            stop = max(int(np.searchsorted(offsets, offsets[start] + budget, "right")) - 1,
+                       start + 1)
+            size = lengths[start:stop]
+            width = int(size.max())
+            depths = np.arange(width)
+            inside = depths < size[:, None]
+            padded = np.full((stop - start, width), len(ranks), row_type)
+            padded[inside] = rows[offsets[start]:offsets[stop]]
+            # shared[i]: the length of the prefix code i shares with code i - 1
+            differ = np.ones((stop - start, width + 1), bool)
+            differ[1:, :width] = padded[1:] != padded[:-1]
+            shared = differ.argmax(axis=1)
+            opens = inside & (depths >= shared[:, None])
+            # node[i, d]: code i's node at depth d, the last one opened by then
+            node = np.cumsum(opens, axis=0) - 1
+            # the new nodes depth by depth, each depth's in code order: their
+            # letters' rows and parents (depth 0's parents are never read),
+            # and the codes that end at each depth with their nodes
+            new_depth, new_code = np.nonzero(opens.T)
+            letter_rows = padded[new_code, new_depth]
+            parents = node[new_code, new_depth - 1]
+            ended = depths[:, None] == size - 1
+            end_depth, ending = np.nonzero(ended)
+            ends = node[ending, end_depth]
+            out = values[start:stop]
+            first = last = 0
             products = None
-            for chars, parents, ends in zip(*_prefix_tree(batch)):
-                rows = [row_of[char] for char in chars]
-                products = (letter_stack[rows] if products is None
-                            else np.matmul(products[parents], letter_stack[rows]))
-                if ends:
-                    level = np.trace(products, axis1=1, axis2=2).tolist()
-                    for pos, node in ends:
-                        out[pos] = level[node]
-            values += out
-        return values
-
-
-def _batches(codes: Sequence[str], letters: int):
-    """Consecutive runs of ``codes`` with at most ``letters`` letters each
-    (a longer code is a run of its own)."""
-    batch: list[str] = []
-    size = 0
-    for c in codes:
-        if batch and size + len(c) > letters:
-            yield batch
-            batch, size = [], 0
-        batch.append(c)
-        size += len(c)
-    if batch:
-        yield batch
-
-
-def _prefix_tree(codes: list[str]):
-    """The prefix tree of ``codes`` as three lists with one entry per depth.
-
-    At depth ``d`` a node has a character, and its parent is a node at depth
-    ``d - 1``.  A node at depth 0 is its letter itself, not a product with
-    the identity; its parent entry is 0 and is never read.  ``ends[d]``
-    pairs each code of length ``d + 1`` (its position in ``codes``) with
-    its node.  Each code's nodes are the last ones made at their depths
-    when it is done, so a new node's parent is the last node one depth up.
-    """
-    depth = max(map(len, codes))
-    chars: list[list[str]] = [[] for _ in range(depth)]
-    parents: list[list[int]] = [[] for _ in range(depth)]
-    ends: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
-    prev = ""
-    for pos, c in enumerate(codes):
-        shared = 0
-        for x, y in zip(c, prev):
-            if x != y:
-                break
-            shared += 1
-        parent = len(chars[shared - 1]) - 1 if shared else 0
-        for d in range(shared, len(c)):
-            level = chars[d]
-            parents[d].append(parent)
-            parent = len(level)
-            level.append(c[d])
-        last = len(c) - 1
-        ends[last].append((pos, len(chars[last]) - 1))
-        prev = c
-    return chars, parents, ends
+            for made, done in zip(np.cumsum(opens.sum(axis=0)).tolist(),
+                                  np.cumsum(ended.sum(axis=1)).tolist()):
+                letters = letter_stack[letter_rows[first:made]]
+                products = (letters if products is None
+                            else np.matmul(products[parents[first:made]], letters))
+                if done > last:
+                    out[ending[last:done]] = np.trace(products, axis1=1, axis2=2)[ends[last:done]]
+                first, last = made, done
+            start = stop
+        return values.tolist()
 
 
 # ---------------------------------------------------------------------------

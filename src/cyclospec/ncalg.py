@@ -327,9 +327,15 @@ def _add_terms(out: dict, terms: Mapping) -> None:
 
 
 def _sum_terms(term_maps: Iterable[Mapping]) -> dict:
-    """The terms of ``0 + p1 + p2 + ...``, accumulated in one dict."""
-    out: dict = {}
-    for terms in term_maps:
+    """The terms of ``0 + p1 + p2 + ...``, accumulated in one dict.
+
+    The sum starts from a copy of ``p1``'s terms: that is ``0 + p1`` bitwise,
+    since a term map has no zero coefficient and no ``-0.0`` part
+    (:func:`_canonical_terms`), as ``NCPolynomial.__add__`` relies on too.
+    """
+    maps = iter(term_maps)
+    out = dict(next(maps, {}))
+    for terms in maps:
         _add_terms(out, terms)
     return out
 

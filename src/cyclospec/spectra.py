@@ -157,9 +157,11 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 def relative_error(x, ref):
     """``|x - ref| / |ref|`` entrywise, with ``REL_FLOOR`` for a zero ``ref``:
-    up to rounding, one rescaling of both leaves it unchanged."""
+    up to rounding, one rescaling of both leaves it unchanged.  A value past
+    the float range is ``inf``, without numpy's overflow warning."""
     size = np.abs(ref)
-    return np.abs(np.subtract(x, ref)) / np.where(size == 0, REL_FLOOR, size)
+    with np.errstate(over="ignore"):
+        return np.abs(np.subtract(x, ref)) / np.where(size == 0, REL_FLOOR, size)
 
 
 def _hermitian_gate(m: np.ndarray, floor: float) -> tuple[float, float]:

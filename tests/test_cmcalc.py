@@ -1079,6 +1079,17 @@ def test_word_product_traces_refuse_a_word_outside_the_weight_domain(codes, lett
     assert products.traces(["\0"], WordCode([a_gen(1)])) == [3.0]
 
 
+def test_word_product_traces_read_a_code_in_the_surrogate_range():
+    # a WordCode of more than 0xD800 letters codes some letters as code
+    # points that UTF-32 reserves for surrogates
+    code = WordCode(a_gen(i) for i in range(1, 0xD800 + 3))
+    matrices = {1: np.diag([1.0, 2.0]), 0xD802: np.diag([3.0, 5.0])}
+    words = [(a_gen(1), a_gen(0xD802)), (a_gen(0xD802),)]
+    codes = [code.encode(w) for w in words]
+    assert codes[1] == chr(0xD801)
+    assert WordProducts(matrices, 2).traces(codes, code) == [13.0, 8.0]
+
+
 # a word list with adjoint letters, repeats, and words that are prefixes of
 # others, in no particular order
 _batch_words = st.lists(
@@ -1111,6 +1122,54 @@ def test_omega_many_is_bitwise_omega(dim, seed, words, asked, batch_nodes):
     fresh = MatrixTraceFamily(matrices)
     assert got == [fresh.omega(w) for w in words]
     assert fam.omega_many(codes, code) == got
+
+
+def _shared(c, prev):
+    """The length of the prefix the codes ``c`` and ``prev`` share."""
+    return next((k for k, (x, y) in enumerate(zip(c, prev)) if x != y), min(len(c), len(prev)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    _batch_words,
+    st.sampled_from(["sorted", "reversed", "given"]),
+    st.integers(min_value=1, max_value=30),
+)
+def test_word_product_traces_multiply_each_distinct_prefix_once(dim, words, order, batch_nodes):
+    # in each batch, every prefix shared with the code before is multiplied
+    # once: one stacked matmul per depth below the first, of as many rows as
+    # the batch's codes open nodes there
+    if order != "given":
+        words = sorted(words, reverse=order == "reversed")
+    rng = np.random.default_rng(38)
+    matrices = {i: random_general(dim, rng) for i in (1, 2, 3)}
+    codes, code = _coded(words)
+    batches, batch, size = [], [], 0  # the greedy split by letters
+    for c in codes:
+        if batch and size + len(c) > batch_nodes:
+            batches.append(batch)
+            batch, size = [], 0
+        batch.append(c)
+        size += len(c)
+    batches.append(batch)
+    stacked = []
+    matmul = np.matmul
+
+    def counted(x, y):
+        stacked.append(len(x))
+        return matmul(x, y)
+
+    with mock.patch.object(cmcalc, "TRACE_BATCH_BYTES", batch_nodes * 16 * dim * dim), \
+            mock.patch.object(np, "matmul", counted):
+        WordProducts(matrices, dim).traces(codes, code)
+    for batch in batches:
+        shared = [_shared(c, prev) for c, prev in zip(batch, [""] + batch)]
+        nodes = sum(len(c) - k for c, k in zip(batch, shared)) - shared.count(0)
+        depths = max(map(len, batch)) - 1
+        assert sum(stacked[:depths]) == nodes
+        del stacked[:depths]
+    assert stacked == []
 
 
 @pytest.mark.parametrize("order", ["sorted", "reversed", "random"])

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import statistics
 import tracemalloc
 from importlib import resources
 from types import SimpleNamespace
@@ -42,6 +44,7 @@ from cyclospec.rmtlab import (
 )
 
 from _oracles import DEMO_B_STATES, with_demo_b_state
+from print_gate_odds import summaries as gate_summaries
 
 
 # ---------------------------------------------------------------------------
@@ -1404,3 +1407,18 @@ def test_example3_prediction_peak_stays_under_one_mib():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("demo", ["example3", "example2-correlated"])
+def test_haar_conjugation_of_the_b_letters_moves_no_seed_stream_mean(demo):
+    # one shared Haar rotation leaves GUE-based B's jointly invariant, so the
+    # statistic's law is the same with and without it: the seed-stream means
+    # agree within |z| <= 3.3 (two-sided 0.1%), a bound fixed before any run
+    stream = range(1, 21)
+    means, variances = [], []
+    for haar in (True, False):
+        rels = [s["match_mean_max_rel"] for s in gate_summaries(demo, 150, 5, stream, haar)]
+        means.append(statistics.fmean(rels))
+        variances.append(statistics.variance(rels) / len(rels))
+    z = (means[0] - means[1]) / math.sqrt(sum(variances))
+    assert abs(z) <= 3.3

@@ -4,6 +4,8 @@ fails it, and every relative error divides by ``|ref|``, or by 1e-12 where
 ``ref`` is 0."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,15 +164,23 @@ _FLOATS = st.one_of(
 @example(2e-20, 1e-20)  # a tiny reference: 1, where the floor read 1e-8
 @example(1e-20, 0.0)
 def test_relative_error_equals_the_expressions_it_replaced(x, ref):
-    with np.errstate(over="ignore"):  # a tiny reference can take it past the float range
-        got = relative_error(x, ref)
-        s, t = np.array([x, ref]), np.array([ref, x])  # match_distance
-        assert np.array_equal(relative_error(s, t), [got, relative_error(ref, x)])
+    got = relative_error(x, ref)
+    s, t = np.array([x, ref]), np.array([ref, x])  # match_distance
+    assert np.array_equal(relative_error(s, t), [got, relative_error(ref, x)])
     if ref == 0 or abs(ref) >= 1e-12:  # where the floored denominator was 1e-12 or |ref|
         assert got == abs(x - ref) / max(abs(ref), 1e-12)  # the runner's moment errors
         assert got == abs(ref - x) / max(abs(ref), 1e-12)  # the formula demos
     else:  # a tiny reference divides by its own size
         assert got == abs(x - ref) / abs(ref)
+
+
+@pytest.mark.parametrize("x,ref", [(1e150, 1e-300), (-1e150, 5e-324), (1e308, -1e308)])
+def test_relative_error_past_the_float_range_is_inf_without_a_warning(x, ref):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = relative_error(x, ref)
+        pair = relative_error(np.array([x, ref]), np.array([ref, x]))
+    assert got == math.inf and pair[0] == math.inf
 
 
 def test_summary_does_not_depend_on_the_scale_of_a():
