@@ -7,16 +7,17 @@ pure-A polynomial with the weight) and an unreduced path (expand everything
 and hand each word to the moment oracle).  The two paths are deliberately
 independent so they can cross-check each other.
 
-Matrix products, traces and trace powers are module functions over grids of
-term maps (``grid_product``, ``grid_scaled``, ``grid_trace``,
-``grid_power_trace``); ``AlgMatrix``'s ``@`` runs the products, and an
-ndarray on either side raises ``TypeError``.  Both chain paths run the
-same functions on the ``ncalg.WordCode`` codes of their words, one character
-per letter, and hand the codes on: the weight model takes the reduced
-path's codes as one batch, and ``poly_moment``'s sweep factors each
-unreduced code itself.  A code's order is its word's order, so sorting the
-codes visits the words in ``sorted_terms`` order, and every value is
-bitwise that of the same arithmetic on words.
+Matrix products and traces are module functions over grids of term maps
+(``grid_product``, ``grid_scaled``, ``grid_trace``); ``AlgMatrix``'s ``@``
+runs the products, and an ndarray on either side raises ``TypeError``.
+Both chain paths hand their grids to one kernel, ``grid_chain_trace``, which
+forms only the diagonal of a chain power's last product.  They run it on the
+``ncalg.WordCode`` codes of their words, one character per letter, and hand
+the codes on: the weight model takes the reduced path's codes as one batch,
+and ``poly_moment``'s sweep factors each unreduced code itself.  A code's
+order is its word's order, so sorting the codes visits the words in
+``sorted_terms`` order, and every value is bitwise that of the same
+arithmetic on words.
 
 :func:`ev_polynomial` derives the multiset of any polynomial by the same
 reduction; each closed-form recipe is one of its corollaries, derived by
@@ -28,6 +29,7 @@ every spectrum and refuses it (``sqrtm_psd`` is ``spectra``'s too).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -194,19 +196,22 @@ def grid_trace(grid) -> dict:
     return _sum_terms(grid[i][i] for i in range(len(grid)))
 
 
-def grid_power_trace(grid, m: int) -> dict:
-    """The trace of ``grid @ grid @ ...`` (``m`` factors, multiplied from the
-    left), forming only the diagonal of the last product; its entries and
-    their sum are accumulated as ``grid_product`` and ``grid_trace`` would,
-    so the terms are bitwise equal."""
-    if m == 1:
-        return grid_trace(grid)
-    left = grid
-    for _ in range(m - 2):
-        left = grid_product(left, grid)
-    n = len(grid)
+def grid_chain_trace(grids, m: int) -> dict:
+    """The trace of ``(G1 @ G2 @ ... @ GL)**m`` for square grids ``grids``,
+    every product multiplied from the left, forming only the diagonal of the
+    last product: for ``m == 1`` that of ``(G1 @ ... @ G(L-1)) @ GL``, and
+    for ``m >= 2``, with ``P`` the chain's product formed in full, that of
+    ``P @ P @ ... @ P`` (``m`` factors).  Its entries and their sum are
+    accumulated as ``grid_product`` and ``grid_trace`` would, so the terms
+    are bitwise equal; one grid is a chain of length 1."""
+    if m > 1:
+        grids = [functools.reduce(grid_product, grids)] * m
+    if len(grids) == 1:
+        return grid_trace(grids[0])
+    left, last = functools.reduce(grid_product, grids[:-1]), grids[-1]
+    n = len(last)
     return _sum_terms(
-        _sum_terms(_product_terms(left[i][p], grid[p][i]) for p in range(n))
+        _sum_terms(_product_terms(left[i][p], last[p][i]) for p in range(n))
         for i in range(n)
     )
 
@@ -317,12 +322,12 @@ def chain_moment(
     if m < 1:
         raise ValueError("moment order must be >= 1")
     code, a_grids = _coded_grids(chain[0::2])
-    reduced = None
-    for a_grid, b_matrix in zip(a_grids, chain[1::2]):
-        step = grid_scaled(a_grid, reduce_b_matrix(b_matrix, b_state))
-        reduced = step if reduced is None else grid_product(reduced, step)
-    trace = grid_power_trace(reduced, m)
-    del a_grids, reduced, step
+    trace = grid_chain_trace(
+        [grid_scaled(a_grid, reduce_b_matrix(b_matrix, b_state))
+         for a_grid, b_matrix in zip(a_grids, chain[1::2])],
+        m,
+    )
+    del a_grids
     codes = sorted(trace)
     coeffs = [trace[c] for c in codes]
     del trace  # only the sorted codes are needed from here on
@@ -352,11 +357,8 @@ def chain_moment_unreduced(
     if m < 1:
         raise ValueError("moment order must be >= 1")
     code, grids = _coded_grids(chain)
-    product = None
-    for grid in grids:
-        product = grid if product is None else grid_product(product, grid)
-    trace = grid_power_trace(product, m)
-    del grids, product, grid  # only the trace is needed from here on
+    trace = grid_chain_trace(grids, m)
+    del grids  # only the trace is needed from here on
     return _sweep(trace, a_model, b_state, code)
 
 

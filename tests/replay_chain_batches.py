@@ -17,11 +17,13 @@ records three layers of it, as plain data:
 Then it loads the parent's package under a name of its own and, ``--rounds``
 times, replays each layer on each tree, the trees in alternating order (the
 parent first in even rounds): the batches on fresh families, the expansions
-through each tree's ``grid_scaled``, ``grid_product`` and
-``grid_power_trace``.  It prints each tree's median and quartiles of a
-layer's replay, the change's median relative to the parent's, and whether
-the two trees' values agree bitwise (weights by ``float.hex``, traces by
-key, order and coefficient).
+through each tree's ``grid_scaled`` and its chain trace,
+``grid_chain_trace`` where the tree has it and otherwise ``grid_product``
+steps and ``grid_power_trace``.  It prints each tree's median and quartiles
+of a layer's replay, the change's median relative to the parent's, and
+whether the two trees' values agree bitwise (weights by ``float.hex``,
+traces by key, order and coefficient).  It exits 1 when any layer's values
+differ.
 
 Make the parent tree with ``git archive <rev> | tar -x -C PARENT_DIR``.  It
 reads the package's private names, so it follows the code it replays, not
@@ -78,17 +80,23 @@ def replay_batches(cs, batches) -> tuple[float, list]:
     return time.perf_counter() - start, values
 
 
+def chain_trace(linred, grids, m) -> dict:
+    """The trace of ``(G1 @ ... @ GL)**m`` by the tree's own kernel."""
+    if hasattr(linred, "grid_chain_trace"):
+        return linred.grid_chain_trace(grids, m)
+    product = grids[0]
+    for grid in grids[1:]:
+        product = linred.grid_product(product, grid)
+    return linred.grid_power_trace(product, m)
+
+
 def replay_reduced(cs, expansions) -> tuple[float, list]:
     linred = cs.linred
     gc.collect()
     start = time.perf_counter()
-    traces = []
-    for a_grids, scalars, m in expansions:
-        grid = None
-        for a_grid, scalar in zip(a_grids, scalars):
-            step = linred.grid_scaled(a_grid, scalar)
-            grid = step if grid is None else linred.grid_product(grid, step)
-        traces.append(linred.grid_power_trace(grid, m))
+    traces = [chain_trace(linred, [linred.grid_scaled(a_grid, scalar)
+                                   for a_grid, scalar in zip(a_grids, scalars)], m)
+              for a_grids, scalars, m in expansions]
     return time.perf_counter() - start, traces
 
 
@@ -96,12 +104,7 @@ def replay_unreduced(cs, expansions) -> tuple[float, list]:
     linred = cs.linred
     gc.collect()
     start = time.perf_counter()
-    traces = []
-    for grids, m in expansions:
-        grid = None
-        for step in grids:
-            grid = step if grid is None else linred.grid_product(grid, step)
-        traces.append(linred.grid_power_trace(grid, m))
+    traces = [chain_trace(linred, grids, m) for grids, m in expansions]
     return time.perf_counter() - start, traces
 
 
@@ -137,6 +140,7 @@ def main(argv: list[str]) -> int:
              "change": cyclospec}
     layers = record(cyclospec, cases, args.seed)
     print(f"oracle-chains (seed {args.seed}), {args.rounds} rounds")
+    all_equal = True
     for layer, recorded in layers.items():
         replay = REPLAYS[layer]
         times = {side: [] for side in trees}
@@ -146,13 +150,16 @@ def main(argv: list[str]) -> int:
                 elapsed, values[side] = replay(trees[side], recorded)
                 times[side].append(elapsed)
         equal = bits(values["parent"]) == bits(values["change"])
+        all_equal &= equal
         print(f"{layer}: {len(recorded)} calls, values bitwise equal: {equal}")
         for side, runs in times.items():
-            q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+            # one round's quartiles are its one run
+            q1, median, q3 = statistics.quantiles(runs if len(runs) > 1 else runs * 2,
+                                                  n=4, method="inclusive")
             print(f"  {side}: median {1e3 * median:.2f} ms [{1e3 * q1:.2f}, {1e3 * q3:.2f}]")
         parent, change = (statistics.median(times[side]) for side in ("parent", "change"))
         print(f"  change against parent: {100 * (change - parent) / parent:+.1f}%")
-    return 0
+    return 0 if all_equal else 1
 
 
 if __name__ == "__main__":

@@ -273,3 +273,15 @@ def test_only_the_shared_hermitian_solve_calls_eigvalsh():
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and _names(node, solver)}
         assert namers == {function}, solver
+
+
+def test_the_exact_reference_imports_only_the_standard_library():
+    # tests/_exact.py is the tolerance-free reference of tests/test_exact.py:
+    # it reads a letter as a plain tuple, so it reaches nothing in cmcalc,
+    # linred, dense or spectra, nor any other module of the package
+    tree = ast.parse((Path(__file__).parent / "_exact.py").read_text(encoding="utf-8"))
+    imported = {name.split(".")[0] for node in ast.walk(tree)
+                for name in ([node.module or ""] if isinstance(node, ast.ImportFrom) else
+                             [alias.name for alias in getattr(node, "names", ())])
+                if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert imported == {"__future__", "fractions", "functools"}

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,7 +208,50 @@ def test_power_trace_is_bitwise_trace_of_power(mat, m):
     power = grid
     for _ in range(m - 1):
         power = linred.grid_product(power, grid)
-    assert _items(linred.grid_power_trace(grid, m)) == _items(linred.grid_trace(power))
+    assert _items(linred.grid_chain_trace([grid], m)) == _items(linred.grid_trace(power))
+
+
+# one letter, so that a power of up to 16 grids keeps at most 33 words an
+# entry (two letters would give thousands); its words still collide
+_powers_of_a = st.dictionaries(
+    st.lists(st.just(a_gen(1)), max_size=2).map(tuple),
+    st.builds(complex, _coefficient_parts, _coefficient_parts),
+    max_size=3,
+).map(NCPolynomial)
+
+
+@st.composite
+def _square_chains(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    length = draw(st.integers(min_value=1, max_value=4))
+    return [AlgMatrix([[draw(_powers_of_a) for _ in range(dim)] for _ in range(dim)]).grid()
+            for _ in range(length)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_chains(), st.integers(min_value=1, max_value=4))
+def test_chain_trace_is_bitwise_trace_of_power_and_forms_one_diagonal(grids, m):
+    product = grids[0]
+    for grid in grids[1:]:
+        product = linred.grid_product(product, grid)
+    power = product
+    for _ in range(m - 1):
+        power = linred.grid_product(power, product)
+    calls = 0
+
+    def counted(u, v):
+        nonlocal calls
+        calls += 1
+        return product_terms(u, v)
+
+    product_terms = linred._product_terms
+    with mock.patch.object(linred, "_product_terms", counted):
+        trace = linred.grid_chain_trace(grids, m)
+    assert _items(trace) == _items(linred.grid_trace(power))
+    n, length = len(grids[0]), len(grids)
+    if m == 1 and length >= 2:
+        # the full products of all but the last grid, then n^2 entry products
+        assert calls == (length - 2) * n**3 + n**2
 
 
 def _sum_by_addition(polys):
@@ -253,7 +297,7 @@ def test_products_accumulate_bitwise_as_repeated_addition(mats):
             ))
     assert _items(linred.grid_trace(left.grid())) == _items(
         _sum_by_addition(entries[i][i] for i in range(n)))
-    assert _items(linred.grid_power_trace(product, 2)) == _items(_sum_by_addition(
+    assert _items(linred.grid_chain_trace([product], 2)) == _items(_sum_by_addition(
         _sum_by_addition(
             products[i][p] * products[p][i] for p in range(n)
         ) for i in range(n)
@@ -328,7 +372,7 @@ def test_matrix_kernels_bitwise_equal_polynomial_arithmetic(mats):
         _ref_product(left, right))
     assert _item_grid(linred.grid_scaled(grid, scalar)) == _item_grid(_ref_scaled(left, scalar))
     for m in (1, 2, 3, 4):
-        assert _items(linred.grid_power_trace(grid, m)) == _items(_ref_power_trace(left, m))
+        assert _items(linred.grid_chain_trace([grid], m)) == _items(_ref_power_trace(left, m))
     assert _items(linred.grid_trace(grid)) == _items(_ref_power_trace(left, 1))
 
 
@@ -396,10 +440,7 @@ def _coded_forms_agree(chain, m, a_mats, b_mats, rotations=False) -> int:
     definition on fresh models of its own, compared with ``==``; returns
     the number of words."""
     code, grids = linred._coded_grids(chain)
-    product = grids[0]
-    for grid in grids[1:]:
-        product = linred.grid_product(product, grid)
-    codes = sorted(linred.grid_power_trace(product, m))
+    codes = sorted(linred.grid_chain_trace(grids, m))
     if rotations:
         codes = sorted({c[j:] + c[:j] for c in codes for j in range(len(c))})
     sweep = cmcalc.CodedSweep(code, MatrixTraceFamily(a_mats), TraceMatrixState(b_mats))
