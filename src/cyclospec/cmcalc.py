@@ -23,17 +23,19 @@ coded sweep starts its A-word memo from them when its ``WordCode`` has the
 same A-letters, so ``chain_moment_unreduced`` after ``chain_moment`` on the
 same models decodes no A-word of the batch.
 
-Every lazily filled table is a ``_Memo``, whose evaluator holds a model's
-data, never the model.  ``MomentTable`` and ``SpectrumFamily`` memoize their
-values per word as long as they live: they hold a few runs, which every
-sweep reads again.  A matrix model (``MatrixTraceFamily``,
-``TraceMatrixState``) memoizes no value, only its letters; a coded sweep's
-memos answer the repeats within one sweep.  A matrix state keeps only its
-letters and multiplies each word out from them.  A matrix weight keeps the
-prefix products of its last word, and its batch, for one sweep: ``_sweep``
-ends the weight's sweep when it returns or raises (``_drop_sweep``), so
-between sweeps a matrix model keeps only its letters and the weight its
-batch.
+Every lazily filled table of a model is a ``_Memo``, whose evaluator holds a
+model's data, never the model.  The one table outside the models is
+process-wide: ``_noncrossing_pairings`` keeps a ``functools.cache``, which a
+counter reads through its ``cache_info()``.  ``MomentTable`` and
+``SpectrumFamily`` memoize their values per word as long as they live: they
+hold a few runs, which every sweep reads again.  A matrix model
+(``MatrixTraceFamily``, ``TraceMatrixState``) memoizes no value, only its
+letters; a coded sweep's memos answer the repeats within one sweep.  A matrix
+state keeps only its letters and multiplies each word out from them.  A matrix
+weight keeps the prefix products of its last word, and its batch, for one
+sweep: ``_sweep`` ends the weight's sweep when it returns or raises
+(``_drop_sweep``), so between sweeps a matrix model keeps only its letters and
+the weight its batch.
 
 For the eigenvalue recipes a weight model also realizes each generator as a
 matrix: ``diagonal`` gives the 1-D diagonal of the realization, or ``None``

@@ -69,6 +69,25 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def describe(row: dict) -> str:
+    """A :func:`summarize` row on one line: the parent's median and quartiles,
+    the change's median, the relative change and the wins."""
+    return (f"{row['parent_median']:.6g} [{row['parent_q1']:.6g}, {row['parent_q3']:.6g}] "
+            f"-> {row['change_median']:.6g} ({100 * row['rel_change']:+.1f}%), "
+            f"wins {row['wins']}/{row['pairs']}{', claim met' if row['claim_met'] else ''}")
+
+
+def alternate(pairs: int, run) -> dict:
+    """``run(side, k)`` for both sides of pairs ``k = 0 .. pairs - 1``, the
+    parent first in even pairs and second in odd ones; each side's results
+    in pair order, by side."""
+    runs = {"parent": [], "change": []}
+    for k in range(pairs):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            runs[side].append(run(side, k))
+    return runs
+
+
 def run_tree(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The JSON summary (last stdout line) of one benchmark run in ``tree``,
     with its ``env`` line as ``"env"``."""
@@ -86,14 +105,13 @@ def run_tree(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def run_set(parent: Path, change: Path, workload: str, pairs: int, seconds: float,
             seed: int) -> dict:
-    runs = {"parent": [], "change": []}
-    for k in range(pairs):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            tree = parent if side == "parent" else change
-            runs[side].append(run_tree(tree, workload, seed + k, seconds))
-            print(f"pair {k + 1}/{pairs} seed {seed + k} {side}: "
-                  f"{json.dumps(runs[side][-1]['metrics'])}", file=sys.stderr)
+    def run(side, k):
+        summary = run_tree(parent if side == "parent" else change, workload, seed + k, seconds)
+        print(f"pair {k + 1}/{pairs} seed {seed + k} {side}: "
+              f"{json.dumps(summary['metrics'])}", file=sys.stderr)
+        return summary
+
+    runs = alternate(pairs, run)
     spec = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {}
     for metric in spec["end_to_end"]:
@@ -140,13 +158,13 @@ def run_tier1(tree: Path, seed: int) -> dict:
 
 
 def run_tier1_set(parent: Path, change: Path, pairs: int, seed: int) -> dict:
-    runs = {"parent": [], "change": []}
-    for k in range(pairs):
-        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_tier1(parent if side == "parent" else change, seed + k))
-            print(f"pair {k + 1}/{pairs} seed {seed + k} {side}: "
-                  f"{runs[side][-1]['wall_s']:.1f} s, {runs[side][-1]['counts']}",
-                  file=sys.stderr)
+    def run(side, k):
+        result = run_tier1(parent if side == "parent" else change, seed + k)
+        print(f"pair {k + 1}/{pairs} seed {seed + k} {side}: "
+              f"{result['wall_s']:.1f} s, {result['counts']}", file=sys.stderr)
+        return result
+
+    runs = alternate(pairs, run)
     walls = {side: [run["wall_s"] for run in runs[side]] for side in runs}
     return {"runs": runs, "seeds": [seed + k for k in range(pairs)],
             "wall_s": summarize(walls["parent"], walls["change"], "lower")}
@@ -171,9 +189,7 @@ def main(argv=None) -> int:
         entry["sets"].append(run_tier1_set(args.parent, args.change, args.pairs, args.seed))
         entry["sets_run"] = len(entry["sets"])
         args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        row = entry["sets"][-1]["wall_s"]
-        print(f"tier1 wall_s: {row['parent_median']:.1f} -> {row['change_median']:.1f} s "
-              f"({100 * row['rel_change']:+.1f}%), wins {row['wins']}/{row['pairs']}")
+        print(f"tier1 wall_s: {describe(entry['sets'][-1]['wall_s'])}")
         return 0
     new = run_set(args.parent, args.change, args.workload, args.pairs, args.seconds, args.seed)
     entry = doc.setdefault("workloads", {}).setdefault(args.workload, {"sets": []})
@@ -181,10 +197,7 @@ def main(argv=None) -> int:
     entry["sets_run"] = len(entry["sets"])
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for name, row in new["metrics"].items():
-        print(f"{args.workload} {name}: {row['parent_median']:.6g} "
-              f"[{row['parent_q1']:.6g}, {row['parent_q3']:.6g}] -> {row['change_median']:.6g} "
-              f"({100 * row['rel_change']:+.1f}%), wins {row['wins']}/{row['pairs']}"
-              f"{', claim met' if row['claim_met'] else ''}")
+        print(f"{args.workload} {name}: {describe(row)}")
     return 0
 
 

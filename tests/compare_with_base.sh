@@ -76,10 +76,11 @@ done
 # oracle never does), and both chain paths on all 100 criterion-3
 # chains; the head's script runs against both sources
 both matrix-moments python "$PWD/tests/print_matrix_moments.py"
-# every chain trace of one oracle-chains pass through each tree's own
-# chain-trace kernel, by key, order and coefficient bits (exits 1 when
-# a layer's values differ)
-python "$PWD/tests/replay_chain_batches.py" --parent "$out/tree" --rounds 1
+# every state and weight ask of one recipes-small pass, and every
+# weight batch and chain trace of one oracle-chains pass, on each
+# tree's package, by key, order and coefficient bits (exits 1 naming a
+# layer whose values differ)
+python "$PWD/tests/replay_layers.py" --parent "$out/tree" --rounds 1
 # a file B, which no demo has: a seeded Hermitian matrix that every
 # trial reads without writing, conjugated by the Haar u and bound to
 # a second letter through a copy_of entry; dim 150 ends on a partial

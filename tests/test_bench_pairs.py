@@ -77,3 +77,16 @@ def test_tier1_pairs_run_both_sides_at_one_hypothesis_seed_per_pair(monkeypatch)
                     ("parent", 52), ("change", 52)]
     assert row["seeds"] == [50, 51, 52]
     assert row["wall_s"]["parent"] == [1.0, 4.0, 5.0]
+
+
+def test_alternation_runs_the_parent_first_in_even_pairs():
+    calls = []
+
+    def run(side, k):
+        calls.append((side, k))
+        return len(calls)
+
+    runs = bench_pairs.alternate(4, run)
+    assert calls == [("parent", 0), ("change", 0), ("change", 1), ("parent", 1),
+                     ("parent", 2), ("change", 2), ("change", 3), ("parent", 3)]
+    assert runs == {"parent": [1, 4, 5, 8], "change": [2, 3, 6, 7]}
